@@ -113,115 +113,90 @@ func (r *Report) metric(k string, v float64) {
 	r.Metrics[k] = v
 }
 
-// All runs every experiment at full scale and returns the reports in
-// presentation order.
+// experiment is one row of the registry: a runnable name, whether the
+// "all" group includes it, and how to run it at a seed.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(seed int64) []Report
+}
+
+func one(f func(int64) Report) func(int64) []Report {
+	return func(seed int64) []Report { return []Report{f(seed)} }
+}
+
+func fullCampaign(seed int64) []Report { return Campaign(CampaignParams{Seed: seed}) }
+
+// table is the single ordered registry behind Names, Run and All; its
+// order is the presentation order. The last three rows stay out of
+// "all" because their results depend on the host, not just the seed:
+// E24 "parallel" and "scale" measure wall-clock, and E22 "ops" runs
+// under wall-clock pacing with a live HTTP operator.
+var table = []experiment{
+	{"campaign", true, fullCampaign},
+	{"fig8", false, fullCampaign},
+	{"fig9", false, fullCampaign},
+	{"fig10", false, fullCampaign},
+	{"fig11", false, fullCampaign},
+	{"parallel-vs-serial", true, one(ParallelVsSerial)},
+	{"smallfile", true, one(SmallFileTape)},
+	{"recall", true, one(RecallOrdering)},
+	{"largefile", true, one(LargeFileSweep)},
+	{"verylarge", true, one(VeryLargeNtoN)},
+	{"restart", true, one(RestartableTransfer)},
+	{"delete", true, one(SyncDeleteVsReconcile)},
+	{"migrate", true, one(MigratorBalance)},
+	{"scan", true, one(InodeScan)},
+	{"kiviat", true, one(ScalingGap)},
+	{"ablation-colocation", true, one(AblationCoLocation)},
+	{"ablation-chunksize", true, one(AblationChunkSize)},
+	{"ablation-batching", true, one(AblationBatching)},
+	{"ablation-lanfree", true, one(AblationLANFree)},
+	{"reclaim", true, one(Reclamation)},
+	{"fabric", true, one(FabricBottleneck)},
+	{"chaos", true, one(ChaosStudy)},
+	{"obs", true, one(ObservabilitySelfCheck)},
+	{"integrity", true, one(IntegrityStudy)},
+	{"dr", true, one(DRStudy)},
+	{"tenants", true, one(TenantStudy)},
+	{"storm", true, one(StormStudy)},
+	{"parallel", false, one(ParallelStudy)},
+	{"scale", false, one(ScaleStudy)},
+	{"ops", false, one(OpsDrill)},
+}
+
+// All runs every seed-determined experiment at full scale and returns
+// the reports in presentation order.
 func All(seed int64) []Report {
-	camp := Campaign(CampaignParams{Seed: seed})
-	return append(camp, []Report{
-		ParallelVsSerial(seed),
-		SmallFileTape(seed),
-		RecallOrdering(seed),
-		LargeFileSweep(seed),
-		VeryLargeNtoN(seed),
-		RestartableTransfer(seed),
-		SyncDeleteVsReconcile(seed),
-		MigratorBalance(seed),
-		InodeScan(seed),
-		ScalingGap(seed),
-		AblationCoLocation(seed),
-		AblationChunkSize(seed),
-		AblationBatching(seed),
-		AblationLANFree(seed),
-		Reclamation(seed),
-		FabricBottleneck(seed),
-		ChaosStudy(seed),
-		ObservabilitySelfCheck(seed),
-		IntegrityStudy(seed),
-		DRStudy(seed),
-		TenantStudy(seed),
-		StormStudy(seed),
-	}...)
+	var out []Report
+	for _, e := range table {
+		if e.inAll {
+			out = append(out, e.run(seed)...)
+		}
+	}
+	return out
 }
 
 // Names lists the runnable experiment names.
 func Names() []string {
-	return []string{
-		"campaign", "fig8", "fig9", "fig10", "fig11",
-		"parallel-vs-serial", "smallfile", "recall", "largefile",
-		"verylarge", "restart", "delete", "migrate", "scan", "kiviat",
-		"ablation-colocation", "ablation-chunksize", "ablation-batching",
-		"ablation-lanfree", "reclaim", "fabric", "chaos", "obs",
-		"integrity", "dr", "tenants", "storm", "parallel", "scale",
-		"ops", "all",
+	names := make([]string, 0, len(table)+1)
+	for _, e := range table {
+		names = append(names, e.name)
 	}
+	return append(names, "all")
 }
 
 // Run executes one experiment (or the whole campaign group) by name.
 func Run(name string, seed int64) ([]Report, error) {
-	switch name {
-	case "campaign", "fig8", "fig9", "fig10", "fig11":
-		return Campaign(CampaignParams{Seed: seed}), nil
-	case "parallel-vs-serial":
-		return []Report{ParallelVsSerial(seed)}, nil
-	case "smallfile":
-		return []Report{SmallFileTape(seed)}, nil
-	case "recall":
-		return []Report{RecallOrdering(seed)}, nil
-	case "largefile":
-		return []Report{LargeFileSweep(seed)}, nil
-	case "verylarge":
-		return []Report{VeryLargeNtoN(seed)}, nil
-	case "restart":
-		return []Report{RestartableTransfer(seed)}, nil
-	case "delete":
-		return []Report{SyncDeleteVsReconcile(seed)}, nil
-	case "migrate":
-		return []Report{MigratorBalance(seed)}, nil
-	case "scan":
-		return []Report{InodeScan(seed)}, nil
-	case "kiviat":
-		return []Report{ScalingGap(seed)}, nil
-	case "ablation-colocation":
-		return []Report{AblationCoLocation(seed)}, nil
-	case "ablation-chunksize":
-		return []Report{AblationChunkSize(seed)}, nil
-	case "ablation-batching":
-		return []Report{AblationBatching(seed)}, nil
-	case "ablation-lanfree":
-		return []Report{AblationLANFree(seed)}, nil
-	case "reclaim":
-		return []Report{Reclamation(seed)}, nil
-	case "fabric":
-		return []Report{FabricBottleneck(seed)}, nil
-	case "chaos":
-		return []Report{ChaosStudy(seed)}, nil
-	case "obs":
-		return []Report{ObservabilitySelfCheck(seed)}, nil
-	case "integrity":
-		return []Report{IntegrityStudy(seed)}, nil
-	case "dr":
-		return []Report{DRStudy(seed)}, nil
-	case "tenants":
-		return []Report{TenantStudy(seed)}, nil
-	case "storm":
-		return []Report{StormStudy(seed)}, nil
-	case "parallel":
-		// E24 measures wall-clock speedup across worker counts, so like
-		// "scale" it is excluded from "all": its headline numbers depend
-		// on the host's cores, not just the seed.
-		return []Report{ParallelStudy(seed)}, nil
-	case "scale":
-		return []Report{ScaleStudy(seed)}, nil
-	case "ops":
-		// E22 runs under wall-clock pacing with a live HTTP operator, so
-		// like "scale" it is excluded from "all": its results depend on
-		// real time, not just the seed.
-		return []Report{OpsDrill(seed)}, nil
-	case "all":
+	if name == "all" {
 		return All(seed), nil
-	default:
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownExperiment, name, strings.Join(Names(), ", "))
 	}
+	for _, e := range table {
+		if e.name == name {
+			return e.run(seed), nil
+		}
+	}
+	return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownExperiment, name, strings.Join(Names(), ", "))
 }
 
 // summaryRows renders a figure summary in the harness's standard shape.
