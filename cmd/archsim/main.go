@@ -55,7 +55,7 @@ func main() {
 	opsScrapePath := flag.String("ops-scrape", "", "write the operator drill's final live /metrics scrape verbatim to this file")
 	scaleJSON := flag.String("scale-json", "", "with -exp scale, write the wall-clock benchmark metrics as JSON to this file")
 	wallCeiling := flag.Float64("wall-ceiling", 0, "with -exp scale or -exp parallel, exit nonzero if the measured run's wall clock exceeds this many seconds (CI regression tripwire)")
-	islands := flag.Int("islands", 0, "with -exp parallel, concurrent-island worker cap (1 = single-threaded reference; 0 = one per core; SIMTIME_ISLANDS env overrides)")
+	islands := flag.Int("islands", 0, "with -exp parallel, concurrent-island worker cap (1 = single-threaded reference; 0 = one per core)")
 	parallelPath := flag.String("parallel-report", "", "write the parallel-engine study's summary as JSON to this file (the parallel experiment produces it)")
 	parallelBenchJSON := flag.String("parallel-bench-json", "", "sweep the engine over 1/2/4/8 islands and write files/s + events/s per island count as JSON to this file (honors -jobs)")
 	checkpointPath := flag.String("checkpoint", "", "with -exp parallel, write the versioned mid-run snapshot to this file")

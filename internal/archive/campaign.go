@@ -16,15 +16,13 @@ import (
 
 // JobResult records one campaign job, the row unit of Figures 8–11.
 // Files/Bytes/RateMBs are derived from the telemetry registry deltas
-// around the job; LegacyBytes keeps the pftool result's own byte count
-// so the observability self-check can assert the two paths agree.
+// around the job.
 type JobResult struct {
-	Spec        workload.JobSpec
-	Files       int
-	Bytes       int64
-	LegacyBytes int64
-	Elapsed     time.Duration
-	RateMBs     float64 // the paper's MB/s (1e6)
+	Spec    workload.JobSpec
+	Files   int
+	Bytes   int64
+	Elapsed time.Duration
+	RateMBs float64 // the paper's MB/s (1e6)
 }
 
 // CampaignResult aggregates a full §5.2 replay.
@@ -69,14 +67,14 @@ func RunJob(s *System, spec workload.JobSpec, seed int64, tun pftool.Tunables) (
 	stop := false
 	workload.Noise(s.Clock, s.Cluster.Trunk(), spec.Background, &stop)
 	// Headline numbers come from the telemetry registry: delta the
-	// pfcp counters around the run instead of trusting the pftool
-	// result struct (which is kept as LegacyBytes for the E17 check).
+	// pfcp counters around the run (pftool.TestRunCountersMatchResult
+	// holds them equal to the result struct).
 	tel := telemetry.Of(s.Clock)
 	ctrBytes := tel.Counter("pftool_bytes_copied_total", "op", "pfcp")
 	ctrFiles := tel.Counter("pftool_files_copied_total", "op", "pfcp")
 	bytes0, files0 := ctrBytes.Value(), ctrFiles.Value()
 	start := s.Clock.Now()
-	pres, err := s.Pfcp(srcRoot, dstRoot, tun)
+	_, err := s.Pfcp(srcRoot, dstRoot, tun)
 	elapsed := s.Clock.Now() - start
 	stop = true
 	if err != nil {
@@ -97,12 +95,11 @@ func RunJob(s *System, spec workload.JobSpec, seed int64, tun pftool.Tunables) (
 		rate = float64(regBytes) / secs / 1e6
 	}
 	return JobResult{
-		Spec:        spec,
-		Files:       regFiles,
-		Bytes:       regBytes,
-		LegacyBytes: pres.BytesCopied,
-		Elapsed:     elapsed,
-		RateMBs:     rate,
+		Spec:    spec,
+		Files:   regFiles,
+		Bytes:   regBytes,
+		Elapsed: elapsed,
+		RateMBs: rate,
 	}, nil
 }
 

@@ -20,7 +20,6 @@ import (
 type Node struct {
 	Name string
 	nic  *fabric.Link // Ethernet toward the scratch file system
-	hba  *fabric.Link // FC toward the SAN (archive disk, tape)
 	load float64      // CPU load average, updated by users/noise
 	slot *simtime.Resource
 	down bool // crashed: daemons abort, the load manager skips it
@@ -37,14 +36,8 @@ func (n *Node) Down() bool { return n.down }
 // NIC returns the node's Ethernet link.
 func (n *Node) NIC() *fabric.Link { return n.nic }
 
-// HBA returns the node's SAN link.
-func (n *Node) HBA() *fabric.Link { return n.hba }
-
 // Load reports the node's current CPU load.
 func (n *Node) Load() float64 { return n.load }
-
-// AddLoad adjusts the node's CPU load (negative to release).
-func (n *Node) AddLoad(d float64) { n.load += d }
 
 // SetLoad replaces the node's CPU load.
 func (n *Node) SetLoad(v float64) { n.load = v }
@@ -119,9 +112,9 @@ func New(clock *simtime.Clock, cfg Config) *Cluster {
 		c.nodes = append(c.nodes, &Node{
 			Name: name,
 			nic:  fab.AddLink(name+"-nic", cfg.NICRate, lan, name),
-			hba:  fab.AddLink(name+"-hba", cfg.HBARate, name, fabric.SAN),
 			slot: simtime.NewResource(clock, cfg.NodeSlots),
 		})
+		fab.AddLink(name+"-hba", cfg.HBARate, name, fabric.SAN) // FC toward the SAN (archive disk, tape)
 		fab.Wire(name, fabric.Clients)
 	}
 	return c

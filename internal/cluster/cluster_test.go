@@ -17,8 +17,8 @@ func TestNewClusterShape(t *testing.T) {
 	if cl.Node(0).Name != "fta01" || cl.Node(9).Name != "fta10" {
 		t.Errorf("names = %s..%s", cl.Node(0).Name, cl.Node(9).Name)
 	}
-	if cl.Trunk().Rate() != 1.87e9 {
-		t.Errorf("trunk rate = %v", cl.Trunk().Rate())
+	if cl.Trunk().Capacity() != 1.87e9 {
+		t.Errorf("trunk rate = %v", cl.Trunk().Capacity())
 	}
 }
 

@@ -67,14 +67,11 @@ type Report struct {
 // cmd/archsim matches it with errors.Is to print the available names.
 var ErrUnknownExperiment = errors.New("unknown experiment")
 
-// crashFlight holds the flight-recorder dump stashed by an experiment
-// actor just before it panics on a violated invariant, so the process
-// can still persist the evidence. Single simulation actor at a time —
-// no locking, matching the rest of the harness.
-var (
-	crashFlight     *telemetry.FlightDump
-	crashFlightSink func(*telemetry.FlightDump)
-)
+// crashFlightSink receives the flight-recorder dump an experiment
+// actor hands over just before it panics on a violated invariant, so
+// the process can still persist the evidence. Single simulation actor
+// at a time — no locking, matching the rest of the harness.
+var crashFlightSink func(*telemetry.FlightDump)
 
 // SetCrashFlightSink installs a callback invoked synchronously with
 // the flight dump when an experiment aborts on an invariant violation.
@@ -82,11 +79,7 @@ var (
 // must do its own persistence (cmd/archsim writes the file in it).
 func SetCrashFlightSink(fn func(*telemetry.FlightDump)) { crashFlightSink = fn }
 
-// CrashFlight returns the last stashed crash dump, if any.
-func CrashFlight() *telemetry.FlightDump { return crashFlight }
-
 func stashCrashFlight(d *telemetry.FlightDump) {
-	crashFlight = d
 	if crashFlightSink != nil {
 		crashFlightSink(d)
 	}

@@ -2,50 +2,32 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/stats"
 )
 
 // ObservabilitySelfCheck is E17: the telemetry layer audits itself.
-// Two independent accounting paths exist for every archive run — the
-// subsystem result structs threaded back through return values (the
-// "legacy" path) and the telemetry registry counters bumped beside
-// every stat mutation. The first half of the check replays a small
-// campaign and asserts the two paths agree on the aggregate data rate
-// to within 0.1% (they are bumped at the same program points with
-// integer-exact float64 arithmetic, so any drift is a missed
-// instrumentation site). The second half re-runs the chaos drill and
-// asserts the flight recorder explains each injected mover crash:
-// every node-fail fault event must appear as the linked cause of at
-// least one aborted span. The experiment panics on violation — a
-// telemetry layer that disagrees with the ground truth is worse than
-// none.
+// It replays a small campaign for the registry-derived aggregate data
+// rate, then re-runs the chaos drill and asserts the flight recorder
+// explains each injected mover crash: every node-fail fault event must
+// appear as the linked cause of at least one aborted span. The
+// experiment panics on violation — a flight recorder that cannot
+// explain a fault is worse than none.
 func ObservabilitySelfCheck(seed int64) Report {
-	// Part 1: registry vs legacy rate agreement over a small campaign.
-	// The agreement is bit-exact at any scale, so a capped replay keeps
-	// the check cheap.
 	res, _ := CampaignData(CampaignParams{Seed: seed, Jobs: 6, MaxSimFiles: 2000})
-	var regBytes, legacyBytes, secs float64
+	var regBytes, secs float64
 	for _, j := range res.Jobs {
 		regBytes += float64(j.Bytes)
-		legacyBytes += float64(j.LegacyBytes)
 		secs += j.Elapsed.Seconds()
 	}
-	if secs <= 0 || legacyBytes <= 0 {
+	if secs <= 0 || regBytes <= 0 {
 		panic("observability self-check: campaign produced no measurable work")
 	}
 	regRate := stats.MB(regBytes) / secs
-	legacyRate := stats.MB(legacyBytes) / secs
-	drift := math.Abs(regRate-legacyRate) / legacyRate
-	if drift > 0.001 {
-		panic(fmt.Sprintf("observability self-check: registry rate %.2f MB/s vs legacy %.2f MB/s (drift %.4f%% > 0.1%%)",
-			regRate, legacyRate, drift*100))
-	}
 
-	// Part 2: the chaos drill's flight dump must link every injected
-	// node crash to at least one aborted span citing it as the cause.
+	// The chaos drill's flight dump must link every injected node crash
+	// to at least one aborted span citing it as the cause.
 	dirty := chaosRun(seed, true)
 	type crash struct {
 		id        uint64
@@ -79,8 +61,6 @@ func ObservabilitySelfCheck(seed int64) Report {
 	t := stats.NewTable("check", "value")
 	t.Row("campaign jobs", len(res.Jobs))
 	t.Row("registry MB/s", fmt.Sprintf("%.2f", regRate))
-	t.Row("legacy MB/s", fmt.Sprintf("%.2f", legacyRate))
-	t.Row("rate drift", fmt.Sprintf("%.6f%%", drift*100))
 	t.Row("mover crashes", len(crashes))
 	for _, c := range crashes {
 		t.Row("aborted spans caused by "+c.component, c.aborted)
@@ -89,16 +69,13 @@ func ObservabilitySelfCheck(seed int64) Report {
 
 	r := Report{
 		Name:  "obs",
-		Title: "Observability self-check: registry vs legacy accounting, fault-to-abort causality",
+		Title: "Observability self-check: fault-to-abort causality",
 		Body:  t.String(),
 		Notes: []string{
-			"registry counters are bumped beside every legacy stat mutation, so the two rates must agree bit-for-bit",
 			"each injected mover crash must surface as the linked cause of >=1 aborted span in the flight dump",
 		},
 	}
-	r.metric("rate_drift", drift)
 	r.metric("registry_mbs", regRate)
-	r.metric("legacy_mbs", legacyRate)
 	r.metric("mover_crashes", float64(len(crashes)))
 	r.metric("aborted_spans", float64(len(aborted)))
 	r.Telemetry = dirty.snap

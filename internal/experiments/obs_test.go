@@ -3,8 +3,7 @@ package experiments
 import "testing"
 
 // TestObservabilitySelfCheck is the acceptance check for the telemetry
-// layer: the experiment itself panics if the registry-derived rate
-// drifts from the legacy accounting or an injected mover crash leaves
+// layer: the experiment itself panics if an injected mover crash leaves
 // no aborted span citing the fault event; the assertions here pin the
 // report shape on top of that.
 func TestObservabilitySelfCheck(t *testing.T) {
@@ -13,9 +12,6 @@ func TestObservabilitySelfCheck(t *testing.T) {
 	}
 	r := ObservabilitySelfCheck(7)
 
-	if r.Metrics["rate_drift"] > 0.001 {
-		t.Errorf("rate drift %v exceeds 0.1%%", r.Metrics["rate_drift"])
-	}
 	if r.Metrics["registry_mbs"] <= 0 {
 		t.Error("registry rate is zero")
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/archive"
@@ -69,13 +68,6 @@ type ParallelParams struct {
 func (p *ParallelParams) defaults() {
 	if p.Islands <= 0 {
 		p.Islands = 4
-	}
-	if p.Workers <= 0 {
-		if env := os.Getenv("SIMTIME_ISLANDS"); env != "" {
-			if n, err := strconv.Atoi(env); err == nil && n > 0 {
-				p.Workers = n
-			}
-		}
 	}
 	if p.Workers <= 0 {
 		p.Workers = runtime.NumCPU()

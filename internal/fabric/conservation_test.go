@@ -11,9 +11,7 @@ import (
 )
 
 // TestConservationRandomTopologies is the fabric's conservation
-// property, the coupled-flow analogue of the pipe property in
-// internal/simtime/conservation_test.go: over random topologies and
-// random flow arrivals,
+// property: over random topologies and random flow arrivals,
 //
 //	(a) every link's byte counter equals the sum over flows of
 //	    bytes x crossing multiplicity for the flows routed over it,

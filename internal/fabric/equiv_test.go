@@ -116,7 +116,7 @@ func runChurn(seed int64, full bool) churnResult {
 // equivalence property: the incremental component-local max-min solver
 // must be observationally identical — bit-exact completion times and
 // link counters — to the brute-force solve-everything-on-every-event
-// mode (FABRIC_FULL_RECOMPUTE). The incremental mode is purely a
+// mode (SetFullRecompute). The incremental mode is purely a
 // wall-clock optimization; any divergence is a bug in its component
 // seeding or settle logic.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {

@@ -1,14 +1,14 @@
 // Package fabric is the data-path fabric of the deployment: one named
 // topology graph of shared links (pool NSD arrays, the inter-system
 // trunks, per-node NICs and HBAs, the TSM server LAN path) plus a
-// coupled multi-hop flow scheduler. It replaces the hand-assembled
-// []*simtime.Pipe data paths that pftool, hsm and tsm each used to
-// build: callers resolve a Path with Route(src, via, dst) and move
-// bytes with Transfer, and the scheduler sets every flow's rate by
-// progressive-filling max-min fairness across every link the flow
-// crosses — a flow bottlenecked at the trunk no longer consumes full
-// fair share on the fast hops (the cut-through behaviour the paper's
-// end-to-end bandwidth ceilings come from).
+// coupled multi-hop flow scheduler. It is the one bandwidth model
+// pftool, hsm and tsm share: callers resolve a Path with
+// Route(src, via, dst) and move bytes with Transfer, and the scheduler
+// sets every flow's rate by progressive-filling max-min fairness
+// across every link the flow crosses — a flow bottlenecked at the
+// trunk does not consume full fair share on the fast hops (the
+// cut-through behaviour the paper's end-to-end bandwidth ceilings come
+// from).
 //
 // Topology conventions (well-known endpoint names):
 //
@@ -32,7 +32,6 @@ package fabric
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/simtime"
@@ -86,8 +85,8 @@ type Fabric struct {
 
 	// Incremental-recompute state: epoch stamps the component walk,
 	// fullRecompute forces every component to re-solve on every event
-	// (the FABRIC_FULL_RECOMPUTE debug mode), and the slices below are
-	// reusable scratch so the hot path allocates nothing.
+	// (SetFullRecompute, the tests' reference mode), and the slices
+	// below are reusable scratch so the hot path allocates nothing.
 	epoch           uint64
 	solveID         uint64 // distinguishes components gathered within one epoch
 	fullRecompute   bool
@@ -116,9 +115,6 @@ func New(clock *simtime.Clock) *Fabric {
 		clock: clock,
 		adj:   make(map[string][]edge),
 		links: make(map[string]*Link),
-		// The env switch turns every recompute into a full one, for
-		// byte-identical cross-checks against the incremental scheduler.
-		fullRecompute: os.Getenv("FABRIC_FULL_RECOMPUTE") != "",
 	}
 }
 
@@ -208,12 +204,6 @@ func (f *Fabric) Link(name string) *Link { return f.links[name] }
 // Links returns every link in creation order.
 func (f *Fabric) Links() []*Link {
 	return append([]*Link(nil), f.order...)
-}
-
-// HasEndpoint reports whether the endpoint exists in the graph.
-func (f *Fabric) HasEndpoint(name string) bool {
-	_, ok := f.adj[name]
-	return ok
 }
 
 // Route resolves the shortest path src -> via -> dst (fewest links;
@@ -457,10 +447,6 @@ func (l *Link) Name() string { return l.name }
 
 // Capacity reports the current capacity in bytes per virtual second.
 func (l *Link) Capacity() float64 { return l.capacity }
-
-// Rate is an alias for Capacity, satisfying the bandwidth-source shape
-// shared with simtime.Pipe (workload noise sizes itself from it).
-func (l *Link) Rate() float64 { return l.capacity }
 
 // Nominal reports the undegraded capacity.
 func (l *Link) Nominal() float64 { return l.nominal }

@@ -9,8 +9,7 @@ import (
 
 // BindFaults subscribes the fabric to a fault registry: every
 // "link:<name>" event is applied to the named link by one hook, so
-// schedules drive degradation and repair by link name instead of
-// reaching for raw pipes.
+// schedules drive degradation and repair by link name.
 //
 //	KindDegrade  capacity scales to Param x nominal
 //	KindFail     capacity drops to a 1% crawl — a fully dead link would

@@ -11,8 +11,7 @@ import (
 // path simultaneously, at one coupled rate. The rate is recomputed by
 // progressive-filling max-min fairness whenever any flow joins, leaves,
 // or a link capacity changes; between those events the flow needs no
-// bookkeeping, so a petabyte transfer costs O(1) events like a
-// simtime.Pipe transfer.
+// bookkeeping, so a petabyte transfer costs O(1) events.
 //
 // A Flow is either one-shot (Start ... Wait) or a persistent stream
 // (Stream ... Send ... Send ... Close): a stream stays allocated across
@@ -356,9 +355,9 @@ func (f *Fabric) settle() {
 // SetFullRecompute switches the scheduler between incremental
 // (component-scoped) and full recomputes. Full mode solves every
 // connected component on every membership or capacity event — the
-// FABRIC_FULL_RECOMPUTE debug mode the equivalence tests compare
-// against. Both modes run the identical canonical per-component solver,
-// so their allocations are bit-for-bit the same.
+// reference the equivalence tests compare against. Both modes run the
+// identical canonical per-component solver, so their allocations are
+// bit-for-bit the same.
 func (f *Fabric) SetFullRecompute(on bool) { f.fullRecompute = on }
 
 // recomputeFlow recomputes the connected component the flow belongs to
@@ -567,7 +566,7 @@ func (f *Fabric) rearm() {
 		return
 	}
 	// +1ns guarantees forward progress when float rounding makes the
-	// computed horizon vanish (mirrors simtime.Pipe).
+	// computed horizon vanish.
 	if f.timerFn == nil {
 		f.timerFn = f.onTimer
 	}

@@ -207,13 +207,6 @@ func (r *Registry) Schedule(ev Event) {
 	r.clock.At(at, func() { r.Apply(ev) })
 }
 
-// ScheduleAll arms a whole schedule.
-func (r *Registry) ScheduleAll(events []Event) {
-	for _, ev := range events {
-		r.Schedule(ev)
-	}
-}
-
 // FailAt schedules a permanent failure of component at time at.
 func (r *Registry) FailAt(component string, at simtime.Duration) {
 	r.Schedule(Event{At: at, Component: component, Kind: KindFail})
@@ -232,12 +225,6 @@ func (r *Registry) Window(component string, at, outage simtime.Duration) {
 func (r *Registry) DegradeWindow(component string, factor float64, at, dur simtime.Duration) {
 	r.Schedule(Event{At: at, Component: component, Kind: KindDegrade, Param: factor})
 	r.Schedule(Event{At: at + dur, Component: component, Kind: KindDegrade, Param: 1})
-}
-
-// CorruptAt schedules a silent-corruption event on component at time
-// at. See KindCorrupt for the per-component meaning of param.
-func (r *Registry) CorruptAt(component string, at simtime.Duration, param float64) {
-	r.Schedule(Event{At: at, Component: component, Kind: KindCorrupt, Param: param})
 }
 
 // Profile is a statistical fault load for GenerateSchedule: counts of
@@ -267,7 +254,7 @@ type Profile struct {
 // GenerateSchedule expands a statistical profile into a concrete event
 // schedule using the registry's seeded generator: same seed and profile,
 // same schedule. The schedule is returned sorted by time and is NOT yet
-// armed; pass it to ScheduleAll.
+// armed; pass each event to Schedule.
 func (r *Registry) GenerateSchedule(p Profile) []Event {
 	if p.Horizon <= 0 {
 		p.Horizon = time.Hour

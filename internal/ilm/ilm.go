@@ -66,20 +66,6 @@ func OlderThan(d time.Duration) Predicate {
 	return func(i pfs.Info, now time.Duration) bool { return now-i.ModTime > d }
 }
 
-// NotAccessedFor matches files whose last data read (or, if never read,
-// last modification) is more than d in the past — the
-// frequency-of-access criterion ILM adds over plain HSM age rules
-// (§2.3).
-func NotAccessedFor(d time.Duration) Predicate {
-	return func(i pfs.Info, now time.Duration) bool {
-		last := i.ATime
-		if i.ModTime > last {
-			last = i.ModTime
-		}
-		return now-last > d
-	}
-}
-
 // PathPrefix matches files under the given directory prefix.
 func PathPrefix(prefix string) Predicate {
 	prefix = strings.TrimSuffix(prefix, "/")

@@ -74,28 +74,6 @@ func (e *Exposition) Value(name string, kv ...string) (float64, bool) {
 	return 0, false
 }
 
-// Matching returns every sample with the given name whose labels
-// include all of kv.
-func (e *Exposition) Matching(name string, kv ...string) []Sample {
-	var out []Sample
-	for _, s := range e.Samples {
-		if s.Name != name {
-			continue
-		}
-		ok := true
-		for i := 0; i+1 < len(kv); i += 2 {
-			if s.Labels[kv[i]] != kv[i+1] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func validNameStart(b byte) bool {
 	return b == '_' || b == ':' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 }

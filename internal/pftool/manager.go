@@ -186,6 +186,7 @@ type run struct {
 	ctrJournal    *telemetry.Counter
 	ctrRanksDied  *telemetry.Counter
 	ctrHeartbeats *telemetry.Counter
+	ctrTapeRead   *telemetry.Counter // TSM's series, read-only here; nil without a Restorer
 	gDirQ         *telemetry.Gauge
 	gCopyQ        *telemetry.Gauge
 	gTapeQ        *telemetry.Gauge
@@ -226,6 +227,12 @@ func (r *run) execute() Result {
 	r.ctrJournal = r.tel.Counter("pftool_journal_skips_total", "op", op)
 	r.ctrRanksDied = r.tel.Counter("pftool_ranks_died_total")
 	r.ctrHeartbeats = r.tel.Counter("pftool_watchdog_heartbeats_total")
+	if r.req.Restorer != nil {
+		// The TSM server behind the Restorer bumps this per object as
+		// it comes off tape, mid-batch; the WatchDog reads it so a long
+		// single-volume restore registers as progress.
+		r.ctrTapeRead = r.tel.Counter("tsm_bytes_read_total")
+	}
 	r.gDirQ = r.tel.Gauge("pftool_queue_depth", "queue", "dir")
 	r.gCopyQ = r.tel.Gauge("pftool_queue_depth", "queue", "copy")
 	r.gTapeQ = r.tel.Gauge("pftool_queue_depth", "queue", "tape")

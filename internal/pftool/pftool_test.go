@@ -531,6 +531,66 @@ func TestWatchdogKillsStalledRun(t *testing.T) {
 	}
 }
 
+// timedRestorer records the longest single RecallPinned call (one
+// volume batch) it served.
+type timedRestorer struct {
+	restorerAdapter
+	clock   *simtime.Clock
+	longest *time.Duration
+}
+
+func (r timedRestorer) RecallPinned(node string, paths []string, qos sched.QoS) error {
+	start := r.clock.Now()
+	err := r.restorerAdapter.RecallPinned(node, paths, qos)
+	if d := r.clock.Now() - start; d > *r.longest {
+		*r.longest = d
+	}
+	return err
+}
+
+// TestWatchdogCountsRestoreProgress: a TapeProc reports to the Manager
+// only when its whole volume batch is back, so a healthy volume restore
+// longer than StallTimeout used to be killed as a stall. Objects coming
+// off tape mid-batch count as progress; TestWatchdogKillsStalledRun
+// holds the other side (a restore that reads nothing still dies).
+func TestWatchdogCountsRestoreProgress(t *testing.T) {
+	e := newEnv()
+	e.run(t, func() {
+		var infos []pfs.Info
+		e.archive.MkdirAll("/arc/proj")
+		for i := 0; i < 60; i++ {
+			p := fmt.Sprintf("/arc/proj/f%02d", i)
+			e.archive.WriteFile(p, synthetic.NewUniform(uint64(i+1), 8e9))
+			info, _ := e.archive.Stat(p)
+			infos = append(infos, info)
+		}
+		if _, err := e.eng.Migrate(infos, hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		var longest time.Duration
+		req := Request{
+			Op: OpCopy, Src: "/arc/proj", Dst: "/scratch/proj",
+			SrcFS: e.archive, DstFS: e.scratch,
+			Nodes:    e.cl.Nodes(),
+			Restorer: timedRestorer{restorerAdapter{e.eng}, e.clock, &longest},
+			Tunables: tunablesForTest(),
+		}
+		req.Tunables.WatchdogInterval = time.Minute
+		req.Tunables.StallTimeout = 3 * time.Minute
+		res, err := Run(req)
+		if longest <= req.Tunables.StallTimeout {
+			t.Fatalf("longest volume restore %v does not outlast StallTimeout %v; the test needs bigger volumes",
+				longest, req.Tunables.StallTimeout)
+		}
+		if err != nil || res.Stalled {
+			t.Fatalf("healthy restore killed: Stalled=%v err=%v", res.Stalled, err)
+		}
+		if res.Restored != 60 || res.FilesCopied != 60 {
+			t.Errorf("Restored=%d FilesCopied=%d, want 60/60", res.Restored, res.FilesCopied)
+		}
+	})
+}
+
 func TestPlacementRoutesSmallFilesToSlowPool(t *testing.T) {
 	e := newEnv()
 	e.run(t, func() {

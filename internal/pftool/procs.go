@@ -437,13 +437,18 @@ func (r *run) watchdog() {
 			Files: r.res.FilesCopied,
 			Bytes: r.res.BytesCopied,
 		})
-		// Progress has two sources: the Manager's completion counter and
+		// Progress has three sources: the Manager's completion counter,
 		// the bytes the in-flight fabric flows have moved ("number of
 		// bytes copied in the past T minutes") — sampled on demand, so
-		// one flow spanning a whole large file still registers.
+		// one flow spanning a whole large file still registers — and the
+		// bytes tape restores have read back: a TapeProc reports nothing
+		// to the Manager until its whole volume batch returns.
 		moved := r.movedBytes
 		for fl := range r.flows {
 			moved += fl.Transferred()
+		}
+		if r.ctrTapeRead != nil {
+			moved += int64(r.ctrTapeRead.Value())
 		}
 		if r.progress != lastProgress || moved != lastMoved {
 			lastProgress = r.progress

@@ -326,9 +326,6 @@ func (s *Scheduler) SetScavengerShare(f float64) {
 	s.scavShare = f
 }
 
-// ScavengerShare reports the configured anti-starvation share.
-func (s *Scheduler) ScavengerShare() float64 { return s.scavShare }
-
 // SetStarvationThreshold makes any admission wait beyond d count on
 // the sched_starvation_total counter (0 disables).
 func (s *Scheduler) SetStarvationThreshold(d simtime.Duration) { s.starveAfter = d }

@@ -7,24 +7,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// Two transfers share a 100 MB/s pipe: each progresses at half rate
-// while both are active, the fluid processor-sharing model.
-func ExamplePipe() {
-	clock := simtime.NewClock()
-	pipe := simtime.NewPipe(clock, "link", 100e6)
-	for i := 0; i < 2; i++ {
-		i := i
-		clock.Go(func() {
-			pipe.Transfer(500e6) // 5s alone, 10s when sharing
-			fmt.Printf("flow %d done at %v\n", i, clock.Now().Round(time.Millisecond))
-		})
-	}
-	clock.RunFor()
-	// Output:
-	// flow 0 done at 10s
-	// flow 1 done at 10s
-}
-
 // A resource with capacity one serializes its users in FIFO order; the
 // queue wait costs virtual time, not real time.
 func ExampleResource() {

@@ -261,8 +261,8 @@ func TestResourceSetCapRaiseAdmitsWaiters(t *testing.T) {
 		t.Fatalf("admitted %d, want 3", len(got))
 	}
 	// Holder 0 runs 0..10s; 1 and 2 run 1..11s after the raise.
-	if !approxDuration(end, 11*time.Second, time.Millisecond) {
-		t.Errorf("end = %v, want ~11s", end)
+	if end != 11*time.Second {
+		t.Errorf("end = %v, want 11s", end)
 	}
 }
 

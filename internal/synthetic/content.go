@@ -53,13 +53,6 @@ func (c Content) Len() int64 {
 	return n
 }
 
-// Extents returns a copy of the normalized extent list.
-func (c Content) Extents() []Extent {
-	out := make([]Extent, len(c.extents))
-	copy(out, c.extents)
-	return out
-}
-
 // Slice returns the sub-content [off, off+length). It panics if the
 // range is out of bounds.
 func (c Content) Slice(off, length int64) Content {

@@ -487,10 +487,6 @@ func (d *Drive) rewind() {
 	d.pos = 0
 }
 
-// LastClient reports the machine that last used the drive ("" if none
-// since mount).
-func (d *Drive) LastClient() string { return d.lastClient }
-
 // BeginSession declares which client machine is about to use the drive.
 // In a LAN-free configuration a hand-off between machines forces a
 // rewind and label re-verification even though the tape stays mounted —

@@ -160,7 +160,7 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 			return err
 		}
 		var readErr error
-		_, tainted, readErr = s.moveData(rep.Bytes, route, nil, nil, func() error {
+		_, tainted, readErr = s.moveData(rep.Bytes, route, nil, func() error {
 			_, sum, e := d.ReadSeqSum(rep.Seq)
 			delivered = sum
 			return e

@@ -231,10 +231,6 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 // Library returns the managed tape library.
 func (s *Server) Library() *tape.Library { return s.lib }
 
-// NetLink exposes the server's network link (observability: in
-// non-LAN-free mode every byte crosses it).
-func (s *Server) NetLink() *fabric.Link { return s.netLink }
-
 // NewStream opens a persistent fabric stream along the store route p,
 // with the server link spliced in when the deployment is not LAN-free —
 // for callers that store many objects over one path (an HSM migration
@@ -389,11 +385,6 @@ type StoreRequest struct {
 	// is not LAN-free — NewStream handles that — and Route is ignored
 	// for data movement when Stream is set.
 	Stream *fabric.Flow
-	// DataPath carries raw pipes instead of a fabric route.
-	//
-	// Deprecated: resolve a route with fabric.Route and set Route. This
-	// field remains for legacy callers and is ignored when Route is set.
-	DataPath []*simtime.Pipe
 	// Parent, when set, is the telemetry span (e.g. the HSM store phase)
 	// the session's span nests under.
 	Parent *telemetry.Span
@@ -450,7 +441,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 			s.dropAffinity(req.Client, drive)
 			return err
 		}
-		taintCause, tainted, err = s.moveData(req.Bytes, req.Route, req.Stream, req.DataPath, func() error {
+		taintCause, tainted, err = s.moveData(req.Bytes, req.Route, req.Stream, func() error {
 			var e error
 			tf, e = drive.AppendSum(id, req.Bytes, req.Sum)
 			return e
@@ -515,11 +506,9 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 // free, cut-through streaming). A persistent stream (Server.NewStream)
 // carries the bytes as one segment; otherwise fabric routes get one
 // coupled flow over every hop — with the server link spliced in when
-// not LAN-free; the deprecated pipe-slice path keeps legacy semantics.
-// It reports whether a crossed link silently corrupted the stream in
-// flight, and which fault event armed the taint (legacy pipes carry no
-// taint).
-func (s *Server) moveData(bytes int64, p fabric.Path, stream *fabric.Flow, legacy []*simtime.Pipe, tapeOp func() error) (taintCause uint64, tainted bool, err error) {
+// not LAN-free. It reports whether a crossed link silently corrupted
+// the stream in flight, and which fault event armed the taint.
+func (s *Server) moveData(bytes int64, p fabric.Path, stream *fabric.Flow, tapeOp func() error) (taintCause uint64, tainted bool, err error) {
 	errCh := make(chan error, 1)
 	wg := simtime.NewWaitGroup(s.clock)
 	wg.Add(1)
@@ -537,15 +526,6 @@ func (s *Server) moveData(bytes int64, p fabric.Path, stream *fabric.Flow, legac
 		fl := p.Fabric().Start(p, bytes)
 		fl.Wait()
 		taintCause, tainted = fl.Tainted()
-	case len(legacy) > 0:
-		if !s.cfg.LANFree {
-			wg.Add(1)
-			s.clock.Go(func() {
-				s.netLink.Transfer(bytes)
-				wg.Done()
-			})
-		}
-		simtime.TransferAll(s.clock, bytes, legacy...)
 	default:
 		if !s.cfg.LANFree {
 			s.netLink.Transfer(bytes)
@@ -724,8 +704,6 @@ type RecallRequest struct {
 	// Route is the fabric path from the SAN back to the client's disk
 	// (see StoreRequest.Route).
 	Route fabric.Path
-	// Deprecated: set Route instead.
-	DataPath []*simtime.Pipe
 	// Parent, when set, is the telemetry span the session nests under.
 	Parent *telemetry.Span
 	// QoS tags the scheduler admission (unset class = Interactive;
@@ -791,7 +769,7 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 				return err
 			}
 			var readErr error
-			tCause, tainted, readErr = s.moveData(obj.Bytes, req.Route, nil, req.DataPath, func() error {
+			tCause, tainted, readErr = s.moveData(obj.Bytes, req.Route, nil, func() error {
 				_, sum, e := d.ReadSeqSum(obj.Seq)
 				delivered = sum
 				return e
@@ -836,8 +814,6 @@ type RecallBatchRequest struct {
 	// Route is the fabric path from the SAN back to the client's disk
 	// (see StoreRequest.Route).
 	Route fabric.Path
-	// Deprecated: set Route instead.
-	DataPath []*simtime.Pipe
 	// Parent, when set, is the telemetry span the session nests under.
 	Parent *telemetry.Span
 	// QoS tags the scheduler admission (unset class = Interactive).
@@ -926,7 +902,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 		bytes := obj.Bytes
 		var delivered, tCause uint64
 		var tainted bool
-		tCause, tainted, readErr := s.moveData(bytes, req.Route, nil, req.DataPath, func() error {
+		tCause, tainted, readErr := s.moveData(bytes, req.Route, nil, func() error {
 			_, sum, e := d.ReadSeqSum(seq)
 			delivered = sum
 			return e
@@ -956,7 +932,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 	grant.Done()
 	for _, id := range bad {
 		o, err := s.Recall(RecallRequest{Client: req.Client, ObjectID: id,
-			Route: req.Route, DataPath: req.DataPath, Parent: sp, QoS: req.QoS})
+			Route: req.Route, Parent: sp, QoS: req.QoS})
 		if err != nil {
 			sp.Abort(err.Error(), 0)
 			return out, err

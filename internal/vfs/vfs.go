@@ -179,8 +179,8 @@ func isClean(p string) bool {
 }
 
 // resolve walks a clean rooted path to its node, without allocating.
-// On a miss it reports the failing condition via notDir/ok so callers
-// choose between an error (lookup) and a cheap boolean (lookupOK).
+// On a miss it reports the failing condition via notDir/ok; lookup
+// turns that into the error.
 func (fs *FS) resolve(p string) (n *node, notDir, ok bool) {
 	if p == "/" {
 		return fs.root, false, true
@@ -228,14 +228,6 @@ func (fs *FS) lookup(p string) (*node, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
 	return n, nil
-}
-
-// lookupOK resolves p to its node, reporting a miss as a boolean
-// instead of a constructed error: the existence probes issued for every
-// file created in bulk loads never pay an allocation.
-func (fs *FS) lookupOK(p string) (*node, bool) {
-	n, _, ok := fs.resolve(clean(p))
-	return n, ok
 }
 
 // lookupParent resolves the parent directory of p and the leaf name.
@@ -437,18 +429,6 @@ func (fs *FS) Stat(p string) (Info, error) {
 	return fs.info(clean(p), n), nil
 }
 
-// StatOK is Stat for existence probes: a miss is reported as a boolean
-// with no error value constructed, so bulk loaders probing every path
-// they create do not allocate an error chain per new file.
-func (fs *FS) StatOK(p string) (Info, bool) {
-	p = clean(p)
-	n, _, ok := fs.resolve(p)
-	if !ok {
-		return Info{}, false
-	}
-	return fs.info(p, n), true
-}
-
 // StatID returns the Info for a file ID, with an empty Path (IDs are
 // path-independent).
 func (fs *FS) StatID(id FileID) (Info, error) {
@@ -479,19 +459,6 @@ func (fs *FS) info(p string, n *node) Info {
 		ModTime: n.modTime,
 		ATime:   n.atime,
 		Xattrs:  xa,
-	}
-}
-
-// infoLean is info without the xattr copy (Xattrs stays nil).
-func (fs *FS) infoLean(p string, n *node) Info {
-	return Info{
-		Name:    path.Base(p),
-		Path:    p,
-		ID:      n.id,
-		Type:    n.typ,
-		Size:    n.size,
-		ModTime: n.modTime,
-		ATime:   n.atime,
 	}
 }
 
@@ -663,30 +630,11 @@ func (fs *FS) Walk(p string, fn WalkFunc) error {
 	if err != nil {
 		return err
 	}
-	return fs.walk(clean(p), n, fn, false)
+	return fs.walk(clean(p), n, fn)
 }
 
-// WalkLean is Walk without the per-inode xattr copy: every Info is
-// delivered with a nil Xattrs map. Housekeeping walks that only need
-// identities, sizes and types (tree-removal accounting over millions of
-// stubbed files, each carrying HSM xattrs) skip a map allocation per
-// inode.
-func (fs *FS) WalkLean(p string, fn WalkFunc) error {
-	n, err := fs.lookup(p)
-	if err != nil {
-		return err
-	}
-	return fs.walk(clean(p), n, fn, true)
-}
-
-func (fs *FS) walk(p string, n *node, fn WalkFunc, lean bool) error {
-	var err error
-	if lean {
-		err = fn(fs.infoLean(p, n))
-	} else {
-		err = fn(fs.info(p, n))
-	}
-	if err != nil {
+func (fs *FS) walk(p string, n *node, fn WalkFunc) error {
+	if err := fn(fs.info(p, n)); err != nil {
 		return err
 	}
 	if n.typ != TypeDir {
@@ -702,7 +650,7 @@ func (fs *FS) walk(p string, n *node, fn WalkFunc, lean bool) error {
 		base = ""
 	}
 	for _, name := range names {
-		if err := fs.walk(base+"/"+name, n.children[name], fn, lean); err != nil {
+		if err := fs.walk(base+"/"+name, n.children[name], fn); err != nil {
 			return err
 		}
 	}

@@ -247,20 +247,13 @@ func BuildTree(fs *pfs.FS, root string, spec JobSpec, seed int64, dirFanout int)
 	return total, nil
 }
 
-// NoiseTarget is a shared channel background streams can occupy:
-// satisfied by both *simtime.Pipe and *fabric.Link.
-type NoiseTarget interface {
-	Rate() float64
-	Transfer(n int64)
-}
-
-// Noise occupies a channel with backlogged background streams until
+// Noise occupies a fabric link with backlogged background streams until
 // *stop becomes true, modelling the other Roadrunner users sharing the
-// two 10GigE trunks during the Open Science runs. The channel is
+// two 10GigE trunks during the Open Science runs. The link is
 // fair-share, so the background's slice is streams/(streams+foreground);
 // the stream count is sized so the background receives roughly the
 // requested fraction against a typical PFTool worker pool (~20 flows).
-func Noise(clock *simtime.Clock, pipe NoiseTarget, fraction float64, stop *bool) {
+func Noise(clock *simtime.Clock, link *fabric.Link, fraction float64, stop *bool) {
 	if fraction <= 0 {
 		return
 	}
@@ -272,36 +265,23 @@ func Noise(clock *simtime.Clock, pipe NoiseTarget, fraction float64, stop *bool)
 	if streams < 1 {
 		streams = 1
 	}
-	// Each transfer is ~10 fair-share seconds of data: coarse enough to
+	// Each burst is ~10 fair-share seconds of data: coarse enough to
 	// keep event counts negligible over multi-day campaigns, fine
 	// enough that streams stay continuously backlogged.
-	burst := int64(pipe.Rate() * 10 / (typicalForeground + float64(streams)))
+	burst := int64(link.Capacity() * 10 / (typicalForeground + float64(streams)))
 	if burst < 1 {
 		burst = 1
 	}
 	for i := 0; i < streams; i++ {
 		clock.Go(func() {
-			// A fabric link offers a persistent stream: each burst is a
-			// segment of one long-lived flow, so a multi-day campaign's
-			// millions of bursts cost no fair-share recompute churn. The
-			// generic path keeps per-burst transfers for other targets.
-			if l, ok := pipe.(streamTarget); ok {
-				st := l.Stream()
-				for !*stop {
-					st.Send(burst)
-				}
-				st.Close()
-				return
-			}
+			// Each burst is a segment of one long-lived flow, so a
+			// multi-day campaign's millions of bursts cost no fair-share
+			// recompute churn.
+			st := link.Stream()
 			for !*stop {
-				pipe.Transfer(burst)
+				st.Send(burst)
 			}
+			st.Close()
 		})
 	}
-}
-
-// streamTarget is the optional NoiseTarget refinement fabric links
-// provide: a persistent flow whose segments replace per-burst flows.
-type streamTarget interface {
-	Stream(opts ...fabric.Option) *fabric.Flow
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 )
@@ -138,17 +139,17 @@ func TestBuildTreeMaterializesJob(t *testing.T) {
 	}
 }
 
-func TestNoiseOccupiesPipe(t *testing.T) {
+func TestNoiseOccupiesLink(t *testing.T) {
 	clock := simtime.NewClock()
-	pipe := simtime.NewPipe(clock, "trunk", 1e9)
+	link := fabric.Of(clock).AddLink("trunk", 1e9, "a", "b")
 	stop := false
-	Noise(clock, pipe, 0.5, &stop)
+	Noise(clock, link, 0.5, &stop)
 	var foregroundTime time.Duration
 	clock.Go(func() {
 		// Give the noise a head start so sharing is established.
 		clock.Sleep(5 * time.Second)
 		start := clock.Now()
-		pipe.Transfer(10e9) // 10s alone; ~20s at half the pipe
+		link.Transfer(10e9) // 10s alone; far longer against 20 noise streams
 		foregroundTime = clock.Now() - start
 		stop = true
 	})
@@ -162,9 +163,9 @@ func TestNoiseOccupiesPipe(t *testing.T) {
 
 func TestNoiseZeroFractionIsNoop(t *testing.T) {
 	clock := simtime.NewClock()
-	pipe := simtime.NewPipe(clock, "trunk", 1e9)
+	link := fabric.Of(clock).AddLink("trunk", 1e9, "a", "b")
 	stop := false
-	Noise(clock, pipe, 0, &stop)
+	Noise(clock, link, 0, &stop)
 	end, err := clock.Run()
 	if err != nil {
 		t.Fatal(err)
