@@ -498,24 +498,6 @@ func (e *Engine) recordSums(path string, sum uint64) {
 	}
 }
 
-// verifyRestored cross-checks a just-restored file against its stub
-// digest — the last hop of the pipeline, after TSM's own recall
-// verification has already vouched for what tape delivered.
-func (e *Engine) verifyRestored(path string) error {
-	want, err := e.fs.GetXattr(path, SumXattr)
-	if err != nil || want == "" {
-		return nil // pre-pipeline stub: nothing recorded
-	}
-	c, err := e.fs.ReadContent(path)
-	if err != nil {
-		return err
-	}
-	if got := strconv.FormatUint(c.Digest(), 16); got != want {
-		return fmt.Errorf("hsm: %s restored with digest %s, want %s", path, got, want)
-	}
-	return nil
-}
-
 // storeSingle stores one file as one tape object and stubs it.
 func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.Flow, f pfs.Info, parent *telemetry.Span) error {
 	sum := e.contentSum(f.Path)
@@ -606,8 +588,9 @@ func (e *Engine) PunchPremigrated(root string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	punches := e.fs.Bill(len(victims))
 	for _, p := range victims {
-		if err := e.fs.Punch(p); err != nil {
+		if err := punches.Punch(p); err != nil {
 			return 0, err
 		}
 	}
@@ -845,9 +828,7 @@ func (e *Engine) recallOnNode(node *cluster.Node, bin []recallItem, mode RecallM
 				j = k
 				continue
 			}
-			for _, it := range bin[j:k] {
-				e.restoreItem(it, res, firstErr)
-			}
+			e.restoreRecalled(bin[j:k], res, firstErr)
 			j = k
 		}
 		return leftover
@@ -872,7 +853,7 @@ func (e *Engine) recallOnNode(node *cluster.Node, bin []recallItem, mode RecallM
 		if node.Down() {
 			return append(leftover, bin[fi:]...)
 		}
-		e.restoreItem(it, res, firstErr)
+		e.restoreRecalled(bin[fi:fi+1], res, firstErr)
 	}
 	return leftover
 }
@@ -898,42 +879,90 @@ func (e *Engine) stillMigrated(items []recallItem) []recallItem {
 	return out
 }
 
-// restoreItem lands one recalled item (a plain file or a whole
-// aggregate's members) back on disk.
-func (e *Engine) restoreItem(it recallItem, res *RecallResult, firstErr *error) {
-	if it.path != "" {
-		if err := e.fs.Restore(it.path, true); err != nil {
-			if *firstErr == nil {
-				*firstErr = err
-			}
-			return
-		}
-		if err := e.verifyRestored(it.path); err != nil {
-			if *firstErr == nil {
-				*firstErr = err
-			}
-			return
-		}
+// restoreRecalled lands a daemon's recalled run on disk for Recall: every
+// file is attempted, successes are tallied in res, and the first failure
+// is remembered in firstErr.
+func (e *Engine) restoreRecalled(items []recallItem, res *RecallResult, firstErr *error) {
+	err := e.restoreRun(items, false, func(bytes int64) {
 		res.Files++
-		res.Bytes += it.bytes
-		return
+		res.Bytes += bytes
+	})
+	if err != nil && *firstErr == nil {
+		*firstErr = err
 	}
-	for _, m := range e.aggMembers[it.object] {
-		if err := e.fs.Restore(m.path, true); err != nil {
-			if *firstErr == nil {
-				*firstErr = err
-			}
+}
+
+// restoreOp is one file of a recalled run: restore it, then, when the
+// stub recorded a digest at migration, read it back and compare.
+type restoreOp struct {
+	path  string
+	bytes int64
+	want  string // stub digest (hex); "" = pre-pipeline stub, no verify
+}
+
+// restoreRun lands a run of recalled items — plain files and whole
+// aggregates' members — back on disk and cross-checks each against its
+// stub digest: the last hop of the checksum pipeline, after TSM's own
+// recall verification has vouched for what tape delivered. landed is
+// called with the size of each file that is back and verified.
+//
+// The run's metadata is billed as one pfs batch (a restore per file plus
+// a read per digest to check), decided before the first restore, so a
+// whole volume costs one clock event rather than two per file.
+//
+// pinned selects RecallPinned's rules: aggregate members already on disk
+// are left alone, and the first failure ends the run and is returned
+// with the later files untouched. Otherwise every file is attempted and
+// the first failure is returned at the end.
+func (e *Engine) restoreRun(items []recallItem, pinned bool, landed func(bytes int64)) error {
+	ops := make([]restoreOp, 0, len(items))
+	billed := 0
+	plan := func(path string, bytes int64) {
+		want, _ := e.fs.GetXattr(path, SumXattr)
+		ops = append(ops, restoreOp{path: path, bytes: bytes, want: want})
+		billed++
+		if want != "" {
+			billed++
+		}
+	}
+	for _, it := range items {
+		if it.path != "" {
+			plan(it.path, it.bytes)
 			continue
 		}
-		if err := e.verifyRestored(m.path); err != nil {
-			if *firstErr == nil {
-				*firstErr = err
+		for _, m := range e.aggMembers[it.object] {
+			if pinned {
+				if st, _ := e.fs.State(m.path); st != pfs.Migrated {
+					continue
+				}
 			}
+			plan(m.path, m.bytes)
+		}
+	}
+	var first error
+	paid := e.fs.Bill(billed)
+	for _, op := range ops {
+		err := paid.Restore(op.path, true)
+		if err == nil && op.want != "" {
+			var c synthetic.Content
+			if c, err = paid.ReadContent(op.path); err == nil {
+				if got := strconv.FormatUint(c.Digest(), 16); got != op.want {
+					err = fmt.Errorf("hsm: %s restored with digest %s, want %s", op.path, got, op.want)
+				}
+			}
+		}
+		if err == nil {
+			landed(op.bytes)
 			continue
 		}
-		res.Files++
-		res.Bytes += m.bytes
+		if pinned {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // routeRecalls assigns items to n bins per the routing mode.
@@ -1139,38 +1168,15 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 			runSpan.Abort(err.Error(), 0)
 			return err
 		}
-		for _, it := range items[j:k] {
-			if it.path != "" {
-				if err := e.fs.Restore(it.path, true); err != nil {
-					runSpan.Abort(err.Error(), 0)
-					return err
-				}
-				if err := e.verifyRestored(it.path); err != nil {
-					runSpan.Abort(err.Error(), 0)
-					return err
-				}
-				e.recalledFiles++
-				e.recalledBytes += it.bytes
-				e.ctrRecFiles.Inc()
-				e.ctrRecBytes.Add(float64(it.bytes))
-				continue
-			}
-			for _, m := range e.aggMembers[it.object] {
-				if mst, _ := e.fs.State(m.path); mst == pfs.Migrated {
-					if err := e.fs.Restore(m.path, true); err != nil {
-						runSpan.Abort(err.Error(), 0)
-						return err
-					}
-					if err := e.verifyRestored(m.path); err != nil {
-						runSpan.Abort(err.Error(), 0)
-						return err
-					}
-					e.recalledFiles++
-					e.recalledBytes += m.bytes
-					e.ctrRecFiles.Inc()
-					e.ctrRecBytes.Add(float64(m.bytes))
-				}
-			}
+		err := e.restoreRun(items[j:k], true, func(bytes int64) {
+			e.recalledFiles++
+			e.recalledBytes += bytes
+			e.ctrRecFiles.Inc()
+			e.ctrRecBytes.Add(float64(bytes))
+		})
+		if err != nil {
+			runSpan.Abort(err.Error(), 0)
+			return err
 		}
 		j = k
 	}

@@ -26,9 +26,16 @@ type env struct {
 
 func newEnv(t *testing.T, drives int, cfg Config) *env {
 	t.Helper()
+	return newEnvMeta(t, drives, cfg, 0)
+}
+
+// newEnvMeta is newEnv with the file system's metadata operations
+// costing metaOpCost each (newEnv's are free).
+func newEnvMeta(t *testing.T, drives int, cfg Config, metaOpCost time.Duration) *env {
+	t.Helper()
 	clock := simtime.NewClock()
 	fsCfg := pfs.GPFSConfig("gpfs")
-	fsCfg.MetaOpCost = 0
+	fsCfg.MetaOpCost = metaOpCost
 	fsCfg.ScanPerInode = 0
 	fs := pfs.New(clock, fsCfg)
 	lib := tape.NewLibrary(clock, drives, 64, 2, tape.LTO4())

@@ -13,6 +13,21 @@
 // data-path fabric. pfs wires each pool's aggregate bandwidth into that
 // fabric as a named link ("<fs>/<pool>") between the pool endpoint
 // ("<fs>:<pool>") and the hubs named in Config.Attach.
+//
+// Metadata time has one billing mechanism: a charge takes one of the
+// MetaParallel service slots, sleeps ops x MetaOpCost, and releases the
+// slot. A single operation (Stat, ReadContent, Punch, ...) is a charge
+// of one. A bulk path pays for its whole run first — b := fs.Bill(n) —
+// and then performs the n operations through the returned Batch, which
+// counts them down and panics if over-drawn. Against an uncontended
+// service (the plants run <= ~30 metadata actors on 64 slots) a batch
+// ends at exactly the virtual time n single operations would. The
+// differences are these, and WriteFiles has always had them: the slot
+// is held for the whole batch, so with more actors than slots a waiter
+// queues behind the batch rather than interleaving with its files; the
+// full n is billed even if an operation fails part-way; and the
+// operations all happen at the batch's end time (access times, and
+// the instant other actors see the new state).
 package pfs
 
 import (
@@ -276,7 +291,8 @@ func (fs *FS) delMeta(id vfs.FileID) {
 	}
 }
 
-// chargeMeta bills one metadata operation against the metadata service.
+// chargeMeta bills ops metadata operations against the metadata service
+// as one charge: one service slot, held for ops x MetaOpCost.
 func (fs *FS) chargeMeta(ops int) {
 	if fs.cfg.MetaOpCost <= 0 || ops <= 0 {
 		return
@@ -284,6 +300,34 @@ func (fs *FS) chargeMeta(ops int) {
 	fs.metaRes.Acquire(1)
 	fs.clock.Sleep(time.Duration(ops) * fs.cfg.MetaOpCost)
 	fs.metaRes.Release(1)
+}
+
+// Batch is a run of pre-paid metadata operations (see FS.Bill). Its
+// methods do what the FS methods of the same name do, minus the charge.
+type Batch struct {
+	fs   *FS
+	left int
+}
+
+// Bill pays for n metadata operations up front, in one charge, and
+// returns the handle that spends them. Bulk paths — a PFTool worker
+// reading or landing a batch of small files, an HSM daemon restoring a
+// recalled volume — bill this way: n files cost one clock event instead
+// of n. See the package comment for what that means under contention.
+func (fs *FS) Bill(n int) Batch {
+	fs.chargeMeta(n)
+	return Batch{fs: fs, left: n}
+}
+
+// spend takes one operation from the batch. Drawing more than was
+// billed is a caller bug (it would be free metadata work), not an input
+// condition, so it panics.
+func (b *Batch) spend() *FS {
+	if b.left <= 0 {
+		panic("pfs: metadata batch over-drawn")
+	}
+	b.left--
+	return b.fs
 }
 
 // MkdirAll creates a directory chain (one metadata operation).
@@ -301,13 +345,13 @@ func (fs *FS) WriteFile(p string, content synthetic.Content) error {
 // pool. It charges metadata cost but not data-transfer time (see the
 // package comment). Capacity is enforced.
 func (fs *FS) WriteFileIn(p string, content synthetic.Content, pool string) error {
-	fs.chargeMeta(1)
-	return fs.writeFileQuiet(p, content, pool)
+	b := fs.Bill(1)
+	return b.WriteFileIn(p, content, pool)
 }
 
-// writeFileQuiet is WriteFileIn without the metadata charge, used by
-// bulk operations that bill in one batch.
-func (fs *FS) writeFileQuiet(p string, content synthetic.Content, pool string) error {
+// WriteFileIn is FS.WriteFileIn on a pre-paid batch.
+func (b *Batch) WriteFileIn(p string, content synthetic.Content, pool string) error {
+	fs := b.spend()
 	pl, ok := fs.pools[pool]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoPool, pool)
@@ -353,13 +397,13 @@ type FileSpec struct {
 // WriteFiles creates many files, billing metadata cost as one batch —
 // the bulk path PFTool workers use when landing a batch of small files.
 func (fs *FS) WriteFiles(specs []FileSpec) error {
-	fs.chargeMeta(len(specs))
+	b := fs.Bill(len(specs))
 	for _, s := range specs {
 		pool := s.Pool
 		if pool == "" {
 			pool = fs.cfg.DefaultPool
 		}
-		if err := fs.writeFileQuiet(s.Path, s.Content, pool); err != nil {
+		if err := b.WriteFileIn(s.Path, s.Content, pool); err != nil {
 			return fmt.Errorf("writing %s: %w", s.Path, err)
 		}
 	}
@@ -370,15 +414,21 @@ func (fs *FS) WriteFiles(specs []FileSpec) error {
 // callers must recall through the HSM first (or use a recall-aware
 // wrapper), exactly like a DMAPI read event.
 func (fs *FS) ReadContent(p string) (synthetic.Content, error) {
-	fs.chargeMeta(1)
-	info, err := fs.ns.Stat(p)
+	b := fs.Bill(1)
+	return b.ReadContent(p)
+}
+
+// ReadContent is FS.ReadContent on a pre-paid batch.
+func (b *Batch) ReadContent(p string) (synthetic.Content, error) {
+	fs := b.spend()
+	id, typ, _, err := fs.ns.Lookup(p)
 	if err != nil {
 		return synthetic.Content{}, err
 	}
-	if info.IsDir() {
+	if typ == vfs.TypeDir {
 		return synthetic.Content{}, fmt.Errorf("%w: %s", vfs.ErrIsDir, p)
 	}
-	if m := fs.metaOf(info.ID); m != nil && m.state == Migrated {
+	if m := fs.metaOf(id); m != nil && m.state == Migrated {
 		return synthetic.Content{}, fmt.Errorf("%w: %s", ErrOffline, p)
 	}
 	return fs.ns.ReadFile(p)
@@ -388,18 +438,18 @@ func (fs *FS) ReadContent(p string) (synthetic.Content, error) {
 // updating pool accounting.
 func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 	fs.chargeMeta(1)
-	info, err := fs.ns.Stat(p)
+	id, _, size, err := fs.ns.Lookup(p)
 	if err != nil {
 		return err
 	}
-	m := fs.metaOf(info.ID)
+	m := fs.metaOf(id)
 	if m == nil {
 		return fmt.Errorf("pfs: no pool metadata for %s", p)
 	}
 	if m.state == Migrated {
 		return fmt.Errorf("%w: %s", ErrOffline, p)
 	}
-	grow := off + data.Len() - info.Size
+	grow := off + data.Len() - size
 	if grow > 0 {
 		pl := fs.pools[m.pool]
 		if grow > pl.Free() {
@@ -415,11 +465,11 @@ func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 // Truncate shortens a resident file, releasing pool space.
 func (fs *FS) Truncate(p string, length int64) error {
 	fs.chargeMeta(1)
-	info, err := fs.ns.Stat(p)
+	id, _, size, err := fs.ns.Lookup(p)
 	if err != nil {
 		return err
 	}
-	m := fs.metaOf(info.ID)
+	m := fs.metaOf(id)
 	if m != nil && m.state == Migrated {
 		return fmt.Errorf("%w: %s", ErrOffline, p)
 	}
@@ -427,7 +477,7 @@ func (fs *FS) Truncate(p string, length int64) error {
 		return err
 	}
 	if m != nil {
-		fs.pools[m.pool].used -= info.Size - length
+		fs.pools[m.pool].used -= size - length
 		m.state = Resident
 	}
 	return nil
@@ -436,10 +486,6 @@ func (fs *FS) Truncate(p string, length int64) error {
 // Stat returns combined namespace + residency information.
 func (fs *FS) Stat(p string) (Info, error) {
 	fs.chargeMeta(1)
-	return fs.statQuiet(p)
-}
-
-func (fs *FS) statQuiet(p string) (Info, error) {
 	vi, err := fs.ns.Stat(p)
 	if err != nil {
 		return Info{}, err
@@ -486,14 +532,14 @@ func (fs *FS) ReadDir(p string) ([]Info, error) {
 // resident data.
 func (fs *FS) Remove(p string) error {
 	fs.chargeMeta(1)
-	info, err := fs.ns.Stat(p)
+	id, _, size, err := fs.ns.Lookup(p)
 	if err != nil {
 		return err
 	}
 	if err := fs.ns.Remove(p); err != nil {
 		return err
 	}
-	fs.releaseMeta(info)
+	fs.releaseMeta(id, size)
 	return nil
 }
 
@@ -512,16 +558,16 @@ func (fs *FS) RemoveAll(p string) error {
 	}
 	fs.chargeMeta(count)
 	if err := fs.ns.VisitTree(p, func(id vfs.FileID, size int64, dir bool) {
-		fs.releaseMetaID(id, size)
+		fs.releaseMeta(id, size)
 	}); err != nil {
 		return err
 	}
 	return fs.ns.RemoveAll(p)
 }
 
-// releaseMetaID is releaseMeta for callers that already hold the inode
-// identity and size (the bulk-removal pass).
-func (fs *FS) releaseMetaID(id vfs.FileID, size int64) {
+// releaseMeta drops an unlinked inode's residency record and returns
+// its resident bytes to the pool.
+func (fs *FS) releaseMeta(id vfs.FileID, size int64) {
 	m := fs.metaOf(id)
 	if m == nil {
 		return
@@ -532,34 +578,21 @@ func (fs *FS) releaseMetaID(id vfs.FileID, size int64) {
 	fs.delMeta(id)
 }
 
-func (fs *FS) releaseMeta(info vfs.Info) {
-	m := fs.metaOf(info.ID)
-	if m == nil {
-		return
-	}
-	if m.state != Migrated {
-		fs.pools[m.pool].used -= info.Size
-	}
-	fs.delMeta(info.ID)
-}
-
 // Rename moves a file or tree (one metadata operation; IDs persist).
 // A replaced destination file has its pool space released.
 func (fs *FS) Rename(oldp, newp string) error {
 	fs.chargeMeta(1)
-	si, err := fs.ns.Stat(oldp)
+	srcID, _, _, err := fs.ns.Lookup(oldp)
 	if err != nil {
 		return err
 	}
-	var replaced *vfs.Info
-	if di, derr := fs.ns.Stat(newp); derr == nil && !di.IsDir() && di.ID != si.ID {
-		replaced = &di
-	}
+	dstID, dstType, dstSize, derr := fs.ns.Lookup(newp)
+	replaced := derr == nil && dstType != vfs.TypeDir && dstID != srcID
 	if err := fs.ns.Rename(oldp, newp); err != nil {
 		return err
 	}
-	if replaced != nil {
-		fs.releaseMeta(*replaced)
+	if replaced {
+		fs.releaseMeta(dstID, dstSize)
 	}
 	return nil
 }
@@ -595,7 +628,8 @@ func (fs *FS) TotalBytes() int64 { return fs.ns.TotalBytes() }
 // SetPremigrated marks a resident file premigrated (a valid copy now
 // exists on the backend; data remains on disk).
 func (fs *FS) SetPremigrated(p string) error {
-	return fs.transition(p, func(m *fileMeta, info vfs.Info) error {
+	b := fs.Bill(1)
+	return b.transition(p, func(m *fileMeta, size int64) error {
 		if m.state == Migrated {
 			return fmt.Errorf("%w: %s is migrated", ErrBadState, p)
 		}
@@ -607,11 +641,17 @@ func (fs *FS) SetPremigrated(p string) error {
 // Punch converts a premigrated file to a migrated stub, freeing its
 // disk blocks while keeping the inode, size, and xattrs visible.
 func (fs *FS) Punch(p string) error {
-	return fs.transition(p, func(m *fileMeta, info vfs.Info) error {
+	b := fs.Bill(1)
+	return b.Punch(p)
+}
+
+// Punch is FS.Punch on a pre-paid batch.
+func (b *Batch) Punch(p string) error {
+	return b.transition(p, func(m *fileMeta, size int64) error {
 		if m.state != Premigrated {
 			return fmt.Errorf("%w: punch requires premigrated, %s is %v", ErrBadState, p, m.state)
 		}
-		fs.pools[m.pool].used -= info.Size
+		b.fs.pools[m.pool].used -= size
 		m.state = Migrated
 		return nil
 	})
@@ -621,15 +661,21 @@ func (fs *FS) Punch(p string) error {
 // (or premigrated, if keepBackendCopy is true — a recall leaves the
 // tape copy valid).
 func (fs *FS) Restore(p string, keepBackendCopy bool) error {
-	return fs.transition(p, func(m *fileMeta, info vfs.Info) error {
+	b := fs.Bill(1)
+	return b.Restore(p, keepBackendCopy)
+}
+
+// Restore is FS.Restore on a pre-paid batch.
+func (b *Batch) Restore(p string, keepBackendCopy bool) error {
+	return b.transition(p, func(m *fileMeta, size int64) error {
 		if m.state != Migrated {
 			return fmt.Errorf("%w: restore requires migrated, %s is %v", ErrBadState, p, m.state)
 		}
-		pl := fs.pools[m.pool]
-		if info.Size > pl.Free() {
-			return fmt.Errorf("%w: pool %s recall of %d bytes", ErrNoSpace, m.pool, info.Size)
+		pl := b.fs.pools[m.pool]
+		if size > pl.Free() {
+			return fmt.Errorf("%w: pool %s recall of %d bytes", ErrNoSpace, m.pool, size)
 		}
-		pl.used += info.Size
+		pl.used += size
 		if keepBackendCopy {
 			m.state = Premigrated
 		} else {
@@ -639,29 +685,34 @@ func (fs *FS) Restore(p string, keepBackendCopy bool) error {
 	})
 }
 
-func (fs *FS) transition(p string, fn func(*fileMeta, vfs.Info) error) error {
-	fs.chargeMeta(1)
-	info, err := fs.ns.Stat(p)
+// transition spends one operation applying fn to the residency record
+// of the regular file at p.
+func (b *Batch) transition(p string, fn func(m *fileMeta, size int64) error) error {
+	fs := b.spend()
+	id, typ, size, err := fs.ns.Lookup(p)
 	if err != nil {
 		return err
 	}
-	if info.IsDir() {
+	if typ == vfs.TypeDir {
 		return fmt.Errorf("%w: %s", vfs.ErrIsDir, p)
 	}
-	m := fs.metaOf(info.ID)
+	m := fs.metaOf(id)
 	if m == nil {
 		return fmt.Errorf("pfs: no pool metadata for %s", p)
 	}
-	return fn(m, info)
+	return fn(m, size)
 }
 
 // State reports a file's residency state.
 func (fs *FS) State(p string) (MigState, error) {
-	info, err := fs.statQuiet(p)
+	id, _, _, err := fs.ns.Lookup(p)
 	if err != nil {
 		return 0, err
 	}
-	return info.State, nil
+	if m := fs.metaOf(id); m != nil {
+		return m.state, nil
+	}
+	return Resident, nil
 }
 
 // Scan runs a full-filesystem inode scan, invoking fn for every inode,

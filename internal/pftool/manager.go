@@ -105,6 +105,15 @@ type tapeResult struct {
 	err   string
 }
 
+// batchScratch is one worker rank's buffers, reused from batch to batch
+// so that a copy or compare job allocates nothing per file.
+type batchScratch struct {
+	todo  []fileCopy          // files that survive the pre-pass
+	srcs  []synthetic.Content // compare: source side of each todo file
+	specs []pfs.FileSpec      // copy: destination writes
+	dsts  []string            // copy: destinations written
+}
+
 // pendingFile is a classified file awaiting batch flush.
 type pendingFile struct {
 	info pfs.Info
@@ -160,9 +169,7 @@ type run struct {
 	fab        *fabric.Fabric
 	routes     map[string]fabric.Path
 	streams    map[int]*fabric.Flow
-	// per-rank scratch buffers reused across copy batches
-	specScratch map[int][]pfs.FileSpec
-	dstScratch  map[int][]string
+	scratch    []batchScratch // indexed by rank
 	flows      map[*fabric.Flow]struct{}
 	movedBytes int64
 
@@ -210,8 +217,7 @@ func (r *run) execute() Result {
 	r.fab = r.req.SrcFS.Fabric()
 	r.routes = make(map[string]fabric.Path)
 	r.streams = make(map[int]*fabric.Flow)
-	r.specScratch = make(map[int][]pfs.FileSpec)
-	r.dstScratch = make(map[int][]string)
+	r.scratch = make([]batchScratch, r.layout.size)
 	r.flows = make(map[*fabric.Flow]struct{})
 	r.res.Op = r.req.Op
 	r.res.Started = r.clock.Now()

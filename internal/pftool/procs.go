@@ -1,7 +1,6 @@
 package pftool
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -181,16 +180,21 @@ func (r *run) route(node *cluster.Node) fabric.Path {
 	return p
 }
 
-// copyBatch copies a batch of whole files. With Restart enabled, files
-// whose destination already exists with the same size and an equal or
-// newer mtime are skipped — the paper's whole-file restart rule (§4.5).
-func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
-	res := copyResult{}
-	toWrite := r.specScratch[rank][:0]
-	written := r.dstScratch[rank][:0]
-	var transferBytes int64
-	for _, f := range job.batch {
-		if r.req.Tunables.Restart {
+// survivors is copyBatch's pre-pass: it returns the files of the batch
+// that are to be read, and the fault the hook injected, if any, which
+// ends the batch at that file. With Restart enabled, files whose
+// destination already exists with the same size and an equal or newer
+// mtime are skipped — the paper's whole-file restart rule (§4.5) — and
+// recorded in res. A run with neither the rule nor the hook reads the
+// batch as it is.
+func (r *run) survivors(sc *batchScratch, batch []fileCopy, res *copyResult) (todo []fileCopy, injected string) {
+	t := &r.req.Tunables
+	if !t.Restart && t.InjectFault == nil {
+		return batch, ""
+	}
+	todo = sc.todo[:0]
+	for _, f := range batch {
+		if t.Restart {
 			if di, err := r.req.DstFS.Stat(f.dst); err == nil {
 				si, serr := r.req.SrcFS.Stat(f.src)
 				if serr == nil && !di.IsDir() && di.Size == si.Size && di.ModTime >= si.ModTime {
@@ -200,11 +204,32 @@ func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
 				}
 			}
 		}
-		if r.req.Tunables.InjectFault != nil && r.req.Tunables.InjectFault(f.dst, -1) {
-			res.err = fmt.Sprintf("injected fault copying %s", f.dst)
-			return res
+		if t.InjectFault != nil && t.InjectFault(f.dst, -1) {
+			injected = fmt.Sprintf("injected fault copying %s", f.dst)
+			break
 		}
-		content, err := r.req.SrcFS.ReadContent(f.src)
+		todo = append(todo, f)
+	}
+	sc.todo = todo
+	return todo, injected
+}
+
+// copyBatch copies a batch of whole files: the files the pre-pass leaves
+// are read through one paid metadata batch, the way WriteFiles lands
+// them, moved as one segment of the rank's stream, and written. A fault
+// injected on a file still lets the files ahead of it be read (and
+// billed) before the job reports the failure.
+func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
+	res := copyResult{}
+	sc := &r.scratch[rank]
+	todo, injected := r.survivors(sc, job.batch, &res)
+
+	toWrite := sc.specs[:0]
+	written := sc.dsts[:0]
+	var transferBytes int64
+	reads := r.req.SrcFS.Bill(len(todo))
+	for _, f := range todo {
+		content, err := reads.ReadContent(f.src)
 		if err != nil {
 			res.err = fmt.Sprintf("read %s: %v", f.src, err)
 			return res
@@ -219,6 +244,11 @@ func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
 		res.files++
 		res.bytes += f.bytes
 	}
+	sc.specs, sc.dsts = toWrite, written
+	if injected != "" {
+		res.err = injected
+		return res
+	}
 	if transferBytes > 0 {
 		node.Slots().Acquire(1)
 		r.transfer(rank, node, transferBytes)
@@ -231,7 +261,6 @@ func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
 		// Only now are the copies durable and journalable.
 		res.dsts = append(res.dsts, written...)
 	}
-	r.specScratch[rank], r.dstScratch[rank] = toWrite, written
 	return res
 }
 
@@ -292,22 +321,30 @@ func (r *run) copyChunk(rank int, node *cluster.Node, job copyJob) copyResult {
 }
 
 // compareBatch byte-compares source and destination files (pfcm). Both
-// sides are read in full, so the comparison pays two transfers.
+// sides are read in full, so the comparison pays two transfers. Each
+// side is one paid metadata batch: every source first, then the
+// destination of each source that could be read.
 func (r *run) compareBatch(rank int, node *cluster.Node, job copyJob) copyResult {
 	res := copyResult{}
-	var transferBytes int64
+	sc := &r.scratch[rank]
+	todo, srcs := sc.todo[:0], sc.srcs[:0]
+	reads := r.req.SrcFS.Bill(len(job.batch))
 	for _, f := range job.batch {
-		srcContent, err := r.req.SrcFS.ReadContent(f.src)
+		srcContent, err := reads.ReadContent(f.src)
 		if err != nil {
 			res.missing++
 			continue
 		}
-		dstPath := f.dst
-		dstContent, err := r.req.DstFS.ReadContent(dstPath)
-		if err != nil && errors.Is(err, pfs.ErrOffline) {
-			res.missing++
-			continue
-		}
+		todo = append(todo, f)
+		srcs = append(srcs, srcContent)
+	}
+	sc.todo, sc.srcs = todo, srcs
+
+	var transferBytes int64
+	reads = r.req.DstFS.Bill(len(todo))
+	for i, f := range todo {
+		srcContent := srcs[i]
+		dstContent, err := reads.ReadContent(f.dst)
 		if err != nil {
 			res.missing++
 			continue

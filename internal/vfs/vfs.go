@@ -95,9 +95,9 @@ type FS struct {
 	// child lookup. Any operation that unlinks or moves nodes clears it.
 	memoDir  string
 	memoNode *node
-	now    func() time.Duration
-	nfiles int
-	ndirs  int
+	now      func() time.Duration
+	nfiles   int
+	ndirs    int
 }
 
 // New creates an empty file system. now supplies virtual timestamps and
@@ -427,6 +427,17 @@ func (fs *FS) Stat(p string) (Info, error) {
 		return Info{}, err
 	}
 	return fs.info(clean(p), n), nil
+}
+
+// Lookup resolves p to its inode's identity, type and size without
+// building an Info — no name, no xattr copy. It is what the pfs layer
+// needs to find a file's residency record on every data operation.
+func (fs *FS) Lookup(p string) (FileID, FileType, int64, error) {
+	n, err := fs.lookup(p)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return n.id, n.typ, n.size, nil
 }
 
 // StatID returns the Info for a file ID, with an empty Path (IDs are
