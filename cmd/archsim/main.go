@@ -93,9 +93,9 @@ func main() {
 	}
 
 	if *flightPath != "" {
-		// Experiment invariants panic from simulation actors, which
-		// kills the process before any deferred cleanup in main runs —
-		// so the crash dump must be written synchronously in the sink.
+		// Experiment invariants panic from simulation actors, and the
+		// ring to dump belongs to a clock only the experiment holds —
+		// so the crash dump is written synchronously in the sink.
 		experiments.SetCrashFlightSink(func(d *telemetry.FlightDump) {
 			if err := writeFlightDump(*flightPath, d); err != nil {
 				fmt.Fprintln(os.Stderr, "archsim: flight:", err)

@@ -53,10 +53,10 @@ func chaosRun(seed int64, chaos bool) chaosOutcome {
 	var out chaosOutcome
 	clock.Go(func() {
 		tel := telemetry.Of(clock)
-		// Actor panics kill the process before main gets a chance to
-		// persist anything, so dump the flight ring synchronously here
-		// before re-panicking: the crash evidence is the whole point of
-		// the recorder.
+		// An actor panic unwinds through clock.Run into its caller, and
+		// nothing up there recovers it, so the process still dies: dump
+		// the flight ring synchronously here before re-panicking — the
+		// crash evidence is the whole point of the recorder.
 		defer func() {
 			if p := recover(); p != nil {
 				stashCrashFlight(tel.FlightDump())

@@ -75,8 +75,9 @@ var crashFlightSink func(*telemetry.FlightDump)
 
 // SetCrashFlightSink installs a callback invoked synchronously with
 // the flight dump when an experiment aborts on an invariant violation.
-// Actor panics kill the process before main's defers run, so the sink
-// must do its own persistence (cmd/archsim writes the file in it).
+// It runs inside the panicking actor, before the panic unwinds through
+// clock.Run, so the sink must do its own persistence (cmd/archsim writes
+// the file in it).
 func SetCrashFlightSink(fn func(*telemetry.FlightDump)) { crashFlightSink = fn }
 
 func stashCrashFlight(d *telemetry.FlightDump) {

@@ -1,14 +1,23 @@
 // Package simtime provides a discrete-event virtual clock with
-// goroutine-based actors, timed sleeps, FIFO resources and blocking
-// queues. It is the timing foundation for every simulated substrate in
-// this repository: terabyte-scale archive experiments advance virtual
-// time deterministically and finish in milliseconds of real time.
+// coroutine actors, timed sleeps, FIFO resources and blocking queues. It
+// is the timing foundation for every simulated substrate in this
+// repository: terabyte-scale archive experiments advance virtual time
+// deterministically and finish in milliseconds of real time.
 //
-// The model: actors are ordinary goroutines registered with Clock.Go.
-// The scheduler (Clock.Run) advances virtual time only when every actor
-// is blocked in a simtime primitive (Sleep, Resource.Acquire, Queue.Pop,
-// Cond.Wait, ...). Blocking on anything else (a bare channel, a mutex
-// held across a Sleep) stalls virtual time and is a programming error.
+// The model: actors are coroutines (iter.Pull, see actor.go) registered
+// with Clock.Go. The scheduler (Clock.Run) is a single event loop on the
+// goroutine that called it: it pops the next event and, for a spawn or a
+// wake-up, switches directly into that actor; the actor runs until it
+// blocks in a simtime primitive (Sleep, Resource.Acquire, Queue.Pop,
+// WaitGroup.Wait, ...), which switches straight back. Clock.cur is the
+// actor the loop is inside, and is how those primitives find the
+// coroutine to suspend. Exactly one actor runs at a time because there is
+// one loop and it resumes one coroutine per event; nothing passes through
+// the Go scheduler, so an event costs heap work, not a thread wake-up.
+// Blocking on anything else (a bare channel, a mutex held across a Sleep)
+// blocks the loop itself and is a programming error, as is calling a
+// blocking primitive from outside an actor (after Run, or from an inline
+// Callback): that panics.
 package simtime
 
 import (
@@ -26,27 +35,26 @@ type Duration = time.Duration
 // call NewClock.
 type Clock struct {
 	mu      sync.Mutex
-	sched   *sync.Cond // scheduler waits here for running to hit zero
 	now     Duration
 	nowBits atomic.Int64 // mirror of now: Now() reads it without the lock
 	queue   eventHeap
 	seq     uint64
-	running int // actors currently runnable (not parked, not finished)
-	parked  int // actors parked on a non-time wait (queue/cond/resource)
+	cur     *actor // the actor the scheduler loop is inside; nil otherwise
+	parked  int    // actors parked on a non-time wait (queue/cond/resource)
 	started bool
-	actors  int    // actors that have been registered and not yet finished
+	actors  int    // actors that have been started and not yet finished
 	events  uint64 // events dispatched since construction (engine throughput)
+
+	// idle holds finished actors' coroutines for the next spawn to reuse
+	// (creating one costs a dozen allocations); coros counts creations.
+	idle  []*actor
+	coros int
 
 	// ncanceled counts canceled events still sitting in the heap; when
 	// they outnumber the live half the heap is compacted in place.
 	// Cancels that race a pop may overcount, which at worst compacts a
 	// little early, so the counter is clamped rather than trusted.
 	ncanceled int
-
-	// wakePool recycles one-shot wake channels: a paper-scale campaign
-	// parks and sleeps millions of times, and each wake channel would
-	// otherwise be a fresh allocation.
-	wakePool []chan struct{}
 
 	// instantFns run once the current virtual instant has fully drained,
 	// before time advances (see AtInstantEnd).
@@ -75,11 +83,11 @@ type Clock struct {
 type event struct {
 	at       Duration
 	seq      uint64 // FIFO tiebreak for equal timestamps
-	wake     chan struct{}
+	wake     *actor // if non-nil, resume this blocked actor
 	fn       func() // if non-nil, spawn as actor (or run inline when cb)
 	fnArg    func(uint64)
 	arg      uint64 // argument for fnArg
-	cb       bool   // run fn inline in the scheduler loop, no goroutine
+	cb       bool   // run fn inline in the scheduler loop, no actor
 	canceled *bool
 }
 
@@ -166,11 +174,7 @@ func (h eventHeap) init() {
 }
 
 // NewClock returns a clock at virtual time zero.
-func NewClock() *Clock {
-	c := &Clock{}
-	c.sched = sync.NewCond(&c.mu)
-	return c
-}
+func NewClock() *Clock { return &Clock{} }
 
 // Now reports the current virtual time. It reads an atomic mirror of
 // the scheduler's clock, so hot paths (telemetry counter bumps, fabric
@@ -185,8 +189,8 @@ func (c *Clock) advance(t Duration) {
 	c.nowBits.Store(int64(t))
 }
 
-// Go registers fn as an actor goroutine. Actors may spawn further
-// actors. Go may be called before or during Run.
+// Go registers fn as an actor. Actors may spawn further actors. Go may
+// be called before or during Run.
 //
 // Actor bodies are started through the event queue in registration
 // order, and every wakeup likewise flows through the queue, so exactly
@@ -197,34 +201,15 @@ func (c *Clock) Go(fn func()) {
 	c.atLocked(c.now, fn)
 }
 
-func (c *Clock) finish() {
-	c.mu.Lock()
-	c.running--
-	c.actors--
-	if c.running == 0 {
-		c.sched.Signal()
+// selfLocked returns the calling actor, which is the one the scheduler
+// loop is inside. With the loop inside none, the caller is not an actor:
+// c.mu, which the caller must hold, is released and the call panics.
+func (c *Clock) selfLocked() *actor {
+	if c.cur == nil {
+		c.mu.Unlock()
+		panic("simtime: blocking primitive called outside actor context")
 	}
-	c.mu.Unlock()
-}
-
-// getWake returns a pooled wake channel. The caller must hold c.mu.
-// Every channel carries exactly one value per park/wake cycle, so a
-// drained channel is safe to reuse.
-func (c *Clock) getWake() chan struct{} {
-	if n := len(c.wakePool); n > 0 {
-		ch := c.wakePool[n-1]
-		c.wakePool[n-1] = nil
-		c.wakePool = c.wakePool[:n-1]
-		return ch
-	}
-	return make(chan struct{}, 1)
-}
-
-// putWake recycles a drained wake channel.
-func (c *Clock) putWake(ch chan struct{}) {
-	c.mu.Lock()
-	c.wakePool = append(c.wakePool, ch)
-	c.mu.Unlock()
+	return c.cur
 }
 
 // Sleep blocks the calling actor for d of virtual time. Non-positive
@@ -235,44 +220,30 @@ func (c *Clock) Sleep(d Duration) {
 		d = 0
 	}
 	c.mu.Lock()
-	ch := c.getWake()
+	a := c.selfLocked()
 	c.seq++
-	c.queue.push(event{at: c.now + d, seq: internalBand | c.seq, wake: ch})
-	c.running--
-	if c.running == 0 {
-		c.sched.Signal()
-	}
+	c.queue.push(event{at: c.now + d, seq: internalBand | c.seq, wake: a})
 	c.mu.Unlock()
-	<-ch
-	c.putWake(ch)
+	a.yield(struct{}{})
 }
 
-// park blocks the calling actor until another actor (or the scheduler)
-// wakes ch via unpark. The caller must hold c.mu; park releases it.
-// The channel must come from getWake; park recycles it on wake.
-func (c *Clock) park(ch chan struct{}) {
-	c.running--
+// park blocks the calling actor a (from selfLocked) until another actor
+// or the scheduler wakes it via unpark. The caller must hold c.mu; park
+// releases it.
+func (c *Clock) park(a *actor) {
 	c.parked++
-	if c.running == 0 {
-		c.sched.Signal()
-	}
 	c.mu.Unlock()
-	<-ch
-	c.putWake(ch)
+	a.yield(struct{}{})
 }
 
 // unpark schedules a wake event at the current instant for a parked
 // actor. The caller must hold c.mu. Routing wakeups through the event
-// queue (rather than waking directly) keeps execution single-threaded
-// and therefore deterministic: the woken actor runs only after the
-// waker has blocked.
-func (c *Clock) unpark(ch chan struct{}) {
+// queue (rather than switching to the actor directly) keeps the order
+// deterministic: the woken actor runs only after the waker has blocked.
+func (c *Clock) unpark(a *actor) {
 	c.parked--
 	c.seq++
-	c.queue.push(event{at: c.now, seq: internalBand | c.seq, wake: ch})
-	if c.running == 0 {
-		c.sched.Signal()
-	}
+	c.queue.push(event{at: c.now, seq: internalBand | c.seq, wake: a})
 }
 
 // At schedules fn to run as a fresh actor at virtual time t (clamped to
@@ -293,7 +264,7 @@ func (c *Clock) After(d Duration, fn func()) (cancel func()) {
 }
 
 // Callback schedules fn to run inline in the scheduler loop at virtual
-// time t (clamped to now), without spawning an actor goroutine. It is
+// time t (clamped to now), without spawning an actor. It is
 // the cheap timer for bookkeeping callbacks that never block: fn must
 // not call Sleep, Pop, Acquire, Wait or any other parking primitive
 // (scheduling further events, unparking waiters and bumping telemetry
@@ -319,9 +290,6 @@ func (c *Clock) CallbackArg(t Duration, fn func(uint64), arg uint64) *bool {
 	canceled := new(bool)
 	c.seq++
 	c.queue.push(event{at: t, seq: internalBand | c.seq, fnArg: fn, arg: arg, cb: true, canceled: canceled})
-	if c.running == 0 {
-		c.sched.Signal()
-	}
 	return canceled
 }
 
@@ -349,9 +317,6 @@ func (c *Clock) CancelCallback(canceled *bool) {
 func (c *Clock) AtInstantEnd(fn func()) {
 	c.mu.Lock()
 	c.instantFns = append(c.instantFns, fn)
-	if c.running == 0 {
-		c.sched.Signal()
-	}
 	c.mu.Unlock()
 }
 
@@ -384,9 +349,6 @@ func (c *Clock) pushFnLocked(t Duration, fn func(), cb bool) (cancel func()) {
 	canceled := new(bool)
 	c.seq++
 	c.queue.push(event{at: t, seq: internalBand | c.seq, fn: fn, cb: cb, canceled: canceled})
-	if c.running == 0 {
-		c.sched.Signal()
-	}
 	return func() {
 		c.mu.Lock()
 		if !*canceled {
@@ -449,8 +411,8 @@ func (c *Clock) Attach(key string, mk func() interface{}) interface{} {
 }
 
 // runLocked is the scheduler loop, bounded by an exclusive time limit:
-// it drives the simulation until no actor remains runnable and no live
-// event before limit is pending, then returns the earliest pending
+// it drives the simulation until no live event before limit is pending
+// (every actor is then blocked or done), then returns the earliest pending
 // event time (-1 if the heap is empty). Run passes an unreachable limit
 // to drain everything; the island runtime (island.go) passes its
 // conservative bound so the clock never outruns what its neighbours
@@ -458,9 +420,6 @@ func (c *Clock) Attach(key string, mk func() interface{}) interface{} {
 // it held.
 func (c *Clock) runLocked(limit Duration) (next Duration) {
 	for {
-		for c.running > 0 {
-			c.sched.Wait()
-		}
 		c.popCanceledLocked()
 		if len(c.instantFns) > 0 && (len(c.queue) == 0 || c.queue[0].at > c.now) {
 			// The current instant has drained: run the end-of-instant
@@ -503,8 +462,8 @@ func (c *Clock) runLocked(limit Duration) (next Duration) {
 		switch {
 		case ev.cb:
 			// Inline callback: run on the scheduler goroutine with the
-			// lock dropped. The callback never parks, so the running
-			// count stays zero and the loop resumes at the next event.
+			// lock dropped. The callback never parks, so the loop
+			// resumes at the next event.
 			c.mu.Unlock()
 			if ev.fnArg != nil {
 				ev.fnArg(ev.arg)
@@ -513,17 +472,10 @@ func (c *Clock) runLocked(limit Duration) (next Duration) {
 			}
 			c.mu.Lock()
 		case ev.fn != nil:
-			c.running++
-			c.actors++
-			go func() {
-				defer c.finish()
-				ev.fn()
-			}()
+			c.spawnLocked(ev.fn)
 		default:
-			c.running++
-			ev.wake <- struct{}{}
+			c.resumeLocked(ev.wake)
 		}
-		// Loop back; we wait until the woken chain blocks again.
 	}
 }
 
@@ -538,6 +490,7 @@ func (c *Clock) Run() (Duration, error) {
 		return 0, fmt.Errorf("simtime: Run called twice")
 	}
 	c.started = true
+	defer c.drainIdle()
 	c.runLocked(maxDuration)
 	end := c.now
 	deadlocked := c.parked
@@ -578,14 +531,11 @@ func (c *Clock) deliverAt(t Duration, key uint64, fn func()) {
 		panic(fmt.Sprintf("simtime: cross-island delivery at %v behind local clock %v", t, c.now))
 	}
 	c.queue.push(event{at: t, seq: key, fn: fn, cb: true})
-	if c.running == 0 {
-		c.sched.Signal()
-	}
 	c.mu.Unlock()
 }
 
-// Quiesced reports whether the simulation is at rest: no runnable or
-// parked actor, no pending event (canceled ones aside), and no queued
+// Quiesced reports whether the simulation is at rest: no live actor,
+// no pending event (canceled ones aside), and no queued
 // instant-end callback. Checkpoints may only be cut at quiescent
 // instants — goroutine stacks cannot be serialized, so the snapshot
 // contract is that all state lives in the registries, not in actors.
@@ -602,7 +552,7 @@ func (c *Clock) Quiesced() bool {
 			}
 		}
 	}
-	return c.running == 0 && c.parked == 0 && c.actors == 0 &&
+	return c.parked == 0 && c.actors == 0 &&
 		live == 0 && len(c.instantFns) == 0
 }
 

@@ -446,6 +446,7 @@ func (g *Group) Run(workers int) (Duration, error) {
 	}
 	for _, i := range g.islands {
 		i.clk.alignTo(end)
+		i.clk.drainIdle()
 		if p := i.clk.parkedActors(); p > 0 {
 			parked += p
 			stuck = append(stuck, fmt.Sprintf("%s:%d", i.name, p))

@@ -50,8 +50,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	n  int
-	ch chan struct{}
+	n int
+	a *actor
 }
 
 // NewResource creates a resource with capacity units. Capacity must be
@@ -85,9 +85,9 @@ func (r *Resource) Acquire(n int) {
 		r.clock.mu.Unlock()
 		return
 	}
-	ch := r.clock.getWake()
-	r.wait.push(resWaiter{n: n, ch: ch})
-	r.clock.park(ch) // releases the lock
+	a := r.clock.selfLocked()
+	r.wait.push(resWaiter{n: n, a: a})
+	r.clock.park(a) // releases the lock
 }
 
 // TryAcquire acquires n units without blocking, reporting success.
@@ -118,7 +118,7 @@ func (r *Resource) Release(n int) {
 			break // strict FIFO: head of queue blocks followers
 		}
 		r.inUse += w.n
-		r.clock.unpark(w.ch)
+		r.clock.unpark(w.a)
 		r.wait.pop()
 	}
 }
@@ -141,7 +141,7 @@ func (r *Resource) SetCap(n int) {
 			break // strict FIFO: head of queue blocks followers
 		}
 		r.inUse += w.n
-		r.clock.unpark(w.ch)
+		r.clock.unpark(w.a)
 		r.wait.pop()
 	}
 }
@@ -159,7 +159,7 @@ func (r *Resource) Use(n int, fn func()) {
 type Queue struct {
 	clock  *Clock
 	items  fifo[interface{}]
-	wait   fifo[chan struct{}]
+	wait   fifo[*actor]
 	closed bool
 }
 
@@ -197,9 +197,9 @@ func (q *Queue) Pop() (v interface{}, ok bool) {
 			q.clock.mu.Unlock()
 			return nil, false
 		}
-		ch := q.clock.getWake()
-		q.wait.push(ch)
-		q.clock.park(ch) // releases the lock
+		a := q.clock.selfLocked()
+		q.wait.push(a)
+		q.clock.park(a) // releases the lock
 	}
 }
 
@@ -240,7 +240,7 @@ func (q *Queue) Close() {
 type WaitGroup struct {
 	clock *Clock
 	n     int
-	wait  []chan struct{}
+	wait  []*actor
 }
 
 // NewWaitGroup creates a WaitGroup on clock.
@@ -258,8 +258,8 @@ func (w *WaitGroup) Add(delta int) {
 		panic("simtime: negative WaitGroup counter")
 	}
 	if w.n == 0 {
-		for _, ch := range w.wait {
-			w.clock.unpark(ch)
+		for _, a := range w.wait {
+			w.clock.unpark(a)
 		}
 		w.wait = nil
 	}
@@ -275,9 +275,9 @@ func (w *WaitGroup) Wait() {
 		w.clock.mu.Unlock()
 		return
 	}
-	ch := w.clock.getWake()
-	w.wait = append(w.wait, ch)
-	w.clock.park(ch)
+	a := w.clock.selfLocked()
+	w.wait = append(w.wait, a)
+	w.clock.park(a)
 }
 
 // Latch is a one-shot completion gate: Wait parks the calling actor
@@ -288,8 +288,8 @@ func (w *WaitGroup) Wait() {
 type Latch struct {
 	clock *Clock
 	done  bool
-	ch    chan struct{}   // first waiter (the common case; no slice alloc)
-	wait  []chan struct{} // additional waiters, rarely needed
+	first *actor   // first waiter (the common case; no slice alloc)
+	wait  []*actor // additional waiters, rarely needed
 }
 
 // MakeLatch returns a latch value ready to embed.
@@ -304,12 +304,12 @@ func (l *Latch) Signal() {
 		return
 	}
 	l.done = true
-	if l.ch != nil {
-		l.clock.unpark(l.ch)
-		l.ch = nil
+	if l.first != nil {
+		l.clock.unpark(l.first)
+		l.first = nil
 	}
-	for _, ch := range l.wait {
-		l.clock.unpark(ch)
+	for _, a := range l.wait {
+		l.clock.unpark(a)
 	}
 	l.wait = nil
 }
@@ -321,11 +321,11 @@ func (l *Latch) Wait() {
 		l.clock.mu.Unlock()
 		return
 	}
-	ch := l.clock.getWake()
-	if l.ch == nil {
-		l.ch = ch
+	a := l.clock.selfLocked()
+	if l.first == nil {
+		l.first = a
 	} else {
-		l.wait = append(l.wait, ch)
+		l.wait = append(l.wait, a)
 	}
-	l.clock.park(ch)
+	l.clock.park(a)
 }

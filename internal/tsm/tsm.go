@@ -509,12 +509,16 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 // not LAN-free. It reports whether a crossed link silently corrupted
 // the stream in flight, and which fault event armed the taint.
 func (s *Server) moveData(bytes int64, p fabric.Path, stream *fabric.Flow, tapeOp func() error) (taintCause uint64, tainted bool, err error) {
-	errCh := make(chan error, 1)
-	wg := simtime.NewWaitGroup(s.clock)
-	wg.Add(1)
+	// One actor runs at a time, so the tape side's result needs no
+	// channel: a captured error behind a latch, in one allocation.
+	var op struct {
+		done simtime.Latch
+		err  error
+	}
+	op.done = simtime.MakeLatch(s.clock)
 	s.clock.Go(func() {
-		errCh <- tapeOp()
-		wg.Done()
+		op.err = tapeOp()
+		op.done.Signal()
 	})
 	switch {
 	case stream != nil:
@@ -531,8 +535,8 @@ func (s *Server) moveData(bytes int64, p fabric.Path, stream *fabric.Flow, tapeO
 			s.netLink.Transfer(bytes)
 		}
 	}
-	wg.Wait()
-	return taintCause, tainted, <-errCh
+	op.done.Wait()
+	return taintCause, tainted, op.err
 }
 
 // acquireDriveForWrite admits the caller to the drive pool and returns
