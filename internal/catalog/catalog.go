@@ -270,10 +270,11 @@ func IndexArchive(c *Catalog, fs *pfs.FS, shadow *metadb.DB, projectOf func(stri
 		if i.IsDir() {
 			return nil
 		}
+		owner, _ := i.Xattr("owner")
 		c.Upsert(Entry{
 			Path:    i.Path,
 			Project: projectOf(i.Path),
-			Owner:   i.Xattrs["owner"],
+			Owner:   owner,
 			Size:    i.Size,
 			ModTime: i.ModTime,
 			State:   i.State,

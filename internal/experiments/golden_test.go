@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden_seed7.txt from this run")
@@ -35,6 +37,7 @@ func TestGoldenSeed7(t *testing.T) {
 			}
 		}
 		for _, r := range run(7) {
+			checkLabelKeys(t, r)
 			h := sha256.New()
 			h.Write([]byte(r.String()))
 			if r.Telemetry != nil {
@@ -61,6 +64,40 @@ func TestGoldenSeed7(t *testing.T) {
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("got %q, golden %q", gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// checkLabelKeys holds every label list the run produced to what
+// telemetry.labelsOf's in-place insertion sort relies on to stay
+// byte-identical with the sort.Slice it replaced: series labels ascend
+// strictly by key, and no span or event carries a key twice.
+func checkLabelKeys(t *testing.T, r Report) {
+	t.Helper()
+	distinct := func(what string, ls []telemetry.Label) {
+		for i, l := range ls {
+			for _, m := range ls[:i] {
+				if m.Key == l.Key {
+					t.Errorf("%s: %s carries label key %q twice", r.Name, what, l.Key)
+				}
+			}
+		}
+	}
+	if r.Telemetry != nil {
+		for _, p := range r.Telemetry.Points {
+			for i := 1; i < len(p.Labels); i++ {
+				if p.Labels[i-1].Key >= p.Labels[i].Key {
+					t.Errorf("%s: series %s labels not strictly ascending by key: %v", r.Name, p.Name, p.Labels)
+				}
+			}
+		}
+	}
+	if r.Flight != nil {
+		for _, sp := range r.Flight.Spans {
+			distinct("span "+sp.Name, sp.Attrs)
+		}
+		for _, ev := range r.Flight.Events {
+			distinct("event "+ev.Name, ev.Attrs)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func StateIs(s pfs.MigState) Predicate {
 // (any value if value is empty).
 func HasXattr(key, value string) Predicate {
 	return func(i pfs.Info, _ time.Duration) bool {
-		v, ok := i.Xattrs[key]
+		v, ok := i.Xattr(key)
 		if !ok {
 			return false
 		}

@@ -50,7 +50,7 @@ var (
 )
 
 // MigState is the DMAPI-style per-file data residency state.
-type MigState int
+type MigState uint8
 
 // Residency states.
 const (
@@ -141,6 +141,7 @@ type Pool struct {
 	link     *fabric.Link
 	endpoint string
 	used     int64
+	idx      uint8 // position in FS.pools
 }
 
 // Used reports bytes resident in the pool.
@@ -167,8 +168,10 @@ type Info struct {
 	State MigState
 }
 
+// fileMeta is one file's residency record: two bytes, held by value in
+// a table the file ID indexes.
 type fileMeta struct {
-	pool  string
+	pool  uint8 // position in FS.pools + 1; 0 = no record (a directory, or unlinked)
 	state MigState
 }
 
@@ -178,10 +181,9 @@ type FS struct {
 	fab     *fabric.Fabric
 	cfg     Config
 	ns      *vfs.FS
-	pools   map[string]*Pool
-	order   []string
-	meta    []*fileMeta // index = vfs.FileID (dense, never reused)
-	metaPot []fileMeta  // chunked arena behind meta (stable pointers)
+	pools   []*Pool // declaration order
+	defPool *Pool
+	meta    []fileMeta // index = vfs.FileID (dense, never reused)
 	metaRes *simtime.Resource
 }
 
@@ -193,13 +195,14 @@ func New(clock *simtime.Clock, cfg Config) *FS {
 	if cfg.ScanParallel <= 0 {
 		cfg.ScanParallel = 1
 	}
+	if len(cfg.Pools) >= 255 {
+		panic("pfs: more pools than a residency record can name")
+	}
 	fs := &FS{
 		clock:   clock,
 		fab:     fabric.Of(clock),
 		cfg:     cfg,
 		ns:      vfs.New(cfg.Name, func() time.Duration { return clock.Now() }),
-		pools:   make(map[string]*Pool),
-		meta:    make([]*fileMeta, 1), // index 0 unused
 		metaRes: simtime.NewResource(clock, cfg.MetaParallel),
 	}
 	attach := cfg.Attach
@@ -212,14 +215,15 @@ func New(clock *simtime.Clock, cfg Config) *FS {
 		for _, hub := range attach[1:] {
 			fs.fab.AttachLink(link, ep, hub)
 		}
-		fs.pools[ps.Name] = &Pool{
+		fs.pools = append(fs.pools, &Pool{
 			Spec:     ps,
 			link:     link,
 			endpoint: ep,
-		}
-		fs.order = append(fs.order, ps.Name)
+			idx:      uint8(len(fs.pools)),
+		})
 	}
-	if _, ok := fs.pools[cfg.DefaultPool]; !ok {
+	var err error
+	if fs.defPool, err = fs.Pool(cfg.DefaultPool); err != nil {
 		panic("pfs: default pool not in pool list")
 	}
 	return fs
@@ -234,61 +238,41 @@ func (fs *FS) Clock() *simtime.Clock { return fs.clock }
 // Fabric returns the shared data-path fabric the pools are wired into.
 func (fs *FS) Fabric() *fabric.Fabric { return fs.fab }
 
-// Pool returns the named pool.
+// Pool returns the named pool (a scan: file systems have two or three).
 func (fs *FS) Pool(name string) (*Pool, error) {
-	p, ok := fs.pools[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoPool, name)
+	for _, p := range fs.pools {
+		if p.Spec.Name == name {
+			return p, nil
+		}
 	}
-	return p, nil
+	return nil, fmt.Errorf("%w: %s", ErrNoPool, name)
 }
 
 // Pools returns all pools in declaration order.
-func (fs *FS) Pools() []*Pool {
-	out := make([]*Pool, 0, len(fs.order))
-	for _, n := range fs.order {
-		out = append(out, fs.pools[n])
-	}
-	return out
-}
+func (fs *FS) Pools() []*Pool { return append([]*Pool(nil), fs.pools...) }
 
 // DefaultPool returns the placement default.
-func (fs *FS) DefaultPool() *Pool { return fs.pools[fs.cfg.DefaultPool] }
+func (fs *FS) DefaultPool() *Pool { return fs.defPool }
 
-// newMeta allocates a residency record from a chunked arena: one heap
-// allocation per 1024 files instead of one per file.
-func (fs *FS) newMeta(pool string, state MigState) *fileMeta {
-	if len(fs.metaPot) == 0 {
-		fs.metaPot = make([]fileMeta, 1024)
-	}
-	m := &fs.metaPot[0]
-	fs.metaPot = fs.metaPot[1:]
-	m.pool, m.state = pool, state
-	return m
-}
-
-// metaOf returns the residency record for id, or nil if none.
+// metaOf returns the residency record for id, or nil if none. The
+// pointer is into the table: it is good until the next setMeta.
 func (fs *FS) metaOf(id vfs.FileID) *fileMeta {
-	if int(id) < len(fs.meta) {
-		return fs.meta[id]
+	if int(id) < len(fs.meta) && fs.meta[id].pool != 0 {
+		return &fs.meta[id]
 	}
 	return nil
 }
 
+// poolOf returns the pool a residency record names.
+func (fs *FS) poolOf(m *fileMeta) *Pool { return fs.pools[m.pool-1] }
+
 // setMeta installs the residency record for id, growing the dense table
 // as file IDs are allocated.
-func (fs *FS) setMeta(id vfs.FileID, m *fileMeta) {
+func (fs *FS) setMeta(id vfs.FileID, pl *Pool, state MigState) {
 	for int(id) >= len(fs.meta) {
-		fs.meta = append(fs.meta, nil)
+		fs.meta = append(fs.meta, fileMeta{})
 	}
-	fs.meta[id] = m
-}
-
-// delMeta drops the residency record for id.
-func (fs *FS) delMeta(id vfs.FileID) {
-	if int(id) < len(fs.meta) {
-		fs.meta[id] = nil
-	}
+	fs.meta[id] = fileMeta{pool: pl.idx + 1, state: state}
 }
 
 // chargeMeta bills ops metadata operations against the metadata service
@@ -352,9 +336,9 @@ func (fs *FS) WriteFileIn(p string, content synthetic.Content, pool string) erro
 // WriteFileIn is FS.WriteFileIn on a pre-paid batch.
 func (b *Batch) WriteFileIn(p string, content synthetic.Content, pool string) error {
 	fs := b.spend()
-	pl, ok := fs.pools[pool]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoPool, pool)
+	pl, err := fs.Pool(pool)
+	if err != nil {
+		return err
 	}
 	var oldSize int64
 	var oldMeta *fileMeta
@@ -366,7 +350,7 @@ func (b *Batch) WriteFileIn(p string, content synthetic.Content, pool string) er
 			}
 		}
 		need := content.Len() - oldSize
-		if oldMeta != nil && oldMeta.pool != pool {
+		if oldMeta != nil && fs.poolOf(oldMeta) != pl {
 			need = content.Len() // moving pools: old accounting released below
 		}
 		if need > pl.Free() {
@@ -377,13 +361,11 @@ func (b *Batch) WriteFileIn(p string, content synthetic.Content, pool string) er
 	if err != nil {
 		return err
 	}
-	if oldMeta != nil {
-		if oldMeta.state != Migrated {
-			fs.pools[oldMeta.pool].used -= oldSize
-		}
+	if oldMeta != nil && oldMeta.state != Migrated {
+		fs.poolOf(oldMeta).used -= oldSize
 	}
 	pl.used += content.Len()
-	fs.setMeta(id, fs.newMeta(pool, Resident))
+	fs.setMeta(id, pl, Resident)
 	return nil
 }
 
@@ -421,17 +403,12 @@ func (fs *FS) ReadContent(p string) (synthetic.Content, error) {
 // ReadContent is FS.ReadContent on a pre-paid batch.
 func (b *Batch) ReadContent(p string) (synthetic.Content, error) {
 	fs := b.spend()
-	id, typ, _, err := fs.ns.Lookup(p)
-	if err != nil {
-		return synthetic.Content{}, err
-	}
-	if typ == vfs.TypeDir {
-		return synthetic.Content{}, fmt.Errorf("%w: %s", vfs.ErrIsDir, p)
-	}
-	if m := fs.metaOf(id); m != nil && m.state == Migrated {
-		return synthetic.Content{}, fmt.Errorf("%w: %s", ErrOffline, p)
-	}
-	return fs.ns.ReadFile(p)
+	return fs.ns.ReadFileCheck(p, func(id vfs.FileID) error {
+		if m := fs.metaOf(id); m != nil && m.state == Migrated {
+			return fmt.Errorf("%w: %s", ErrOffline, p)
+		}
+		return nil
+	})
 }
 
 // WriteAt writes into an existing resident file (append or overwrite),
@@ -451,9 +428,9 @@ func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 	}
 	grow := off + data.Len() - size
 	if grow > 0 {
-		pl := fs.pools[m.pool]
+		pl := fs.poolOf(m)
 		if grow > pl.Free() {
-			return fmt.Errorf("%w: pool %s", ErrNoSpace, m.pool)
+			return fmt.Errorf("%w: pool %s", ErrNoSpace, pl.Spec.Name)
 		}
 		pl.used += grow
 	}
@@ -477,7 +454,7 @@ func (fs *FS) Truncate(p string, length int64) error {
 		return err
 	}
 	if m != nil {
-		fs.pools[m.pool].used -= size - length
+		fs.poolOf(m).used -= size - length
 		m.state = Resident
 	}
 	return nil
@@ -496,7 +473,7 @@ func (fs *FS) Stat(p string) (Info, error) {
 func (fs *FS) decorate(vi vfs.Info) Info {
 	out := Info{Info: vi}
 	if m := fs.metaOf(vi.ID); m != nil {
-		out.Pool = m.pool
+		out.Pool = fs.poolOf(m).Spec.Name
 		out.State = m.state
 	}
 	return out
@@ -515,17 +492,12 @@ func (fs *FS) StatID(id vfs.FileID) (Info, error) {
 // ReadDir lists a directory, billing metadata cost for the whole batch
 // in one charge (bulk stat — how PFTool's ReadDir processes work).
 func (fs *FS) ReadDir(p string) ([]Info, error) {
-	entries, err := fs.ns.ReadDir(p)
-	if err != nil {
-		fs.chargeMeta(1)
-		return nil, err
+	out, err := vfs.ReadDirAs(fs.ns, p, func(e vfs.Info) Info { return Info{Info: e} })
+	fs.chargeMeta(1 + len(out)/64) // amortized bulk readdir
+	for i := range out {
+		out[i] = fs.decorate(out[i].Info) // residency as of after the charge
 	}
-	fs.chargeMeta(1 + len(entries)/64) // amortized bulk readdir
-	out := make([]Info, len(entries))
-	for i, e := range entries {
-		out[i] = fs.decorate(e)
-	}
-	return out, nil
+	return out, err
 }
 
 // Remove unlinks a file or empty directory, releasing pool space for
@@ -546,8 +518,8 @@ func (fs *FS) Remove(p string) error {
 // RemoveAll removes a subtree, releasing pool space.
 func (fs *FS) RemoveAll(p string) error {
 	// Count first (the metadata charge precedes the removal, as one
-	// batch), then release pool/meta accounting per inode on a second
-	// pass. Both passes enumerate without building paths or Infos: a
+	// batch), then unlink, releasing pool/meta accounting per inode as
+	// it goes. Both passes enumerate without building paths or Infos: a
 	// campaign tears down millions of archived stubs this way.
 	count := 0
 	if err := fs.ns.VisitTree(p, func(vfs.FileID, int64, bool) { count++ }); err != nil {
@@ -557,12 +529,7 @@ func (fs *FS) RemoveAll(p string) error {
 		return err
 	}
 	fs.chargeMeta(count)
-	if err := fs.ns.VisitTree(p, func(id vfs.FileID, size int64, dir bool) {
-		fs.releaseMeta(id, size)
-	}); err != nil {
-		return err
-	}
-	return fs.ns.RemoveAll(p)
+	return fs.ns.RemoveAllFunc(p, fs.releaseMeta)
 }
 
 // releaseMeta drops an unlinked inode's residency record and returns
@@ -573,9 +540,9 @@ func (fs *FS) releaseMeta(id vfs.FileID, size int64) {
 		return
 	}
 	if m.state != Migrated {
-		fs.pools[m.pool].used -= size
+		fs.poolOf(m).used -= size
 	}
-	fs.delMeta(id)
+	*m = fileMeta{}
 }
 
 // Rename moves a file or tree (one metadata operation; IDs persist).
@@ -651,7 +618,7 @@ func (b *Batch) Punch(p string) error {
 		if m.state != Premigrated {
 			return fmt.Errorf("%w: punch requires premigrated, %s is %v", ErrBadState, p, m.state)
 		}
-		b.fs.pools[m.pool].used -= size
+		b.fs.poolOf(m).used -= size
 		m.state = Migrated
 		return nil
 	})
@@ -671,9 +638,9 @@ func (b *Batch) Restore(p string, keepBackendCopy bool) error {
 		if m.state != Migrated {
 			return fmt.Errorf("%w: restore requires migrated, %s is %v", ErrBadState, p, m.state)
 		}
-		pl := b.fs.pools[m.pool]
+		pl := b.fs.poolOf(m)
 		if size > pl.Free() {
-			return fmt.Errorf("%w: pool %s recall of %d bytes", ErrNoSpace, m.pool, size)
+			return fmt.Errorf("%w: pool %s recall of %d bytes", ErrNoSpace, pl.Spec.Name, size)
 		}
 		pl.used += size
 		if keepBackendCopy {

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -354,4 +355,133 @@ func TestPoolLinkRates(t *testing.T) {
 			t.Errorf("3 GB over fast pool took %v, want ~1s", got)
 		}
 	})
+}
+
+// Renaming a tree beneath itself used to detach it from the root while
+// its bytes stayed charged to the pool for good.
+func TestRenameIntoOwnSubtreeRefused(t *testing.T) {
+	sim(t, func(c *simtime.Clock, fs *FS) {
+		fast, _ := fs.Pool("fast")
+		fs.MkdirAll("/a/b")
+		fs.WriteFile("/a/f", synthetic.NewUniform(1, 100))
+		fs.WriteFile("/a/b/g", synthetic.NewUniform(2, 200))
+		before := fsState(fs)
+		if err := fs.Rename("/a", "/a/b/c"); !errors.Is(err, vfs.ErrInvalid) {
+			t.Errorf("Rename(/a, /a/b/c) = %v, want vfs.ErrInvalid", err)
+		}
+		if after := fsState(fs); after != before {
+			t.Errorf("refused rename changed the file system:\n%s\nwas:\n%s", after, before)
+		}
+		walked := 0
+		fs.Walk("/", func(Info) error { walked++; return nil })
+		if fast.Used() != 300 || fs.NumInodes() != 5 || walked != 5 {
+			t.Errorf("Used = %d, NumInodes = %d, walked %d; want 300, 5, 5", fast.Used(), fs.NumInodes(), walked)
+		}
+		fs.RemoveAll("/a")
+		if fast.Used() != 0 || fs.NumInodes() != 1 {
+			t.Errorf("after RemoveAll: Used = %d, NumInodes = %d; want 0, 1", fast.Used(), fs.NumInodes())
+		}
+	})
+}
+
+// A read of a migrated stub is refused before the namespace counts it
+// as an access: ILM age policies must not see a failed read.
+func TestReadOfflineStubLeavesATime(t *testing.T) {
+	sim(t, func(c *simtime.Clock, fs *FS) {
+		fs.WriteFile("/f", synthetic.NewUniform(1, 100))
+		fs.WriteFile("/g", synthetic.NewUniform(2, 100))
+		fs.SetPremigrated("/f")
+		fs.Punch("/f")
+		c.Sleep(time.Hour)
+		b := fs.Bill(2)
+		if _, err := b.ReadContent("/f"); !errors.Is(err, ErrOffline) {
+			t.Errorf("read of a stub: err = %v, want ErrOffline", err)
+		}
+		if _, err := b.ReadContent("/g"); err != nil {
+			t.Error(err)
+		}
+		f, _ := fs.Stat("/f")
+		g, _ := fs.Stat("/g")
+		if f.ATime != 0 {
+			t.Errorf("refused read moved the stub's atime to %v", f.ATime)
+		}
+		if g.ATime < time.Hour {
+			t.Errorf("resident read left atime at %v", g.ATime)
+		}
+	})
+}
+
+func TestReadDirResidency(t *testing.T) {
+	sim(t, func(c *simtime.Clock, fs *FS) {
+		fs.MkdirAll("/d/sub")
+		fs.WriteFileIn("/d/b", synthetic.NewUniform(1, 10), "slow")
+		fs.WriteFile("/d/a", synthetic.NewUniform(2, 20))
+		fs.SetPremigrated("/d/a")
+		entries, err := fs.ReadDir("/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, e := range entries {
+			got += fmt.Sprintf("%s %s %d %q %v;", e.Name, e.Path, e.Size, e.Pool, e.State)
+		}
+		if want := `a /d/a 20 "fast" premigrated;b /d/b 10 "slow" resident;sub /d/sub 0 "" resident;`; got != want {
+			t.Errorf("ReadDir = %s\nwant      %s", got, want)
+		}
+		if _, err := fs.ReadDir("/d/a"); !errors.Is(err, vfs.ErrNotDir) {
+			t.Errorf("ReadDir of a file: %v, want ErrNotDir", err)
+		}
+	})
+}
+
+// A policy scan sleeps every 10k inodes with its walk suspended inside a
+// directory, and writers run meanwhile. Whatever they do to that
+// directory, the scan reports each file that was there when it entered
+// and still is when its turn comes exactly once, and no other.
+func TestScanWhileWritersAreActive(t *testing.T) {
+	const n = 25000
+	name := func(i int) string { return fmt.Sprintf("/d/f%05d", i) }
+	seen := map[string]int{}
+	sim(t, func(c *simtime.Clock, fs *FS) {
+		fs.MkdirAll("/d")
+		specs := make([]FileSpec, n)
+		for i := range specs { // descending: the scan has to sort the directory
+			specs[i] = FileSpec{Path: name(n - 1 - i), Content: synthetic.NewUniform(uint64(i), 10)}
+		}
+		if err := fs.WriteFiles(specs); err != nil {
+			t.Fatal(err)
+		}
+		fs.Remove(name(3)) // a tombstone ahead of everything
+		c.Go(func() {
+			c.Sleep(time.Nanosecond) // the scan is asleep 9998 files into /d
+			for _, i := range []int{5, 15000, 15001} {
+				if err := fs.Remove(name(i)); err != nil {
+					t.Error(err)
+				}
+			}
+			fs.Remove(name(20000))
+			fs.WriteFile(name(20000), synthetic.NewUniform(1, 10)) // the name again, another file
+			fs.WriteFile("/d/a", synthetic.NewUniform(2, 10))      // sorts first: the table is out of order
+			if _, err := fs.ReadDir("/d"); err != nil {            // ... and this listing sorts it
+				t.Error(err)
+			}
+			for i := 0; i < n; i++ { // grow it past every threshold
+				fs.WriteFile(fmt.Sprintf("/d/g%05d", i), synthetic.NewUniform(3, 10))
+			}
+		})
+		fs.Scan(func(e Info) error { seen[e.Path]++; return nil })
+	})
+	for i := 0; i < n; i++ {
+		want := 1
+		switch i {
+		case 3, 15000, 15001, 20000:
+			want = 0
+		}
+		if seen[name(i)] != want {
+			t.Errorf("scan reported %s %d times, want %d", name(i), seen[name(i)], want)
+		}
+	}
+	if got, want := len(seen), 2+n-4; got != want { // "/", "/d" and the files above
+		t.Errorf("scan reported %d paths, want %d (nothing created behind its back)", got, want)
+	}
 }

@@ -99,7 +99,13 @@ func labelsOf(kv []string) []Label {
 	for i := 0; i < len(kv); i += 2 {
 		out = append(out, Label{Key: kv[i], Value: kv[i+1]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	// Insertion sort, in place: call sites pass one to three labels with
+	// distinct keys, and sort.Slice allocates a swapper and a closure.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Key < out[j-1].Key; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 	return out
 }
 

@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +164,33 @@ func TestOfSharesOneRegistryPerClock(t *testing.T) {
 	}
 	if Of(clock) == Of(simtime.NewClock()) {
 		t.Error("Of shared a registry across clocks")
+	}
+}
+
+// labelsOf sorts in place by insertion; it must order any label list as
+// the sort.Slice it replaced did. Lists are short (call sites pass one
+// to three labels, keys distinct — the golden test in
+// internal/experiments asserts that over every experiment), where both
+// are the same stable algorithm, so duplicates are covered too.
+func TestLabelsOfMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	keys := []string{"op", "pool", "component", "drive", "job", "volume", "a", "z"}
+	for trial := 0; trial < 2000; trial++ {
+		var kv []string
+		for i, n := 0, rng.Intn(7); i < n; i++ {
+			kv = append(kv, keys[rng.Intn(len(keys))], fmt.Sprint(i))
+		}
+		want := make([]Label, 0, len(kv)/2)
+		for i := 0; i < len(kv); i += 2 {
+			want = append(want, Label{Key: kv[i], Value: kv[i+1]})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+		if got := labelsOf(kv); !reflect.DeepEqual(got, want) {
+			t.Fatalf("labelsOf(%v) = %v, want %v", kv, got, want)
+		}
+	}
+	kv := []string{"op", "read", "drive", "d1", "component", "tape"}
+	if n := testing.AllocsPerRun(100, func() { labelsOf(kv) }); n > 1 {
+		t.Errorf("labelsOf allocates %v times, want 1 (the result)", n)
 	}
 }

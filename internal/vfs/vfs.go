@@ -3,7 +3,19 @@
 // inodes with stable file IDs (the GPFS-style unique identifier the
 // synchronous deleter depends on), directories, rename/unlink/truncate,
 // extended attributes (used by the HSM layer for stub state), and
-// deterministic sorted directory listings.
+// deterministic directory listings.
+//
+// Inodes live by value in an arena of 1024-inode chunks addressed by
+// file ID (IDs are dense and never reused; a removed inode has link
+// count zero). A directory inode points to an ordered compact table
+// (dir.go): entries {name, inode} in one slice in insertion order plus,
+// above eight entries, an open-addressed index of 4-byte positions.
+//
+// Ordering: ReadDir, ReadDirAs and Walk list by name — a directory
+// filled in name order (as bulk loaders do) is listed as it stands, any
+// other is sorted by the first listing after an out-of-order arrival.
+// VisitTree and RemoveAllFunc go by entry position: insertion order
+// until such a sort, name order after. Never by the hash.
 //
 // File data is a synthetic.Content, so files of any size cost O(extents)
 // of memory. vfs carries no timing model: timing belongs to the pfs and
@@ -14,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 	"time"
 
@@ -61,23 +72,37 @@ type Info struct {
 	Size    int64
 	ModTime time.Duration // virtual time
 	ATime   time.Duration // virtual time of last data read
-	Xattrs  map[string]string
+	inode   *node
 }
 
 // IsDir reports whether the inode is a directory.
 func (i Info) IsDir() bool { return i.Type == TypeDir }
 
-type node struct {
-	id       FileID
-	typ      FileType
-	size     int64
-	modTime  time.Duration
-	atime    time.Duration
-	content  synthetic.Content
-	children map[string]*node // directories only
-	xattrs   map[string]string
-	nlink    int // reference count from directory entries
+// Xattr reads a named extended attribute of the inode i describes. It
+// reads the inode's current attributes, not a copy taken when i was
+// built: a later SetXattr shows, and a removed inode has none.
+func (i Info) Xattr(key string) (string, bool) {
+	if i.inode == nil {
+		return "", false
+	}
+	v, ok := i.inode.xattrs[key]
+	return v, ok
 }
+
+type node struct {
+	id      FileID
+	typ     FileType
+	size    int64
+	modTime time.Duration
+	atime   time.Duration
+	content synthetic.Content
+	dir     *dir // directories only
+	xattrs  map[string]string
+	nlink   int // directory entries naming the inode; 0 = removed
+}
+
+// Inodes are allocated 1<<chunkBits at a time, not one per file.
+const chunkBits = 10
 
 // FS is a single in-memory file tree. FS methods are not safe for
 // concurrent use from multiple OS threads; in simulation exactly one
@@ -86,13 +111,13 @@ type FS struct {
 	name   string
 	root   *node
 	nextID FileID
-	byID   []*node // index = FileID (IDs are dense and never reused)
-	pot    []node  // chunked inode arena (stable pointers)
+	chunks [][]node // inode arena: ID id is chunks[id>>chunkBits][id&(1<<chunkBits-1)]
 	// memoDir/memoNode cache the directory of the last successful
 	// multi-segment resolution. Per-file operations in bulk loads and
 	// tree walks hit the same directory run after run, so the memo
-	// replaces a full segment walk with one string compare plus one
-	// child lookup. Any operation that unlinks or moves nodes clears it.
+	// replaces a full segment walk, and the scan for a canonical path,
+	// with one string compare plus one child lookup. Any operation that
+	// unlinks or moves nodes clears it.
 	memoDir  string
 	memoNode *node
 	now      func() time.Duration
@@ -106,7 +131,7 @@ func New(name string, now func() time.Duration) *FS {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	fs := &FS{name: name, now: now, byID: make([]*node, 1)} // index 0 unused
+	fs := &FS{name: name, now: now}
 	fs.root = fs.newNode(TypeDir)
 	fs.ndirs = 1
 	return fs
@@ -125,20 +150,21 @@ func (fs *FS) NumDirs() int { return fs.ndirs }
 func (fs *FS) NumInodes() int { return fs.nfiles + fs.ndirs }
 
 func (fs *FS) newNode(t FileType) *node {
-	fs.nextID++
-	// Inodes come from a chunked arena: one heap allocation per 1024
-	// inodes instead of one per file, which mattered at paper scale.
-	if len(fs.pot) == 0 {
-		fs.pot = make([]node, 1024)
+	fs.nextID++ // slot 0 of the first chunk stays unused
+	if int(fs.nextID>>chunkBits) == len(fs.chunks) {
+		fs.chunks = append(fs.chunks, make([]node, 1<<chunkBits))
 	}
-	n := &fs.pot[0]
-	fs.pot = fs.pot[1:]
+	n := fs.inode(fs.nextID)
 	*n = node{id: fs.nextID, typ: t, modTime: fs.now(), nlink: 1}
 	if t == TypeDir {
-		n.children = make(map[string]*node)
+		n.dir = &dir{sorted: true}
 	}
-	fs.byID = append(fs.byID, n)
 	return n
+}
+
+// inode addresses an allocated ID's arena slot.
+func (fs *FS) inode(id FileID) *node {
+	return &fs.chunks[id>>chunkBits][id&(1<<chunkBits-1)]
 }
 
 // clean canonicalizes p to a rooted slash path. Paths that are already
@@ -178,34 +204,35 @@ func isClean(p string) bool {
 	return true
 }
 
-// resolve walks a clean rooted path to its node, without allocating.
-// On a miss it reports the failing condition via notDir/ok; lookup
-// turns that into the error.
-func (fs *FS) resolve(p string) (n *node, notDir, ok bool) {
-	if p == "/" {
-		return fs.root, false, true
+// memoLeaf reports whether p names a direct child of the memoised
+// directory, and the child's name. Such a p is clean if the name is.
+func (fs *FS) memoLeaf(p string) (string, bool) {
+	d := len(fs.memoDir)
+	if d == 0 || len(p) <= d+1 || p[d] != '/' || p[:d] != fs.memoDir {
+		return "", false
 	}
-	if d := len(fs.memoDir); d > 0 && len(p) > d+1 && p[d] == '/' &&
-		p[:d] == fs.memoDir && strings.IndexByte(p[d+1:], '/') < 0 {
-		n, ok := fs.memoNode.children[p[d+1:]]
-		return n, false, ok
+	leaf := p[d+1:]
+	if leaf == "." || leaf == ".." || strings.IndexByte(leaf, '/') >= 0 {
+		return "", false
 	}
+	return leaf, true
+}
+
+// resolve walks a clean rooted path to its node, without allocating
+// (a miss is the bare sentinel; lookup wraps it).
+func (fs *FS) resolve(p string) (*node, error) {
 	cur := fs.root
 	parent := cur
 	rest := p[1:]
 	for len(rest) > 0 {
 		var part string
-		if j := strings.IndexByte(rest, '/'); j >= 0 {
-			part, rest = rest[:j], rest[j+1:]
-		} else {
-			part, rest = rest, ""
-		}
+		part, rest, _ = strings.Cut(rest, "/")
 		if cur.typ != TypeDir {
-			return nil, true, false
+			return nil, ErrNotDir
 		}
-		next, ok := cur.children[part]
-		if !ok {
-			return nil, false, false
+		next := cur.dir.get(part)
+		if next == nil {
+			return nil, ErrNotExist
 		}
 		parent = cur
 		cur = next
@@ -214,24 +241,37 @@ func (fs *FS) resolve(p string) (n *node, notDir, ok bool) {
 		fs.memoDir = p[:strings.LastIndexByte(p, '/')]
 		fs.memoNode = parent
 	}
-	return cur, false, true
+	return cur, nil
 }
 
-// lookup resolves p to its node.
-func (fs *FS) lookup(p string) (*node, error) {
-	p = clean(p)
-	n, notDir, ok := fs.resolve(p)
-	if !ok {
-		if notDir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
+// lookup resolves p to its node and canonical path.
+func (fs *FS) lookup(p string) (n *node, _ string, err error) {
+	if leaf, ok := fs.memoLeaf(p); ok {
+		n, err = fs.memoNode.dir.get(leaf), ErrNotExist
+	} else {
+		p = clean(p)
+		n, err = fs.resolve(p)
 	}
-	return n, nil
+	if n == nil {
+		return nil, p, fmt.Errorf("%w: %s", err, p)
+	}
+	return n, p, nil
+}
+
+// lookupFile resolves p to a regular file's node.
+func (fs *FS) lookupFile(p string) (*node, error) {
+	n, _, err := fs.lookup(p)
+	if err == nil && n.typ == TypeDir {
+		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
+	}
+	return n, err
 }
 
 // lookupParent resolves the parent directory of p and the leaf name.
 func (fs *FS) lookupParent(p string) (*node, string, error) {
+	if leaf, ok := fs.memoLeaf(p); ok {
+		return fs.memoNode, leaf, nil
+	}
 	p = clean(p)
 	if p == "/" {
 		return nil, "", fmt.Errorf("%w: cannot address root's parent", ErrInvalid)
@@ -241,10 +281,7 @@ func (fs *FS) lookupParent(p string) (*node, string, error) {
 	if dir == "" {
 		dir = "/"
 	}
-	if dir == fs.memoDir && fs.memoNode != nil {
-		return fs.memoNode, leaf, nil
-	}
-	parent, err := fs.lookup(dir)
+	parent, _, err := fs.lookup(dir)
 	if err != nil {
 		return nil, "", err
 	}
@@ -263,10 +300,10 @@ func (fs *FS) Mkdir(p string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := parent.children[leaf]; ok {
+	if parent.dir.get(leaf) != nil {
 		return fmt.Errorf("%w: %s", ErrExist, p)
 	}
-	parent.children[leaf] = fs.newNode(TypeDir)
+	parent.dir.put(leaf, fs.newNode(TypeDir))
 	parent.modTime = fs.now()
 	fs.ndirs++
 	return nil
@@ -282,15 +319,11 @@ func (fs *FS) MkdirAll(p string) error {
 	rest := p[1:]
 	for len(rest) > 0 {
 		var part string
-		if j := strings.IndexByte(rest, '/'); j >= 0 {
-			part, rest = rest[:j], rest[j+1:]
-		} else {
-			part, rest = rest, ""
-		}
-		next, ok := cur.children[part]
-		if !ok {
+		part, rest, _ = strings.Cut(rest, "/")
+		next := cur.dir.get(part)
+		if next == nil {
 			next = fs.newNode(TypeDir)
-			cur.children[part] = next
+			cur.dir.put(part, next)
 			cur.modTime = fs.now()
 			fs.ndirs++
 		} else if next.typ != TypeDir {
@@ -303,73 +336,66 @@ func (fs *FS) MkdirAll(p string) error {
 
 // WriteFile creates or replaces the regular file at p with content.
 func (fs *FS) WriteFile(p string, content synthetic.Content) error {
-	parent, leaf, err := fs.lookupParent(p)
-	if err != nil {
-		return err
-	}
-	existing, ok := parent.children[leaf]
-	if ok {
-		if existing.typ == TypeDir {
-			return fmt.Errorf("%w: %s", ErrIsDir, p)
-		}
-		existing.content = content
-		existing.size = content.Len()
-		existing.modTime = fs.now()
-		return nil
-	}
-	n := fs.newNode(TypeFile)
-	n.content = content
-	n.size = content.Len()
-	parent.children[leaf] = n
-	parent.modTime = fs.now()
-	fs.nfiles++
-	return nil
+	_, err := fs.WriteFileReserve(p, content, nil)
+	return err
 }
 
-// WriteFileReserve writes content at p like WriteFileID, but first
-// calls reserve with the inode about to be replaced (ID zero on fresh
-// create). If reserve errors the namespace is left untouched. This
-// lets the pfs layer run its capacity check with the same single path
-// resolution that performs the write.
+// WriteFileReserve writes content at p like WriteFile and returns the
+// file's ID, but first calls reserve (if not nil) with the inode about
+// to be replaced (ID zero on fresh create). If reserve errors the
+// namespace is left untouched. This lets the pfs layer run its capacity
+// check with the same single path resolution that performs the write.
 func (fs *FS) WriteFileReserve(p string, content synthetic.Content, reserve func(prevID FileID, prevSize int64) error) (FileID, error) {
 	parent, leaf, err := fs.lookupParent(p)
 	if err != nil {
 		return 0, err
 	}
-	existing, ok := parent.children[leaf]
-	if ok && existing.typ == TypeDir {
+	n := parent.dir.get(leaf)
+	if n != nil && n.typ == TypeDir {
 		return 0, fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
-	if ok {
-		if err := reserve(existing.id, existing.size); err != nil {
+	if reserve != nil {
+		var prevID FileID
+		var prevSize int64
+		if n != nil {
+			prevID, prevSize = n.id, n.size
+		}
+		if err := reserve(prevID, prevSize); err != nil {
 			return 0, err
 		}
-		existing.content = content
-		existing.size = content.Len()
-		existing.modTime = fs.now()
-		return existing.id, nil
 	}
-	if err := reserve(0, 0); err != nil {
-		return 0, err
+	if n == nil {
+		n = fs.newNode(TypeFile)
+		parent.dir.put(leaf, n)
+		parent.modTime = n.modTime
+		fs.nfiles++
+	} else {
+		n.modTime = fs.now()
 	}
-	n := fs.newNode(TypeFile)
 	n.content = content
 	n.size = content.Len()
-	parent.children[leaf] = n
-	parent.modTime = fs.now()
-	fs.nfiles++
 	return n.id, nil
 }
 
 // ReadFile returns the content of the regular file at p, updating its
 // access time (the signal ILM age/frequency policies consume).
 func (fs *FS) ReadFile(p string) (synthetic.Content, error) {
-	n, err := fs.lookup(p)
+	return fs.ReadFileCheck(p, nil)
+}
+
+// ReadFileCheck is ReadFile with a veto: check (if not nil) sees the
+// file's ID once p has resolved to a regular file, and if it errors the
+// read fails with that error and the access time is left alone (how the
+// pfs layer refuses an offline stub in the read's own resolution).
+func (fs *FS) ReadFileCheck(p string, check func(id FileID) error) (synthetic.Content, error) {
+	n, err := fs.lookupFile(p)
 	if err != nil {
 		return synthetic.Content{}, err
 	}
-	if n.typ == TypeDir {
-		return synthetic.Content{}, fmt.Errorf("%w: %s", ErrIsDir, p)
+	if check != nil {
+		if err := check(n.id); err != nil {
+			return synthetic.Content{}, err
+		}
 	}
 	n.atime = fs.now()
 	return n.content, nil
@@ -378,12 +404,9 @@ func (fs *FS) ReadFile(p string) (synthetic.Content, error) {
 // WriteAt overwrites [off, off+data.Len()) of the file at p, extending
 // the file with the data if it writes at exactly EOF.
 func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
-	n, err := fs.lookup(p)
+	n, err := fs.lookupFile(p)
 	if err != nil {
 		return err
-	}
-	if n.typ == TypeDir {
-		return fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
 	switch {
 	case off == n.size:
@@ -404,12 +427,9 @@ func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 // Truncate cuts the file at p to length (which must not exceed the
 // current size).
 func (fs *FS) Truncate(p string, length int64) error {
-	n, err := fs.lookup(p)
+	n, err := fs.lookupFile(p)
 	if err != nil {
 		return err
-	}
-	if n.typ == TypeDir {
-		return fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
 	if length < 0 || length > n.size {
 		return fmt.Errorf("%w: truncate to %d of %d", ErrInvalid, length, n.size)
@@ -422,78 +442,69 @@ func (fs *FS) Truncate(p string, length int64) error {
 
 // Stat returns the Info for p.
 func (fs *FS) Stat(p string) (Info, error) {
-	n, err := fs.lookup(p)
+	n, p, err := fs.lookup(p)
 	if err != nil {
 		return Info{}, err
 	}
-	return fs.info(clean(p), n), nil
+	return info(p, path.Base(p), n), nil
 }
 
 // Lookup resolves p to its inode's identity, type and size without
-// building an Info — no name, no xattr copy. It is what the pfs layer
-// needs to find a file's residency record on every data operation.
+// building an Info. It is what the pfs layer needs to find a file's
+// residency record on every data operation.
 func (fs *FS) Lookup(p string) (FileID, FileType, int64, error) {
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	return n.id, n.typ, n.size, nil
 }
 
-// StatID returns the Info for a file ID, with an empty Path (IDs are
-// path-independent).
+// StatID returns the Info for a file ID, with an empty Name and Path
+// (IDs are path-independent).
 func (fs *FS) StatID(id FileID) (Info, error) {
-	var n *node
-	if int(id) < len(fs.byID) {
-		n = fs.byID[id]
-	}
-	if n == nil {
+	if id == 0 || id > fs.nextID || fs.inode(id).nlink == 0 {
 		return Info{}, fmt.Errorf("%w: id %d", ErrNotExist, id)
 	}
-	return fs.info("", n), nil
+	return info("", "", fs.inode(id)), nil
 }
 
-func (fs *FS) info(p string, n *node) Info {
-	var xa map[string]string
-	if len(n.xattrs) > 0 {
-		xa = make(map[string]string, len(n.xattrs))
-		for k, v := range n.xattrs {
-			xa[k] = v
-		}
-	}
+func info(p, name string, n *node) Info {
 	return Info{
-		Name:    path.Base(p),
+		Name:    name,
 		Path:    p,
 		ID:      n.id,
 		Type:    n.typ,
 		Size:    n.size,
 		ModTime: n.modTime,
 		ATime:   n.atime,
-		Xattrs:  xa,
+		inode:   n,
 	}
 }
 
 // ReadDir lists the entries of directory p sorted by name.
 func (fs *FS) ReadDir(p string) ([]Info, error) {
-	n, err := fs.lookup(p)
+	return ReadDirAs(fs, p, func(e Info) Info { return e })
+}
+
+// ReadDirAs is ReadDir building its one slice out of what conv makes of
+// each entry (the pfs layer's listings carry residency beside the Info).
+func ReadDirAs[T any](fs *FS, p string, conv func(Info) T) ([]T, error) {
+	n, base, err := fs.lookup(p)
 	if err != nil {
 		return nil, err
 	}
 	if n.typ != TypeDir {
 		return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
 	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Info, len(names))
-	base := clean(p)
 	if base == "/" {
 		base = ""
 	}
-	for i, name := range names {
-		out[i] = fs.info(base+"/"+name, n.children[name])
+	out := make([]T, 0, n.dir.live)
+	for _, e := range n.dir.byName() {
+		if e.n != nil {
+			out = append(out, conv(info(base+"/"+e.name, e.name, e.n)))
+		}
 	}
 	return out, nil
 }
@@ -504,16 +515,14 @@ func (fs *FS) Remove(p string) error {
 	if err != nil {
 		return err
 	}
-	n, ok := parent.children[leaf]
-	if !ok {
+	n := parent.dir.get(leaf)
+	if n == nil {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
-	if n.typ == TypeDir && len(n.children) > 0 {
+	if n.typ == TypeDir && n.dir.live > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
 	}
-	delete(parent.children, leaf)
-	parent.modTime = fs.now()
-	fs.memoDir, fs.memoNode = "", nil
+	fs.unlink(parent, leaf)
 	fs.drop(n)
 	return nil
 }
@@ -521,6 +530,13 @@ func (fs *FS) Remove(p string) error {
 // RemoveAll removes p and everything below it. Removing a missing path
 // is not an error.
 func (fs *FS) RemoveAll(p string) error {
+	return fs.RemoveAllFunc(p, func(FileID, int64) {})
+}
+
+// RemoveAllFunc is RemoveAll calling released with the ID and size of
+// every inode it unlinks, p's own last — the one pass in which the pfs
+// layer returns pool space.
+func (fs *FS) RemoveAllFunc(p string, released func(id FileID, size int64)) error {
 	parent, leaf, err := fs.lookupParent(p)
 	if err != nil {
 		if errors.Is(err, ErrNotExist) {
@@ -528,79 +544,91 @@ func (fs *FS) RemoveAll(p string) error {
 		}
 		return err
 	}
-	n, ok := parent.children[leaf]
-	if !ok {
-		return nil
+	if n := fs.unlink(parent, leaf); n != nil {
+		fs.dropTree(n, released)
 	}
-	delete(parent.children, leaf)
-	parent.modTime = fs.now()
-	fs.memoDir, fs.memoNode = "", nil
-	fs.dropTree(n)
 	return nil
 }
 
+// unlink takes leaf (if present) out of parent and returns its inode.
+func (fs *FS) unlink(parent *node, leaf string) *node {
+	n := parent.dir.del(leaf)
+	if n != nil {
+		parent.modTime = fs.now()
+		fs.memoDir, fs.memoNode = "", nil
+	}
+	return n
+}
+
+// drop releases one directory entry's reference to n; the last one
+// frees what the inode held (its arena slot and ID are never reused).
 func (fs *FS) drop(n *node) {
 	n.nlink--
 	if n.nlink > 0 {
 		return
 	}
-	fs.byID[n.id] = nil
 	if n.typ == TypeDir {
 		fs.ndirs--
 	} else {
 		fs.nfiles--
 	}
+	n.content, n.dir, n.xattrs = synthetic.Content{}, nil, nil
 }
 
-func (fs *FS) dropTree(n *node) {
+func (fs *FS) dropTree(n *node, released func(id FileID, size int64)) {
 	if n.typ == TypeDir {
-		for _, child := range n.children {
-			fs.dropTree(child)
+		for _, e := range n.dir.ents {
+			if e.n != nil {
+				fs.dropTree(e.n, released)
+			}
 		}
 	}
+	released(n.id, n.size)
 	fs.drop(n)
 }
 
 // Rename moves oldp to newp. An existing file (not directory) at newp
-// is replaced, as in POSIX rename.
+// is replaced, as in POSIX rename; renaming a path to itself does
+// nothing, a directory to a path beneath itself is ErrInvalid (EINVAL).
 func (fs *FS) Rename(oldp, newp string) error {
 	oparent, oleaf, err := fs.lookupParent(oldp)
 	if err != nil {
 		return err
 	}
-	n, ok := oparent.children[oleaf]
-	if !ok {
+	n := oparent.dir.get(oleaf)
+	if n == nil {
 		return fmt.Errorf("%w: %s", ErrNotExist, oldp)
+	}
+	if op, np := clean(oldp), clean(newp); n.typ == TypeDir && len(np) > len(op) && np[len(op)] == '/' && np[:len(op)] == op {
+		return fmt.Errorf("%w: rename %s beneath itself to %s", ErrInvalid, oldp, newp)
 	}
 	nparent, nleaf, err := fs.lookupParent(newp)
 	if err != nil {
 		return err
 	}
-	if existing, ok := nparent.children[nleaf]; ok {
+	if existing := nparent.dir.get(nleaf); existing != nil {
 		if existing == n {
 			return nil
 		}
 		if existing.typ == TypeDir {
-			if len(existing.children) > 0 {
+			if existing.dir.live > 0 {
 				return fmt.Errorf("%w: %s", ErrNotEmpty, newp)
 			}
 		} else if n.typ == TypeDir {
 			return fmt.Errorf("%w: %s", ErrNotDir, newp)
 		}
-		fs.drop(existing)
+		fs.drop(nparent.dir.del(nleaf))
 	}
-	delete(oparent.children, oleaf)
-	nparent.children[nleaf] = n
-	oparent.modTime = fs.now()
+	fs.unlink(oparent, oleaf)
+	nparent.dir.put(nleaf, n)
 	nparent.modTime = fs.now()
-	fs.memoDir, fs.memoNode = "", nil
 	return nil
 }
 
 // SetXattr sets a named extended attribute on p. An empty value deletes
 // the attribute.
 func (fs *FS) SetXattr(p, key, value string) error {
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return err
 	}
@@ -617,7 +645,7 @@ func (fs *FS) SetXattr(p, key, value string) error {
 
 // GetXattr reads a named extended attribute of p ("" if absent).
 func (fs *FS) GetXattr(p, key string) (string, error) {
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return "", err
 	}
@@ -626,7 +654,7 @@ func (fs *FS) GetXattr(p, key string) (string, error) {
 
 // Exists reports whether p resolves.
 func (fs *FS) Exists(p string) bool {
-	_, err := fs.lookup(p)
+	_, _, err := fs.lookup(p)
 	return err == nil
 }
 
@@ -635,68 +663,78 @@ func (fs *FS) Exists(p string) bool {
 type WalkFunc func(info Info) error
 
 // Walk visits p and everything below it in deterministic depth-first
-// order (directories before their sorted children).
+// order (directories before their children, children by name). fn may
+// block while other actors change the tree (pfs.Scan does): a directory
+// is walked as it stood when the walk entered it, less the entries
+// removed or replaced before the walk reaches them.
 func (fs *FS) Walk(p string, fn WalkFunc) error {
-	n, err := fs.lookup(p)
+	n, p, err := fs.lookup(p)
 	if err != nil {
 		return err
 	}
-	return fs.walk(clean(p), n, fn)
+	return walk(p, path.Base(p), n, fn)
 }
 
-func (fs *FS) walk(p string, n *node, fn WalkFunc) error {
-	if err := fn(fs.info(p, n)); err != nil {
+func walk(p, name string, n *node, fn WalkFunc) error {
+	if err := fn(info(p, name, n)); err != nil {
 		return err
 	}
 	if n.typ != TypeDir {
 		return nil
 	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
+	if p == "/" {
+		p = ""
 	}
-	sort.Strings(names)
-	base := p
-	if base == "/" {
-		base = ""
-	}
-	for _, name := range names {
-		if err := fs.walk(base+"/"+name, n.children[name], fn); err != nil {
-			return err
+	// fn may block and the directory change meanwhile: tombstones show
+	// in ents, and once the table has moved to another slice (growth,
+	// compaction, a sort) each name is looked up again.
+	d := n.dir
+	ents := d.byName()
+	for i := range ents {
+		e := ents[i]
+		if (len(d.ents) == 0 || &d.ents[0] != &ents[0]) && d.get(e.name) != e.n {
+			continue
+		}
+		if e.n != nil && e.n.nlink > 0 {
+			if err := walk(p+"/"+e.name, e.name, e.n, fn); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // VisitTree calls fn(id, size, dir) for every inode under p, p itself
-// included, without constructing paths or Infos — the allocation-free
-// enumeration backing bulk-removal accounting. Visit order is
-// unspecified (callers must be order-insensitive; size and identity
-// accounting is).
+// included and first, without constructing paths or Infos — the
+// allocation-free enumeration backing bulk-removal accounting. Children
+// are visited by entry position (see the package comment).
 func (fs *FS) VisitTree(p string, fn func(id FileID, size int64, dir bool)) error {
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return err
 	}
-	fs.visitTree(n, fn)
+	visitTree(n, fn)
 	return nil
 }
 
-func (fs *FS) visitTree(n *node, fn func(id FileID, size int64, dir bool)) {
+func visitTree(n *node, fn func(id FileID, size int64, dir bool)) {
 	fn(n.id, n.size, n.typ == TypeDir)
-	for _, c := range n.children {
-		fs.visitTree(c, fn)
+	if n.typ == TypeDir {
+		for _, e := range n.dir.ents {
+			if e.n != nil {
+				visitTree(e.n, fn)
+			}
+		}
 	}
 }
 
 // TotalBytes sums the sizes of all regular files.
 func (fs *FS) TotalBytes() int64 {
 	var total int64
-	_ = fs.Walk("/", func(info Info) error {
-		if !info.IsDir() {
-			total += info.Size
+	visitTree(fs.root, func(_ FileID, size int64, dir bool) {
+		if !dir {
+			total += size
 		}
-		return nil
 	})
 	return total
 }

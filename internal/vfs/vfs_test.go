@@ -272,7 +272,7 @@ func TestXattrs(t *testing.T) {
 		t.Errorf("GetXattr = %q, %v", v, err)
 	}
 	info, _ := fs.Stat("/f")
-	if info.Xattrs["hsm.state"] != "migrated" {
+	if v, ok := info.Xattr("hsm.state"); !ok || v != "migrated" {
 		t.Error("xattr missing from Stat")
 	}
 	fs.SetXattr("/f", "hsm.state", "")
