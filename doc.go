@@ -7,7 +7,7 @@
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The root-level benchmarks (bench_test.go) regenerate every
-// table and figure of the paper's evaluation at benchmark scale;
-// cmd/archsim regenerates them at full scale.
+// results. cmd/archsim regenerates every table and figure of the
+// paper's evaluation at full scale; internal/experiments' tests run
+// them at reduced scale, and bench/ is the performance ledger.
 package repro

@@ -7,7 +7,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/hsm"
 	"repro/internal/pftool"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/synthetic"
 	"repro/internal/tsm"
@@ -22,14 +21,13 @@ import (
 // without them files scatter and recall mounts many.
 func AblationCoLocation(seed int64) Report {
 	run := func(colocate bool) (volumes int, recallTime time.Duration) {
-		clock := simtime.NewClock()
-		opts := archive.DefaultOptions()
-		opts.TapeDrives = 8
-		if colocate {
-			opts.HSM.Group = "project-x"
-		}
-		sys := archive.New(clock, opts)
-		clock.Go(func() {
+		runSystem(func(opts *archive.Options) {
+			opts.TapeDrives = 8
+			if colocate {
+				opts.HSM.Group = "project-x"
+			}
+		}, func(sys *archive.System) {
+			clock := sys.Clock
 			infos := seedArchiveFiles(sys, "/proj", 120, 400e6)
 			// Interleave with a competing project so scatter has
 			// somewhere to go: stores from other groups rotate volumes.
@@ -53,7 +51,6 @@ func AblationCoLocation(seed int64) Report {
 			}
 			recallTime = clock.Now() - start
 		})
-		clock.RunFor()
 		return volumes, recallTime
 	}
 	scatterVols, scatterT := run(false)
@@ -84,10 +81,8 @@ func AblationChunkSize(seed int64) Report {
 		Title: "Ablation: N-to-1 chunk size for a 40 GB file (§4.1.2(5))",
 	}
 	for _, cs := range []int64{fileSize, 16e9, 4e9, 1e9, 256e6} {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var res pftool.Result
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
 			sys.Scratch.MkdirAll("/src")
 			sys.Scratch.WriteFile("/src/big", synthetic.NewUniform(uint64(seed), fileSize))
 			tun := pftool.DefaultTunables()
@@ -100,7 +95,6 @@ func AblationChunkSize(seed int64) Report {
 				panic(err)
 			}
 		})
-		clock.RunFor()
 		nChunks := int((fileSize + cs - 1) / cs)
 		t.Row(fmt.Sprintf("%d MB", cs/1e6), nChunks, res.Elapsed().String(), res.Rate()/1e6)
 		r.metric(fmt.Sprintf("mbs_cs%d", cs/1e6), res.Rate()/1e6)
@@ -115,10 +109,8 @@ func AblationChunkSize(seed int64) Report {
 // messages and per-file metadata round trips instead of a handful.
 func AblationBatching(seed int64) Report {
 	run := func(batchBytes int64, batchFiles int) (time.Duration, float64, int) {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var res pftool.Result
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
 			spec := workload.JobSpec{ID: 1, Project: "p", NumFiles: 5000, TotalBytes: 5e9, AvgFileSize: 1e6}
 			if _, err := workload.BuildTree(sys.Scratch, "/src", spec, seed, 1024); err != nil {
 				panic(err)
@@ -132,7 +124,6 @@ func AblationBatching(seed int64) Report {
 				panic(err)
 			}
 		})
-		clock.RunFor()
 		return res.Elapsed(), res.Rate() / 1e6, res.Messages
 	}
 	t := stats.NewTable("batching", "elapsed", "MB/s", "MPI messages")
@@ -165,11 +156,7 @@ func AblationBatching(seed int64) Report {
 // without it all data squeezes through the server NIC.
 func AblationLANFree(seed int64) Report {
 	elapsed := func(lanFree bool) time.Duration {
-		clock := simtime.NewClock()
-		opts := archive.DefaultOptions()
-		opts.TSM.LANFree = lanFree
-		sys := archive.New(clock, opts)
-		clock.Go(func() {
+		return runSystem(func(opts *archive.Options) { opts.TSM.LANFree = lanFree }, func(sys *archive.System) {
 			// 48 x 40 GB across 30 mover streams: the tape fleet can
 			// absorb ~2.4 GB/s LAN-free, but the ~1.18 GB/s server NIC
 			// cannot; with this much data per stream the streaming
@@ -178,8 +165,7 @@ func AblationLANFree(seed int64) Report {
 			if _, err := sys.HSM.Migrate(infos, hsm.MigrateOptions{Balanced: true, StreamsPerNode: 3}); err != nil {
 				panic(err)
 			}
-		})
-		return clock.RunFor()
+		}).end
 	}
 	with := elapsed(true)
 	without := elapsed(false)
@@ -201,13 +187,9 @@ func AblationLANFree(seed int64) Report {
 // deletes: logical deletes leave dead bytes on tape until reclamation
 // consolidates the survivors.
 func Reclamation(seed int64) Report {
-	clock := simtime.NewClock()
-	opts := archive.DefaultOptions()
-	opts.TapeDrives = 4
-	sys := archive.New(clock, opts)
 	var before, after float64
 	var res tsm.ReclaimResult
-	clock.Go(func() {
+	runSystem(func(opts *archive.Options) { opts.TapeDrives = 4 }, func(sys *archive.System) {
 		infos := seedArchiveFiles(sys, "/proj", 40, 2e9)
 		if _, err := sys.HSM.Migrate(infos, hsm.MigrateOptions{Balanced: true}); err != nil {
 			panic(err)
@@ -244,7 +226,6 @@ func Reclamation(seed int64) Report {
 		}
 		after = float64(live) / float64(used)
 	})
-	clock.RunFor()
 	t := stats.NewTable("metric", "value")
 	t.Row("tape live fraction before reclaim", before)
 	t.Row("volumes reclaimed", res.VolumesReclaimed)

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/pftool"
-	"repro/internal/simtime"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -20,20 +18,8 @@ type CampaignParams struct {
 	MaxSimFiles int
 }
 
-// CampaignData replays §5.2 and returns the raw per-job results (for
-// CSV export) alongside the rendered figure reports.
-func CampaignData(p CampaignParams) (archive.CampaignResult, []Report) {
-	res, reports := campaignRun(p)
-	return res, reports
-}
-
-// Campaign replays §5.2 and renders Figures 8–11.
-func Campaign(p CampaignParams) []Report {
-	_, reports := campaignRun(p)
-	return reports
-}
-
-func campaignRun(p CampaignParams) (archive.CampaignResult, []Report) {
+// Config resolves the params to the campaign the generator runs.
+func (p CampaignParams) Config() workload.CampaignConfig {
 	cfg := workload.PaperCampaign(p.Seed)
 	if p.Jobs > 0 {
 		cfg.Jobs = p.Jobs
@@ -44,15 +30,23 @@ func campaignRun(p CampaignParams) (archive.CampaignResult, []Report) {
 	case p.MaxSimFiles < 0:
 		cfg.MaxSimFiles = 0
 	}
-	clock := simtime.NewClock()
-	sys := archive.NewDefault(clock)
-	tel := telemetry.Of(clock)
+	return cfg
+}
+
+// Campaign replays §5.2 and renders Figures 8–11.
+func Campaign(p CampaignParams) []Report {
+	_, reports := CampaignData(p)
+	return reports
+}
+
+// CampaignData replays §5.2 and returns the raw per-job results (for
+// CSV export) alongside the rendered figure reports.
+func CampaignData(p CampaignParams) (archive.CampaignResult, []Report) {
 	var res archive.CampaignResult
 	var err error
-	clock.Go(func() {
-		res, err = archive.RunCampaign(sys, cfg, pftool.DefaultTunables(), nil)
+	run := runSystem(nil, func(sys *archive.System) {
+		res, err = archive.RunCampaign(sys, p.Config(), pftool.DefaultTunables(), nil)
 	})
-	clock.RunFor()
 	if err != nil {
 		panic(fmt.Sprintf("campaign failed: %v", err))
 	}
@@ -73,8 +67,8 @@ func campaignRun(p CampaignParams) (archive.CampaignResult, []Report) {
 	}
 	// fig10 is the campaign's rate figure; carry the registry snapshot
 	// and flight dump on it so -metrics-text/-flight-record see the run.
-	reports[2].Telemetry = tel.Snapshot()
-	reports[2].Flight = tel.FlightDump()
+	reports[2].Telemetry = run.snap
+	reports[2].Flight = run.flight
 	return res, reports
 }
 
@@ -109,11 +103,9 @@ func figureReport(name, title string, s *stats.Summary, unit string, h *stats.Lo
 // ParallelVsSerial is E5: the paper's ~575 MB/s parallel archive rate
 // against the ~70 MB/s non-parallel archive it replaces.
 func ParallelVsSerial(seed int64) Report {
-	clock := simtime.NewClock()
-	sys := archive.NewDefault(clock)
 	var serial archive.SerialBaselineResult
 	var parallel pftool.Result
-	clock.Go(func() {
+	runSystem(nil, func(sys *archive.System) {
 		spec := workload.JobSpec{
 			ID: 1, Project: "materials",
 			NumFiles: 400, TotalBytes: 200e9, AvgFileSize: 500e6,
@@ -131,7 +123,6 @@ func ParallelVsSerial(seed int64) Report {
 			panic(err)
 		}
 	})
-	clock.RunFor()
 	t := stats.NewTable("system", "MB/s", "elapsed")
 	t.Row("non-parallel archive (1 mover, 1 drive)", serial.RateMBs, serial.Elapsed.String())
 	t.Row("COTS parallel archive (PFTool)", parallel.Rate()/1e6, parallel.Elapsed().String())

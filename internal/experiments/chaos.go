@@ -26,12 +26,11 @@ type chaosOutcome struct {
 	copyTime   simtime.Duration
 	migTime    simtime.Duration
 
-	// Registry-derived byte counts for the two phases, plus the run's
-	// telemetry snapshot and flight dump for the report consumers.
+	// Registry-derived byte counts for the two phases.
 	regCopyBytes float64
 	regMigBytes  float64
-	snap         *telemetry.Snapshot
-	flight       *telemetry.FlightDump
+
+	plantRun // the run's telemetry snapshot and flight dump
 }
 
 // chaosRun archives one synthetic project end to end on a fresh
@@ -40,29 +39,15 @@ type chaosOutcome struct {
 // migration, a mover crash and a trunk degradation land during the
 // pfcp, and one cartridge goes read-only mid-migrate.
 func chaosRun(seed int64, chaos bool) chaosOutcome {
-	clock := simtime.NewClock()
-	opts := archive.DefaultOptions()
-	// A small library so losing two drives is a visible capacity cut
-	// (2/8 = 25%), not noise inside a 24-drive pool.
-	opts.TapeDrives = 8
-	opts.Cartridges = 128
-	sys := archive.New(clock, opts)
-	reg := faults.New(clock, seed)
-	sys.InstallFaults(reg)
-
 	var out chaosOutcome
-	clock.Go(func() {
+	out.plantRun = runFaulted(seed, func(opts *archive.Options) {
+		// A small library so losing two drives is a visible capacity cut
+		// (2/8 = 25%), not noise inside a 24-drive pool.
+		opts.TapeDrives = 8
+		opts.Cartridges = 128
+	}, func(sys *archive.System, reg *faults.Registry) {
+		clock := sys.Clock
 		tel := telemetry.Of(clock)
-		// An actor panic unwinds through clock.Run into its caller, and
-		// nothing up there recovers it, so the process still dies: dump
-		// the flight ring synchronously here before re-panicking — the
-		// crash evidence is the whole point of the recorder.
-		defer func() {
-			if p := recover(); p != nil {
-				stashCrashFlight(tel.FlightDump())
-				panic(p)
-			}
-		}()
 		spec := workload.JobSpec{
 			ID: 1, Project: "chaos",
 			NumFiles: 120, TotalBytes: 60e9, AvgFileSize: 500e6,
@@ -123,10 +108,7 @@ func chaosRun(seed int64, chaos bool) chaosOutcome {
 		out.objects = sys.TSM.NumObjects()
 		out.tsmRetries = sys.TSM.Stats().Retries
 		out.events = len(reg.Log())
-		out.snap = tel.Snapshot()
-		out.flight = tel.FlightDump()
 	})
-	clock.RunFor()
 	return out
 }
 
@@ -141,12 +123,8 @@ func ChaosStudy(seed int64) Report {
 
 	// Invariants. The experiment panics rather than reporting garbage:
 	// a chaos run that loses or duplicates a file is a bug, not a data
-	// point. Stash the chaos run's flight dump before panicking so the
-	// evidence survives the crash.
-	failf := func(format string, args ...interface{}) {
-		stashCrashFlight(dirty.flight)
-		panic(fmt.Sprintf(format, args...))
-	}
+	// point.
+	failf := dirty.failf
 	if dirty.copyRes.FilesCopied != clean.copyRes.FilesCopied {
 		failf("chaos run copied %d files, clean run %d",
 			dirty.copyRes.FilesCopied, clean.copyRes.FilesCopied)

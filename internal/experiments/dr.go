@@ -19,35 +19,6 @@ import (
 	"repro/internal/tsm"
 )
 
-// DRReport is the machine-readable summary of the disaster-recovery
-// drill; cmd/archsim writes it as JSON behind the -dr-report flag
-// (schema archsim-dr/v1, archived by CI as a build artifact).
-type DRReport struct {
-	Sites  []string `json:"sites"`
-	Victim string   `json:"victim"`
-
-	Files        int     `json:"files"`
-	TapeObjects  int     `json:"tape_objects"`
-	Replicas     int     `json:"replicas"`
-	ReplicaGB    float64 `json:"replica_gb"`
-	LostFiles    int     `json:"lost_files"`
-	DuplicateRep int     `json:"duplicate_replicas"`
-
-	SkippedMigrations  int `json:"skipped_migrations"`
-	RequeuedFiles      int `json:"requeued_files"`
-	ParkedDuringOutage int `json:"parked_during_outage"`
-
-	FailoverRecalls  int     `json:"failover_recalls"`
-	FailoverRequests int     `json:"failover_requests"`
-	FailoverServed   float64 `json:"failover_served_fraction"`
-
-	CatchUpSeconds      float64 `json:"catchup_seconds"`
-	CatchUpBoundSeconds float64 `json:"catchup_bound_seconds"`
-	Drained             bool    `json:"drained"`
-	LagMeanSeconds      float64 `json:"replication_lag_mean_seconds"`
-	FaultEvents         int     `json:"fault_events"`
-}
-
 // drOutcome carries everything the DR drill measured out of the
 // simulation actor.
 type drOutcome struct {
@@ -79,8 +50,7 @@ type drOutcome struct {
 	lagMean  float64
 	events   int
 
-	snap   *telemetry.Snapshot
-	flight *telemetry.FlightDump
+	plantRun // the run's telemetry snapshot and flight dump
 }
 
 // drBuildSite assembles one archive site: its own FTA cluster, parallel
@@ -148,181 +118,172 @@ func drRun(seed int64) drOutcome {
 		fileSize = 200e6
 		wanRate  = 100e6
 	)
-	clock := simtime.NewClock()
 	names := []string{"east", "south", "west"}
-	var sites []*federation.Site
-	for _, n := range names {
-		sites = append(sites, drBuildSite(clock, n))
-	}
-	fed, err := federation.NewMultiSite(clock, sites...)
-	if err != nil {
-		panic(err)
-	}
-	// Full WAN triangle: every pair one hop apart while healthy, so a
-	// single site kill never partitions the survivors.
-	fed.AddWANLink("wan-east-south", wanRate, sites[0], sites[1])
-	fed.AddWANLink("wan-south-west", wanRate, sites[1], sites[2])
-	fed.AddWANLink("wan-west-east", wanRate, sites[2], sites[0])
-	reg := faults.New(clock, seed)
-	fed.InstallFaults(reg)
-	// A fast-burning WAN retry budget: items destined to the dead site
-	// park within about half a virtual minute instead of the default
-	// multi-minute budget, keeping the drill's timeline tight.
-	rep, err := federation.NewReplicator(fed, federation.ReplicationPolicy{Copies: 3},
-		faults.Backoff{Attempts: 3, Base: 5 * time.Second, Factor: 2, Max: 30 * time.Second})
-	if err != nil {
-		panic(err)
-	}
-	victim, portal := sites[1], sites[0]
-
 	out := drOutcome{
 		siteNames: names,
-		victim:    victim.Name,
 		n1:        n1, n2: n2,
 		objectsPerSite:  make(map[string]int),
 		replicasPerSite: make(map[string]int),
 	}
-	clock.Go(func() {
-		tel := telemetry.Of(clock)
-		// The failover spans must survive the catch-up traffic that
-		// follows them in the ring.
-		tel.SetFlightCapacity(16384)
-		defer func() {
-			if p := recover(); p != nil {
-				stashCrashFlight(tel.FlightDump())
-				panic(p)
+	out.plantRun = runClock(func(clock *simtime.Clock) func() {
+		var sites []*federation.Site
+		for _, n := range names {
+			sites = append(sites, drBuildSite(clock, n))
+		}
+		fed, err := federation.NewMultiSite(clock, sites...)
+		if err != nil {
+			panic(err)
+		}
+		// Full WAN triangle: every pair one hop apart while healthy, so a
+		// single site kill never partitions the survivors.
+		fed.AddWANLink("wan-east-south", wanRate, sites[0], sites[1])
+		fed.AddWANLink("wan-south-west", wanRate, sites[1], sites[2])
+		fed.AddWANLink("wan-west-east", wanRate, sites[2], sites[0])
+		reg := faults.New(clock, seed)
+		fed.InstallFaults(reg)
+		// A fast-burning WAN retry budget: items destined to the dead site
+		// park within about half a virtual minute instead of the default
+		// multi-minute budget, keeping the drill's timeline tight.
+		rep, err := federation.NewReplicator(fed, federation.ReplicationPolicy{Copies: 3},
+			faults.Backoff{Attempts: 3, Base: 5 * time.Second, Factor: 2, Max: 30 * time.Second})
+		if err != nil {
+			panic(err)
+		}
+		victim, portal := sites[1], sites[0]
+		out.victim = victim.Name
+		return func() {
+			tel := telemetry.Of(clock)
+			// The failover spans must survive the catch-up traffic that
+			// follows them in the ring.
+			tel.SetFlightCapacity(16384)
+
+			// Wave 1: the steady-state campaign. Every site archives its
+			// share and replication drains completely — the pre-disaster
+			// recovery point.
+			wave1 := make(map[string][]pfs.Info)
+			var all1 []pfs.Info
+			for _, s := range sites {
+				infos := drSeed(fed, s, 1, n1, fileSize)
+				wave1[s.Name] = infos
+				all1 = append(all1, infos...)
 			}
-		}()
-
-		// Wave 1: the steady-state campaign. Every site archives its
-		// share and replication drains completely — the pre-disaster
-		// recovery point.
-		wave1 := make(map[string][]pfs.Info)
-		var all1 []pfs.Info
-		for _, s := range sites {
-			infos := drSeed(fed, s, 1, n1, fileSize)
-			wave1[s.Name] = infos
-			all1 = append(all1, infos...)
-		}
-		if _, err := fed.Migrate(all1, hsm.MigrateOptions{Balanced: true}); err != nil {
-			panic(fmt.Sprintf("dr wave-1 migrate: %v", err))
-		}
-		if !rep.DrainWithin(4 * time.Hour) {
-			panic(fmt.Sprintf("dr: wave-1 replication never drained: %d pending", rep.Pending()))
-		}
-
-		// Wave 2 lands on disk everywhere — and then the disaster takes
-		// the victim site out mid-campaign: cells, TSM server, mover
-		// nodes, and both WAN trunks in one compound event.
-		wave2 := make(map[string][]pfs.Info)
-		var all2 []pfs.Info
-		for _, s := range sites {
-			infos := drSeed(fed, s, 2, n2, fileSize)
-			wave2[s.Name] = infos
-			all2 = append(all2, infos...)
-		}
-		reg.Apply(faults.Event{Component: faults.SiteComponent(victim.Name), Kind: faults.KindFail})
-		out.killEvent, _ = tel.LastEventFor(faults.SiteComponent(victim.Name))
-
-		// The campaign continues on the survivors. The victim's share is
-		// skipped (and reported), not lost.
-		mout, err := fed.Migrate(all2, hsm.MigrateOptions{Balanced: true})
-		if err != nil && !errors.Is(err, federation.ErrCellDown) {
-			panic(fmt.Sprintf("dr wave-2 migrate: %v", err))
-		}
-		out.skipped = mout.SkippedCount()
-		skippedPaths := mout.SkippedPaths()
-
-		// Normal recall of a dead site's path skips; failover recall
-		// serves every one of the victim's wave-1 files from the nearest
-		// surviving replica over the WAN.
-		rout, rerr := fed.Recall([]string{wave1[victim.Name][0].Path}, hsm.RecallOrdered)
-		if !errors.Is(rerr, federation.ErrCellDown) {
-			panic(fmt.Sprintf("dr: normal recall of a dead site's path: err = %v, want ErrCellDown", rerr))
-		}
-		out.normalSkipped = rout.SkippedCount()
-		out.failoverWant = len(wave1[victim.Name])
-		for _, info := range wave1[victim.Name] {
-			r, err := rep.FailoverRecall(portal, info.Path)
-			if err != nil {
-				panic(fmt.Sprintf("dr: failover recall of %s: %v", info.Path, err))
+			if _, err := fed.Migrate(all1, hsm.MigrateOptions{Balanced: true}); err != nil {
+				panic(fmt.Sprintf("dr wave-1 migrate: %v", err))
 			}
-			if r.Bytes != info.Size {
-				panic(fmt.Sprintf("dr: failover recall of %s returned %d bytes, want %d", info.Path, r.Bytes, info.Size))
+			if !rep.DrainWithin(4 * time.Hour) {
+				panic(fmt.Sprintf("dr: wave-1 replication never drained: %d pending", rep.Pending()))
 			}
-			out.failoverOK++
-		}
 
-		// The survivors' wave-2 replicas destined to the victim burn
-		// their retry budget and park. Wait for the full backlog.
-		wantParked := 2 * n2
-		for i := 0; i < 720 && rep.Stats().Parked < wantParked; i++ {
-			clock.Sleep(10 * time.Second)
-		}
-		out.parked = rep.Stats().Parked
-
-		// Rejoin: one repair event reverses the compound kill and kicks
-		// the parked backlog. The operator requeues the skipped
-		// migrations; catch-up must drain within the bound.
-		reg.Apply(faults.Event{Component: faults.SiteComponent(victim.Name), Kind: faults.KindRepair})
-		catchStart := clock.Now()
-		var reinfos []pfs.Info
-		for _, p := range skippedPaths {
-			info, err := victim.Cells[0].FS.Stat(p)
-			if err != nil {
-				panic(fmt.Sprintf("dr: requeue stat %s: %v", p, err))
+			// Wave 2 lands on disk everywhere — and then the disaster takes
+			// the victim site out mid-campaign: cells, TSM server, mover
+			// nodes, and both WAN trunks in one compound event.
+			wave2 := make(map[string][]pfs.Info)
+			var all2 []pfs.Info
+			for _, s := range sites {
+				infos := drSeed(fed, s, 2, n2, fileSize)
+				wave2[s.Name] = infos
+				all2 = append(all2, infos...)
 			}
-			reinfos = append(reinfos, info)
-		}
-		if _, err := fed.Migrate(reinfos, hsm.MigrateOptions{Balanced: true}); err != nil {
-			panic(fmt.Sprintf("dr requeue migrate: %v", err))
-		}
-		out.requeued = len(reinfos)
-		out.catchBound = time.Hour
-		out.drained = rep.DrainWithin(out.catchBound)
-		out.catchUp = clock.Now() - catchStart
+			reg.Apply(faults.Event{Component: faults.SiteComponent(victim.Name), Kind: faults.KindFail})
+			out.killEvent, _ = tel.LastEventFor(faults.SiteComponent(victim.Name))
 
-		// Account for every file: primary objects per site, replicas per
-		// site, and a full catalog audit (entry present, Copies-1
-		// confirmed sites, every confirmed holder able to serve).
-		for _, s := range sites {
-			out.objectsPerSite[s.Name] = s.Cells[0].Server.NumObjects()
-			out.replicasPerSite[s.Name] = s.Cells[0].Server.NumReplicas()
-		}
-		audit := func(infos []pfs.Info) {
-			for _, info := range infos {
-				ent := rep.Catalog(info.Path)
-				if ent == nil {
-					out.catalogMissing++
-					continue
+			// The campaign continues on the survivors. The victim's share is
+			// skipped (and reported), not lost.
+			mout, err := fed.Migrate(all2, hsm.MigrateOptions{Balanced: true})
+			if err != nil && !errors.Is(err, federation.ErrCellDown) {
+				panic(fmt.Sprintf("dr wave-2 migrate: %v", err))
+			}
+			out.skipped = mout.SkippedCount()
+			skippedPaths := mout.SkippedPaths()
+
+			// Normal recall of a dead site's path skips; failover recall
+			// serves every one of the victim's wave-1 files from the nearest
+			// surviving replica over the WAN.
+			rout, rerr := fed.Recall([]string{wave1[victim.Name][0].Path}, hsm.RecallOrdered)
+			if !errors.Is(rerr, federation.ErrCellDown) {
+				panic(fmt.Sprintf("dr: normal recall of a dead site's path: err = %v, want ErrCellDown", rerr))
+			}
+			out.normalSkipped = rout.SkippedCount()
+			out.failoverWant = len(wave1[victim.Name])
+			for _, info := range wave1[victim.Name] {
+				r, err := rep.FailoverRecall(portal, info.Path)
+				if err != nil {
+					panic(fmt.Sprintf("dr: failover recall of %s: %v", info.Path, err))
 				}
-				if len(ent.Sites) < 2 {
-					out.catalogShort++
+				if r.Bytes != info.Size {
+					panic(fmt.Sprintf("dr: failover recall of %s returned %d bytes, want %d", info.Path, r.Bytes, info.Size))
 				}
-				for _, name := range ent.Sites {
-					s, err := fed.SiteByName(name)
-					if err != nil || !s.CellFor(info.Path).Server.HasReplica(ent.HomeCell, ent.Object.ID) {
-						out.replicaHoles++
+				out.failoverOK++
+			}
+
+			// The survivors' wave-2 replicas destined to the victim burn
+			// their retry budget and park. Wait for the full backlog.
+			wantParked := 2 * n2
+			for i := 0; i < 720 && rep.Stats().Parked < wantParked; i++ {
+				clock.Sleep(10 * time.Second)
+			}
+			out.parked = rep.Stats().Parked
+
+			// Rejoin: one repair event reverses the compound kill and kicks
+			// the parked backlog. The operator requeues the skipped
+			// migrations; catch-up must drain within the bound.
+			reg.Apply(faults.Event{Component: faults.SiteComponent(victim.Name), Kind: faults.KindRepair})
+			catchStart := clock.Now()
+			var reinfos []pfs.Info
+			for _, p := range skippedPaths {
+				info, err := victim.Cells[0].FS.Stat(p)
+				if err != nil {
+					panic(fmt.Sprintf("dr: requeue stat %s: %v", p, err))
+				}
+				reinfos = append(reinfos, info)
+			}
+			if _, err := fed.Migrate(reinfos, hsm.MigrateOptions{Balanced: true}); err != nil {
+				panic(fmt.Sprintf("dr requeue migrate: %v", err))
+			}
+			out.requeued = len(reinfos)
+			out.catchBound = time.Hour
+			out.drained = rep.DrainWithin(out.catchBound)
+			out.catchUp = clock.Now() - catchStart
+
+			// Account for every file: primary objects per site, replicas per
+			// site, and a full catalog audit (entry present, Copies-1
+			// confirmed sites, every confirmed holder able to serve).
+			for _, s := range sites {
+				out.objectsPerSite[s.Name] = s.Cells[0].Server.NumObjects()
+				out.replicasPerSite[s.Name] = s.Cells[0].Server.NumReplicas()
+			}
+			audit := func(infos []pfs.Info) {
+				for _, info := range infos {
+					ent := rep.Catalog(info.Path)
+					if ent == nil {
+						out.catalogMissing++
+						continue
+					}
+					if len(ent.Sites) < 2 {
+						out.catalogShort++
+					}
+					for _, name := range ent.Sites {
+						s, err := fed.SiteByName(name)
+						if err != nil || !s.CellFor(info.Path).Server.HasReplica(ent.HomeCell, ent.Object.ID) {
+							out.replicaHoles++
+						}
 					}
 				}
 			}
-		}
-		for _, s := range sites {
-			audit(wave1[s.Name])
-			audit(wave2[s.Name])
-		}
+			for _, s := range sites {
+				audit(wave1[s.Name])
+				audit(wave2[s.Name])
+			}
 
-		out.repStats = rep.Stats()
-		out.repBytes = tel.Counter("federation_replica_bytes_total").Value()
-		if h := tel.Histogram("federation_replication_lag_seconds"); h.Count() > 0 {
-			out.lagMean = h.Sum() / h.Count()
+			out.repStats = rep.Stats()
+			out.repBytes = tel.Counter("federation_replica_bytes_total").Value()
+			if h := tel.Histogram("federation_replication_lag_seconds"); h.Count() > 0 {
+				out.lagMean = h.Sum() / h.Count()
+			}
+			out.events = len(reg.Log())
+			rep.Close()
 		}
-		out.events = len(reg.Log())
-		rep.Close()
-		out.snap = tel.Snapshot()
-		out.flight = tel.FlightDump()
 	})
-	clock.RunFor()
 	return out
 }
 
@@ -339,10 +300,7 @@ func drRun(seed int64) drOutcome {
 func DRStudy(seed int64) Report {
 	out := drRun(seed)
 
-	failf := func(format string, args ...interface{}) {
-		stashCrashFlight(out.flight)
-		panic(fmt.Sprintf(format, args...))
-	}
+	failf := out.failf
 
 	// Exactly-once accounting: every site archived its full share, and
 	// holds exactly one replica of every object homed at the other two.
@@ -436,41 +394,25 @@ func DRStudy(seed int64) Report {
 			"every failover span in the flight dump cites the site-kill fault event that forced the reroute",
 		},
 	}
+	r.metric("sites", float64(len(out.siteNames)))
 	r.metric("files", float64(files))
+	r.metric("tape_objects", float64(objects))
 	r.metric("replicas", float64(replicas))
+	r.metric("replica_gb", out.repBytes/1e9)
 	r.metric("lost_files", float64(out.catalogMissing))
 	r.metric("duplicate_replicas", float64(replicas-len(out.siteNames)*wantReplicas))
 	r.metric("skipped", float64(out.skipped))
 	r.metric("requeued", float64(out.requeued))
 	r.metric("parked", float64(out.parked))
 	r.metric("failover_recalls", float64(out.failoverOK))
+	r.metric("failover_requests", float64(out.failoverWant))
 	r.metric("failover_served", float64(out.failoverOK)/float64(out.failoverWant))
 	r.metric("catchup_seconds", out.catchUp.Seconds())
+	r.metric("catchup_bound_seconds", out.catchBound.Seconds())
 	r.metric("drained", b2f(out.drained))
 	r.metric("lag_mean_seconds", out.lagMean)
 	r.metric("fault_events", float64(out.events))
 	r.Telemetry = out.snap
 	r.Flight = out.flight
-	r.DR = &DRReport{
-		Sites:               out.siteNames,
-		Victim:              out.victim,
-		Files:               files,
-		TapeObjects:         objects,
-		Replicas:            replicas,
-		ReplicaGB:           out.repBytes / 1e9,
-		LostFiles:           out.catalogMissing,
-		DuplicateRep:        replicas - len(out.siteNames)*wantReplicas,
-		SkippedMigrations:   out.skipped,
-		RequeuedFiles:       out.requeued,
-		ParkedDuringOutage:  out.parked,
-		FailoverRecalls:     out.failoverOK,
-		FailoverRequests:    out.failoverWant,
-		FailoverServed:      float64(out.failoverOK) / float64(out.failoverWant),
-		CatchUpSeconds:      out.catchUp.Seconds(),
-		CatchUpBoundSeconds: out.catchBound.Seconds(),
-		Drained:             out.drained,
-		LagMeanSeconds:      out.lagMean,
-		FaultEvents:         out.events,
-	}
 	return r
 }

@@ -2,8 +2,8 @@
 // paper's evaluation (§5–§6) plus the design-point studies DESIGN.md
 // calls out. Each experiment builds a fresh deployment on its own
 // virtual clock, drives it, and returns a Report with the same rows or
-// series the paper presents. cmd/archsim prints the reports; the
-// repository-root benchmarks re-run them at benchmark scale.
+// series the paper presents. cmd/archsim prints the reports and writes
+// them as JSON behind -report.
 package experiments
 
 import (
@@ -13,78 +13,34 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/tsm"
 )
 
-// Report is one regenerated table or figure.
+// Report is one regenerated table or figure, and its own
+// machine-readable record: cmd/archsim -report marshals the reports of
+// a run as they are (envelope archsim-report/v1, DESIGN.md "Machine-readable reports").
 type Report struct {
-	Name    string // experiment id, e.g. "fig10"
-	Title   string // what the paper calls it
-	Body    string // rendered rows/series
-	Metrics map[string]float64
-	Notes   []string
+	Name    string             `json:"name"`  // experiment id, e.g. "fig10"
+	Title   string             `json:"title"` // what the paper calls it
+	Body    string             `json:"body"`  // rendered rows/series
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Notes   []string           `json:"notes,omitempty"`
+
+	// Detail is the experiment's structured record beyond flat metrics —
+	// scrub passes, cohort series, per-island balance — marshalled as
+	// is. A new experiment sets it without touching Report or archsim.
+	Detail any `json:"detail,omitempty"`
 
 	// Telemetry and Flight carry the run's registry snapshot and
 	// flight-recorder dump for experiments that attach them. They are
-	// not rendered by String(); cmd/archsim exposes them behind the
-	// -metrics-text and -flight-record flags.
-	Telemetry *telemetry.Snapshot
-	Flight    *telemetry.FlightDump
-
-	// Scrub carries the tape scrubber's per-pass reports for
-	// experiments that run one; cmd/archsim writes them as JSON behind
-	// the -scrub-report flag (CI archives the file).
-	Scrub []tsm.ScrubReport
-
-	// DR carries the disaster-recovery drill's replication summary;
-	// cmd/archsim writes it as JSON behind the -dr-report flag (CI
-	// archives the file).
-	DR *DRReport
-
-	// Tenants carries the multi-tenant QoS study's summary; cmd/archsim
-	// writes it as JSON behind the -tenant-report flag (CI archives the
-	// file).
-	Tenants *TenantReport
-
-	// Ops carries the operator drill's summary (waves, runbook actions,
-	// recovery ratio, the final live scrape); cmd/archsim writes it as
-	// JSON behind -ops-report and the raw scrape behind -ops-scrape.
-	Ops *OpsReport
-
-	// Storm carries the overload-resilience study's summary; cmd/archsim
-	// writes it as JSON behind the -storm-report flag (CI archives the
-	// file).
-	Storm *StormReport
-
-	// Parallel carries the island-parallel engine study's summary
-	// (E24: speedup, determinism verdict, per-island balance, engine
-	// metrics); cmd/archsim writes it as JSON behind the
-	// -parallel-report flag (CI archives the file).
-	Parallel *ParallelReport
+	// not rendered by String() or -report; cmd/archsim exposes them
+	// behind the -metrics-text and -flight-record flags.
+	Telemetry *telemetry.Snapshot   `json:"-"`
+	Flight    *telemetry.FlightDump `json:"-"`
 }
 
 // ErrUnknownExperiment reports an experiment name Run does not know.
 // cmd/archsim matches it with errors.Is to print the available names.
 var ErrUnknownExperiment = errors.New("unknown experiment")
-
-// crashFlightSink receives the flight-recorder dump an experiment
-// actor hands over just before it panics on a violated invariant, so
-// the process can still persist the evidence. Single simulation actor
-// at a time — no locking, matching the rest of the harness.
-var crashFlightSink func(*telemetry.FlightDump)
-
-// SetCrashFlightSink installs a callback invoked synchronously with
-// the flight dump when an experiment aborts on an invariant violation.
-// It runs inside the panicking actor, before the panic unwinds through
-// clock.Run, so the sink must do its own persistence (cmd/archsim writes
-// the file in it).
-func SetCrashFlightSink(fn func(*telemetry.FlightDump)) { crashFlightSink = fn }
-
-func stashCrashFlight(d *telemetry.FlightDump) {
-	if crashFlightSink != nil {
-		crashFlightSink(d)
-	}
-}
 
 // String renders the report for terminal output.
 func (r Report) String() string {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,16 +143,39 @@ func TestScalingGapShape(t *testing.T) {
 }
 
 func TestRunByName(t *testing.T) {
-	if _, err := Run("nope", 1); err == nil {
-		t.Error("unknown experiment should error")
+	if _, err := Run("nope", 1); !errors.Is(err, ErrUnknownExperiment) {
+		t.Errorf("Run(nope) = %v, want ErrUnknownExperiment", err)
 	}
 	reps, err := Run("scan", 1)
 	if err != nil || len(reps) != 1 {
 		t.Errorf("Run(scan) = %d reports, %v", len(reps), err)
 	}
-	for _, n := range Names() {
-		if n == "all" || n == "campaign" || strings.HasPrefix(n, "fig") {
-			continue // covered individually; campaign is slow
+
+	// The registry itself, without executing anything: names are unique,
+	// "all" is last, every other name is a table row, and the four
+	// figure names share the campaign's runner.
+	names := Names()
+	if names[len(names)-1] != "all" {
+		t.Errorf("last name = %q, want all", names[len(names)-1])
+	}
+	rows := make(map[string]experiment)
+	for _, e := range table {
+		rows[e.name] = e
+	}
+	seen := make(map[string]bool)
+	for _, n := range names {
+		if seen[n] {
+			t.Errorf("name %q listed twice", n)
+		}
+		seen[n] = true
+		if _, ok := rows[n]; !ok && n != "all" {
+			t.Errorf("name %q resolves to no table row", n)
+		}
+	}
+	campaign := reflect.ValueOf(rows["campaign"].run).Pointer()
+	for _, n := range []string{"fig8", "fig9", "fig10", "fig11"} {
+		if reflect.ValueOf(rows[n].run).Pointer() != campaign {
+			t.Errorf("%s does not resolve to the campaign runner", n)
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"repro/internal/archive"
+	"repro/internal/cluster"
 	"repro/internal/pftool"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/synthetic"
 	"repro/internal/telemetry"
@@ -39,11 +39,10 @@ func FabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) 
 		snap    *telemetry.Snapshot
 	}
 	runWith := func(nw int) point {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
-		tel := telemetry.Of(clock)
 		var res pftool.Result
-		clock.Go(func() {
+		var nodes []*cluster.Node
+		run := runSystem(nil, func(sys *archive.System) {
+			nodes = sys.Cluster.Nodes()
 			sys.Scratch.MkdirAll("/src")
 			for i := 0; i < files; i++ {
 				sys.Scratch.WriteFile(fmt.Sprintf("/src/f%03d", i), synthetic.NewUniform(uint64(seed)+uint64(i), fileSize))
@@ -56,7 +55,7 @@ func FabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) 
 				panic(err)
 			}
 		})
-		end := clock.RunFor()
+		end, snap := run.end, run.snap
 		if res.FilesCopied != files {
 			panic(fmt.Sprintf("fabric study: copied %d of %d files", res.FilesCopied, files))
 		}
@@ -64,7 +63,6 @@ func FabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) 
 		// registry snapshot, not the subsystem structs (lint_test.go
 		// enforces the split): the pfcp byte counter gives the rate, and
 		// the fabric_link_* families give conservation and bottleneck.
-		snap := tel.Snapshot()
 		copied := snap.Value("pftool_bytes_copied_total", "op", "pfcp")
 		// Invariant: per-link accounting conserves bytes. Every copied
 		// byte crosses the trunk exactly once and exactly one node NIC,
@@ -72,7 +70,7 @@ func FabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) 
 		// the copied bytes to the float tolerance of the scheduler.
 		trunkBytes := snap.Value("fabric_link_bytes_total", "link", "trunk")
 		nicNames := make(map[string]bool)
-		for _, n := range sys.Cluster.Nodes() {
+		for _, n := range nodes {
 			nicNames[n.NIC().Stats().Name] = true
 		}
 		var nicBytes float64

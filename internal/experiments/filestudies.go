@@ -8,7 +8,6 @@ import (
 	"repro/internal/chunkfs"
 	"repro/internal/hsm"
 	"repro/internal/pftool"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/synthetic"
 )
@@ -23,10 +22,8 @@ func LargeFileSweep(seed int64) Report {
 // LargeFileSweepWith runs E8 for one file size across worker counts.
 func LargeFileSweepWith(seed int64, fileSize int64, workers []int) Report {
 	runWith := func(nw int) (time.Duration, float64) {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var res pftool.Result
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
 			sys.Scratch.MkdirAll("/src")
 			sys.Scratch.WriteFile("/src/big", synthetic.NewUniform(uint64(seed), fileSize))
 			tun := pftool.DefaultTunables()
@@ -41,7 +38,6 @@ func LargeFileSweepWith(seed int64, fileSize int64, workers []int) Report {
 				panic(err)
 			}
 		})
-		clock.RunFor()
 		return res.Elapsed(), res.Rate() / 1e6
 	}
 	t := stats.NewTable("workers", "elapsed", "MB/s", "speedup")
@@ -76,12 +72,11 @@ func VeryLargeNtoN(seed int64) Report {
 // converting "an N-to-1 parallel I/O operation into an N-to-N".
 func VeryLargeNtoNWith(seed int64, fileSize int64) Report {
 	run := func(fuse bool) (pftool.Result, bool, time.Duration) {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var res pftool.Result
 		var chunked bool
 		var migrateTime time.Duration
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
+			clock := sys.Clock
 			sys.Scratch.MkdirAll("/src")
 			sys.Scratch.WriteFile("/src/huge", synthetic.NewUniform(uint64(seed), fileSize))
 			tun := pftool.DefaultTunables()
@@ -105,7 +100,6 @@ func VeryLargeNtoNWith(seed int64, fileSize int64) Report {
 			}
 			migrateTime = clock.Now() - start
 		})
-		clock.RunFor()
 		return res, chunked, migrateTime
 	}
 	nto1, _, nto1Mig := run(false)
@@ -143,12 +137,10 @@ func RestartableTransfer(seed int64) Report {
 // RestartableTransferWith runs E10: a file of fileSize in chunks of
 // chunkSize, failing at failAtChunk on the first attempt.
 func RestartableTransferWith(seed int64, fileSize, chunkSize int64, failAtChunk int) Report {
-	clock := simtime.NewClock()
-	sys := archive.NewDefault(clock)
 	var first, resume pftool.Result
 	var firstErr error
 	var resumedOK bool
-	clock.Go(func() {
+	runSystem(nil, func(sys *archive.System) {
 		content := synthetic.NewUniform(uint64(seed), fileSize)
 		sys.Scratch.MkdirAll("/src")
 		sys.Scratch.WriteFile("/src/big", content)
@@ -165,20 +157,20 @@ func RestartableTransferWith(seed int64, fileSize, chunkSize int64, failAtChunk 
 			}
 			return false
 		}
-		first, firstErr = pftoolRunOn(sys, "/src/big", "/dst/big", tun)
+		// No error-to-panic here: the injected first attempt fails by design.
+		first, firstErr = sys.Pfcp("/src/big", "/dst/big", tun)
 
 		tun2 := pftool.DefaultTunables()
 		tun2.ChunkSize = chunkSize
 		tun2.Restart = true
 		var err error
-		resume, err = pftoolRunOn(sys, "/src/big", "/dst/big", tun2)
+		resume, err = sys.Pfcp("/src/big", "/dst/big", tun2)
 		if err != nil {
 			panic(err)
 		}
 		got, err := sys.Archive.ReadContent("/dst/big")
 		resumedOK = err == nil && got.Equal(content)
 	})
-	clock.RunFor()
 
 	totalChunks := int(fileSize / chunkSize)
 	t := stats.NewTable("attempt", "chunks copied", "chunks skipped", "bytes moved", "outcome")
@@ -203,16 +195,6 @@ func RestartableTransferWith(seed int64, fileSize, chunkSize int64, failAtChunk 
 	r.metric("first_chunks", float64(first.ChunksCopied))
 	r.metric("resume_skipped", float64(resume.ChunksSkipped))
 	r.metric("resume_copied", float64(resume.ChunksCopied))
-	if !resumedOK {
-		r.metric("content_ok", 0)
-	} else {
-		r.metric("content_ok", 1)
-	}
+	r.metric("content_ok", b2f(resumedOK))
 	return r
-}
-
-// pftoolRunOn is Pfcp without the error-to-panic conversion, so the
-// injected first attempt can fail gracefully.
-func pftoolRunOn(sys *archive.System, src, dst string, tun pftool.Tunables) (pftool.Result, error) {
-	return sys.Pfcp(src, dst, tun)
 }

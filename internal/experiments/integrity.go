@@ -41,8 +41,7 @@ type integrityOutcome struct {
 	// file was recalled: the reader-facing proof.
 	matched, mismatched, missing int
 
-	snap   *telemetry.Snapshot
-	flight *telemetry.FlightDump
+	plantRun // the run's telemetry snapshot and flight dump
 }
 
 // rotFractions positions the three injected bit-rot sites, spread far
@@ -56,27 +55,17 @@ var rotFractions = []float64{0.125, 0.5, 0.875}
 // scrub pass racing the second project's migration, and two in-flight
 // link corruptions on the recall path.
 func integrityRun(seed int64, inject bool) integrityOutcome {
-	clock := simtime.NewClock()
-	opts := archive.DefaultOptions()
-	opts.TapeDrives = 8
-	opts.Cartridges = 64
-	opts.CopyPoolCartridges = 8
-	sys := archive.New(clock, opts)
-	reg := faults.New(clock, seed)
-	sys.InstallFaults(reg)
-
 	var out integrityOutcome
-	clock.Go(func() {
+	out.plantRun = runFaulted(seed, func(opts *archive.Options) {
+		opts.TapeDrives = 8
+		opts.Cartridges = 64
+		opts.CopyPoolCartridges = 8
+	}, func(sys *archive.System, reg *faults.Registry) {
+		clock := sys.Clock
 		tel := telemetry.Of(clock)
 		// Detection spans from the scrub must survive the recall and
 		// compare phases that follow them in the ring.
 		tel.SetFlightCapacity(16384)
-		defer func() {
-			if p := recover(); p != nil {
-				stashCrashFlight(tel.FlightDump())
-				panic(p)
-			}
-		}()
 		tun := pftool.DefaultTunables()
 
 		// Phase 1: archive project 1 and duplicate it into the copy pool.
@@ -230,10 +219,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 
 		out.stats = sys.TSM.Stats()
 		out.quar = sys.TSM.QuarantinedVolumes()
-		out.snap = tel.Snapshot()
-		out.flight = tel.FlightDump()
 	})
-	clock.RunFor()
 	return out
 }
 
@@ -253,10 +239,7 @@ func IntegrityStudy(seed int64) Report {
 	base := integrityRun(seed, false)
 	dirty := integrityRun(seed, true)
 
-	failf := func(format string, args ...interface{}) {
-		stashCrashFlight(dirty.flight)
-		panic(fmt.Sprintf(format, args...))
-	}
+	failf := dirty.failf
 
 	// Every injected corruption is caught by a checksum, and nothing
 	// reaches a reader: detections equal injections, repairs equal the
@@ -364,6 +347,6 @@ func IntegrityStudy(seed int64) Report {
 	r.metric("scrub_read_mbs", scrubRate)
 	r.Telemetry = dirty.snap
 	r.Flight = dirty.flight
-	r.Scrub = dirty.scrub
+	r.Detail = dirty.scrub
 	return r
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tsm"
+)
 
 // TestIntegrityStudyInvariants is the acceptance check for E18: with
 // media bit rot and in-flight link corruption injected, every corrupted
@@ -43,7 +47,7 @@ func TestIntegrityStudyInvariants(t *testing.T) {
 		t.Errorf("migrate rates clean %v / scrubbed %v, want both positive",
 			r.Metrics["migrate_mbs_clean"], r.Metrics["migrate_mbs_scrubbed"])
 	}
-	if len(r.Scrub) != 1 || r.Scrub[0].ObjectsVerified == 0 {
-		t.Errorf("scrub reports %+v, want one pass with verified objects", r.Scrub)
+	if passes, _ := r.Detail.([]tsm.ScrubReport); len(passes) != 1 || passes[0].ObjectsVerified == 0 {
+		t.Errorf("scrub reports %+v, want one pass with verified objects", r.Detail)
 	}
 }

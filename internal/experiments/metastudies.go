@@ -31,10 +31,9 @@ func SyncDeleteVsReconcileWith(seed int64, populations []int, victims int) Repor
 		Title: "Synchronous delete vs reconciliation (§4.2.6, §6.3)",
 	}
 	for _, pop := range populations {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var syncT, reconT time.Duration
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
+			clock := sys.Clock
 			// Population of resident files (cheap, bulk-created).
 			sys.Archive.MkdirAll("/pop")
 			const perDir = 4096
@@ -82,7 +81,6 @@ func SyncDeleteVsReconcileWith(seed int64, populations []int, victims int) Repor
 			}
 			reconT = clock.Now() - start
 		})
-		clock.RunFor()
 		ratio := 0.0
 		if syncT > 0 {
 			ratio = reconT.Seconds() / syncT.Seconds()
@@ -106,10 +104,9 @@ func MigratorBalance(seed int64) Report {
 // small files.
 func MigratorBalanceWith(seed int64, hugeFiles, smallFiles int) Report {
 	run := func(balanced bool) (time.Duration, time.Duration) {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var makespan, spread time.Duration
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
+			clock := sys.Clock
 			var infos []pfs.Info
 			infos = append(infos, seedArchiveFiles(sys, "/huge", hugeFiles, 40e9)...)
 			infos = append(infos, seedArchiveFiles(sys, "/small", smallFiles, 2e9)...)
@@ -135,7 +132,6 @@ func MigratorBalanceWith(seed int64, hugeFiles, smallFiles int) Report {
 			}
 			spread = max - min
 		})
-		clock.RunFor()
 		return makespan, spread
 	}
 	rrMake, rrSpread := run(false)
@@ -166,45 +162,43 @@ func InodeScan(seed int64) Report {
 
 // InodeScanWith runs E13 over the given inode count.
 func InodeScanWith(seed int64, inodes int) Report {
-	clock := simtime.NewClock()
-	cfg := pfs.GPFSConfig("gpfs")
-	cfg.MetaOpCost = 0 // isolate the scan itself
-	fs := pfs.New(clock, cfg)
 	var elapsed time.Duration
 	var visited int
-	clock.Go(func() {
-		const perDir = 8192
-		var specs []pfs.FileSpec
-		for i := 0; fs.NumInodes() < inodes; i++ {
-			if i%perDir == 0 {
-				if len(specs) > 0 {
+	runClock(func(clock *simtime.Clock) func() {
+		cfg := pfs.GPFSConfig("gpfs")
+		cfg.MetaOpCost = 0 // isolate the scan itself
+		fs := pfs.New(clock, cfg)
+		return func() {
+			const perDir = 8192
+			var specs []pfs.FileSpec
+			for i := 0; fs.NumInodes() < inodes; i++ {
+				if i%perDir == 0 {
+					if len(specs) > 0 {
+						fs.WriteFiles(specs)
+						specs = specs[:0]
+					}
+					fs.MkdirAll(fmt.Sprintf("/d%04d", i/perDir))
+				}
+				specs = append(specs, pfs.FileSpec{
+					Path:    fmt.Sprintf("/d%04d/f%07d", i/perDir, i),
+					Content: synthetic.NewUniform(uint64(i), 1),
+				})
+				if len(specs) == perDir {
 					fs.WriteFiles(specs)
 					specs = specs[:0]
 				}
-				fs.MkdirAll(fmt.Sprintf("/d%04d", i/perDir))
 			}
-			specs = append(specs, pfs.FileSpec{
-				Path:    fmt.Sprintf("/d%04d/f%07d", i/perDir, i),
-				Content: synthetic.NewUniform(uint64(i), 1),
-			})
-			if len(specs) == perDir {
+			if len(specs) > 0 {
 				fs.WriteFiles(specs)
-				specs = specs[:0]
 			}
+			start := clock.Now()
+			if _, err := ilm.RunList(fs, ilm.ListPolicy{Name: "scan", Where: ilm.IsFile()}); err != nil {
+				panic(err)
+			}
+			visited = fs.NumInodes()
+			elapsed = clock.Now() - start
 		}
-		if len(specs) > 0 {
-			fs.WriteFiles(specs)
-		}
-		start := clock.Now()
-		list, err := ilm.RunList(fs, ilm.ListPolicy{Name: "scan", Where: ilm.IsFile()})
-		if err != nil {
-			panic(err)
-		}
-		visited = fs.NumInodes()
-		elapsed = clock.Now() - start
-		_ = list
 	})
-	clock.RunFor()
 
 	t := stats.NewTable("metric", "value")
 	t.Row("inodes scanned", visited)
@@ -230,12 +224,8 @@ func ScalingGap(seed int64) Report {
 // ScalingGapWith runs E14 across mover-node counts.
 func ScalingGapWith(seed int64, nodeCounts []int) Report {
 	archiveRate := func(nodes int) float64 {
-		clock := simtime.NewClock()
-		opts := archive.DefaultOptions()
-		opts.Cluster.Nodes = nodes
-		sys := archive.New(clock, opts)
 		var rate float64
-		clock.Go(func() {
+		runSystem(func(opts *archive.Options) { opts.Cluster.Nodes = nodes }, func(sys *archive.System) {
 			spec := workload.JobSpec{ID: 1, Project: "materials", NumFiles: 100, TotalBytes: 100e9, AvgFileSize: 1e9}
 			if _, err := workload.BuildTree(sys.Scratch, "/src", spec, seed, 512); err != nil {
 				panic(err)
@@ -246,14 +236,11 @@ func ScalingGapWith(seed int64, nodeCounts []int) Report {
 			}
 			rate = res.Rate() / 1e6
 		})
-		clock.RunFor()
 		return rate
 	}
 	serialRate := func() float64 {
-		clock := simtime.NewClock()
-		sys := archive.NewDefault(clock)
 		var rate float64
-		clock.Go(func() {
+		runSystem(nil, func(sys *archive.System) {
 			spec := workload.JobSpec{ID: 1, Project: "materials", NumFiles: 50, TotalBytes: 25e9, AvgFileSize: 500e6}
 			if _, err := workload.BuildTree(sys.Scratch, "/src", spec, seed, 512); err != nil {
 				panic(err)
@@ -264,7 +251,6 @@ func ScalingGapWith(seed int64, nodeCounts []int) Report {
 			}
 			rate = res.RateMBs
 		})
-		clock.RunFor()
 		return rate
 	}()
 

@@ -41,8 +41,7 @@ func ObservabilitySelfCheck(seed int64) Report {
 		}
 	}
 	if len(crashes) == 0 {
-		stashCrashFlight(dirty.flight)
-		panic("observability self-check: chaos run recorded no node-crash fault events")
+		dirty.failf("observability self-check: chaos run recorded no node-crash fault events")
 	}
 	aborted := dirty.flight.Aborted()
 	for i := range crashes {
@@ -52,9 +51,8 @@ func ObservabilitySelfCheck(seed int64) Report {
 			}
 		}
 		if crashes[i].aborted == 0 {
-			stashCrashFlight(dirty.flight)
-			panic(fmt.Sprintf("observability self-check: mover crash %s (event %d) caused no aborted span",
-				crashes[i].component, crashes[i].id))
+			dirty.failf("observability self-check: mover crash %s (event %d) caused no aborted span",
+				crashes[i].component, crashes[i].id)
 		}
 	}
 

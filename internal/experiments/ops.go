@@ -53,30 +53,15 @@ type OpsAction struct {
 	Detail      string  `json:"detail,omitempty"`
 }
 
-// OpsReport is the drill's machine-readable summary; cmd/archsim
-// writes it as JSON behind -ops-report (CI archives the file).
+// OpsReport is the ops report's Detail: what the drill's flat metrics
+// cannot carry — the wave ledger, the operator's runbook actions, and
+// the scrubber's pass reports.
 type OpsReport struct {
-	Schema             string      `json:"schema"`
-	Seed               int64       `json:"seed"`
-	Pace               float64     `json:"pace"`
-	Drives             int         `json:"drives"`
-	SlowDrive          string      `json:"slow_drive"`
-	FaultWave          int         `json:"fault_wave"`
-	DrainWave          int         `json:"drain_wave"`
-	Waves              []OpsWave   `json:"waves"`
-	Actions            []OpsAction `json:"actions"`
-	Scrapes            int         `json:"scrapes"`
-	BaselineMBs        float64     `json:"baseline_mbs"`
-	ContaminatedMinMBs float64     `json:"contaminated_min_mbs"`
-	RecoveryMBs        float64     `json:"recovery_mbs"`
-	RecoveryRatio      float64     `json:"recovery_ratio"`
-	HeadlineMBs        float64     `json:"headline_mbs"`
-	ScrapeHeadlineMBs  float64     `json:"scrape_headline_mbs"`
-	ScrubInterval      string      `json:"scrub_interval"`
-	ScrubPasses        int         `json:"scrub_passes"`
-	AuditClean         bool        `json:"audit_clean"`
-	ScrapeMatches      bool        `json:"scrape_matches_snapshot"`
-	WallSecs           float64     `json:"wall_secs"`
+	SlowDrive     string            `json:"slow_drive"`
+	Waves         []OpsWave         `json:"waves"`
+	Actions       []OpsAction       `json:"actions"`
+	ScrubInterval string            `json:"scrub_interval"`
+	ScrubPasses   []tsm.ScrubReport `json:"scrub_passes"`
 
 	// FinalScrape is the settled /metrics body, written verbatim behind
 	// -ops-scrape so CI archives a real live scrape, not a re-render.
@@ -358,82 +343,81 @@ func OpsDrill(seed int64) Report { return opsDrill(seed, defaultOpsParams()) }
 
 func opsDrill(seed int64, p opsParams) Report {
 	wall0 := time.Now()
-	clock := simtime.NewClock()
-	clock.SetPace(p.Pace)
-	tel := telemetry.Of(clock)
-	opts := archive.DefaultOptions()
-	opts.TapeDrives = p.Drives
-	opts.Cartridges = p.Cartridges
-	// One mover stream per drive minus one: oversubscribed drives cause
-	// volume-swap churn that drowns the fault signal, and the spare
-	// drive is what the drained stream fails over to — the capacity the
-	// operator's runbook spends.
-	opts.Cluster.Nodes = p.Drives - 1
-	sys := archive.New(clock, opts)
-	reg := faults.New(clock, seed)
-	sys.InstallFaults(reg)
-	scrubber := sys.Scrubber(tsm.ScrubConfig{Client: "ops-scrub", Interval: p.ScrubStart})
-
-	srv := obs.New(clock, obs.Actions{Faults: reg, TSM: sys.TSM, Scrub: scrubber})
-	url, err := srv.Start(p.Addr)
-	if err != nil {
-		panic(fmt.Sprintf("ops: serve: %v", err))
-	}
-	defer srv.Close()
-
-	slow := sys.DriveNames()[0]
-	comp := faults.DriveComponent(slow)
-
 	var (
+		tel      *telemetry.Registry
+		scrubber *tsm.Scrubber
+		srv      *obs.Server
+		op       *opsOperator
+		slow     string
+
 		waves     []OpsWave
 		drainWave = -1
 		migSecs   float64
 		audit     archive.AuditResult
-		flight    *telemetry.FlightDump
 	)
-	clock.Go(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				stashCrashFlight(tel.FlightDump())
-				panic(r)
-			}
-		}()
-		tun := pftool.DefaultTunables()
-		ctrMig := tel.Counter("hsm_migrated_bytes_total")
-		for w := 0; ; w++ {
-			if w == p.FaultWave {
-				reg.Apply(faults.Event{Component: comp, Kind: faults.KindDegrade, Param: p.DegradeTo})
-			}
-			wv := opsWave(sys, ctrMig, w, seed, p, tun)
-			if drainWave < 0 && reg.Down(comp) {
-				drainWave = w
-			}
-			migSecs += wv.MigrateSecs
-			waves = append(waves, wv)
-			if drainWave >= 0 && w-drainWave >= p.RecoveryWaves {
-				break
-			}
-			if w+1 >= p.MaxWaves {
-				break
-			}
+	defer func() {
+		if srv != nil {
+			srv.Close()
 		}
-		// Post-incident integrity sweep at the operator's tightened
-		// cadence, then the exactly-once audit.
-		scrubber.ScrubOnce()
-		var aerr error
-		audit, aerr = sys.Audit()
-		if aerr != nil {
-			panic(fmt.Sprintf("ops audit: %v", aerr))
-		}
-		flight = tel.FlightDump()
-	})
-
-	op := newOpsOperator(url, p)
+	}()
 	stop := make(chan struct{})
 	opDone := make(chan struct{})
-	go func() { defer close(opDone); op.run(stop) }()
+	run := runClock(func(clock *simtime.Clock) func() {
+		clock.SetPace(p.Pace)
+		tel = telemetry.Of(clock)
+		sys := newSystem(clock, func(opts *archive.Options) {
+			opts.TapeDrives = p.Drives
+			opts.Cartridges = p.Cartridges
+			// One mover stream per drive minus one: oversubscribed drives cause
+			// volume-swap churn that drowns the fault signal, and the spare
+			// drive is what the drained stream fails over to — the capacity the
+			// operator's runbook spends.
+			opts.Cluster.Nodes = p.Drives - 1
+		})
+		reg := faults.New(clock, seed)
+		sys.InstallFaults(reg)
+		scrubber = sys.Scrubber(tsm.ScrubConfig{Client: "ops-scrub", Interval: p.ScrubStart})
 
-	clock.RunFor()
+		srv = obs.New(clock, obs.Actions{Faults: reg, TSM: sys.TSM, Scrub: scrubber})
+		url, err := srv.Start(p.Addr)
+		if err != nil {
+			panic(fmt.Sprintf("ops: serve: %v", err))
+		}
+		op = newOpsOperator(url, p)
+		go func() { defer close(opDone); op.run(stop) }()
+
+		slow = sys.DriveNames()[0]
+		comp := faults.DriveComponent(slow)
+		return func() {
+			tun := pftool.DefaultTunables()
+			ctrMig := tel.Counter("hsm_migrated_bytes_total")
+			for w := 0; ; w++ {
+				if w == p.FaultWave {
+					reg.Apply(faults.Event{Component: comp, Kind: faults.KindDegrade, Param: p.DegradeTo})
+				}
+				wv := opsWave(sys, ctrMig, w, seed, p, tun)
+				if drainWave < 0 && reg.Down(comp) {
+					drainWave = w
+				}
+				migSecs += wv.MigrateSecs
+				waves = append(waves, wv)
+				if drainWave >= 0 && w-drainWave >= p.RecoveryWaves {
+					break
+				}
+				if w+1 >= p.MaxWaves {
+					break
+				}
+			}
+			// Post-incident integrity sweep at the operator's tightened
+			// cadence, then the exactly-once audit.
+			scrubber.ScrubOnce()
+			var aerr error
+			audit, aerr = sys.Audit()
+			if aerr != nil {
+				panic(fmt.Sprintf("ops audit: %v", aerr))
+			}
+		}
+	})
 	srv.Settle()
 	close(stop)
 	<-opDone
@@ -489,10 +473,7 @@ func opsDrill(seed int64, p opsParams) Report {
 		}
 	}
 
-	failf := func(format string, args ...interface{}) {
-		stashCrashFlight(flight)
-		panic(fmt.Sprintf(format, args...))
-	}
+	failf := run.failf
 	if drainWave < 0 {
 		failf("ops: operator never drained %s (%d scrapes, %d waves, errs %v)",
 			slow, op.scrapes, len(waves), op.errs)
@@ -548,19 +529,6 @@ func opsDrill(seed int64, p opsParams) Report {
 		failf("ops: post-incident scrub pass unhappy: %+v", passes)
 	}
 
-	ops := &OpsReport{
-		Schema: "archsim-ops/v1", Seed: seed, Pace: p.Pace, Drives: p.Drives,
-		SlowDrive: slow, FaultWave: p.FaultWave, DrainWave: drainWave,
-		Waves: waves, Actions: op.actions, Scrapes: op.scrapes,
-		BaselineMBs: baseline, ContaminatedMinMBs: contamMin,
-		RecoveryMBs: recovery, RecoveryRatio: ratio,
-		HeadlineMBs: headline, ScrapeHeadlineMBs: scrapeHeadline,
-		ScrubInterval: scrubber.Interval().String(), ScrubPasses: len(passes),
-		AuditClean: audit.Clean(), ScrapeMatches: matches,
-		WallSecs:    time.Since(wall0).Seconds(),
-		FinalScrape: final,
-	}
-
 	t := stats.NewTable("metric", "value")
 	t.Row("waves", len(waves))
 	t.Row("fault wave (drive degrade)", p.FaultWave)
@@ -585,20 +553,29 @@ func opsDrill(seed int64, p opsParams) Report {
 			"the settled /metrics scrape is byte-identical to the post-hoc registry snapshot",
 		},
 	}
+	r.metric("pace", p.Pace)
+	r.metric("drives", float64(p.Drives))
 	r.metric("waves", float64(len(waves)))
+	r.metric("fault_wave", float64(p.FaultWave))
 	r.metric("drain_wave", float64(drainWave))
 	r.metric("baseline_mbs", baseline)
 	r.metric("contaminated_min_mbs", contamMin)
 	r.metric("recovery_mbs", recovery)
 	r.metric("recovery_ratio", ratio)
 	r.metric("headline_mbs", headline)
+	r.metric("scrape_headline_mbs", scrapeHeadline)
 	r.metric("operator_scrapes", float64(op.scrapes))
 	r.metric("operator_actions", float64(len(op.actions)))
+	r.metric("scrub_passes", float64(len(passes)))
 	r.metric("scrape_matches", b2f(matches))
 	r.metric("audit_clean", b2f(audit.Clean()))
+	r.metric("wall_secs", time.Since(wall0).Seconds())
 	r.Telemetry = snap
-	r.Flight = flight
-	r.Scrub = passes
-	r.Ops = ops
+	r.Flight = run.flight
+	r.Detail = &OpsReport{
+		SlowDrive: slow, Waves: waves, Actions: op.actions,
+		ScrubInterval: scrubber.Interval().String(), ScrubPasses: passes,
+		FinalScrape: final,
+	}
 	return r
 }

@@ -38,22 +38,20 @@ func testOpsParams() opsParams {
 func TestOpsDrill(t *testing.T) {
 	r := opsDrill(7, testOpsParams())
 
-	if r.Name != "ops" || r.Ops == nil {
-		t.Fatalf("report: name %q, ops %v", r.Name, r.Ops)
+	ops, ok := r.Detail.(*OpsReport)
+	if r.Name != "ops" || !ok {
+		t.Fatalf("report: name %q, detail %T", r.Name, r.Detail)
 	}
-	ops := r.Ops
-	if ops.Schema != "archsim-ops/v1" {
-		t.Fatalf("schema %q", ops.Schema)
+	m := r.Metrics
+	if m["drain_wave"] < m["fault_wave"] {
+		t.Fatalf("drained at wave %v before the fault at wave %v", m["drain_wave"], m["fault_wave"])
 	}
-	if ops.DrainWave < ops.FaultWave {
-		t.Fatalf("drained at wave %d before the fault at wave %d", ops.DrainWave, ops.FaultWave)
+	if m["recovery_ratio"] < 0.8 {
+		t.Fatalf("recovery ratio %.2f", m["recovery_ratio"])
 	}
-	if ops.RecoveryRatio < 0.8 {
-		t.Fatalf("recovery ratio %.2f", ops.RecoveryRatio)
-	}
-	if ops.ContaminatedMinMBs > 0.6*ops.BaselineMBs {
+	if m["contaminated_min_mbs"] > 0.6*m["baseline_mbs"] {
 		t.Fatalf("fault did not dent throughput: min %.1f vs baseline %.1f",
-			ops.ContaminatedMinMBs, ops.BaselineMBs)
+			m["contaminated_min_mbs"], m["baseline_mbs"])
 	}
 	if len(ops.Actions) != 3 {
 		t.Fatalf("runbook actions: %+v", ops.Actions)
@@ -61,8 +59,11 @@ func TestOpsDrill(t *testing.T) {
 	if got := ops.Actions[0]; got.Action != "drain-drive" || got.Target != ops.SlowDrive {
 		t.Fatalf("first action %+v, want drain of %s", got, ops.SlowDrive)
 	}
-	if !ops.ScrapeMatches || !ops.AuditClean {
-		t.Fatalf("scrape match %v, audit clean %v", ops.ScrapeMatches, ops.AuditClean)
+	if m["scrape_matches"] != 1 || m["audit_clean"] != 1 {
+		t.Fatalf("scrape match %v, audit clean %v", m["scrape_matches"], m["audit_clean"])
+	}
+	if len(ops.ScrubPasses) == 0 {
+		t.Fatal("no scrub pass in the report detail")
 	}
 
 	// The final scrape the report carries is a valid exposition, and the
@@ -70,12 +71,12 @@ func TestOpsDrill(t *testing.T) {
 	if _, err := obs.ValidateExposition(strings.NewReader(ops.FinalScrape)); err != nil {
 		t.Fatalf("final scrape invalid: %v", err)
 	}
-	b, err := json.Marshal(ops)
+	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(b), "archsim_virtual_seconds") {
-		t.Fatal("ops report JSON embeds the raw scrape; FinalScrape must be json:\"-\"")
+		t.Fatal("ops report JSON embeds the raw scrape; FinalScrape, Telemetry and Flight must be json:\"-\"")
 	}
 
 	// Phase accounting: every phase the summary derives from is present.

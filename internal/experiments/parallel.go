@@ -86,9 +86,8 @@ func (p *ParallelParams) defaults() {
 	}
 }
 
-// ParallelReport is the machine-readable E24 summary; cmd/archsim
-// writes it as JSON behind -parallel-report (schema archsim-parallel/v1,
-// archived by CI).
+// ParallelReport is the machine-readable E24 summary, carried as the
+// parallel report's Detail.
 type ParallelReport struct {
 	Islands int   `json:"islands"`
 	Workers int   `json:"workers"`
@@ -561,9 +560,9 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 	deterministic := haveBase
 	if haveBase {
 		if a, b := baseline.canonical(), measured.canonical(); a != b {
-			stashCrashFlight(telemetry.Of(measured.plant.sites[0].isl.Clock()).FlightDump())
-			panic(fmt.Sprintf("parallel: determinism violated: workers=1 and workers=%d outputs differ (%d vs %d bytes)",
-				p.Workers, len(a), len(b)))
+			plantRun{flight: telemetry.Of(measured.plant.sites[0].isl.Clock()).FlightDump()}.failf(
+				"parallel: determinism violated: workers=1 and workers=%d outputs differ (%d vs %d bytes)",
+				p.Workers, len(a), len(b))
 		}
 	}
 
@@ -660,7 +659,7 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 	}
 	r.Telemetry = measured.merged
 	r.Flight = telemetry.Of(measured.plant.sites[0].isl.Clock()).FlightDump()
-	r.Parallel = pr
+	r.Detail = pr
 
 	r.metric("islands", float64(p.Islands))
 	r.metric("workers", float64(p.Workers))

@@ -82,8 +82,8 @@ func TestParallelCheckpointRestore(t *testing.T) {
 func TestParallelRunReport(t *testing.T) {
 	p := ParallelParams{Seed: 7, Islands: 4, Workers: 2, Jobs: 12, MaxSimFiles: 2000, Epochs: 4}
 	r, pr := ParallelRun(p)
-	if r.Name != "parallel" || r.Parallel != pr {
-		t.Fatalf("report wiring: name=%q parallel=%p pr=%p", r.Name, r.Parallel, pr)
+	if r.Name != "parallel" || r.Detail != pr {
+		t.Fatalf("report wiring: name=%q detail=%p pr=%p", r.Name, r.Detail, pr)
 	}
 	if !pr.Deterministic {
 		t.Error("A/B ran but Deterministic=false")

@@ -112,72 +112,70 @@ func (o stormOutcome) meanGoodput(from, to int) float64 {
 // watermark, and client retries under the shared jitter + retry-budget
 // + breaker defense.
 func stormRun(reqs []stormReq, seed int64, defended bool) stormOutcome {
-	clock := simtime.NewClock()
-	lib := tape.NewLibrary(clock, stormDrives, 16, 2, tape.LTO4())
-	srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
-	sch := sched.Of(clock)
-	reg := faults.New(clock, seed)
-	reg.OnApply(func(ev faults.Event) {
-		if ev.Component == faults.TSMComponent {
-			srv.SetDown(ev.Kind == faults.KindFail)
-		}
-	})
-
 	minutes := int(stormArrivalsEnd/time.Minute) + 1
 	out := stormOutcome{
 		cohortTotal:  make([]int, minutes),
 		cohortServed: make([]int, minutes),
 	}
-	clock.Go(func() {
-		objs := make([]tsm.Object, 0, stormObjects)
-		for i := 0; i < stormObjects; i++ {
-			g := i % stormDrives
-			obj, err := srv.Store(tsm.StoreRequest{
-				Client: fmt.Sprintf("seed-%d", g),
-				Path:   fmt.Sprintf("/pool%d/f%04d", g, i),
-				Bytes:  stormObjectBytes,
-				Group:  fmt.Sprintf("pool-%d", g),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("storm: seed store: %v", err))
+	out.snap = runClock(func(clock *simtime.Clock) func() {
+		lib := tape.NewLibrary(clock, stormDrives, 16, 2, tape.LTO4())
+		srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
+		sch := sched.Of(clock)
+		reg := faults.New(clock, seed)
+		reg.OnApply(func(ev faults.Event) {
+			if ev.Component == faults.TSMComponent {
+				srv.SetDown(ev.Kind == faults.KindFail)
 			}
-			objs = append(objs, obj)
-		}
-
-		defense := faults.DefenseOf(clock)
-		if defended {
-			sch.SetLimit(sched.StationSession, stormDrives)
-			// The watermark must sit below the per-attempt deadline:
-			// queued batch work is deadline-cancelled at 30s, so a higher
-			// watermark would never see a longer class wait.
-			sch.SetShedWatermark(sched.Batch, 20*time.Second)
-			defense.Enable(faults.DefensePolicy{
-				Jitter: 0.5, Seed: uint64(seed),
-				RetryRate: 0.5, RetryBurst: 30,
-				BreakerThreshold: 10, BreakerCooldown: 15 * time.Second,
-			})
-		}
-		start := clock.Now()
-		reg.Window(faults.TSMComponent, start+stormOutageAt, stormOutageLen)
-
-		wg := simtime.NewWaitGroup(clock)
-		wg.Add(len(reqs))
-		for _, r := range reqs {
-			r := r
-			clock.At(start+r.at, func() {
-				defer wg.Done()
-				id := objs[r.obj].ID
-				if defended {
-					out.attempts += stormDefendedClient(clock, srv, defense, r, id, &out)
-				} else {
-					out.attempts += stormNaiveClient(clock, srv, r, id, &out, wg)
+		})
+		return func() {
+			objs := make([]tsm.Object, 0, stormObjects)
+			for i := 0; i < stormObjects; i++ {
+				g := i % stormDrives
+				obj, err := srv.Store(tsm.StoreRequest{
+					Client: fmt.Sprintf("seed-%d", g),
+					Path:   fmt.Sprintf("/pool%d/f%04d", g, i),
+					Bytes:  stormObjectBytes,
+					Group:  fmt.Sprintf("pool-%d", g),
+				})
+				if err != nil {
+					panic(fmt.Sprintf("storm: seed store: %v", err))
 				}
-			})
+				objs = append(objs, obj)
+			}
+
+			defense := faults.DefenseOf(clock)
+			if defended {
+				sch.SetLimit(sched.StationSession, stormDrives)
+				// The watermark must sit below the per-attempt deadline:
+				// queued batch work is deadline-cancelled at 30s, so a higher
+				// watermark would never see a longer class wait.
+				sch.SetShedWatermark(sched.Batch, 20*time.Second)
+				defense.Enable(faults.DefensePolicy{
+					Jitter: 0.5, Seed: uint64(seed),
+					RetryRate: 0.5, RetryBurst: 30,
+					BreakerThreshold: 10, BreakerCooldown: 15 * time.Second,
+				})
+			}
+			start := clock.Now()
+			reg.Window(faults.TSMComponent, start+stormOutageAt, stormOutageLen)
+
+			wg := simtime.NewWaitGroup(clock)
+			wg.Add(len(reqs))
+			for _, r := range reqs {
+				r := r
+				clock.At(start+r.at, func() {
+					defer wg.Done()
+					id := objs[r.obj].ID
+					if defended {
+						out.attempts += stormDefendedClient(clock, srv, defense, r, id, &out)
+					} else {
+						out.attempts += stormNaiveClient(clock, srv, r, id, &out, wg)
+					}
+				})
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-		out.snap = telemetry.Of(clock).Snapshot()
-	})
-	clock.RunFor()
+	}).snap
 	return out
 }
 
@@ -266,34 +264,16 @@ func stormDefendedClient(clock *simtime.Clock, srv *tsm.Server, defense *faults.
 }
 
 // StormCohort is one arrival-minute's interactive goodput on both
-// stacks in the -storm-report JSON.
+// stacks.
 type StormCohort struct {
 	Minute   int     `json:"minute"`
 	Baseline float64 `json:"baseline_goodput"`
 	Defended float64 `json:"defended_goodput"`
 }
 
-// StormReport is the machine-readable summary of the overload study
-// (schema archsim-storm/v1, archived by CI as a build artifact).
+// StormReport is the storm report's Detail: the per-cohort goodput
+// curves the headline metrics summarize.
 type StormReport struct {
-	Requests         int `json:"requests"`
-	BaselineAttempts int `json:"baseline_attempts"`
-	DefendedAttempts int `json:"defended_attempts"`
-
-	OutageStartMinute int `json:"outage_start_minute"`
-	OutageEndMinute   int `json:"outage_end_minute"`
-
-	PreFaultGoodput        float64 `json:"pre_fault_goodput"`
-	BaselinePostFaultMean  float64 `json:"baseline_post_fault_mean_goodput"`
-	DefendedRecoveryMinute int     `json:"defended_recovery_minutes_after_repair"`
-	DefendedSteadyGoodput  float64 `json:"defended_steady_goodput"`
-
-	InteractiveShed      float64 `json:"interactive_shed_total"`
-	BatchShed            float64 `json:"batch_shed_total"`
-	DeadlineExceeded     float64 `json:"deadline_exceeded_total"`
-	RetryBudgetExhausted float64 `json:"retry_budget_exhausted_total"`
-	BreakerRejected      float64 `json:"breaker_rejected_total"`
-
 	Cohorts []StormCohort `json:"cohorts"`
 }
 
@@ -382,22 +362,8 @@ func StormStudy(seed int64) Report {
 		panic("storm: naive client never amplified — the baseline is not a retry storm")
 	}
 
-	rep := &StormReport{
-		Requests:               len(reqs),
-		BaselineAttempts:       base.attempts,
-		DefendedAttempts:       def.attempts,
-		OutageStartMinute:      outStart,
-		OutageEndMinute:        repair,
-		PreFaultGoodput:        preFault,
-		BaselinePostFaultMean:  base.meanGoodput(repair, repair+10),
-		DefendedRecoveryMinute: recovery,
-		DefendedSteadyGoodput:  steady,
-		InteractiveShed:        intShed,
-		BatchShed:              batchShed,
-		DeadlineExceeded:       deadlines,
-		RetryBudgetExhausted:   budgetDry,
-		BreakerRejected:        rejected,
-	}
+	basePost := base.meanGoodput(repair, repair+10)
+	rep := &StormReport{}
 	for m := 0; m <= lastFull; m++ {
 		rep.Cohorts = append(rep.Cohorts, StormCohort{Minute: m, Baseline: base.goodput(m), Defended: def.goodput(m)})
 	}
@@ -407,7 +373,7 @@ func StormStudy(seed int64) Report {
 	t.Row(fmt.Sprintf("outage %d..%d", outStart, repair-1),
 		fmt.Sprintf("%.2f", base.meanGoodput(outStart, repair)), fmt.Sprintf("%.2f", def.meanGoodput(outStart, repair)))
 	t.Row(fmt.Sprintf("post-repair %d..%d", repair, repair+9),
-		fmt.Sprintf("%.2f", rep.BaselinePostFaultMean), fmt.Sprintf("%.2f", def.meanGoodput(repair, repair+10)))
+		fmt.Sprintf("%.2f", basePost), fmt.Sprintf("%.2f", def.meanGoodput(repair, repair+10)))
 	t.Row(fmt.Sprintf("steady %d..%d", repair+5, lastFull),
 		fmt.Sprintf("%.2f", base.meanGoodput(repair+5, lastFull+1)), fmt.Sprintf("%.2f", steady))
 
@@ -420,7 +386,7 @@ func StormStudy(seed int64) Report {
 			fmt.Sprintf("%d requests; the naive client amplified them into %d attempts, the defended client into %d",
 				len(reqs), base.attempts, def.attempts),
 			fmt.Sprintf("baseline interactive goodput averaged %.0f%% of pre-fault for the 10 minutes AFTER repair — the storm outlives its trigger",
-				100*rep.BaselinePostFaultMean/preFault),
+				100*basePost/preFault),
 			fmt.Sprintf("defended stack back at >=95%% of pre-fault %d minute(s) after repair; %v batch admissions browned out, zero interactive",
 				recovery, batchShed),
 			fmt.Sprintf("every admission accounted for: %v admitted = %v completed + %v shed + %v deadline-cancelled",
@@ -430,15 +396,18 @@ func StormStudy(seed int64) Report {
 	r.metric("requests", float64(len(reqs)))
 	r.metric("baseline_attempts", float64(base.attempts))
 	r.metric("defended_attempts", float64(def.attempts))
+	r.metric("outage_start_minute", float64(outStart))
+	r.metric("outage_end_minute", float64(repair))
 	r.metric("pre_fault_goodput", preFault)
-	r.metric("baseline_post_fault_mean_goodput", rep.BaselinePostFaultMean)
+	r.metric("baseline_post_fault_mean_goodput", basePost)
 	r.metric("defended_recovery_minutes", float64(recovery))
 	r.metric("defended_steady_goodput", steady)
+	r.metric("interactive_shed_total", intShed)
 	r.metric("batch_shed_total", batchShed)
 	r.metric("deadline_exceeded_total", deadlines)
 	r.metric("retry_budget_exhausted_total", budgetDry)
 	r.metric("breaker_rejected_total", rejected)
 	r.Telemetry = def.snap
-	r.Storm = rep
+	r.Detail = rep
 	return r
 }

@@ -13,33 +13,34 @@ import "testing"
 func TestStormStudyInvariants(t *testing.T) {
 	r := StormStudy(7)
 
-	if r.Storm == nil {
-		t.Fatal("no storm report attached")
+	rep, ok := r.Detail.(*StormReport)
+	if !ok {
+		t.Fatalf("storm report detail is %T, want *StormReport", r.Detail)
 	}
-	rep := r.Storm
-	if rep.Requests == 0 || len(rep.Cohorts) == 0 {
-		t.Fatalf("empty demand: %d requests, %d cohorts", rep.Requests, len(rep.Cohorts))
+	m := r.Metrics
+	if m["requests"] == 0 || len(rep.Cohorts) == 0 {
+		t.Fatalf("empty demand: %v requests, %d cohorts", m["requests"], len(rep.Cohorts))
 	}
-	if rep.BaselineAttempts <= rep.Requests {
-		t.Errorf("baseline attempts %d did not amplify %d requests", rep.BaselineAttempts, rep.Requests)
+	if m["baseline_attempts"] <= m["requests"] {
+		t.Errorf("baseline attempts %v did not amplify %v requests", m["baseline_attempts"], m["requests"])
 	}
-	if rep.DefendedAttempts >= rep.BaselineAttempts {
-		t.Errorf("defended attempts %d not below the naive %d — the budget bought nothing",
-			rep.DefendedAttempts, rep.BaselineAttempts)
+	if m["defended_attempts"] >= m["baseline_attempts"] {
+		t.Errorf("defended attempts %v not below the naive %v — the budget bought nothing",
+			m["defended_attempts"], m["baseline_attempts"])
 	}
-	if rep.BaselinePostFaultMean >= 0.5*rep.PreFaultGoodput {
+	if m["baseline_post_fault_mean_goodput"] >= 0.5*m["pre_fault_goodput"] {
 		t.Errorf("baseline post-fault goodput %.2f vs pre-fault %.2f: no collapse",
-			rep.BaselinePostFaultMean, rep.PreFaultGoodput)
+			m["baseline_post_fault_mean_goodput"], m["pre_fault_goodput"])
 	}
-	if rep.DefendedRecoveryMinute > 5 {
-		t.Errorf("defended recovery took %d minutes, want <= 5", rep.DefendedRecoveryMinute)
+	if m["defended_recovery_minutes"] > 5 {
+		t.Errorf("defended recovery took %v minutes, want <= 5", m["defended_recovery_minutes"])
 	}
-	if rep.InteractiveShed != 0 {
-		t.Errorf("%v interactive admissions shed", rep.InteractiveShed)
+	if m["interactive_shed_total"] != 0 {
+		t.Errorf("%v interactive admissions shed", m["interactive_shed_total"])
 	}
-	if rep.BatchShed == 0 || rep.DeadlineExceeded == 0 ||
-		rep.RetryBudgetExhausted == 0 || rep.BreakerRejected == 0 {
-		t.Errorf("a defense primitive never fired: %+v", rep)
+	if m["batch_shed_total"] == 0 || m["deadline_exceeded_total"] == 0 ||
+		m["retry_budget_exhausted_total"] == 0 || m["breaker_rejected_total"] == 0 {
+		t.Errorf("a defense primitive never fired: %+v", m)
 	}
 	if r.Telemetry == nil {
 		t.Fatal("no telemetry snapshot attached")

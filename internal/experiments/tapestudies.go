@@ -7,7 +7,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/hsm"
 	"repro/internal/pfs"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/synthetic"
 )
@@ -58,18 +57,12 @@ func SmallFileTape(seed int64) Report {
 // SmallFileTapeWith runs E6 at the given scale.
 func SmallFileTapeWith(p SmallFileTapeParams) Report {
 	perDriveRate := func(cfg hsm.Config, files int, size int64) float64 {
-		clock := simtime.NewClock()
-		opts := archive.DefaultOptions()
-		opts.HSM = cfg
-		sys := archive.New(clock, opts)
 		var rate float64
-		clock.Go(func() {
+		runSystem(func(opts *archive.Options) { opts.HSM = cfg }, func(sys *archive.System) {
 			infos := seedArchiveFiles(sys, "/mig", files, size)
-			start := clock.Now()
 			if _, err := sys.HSM.Migrate(infos, hsm.MigrateOptions{Balanced: true}); err != nil {
 				panic(err)
 			}
-			elapsed := clock.Now() - start
 			// Effective per-drive rate while migrating: bytes over the
 			// drives' transaction (streaming + start/stop) time. This
 			// is the figure the paper quotes ("4 MB/s instead of 100
@@ -78,9 +71,7 @@ func SmallFileTapeWith(p SmallFileTapeParams) Report {
 			if xfer > 0 {
 				rate = float64(int64(files)*size) / xfer.Seconds()
 			}
-			_ = elapsed
 		})
-		clock.RunFor()
 		return rate
 	}
 	small := perDriveRate(hsm.Config{}, p.SmallFiles, p.SmallSize)
@@ -118,13 +109,12 @@ func RecallOrdering(seed int64) Report {
 // RecallOrderingWith runs E7 at the given scale.
 func RecallOrderingWith(p RecallParams) Report {
 	runMode := func(mode hsm.RecallMode) (time.Duration, int, int) {
-		clock := simtime.NewClock()
-		opts := archive.DefaultOptions()
-		opts.TapeDrives = 8 // fewer drives than volumes in play sharpens contention
-		sys := archive.New(clock, opts)
 		var elapsed time.Duration
 		var verifies, seeks int
-		clock.Go(func() {
+		runSystem(func(opts *archive.Options) {
+			opts.TapeDrives = 8 // fewer drives than volumes in play sharpens contention
+		}, func(sys *archive.System) {
+			clock := sys.Clock
 			infos := seedArchiveFiles(sys, "/mig", p.Files, p.Size)
 			if _, err := sys.HSM.Migrate(infos, hsm.MigrateOptions{}); err != nil {
 				panic(err)
@@ -143,7 +133,6 @@ func RecallOrderingWith(p RecallParams) Report {
 			verifies = post.LabelVerifies - preStats.LabelVerifies
 			seeks = post.Seeks - preStats.Seeks
 		})
-		clock.RunFor()
 		return elapsed, verifies, seeks
 	}
 	naiveT, naiveV, naiveS := runMode(hsm.RecallNaive)

@@ -36,36 +36,6 @@ func tenantDemand(seed int64) workload.TenantPopulation {
 	}
 }
 
-// TenantClassReport is one QoS class's queue-wait summary in the
-// -tenant-report JSON.
-type TenantClassReport struct {
-	Class      string  `json:"class"`
-	Requests   int64   `json:"requests"`
-	P50Seconds float64 `json:"p50_wait_seconds"`
-	P99Seconds float64 `json:"p99_wait_seconds"`
-}
-
-// TenantReport is the machine-readable summary of the multi-tenant QoS
-// study (schema archsim-tenants/v1, archived by CI as a build
-// artifact).
-type TenantReport struct {
-	Population    int     `json:"population"`
-	ActiveTenants int     `json:"active_tenants"`
-	Requests      int     `json:"requests"`
-	Top1PctShare  float64 `json:"top_1pct_request_share"`
-
-	Classes []TenantClassReport `json:"classes"`
-
-	StarvationEvents   int64   `json:"starvation_events"`
-	SLOViolations      int64   `json:"slo_violations"`
-	ScavShareConfig    float64 `json:"scavenger_share_configured"`
-	ScavShareObserved  float64 `json:"scavenger_share_observed"`
-	FairnessBatchJain  float64 `json:"fairness_batch_jain"`
-	BaselineMBs        float64 `json:"baseline_mbs"`
-	ScheduledMBs       float64 `json:"scheduled_mbs"`
-	ThroughputDeltaPct float64 `json:"throughput_delta_pct"`
-}
-
 // tenantOutcome is one replay of the day's demand — scheduled (the
 // session station limited to the drive count, QoS arbitration on) or
 // baseline (pass-through admission, FIFO at the drive pool).
@@ -90,83 +60,81 @@ type tenantOutcome struct {
 // stream: each request is one tenant recalling one object under its
 // own (tenant, class) QoS tag.
 func tenantRun(reqs []workload.Request, scheduled bool) tenantOutcome {
-	clock := simtime.NewClock()
-	lib := tape.NewLibrary(clock, tenantDrives, 16, 2, tape.LTO4())
-	srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
-	sch := sched.Of(clock)
-
 	var out tenantOutcome
-	clock.Go(func() {
-		// Seed the archive: one colocation group per drive, so every
-		// volume ends up pinned to its own drive during the recall day.
-		objs := make([]tsm.Object, 0, tenantObjects)
-		for i := 0; i < tenantObjects; i++ {
-			g := i % tenantDrives
-			obj, err := srv.Store(tsm.StoreRequest{
-				Client: fmt.Sprintf("seed-%d", g),
-				Path:   fmt.Sprintf("/pool%d/f%04d", g, i),
-				Bytes:  tenantObjectBytes,
-				Group:  fmt.Sprintf("pool-%d", g),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("tenants: seed store: %v", err))
-			}
-			objs = append(objs, obj)
-		}
-
-		if scheduled {
-			sch.SetLimit(sched.StationSession, tenantDrives)
-			sch.SetScavengerShare(tenantScavShare)
-			sch.SetStarvationThreshold(2 * time.Hour)
-			sch.SetSLO(sched.Interactive, 5*time.Minute)
-		}
-
-		start := clock.Now()
-		wg := simtime.NewWaitGroup(clock)
-		wg.Add(len(reqs))
-		for i, r := range reqs {
-			i, r := i, r
-			clock.At(start+r.At, func() {
-				defer wg.Done()
-				obj := objs[(r.Tenant+104729*i)%len(objs)]
-				// One shared TSM client: as in the real product, the
-				// recall daemon owns the drive sessions — per-tenant
-				// identity rides in the QoS tag, not the session (a
-				// client per tenant would pay the §6.2 handoff thrash
-				// on every single recall).
-				got, err := srv.Recall(tsm.RecallRequest{
-					Client:   "recall",
-					ObjectID: obj.ID,
-					QoS:      sched.QoS{Tenant: workload.TenantName(r.Tenant), Class: r.Class},
+	out.snap = runClock(func(clock *simtime.Clock) func() {
+		lib := tape.NewLibrary(clock, tenantDrives, 16, 2, tape.LTO4())
+		srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
+		sch := sched.Of(clock)
+		return func() {
+			// Seed the archive: one colocation group per drive, so every
+			// volume ends up pinned to its own drive during the recall day.
+			objs := make([]tsm.Object, 0, tenantObjects)
+			for i := 0; i < tenantObjects; i++ {
+				g := i % tenantDrives
+				obj, err := srv.Store(tsm.StoreRequest{
+					Client: fmt.Sprintf("seed-%d", g),
+					Path:   fmt.Sprintf("/pool%d/f%04d", g, i),
+					Bytes:  tenantObjectBytes,
+					Group:  fmt.Sprintf("pool-%d", g),
 				})
 				if err != nil {
-					panic(fmt.Sprintf("tenants: recall: %v", err))
+					panic(fmt.Sprintf("tenants: seed store: %v", err))
 				}
-				out.bytes += got.Bytes
-				out.recalls++
-			})
-		}
-		wg.Wait()
-		out.makespan = clock.Now() - start
-
-		reg := telemetry.Of(clock)
-		for _, c := range []sched.Class{sched.Interactive, sched.Batch, sched.Scavenger} {
-			sum := reg.Summary("sched_queue_wait_seconds", "class", c.String())
-			out.count[c] = sum.Count()
-			if sum.Count() > 0 {
-				out.p50[c] = sum.Quantile(0.50)
-				out.p99[c] = sum.Quantile(0.99)
+				objs = append(objs, obj)
 			}
-			out.starved += reg.Counter("sched_starvation_total", "class", c.String()).Value()
-			out.sloViol += reg.Counter("sched_slo_violations_total", "class", c.String()).Value()
+
+			if scheduled {
+				sch.SetLimit(sched.StationSession, tenantDrives)
+				sch.SetScavengerShare(tenantScavShare)
+				sch.SetStarvationThreshold(2 * time.Hour)
+				sch.SetSLO(sched.Interactive, 5*time.Minute)
+			}
+
+			start := clock.Now()
+			wg := simtime.NewWaitGroup(clock)
+			wg.Add(len(reqs))
+			for i, r := range reqs {
+				i, r := i, r
+				clock.At(start+r.At, func() {
+					defer wg.Done()
+					obj := objs[(r.Tenant+104729*i)%len(objs)]
+					// One shared TSM client: as in the real product, the
+					// recall daemon owns the drive sessions — per-tenant
+					// identity rides in the QoS tag, not the session (a
+					// client per tenant would pay the §6.2 handoff thrash
+					// on every single recall).
+					got, err := srv.Recall(tsm.RecallRequest{
+						Client:   "recall",
+						ObjectID: obj.ID,
+						QoS:      sched.QoS{Tenant: workload.TenantName(r.Tenant), Class: r.Class},
+					})
+					if err != nil {
+						panic(fmt.Sprintf("tenants: recall: %v", err))
+					}
+					out.bytes += got.Bytes
+					out.recalls++
+				})
+			}
+			wg.Wait()
+			out.makespan = clock.Now() - start
+
+			reg := telemetry.Of(clock)
+			for _, c := range []sched.Class{sched.Interactive, sched.Batch, sched.Scavenger} {
+				sum := reg.Summary("sched_queue_wait_seconds", "class", c.String())
+				out.count[c] = sum.Count()
+				if sum.Count() > 0 {
+					out.p50[c] = sum.Quantile(0.50)
+					out.p99[c] = sum.Quantile(0.99)
+				}
+				out.starved += reg.Counter("sched_starvation_total", "class", c.String()).Value()
+				out.sloViol += reg.Counter("sched_slo_violations_total", "class", c.String()).Value()
+			}
+			if scav, total := sch.ContentionStats(); total > 0 {
+				out.scavObs = float64(scav) / float64(total)
+			}
+			out.fairness = jainMeanWait(sch.TenantStats(), sched.Batch)
 		}
-		if scav, total := sch.ContentionStats(); total > 0 {
-			out.scavObs = float64(scav) / float64(total)
-		}
-		out.fairness = jainMeanWait(sch.TenantStats(), sched.Batch)
-		out.snap = reg.Snapshot()
-	})
-	clock.RunFor()
+	}).snap
 	return out
 }
 
@@ -255,27 +223,6 @@ func TenantStudy(seed int64) Report {
 	t.Row("p99 wait (s)", fmt.Sprintf("%.1f", schd.p99[sched.Interactive]),
 		fmt.Sprintf("%.1f", schd.p99[sched.Batch]), fmt.Sprintf("%.1f", schd.p99[sched.Scavenger]))
 
-	rep := &TenantReport{
-		Population:         pop.Tenants,
-		ActiveTenants:      len(active),
-		Requests:           len(reqs),
-		Top1PctShare:       topShare,
-		StarvationEvents:   int64(schd.starved),
-		SLOViolations:      int64(schd.sloViol),
-		ScavShareConfig:    tenantScavShare,
-		ScavShareObserved:  schd.scavObs,
-		FairnessBatchJain:  schd.fairness,
-		BaselineMBs:        baseMBs,
-		ScheduledMBs:       schdMBs,
-		ThroughputDeltaPct: delta * 100,
-	}
-	for _, c := range []sched.Class{sched.Interactive, sched.Batch, sched.Scavenger} {
-		rep.Classes = append(rep.Classes, TenantClassReport{
-			Class: c.String(), Requests: classReqs[c],
-			P50Seconds: schd.p50[c], P99Seconds: schd.p99[c],
-		})
-	}
-
 	r := Report{
 		Name: "tenants",
 		Title: "Multi-tenant QoS: 1.2M-user day of recall demand under " +
@@ -295,17 +242,19 @@ func TenantStudy(seed int64) Report {
 	r.metric("active_tenants", float64(len(active)))
 	r.metric("requests", float64(len(reqs)))
 	r.metric("top1pct_share", topShare)
-	r.metric("p99_interactive_s", schd.p99[sched.Interactive])
-	r.metric("p99_batch_s", schd.p99[sched.Batch])
-	r.metric("p99_scavenger_s", schd.p99[sched.Scavenger])
+	for _, c := range []sched.Class{sched.Interactive, sched.Batch, sched.Scavenger} {
+		r.metric("requests_"+c.String(), float64(classReqs[c]))
+		r.metric("p50_"+c.String()+"_s", schd.p50[c])
+		r.metric("p99_"+c.String()+"_s", schd.p99[c])
+	}
 	r.metric("starvation_events", schd.starved)
 	r.metric("slo_violations", schd.sloViol)
+	r.metric("scav_share_configured", tenantScavShare)
 	r.metric("scav_share_observed", schd.scavObs)
 	r.metric("fairness_batch_jain", schd.fairness)
 	r.metric("baseline_mbs", baseMBs)
 	r.metric("scheduled_mbs", schdMBs)
 	r.metric("throughput_delta_pct", delta*100)
 	r.Telemetry = schd.snap
-	r.Tenants = rep
 	return r
 }

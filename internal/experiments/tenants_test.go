@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -11,52 +12,60 @@ import (
 // starved tenant, the scavenger floor honored, and no throughput paid
 // for the arbitration. TenantStudy panics on any violated invariant,
 // so the test mostly confirms the study ran at contract scale and the
-// report carries the machine-readable summary CI archives.
+// report carries the metrics CI archives.
 func TestTenantStudyInvariants(t *testing.T) {
 	r := TenantStudy(11)
+	m := r.Metrics
 
-	if r.Tenants == nil {
-		t.Fatal("no tenant report attached")
+	if m["population"] < 1_000_000 {
+		t.Errorf("population %v below the 1M contract", m["population"])
 	}
-	rep := r.Tenants
-	if rep.Population < 1_000_000 {
-		t.Errorf("population %d below the 1M contract", rep.Population)
+	if m["requests"] == 0 || m["active_tenants"] == 0 {
+		t.Errorf("empty demand: %v requests over %v active tenants", m["requests"], m["active_tenants"])
 	}
-	if rep.Requests == 0 || rep.ActiveTenants == 0 {
-		t.Errorf("empty demand: %d requests over %d active tenants", rep.Requests, rep.ActiveTenants)
+	if m["top1pct_share"] < 0.5 {
+		t.Errorf("top-1%% request share %.2f: the heavy tail went missing", m["top1pct_share"])
 	}
-	if rep.Top1PctShare < 0.5 {
-		t.Errorf("top-1%% request share %.2f: the heavy tail went missing", rep.Top1PctShare)
+	for _, c := range []string{"interactive", "batch", "scavenger"} {
+		for _, k := range []string{"requests_" + c, "p50_" + c + "_s", "p99_" + c + "_s"} {
+			if _, ok := m[k]; !ok {
+				t.Fatalf("report carries no %s metric", k)
+			}
+		}
 	}
-	if len(rep.Classes) != 3 {
-		t.Fatalf("report carries %d classes, want 3", len(rep.Classes))
+	if !(m["p99_interactive_s"] < m["p99_batch_s"] && m["p99_batch_s"] < m["p99_scavenger_s"]) {
+		t.Errorf("p99 waits not strictly ordered across classes: %v / %v / %v",
+			m["p99_interactive_s"], m["p99_batch_s"], m["p99_scavenger_s"])
 	}
-	if !(rep.Classes[0].P99Seconds < rep.Classes[1].P99Seconds &&
-		rep.Classes[1].P99Seconds < rep.Classes[2].P99Seconds) {
-		t.Errorf("p99 waits not strictly ordered across classes: %+v", rep.Classes)
+	if m["starvation_events"] != 0 {
+		t.Errorf("%v starvation events, want 0", m["starvation_events"])
 	}
-	if rep.StarvationEvents != 0 {
-		t.Errorf("%d starvation events, want 0", rep.StarvationEvents)
-	}
-	if rep.ScavShareObserved < 0.5*rep.ScavShareConfig {
+	if m["scav_share_observed"] < 0.5*m["scav_share_configured"] {
 		t.Errorf("observed scavenger share %.3f below half the configured %.2f",
-			rep.ScavShareObserved, rep.ScavShareConfig)
+			m["scav_share_observed"], m["scav_share_configured"])
 	}
-	if d := rep.ThroughputDeltaPct; d < -5 || d > 5 {
+	if d := m["throughput_delta_pct"]; d < -5 || d > 5 {
 		t.Errorf("throughput delta %.1f%% outside the 5%% band", d)
 	}
-	if rep.FairnessBatchJain <= 0 || rep.FairnessBatchJain > 1 {
-		t.Errorf("Jain fairness %.3f outside (0, 1]", rep.FairnessBatchJain)
+	if j := m["fairness_batch_jain"]; j <= 0 || j > 1 {
+		t.Errorf("Jain fairness %.3f outside (0, 1]", j)
 	}
 	if r.Telemetry == nil {
 		t.Error("tenant report missing its telemetry snapshot")
 	}
 
-	// Same seed, same study: the report (quantiles included) must be
-	// bit-identical across runs — the demand generator and the
+	// Same seed, same study: the marshalled report (quantiles included)
+	// must be byte-identical across runs — the demand generator and the
 	// scheduler are both deterministic.
-	again := TenantStudy(11)
-	if !reflect.DeepEqual(rep, again.Tenants) {
-		t.Errorf("repeated run diverged:\n  first %+v\n  again %+v", rep, again.Tenants)
+	first, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(TenantStudy(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Errorf("repeated run diverged:\n  first %s\n  again %s", first, again)
 	}
 }
