@@ -83,7 +83,9 @@ func RunJob(s *System, spec workload.JobSpec, seed int64, tun pftool.Tunables) (
 	regBytes := int64(ctrBytes.Value() - bytes0)
 	regFiles := int(ctrFiles.Value() - files0)
 	// Retention of archived data is not part of the measured path;
-	// tearing both trees down keeps memory bounded across 62 jobs.
+	// tearing both trees down keeps memory bounded across 62 jobs: vfs
+	// gives removed inodes' arena chunks back, so a plant holds its
+	// largest job, not every job so far (TestCampaignMemoryIsBounded).
 	if err := s.Scratch.RemoveAll(srcRoot); err != nil {
 		return JobResult{}, err
 	}

@@ -19,8 +19,10 @@
 package hsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,11 +164,31 @@ func (e *Engine) RecalledBytes() int64 { return e.recalledBytes }
 
 // PartitionRoundRobin splits candidates across n bins in list order —
 // the GPFS-policy-engine behaviour the paper replaces: one process can
-// end up with all the large files.
+// end up with all the large files. A single bin is the list itself
+// (capacity clipped), not a copy.
 func PartitionRoundRobin(files []pfs.Info, n int) [][]pfs.Info {
-	bins := make([][]pfs.Info, n)
-	for i, f := range files {
-		bins[i%n] = append(bins[i%n], f)
+	if n == 1 {
+		return [][]pfs.Info{files[:len(files):len(files)]}
+	}
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = (len(files) - i + n - 1) / n
+	}
+	bins := carveBins(len(files), counts)
+	for i := range files {
+		bins[i%n] = append(bins[i%n], files[i])
+	}
+	return bins
+}
+
+// carveBins cuts one array of total elements into empty bins with room
+// for counts[i] each — a pfs.Info is 104 bytes, so a partition copies
+// each file once, into its final place, instead of regrowing every bin.
+func carveBins(total int, counts []int) [][]pfs.Info {
+	backing := make([]pfs.Info, total)
+	bins := make([][]pfs.Info, len(counts))
+	for i, c := range counts {
+		bins[i], backing = backing[:0:c], backing[c:]
 	}
 	return bins
 }
@@ -176,19 +198,30 @@ func PartitionRoundRobin(files []pfs.Info, n int) [][]pfs.Info {
 // "combine, sort, and distribute the candidate files by file size
 // evenly across machines".
 func PartitionBalanced(files []pfs.Info, n int) [][]pfs.Info {
-	sorted := append([]pfs.Info(nil), files...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Size > sorted[j].Size })
-	bins := make([][]pfs.Info, n)
+	// Sort positions, not the 104-byte files; stable, so equal sizes
+	// keep list order.
+	order := make([]int32, len(files))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(files[b].Size, files[a].Size) })
+	bin := make([]int32, len(files)) // bin[k]: where the k-th largest goes
+	counts := make([]int, n)
 	loads := make([]int64, n)
-	for _, f := range sorted {
+	for k, i := range order {
 		best := 0
-		for i := 1; i < n; i++ {
-			if loads[i] < loads[best] {
-				best = i
+		for b := 1; b < n; b++ {
+			if loads[b] < loads[best] {
+				best = b
 			}
 		}
-		bins[best] = append(bins[best], f)
-		loads[best] += f.Size
+		bin[k] = int32(best)
+		counts[best]++
+		loads[best] += files[i].Size
+	}
+	bins := carveBins(len(files), counts)
+	for k, i := range order {
+		bins[bin[k]] = append(bins[bin[k]], files[i])
 	}
 	return bins
 }
@@ -247,14 +280,23 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 	if len(e.nodes) == 0 {
 		return MigrateResult{}, ErrNoNodes
 	}
-	var work []pfs.Info
 	res := MigrateResult{}
-	for _, f := range candidates {
-		if f.IsDir() || f.State != pfs.Resident {
+	eligible := func(f *pfs.Info) bool { return !f.IsDir() && f.State == pfs.Resident }
+	for i := range candidates {
+		if !eligible(&candidates[i]) {
 			res.Skipped++
-			continue
 		}
-		work = append(work, f)
+	}
+	// The work list is only read, so with nothing to skip — the caller
+	// usually filtered already — the candidates serve as they are.
+	work := candidates
+	if res.Skipped > 0 {
+		work = make([]pfs.Info, 0, len(candidates)-res.Skipped)
+		for i := range candidates {
+			if eligible(&candidates[i]) {
+				work = append(work, candidates[i])
+			}
+		}
 	}
 	streams := opt.StreamsPerNode
 	if streams <= 0 {
@@ -293,12 +335,8 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 			i := idx[bi]
 			// Each node may run several mover streams; its bin splits
 			// round-robin across them (sizes are already balanced).
-			sub := make([][]pfs.Info, streams)
-			for j, f := range bins[bi] {
-				sub[j%streams] = append(sub[j%streams], f)
-			}
 			round := round
-			for _, share := range sub {
+			for _, share := range PartitionRoundRobin(bins[bi], streams) {
 				if len(share) == 0 {
 					continue
 				}

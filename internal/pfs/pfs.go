@@ -169,7 +169,9 @@ type Info struct {
 }
 
 // fileMeta is one file's residency record: two bytes, held by value in
-// a table the file ID indexes.
+// a table the file ID indexes. A removed file's record is zeroed, not
+// freed: these two bytes are all the file system keeps per ID ever
+// issued (vfs gives the inodes themselves back a chunk at a time).
 type fileMeta struct {
 	pool  uint8 // position in FS.pools + 1; 0 = no record (a directory, or unlinked)
 	state MigState

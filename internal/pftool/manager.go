@@ -114,12 +114,6 @@ type batchScratch struct {
 	dsts  []string            // copy: destinations written
 }
 
-// pendingFile is a classified file awaiting batch flush.
-type pendingFile struct {
-	info pfs.Info
-	dst  string
-}
-
 // run holds the state of one PFTool invocation.
 type run struct {
 	req    Request
@@ -149,7 +143,7 @@ type run struct {
 	cmpBatch      []fileCopy
 	cmpBatchBytes int64
 
-	tapePending []pendingFile // migrated source files awaiting Locate
+	tapePending []string // migrated source paths awaiting Locate
 	tapeDsts    map[string]string
 
 	chunkRemaining map[string]int    // logical dst -> chunks outstanding
@@ -699,7 +693,7 @@ func (r *run) classify(info pfs.Info, dst string) {
 			r.fail(fmt.Sprintf("%s is migrated and no restorer is configured", info.Path))
 			return
 		}
-		r.tapePending = append(r.tapePending, pendingFile{info: info, dst: dst})
+		r.tapePending = append(r.tapePending, info.Path)
 		r.tapeDsts[info.Path] = dst
 		return
 	}
@@ -816,10 +810,7 @@ func (r *run) buildTapeJobs() {
 	if len(r.tapePending) == 0 {
 		return
 	}
-	paths := make([]string, len(r.tapePending))
-	for i, p := range r.tapePending {
-		paths[i] = p.info.Path
-	}
+	paths := r.tapePending
 	r.tapePending = nil
 	locs, missing := r.req.Restorer.Locate(paths)
 	for _, m := range missing {
@@ -839,10 +830,9 @@ func (r *run) buildTapeJobs() {
 		for _, v := range vols {
 			list := byVol[v]
 			sort.Slice(list, func(i, j int) bool { return list[i].Seq < list[j].Seq })
-			job := tapeJob{volume: v}
-			for _, l := range list {
-				job.paths = append(job.paths, l.Path)
-				job.sizes = append(job.sizes, l.Bytes)
+			job := tapeJob{volume: v, paths: make([]string, len(list)), sizes: make([]int64, len(list))}
+			for i, l := range list {
+				job.paths[i], job.sizes[i] = l.Path, l.Bytes
 			}
 			r.tapeQ = append(r.tapeQ, job)
 			r.tapeOut++

@@ -44,11 +44,47 @@ func NewUniform(seed uint64, length int64) Content {
 	return Content{extents: []Extent{{Off: 0, Len: length, Seed: seed, SeedOff: 0}}}
 }
 
-// Len reports the total content length in bytes.
+// Len reports the total content length in bytes: where the last extent
+// ends, since extents are gap-free from offset zero.
 func (c Content) Len() int64 {
-	var n int64
+	if len(c.extents) == 0 {
+		return 0
+	}
+	last := c.extents[len(c.extents)-1]
+	return last.Off + last.Len
+}
+
+// appendRange appends bytes [off, end) of c to the extent list out,
+// re-based to follow what out already holds, and merges an extent into
+// its predecessor when it continues the same seed stream. Every Content
+// is built by it from pieces in offset order, which is what keeps extent
+// lists ordered, gap-free and maximally merged with no sort.
+func appendRange(out []Extent, c Content, off, end int64) []Extent {
+	at := Content{extents: out}.Len()
 	for _, e := range c.extents {
-		n += e.Len
+		start, stop := max(off, e.Off), min(end, e.Off+e.Len)
+		if start >= stop {
+			continue
+		}
+		seedOff := e.SeedOff + (start - e.Off)
+		if n := len(out); n > 0 && out[n-1].Seed == e.Seed && out[n-1].SeedOff+out[n-1].Len == seedOff {
+			out[n-1].Len += stop - start
+		} else {
+			out = append(out, Extent{Off: at, Len: stop - start, Seed: e.Seed, SeedOff: seedOff})
+		}
+		at += stop - start
+	}
+	return out
+}
+
+// spanned counts the extents of c that overlap [off, end): the capacity
+// a copy of that range needs.
+func (c Content) spanned(off, end int64) int {
+	n := 0
+	for _, e := range c.extents {
+		if e.Off < end && e.Off+e.Len > off {
+			n++
+		}
 	}
 	return n
 }
@@ -56,60 +92,47 @@ func (c Content) Len() int64 {
 // Slice returns the sub-content [off, off+length). It panics if the
 // range is out of bounds.
 func (c Content) Slice(off, length int64) Content {
-	if off < 0 || length < 0 || off+length > c.Len() {
-		panic(fmt.Sprintf("synthetic: slice [%d,%d) out of bounds of %d", off, off+length, c.Len()))
+	if total := c.Len(); off < 0 || length < 0 || off+length > total {
+		panic(fmt.Sprintf("synthetic: slice [%d,%d) out of bounds of %d", off, off+length, total))
 	}
 	if length == 0 {
 		return Content{}
 	}
-	var out []Extent
-	var outOff int64
-	for _, e := range c.extents {
-		if off >= e.Off+e.Len || off+length <= e.Off {
-			continue
-		}
-		start := off
-		if e.Off > start {
-			start = e.Off
-		}
-		end := off + length
-		if e.Off+e.Len < end {
-			end = e.Off + e.Len
-		}
-		out = append(out, Extent{
-			Off:     outOff,
-			Len:     end - start,
-			Seed:    e.Seed,
-			SeedOff: e.SeedOff + (start - e.Off),
-		})
-		outOff += end - start
-	}
-	return Content{extents: normalize(out)}
+	out := make([]Extent, 0, c.spanned(off, off+length))
+	return Content{extents: appendRange(out, c, off, off+length)}
 }
 
 // Concat returns the concatenation of c followed by others, in order.
 func Concat(parts ...Content) Content {
-	var out []Extent
-	var off int64
+	n := 0
 	for _, p := range parts {
-		for _, e := range p.extents {
-			out = append(out, Extent{Off: off + e.Off, Len: e.Len, Seed: e.Seed, SeedOff: e.SeedOff})
-		}
-		off += p.Len()
+		n += len(p.extents)
 	}
-	return Content{extents: normalize(out)}
+	if n == 0 {
+		return Content{}
+	}
+	out := make([]Extent, 0, n)
+	for _, p := range parts {
+		out = appendRange(out, p, 0, p.Len())
+	}
+	return Content{extents: out}
 }
 
 // Overwrite returns c with the range [off, off+repl.Len()) replaced by
 // repl. The replaced range must lie within c.
 func (c Content) Overwrite(off int64, repl Content) Content {
-	rl := repl.Len()
-	if off < 0 || off+rl > c.Len() {
+	total, rl := c.Len(), repl.Len()
+	if off < 0 || off+rl > total {
 		panic("synthetic: overwrite out of bounds")
 	}
-	head := c.Slice(0, off)
-	tail := c.Slice(off+rl, c.Len()-off-rl)
-	return Concat(head, repl, tail)
+	if total == 0 {
+		return Content{}
+	}
+	out := make([]Extent, 0, c.spanned(0, off)+len(repl.extents)+c.spanned(off+rl, total))
+	out = appendRange(out, c, 0, off)
+	out = appendRange(out, repl, 0, rl)
+	out = appendRange(out, c, off+rl, total)
+	return Content{extents: out}
 }
 
 // Truncate returns c cut to the given length (which must not exceed
@@ -321,27 +344,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// normalize sorts extents by offset and merges adjacent extents that
-// are contiguous in both file space and the same seed stream.
-func normalize(in []Extent) []Extent {
-	if len(in) == 0 {
-		return nil
-	}
-	sort.Slice(in, func(i, j int) bool { return in[i].Off < in[j].Off })
-	out := in[:1]
-	for _, e := range in[1:] {
-		last := &out[len(out)-1]
-		if e.Seed == last.Seed &&
-			e.Off == last.Off+last.Len &&
-			e.SeedOff == last.SeedOff+last.Len {
-			last.Len += e.Len
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // String renders a compact description for debugging.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -226,8 +227,27 @@ const (
 	opRename
 	opReadDir
 	opWalk
+	opStatID
 	numOps
 )
+
+// ids returns the IDs the model has recorded, as a set.
+func (m model) ids() map[FileID]bool {
+	out := make(map[FileID]bool, len(m))
+	for _, n := range m {
+		if n.id != 0 {
+			out[n.id] = true
+		}
+	}
+	return out
+}
+
+// checkDead demands that id, removed or never issued, does not resolve.
+func checkDead(t testing.TB, desc string, fs *FS, id FileID) {
+	if e, err := fs.StatID(id); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("%s: StatID(%d) of a dead ID = %+v, %v; want ErrNotExist", desc, id, e, err)
+	}
+}
 
 // runOps applies the stream to a fresh FS and to the model, demanding
 // the same error class from every operation, the same listings, and
@@ -236,11 +256,16 @@ func runOps(t testing.TB, data []byte) {
 	fs := newFS()
 	m := model{"/": {dir: true, id: 1}}
 	r := &opReader{data: data}
+	var dead []FileID // IDs the model saw and has since removed, in order of death
 	for step := 0; len(r.data) > 0; step++ {
 		op := r.byte() % numOps
 		p, spelled := r.path()
 		var got, want error
 		desc := fmt.Sprintf("step %d op %d %s", step, op, spelled)
+		var before map[FileID]bool
+		if op == opRemove || op == opRemoveAll || op == opRename {
+			before = m.ids()
+		}
 		switch op {
 		case opMkdirAll:
 			got, want = fs.MkdirAll(spelled), m.mkdirAll(p)
@@ -278,15 +303,45 @@ func runOps(t testing.TB, data []byte) {
 			if got == nil && want == nil {
 				checkTree(t, desc, m, walked, m.under(p))
 			}
+		case opStatID:
+			// A live inode resolves by its ID to itself; an ID that has
+			// died, zero, and the one not yet issued do not resolve.
+			want = m.resolve(p)
+			var e, byID Info
+			if e, got = fs.Stat(spelled); got == nil && want == nil {
+				checkInfo(t, desc, m, e, p)
+				if byID, got = fs.StatID(e.ID); byID.ID != e.ID || byID.Size != e.Size || byID.Type != e.Type || byID.Path != "" {
+					t.Fatalf("%s: StatID(%d) = %+v, %v; Stat saw %+v", desc, e.ID, byID, got, e)
+				}
+			}
+			if pick := int(r.byte())<<8 | int(r.byte()); len(dead) > 0 {
+				checkDead(t, desc, fs, dead[pick%len(dead)])
+			}
+			checkDead(t, desc, fs, 0)
+			checkDead(t, desc, fs, fs.nextID+1)
 		}
 		if sentinel(got) != want {
 			t.Fatalf("%s: err = %v, model says %v", desc, got, want)
+		}
+		if before != nil {
+			var died []FileID
+			after := m.ids()
+			for id := range before {
+				if !after[id] {
+					died = append(died, id)
+				}
+			}
+			slices.Sort(died)
+			dead = append(dead, died...)
 		}
 		if step%64 == 0 {
 			checkAll(t, desc, fs, m)
 		}
 	}
 	checkAll(t, "end", fs, m)
+	for _, id := range dead {
+		checkDead(t, "end", fs, id)
+	}
 }
 
 // checkInfo holds one Info to the model's inode at path p, recording
@@ -342,14 +397,56 @@ func checkAll(t testing.TB, desc string, fs *FS, m model) {
 			t.Fatalf("%s: StatID(%d) = %+v, %v; walk saw %+v", desc, e.ID, byID, err, e)
 		}
 	}
+	// The arena's books: every linked inode is counted in its chunk, and
+	// a released chunk is a full one with nothing linked.
+	linked := 0
+	for c, ch := range fs.chunks {
+		linked += ch.linked
+		if ch.nodes == nil && (ch.linked != 0 || int(fs.nextID>>chunkBits) == c && fs.nextID&chunkMask != chunkMask) {
+			t.Fatalf("%s: chunk %d released with %d linked, nextID %d", desc, c, ch.linked, fs.nextID)
+		}
+	}
+	if linked != len(walked) {
+		t.Fatalf("%s: chunks count %d linked inodes, walk saw %d", desc, linked, len(walked))
+	}
 }
 
 // renameCycle is the input that detached /n00 and hung it under itself
 // before Rename refused it: mkdir -p /n00/n01, mv /n00 /n00/n01/n02.
 var renameCycle = append(encodeOp(opMkdirAll, []byte{0, 1}), encodeOp(opRename, []byte{0}, []byte{0, 1, 2})...)
 
+// arenaCycle creates enough inodes under /n00 and /n01 to fill two arena
+// chunks past the root's, looks some up by ID, removes both trees (the
+// model saw every ID at a periodic check, so all of them are known dead),
+// looks up the dead — most in released chunks — and builds on top.
+var arenaCycle = func() []byte {
+	var ops []byte
+	statID := func(pick int, p ...byte) {
+		ops = append(append(ops, encodeOp(opStatID, p)...), byte(pick>>8), byte(pick))
+	}
+	for a := byte(0); a < 2; a++ {
+		for b := byte(0); b < 40; b++ {
+			ops = append(ops, encodeOp(opMkdirAll, []byte{a, b})...)
+			for c := byte(0); c < 40; c++ {
+				ops = append(append(ops, encodeOp(opWriteFile, []byte{a, b, c})...), c)
+			}
+			statID(0, a, b, b)
+		}
+	}
+	ops = append(ops, encodeOp(opRemoveAll, []byte{0})...)
+	statID(7, 1, 0, 0)
+	ops = append(ops, encodeOp(opRemoveAll, []byte{1})...)
+	for pick := 0; pick < 3282; pick += 100 {
+		statID(pick)
+	}
+	ops = append(append(ops, encodeOp(opWriteFile, []byte{2})...), 1)
+	statID(3281, 2)
+	return append(ops, encodeOp(opWalk, nil)...)
+}()
+
 func TestNamespaceModel(t *testing.T) {
 	runOps(t, renameCycle)
+	runOps(t, arenaCycle)
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 6000)
@@ -385,6 +482,7 @@ func FuzzNamespace(f *testing.F) {
 	churn = append(churn, encodeOp(opReadDir, nil)...)
 	f.Add(churn)
 	f.Add([]byte{opWriteFile, 1, 5, 1, opRename, 1, 5, 0x80 | 2, 6, 7, opWalk, 0x80}) // unclean spellings
+	f.Add(arenaCycle)
 	f.Fuzz(func(t *testing.T, data []byte) { runOps(t, data) })
 }
 

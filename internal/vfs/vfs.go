@@ -6,10 +6,14 @@
 // deterministic directory listings.
 //
 // Inodes live by value in an arena of 1024-inode chunks addressed by
-// file ID (IDs are dense and never reused; a removed inode has link
-// count zero). A directory inode points to an ordered compact table
-// (dir.go): entries {name, inode} in one slice in insertion order plus,
-// above eight entries, an open-addressed index of 4-byte positions.
+// file ID. IDs are dense and never reused, but storage follows what is
+// live: each chunk counts its linked inodes, and a chunk whose IDs are
+// all handed out is let go when the last of them is removed. Trees are
+// created and removed together, so whole chunks die together; a lone
+// survivor keeps its chunk's 80 KB. A directory inode points to an
+// ordered compact table (dir.go): entries {name, inode} in one slice in
+// insertion order plus, above eight entries, an open-addressed index of
+// 4-byte positions.
 //
 // Ordering: ReadDir, ReadDirAs and Walk list by name — a directory
 // filled in name order (as bulk loaders do) is listed as it stands, any
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,7 +53,7 @@ var (
 type FileID uint64
 
 // FileType distinguishes inode kinds.
-type FileType int
+type FileType uint8
 
 // Inode kinds.
 const (
@@ -85,24 +90,82 @@ func (i Info) Xattr(key string) (string, bool) {
 	if i.inode == nil {
 		return "", false
 	}
-	v, ok := i.inode.xattrs[key]
-	return v, ok
+	return i.inode.xattr(key)
 }
 
 type node struct {
 	id      FileID
-	typ     FileType
 	size    int64
 	modTime time.Duration
 	atime   time.Duration
 	content synthetic.Content
-	dir     *dir // directories only
-	xattrs  map[string]string
-	nlink   int // directory entries naming the inode; 0 = removed
+	dir     *dir     // directories only
+	xattrs  *[]xattr // nil until the first SetXattr: most inodes carry none
+	typ     FileType
+	linked  bool // named by a directory entry; false = removed
+}
+
+// xattr is one extended attribute. An inode carries a handful (stub
+// digests, chunk marks, trash bookkeeping), read by key and listed never,
+// so they are pairs in insertion order, not a map: two attributes cost
+// under 100 bytes where the map cost over 300, and a scan of a few keys
+// beats hashing one.
+type xattr struct{ key, value string }
+
+func (n *node) xattr(key string) (string, bool) {
+	if n.xattrs != nil {
+		for _, a := range *n.xattrs {
+			if a.key == key {
+				return a.value, true
+			}
+		}
+	}
+	return "", false
+}
+
+// setXattr sets key to value; an empty value deletes key.
+func (n *node) setXattr(key, value string) {
+	if n.xattrs == nil {
+		if value == "" {
+			return
+		}
+		n.xattrs = new([]xattr)
+	}
+	l := *n.xattrs
+	for i := range l {
+		if l[i].key != key {
+			continue
+		}
+		if value == "" {
+			*n.xattrs = slices.Delete(l, i, i+1)
+		} else {
+			l[i].value = value
+		}
+		return
+	}
+	if value == "" {
+		return
+	}
+	if len(l) == cap(l) {
+		// Room for 2, then 6, then 18: a stub carries two or three, a
+		// chunked file in flight up to six. append's doubling from one
+		// would reallocate three times on the way there.
+		l = append(make([]xattr, 0, max(2, 3*len(l))), l...)
+	}
+	*n.xattrs = append(l, xattr{key, value})
 }
 
 // Inodes are allocated 1<<chunkBits at a time, not one per file.
-const chunkBits = 10
+const (
+	chunkBits = 10
+	chunkMask = 1<<chunkBits - 1
+)
+
+// chunk is 1<<chunkBits consecutive IDs' worth of arena.
+type chunk struct {
+	nodes  []node // nil once every inode in the chunk has been removed
+	linked int    // inodes not yet removed
+}
 
 // FS is a single in-memory file tree. FS methods are not safe for
 // concurrent use from multiple OS threads; in simulation exactly one
@@ -111,7 +174,7 @@ type FS struct {
 	name   string
 	root   *node
 	nextID FileID
-	chunks [][]node // inode arena: ID id is chunks[id>>chunkBits][id&(1<<chunkBits-1)]
+	chunks []chunk // inode arena: ID id is chunks[id>>chunkBits].nodes[id&chunkMask]
 	// memoDir/memoNode cache the directory of the last successful
 	// multi-segment resolution. Per-file operations in bulk loads and
 	// tree walks hit the same directory run after run, so the memo
@@ -152,19 +215,16 @@ func (fs *FS) NumInodes() int { return fs.nfiles + fs.ndirs }
 func (fs *FS) newNode(t FileType) *node {
 	fs.nextID++ // slot 0 of the first chunk stays unused
 	if int(fs.nextID>>chunkBits) == len(fs.chunks) {
-		fs.chunks = append(fs.chunks, make([]node, 1<<chunkBits))
+		fs.chunks = append(fs.chunks, chunk{nodes: make([]node, 1<<chunkBits)})
 	}
-	n := fs.inode(fs.nextID)
-	*n = node{id: fs.nextID, typ: t, modTime: fs.now(), nlink: 1}
+	c := &fs.chunks[fs.nextID>>chunkBits]
+	c.linked++
+	n := &c.nodes[fs.nextID&chunkMask]
+	*n = node{id: fs.nextID, typ: t, modTime: fs.now(), linked: true}
 	if t == TypeDir {
 		n.dir = &dir{sorted: true}
 	}
 	return n
-}
-
-// inode addresses an allocated ID's arena slot.
-func (fs *FS) inode(id FileID) *node {
-	return &fs.chunks[id>>chunkBits][id&(1<<chunkBits-1)]
 }
 
 // clean canonicalizes p to a rooted slash path. Paths that are already
@@ -463,10 +523,12 @@ func (fs *FS) Lookup(p string) (FileID, FileType, int64, error) {
 // StatID returns the Info for a file ID, with an empty Name and Path
 // (IDs are path-independent).
 func (fs *FS) StatID(id FileID) (Info, error) {
-	if id == 0 || id > fs.nextID || fs.inode(id).nlink == 0 {
-		return Info{}, fmt.Errorf("%w: id %d", ErrNotExist, id)
+	if id != 0 && id <= fs.nextID {
+		if c := fs.chunks[id>>chunkBits]; c.nodes != nil && c.nodes[id&chunkMask].linked {
+			return info("", "", &c.nodes[id&chunkMask]), nil
+		}
 	}
-	return info("", "", fs.inode(id)), nil
+	return Info{}, fmt.Errorf("%w: id %d", ErrNotExist, id)
 }
 
 func info(p, name string, n *node) Info {
@@ -560,19 +622,24 @@ func (fs *FS) unlink(parent *node, leaf string) *node {
 	return n
 }
 
-// drop releases one directory entry's reference to n; the last one
-// frees what the inode held (its arena slot and ID are never reused).
+// drop removes the unlinked inode n: it gives up what it held, and if
+// it was the last one linked in a chunk with no IDs left to hand out,
+// the arena lets the chunk go. The ID is never reused. n itself stays
+// readable for whoever still holds it (a suspended Walk, an Info): the
+// collector keeps the chunk until they are done.
 func (fs *FS) drop(n *node) {
-	n.nlink--
-	if n.nlink > 0 {
-		return
-	}
 	if n.typ == TypeDir {
 		fs.ndirs--
 	} else {
 		fs.nfiles--
 	}
+	n.linked = false
 	n.content, n.dir, n.xattrs = synthetic.Content{}, nil, nil
+	c := &fs.chunks[n.id>>chunkBits]
+	c.linked--
+	if c.linked == 0 && fs.nextID >= n.id|chunkMask {
+		c.nodes = nil
+	}
 }
 
 func (fs *FS) dropTree(n *node, released func(id FileID, size int64)) {
@@ -632,14 +699,7 @@ func (fs *FS) SetXattr(p, key, value string) error {
 	if err != nil {
 		return err
 	}
-	if value == "" {
-		delete(n.xattrs, key)
-		return nil
-	}
-	if n.xattrs == nil {
-		n.xattrs = make(map[string]string)
-	}
-	n.xattrs[key] = value
+	n.setXattr(key, value)
 	return nil
 }
 
@@ -649,7 +709,8 @@ func (fs *FS) GetXattr(p, key string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return n.xattrs[key], nil
+	v, _ := n.xattr(key)
+	return v, nil
 }
 
 // Exists reports whether p resolves.
@@ -695,7 +756,7 @@ func walk(p, name string, n *node, fn WalkFunc) error {
 		if (len(d.ents) == 0 || &d.ents[0] != &ents[0]) && d.get(e.name) != e.n {
 			continue
 		}
-		if e.n != nil && e.n.nlink > 0 {
+		if e.n != nil && e.n.linked {
 			if err := walk(p+"/"+e.name, e.name, e.n, fn); err != nil {
 				return err
 			}
