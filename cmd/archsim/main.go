@@ -57,9 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pace := fs.Float64("pace", -1, "with -serve, throttle the clock to this many virtual seconds per real second (-1 = default 60; 0 = free-run)")
 	opsScrapePath := fs.String("ops-scrape", "", "write the operator drill's final live /metrics scrape verbatim to this file")
 	islands := fs.Int("islands", 0, "with -exp parallel, concurrent-island worker cap (1 = single-threaded reference; 0 = one per core)")
-	checkpointPath := fs.String("checkpoint", "", "with -exp parallel, write the versioned mid-run snapshot to this file")
-	checkpointEpoch := fs.Int("checkpoint-epoch", 0, "with -checkpoint, cut the snapshot at this epoch barrier (0 = the middle one)")
-	restorePath := fs.String("restore", "", "with -exp parallel, resume from this checkpoint file instead of starting at virtual zero")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file at exit (island imbalance shows up here)")
@@ -146,11 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			wrote(path)
 		}
 	case "parallel":
-		p := experiments.ParallelParams{
-			Seed: *seed, Jobs: *jobs, Workers: *islands,
-			CheckpointPath: *checkpointPath, CheckpointEpoch: *checkpointEpoch,
-			RestorePath: *restorePath,
-		}
+		p := experiments.ParallelParams{Seed: *seed, Jobs: *jobs, Workers: *islands}
 		if *full {
 			p.MaxSimFiles = -1
 		}

@@ -28,7 +28,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfcm: ")
-	flags := cli.Register()
+	flags := cli.Register(flag.CommandLine)
 	corrupt := flag.Int("corrupt", 0, "corrupt this many destination files before comparing")
 	recheck := flag.Bool("recheck", false, "compare twice with a shared restart journal; the rerun skips files already verified")
 	flag.Parse()

@@ -7,7 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -15,26 +15,43 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("pfls: ")
-	flags := cli.Register()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command and returns the process exit code: 0 on
+// success, 1 when the simulated run fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pfls", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	flags := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	clock := simtime.NewClock()
+	var err error
 	clock.Go(func() {
-		sys, err := cli.Deploy(clock, flags)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tun := flags.Tunables()
-		res, err := sys.PflsTo("scratch", "/src", tun, os.Stdout)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(res.Summary())
+		err = list(clock, flags, stdout)
 	})
-	if _, err := clock.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "pfls:", err)
-		os.Exit(1)
+	if _, rerr := clock.Run(); rerr != nil {
+		err = rerr
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "pfls:", err)
+		return 1
+	}
+	return 0
+}
+
+func list(clock *simtime.Clock, flags *cli.Flags, out io.Writer) error {
+	sys, err := cli.Deploy(clock, flags)
+	if err != nil {
+		return err
+	}
+	res, err := sys.PflsTo("scratch", "/src", flags.Tunables(), out)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, res.Summary())
+	return nil
 }

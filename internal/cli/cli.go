@@ -26,17 +26,17 @@ type Flags struct {
 	Restart   bool
 }
 
-// Register installs the common flags on the default flag set.
-func Register() *Flags {
+// Register installs the common flags on fs.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.IntVar(&f.Files, "files", 1000, "files in the synthetic source tree")
-	flag.Float64Var(&f.TotalGB, "gb", 100, "total gigabytes in the source tree")
-	flag.IntVar(&f.Workers, "workers", 20, "PFTool worker processes")
-	flag.IntVar(&f.ReadDirs, "readdirs", 4, "PFTool ReadDir processes")
-	flag.IntVar(&f.TapeProcs, "tapeprocs", 4, "PFTool TapeProc processes")
-	flag.Int64Var(&f.Seed, "seed", 2010, "synthetic data seed")
-	flag.BoolVar(&f.Verbose, "v", false, "one output line per entry")
-	flag.BoolVar(&f.Restart, "restart", false, "skip already-transferred files/chunks")
+	fs.IntVar(&f.Files, "files", 1000, "files in the synthetic source tree")
+	fs.Float64Var(&f.TotalGB, "gb", 100, "total gigabytes in the source tree")
+	fs.IntVar(&f.Workers, "workers", 20, "PFTool worker processes")
+	fs.IntVar(&f.ReadDirs, "readdirs", 4, "PFTool ReadDir processes")
+	fs.IntVar(&f.TapeProcs, "tapeprocs", 4, "PFTool TapeProc processes")
+	fs.Int64Var(&f.Seed, "seed", 2010, "synthetic data seed")
+	fs.BoolVar(&f.Verbose, "v", false, "one output line per entry")
+	fs.BoolVar(&f.Restart, "restart", false, "skip already-transferred files/chunks")
 	return f
 }
 

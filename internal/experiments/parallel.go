@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -50,19 +48,11 @@ type ParallelParams struct {
 	// MaxSimFiles caps per-job materialized files (0 = the campaign
 	// default 300k).
 	MaxSimFiles int
-	Epochs      int // quiescent checkpoint barriers per run (default 4)
+	Epochs      int // quiescent global barriers per run (default 4)
 
 	// Baseline=false skips the workers=1 reference run (and with it the
 	// A/B determinism check and speedup measurement).
 	NoBaseline bool
-
-	// CheckpointPath, if set, writes the versioned snapshot cut at the
-	// end of CheckpointEpoch (0-based; default: the middle barrier).
-	CheckpointPath  string
-	CheckpointEpoch int
-	// RestorePath, if set, resumes a checkpointed run to completion
-	// instead of starting from virtual zero (implies NoBaseline).
-	RestorePath string
 }
 
 func (p *ParallelParams) defaults() {
@@ -80,9 +70,6 @@ func (p *ParallelParams) defaults() {
 	}
 	if p.Epochs <= 0 {
 		p.Epochs = 4
-	}
-	if p.CheckpointEpoch <= 0 {
-		p.CheckpointEpoch = p.Epochs / 2
 	}
 }
 
@@ -114,15 +101,12 @@ type ParallelReport struct {
 	ReplicaMB        float64 `json:"replica_mb"`
 	LagMeanSeconds   float64 `json:"replication_lag_mean_seconds"`
 
-	CheckpointBytes int `json:"checkpoint_bytes,omitempty"`
-
 	PerIsland []ParallelIsland `json:"per_island"`
 
 	// EngineMetricsText is the engine's own registry (advance times,
-	// null messages, checkpoint size) in exposition format. It is
-	// execution metadata — wall clocks and scheduling artifacts — so it
-	// lives here, outside the deterministic model snapshot the A/B test
-	// byte-compares.
+	// null messages) in exposition format. It is execution metadata —
+	// wall clocks and scheduling artifacts — so it lives here, outside
+	// the deterministic model snapshot the A/B test byte-compares.
 	EngineMetricsText string `json:"engine_metrics_text,omitempty"`
 }
 
@@ -268,11 +252,6 @@ func buildParallelPlant(p ParallelParams) *parallelPlant {
 		tel := telemetry.Of(clock)
 		s.manifests = tel.Counter("federation_replicas_total")
 
-		telemetry.RegisterCheckpoint(clock)
-		fabric.RegisterCheckpoint(clock)
-		sSnap := s
-		clock.OnSnapshot("e24", sSnap.saveState, sSnap.loadState)
-
 		plant.sites = append(plant.sites, s)
 	}
 
@@ -334,43 +313,21 @@ func (s *parallelSite) runEpoch(e int, seed int64) {
 	})
 }
 
-// saveState / loadState checkpoint the site's accumulated results (the
-// experiment's own state; plant state rides in the telemetry and
-// fabric codecs).
-func (s *parallelSite) saveState() (json.RawMessage, error) {
-	return json.Marshal(s.results)
-}
-
-func (s *parallelSite) loadState(data json.RawMessage) error {
-	return json.Unmarshal(data, &s.results)
-}
-
-// parallelMeta is the experiment blob in the checkpoint container.
-type parallelMeta struct {
-	Seed      int64 `json:"seed"`
-	Islands   int   `json:"islands"`
-	Jobs      int   `json:"jobs"`
-	MaxFiles  int   `json:"max_sim_files"`
-	Epochs    int   `json:"epochs"`
-	NextEpoch int   `json:"next_epoch"`
-}
-
-// parallelOutcome is one full (or resumed) run's result.
+// parallelOutcome is one full run's result.
 type parallelOutcome struct {
-	plant      *parallelPlant
-	wall       float64
-	virtual    simtime.Duration
-	stats      simtime.GroupStats
-	checkpoint []byte // encoded snapshot cut at CheckpointEpoch, if requested
-	merged     *telemetry.Snapshot
+	plant   *parallelPlant
+	wall    float64
+	virtual simtime.Duration
+	stats   simtime.GroupStats
+	merged  *telemetry.Snapshot
 }
 
-// runParallel executes the partitioned campaign from startEpoch with
-// the given worker cap. The plant must be fresh (or freshly restored).
-func runParallel(p ParallelParams, plant *parallelPlant, startEpoch, workers int) parallelOutcome {
+// runParallel executes the partitioned campaign on a fresh plant with
+// the given worker cap.
+func runParallel(p ParallelParams, plant *parallelPlant, workers int) parallelOutcome {
 	out := parallelOutcome{plant: plant}
 	t0 := time.Now()
-	for e := startEpoch; e < p.Epochs; e++ {
+	for e := 0; e < p.Epochs; e++ {
 		for _, s := range plant.sites {
 			s.runEpoch(e, p.Seed)
 		}
@@ -379,17 +336,6 @@ func runParallel(p ParallelParams, plant *parallelPlant, startEpoch, workers int
 			panic(fmt.Sprintf("parallel: epoch %d: %v", e, err))
 		}
 		out.virtual = end
-		// Every run cuts the versioned snapshot at the designated
-		// barrier: it feeds -checkpoint, the restore path, and the
-		// engine_checkpoint_bytes gauge, and epoch barriers are the
-		// engine's only quiescent instants.
-		if e == p.CheckpointEpoch-1 {
-			cp, err := plant.checkpoint(p, e+1)
-			if err != nil {
-				panic(fmt.Sprintf("parallel: checkpoint after epoch %d: %v", e, err))
-			}
-			out.checkpoint = cp
-		}
 	}
 	out.wall = time.Since(t0).Seconds()
 	out.stats = plant.group.Stats()
@@ -402,55 +348,6 @@ func runParallel(p ParallelParams, plant *parallelPlant, startEpoch, workers int
 	}
 	out.merged = telemetry.Merge("island", names, snaps)
 	return out
-}
-
-// checkpoint encodes the whole federation at a quiescent epoch
-// barrier.
-func (pl *parallelPlant) checkpoint(p ParallelParams, nextEpoch int) ([]byte, error) {
-	meta, err := json.Marshal(parallelMeta{
-		Seed: p.Seed, Islands: p.Islands, Jobs: p.Jobs,
-		MaxFiles: p.MaxSimFiles, Epochs: p.Epochs, NextEpoch: nextEpoch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cp := &simtime.Checkpoint{Meta: meta}
-	for _, s := range pl.sites {
-		snap, err := simtime.SnapshotClock(s.isl.Clock(), s.name)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.name, err)
-		}
-		cp.Clocks = append(cp.Clocks, *snap)
-		if int64(snap.NowNs) > int64(cp.NowNs) {
-			cp.NowNs = snap.NowNs
-		}
-	}
-	return cp.Encode()
-}
-
-// restoreParallel rebuilds a fresh plant and replays a checkpoint into
-// it, returning the epoch to resume from.
-func restoreParallel(p *ParallelParams, data []byte) (*parallelPlant, int, error) {
-	cp, err := simtime.DecodeCheckpoint(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	var meta parallelMeta
-	if err := json.Unmarshal(cp.Meta, &meta); err != nil {
-		return nil, 0, fmt.Errorf("checkpoint meta: %w", err)
-	}
-	p.Seed, p.Islands, p.Jobs = meta.Seed, meta.Islands, meta.Jobs
-	p.MaxSimFiles, p.Epochs = meta.MaxFiles, meta.Epochs
-	plant := buildParallelPlant(*p)
-	if len(cp.Clocks) != len(plant.sites) {
-		return nil, 0, fmt.Errorf("checkpoint has %d clocks, plant has %d islands", len(cp.Clocks), len(plant.sites))
-	}
-	for i := range cp.Clocks {
-		if err := plant.sites[i].isl.Clock().RestoreSnapshot(&cp.Clocks[i]); err != nil {
-			return nil, 0, err
-		}
-	}
-	return plant, meta.NextEpoch, nil
 }
 
 // canonical renders the deterministic model output the A/B test
@@ -497,11 +394,10 @@ func (o parallelOutcome) jobCount() int {
 // registry on a private clock, because these series describe the
 // execution (wall seconds, scheduling artifacts), not the model, and
 // must stay out of the deterministic snapshot.
-func engineRegistry(o parallelOutcome, checkpointBytes int) *telemetry.Registry {
+func engineRegistry(o parallelOutcome) *telemetry.Registry {
 	reg := telemetry.New(simtime.NewClock())
 	adv := reg.Histogram("engine_island_advance_seconds")
 	nulls := reg.Counter("engine_null_messages_total")
-	ck := reg.Gauge("engine_checkpoint_bytes")
 	for _, is := range o.stats.Islands {
 		if is.Advances > 0 {
 			// Mean bounded-slice wall time per island, observed once per
@@ -515,7 +411,6 @@ func engineRegistry(o parallelOutcome, checkpointBytes int) *telemetry.Registry 
 	for _, ch := range o.stats.Channels {
 		nulls.Add(float64(ch.Nulls))
 	}
-	ck.Set(float64(checkpointBytes))
 	return reg
 }
 
@@ -531,47 +426,19 @@ func ParallelStudy(seed int64) Report {
 func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 	p.defaults()
 
-	var (
-		measured parallelOutcome
-		baseline parallelOutcome
-		haveBase bool
-	)
-	switch {
-	case p.RestorePath != "":
-		data, err := os.ReadFile(p.RestorePath)
-		if err != nil {
-			panic(fmt.Sprintf("parallel: restore: %v", err))
-		}
-		plant, next, err := restoreParallel(&p, data)
-		if err != nil {
-			panic(fmt.Sprintf("parallel: restore: %v", err))
-		}
-		measured = runParallel(p, plant, next, p.Workers)
-	default:
-		if !p.NoBaseline {
-			baseline = runParallel(p, buildParallelPlant(p), 0, 1)
-			haveBase = true
-		}
-		measured = runParallel(p, buildParallelPlant(p), 0, p.Workers)
+	// The report's Deterministic means *verified*: the A/B ran and the
+	// outputs were byte-identical (a mismatch panics).
+	haveBase := !p.NoBaseline
+	var baseline parallelOutcome
+	if haveBase {
+		baseline = runParallel(p, buildParallelPlant(p), 1)
 	}
-
-	// Deterministic means *verified*: the A/B ran and the outputs were
-	// byte-identical (a mismatch panics). Restore-only runs skip it.
-	deterministic := haveBase
+	measured := runParallel(p, buildParallelPlant(p), p.Workers)
 	if haveBase {
 		if a, b := baseline.canonical(), measured.canonical(); a != b {
 			plantRun{flight: telemetry.Of(measured.plant.sites[0].isl.Clock()).FlightDump()}.failf(
 				"parallel: determinism violated: workers=1 and workers=%d outputs differ (%d vs %d bytes)",
 				p.Workers, len(a), len(b))
-		}
-	}
-
-	if p.CheckpointPath != "" {
-		if len(measured.checkpoint) == 0 {
-			panic("parallel: -checkpoint requested but no barrier produced one")
-		}
-		if err := os.WriteFile(p.CheckpointPath, measured.checkpoint, 0o644); err != nil {
-			panic(fmt.Sprintf("parallel: checkpoint: %v", err))
 		}
 	}
 
@@ -589,7 +456,7 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 		Jobs: measured.jobCount(), Files: files, Bytes: bytes, Epochs: p.Epochs,
 		VirtualSeconds: measured.virtual.Seconds(),
 		WallSeconds:    measured.wall,
-		Deterministic:  deterministic,
+		Deterministic:  haveBase,
 		Events:         measured.stats.Events,
 		FastForwards:   measured.stats.FastForwards,
 		ReplicaManifests: int(func() float64 {
@@ -599,9 +466,8 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 			}
 			return n
 		}()),
-		ReplicaMB:       measured.merged.Total("federation_replica_bytes_total") / 1e6,
-		LagMeanSeconds:  parallelLagMean(measured.merged),
-		CheckpointBytes: len(measured.checkpoint),
+		ReplicaMB:      measured.merged.Total("federation_replica_bytes_total") / 1e6,
+		LagMeanSeconds: parallelLagMean(measured.merged),
 	}
 	for _, ch := range measured.stats.Channels {
 		pr.NullMessages += ch.Nulls
@@ -638,7 +504,7 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 				pr.Speedup, p.Workers, runtime.NumCPU(), parallelSpeedupFloor))
 		}
 	}
-	pr.EngineMetricsText = engineRegistry(measured, len(measured.checkpoint)).Snapshot().Text()
+	pr.EngineMetricsText = engineRegistry(measured).Snapshot().Text()
 
 	r := Report{
 		Name:  "parallel",
@@ -653,9 +519,6 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 		verdict := "outputs byte-identical to single-threaded reference"
 		r.Notes = append(r.Notes, fmt.Sprintf("baseline wall %.1fs at 1 worker -> speedup %.2fx; %s",
 			baseline.wall, pr.Speedup, verdict))
-	}
-	if p.RestorePath != "" {
-		r.Notes = append(r.Notes, fmt.Sprintf("resumed from %s", p.RestorePath))
 	}
 	r.Telemetry = measured.merged
 	r.Flight = telemetry.Of(measured.plant.sites[0].isl.Clock()).FlightDump()

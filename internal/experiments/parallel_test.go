@@ -7,8 +7,8 @@ import (
 )
 
 // testParams is E24 at test scale: the same 4-island federation over a
-// 12-job slice of the campaign with small trees, so a full A/B plus
-// three checkpoint round trips stay inside a unit-test budget.
+// 12-job slice of the campaign with small trees, so an A/B across
+// worker counts stays inside a unit-test budget.
 func testParams(seed int64) ParallelParams {
 	p := ParallelParams{
 		Seed: seed, Islands: 4, Workers: 2,
@@ -19,60 +19,29 @@ func testParams(seed int64) ParallelParams {
 }
 
 // TestParallelDeterminismAcrossWorkers is the engine's contract at the
-// experiment layer: for randomized seeds, every worker count produces
-// byte-identical model output (per-job table + merged metrics
-// exposition) to the single-threaded reference.
+// experiment layer: for randomized seeds, a contended (2 workers on 4
+// islands) and a fully parallel (4) run produce byte-identical model
+// output (per-job table + merged metrics exposition) to the
+// single-threaded reference. Seed 7 is not in the grid:
+// TestParallelRunReport's internal A/B already byte-compares it at
+// workers 1 and 2, and its 70 TB job mix costs as much as the two
+// seeds here together.
 func TestParallelDeterminismAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	seeds := []int64{7, rng.Int63n(1 << 20), rng.Int63n(1 << 20)}
+	seeds := []int64{rng.Int63n(1 << 20), rng.Int63n(1 << 20)}
 	for _, seed := range seeds {
 		p := testParams(seed)
-		ref := runParallel(p, buildParallelPlant(p), 0, 1)
+		ref := runParallel(p, buildParallelPlant(p), 1)
 		want := ref.canonical()
 		if !strings.Contains(want, "site-3") {
 			t.Fatalf("seed %d: reference output missing site-3:\n%s", seed, want)
 		}
-		for _, workers := range []int{2, 3, 4} {
-			got := runParallel(p, buildParallelPlant(p), 0, workers).canonical()
+		for _, workers := range []int{2, 4} {
+			got := runParallel(p, buildParallelPlant(p), workers).canonical()
 			if got != want {
 				t.Errorf("seed %d: workers=%d output differs from single-threaded reference (%d vs %d bytes)",
 					seed, workers, len(got), len(want))
 			}
-		}
-	}
-}
-
-// TestParallelCheckpointRestore cuts the snapshot at each of three
-// randomly-ordered interior epoch barriers, restores it into a freshly
-// built plant, runs to completion, and requires byte-identical output
-// to the uninterrupted run — including the merged metrics snapshot and
-// (via canonical()) the flight-recorder-backed series.
-func TestParallelCheckpointRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	barriers := rng.Perm(3) // interior barriers of a 4-epoch run: 1, 2, 3
-	for _, b := range barriers {
-		epoch := b + 1
-		p := testParams(9000 + int64(epoch))
-		p.CheckpointEpoch = epoch
-
-		full := runParallel(p, buildParallelPlant(p), 0, 2)
-		want := full.canonical()
-		if len(full.checkpoint) == 0 {
-			t.Fatalf("barrier %d: no checkpoint captured", epoch)
-		}
-
-		p2 := p
-		plant, next, err := restoreParallel(&p2, full.checkpoint)
-		if err != nil {
-			t.Fatalf("barrier %d: restore: %v", epoch, err)
-		}
-		if next != epoch {
-			t.Fatalf("barrier %d: resume epoch = %d", epoch, next)
-		}
-		got := runParallel(p2, plant, next, 2).canonical()
-		if got != want {
-			t.Errorf("barrier %d: restored run differs from uninterrupted (%d vs %d bytes)",
-				epoch, len(got), len(want))
 		}
 	}
 }
@@ -105,12 +74,7 @@ func TestParallelRunReport(t *testing.T) {
 	if pr.LagMeanSeconds <= 0 {
 		t.Errorf("replication lag mean = %v, want > 0", pr.LagMeanSeconds)
 	}
-	if pr.CheckpointBytes == 0 {
-		t.Error("checkpoint bytes = 0, want captured barrier snapshot")
-	}
-	for _, fam := range []string{
-		"engine_island_advance_seconds", "engine_null_messages_total", "engine_checkpoint_bytes",
-	} {
+	for _, fam := range []string{"engine_island_advance_seconds", "engine_null_messages_total"} {
 		if !strings.Contains(pr.EngineMetricsText, fam) {
 			t.Errorf("engine metrics missing %s:\n%s", fam, pr.EngineMetricsText)
 		}

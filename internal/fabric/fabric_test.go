@@ -356,3 +356,33 @@ func TestArmCorruptTaintsNextFlow(t *testing.T) {
 	})
 	c.Run()
 }
+
+func buildWANFabric(clock *simtime.Clock) *Fabric {
+	f := Of(clock)
+	f.AddLink("lan", 1000, "src", "edge")
+	f.AddLink("wan", 100, "edge", "far").SetLatency(simtime.Duration(50 * time.Millisecond))
+	return f
+}
+
+func TestPathLookahead(t *testing.T) {
+	clock := simtime.NewClock()
+	f := buildWANFabric(clock)
+	p, err := f.Route("src", "", "far")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Latency sum 50ms; fastest hop nominal 1000 B/s carries a 100-byte
+	// quantum in 100ms.
+	want := simtime.Duration(150 * time.Millisecond)
+	if got := p.Lookahead(100); got != want {
+		t.Errorf("Lookahead(100) = %v, want %v", got, want)
+	}
+	if got := p.Lookahead(0); got != simtime.Duration(50*time.Millisecond) {
+		t.Errorf("Lookahead(0) = %v, want 50ms", got)
+	}
+	// Degrading a link must not shrink the bound (nominal is used).
+	f.Link("lan").Scale(0.1)
+	if got := p.Lookahead(100); got != want {
+		t.Errorf("degraded Lookahead(100) = %v, want %v", got, want)
+	}
+}

@@ -74,10 +74,6 @@ type Clock struct {
 	// atomic.Value stores a []interface{} indexed by Slot; readers do one
 	// atomic load and an index, no lock and no allocation.
 	slots atomic.Value
-
-	// snapshotters are the named checkpoint codecs registered with
-	// OnSnapshot (see snapshot.go), kept sorted by name.
-	snapshotters []snapCodec
 }
 
 type event struct {
@@ -532,28 +528,6 @@ func (c *Clock) deliverAt(t Duration, key uint64, fn func()) {
 	}
 	c.queue.push(event{at: t, seq: key, fn: fn, cb: true})
 	c.mu.Unlock()
-}
-
-// Quiesced reports whether the simulation is at rest: no live actor,
-// no pending event (canceled ones aside), and no queued
-// instant-end callback. Checkpoints may only be cut at quiescent
-// instants — goroutine stacks cannot be serialized, so the snapshot
-// contract is that all state lives in the registries, not in actors.
-func (c *Clock) Quiesced() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.popCanceledLocked()
-	live := len(c.queue)
-	if live > 0 && c.ncanceled > 0 {
-		live = 0
-		for _, ev := range c.queue {
-			if ev.canceled == nil || !*ev.canceled {
-				live++
-			}
-		}
-	}
-	return c.parked == 0 && c.actors == 0 &&
-		live == 0 && len(c.instantFns) == 0
 }
 
 // EventsProcessed reports how many events the scheduler has dispatched

@@ -25,14 +25,6 @@ func (s *Summary) Add(v float64) {
 	s.sorted = nil
 }
 
-// Reset discards every observation, returning the summary to its
-// zero state so the same value can accumulate a fresh sample set.
-func (s *Summary) Reset() {
-	s.vals = s.vals[:0]
-	s.sum = 0
-	s.sorted = nil
-}
-
 // N reports the observation count.
 func (s *Summary) N() int { return len(s.vals) }
 
@@ -138,9 +130,6 @@ func (s *Summary) Stddev() float64 {
 	}
 	return math.Sqrt(ss / float64(n))
 }
-
-// Values returns a copy of the raw observations in insertion order.
-func (s *Summary) Values() []float64 { return append([]float64(nil), s.vals...) }
 
 // LogHistogram buckets positive values by order of magnitude — the
 // shape of the paper's log10-scale job plots.

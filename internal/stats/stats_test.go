@@ -39,28 +39,6 @@ func TestPercentileEmpty(t *testing.T) {
 	}
 }
 
-func TestSummaryReset(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{4, 1, 3} {
-		s.Add(v)
-	}
-	s.Reset()
-	if s.N() != 0 || s.Sum() != 0 || s.Mean() != 0 {
-		t.Errorf("after Reset: N=%d Sum=%v Mean=%v", s.N(), s.Sum(), s.Mean())
-	}
-	if got := s.Percentile(50); got != 0 {
-		t.Errorf("Percentile(50) after Reset = %v, want 0", got)
-	}
-	// The summary must be reusable: old observations and the cached
-	// sort must not leak into a fresh sample set.
-	s.Add(7)
-	s.Add(9)
-	if s.N() != 2 || s.Sum() != 16 || s.Min() != 7 || s.Max() != 9 || s.Median() != 7 {
-		t.Errorf("after Reset+Add: N=%d Sum=%v Min=%v Max=%v Median=%v",
-			s.N(), s.Sum(), s.Min(), s.Max(), s.Median())
-	}
-}
-
 func TestPercentileBounds(t *testing.T) {
 	var s Summary
 	for i := 1; i <= 100; i++ {
