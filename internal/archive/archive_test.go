@@ -267,7 +267,8 @@ func TestBuildCatalogIndexesArchive(t *testing.T) {
 		if _, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{Balanced: true}); err != nil {
 			t.Fatal(err)
 		}
-		cat, n, err := s.BuildCatalog()
+		cat := catalog.New(s.Clock, 500*time.Microsecond)
+		n, err := catalog.IndexArchive(cat, s.Archive, s.Shadow, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

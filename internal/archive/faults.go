@@ -23,7 +23,7 @@ import (
 // deployments that each own a subset of the components. Recovery
 // is NOT wired here — each subsystem reacts through its own mechanisms
 // (TSM reaps dead drives at its next transaction, PFTool's WatchDog
-// declares ranks dead, the LoadManager filters down machines); the
+// declares ranks dead, the machine list filters down nodes); the
 // registry only flips the failure state.
 func (s *System) InstallFaults(reg *faults.Registry) {
 	// Record every event in telemetry FIRST, before any dispatch

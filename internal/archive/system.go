@@ -12,7 +12,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/hsm"
@@ -40,8 +39,6 @@ type Options struct {
 	Archive    pfs.Config
 	// ShadowQueryCost is the per-lookup cost of the indexed shadow DB.
 	ShadowQueryCost time.Duration
-	// LoadPeriod is the LoadManager refresh interval.
-	LoadPeriod time.Duration
 	// SmallFileLimit drives the archive placement policy: files below
 	// it land in the slow pool.
 	SmallFileLimit int64
@@ -66,7 +63,6 @@ func DefaultOptions() Options {
 		Scratch:         pfs.PanasasConfig("panfs"),
 		Archive:         pfs.GPFSConfig("gpfs"),
 		ShadowQueryCost: 100 * time.Microsecond,
-		LoadPeriod:      time.Minute,
 		SmallFileLimit:  1e6,
 	}
 }
@@ -83,7 +79,6 @@ type System struct {
 	TSM     *tsm.Server
 	Shadow  *metadb.DB
 	HSM     *hsm.Engine
-	LoadMgr *cluster.LoadManager
 	Trash   *trash.Can
 	Deleter *trash.Deleter
 	Recon   *trash.Reconciler
@@ -117,7 +112,6 @@ func New(clock *simtime.Clock, opts Options) *System {
 	// database's volume column honest.
 	s.TSM.OnRepair(func(o tsm.Object) { s.Shadow.UpsertObject(o) })
 	s.HSM = hsm.New(clock, s.Archive, s.TSM, s.Shadow, s.Cluster.Nodes(), opts.HSM)
-	s.LoadMgr = cluster.NewLoadManager(clock, s.Cluster, opts.LoadPeriod)
 	s.Deleter = trash.NewDeleter(clock, s.Archive, s.TSM, s.Shadow)
 	s.Recon = trash.NewReconciler(clock, s.Archive, s.TSM, s.Shadow)
 	return s
@@ -125,15 +119,6 @@ func New(clock *simtime.Clock, opts Options) *System {
 
 // NewDefault builds the paper's deployment.
 func NewDefault(clock *simtime.Clock) *System { return New(clock, DefaultOptions()) }
-
-// BuildCatalog constructs a fresh multi-dimensional metadata catalog
-// from a full policy scan of the archive (§7 future work), joining tape
-// volumes from the shadow database.
-func (s *System) BuildCatalog() (*catalog.Catalog, int, error) {
-	cat := catalog.New(s.Clock, 500*time.Microsecond)
-	n, err := catalog.IndexArchive(cat, s.Archive, s.Shadow, nil)
-	return cat, n, err
-}
 
 // TrashCan returns (creating on first use) the archive trashcan.
 func (s *System) TrashCan() (*trash.Can, error) {
@@ -166,9 +151,6 @@ func (r hsmRestorer) RecallPinned(node string, paths []string, qos sched.QoS) er
 	return r.eng.RecallPinned(node, paths, qos)
 }
 
-// machineList picks the MPI machine list for a PFTool launch.
-func (s *System) machineList() []*cluster.Node { return s.LoadMgr.MachineList() }
-
 // Pfcp archives src (on scratch) to dst (on the archive FS) — the
 // forward direction of §5. The archive's ILM placement policy routes
 // small files to the slow pool (§4.2.1).
@@ -177,7 +159,7 @@ func (s *System) Pfcp(src, dst string, tun pftool.Tunables) (pftool.Result, erro
 	return pftool.Run(pftool.Request{
 		Op: pftool.OpCopy, Src: src, Dst: dst,
 		SrcFS: s.Scratch, DstFS: s.Archive,
-		Nodes:     s.machineList(),
+		Nodes:     s.Cluster.MachineList(),
 		Restorer:  s.Restorer(),
 		Placement: &placement,
 		Tunables:  tun,
@@ -190,7 +172,7 @@ func (s *System) PfcpRetrieve(src, dst string, tun pftool.Tunables) (pftool.Resu
 	return pftool.Run(pftool.Request{
 		Op: pftool.OpCopy, Src: src, Dst: dst,
 		SrcFS: s.Archive, DstFS: s.Scratch,
-		Nodes:    s.machineList(),
+		Nodes:    s.Cluster.MachineList(),
 		Restorer: s.Restorer(),
 		Tunables: tun,
 	})
@@ -211,7 +193,7 @@ func (s *System) PflsTo(side, src string, tun pftool.Tunables, out io.Writer) (p
 	return pftool.Run(pftool.Request{
 		Op: pftool.OpList, Src: src,
 		SrcFS:    fs,
-		Nodes:    s.machineList(),
+		Nodes:    s.Cluster.MachineList(),
 		Tunables: tun,
 		Output:   out,
 	})
@@ -222,7 +204,7 @@ func (s *System) Pfcm(src, dst string, tun pftool.Tunables) (pftool.Result, erro
 	return pftool.Run(pftool.Request{
 		Op: pftool.OpCompare, Src: src, Dst: dst,
 		SrcFS: s.Scratch, DstFS: s.Archive,
-		Nodes:    s.machineList(),
+		Nodes:    s.Cluster.MachineList(),
 		Tunables: tun,
 	})
 }

@@ -2,15 +2,12 @@
 // network fabric of the paper's deployment (Fig. 7): ten x64 data-mover
 // nodes that mount both the scratch and archive file systems, each with
 // a 10-gigabit Ethernet NIC and an FC4 SAN HBA, joined to the compute
-// side by two 10GigE trunk links; plus the LoadManager, the periodic
-// job that sorts FTA nodes by CPU load to produce the MPI machine list
-// PFTool launches onto (§4.1.2).
+// side by two 10GigE trunk links; plus the MPI machine list PFTool
+// launches onto (§4.1.2).
 package cluster
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/simtime"
@@ -20,14 +17,13 @@ import (
 type Node struct {
 	Name string
 	nic  *fabric.Link // Ethernet toward the scratch file system
-	load float64      // CPU load average, updated by users/noise
 	slot *simtime.Resource
-	down bool // crashed: daemons abort, the load manager skips it
+	down bool // crashed: daemons abort, the machine list skips it
 }
 
 // SetDown crashes (or reboots) the node. Daemons running on the node
-// observe Down at their decision points and abort; the load manager
-// drops down nodes from machine lists until repair.
+// observe Down at their decision points and abort; the machine list
+// drops down nodes until repair.
 func (n *Node) SetDown(down bool) { n.down = down }
 
 // Down reports whether the node is crashed.
@@ -35,12 +31,6 @@ func (n *Node) Down() bool { return n.down }
 
 // NIC returns the node's Ethernet link.
 func (n *Node) NIC() *fabric.Link { return n.nic }
-
-// Load reports the node's current CPU load.
-func (n *Node) Load() float64 { return n.load }
-
-// SetLoad replaces the node's CPU load.
-func (n *Node) SetLoad(v float64) { n.load = v }
 
 // Slots returns the node's process-slot resource, bounding concurrent
 // mover processes per machine.
@@ -132,64 +122,21 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Trunk returns the shared scratch<->archive trunk link.
 func (c *Cluster) Trunk() *fabric.Link { return c.trunk }
 
-// LoadManager produces MPI machine lists sorted by ascending CPU load,
-// refreshing on a period like the paper's cron job. Reading between
-// refreshes returns the cached list, so every PFTool launch within one
-// period sees the same ordering.
-type LoadManager struct {
-	clock   *simtime.Clock
-	cluster *Cluster
-	period  time.Duration
-	cached  []*Node
-	stamp   time.Duration
-	fresh   bool
-}
-
-// NewLoadManager creates a load manager with the given refresh period.
-func NewLoadManager(clock *simtime.Clock, cl *Cluster, period time.Duration) *LoadManager {
-	return &LoadManager{clock: clock, cluster: cl, period: period}
-}
-
-// MachineList returns the FTA nodes sorted by ascending load as of the
-// last refresh, refreshing if the period has lapsed. Ties break by node
-// name so the list is deterministic. Crashed nodes are dropped at read
-// time — even between refreshes — so a new PFTool launch never lands MPI
-// processes on a machine already known dead. If every node is down the
-// full cached list is returned so callers keep a well-formed (if
+// MachineList returns the MPI machine list for a PFTool launch: the up
+// nodes in creation order, which New's %02d numbering makes name order
+// below 100 nodes. Crashed nodes are dropped, so a new launch never
+// lands MPI processes on a machine already known dead. If every node is
+// down the full list is returned so callers keep a well-formed (if
 // doomed) allocation rather than an empty one.
-func (lm *LoadManager) MachineList() []*Node {
-	now := lm.clock.Now()
-	if !lm.fresh || now-lm.stamp >= lm.period {
-		nodes := append([]*Node(nil), lm.cluster.nodes...)
-		sort.SliceStable(nodes, func(i, j int) bool {
-			if nodes[i].load != nodes[j].load {
-				return nodes[i].load < nodes[j].load
-			}
-			return nodes[i].Name < nodes[j].Name
-		})
-		lm.cached = nodes
-		lm.stamp = now
-		lm.fresh = true
-	}
-	up := make([]*Node, 0, len(lm.cached))
-	for _, n := range lm.cached {
+func (c *Cluster) MachineList() []*Node {
+	up := make([]*Node, 0, len(c.nodes))
+	for _, n := range c.nodes {
 		if !n.down {
 			up = append(up, n)
 		}
 	}
 	if len(up) == 0 {
-		return append([]*Node(nil), lm.cached...)
+		return append([]*Node(nil), c.nodes...)
 	}
 	return up
-}
-
-// Pick returns the n least-loaded nodes (cycling if n exceeds the
-// cluster size), the allocation PFTool uses to place its MPI processes.
-func (lm *LoadManager) Pick(n int) []*Node {
-	list := lm.MachineList()
-	out := make([]*Node, n)
-	for i := range out {
-		out[i] = list[i%len(list)]
-	}
-	return out
 }

@@ -66,66 +66,6 @@ func TestNICBoundWhenTrunkIdle(t *testing.T) {
 	}
 }
 
-func TestLoadManagerSortsAscending(t *testing.T) {
-	c := simtime.NewClock()
-	cl := New(c, RoadrunnerConfig())
-	lm := NewLoadManager(c, cl, time.Minute)
-	c.Go(func() {
-		for i, n := range cl.Nodes() {
-			n.SetLoad(float64(2 + i)) // fta01..fta10 = 2..11
-		}
-		cl.Node(0).SetLoad(5)
-		cl.Node(1).SetLoad(1)
-		cl.Node(2).SetLoad(3)
-		list := lm.MachineList()
-		if list[0].Name != "fta02" {
-			t.Errorf("least loaded = %s, want fta02", list[0].Name)
-		}
-		if list[len(list)-1].Name != "fta10" {
-			t.Errorf("most loaded = %s, want fta10", list[len(list)-1].Name)
-		}
-	})
-	c.RunFor()
-}
-
-func TestLoadManagerCachesWithinPeriod(t *testing.T) {
-	c := simtime.NewClock()
-	cl := New(c, RoadrunnerConfig())
-	lm := NewLoadManager(c, cl, time.Minute)
-	c.Go(func() {
-		first := lm.MachineList()
-		cl.Node(int(0)).SetLoad(100) // changes load, but within the period
-		second := lm.MachineList()
-		if first[0] != second[0] {
-			t.Error("list changed within refresh period")
-		}
-		c.Sleep(2 * time.Minute)
-		third := lm.MachineList()
-		if third[len(third)-1].Name != "fta01" {
-			t.Error("refresh after period did not re-sort")
-		}
-	})
-	c.RunFor()
-}
-
-func TestPickCycles(t *testing.T) {
-	c := simtime.NewClock()
-	cfg := RoadrunnerConfig()
-	cfg.Nodes = 3
-	cl := New(c, cfg)
-	lm := NewLoadManager(c, cl, time.Minute)
-	c.Go(func() {
-		picked := lm.Pick(7)
-		if len(picked) != 7 {
-			t.Fatalf("picked %d, want 7", len(picked))
-		}
-		if picked[0] != picked[3] || picked[1] != picked[4] {
-			t.Error("Pick should cycle through the machine list")
-		}
-	})
-	c.RunFor()
-}
-
 func TestNodeSlotsBound(t *testing.T) {
 	c := simtime.NewClock()
 	cfg := RoadrunnerConfig()
@@ -151,12 +91,17 @@ func TestNodeSlotsBound(t *testing.T) {
 func TestMachineListSkipsDownNodes(t *testing.T) {
 	c := simtime.NewClock()
 	cl := New(c, Config{Nodes: 3, NICRate: 1e9, HBARate: 4e8, TrunkRate: 2e9, NodeSlots: 4, NamePrefix: "fta"})
-	lm := NewLoadManager(c, cl, time.Minute)
-	if got := len(lm.MachineList()); got != 3 {
-		t.Fatalf("list = %d nodes, want 3", got)
+	list := cl.MachineList()
+	if len(list) != 3 {
+		t.Fatalf("list = %d nodes, want 3", len(list))
+	}
+	for i := 1; i < len(list); i++ {
+		if list[i-1].Name >= list[i].Name {
+			t.Errorf("machine list not in name order: %s before %s", list[i-1].Name, list[i].Name)
+		}
 	}
 	cl.Node(1).SetDown(true)
-	list := lm.MachineList()
+	list = cl.MachineList()
 	if len(list) != 2 {
 		t.Fatalf("list with one node down = %d, want 2", len(list))
 	}
@@ -165,22 +110,16 @@ func TestMachineListSkipsDownNodes(t *testing.T) {
 			t.Errorf("down node %s in machine list", n.Name)
 		}
 	}
-	// Pick still cycles over the survivors only.
-	for _, n := range lm.Pick(4) {
-		if n.Down() {
-			t.Errorf("Pick placed work on down node %s", n.Name)
-		}
-	}
 	// All down: fall back to the full list rather than an empty one.
 	for _, n := range cl.Nodes() {
 		n.SetDown(true)
 	}
-	if got := len(lm.MachineList()); got != 3 {
+	if got := len(cl.MachineList()); got != 3 {
 		t.Errorf("all-down fallback = %d nodes, want 3", got)
 	}
 	// Repair brings nodes back immediately.
 	cl.Node(1).SetDown(false)
-	list = lm.MachineList()
+	list = cl.MachineList()
 	if len(list) != 1 || list[0] != cl.Node(1) {
 		t.Errorf("after repair list = %v, want just fta02", list)
 	}

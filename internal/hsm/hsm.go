@@ -59,9 +59,6 @@ var (
 
 // Config tunes the engine.
 type Config struct {
-	// PremigrateOnly leaves data on disk after the tape copy (punch is
-	// deferred until space is needed).
-	PremigrateOnly bool
 	// AggregateThreshold bundles files smaller than this into large
 	// tape objects; zero disables aggregation.
 	AggregateThreshold int64
@@ -269,7 +266,7 @@ func (e *Engine) upNodeIndices() []int {
 }
 
 // Migrate moves the candidate files to tape across the engine's nodes
-// in parallel, stubbing them (or premigrating, per config). Candidates
+// in parallel, stubbing them. Candidates
 // that are directories or already migrated are skipped. A mover node
 // that crashes mid-run aborts its streams at a file boundary; the
 // unfinished share is redistributed across surviving nodes in a
@@ -607,32 +604,7 @@ func (e *Engine) stub(path string) error {
 	if err := e.fs.SetPremigrated(path); err != nil {
 		return err
 	}
-	if e.cfg.PremigrateOnly {
-		return nil
-	}
 	return e.fs.Punch(path)
-}
-
-// PunchPremigrated punches every premigrated file under root, the cheap
-// space-reclaim pass enabled by premigrate-only mode.
-func (e *Engine) PunchPremigrated(root string) (int, error) {
-	var victims []string
-	err := e.fs.Walk(root, func(i pfs.Info) error {
-		if !i.IsDir() && i.State == pfs.Premigrated {
-			victims = append(victims, i.Path)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	punches := e.fs.Bill(len(victims))
-	for _, p := range victims {
-		if err := punches.Punch(p); err != nil {
-			return 0, err
-		}
-	}
-	return len(victims), nil
 }
 
 // recallItem is one resolved recall work unit.
@@ -1074,24 +1046,6 @@ func (e *Engine) locate(p string) (recallItem, error) {
 func (e *Engine) RecallOne(path string) error {
 	_, err := e.Recall([]string{path}, RecallOrdered)
 	return err
-}
-
-// ReadThrough returns a file's content, transparently recalling it
-// first when migrated — the DMAPI read-event path GPFS raises when an
-// application touches a stub (§4.2.2: "this tiered storage is
-// transparent to the user").
-func (e *Engine) ReadThrough(path string) (synthetic.Content, error) {
-	content, err := e.fs.ReadContent(path)
-	if err == nil {
-		return content, nil
-	}
-	if !errors.Is(err, pfs.ErrOffline) {
-		return synthetic.Content{}, err
-	}
-	if rerr := e.RecallOne(path); rerr != nil {
-		return synthetic.Content{}, rerr
-	}
-	return e.fs.ReadContent(path)
 }
 
 // TapeLoc is the tape address of one migrated file, exposed for

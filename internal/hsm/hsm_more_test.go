@@ -88,15 +88,6 @@ func TestMigrateNoNodes(t *testing.T) {
 	})
 }
 
-func TestPunchPremigratedMissingRoot(t *testing.T) {
-	e := newEnv(t, 2, Config{})
-	e.run(t, func() {
-		if _, err := e.eng.PunchPremigrated("/missing"); err == nil {
-			t.Error("missing root accepted")
-		}
-	})
-}
-
 func TestRouteRecallsOrderedBalancesVolumeBytes(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	items := []recallItem{

@@ -1,6 +1,7 @@
 package hsm
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -145,32 +146,6 @@ func TestOnStoredFiresPerTapeObject(t *testing.T) {
 		}
 		if singles != 3 {
 			t.Errorf("hook saw %d single-file objects, want 3", singles)
-		}
-	})
-}
-
-func TestMigratePremigrateOnly(t *testing.T) {
-	e := newEnv(t, 2, Config{PremigrateOnly: true})
-	e.run(t, func() {
-		files := e.mkFiles(t, "/d", 3, 1e9)
-		if _, err := e.eng.Migrate(files, MigrateOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			st, _ := e.fs.State(f.Path)
-			if st != pfs.Premigrated {
-				t.Errorf("state = %v, want premigrated", st)
-			}
-		}
-		if e.fs.DefaultPool().Used() != 3e9 {
-			t.Error("premigrate-only should keep data on disk")
-		}
-		n, err := e.eng.PunchPremigrated("/d")
-		if err != nil || n != 3 {
-			t.Fatalf("PunchPremigrated = %d, %v", n, err)
-		}
-		if e.fs.DefaultPool().Used() != 0 {
-			t.Error("punch pass should free space")
 		}
 	})
 }
@@ -435,31 +410,37 @@ func TestEngineCountersAccumulate(t *testing.T) {
 	})
 }
 
+// TestReadThroughRecallsTransparently drives the DMAPI read-event path
+// as jail.Read composes it: a read of a stub is offline until
+// RecallOne brings the bytes back.
 func TestReadThroughRecallsTransparently(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	e.run(t, func() {
 		files := e.mkFiles(t, "/d", 1, 3e6)
 		e.eng.Migrate(files, MigrateOptions{})
-		if st, _ := e.fs.State(files[0].Path); st != pfs.Migrated {
+		p := files[0].Path
+		if st, _ := e.fs.State(p); st != pfs.Migrated {
 			t.Fatal("setup: file not migrated")
 		}
-		content, err := e.eng.ReadThrough(files[0].Path)
+		if _, err := e.fs.ReadContent(p); !errors.Is(err, pfs.ErrOffline) {
+			t.Fatalf("stub read err = %v, want ErrOffline", err)
+		}
+		if err := e.eng.RecallOne(p); err != nil {
+			t.Fatal(err)
+		}
+		content, err := e.fs.ReadContent(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !content.Equal(synthetic.NewUniform(1, 3e6)) {
 			t.Error("read-through content mismatch")
 		}
-		if st, _ := e.fs.State(files[0].Path); st == pfs.Migrated {
+		if st, _ := e.fs.State(p); st == pfs.Migrated {
 			t.Error("file still migrated after read-through")
 		}
-		// Resident files read directly.
-		if _, err := e.eng.ReadThrough(files[0].Path); err != nil {
+		// Recalling a resident file is a no-op.
+		if err := e.eng.RecallOne(p); err != nil {
 			t.Fatal(err)
-		}
-		// Missing files propagate the namespace error.
-		if _, err := e.eng.ReadThrough("/nope"); err == nil {
-			t.Error("missing file should error")
 		}
 	})
 }

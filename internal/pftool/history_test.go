@@ -66,22 +66,6 @@ func TestReportRendersAllSections(t *testing.T) {
 				t.Errorf("report missing %q:\n%s", want, rep)
 			}
 		}
-		// RateAt is consistent with the totals.
-		var sum float64
-		prevAt := res.Started
-		var prevBytes int64
-		for i, h := range res.History {
-			sum += res.RateAt(i) * (h.At - prevAt).Seconds()
-			prevAt, prevBytes = h.At, h.Bytes
-		}
-		_ = prevBytes
-		last := res.History[len(res.History)-1]
-		if int64(sum+0.5) != last.Bytes {
-			t.Errorf("integrated RateAt %f != last sample bytes %d", sum, last.Bytes)
-		}
-		if res.RateAt(-1) != 0 || res.RateAt(len(res.History)) != 0 {
-			t.Error("out-of-range RateAt should be 0")
-		}
 	})
 }
 

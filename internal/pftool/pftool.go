@@ -133,7 +133,7 @@ type Request struct {
 	SrcFS *pfs.FS
 	DstFS *pfs.FS // unused for pfls
 
-	// Nodes is the MPI machine list from the LoadManager; worker ranks
+	// Nodes is the cluster's MPI machine list; worker ranks
 	// are placed on these round-robin.
 	Nodes []*cluster.Node
 	// Restorer recalls migrated source files before copying; nil means

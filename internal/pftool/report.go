@@ -56,24 +56,3 @@ func (r Result) Report() string {
 	}
 	return b.String()
 }
-
-// RateAt reports the average data rate over the history interval ending
-// at sample i (bytes moved that interval / interval length), the
-// paper's "bytes copied in the past T minutes" statistic.
-func (r Result) RateAt(i int) float64 {
-	if i < 0 || i >= len(r.History) {
-		return 0
-	}
-	cur := r.History[i]
-	prevAt := r.Started
-	var prevBytes int64
-	if i > 0 {
-		prevAt = r.History[i-1].At
-		prevBytes = r.History[i-1].Bytes
-	}
-	dt := cur.At - prevAt
-	if dt <= 0 {
-		return 0
-	}
-	return float64(cur.Bytes-prevBytes) / dt.Seconds()
-}

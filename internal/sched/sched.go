@@ -16,16 +16,12 @@
 //     backlogged, every higher-class dispatch accrues scavenger credit
 //     and at ≥1 credit the next grant must come from the scavenger
 //     lane, so background work keeps a guaranteed minimum share;
-//   - start-time weighted fair queueing across tenants within a class:
-//     each tenant queue carries a virtual start tag advanced by
-//     units/weight on dispatch, the minimum tag wins (ties broken by
-//     tenant name for determinism), so long-run shares are
-//     weight-proportional and an idle tenant's tag catches up to lane
-//     virtual time instead of hoarding credit;
-//   - per-tenant token-bucket quotas (units/second with a burst cap):
-//     a tenant out of tokens is skipped — work-conserving, others run
-//     ahead — and when every backlogged tenant is throttled the
-//     station arms a wake timer at the earliest refill.
+//   - start-time fair queueing across tenants within a class: each
+//     tenant queue carries a virtual start tag advanced by the item's
+//     units on dispatch, the minimum tag wins (ties broken by tenant
+//     name for determinism), so backlogged tenants get equal long-run
+//     shares and an idle tenant's tag catches up to lane virtual time
+//     instead of hoarding credit.
 //
 // The scheduler arbitrates *admission order only* and then dispatches
 // into the existing executors; data movement still charges the
@@ -152,7 +148,7 @@ const (
 type Item struct {
 	QoS
 	Kind     string // e.g. "hsm.recall" — telemetry and trace label
-	Units    int64  // cost in bytes (quota charge, WFQ advance); min 1
+	Units    int64  // cost in bytes (WFQ advance); min 1
 	Expedite bool   // recall lane: runs before non-expedite work of the same tenant
 }
 
@@ -216,10 +212,8 @@ type Scheduler struct {
 	clock    *simtime.Clock
 	stations map[string]*Station
 
-	weights     map[string]float64 // tenant -> WFQ weight (default 1)
-	quotas      map[string]*bucket // tenant -> token bucket (nil = unlimited)
-	scavShare   float64            // anti-starvation share for scavenger work
-	starveAfter simtime.Duration   // queue wait counted as starvation (0 = off)
+	scavShare   float64          // anti-starvation share for scavenger work
+	starveAfter simtime.Duration // queue wait counted as starvation (0 = off)
 	slo         [4]simtime.Duration
 	shedMark    [4]simtime.Duration // brownout watermark per class (0 = off)
 
@@ -249,8 +243,6 @@ func newScheduler(clock *simtime.Clock) *Scheduler {
 	return &Scheduler{
 		clock:     clock,
 		stations:  make(map[string]*Station),
-		weights:   make(map[string]float64),
-		quotas:    make(map[string]*bucket),
 		scavShare: DefaultScavengerShare,
 		acct:      make(map[acctKey]*TenantStat),
 	}
@@ -276,42 +268,17 @@ func (s *Scheduler) Station(name string) *Station {
 	return st
 }
 
-// SetLimit bounds the station to n concurrent grants (0 restores
-// pass-through). Lowering the limit never revokes live grants; the
-// station just stops admitting until enough of them finish.
+// SetLimit bounds the station to n ≥ 1 concurrent grants; it panics
+// otherwise, since a limited station has no way back to pass-through
+// for the waiters it queued. Lowering the limit never revokes live
+// grants; the station just stops admitting until enough of them finish.
 func (s *Scheduler) SetLimit(station string, n int) {
+	if n < 1 {
+		panic(fmt.Sprintf("sched: SetLimit(%q, %d): limit must be at least 1", station, n))
+	}
 	st := s.Station(station)
 	st.slots = n
-	if n > 0 {
-		st.pump()
-	} else {
-		// Pass-through again: drain everyone still queued.
-		st.drainAll()
-	}
-}
-
-// SetTenantWeight sets a tenant's WFQ weight (default 1; w <= 0 resets).
-func (s *Scheduler) SetTenantWeight(tenant string, w float64) {
-	if w <= 0 {
-		delete(s.weights, tenant)
-		return
-	}
-	s.weights[tenant] = w
-}
-
-// SetQuota installs a token bucket for the tenant: a long-run rate in
-// units/second and a burst allowance. rate <= 0 removes the quota.
-// Quotas only bind on limited stations; pass-through admission never
-// waits.
-func (s *Scheduler) SetQuota(tenant string, rate, burst float64) {
-	if rate <= 0 {
-		delete(s.quotas, tenant)
-		return
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	s.quotas[tenant] = &bucket{rate: rate, burst: burst, tokens: burst, last: s.clock.Now()}
+	st.pump()
 }
 
 // SetScavengerShare sets the anti-starvation dispatch share reserved
@@ -444,33 +411,6 @@ func (s *Scheduler) metrics() *schedMetrics {
 	return m
 }
 
-// bucket is a token bucket charged in item units, refilled lazily on
-// the virtual clock. Tokens may go negative (a single oversized item
-// is admitted whenever the bucket is positive) — the tenant then
-// waits out the deficit, which is what bounds its long-run rate.
-type bucket struct {
-	rate   float64 // units per second
-	burst  float64
-	tokens float64
-	last   simtime.Duration
-}
-
-func (b *bucket) refill(now simtime.Duration) {
-	if now > b.last {
-		b.tokens = math.Min(b.burst, b.tokens+b.rate*(now-b.last).Seconds())
-		b.last = now
-	}
-}
-
-// refillAt returns the virtual time the bucket turns positive.
-func (b *bucket) refillAt(now simtime.Duration) simtime.Duration {
-	if b.tokens > 0 {
-		return now
-	}
-	need := -b.tokens / b.rate // seconds until tokens > 0
-	return now + simtime.Duration(need*float64(simtime.Duration(1e9))) + simtime.Duration(1e6)
-}
-
 // waiter is one blocked Admit call.
 type waiter struct {
 	item     Item
@@ -561,10 +501,8 @@ type Station struct {
 	scavDebt float64
 	dlQueued int // queued waiters carrying a deadline (fast path skip)
 
-	timerCancel func()
-	timerAt     simtime.Duration
-	dlCancel    func() // deadline-cancel wake timer
-	dlAt        simtime.Duration
+	dlCancel func() // deadline-cancel wake timer
+	dlAt     simtime.Duration
 
 	ctrDeadline *telemetry.Counter // lazy: only deadline runs cancel
 }
@@ -673,21 +611,14 @@ func (st *Station) enqueue(w *waiter) {
 	st.s.metrics().queuedG[w.item.Class].Add(1)
 }
 
-// pump grants queued items while slots are free and someone is
-// eligible, then (if work remains but every backlogged tenant is
-// quota-throttled) arms a wake timer at the earliest token refill.
-// Expired deadlines are purged first so a doomed item never takes a
-// slot ahead of live work.
+// pump grants queued items while slots are free, then arms a wake
+// timer at the earliest queued deadline. Expired deadlines are purged
+// first so a doomed item never takes a slot ahead of live work.
 func (st *Station) pump() {
 	st.expireDeadlines()
 	for st.slots > 0 && st.inFlight < st.slots && st.queued > 0 {
-		w, scavCredit := st.pick()
-		if w == nil {
-			break
-		}
-		st.grant(w, scavCredit)
+		st.grant(st.pick())
 	}
-	st.armQuotaTimer()
 	st.armDeadlineTimer()
 }
 
@@ -734,9 +665,9 @@ func (st *Station) cancelWaiter(w *waiter) {
 }
 
 // armDeadlineTimer schedules a pump at the earliest queued deadline so
-// cancellation does not wait for the next slot to free. Like the quota
-// timer this arms nothing when no queued item carries a deadline, so
-// deadline-free runs schedule no extra events.
+// cancellation does not wait for the next slot to free. It arms
+// nothing when no queued item carries a deadline, so deadline-free
+// runs schedule no extra events.
 func (st *Station) armDeadlineTimer() {
 	if st.slots <= 0 || st.dlQueued == 0 {
 		st.disarmDeadlineTimer()
@@ -775,44 +706,29 @@ func (st *Station) disarmDeadlineTimer() {
 	}
 }
 
-// pick selects the next admission per policy; nil if nothing is
-// eligible (backlogged tenants all quota-throttled). The second
-// result reports whether the anti-starvation credit forced a
-// scavenger pick over backlogged higher-class work.
+// pick selects the next admission per policy from a station with
+// work queued. The second result reports whether the anti-starvation
+// credit forced a scavenger pick over backlogged higher-class work.
 func (st *Station) pick() (*waiter, bool) {
-	s := st.s
-	now := s.clock.Now()
 	scav := &st.lanes[Scavenger]
-	higherBacklog := st.lanes[Interactive].backlogged() || st.lanes[Batch].backlogged()
 	if scav.backlogged() && st.scavDebt >= 1 {
-		if tq := st.pickTenant(scav, now); tq != nil {
-			return tq.head(), higherBacklog
-		}
+		higherBacklog := st.lanes[Interactive].backlogged() || st.lanes[Batch].backlogged()
+		return pickTenant(scav).head(), higherBacklog
 	}
 	for _, c := range classOrder {
-		ln := &st.lanes[c]
-		if !ln.backlogged() {
-			continue
-		}
-		if tq := st.pickTenant(ln, now); tq != nil {
-			return tq.head(), false
+		if ln := &st.lanes[c]; ln.backlogged() {
+			return pickTenant(ln).head(), false
 		}
 	}
-	return nil, false
+	panic("sched: pick on a station with nothing queued")
 }
 
-// pickTenant returns the lane's quota-eligible backlogged tenant with
-// the minimum virtual start tag (ties broken by name — the active
-// list is name-sorted and the scan keeps the first minimum).
-func (st *Station) pickTenant(ln *lane, now simtime.Duration) *tenantQ {
+// pickTenant returns the lane's backlogged tenant with the minimum
+// virtual start tag (ties broken by name — the active list is
+// name-sorted and the scan keeps the first minimum).
+func pickTenant(ln *lane) *tenantQ {
 	var best *tenantQ
 	for _, tq := range ln.active {
-		if b := st.s.quotas[tq.name]; b != nil {
-			b.refill(now)
-			if b.tokens <= 0 {
-				continue
-			}
-		}
 		start := math.Max(ln.v, tq.vtag)
 		if best == nil || start < math.Max(ln.v, best.vtag) {
 			best = tq
@@ -842,21 +758,10 @@ func (st *Station) grant(w *waiter, scavCredit bool) {
 
 	// Advance the WFQ tags: the dispatched item starts at
 	// max(lane.v, tenant.vtag) and the tenant's next start tag moves
-	// units/weight past it.
+	// units past it.
 	start := math.Max(ln.v, tq.vtag)
 	ln.v = start
-	w8 := s.weights[it.Tenant]
-	if w8 <= 0 {
-		w8 = 1
-	}
-	tq.vtag = start + float64(it.Units)/w8
-
-	// Charge the quota (may push the bucket negative — that deficit
-	// is the rate limit).
-	if b := s.quotas[it.Tenant]; b != nil {
-		b.refill(s.clock.Now())
-		b.tokens -= float64(it.Units)
-	}
+	tq.vtag = start + float64(it.Units)
 
 	// Anti-starvation ledger.
 	if it.Class == Scavenger {
@@ -901,84 +806,6 @@ func (st *Station) noteDispatch(it Item, wait simtime.Duration) {
 			Seq: s.seq, At: s.clock.Now(), Station: st.name,
 			Tenant: it.Tenant, Class: it.Class, Kind: it.Kind, Units: it.Units,
 		})
-	}
-}
-
-// armQuotaTimer schedules a pump at the earliest token refill when
-// free slots exist but every backlogged tenant is throttled.
-func (st *Station) armQuotaTimer() {
-	if st.slots <= 0 || st.queued == 0 || st.inFlight >= st.slots {
-		st.disarmTimer()
-		return
-	}
-	now := st.s.clock.Now()
-	var wake simtime.Duration
-	found := false
-	for i := range st.lanes {
-		for _, tq := range st.lanes[i].active {
-			b := st.s.quotas[tq.name]
-			if b == nil {
-				continue // eligible tenant exists; pick() would have run
-			}
-			b.refill(now)
-			at := b.refillAt(now)
-			if !found || at < wake {
-				wake, found = at, true
-			}
-		}
-	}
-	if !found {
-		st.disarmTimer()
-		return
-	}
-	if st.timerCancel != nil {
-		if st.timerAt <= wake {
-			return // an earlier-or-equal wake is already armed
-		}
-		st.disarmTimer()
-	}
-	st.timerAt = wake
-	st.timerCancel = st.s.clock.Callback(wake, func() {
-		st.timerCancel = nil
-		st.pump()
-	})
-}
-
-func (st *Station) disarmTimer() {
-	if st.timerCancel != nil {
-		st.timerCancel()
-		st.timerCancel = nil
-	}
-}
-
-// drainAll grants everything queued immediately (pass-through
-// restore): quotas and lanes no longer apply. Items whose deadline
-// already passed are cancelled, not granted.
-func (st *Station) drainAll() {
-	st.disarmTimer()
-	st.disarmDeadlineTimer()
-	now := st.s.clock.Now()
-	for i := range st.lanes {
-		ln := &st.lanes[i]
-		for len(ln.active) > 0 {
-			tq := ln.active[0]
-			for !tq.empty() {
-				w := tq.pop()
-				if w.item.Deadline > 0 && now >= w.item.Deadline {
-					st.cancelWaiter(w)
-					continue
-				}
-				st.queued--
-				if w.item.Deadline > 0 {
-					st.dlQueued--
-				}
-				st.s.metrics().queuedG[w.item.Class].Add(-1)
-				st.inFlight++
-				st.noteDispatch(w.item, st.s.clock.Now()-w.enq)
-				w.latch.Signal()
-			}
-			ln.deactivate(tq)
-		}
 	}
 }
 

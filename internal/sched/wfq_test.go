@@ -15,9 +15,9 @@ import (
 //  1. work conservation — a limited station with backlog never idles
 //     a slot, so with unit service times the makespan is exactly
 //     totalWork/slots;
-//  2. weight-proportional long-run shares — continuously backlogged
-//     tenants complete work in proportion to their configured
-//     weights;
+//  2. equal long-run shares — continuously backlogged tenants with
+//     equal-sized items complete equal numbers of them, however deep
+//     each one's backlog;
 //  3. isolation — a tenant's own backlog never delays another
 //     tenant's first item by more than the residual service of the
 //     items already running.
@@ -50,20 +50,15 @@ func TestWFQWorkConservation(t *testing.T) {
 	}
 }
 
-func TestWFQWeightProportionalShares(t *testing.T) {
+func TestWFQEqualShares(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := simtime.NewClock()
 		s := Of(c)
-		slots := 2
-		s.SetLimit("shares", slots)
+		s.SetLimit("shares", 2)
 		st := s.Station("shares")
-		weights := map[string]float64{"small": 1, "mid": 1 + float64(rng.Intn(3)), "big": 4 + float64(rng.Intn(4))}
+		tenants := []string{"small", "mid", "big"}
 		done := map[string]int{}
-		for tn, w := range weights {
-			s.SetTenantWeight(tn, w)
-			_ = tn
-		}
 		stop := false
 		var spawn func(tenant string)
 		spawn = func(tenant string) {
@@ -77,28 +72,22 @@ func TestWFQWeightProportionalShares(t *testing.T) {
 				}
 			})
 		}
-		// Every tenant continuously backlogged: enough outstanding
-		// items each that the queue never empties while others run.
-		for tn := range weights {
-			for i := 0; i < 8; i++ {
+		// Every tenant continuously backlogged, each with its own
+		// outstanding depth: the share must not follow the depth.
+		for _, tn := range tenants {
+			for i := 2 + rng.Intn(14); i > 0; i-- {
 				spawn(tn)
 			}
 		}
-		horizon := 2000 * time.Second
-		c.After(horizon, func() { stop = true })
+		c.After(2000*time.Second, func() { stop = true })
 		c.RunFor()
-		var wsum float64
 		total := 0
-		for tn, w := range weights {
-			wsum += w
+		for _, tn := range tenants {
 			total += done[tn]
 		}
-		for tn, w := range weights {
-			got := float64(done[tn]) / float64(total)
-			want := w / wsum
-			if math.Abs(got-want) > 0.08 {
-				t.Fatalf("seed %d: tenant %s share %.3f, want %.3f (weights %v, done %v)",
-					seed, tn, got, want, weights, done)
+		for _, tn := range tenants {
+			if got := float64(done[tn]) / float64(total); math.Abs(got-1.0/3) > 0.08 {
+				t.Fatalf("seed %d: tenant %s share %.3f, want 1/3 (done %v)", seed, tn, got, done)
 			}
 		}
 	}
@@ -145,7 +134,7 @@ func TestWFQIdleTenantNeverBlocked(t *testing.T) {
 }
 
 // TestWFQRandomizedAllServed drives a random mix of tenants, classes,
-// weights and quotas and checks global sanity: everything submitted
+// sizes and expedite flags and checks global sanity: everything submitted
 // is eventually dispatched and completed, per-tenant accounting
 // balances, and the trace is internally consistent.
 func TestWFQRandomizedAllServed(t *testing.T) {
@@ -156,8 +145,6 @@ func TestWFQRandomizedAllServed(t *testing.T) {
 		s.EnableTrace()
 		s.SetLimit("rand", 1+rng.Intn(3))
 		st := s.Station("rand")
-		s.SetTenantWeight("t1", 1+rng.Float64()*5)
-		s.SetQuota("t2", 50+rng.Float64()*100, 200)
 		n := 50 + rng.Intn(150)
 		completed := 0
 		for i := 0; i < n; i++ {

@@ -157,9 +157,6 @@ func (h *LogHistogram) Add(v float64) {
 // Total reports the number of values added.
 func (h *LogHistogram) Total() int { return h.total }
 
-// Bucket reports the count in decade d (values in [10^d, 10^(d+1))).
-func (h *LogHistogram) Bucket(d int) int { return h.counts[d] }
-
 // Render draws the histogram as fixed-width text with one row per
 // populated decade, labelled with the unit.
 func (h *LogHistogram) Render(unit string) string {

@@ -106,12 +106,17 @@ func TestLogHistogramBuckets(t *testing.T) {
 	if h.Total() != 6 {
 		t.Errorf("Total=%d", h.Total())
 	}
-	if h.Bucket(0) != 1 || h.Bucket(1) != 2 || h.Bucket(6) != 1 {
-		t.Errorf("buckets: %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(6))
-	}
 	out := h.Render("files")
-	if !strings.Contains(out, "1e6") || !strings.Contains(out, "#") {
-		t.Errorf("Render = %q", out)
+	want := map[string]string{"<=0": "2", "1e0": "1", "1e1": "2", "1e6": "1"}
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		f := strings.Fields(line)
+		if want[f[0]] != f[len(f)-1] || !strings.Contains(line, "#") {
+			t.Errorf("Render line %q", line)
+		}
+		delete(want, f[0])
+	}
+	if len(want) != 0 {
+		t.Errorf("Render missing buckets %v:\n%s", want, out)
 	}
 }
 

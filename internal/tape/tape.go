@@ -220,17 +220,6 @@ func (c *Cartridge) FileBySeq(seq int) (File, error) {
 	return c.files[seq-1], nil
 }
 
-// FileByObject looks up a tape file by object ID (linear scan: the
-// cartridge is the medium, not the index; indexes live in metadb).
-func (c *Cartridge) FileByObject(obj uint64) (File, error) {
-	for _, f := range c.files {
-		if f.Object == obj {
-			return f, nil
-		}
-	}
-	return File{}, fmt.Errorf("%w: %s object %d", ErrNoSuchFile, c.Label, obj)
-}
-
 // Stats aggregates a drive's lifetime counters; experiments read them
 // to quantify mounts, verifies and seek behaviour.
 type Stats struct {

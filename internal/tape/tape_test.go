@@ -320,12 +320,9 @@ func TestFileLookup(t *testing.T) {
 		lib.Mount(d, cart)
 		d.Append(111, 5e6)
 		d.Append(222, 7e6)
-		f, err := cart.FileByObject(222)
-		if err != nil || f.Seq != 2 || f.Bytes != 7e6 {
-			t.Errorf("FileByObject = %+v, %v", f, err)
-		}
-		if _, err := cart.FileByObject(999); !errors.Is(err, ErrNoSuchFile) {
-			t.Errorf("missing object err = %v", err)
+		f, err := cart.FileBySeq(2)
+		if err != nil || f.Object != 222 || f.Bytes != 7e6 {
+			t.Errorf("FileBySeq = %+v, %v", f, err)
 		}
 		if _, err := cart.FileBySeq(3); !errors.Is(err, ErrNoSuchFile) {
 			t.Errorf("missing seq err = %v", err)

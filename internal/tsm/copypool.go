@@ -143,17 +143,17 @@ func (s *Server) BackupPool(client string) (BackupResult, error) {
 			sp.Abort(err.Error(), 0)
 			return res, err
 		}
-		cd.SetTraceParent(sp)
-		if err := cd.BeginSession(client); err == nil {
-			var tf tape.File
-			tf, err = cd.AppendSum(obj.ID, obj.Bytes, delivered)
-			if err == nil {
-				s.copies[obj.ID] = copyLoc{Volume: cvol.Label, Seq: tf.Seq}
-				res.Objects++
-				res.Bytes += obj.Bytes
-				s.tel.Counter("tsm_copy_objects_total").Inc()
-				s.tel.Counter("tsm_copy_bytes_total").Add(float64(obj.Bytes))
-			}
+		if err := s.beginSession(cd, client, sp); err != nil {
+			sp.Abort(err.Error(), 0)
+			return res, err
+		}
+		tf, err := cd.AppendSum(obj.ID, obj.Bytes, delivered)
+		if err == nil {
+			s.copies[obj.ID] = copyLoc{Volume: cvol.Label, Seq: tf.Seq}
+			res.Objects++
+			res.Bytes += obj.Bytes
+			s.tel.Counter("tsm_copy_objects_total").Inc()
+			s.tel.Counter("tsm_copy_bytes_total").Add(float64(obj.Bytes))
 		}
 		s.ReleaseDrive(cd)
 		if err != nil {
@@ -171,15 +171,8 @@ func (s *Server) BackupPool(client string) (BackupResult, error) {
 // readObject reads one tape file in its own drive session and returns
 // the delivered digest plus any drive-head corruption cause.
 func (s *Server) readObject(client string, vol *tape.Cartridge, seq int, parent *telemetry.Span) (delivered, headCause uint64, err error) {
-	s.drvPool.Acquire(1)
-	d, err := s.acquireVolumeDrive(vol)
+	d, err := s.volumeSession(vol, client, parent)
 	if err != nil {
-		s.drvPool.Release(1)
-		return 0, 0, err
-	}
-	d.SetTraceParent(parent)
-	if err := d.BeginSession(client); err != nil {
-		s.ReleaseDrive(d)
 		return 0, 0, err
 	}
 	_, delivered, err = d.ReadSeqSum(seq)
@@ -256,9 +249,7 @@ func (s *Server) rewriteObject(client string, obj *Object, sp *telemetry.Span) e
 	if err != nil {
 		return err
 	}
-	d.SetTraceParent(sp)
-	if err := d.BeginSession(client); err != nil {
-		s.ReleaseDrive(d)
+	if err := s.beginSession(d, client, sp); err != nil {
 		return err
 	}
 	tf, err := d.AppendSum(obj.ID, obj.Bytes, obj.Sum)

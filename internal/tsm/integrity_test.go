@@ -165,6 +165,33 @@ func TestBackupPoolSkipsAlreadyCorruptPrimary(t *testing.T) {
 	})
 }
 
+func TestBackupPoolFailsOnCopyWriteError(t *testing.T) {
+	// A failed write to the copy pool must fail the pass: dropping it
+	// would report success for an object left without its duplicate.
+	e := newEnv(2, DefaultConfig())
+	labels := e.srv.AddCopyPool("copy", 1, tape.LTO4().Capacity)
+	e.run(t, func() {
+		e.storeSum(t, "fta01", "/a", 1e9, 0xA1)
+		if _, err := e.srv.BackupPool("mover"); err != nil {
+			t.Fatal(err)
+		}
+		obj := e.storeSum(t, "fta01", "/b", 1e9, 0xB2)
+		cvol, _ := e.lib.Cartridge(labels[0])
+		d := e.lib.MountedIn(cvol)
+		if d == nil {
+			t.Fatalf("copy volume %s not mounted after the first pass", labels[0])
+		}
+		d.FailNextOps(1)
+		res, err := e.srv.BackupPool("mover")
+		if !errors.Is(err, tape.ErrIO) {
+			t.Fatalf("BackupPool = %+v, %v; want the copy write's ErrIO", res, err)
+		}
+		if res.Objects != 0 || e.srv.HasCopy(obj.ID) {
+			t.Errorf("failed copy write recorded a duplicate: %+v", res)
+		}
+	})
+}
+
 func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	e := newEnv(2, DefaultConfig())
 	e.srv.AddCopyPool("copy", 2, tape.LTO4().Capacity)

@@ -104,14 +104,8 @@ func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int,
 	for _, o := range objs {
 		// Read the object off the old volume in one session per object
 		// (objects are already sorted, so the tape streams forward).
-		s.drvPool.Acquire(1)
-		d, err := s.acquireVolumeDrive(src)
+		d, err := s.volumeSession(src, client, nil)
 		if err != nil {
-			s.drvPool.Release(1)
-			return moved, movedBytes, skipped, err
-		}
-		if err := d.BeginSession(client); err != nil {
-			s.ReleaseDrive(d)
 			return moved, movedBytes, skipped, err
 		}
 		_, delivered, err := d.ReadSeqSum(o.Seq)
@@ -133,8 +127,7 @@ func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int,
 		if err != nil {
 			return moved, movedBytes, skipped, err
 		}
-		if err := dstDrive.BeginSession(client); err != nil {
-			s.ReleaseDrive(dstDrive)
+		if err := s.beginSession(dstDrive, client, nil); err != nil {
 			return moved, movedBytes, skipped, err
 		}
 		tf, err := dstDrive.AppendSum(o.ID, o.Bytes, o.Sum)
@@ -158,11 +151,10 @@ func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int,
 		s.txn()
 		return moved, movedBytes, skipped, nil
 	}
-	// Erase the source volume and return it to scratch.
-	s.drvPool.Acquire(1)
-	d, err := s.acquireVolumeDrive(src)
+	// Erase the source volume and return it to scratch (no session:
+	// that would add a label verify).
+	d, err := s.volumeDrive(src)
 	if err != nil {
-		s.drvPool.Release(1)
 		return moved, movedBytes, skipped, err
 	}
 	if err := d.Unmount(); err != nil {

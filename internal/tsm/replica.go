@@ -70,18 +70,12 @@ func (s *Server) StoreReplica(client, homeCell string, obj Object, parent *telem
 	var tf tape.File
 	var cvol *tape.Cartridge
 	err := s.cfg.Retry.Do(s.clock, func(attempt int) error {
-		if attempt > 1 {
-			s.reapDownDrives()
-			s.stats.Retries++
-			s.ctrRetries.Inc()
-		}
+		s.failover(attempt)
 		d, v, err := s.acquireCopyDrive(obj.Bytes)
 		if err != nil {
 			return err
 		}
-		d.SetTraceParent(sp)
-		if err := d.BeginSession(client); err != nil {
-			s.ReleaseDrive(d)
+		if err := s.beginSession(d, client, sp); err != nil {
 			return err
 		}
 		tf, err = d.AppendSum(obj.ID, obj.Bytes, obj.Sum)
@@ -106,7 +100,6 @@ func (s *Server) StoreReplica(client, homeCell string, obj Object, parent *telem
 		Volume: cvol.Label,
 		Seq:    tf.Seq,
 	}
-	s.replicaOrder = append(s.replicaOrder, key)
 	s.stats.ReplicasStored++
 	s.stats.ReplicaBytes += obj.Bytes
 	s.ctrReplicas.Inc()
@@ -143,20 +136,9 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 	var delivered uint64
 	var tainted bool
 	err = s.cfg.Retry.Do(s.clock, func(attempt int) error {
-		if attempt > 1 {
-			s.reapDownDrives()
-			s.stats.Retries++
-			s.ctrRetries.Inc()
-		}
-		s.drvPool.Acquire(1)
-		d, err := s.acquireVolumeDrive(vol)
+		s.failover(attempt)
+		d, err := s.volumeSession(vol, client, sp)
 		if err != nil {
-			s.drvPool.Release(1)
-			return err
-		}
-		d.SetTraceParent(sp)
-		if err := d.BeginSession(client); err != nil {
-			s.ReleaseDrive(d)
 			return err
 		}
 		var readErr error
@@ -198,12 +180,3 @@ func (s *Server) HasReplica(homeCell string, id uint64) bool {
 
 // NumReplicas reports how many replicas this server holds.
 func (s *Server) NumReplicas() int { return len(s.replicas) }
-
-// Replicas lists the held replicas in store order.
-func (s *Server) Replicas() []Replica {
-	out := make([]Replica, 0, len(s.replicaOrder))
-	for _, k := range s.replicaOrder {
-		out = append(out, *s.replicas[k])
-	}
-	return out
-}

@@ -150,17 +150,8 @@ func (sc *Scrubber) ScrubOnce() ScrubReport {
 			volBytes += obj.Bytes
 		}
 		grant := sc.admit(volBytes)
-		s.drvPool.Acquire(1)
-		d, err := s.acquireVolumeDrive(vol)
+		d, err := s.volumeSession(vol, sc.cfg.Client, sp)
 		if err != nil {
-			s.drvPool.Release(1)
-			grant.Done()
-			rep.Failures = append(rep.Failures, err.Error())
-			continue
-		}
-		d.SetTraceParent(sp)
-		if err := d.BeginSession(sc.cfg.Client); err != nil {
-			s.ReleaseDrive(d)
 			grant.Done()
 			rep.Failures = append(rep.Failures, err.Error())
 			continue

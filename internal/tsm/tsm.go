@@ -139,27 +139,26 @@ type Server struct {
 	cfg   Config
 	lib   *tape.Library
 
-	db           map[uint64]*Object
-	order        []uint64
-	nextID       uint64
-	txnRes       *simtime.Resource
-	drvPool      *simtime.Resource
-	netLink      *fabric.Link
-	coloc        map[string]string // group -> current volume label
-	mounting     map[string]bool   // volume labels with a mount in flight
-	reclaiming   map[string]bool   // volumes being reclaimed: never a write target
-	quarantine   map[string]bool   // volumes with detected corruption: never a write target
-	copyPool     map[string]bool   // copy-storage-pool volumes: never a primary write target
-	copyOrder    []string          // copy-pool labels in insertion order
-	copies       map[uint64]copyLoc
-	replicas     map[replicaKey]*Replica // cross-site duplicates held here
-	replicaOrder []replicaKey
-	onRepair     []func(Object) // notified after an object moves during repair
-	lastDrive    map[string]*tape.Drive
-	down         bool // server outage: transactions block until repair
-	stats        Stats
-	sch          *sched.Scheduler
-	defense      *faults.Defense // shared retry budgets + breakers (inert unless enabled)
+	db         map[uint64]*Object
+	order      []uint64
+	nextID     uint64
+	txnRes     *simtime.Resource
+	drvPool    *simtime.Resource
+	netLink    *fabric.Link
+	coloc      map[string]string // group -> current volume label
+	mounting   map[string]bool   // volume labels with a mount in flight
+	reclaiming map[string]bool   // volumes being reclaimed: never a write target
+	quarantine map[string]bool   // volumes with detected corruption: never a write target
+	copyPool   map[string]bool   // copy-storage-pool volumes: never a primary write target
+	copyOrder  []string          // copy-pool labels in insertion order
+	copies     map[uint64]copyLoc
+	replicas   map[replicaKey]*Replica // cross-site duplicates held here
+	onRepair   []func(Object)          // notified after an object moves during repair
+	lastDrive  map[string]*tape.Drive
+	down       bool // server outage: transactions block until repair
+	stats      Stats
+	sch        *sched.Scheduler
+	defense    *faults.Defense // shared retry budgets + breakers (inert unless enabled)
 
 	tel               *telemetry.Registry
 	ctrTxn            *telemetry.Counter
@@ -352,6 +351,17 @@ func (s *Server) reapDownDrives() {
 	}
 }
 
+// failover prepares retry attempt number attempt: every attempt after
+// the first reaps down drives (the failover must see the shrunken pool)
+// and counts as a retry.
+func (s *Server) failover(attempt int) {
+	if attempt > 1 {
+		s.reapDownDrives()
+		s.stats.Retries++
+		s.ctrRetries.Inc()
+	}
+}
+
 // retryable classifies data-path errors worth re-driving on another
 // drive: transient I/O faults, a drive dying mid-session, and media
 // frozen read-only under the write (the retry picks a new volume).
@@ -426,18 +436,12 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	attempts := 0
 	storeErr := s.defense.Do("tsm.session", s.cfg.Retry, func(attempt int) error {
 		attempts = attempt
-		if attempt > 1 {
-			s.reapDownDrives() // the failover must see the shrunken pool
-			s.stats.Retries++
-			s.ctrRetries.Inc()
-		}
+		s.failover(attempt)
 		drive, v, err := s.acquireDriveForWrite(req.Client, req.Group, req.Bytes)
 		if err != nil {
 			return err
 		}
-		drive.SetTraceParent(sp)
-		if err := drive.BeginSession(req.Client); err != nil {
-			s.ReleaseDrive(drive)
+		if err := s.beginSession(drive, req.Client, sp); err != nil {
 			s.dropAffinity(req.Client, drive)
 			return err
 		}
@@ -616,6 +620,41 @@ func (s *Server) ReleaseDrive(d *tape.Drive) {
 	s.drvPool.Release(1)
 }
 
+// volumeDrive takes a drive-pool slot and returns a held drive with vol
+// mounted (see acquireVolumeDrive). Release with ReleaseDrive.
+func (s *Server) volumeDrive(vol *tape.Cartridge) (*tape.Drive, error) {
+	s.drvPool.Acquire(1)
+	d, err := s.acquireVolumeDrive(vol)
+	if err != nil {
+		s.drvPool.Release(1)
+		return nil, err
+	}
+	return d, nil
+}
+
+// beginSession opens client's session on a held drive, nesting the
+// drive's phase spans under sp. On failure the drive is released.
+func (s *Server) beginSession(d *tape.Drive, client string, sp *telemetry.Span) error {
+	d.SetTraceParent(sp)
+	if err := d.BeginSession(client); err != nil {
+		s.ReleaseDrive(d)
+		return err
+	}
+	return nil
+}
+
+// volumeSession is volumeDrive followed by beginSession.
+func (s *Server) volumeSession(vol *tape.Cartridge, client string, sp *telemetry.Span) (*tape.Drive, error) {
+	d, err := s.volumeDrive(vol)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.beginSession(d, client, sp); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // acquireVolumeDrive returns a held drive with vol mounted, mounting it
 // if necessary. A cartridge can only ever be in one drive: callers that
 // need a volume someone else is using queue FIFO on that drive — the
@@ -756,20 +795,9 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 		var delivered, tCause, headCause uint64
 		var tainted bool
 		recallErr := s.defense.Do("tsm.session", s.cfg.Retry, func(attempt int) error {
-			if attempt > 1 {
-				s.reapDownDrives()
-				s.stats.Retries++
-				s.ctrRetries.Inc()
-			}
-			s.drvPool.Acquire(1)
-			d, err := s.acquireVolumeDrive(vol)
+			s.failover(attempt)
+			d, err := s.volumeSession(vol, req.Client, sp)
 			if err != nil {
-				s.drvPool.Release(1)
-				return err
-			}
-			d.SetTraceParent(sp)
-			if err := d.BeginSession(req.Client); err != nil {
-				s.ReleaseDrive(d)
 				return err
 			}
 			var readErr error
@@ -871,17 +899,8 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 	}
 	sp := telemetry.ChildOf(s.tel, req.Parent, "tsm.recall-batch",
 		"client", req.Client, "volume", req.Volume, "objects", strconv.Itoa(len(objs)))
-	s.drvPool.Acquire(1)
-	d, err := s.acquireVolumeDrive(vol)
+	d, err := s.volumeSession(vol, req.Client, sp)
 	if err != nil {
-		s.drvPool.Release(1)
-		grant.Done()
-		sp.Abort(err.Error(), 0)
-		return nil, err
-	}
-	d.SetTraceParent(sp)
-	if err := d.BeginSession(req.Client); err != nil {
-		s.ReleaseDrive(d)
 		grant.Done()
 		sp.Abort(err.Error(), 0)
 		return nil, err
