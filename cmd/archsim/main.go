@@ -32,7 +32,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 0, "override campaign job count (0 = the paper's 62)")
 	full := fs.Bool("full", false, "lift the per-job file-count cap (needs several GB of memory)")
 	csvDir := fs.String("csv", "", "write per-job campaign data as CSV into this directory")
-	saveTrace := fs.String("save-trace", "", "write the generated campaign job sequence to this JSON file")
 	reportPath := fs.String("report", "", "write the run's reports (name, title, body, metrics, notes, per-experiment detail) as JSON to this file, schema archsim-report/v1")
 	flightPath := fs.String("flight-record", "", "write the run's flight-recorder dump (recent spans and events) as JSON to this file, including on invariant-violation crashes")
 	metricsText := fs.Bool("metrics-text", false, "print each experiment's telemetry registry in Prometheus text exposition format")
@@ -126,12 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p := experiments.CampaignParams{Seed: *seed, Jobs: *jobs}
 		if *full {
 			p.MaxSimFiles = -1
-		}
-		if *saveTrace != "" {
-			if err := saveCampaignTrace(*saveTrace, p); err != nil {
-				return fail("trace", err)
-			}
-			wrote(*saveTrace)
 		}
 		var data archive.CampaignResult
 		data, reports = experiments.CampaignData(p)
@@ -277,17 +269,6 @@ func writePprofProfile(path, name string) error {
 	}
 	defer f.Close()
 	return pprof.Lookup(name).WriteTo(f, 0)
-}
-
-// saveCampaignTrace writes the exact job sequence the campaign will
-// run, so the experiment replays bit-identically elsewhere.
-func saveCampaignTrace(path string, p experiments.CampaignParams) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return workload.WriteTrace(f, p.Seed, workload.Generate(p.Config()))
 }
 
 // writeCampaignCSV dumps the per-job series behind Figures 8–11, one

@@ -41,14 +41,15 @@ func TestUnknownExperimentExitsTwo(t *testing.T) {
 
 // TestRejectedFlags: an unknown flag is a usage error, and so is every
 // flag the single -report replaced or that went with engine
-// checkpoint/restore — a stale CI line must fail loudly, not run the
-// default experiment and write nothing.
+// checkpoint/restore or the campaign-trace export — a stale CI line
+// must fail loudly, not run the default experiment and write nothing.
 func TestRejectedFlags(t *testing.T) {
 	for _, f := range []string{
 		"-no-such-flag",
 		"-scrub-report", "-dr-report", "-tenant-report", "-storm-report", "-ops-report", "-parallel-report",
 		"-bench-json", "-scale-json", "-parallel-bench-json", "-wall-ceiling",
 		"-checkpoint", "-checkpoint-epoch", "-restore",
+		"-save-trace",
 	} {
 		code, out, errw := archsim(f, "x", "-list")
 		if code != 2 || out != "" || !strings.Contains(errw, "flag provided but not defined") {

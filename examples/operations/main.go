@@ -140,13 +140,12 @@ func main() {
 				Engine: hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{}),
 			}
 		}
-		fed, err := federation.New(clock, mkCell("east"), mkCell("west"))
+		// One failure mechanism: cell health lives in the same registry
+		// as the drive faults, so SetDown below lands in its log.
+		fed, err := federation.New(clock, reg, mkCell("east"), mkCell("west"))
 		if err != nil {
 			log.Fatal(err)
 		}
-		// One failure mechanism: cell health lives in the same registry
-		// as the drive faults, so SetDown below lands in its log.
-		fed.BindFaults(reg)
 		var fedInfos []pfs.Info
 		for _, proj := range []string{"astro", "plasma", "cosmo", "fusion"} {
 			cell := fed.CellFor("/" + proj)

@@ -18,8 +18,8 @@ type CampaignParams struct {
 	MaxSimFiles int
 }
 
-// Config resolves the params to the campaign the generator runs.
-func (p CampaignParams) Config() workload.CampaignConfig {
+// config resolves the params to the campaign the generator runs.
+func (p CampaignParams) config() workload.CampaignConfig {
 	cfg := workload.PaperCampaign(p.Seed)
 	if p.Jobs > 0 {
 		cfg.Jobs = p.Jobs
@@ -45,7 +45,7 @@ func CampaignData(p CampaignParams) (archive.CampaignResult, []Report) {
 	var res archive.CampaignResult
 	var err error
 	run := runSystem(nil, func(sys *archive.System) {
-		res, err = archive.RunCampaign(sys, p.Config(), pftool.DefaultTunables(), nil)
+		res, err = archive.RunCampaign(sys, p.config(), pftool.DefaultTunables(), nil)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("campaign failed: %v", err))

@@ -130,7 +130,8 @@ func drRun(seed int64) drOutcome {
 		for _, n := range names {
 			sites = append(sites, drBuildSite(clock, n))
 		}
-		fed, err := federation.NewMultiSite(clock, sites...)
+		reg := faults.New(clock, seed)
+		fed, err := federation.NewMultiSite(clock, reg, sites...)
 		if err != nil {
 			panic(err)
 		}
@@ -139,7 +140,6 @@ func drRun(seed int64) drOutcome {
 		fed.AddWANLink("wan-east-south", wanRate, sites[0], sites[1])
 		fed.AddWANLink("wan-south-west", wanRate, sites[1], sites[2])
 		fed.AddWANLink("wan-west-east", wanRate, sites[2], sites[0])
-		reg := faults.New(clock, seed)
 		fed.InstallFaults(reg)
 		// A fast-burning WAN retry budget: items destined to the dead site
 		// park within about half a virtual minute instead of the default

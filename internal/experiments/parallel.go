@@ -48,7 +48,6 @@ type ParallelParams struct {
 	// MaxSimFiles caps per-job materialized files (0 = the campaign
 	// default 300k).
 	MaxSimFiles int
-	Epochs      int // quiescent global barriers per run (default 4)
 
 	// Baseline=false skips the workers=1 reference run (and with it the
 	// A/B determinism check and speedup measurement).
@@ -67,9 +66,6 @@ func (p *ParallelParams) defaults() {
 	}
 	if p.Jobs <= 0 {
 		p.Jobs = 62
-	}
-	if p.Epochs <= 0 {
-		p.Epochs = 4
 	}
 }
 
@@ -144,6 +140,8 @@ const (
 	parallelWANRate    = 100e6
 	// parallelManifestEntry approximates one catalog entry's wire size.
 	parallelManifestEntry int64 = 256
+	// parallelEpochs is the number of quiescent global barriers per run.
+	parallelEpochs = 4
 )
 
 // parallelSite is one island's world: a full archive plant plus its
@@ -172,7 +170,7 @@ type parallelPlant struct {
 // cost (bytes dominate a job's virtual duration, and virtual-time
 // balance is what the lock-step engine needs), then splits each
 // island's share into epoch chunks of near-equal job count.
-func parallelPartition(jobs []workload.JobSpec, islands, epochs int) [][][]workload.JobSpec {
+func parallelPartition(jobs []workload.JobSpec, islands int) [][][]workload.JobSpec {
 	type bin struct {
 		idx  int
 		cost float64
@@ -204,9 +202,9 @@ func parallelPartition(jobs []workload.JobSpec, islands, epochs int) [][][]workl
 	for i, b := range bins {
 		// Keep each island's jobs in campaign order; chunk into epochs.
 		sort.SliceStable(b.jobs, func(a, c int) bool { return b.jobs[a].ID < b.jobs[c].ID })
-		chunks := make([][]workload.JobSpec, epochs)
+		chunks := make([][]workload.JobSpec, parallelEpochs)
 		for k, j := range b.jobs {
-			e := k * epochs / len(b.jobs)
+			e := k * parallelEpochs / len(b.jobs)
 			chunks[e] = append(chunks[e], j)
 		}
 		out[i] = chunks
@@ -227,7 +225,7 @@ func buildParallelPlant(p ParallelParams) *parallelPlant {
 	if p.MaxSimFiles != 0 { // negative = uncapped, like CampaignParams
 		cfg.MaxSimFiles = p.MaxSimFiles
 	}
-	parts := parallelPartition(workload.Generate(cfg), p.Islands, p.Epochs)
+	parts := parallelPartition(workload.Generate(cfg), p.Islands)
 
 	for i := 0; i < p.Islands; i++ {
 		name := fmt.Sprintf("site-%d", i)
@@ -256,8 +254,8 @@ func buildParallelPlant(p ParallelParams) *parallelPlant {
 	}
 
 	if len(plant.sites) == 1 {
-		// Degenerate single-site run (the benchmark's islands=1 axis
-		// point): no ring, no replication, just the plain campaign.
+		// Degenerate single-site run (Islands: 1): no ring, no
+		// replication, just the plain campaign.
 		return plant
 	}
 	for i, s := range plant.sites {
@@ -266,7 +264,7 @@ func buildParallelPlant(p ParallelParams) *parallelPlant {
 		// cycle, and the WAN path adds its latency plus the minimum
 		// manifest quantum at nominal rate.
 		lookahead := simtime.Duration(parallelReplCycle) + s.egress.Lookahead(parallelManifestEntry)
-		s.out = plant.group.Connect(s.isl, next.isl, s.name+"->"+next.name, lookahead, 256, next.receiveManifest)
+		s.out = plant.group.Connect(s.isl, next.isl, s.name+"->"+next.name, lookahead, next.receiveManifest)
 	}
 	return plant
 }
@@ -327,7 +325,7 @@ type parallelOutcome struct {
 func runParallel(p ParallelParams, plant *parallelPlant, workers int) parallelOutcome {
 	out := parallelOutcome{plant: plant}
 	t0 := time.Now()
-	for e := 0; e < p.Epochs; e++ {
+	for e := 0; e < parallelEpochs; e++ {
 		for _, s := range plant.sites {
 			s.runEpoch(e, p.Seed)
 		}
@@ -453,7 +451,7 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 
 	pr := &ParallelReport{
 		Islands: p.Islands, Workers: p.Workers, Cores: runtime.NumCPU(),
-		Jobs: measured.jobCount(), Files: files, Bytes: bytes, Epochs: p.Epochs,
+		Jobs: measured.jobCount(), Files: files, Bytes: bytes, Epochs: parallelEpochs,
 		VirtualSeconds: measured.virtual.Seconds(),
 		WallSeconds:    measured.wall,
 		Deterministic:  haveBase,

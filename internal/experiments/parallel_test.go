@@ -12,7 +12,7 @@ import (
 func testParams(seed int64) ParallelParams {
 	p := ParallelParams{
 		Seed: seed, Islands: 4, Workers: 2,
-		Jobs: 12, MaxSimFiles: 2000, Epochs: 4,
+		Jobs: 12, MaxSimFiles: 2000,
 	}
 	p.defaults()
 	return p
@@ -49,7 +49,7 @@ func TestParallelDeterminismAcrossWorkers(t *testing.T) {
 // TestParallelRunReport exercises the full ParallelRun plumbing —
 // internal A/B, speedup measurement, report assembly — at test scale.
 func TestParallelRunReport(t *testing.T) {
-	p := ParallelParams{Seed: 7, Islands: 4, Workers: 2, Jobs: 12, MaxSimFiles: 2000, Epochs: 4}
+	p := ParallelParams{Seed: 7, Islands: 4, Workers: 2, Jobs: 12, MaxSimFiles: 2000}
 	r, pr := ParallelRun(p)
 	if r.Name != "parallel" || r.Detail != pr {
 		t.Fatalf("report wiring: name=%q detail=%p pr=%p", r.Name, r.Detail, pr)

@@ -100,7 +100,7 @@ type Fabric struct {
 	finalizeFn      func() // cached finalizeStreams method value
 
 	// Flow counters, resolved lazily on first Start: New may run inside
-	// clock.Attach (Of), where telemetry.Of would deadlock on the clock
+	// clock.SlotOf (Of), where telemetry.Of would deadlock on the clock
 	// mutex; Start always runs from plain actor context.
 	ctrFlowsStarted   *telemetry.Counter
 	ctrFlowsCompleted *telemetry.Counter
@@ -154,7 +154,7 @@ func (f *Fabric) AddLink(name string, capacity float64, a, b string) *Link {
 	// Emit the link's accounting through the telemetry registry as
 	// snapshot-time collected series (the fabric already keeps these
 	// numbers; settle() is idempotent, so collecting is free). AddLink
-	// always runs outside clock.Attach constructors, unlike New.
+	// always runs outside clock.SlotOf constructors, unlike New.
 	tel := telemetry.Of(f.clock)
 	tel.CounterFunc("fabric_link_bytes_total", func() float64 {
 		f.settle()

@@ -77,7 +77,7 @@ const completionEps = 1.0
 const minRate = 1.0
 
 // counters resolves the flow counters lazily: New may run inside
-// clock.Attach (Of), where telemetry.Of would deadlock on the clock
+// clock.SlotOf (Of), where telemetry.Of would deadlock on the clock
 // mutex; Start and Send always run from plain actor context.
 func (f *Fabric) counters() {
 	if f.ctrFlowsStarted == nil {

@@ -327,8 +327,8 @@ func (r *Registry) GenerateSchedule(p Profile) []Event {
 }
 
 // Status is a handle onto one component's failure state, for subsystems
-// (like a federation cell) that carry their own up/down flag today and
-// want the registry to be the single mechanism.
+// (like a federation cell or site) that keep their health in the
+// registry rather than in a flag of their own.
 type Status struct {
 	reg  *Registry
 	comp string

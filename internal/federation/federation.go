@@ -39,32 +39,18 @@ type Cell struct {
 	Shadow *metadb.DB
 	Engine *hsm.Engine
 
-	// status is the cell's health in the fault registry once BindFaults
-	// has run; before binding, the local flag stands in so a federation
-	// is usable without a registry.
+	// status is the cell's health in the fault registry, bound by New.
 	status *faults.Status
-	down   bool
 }
 
 // Down reports whether the cell is failed.
-func (c *Cell) Down() bool {
-	if c.status != nil {
-		return c.status.Down()
-	}
-	return c.down
-}
+func (c *Cell) Down() bool { return c.status.Down() }
 
 // SetDown fails or revives the cell (failure injection for the single
-// point-of-failure study). When the cell is bound to a fault registry
-// this routes through it, so the event lands in the registry's log and
-// reaches its subscribers like any other injected fault.
-func (c *Cell) SetDown(down bool) {
-	if c.status != nil {
-		c.status.SetDown(down)
-		return
-	}
-	c.down = down
-}
+// point-of-failure study). It routes through the fault registry, so
+// the event lands in the registry's log and reaches its subscribers
+// like any other injected fault.
+func (c *Cell) SetDown(down bool) { c.status.SetDown(down) }
 
 // Federation is the tethered namespace.
 type Federation struct {
@@ -80,31 +66,23 @@ type Federation struct {
 	rep     *Replicator
 }
 
-// New assembles a federation over the given cells.
-func New(clock *simtime.Clock, cells ...*Cell) (*Federation, error) {
+// New assembles a federation over the given cells and binds each
+// cell's health to reg under the "cell:<name>" component, making the
+// registry the single mechanism for cell failure: scheduled events
+// (Window, FailAt) take cells down, and Cell.SetDown is sugar for an
+// immediate registry event.
+func New(clock *simtime.Clock, reg *faults.Registry, cells ...*Cell) (*Federation, error) {
 	if len(cells) == 0 {
 		return nil, ErrNoCells
+	}
+	for _, c := range cells {
+		c.status = reg.ComponentStatus(faults.CellComponent(c.Name))
 	}
 	return &Federation{clock: clock, cells: cells}, nil
 }
 
 // Cells returns the member cells.
 func (f *Federation) Cells() []*Cell { return f.cells }
-
-// BindFaults rebases every cell's up/down state onto the fault
-// registry under the "cell:<name>" component, making the registry the
-// single mechanism for cell failure: scheduled events (Window, FailAt)
-// take cells down, and Cell.SetDown becomes sugar for an immediate
-// registry event. A cell already marked down carries its state over.
-func (f *Federation) BindFaults(reg *faults.Registry) {
-	for _, c := range f.cells {
-		wasDown := c.Down()
-		c.status = reg.ComponentStatus(faults.CellComponent(c.Name))
-		if wasDown && !c.status.Down() {
-			c.status.SetDown(true)
-		}
-	}
-}
 
 // CellFor routes a path to its owning cell by hashing the first path
 // component (the "project" level): a whole project lives in one cell,

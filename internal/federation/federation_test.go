@@ -22,6 +22,7 @@ import (
 type env struct {
 	clock *simtime.Clock
 	fed   *Federation
+	reg   *faults.Registry
 }
 
 // newEnv builds an n-cell federation, each cell with its own library
@@ -43,11 +44,12 @@ func newEnv(t *testing.T, n int) *env {
 		eng := hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{})
 		cells = append(cells, &Cell{Name: name, FS: fs, Server: srv, Shadow: shadow, Engine: eng})
 	}
-	fed, err := New(clock, cells...)
+	reg := faults.New(clock, 1)
+	fed, err := New(clock, reg, cells...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &env{clock: clock, fed: fed}
+	return &env{clock: clock, fed: fed, reg: reg}
 }
 
 func (e *env) run(t *testing.T, fn func()) {
@@ -79,7 +81,8 @@ func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs
 }
 
 func TestNewRequiresCells(t *testing.T) {
-	if _, err := New(simtime.NewClock()); !errors.Is(err, ErrNoCells) {
+	clock := simtime.NewClock()
+	if _, err := New(clock, faults.New(clock, 1)); !errors.Is(err, ErrNoCells) {
 		t.Errorf("err = %v, want ErrNoCells", err)
 	}
 }
@@ -250,10 +253,10 @@ func TestShadowLookupRoutes(t *testing.T) {
 	})
 }
 
+// Cell health lives in the registry New binds.
 func TestBindFaultsDrivesCellHealth(t *testing.T) {
 	e := newEnv(t, 3)
-	reg := faults.New(e.clock, 1)
-	e.fed.BindFaults(reg)
+	reg := e.reg
 	cell := e.fed.Cells()[1]
 	comp := faults.CellComponent(cell.Name)
 	// A scheduled outage window takes the cell down and back up.
@@ -330,8 +333,9 @@ func TestFanOutIsDeterministic(t *testing.T) {
 }
 
 // TestSkippedSurfacesBeforeAndAfterBindFaults drives the down-cell
-// path through both health mechanisms: the local flag (no registry)
-// and the registry-backed status after BindFaults.
+// path through the registry: a SetDown lands there, Migrate skips the
+// cell's files and names them, and after repair the skip list requeues
+// without loss.
 func TestSkippedSurfacesBeforeAndAfterBindFaults(t *testing.T) {
 	e := newEnv(t, 2)
 	e.run(t, func() {
@@ -353,77 +357,35 @@ func TestSkippedSurfacesBeforeAndAfterBindFaults(t *testing.T) {
 		infosB := e.seedProject(t, projB, 2, 1e6)
 		downCell := e.fed.CellFor("/" + projB)
 
-		// Before BindFaults: the local flag drives Down().
 		downCell.SetDown(true)
+		if !e.reg.Down(faults.CellComponent(downCell.Name)) {
+			t.Fatal("registry did not see the SetDown")
+		}
 		out, err := e.fed.Migrate(append(infosA, infosB...), hsm.MigrateOptions{})
 		if !errors.Is(err, ErrCellDown) {
-			t.Fatalf("pre-bind migrate err = %v, want ErrCellDown", err)
+			t.Fatalf("migrate err = %v, want ErrCellDown", err)
 		}
 		if got := out.Skipped[downCell.Name]; len(got) != 2 {
-			t.Errorf("pre-bind Skipped[%s] = %v, want both projB files", downCell.Name, got)
+			t.Errorf("Skipped[%s] = %v, want both projB files", downCell.Name, got)
 		}
 		if want := []string{infosB[0].Path, infosB[1].Path}; !reflect.DeepEqual(out.SkippedPaths(), want) {
-			t.Errorf("pre-bind SkippedPaths = %v, want %v", out.SkippedPaths(), want)
-		}
-		downCell.SetDown(false)
-
-		// After BindFaults: the registry drives Down(); results agree.
-		reg := faults.New(e.clock, 1)
-		e.fed.BindFaults(reg)
-		downCell.SetDown(true)
-		if !reg.Down(faults.CellComponent(downCell.Name)) {
-			t.Fatal("registry did not see the post-bind SetDown")
-		}
-		// Only projB's files this time: projA's are already migrated.
-		out2, err := e.fed.Migrate(infosB, hsm.MigrateOptions{})
-		if !errors.Is(err, ErrCellDown) {
-			t.Fatalf("post-bind migrate err = %v, want ErrCellDown", err)
-		}
-		if !reflect.DeepEqual(out2.Skipped, out.Skipped) {
-			t.Errorf("post-bind Skipped %v != pre-bind %v", out2.Skipped, out.Skipped)
+			t.Errorf("SkippedPaths = %v, want %v", out.SkippedPaths(), want)
 		}
 		// Requeue the skip list after repair: nothing is lost.
 		downCell.SetDown(false)
 		var requeue []pfs.Info
-		for _, p := range out2.SkippedPaths() {
+		for _, p := range out.SkippedPaths() {
 			info, err := downCell.FS.Stat(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requeue = append(requeue, info)
 		}
-		out3, err := e.fed.Migrate(requeue, hsm.MigrateOptions{})
-		if err != nil || out3.Cells[downCell.Name].Files != 2 {
-			t.Errorf("requeue migrated %d files (err %v), want 2", out3.Cells[downCell.Name].Files, err)
+		out2, err := e.fed.Migrate(requeue, hsm.MigrateOptions{})
+		if err != nil || out2.Cells[downCell.Name].Files != 2 {
+			t.Errorf("requeue migrated %d files (err %v), want 2", out2.Cells[downCell.Name].Files, err)
 		}
 	})
-}
-
-// TestBindFaultsWithPreexistingRegistryEvent covers the edge where the
-// registry already holds a fail event for a cell's component before
-// BindFaults runs: binding must adopt the registry's view, not clobber
-// it with the cell's local (up) flag.
-func TestBindFaultsWithPreexistingRegistryEvent(t *testing.T) {
-	e := newEnv(t, 2)
-	reg := faults.New(e.clock, 1)
-	cell := e.fed.Cells()[0]
-	reg.Apply(faults.Event{Component: faults.CellComponent(cell.Name), Kind: faults.KindFail})
-	if cell.Down() {
-		t.Fatal("unbound cell saw the registry event")
-	}
-	e.fed.BindFaults(reg)
-	if !cell.Down() {
-		t.Error("binding dropped the registry's pre-existing down state")
-	}
-	logLen := len(reg.Log())
-	// Binding must not have synthesized an extra event for it.
-	if logLen != 1 {
-		t.Errorf("registry log has %d events after bind, want 1", logLen)
-	}
-	cell.SetDown(false)
-	if cell.Down() || reg.Down(faults.CellComponent(cell.Name)) {
-		t.Error("repair after bind did not clear both views")
-	}
 }
 
 // TestCellComponentRoundTrip pins the component-name contract the
@@ -445,20 +407,14 @@ func TestCellComponentRoundTrip(t *testing.T) {
 
 func TestSetDownRoutesThroughRegistry(t *testing.T) {
 	e := newEnv(t, 2)
-	reg := faults.New(e.clock, 1)
-	// Pre-binding state carries over.
-	e.fed.Cells()[0].SetDown(true)
-	e.fed.BindFaults(reg)
-	if !reg.Down(faults.CellComponent(e.fed.Cells()[0].Name)) {
-		t.Error("pre-binding down state not carried into the registry")
-	}
+	reg := e.reg
 	cell := e.fed.Cells()[1]
 	cell.SetDown(true)
 	if !reg.Down(faults.CellComponent(cell.Name)) {
 		t.Error("SetDown did not reach the registry")
 	}
-	if n := len(reg.Log()); n != 2 {
-		t.Errorf("registry log has %d events, want 2", n)
+	if n := len(reg.Log()); n != 1 {
+		t.Errorf("registry log has %d events, want 1", n)
 	}
 	cell.SetDown(false)
 	if cell.Down() {

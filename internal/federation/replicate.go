@@ -45,29 +45,20 @@ var (
 )
 
 // ReplicationPolicy says how many copies of each object the federation
-// maintains and where they may land.
+// maintains.
 type ReplicationPolicy struct {
 	// Copies is the TOTAL copy count including the primary; 2 means
 	// one replica on one other site. Values < 2 disable replication.
 	Copies int
-	// Prefer lists site names in placement-preference order. Sites not
-	// listed rank after the listed ones, nearest (fewest WAN hops on
-	// the healthy topology) first, ties by name. The home site is
-	// never a replica target.
-	Prefer []string
-	// QoS tags the replicator's scheduler admissions. Unset fields
-	// default to the "federation" tenant at Batch class: replication is
-	// background durability work that must not crowd out interactive
-	// recalls, but it is not scavenger work either — RPO depends on it.
-	QoS sched.QoS
-	// MaxParkKicks bounds how many times a parked item may be kicked
-	// back into its queue by repair events (0 = default 8). An item
-	// that exhausts its backoff budget that many times is permanently
-	// parked — visible on the federation_parked_permanent gauge and
-	// ReplicatorStats — instead of cycling park→kick→park forever
-	// against a destination that never truly heals.
-	MaxParkKicks int
 }
+
+// maxParkKicks bounds how many times a parked item may be kicked back
+// into its queue by repair events. An item that exhausts its backoff
+// budget that many times is permanently parked — visible on the
+// federation_parked_permanent gauge and ReplicatorStats — instead of
+// cycling park→kick→park forever against a destination that never
+// truly heals.
+const maxParkKicks = 8
 
 // repItem is one pending replica: obj from homeCell (on homeSite) to
 // dest.
@@ -99,7 +90,7 @@ type ReplicatorStats struct {
 	ReplicatedBytes int64 // bytes landed on remote copy pools
 	Pending         int   // offered - replicated: queue + parked + in flight
 	Parked          int   // park events (backoff budget exhausted)
-	ParkedPermanent int   // items retired after MaxParkKicks park→kick cycles
+	ParkedPermanent int   // items retired after maxParkKicks park→kick cycles
 	Retries         int   // WAN attempts re-driven under backoff
 	FailoverRecalls int   // recalls served from a replica site
 }
@@ -115,10 +106,9 @@ type Replicator struct {
 
 	sch      *sched.Scheduler
 	defense  *faults.Defense           // shared retry budgets + breakers (inert unless enabled)
-	maxKicks int                       // park→kick bound per item
 	queues   map[string]*simtime.Queue // dest site name -> mailbox
 	parked   map[string][]repItem      // dest site name -> partition backlog
-	permPark []repItem                 // items retired after maxKicks cycles
+	permPark []repItem                 // items retired after maxParkKicks cycles
 	catalog  map[string]*CatalogEntry  // object path -> entry
 	closed   bool
 	stats    ReplicatorStats
@@ -147,18 +137,14 @@ func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff)
 	if retry == (faults.Backoff{}) {
 		retry = faults.DefaultBackoff()
 	}
-	if pol.MaxParkKicks <= 0 {
-		pol.MaxParkKicks = 8
-	}
 	r := &Replicator{
-		clock:    fed.clock,
-		fed:      fed,
-		pol:      pol,
-		retry:    retry,
-		maxKicks: pol.MaxParkKicks,
-		queues:   make(map[string]*simtime.Queue),
-		parked:   make(map[string][]repItem),
-		catalog:  make(map[string]*CatalogEntry),
+		clock:   fed.clock,
+		fed:     fed,
+		pol:     pol,
+		retry:   retry,
+		queues:  make(map[string]*simtime.Queue),
+		parked:  make(map[string][]repItem),
+		catalog: make(map[string]*CatalogEntry),
 	}
 	r.sch = sched.Of(fed.clock)
 	r.defense = faults.DefenseOf(fed.clock)
@@ -241,19 +227,11 @@ func (r *Replicator) offer(home *Site, cell *Cell, obj tsm.Object) {
 	}
 }
 
-// placements picks the Copies-1 destination sites for a home site:
-// preferred names first (in Prefer order), then the rest nearest-first
-// by healthy-topology hop count, ties by name. Deterministic — the
-// failover path re-derives it.
+// placements picks the Copies-1 destination sites for a home site,
+// nearest-first by healthy-topology hop count, ties by name. The home
+// site is never a replica target. Deterministic — the failover path
+// re-derives it.
 func (r *Replicator) placements(home *Site) []*Site {
-	rank := func(s *Site) int {
-		for i, name := range r.pol.Prefer {
-			if s.Name == name {
-				return i
-			}
-		}
-		return len(r.pol.Prefer)
-	}
 	var cands []*Site
 	for _, s := range r.fed.sites {
 		if s != home {
@@ -272,9 +250,6 @@ func (r *Replicator) placements(home *Site) []*Site {
 		hops[s] = len(p.Names())
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
-		if ri, rj := rank(cands[i]), rank(cands[j]); ri != rj {
-			return ri < rj
-		}
 		if hops[cands[i]] != hops[cands[j]] {
 			return hops[cands[i]] < hops[cands[j]]
 		}
@@ -318,12 +293,12 @@ func repRetryable(err error) bool {
 func (r *Replicator) replicate(item repItem) {
 	// One admission per replica transfer (retries ride the same grant:
 	// the backoff budget is one unit of work from the scheduler's view).
-	qos := r.pol.QoS
-	if qos.Tenant == "" {
-		qos.Tenant = "federation"
-	}
+	// Replication is background durability work that must not crowd out
+	// interactive recalls, but it is not scavenger work either — RPO
+	// depends on it: the "federation" tenant at Batch class.
 	grant := r.sch.Station(sched.StationReplicate).Admit(sched.Item{
-		QoS: qos.Or(sched.Batch), Kind: "federation.replicate", Units: item.obj.Bytes,
+		QoS:  sched.QoS{Tenant: "federation", Class: sched.Batch},
+		Kind: "federation.replicate", Units: item.obj.Bytes,
 	})
 	defer grant.Done()
 	sp := r.tel.StartSpan("federation.replicate",
@@ -353,8 +328,8 @@ func (r *Replicator) replicate(item repItem) {
 	}, repRetryable)
 	if err != nil {
 		cause, _ := r.tel.LastEventFor(faults.SiteComponent(item.dest.Name))
-		if item.kicks >= r.maxKicks {
-			// The item has already cycled park→kick maxKicks times and
+		if item.kicks >= maxParkKicks {
+			// The item has already cycled park→kick maxParkKicks times and
 			// still cannot land: retire it permanently instead of
 			// spinning against a destination that never heals. It stays
 			// on the books (Pending, the gauge, PermanentlyParked) — work
@@ -432,7 +407,7 @@ func (r *Replicator) PermanentlyParked() []tsm.Object {
 // kick re-offers every parked item to its queue — called by the fault
 // dispatcher on site rejoin and WAN-link repair. Sites drain in name
 // order (determinism); idempotent stores make double kicks harmless.
-// Each kick charges the item's park→kick budget; see MaxParkKicks.
+// Each kick charges the item's park→kick budget; see maxParkKicks.
 func (r *Replicator) kick() {
 	if r.closed {
 		return

@@ -175,13 +175,13 @@ func TestReplicatorRequiresMultiSiteAndPolicy(t *testing.T) {
 
 // TestParkKickCycleIsBounded: a destination that "repairs" but never
 // actually serves (the repair event is immediately followed by another
-// failure) must not cycle park→kick→park forever. After MaxParkKicks
+// failure) must not cycle park→kick→park forever. After maxParkKicks
 // round trips the item retires to the permanent-park list — visible on
 // stats and the gauge — and later kicks stop re-offering it.
 func TestParkKickCycleIsBounded(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	retry := faults.Backoff{Attempts: 1, Base: time.Second}
-	rep, err := NewReplicator(e.fed, ReplicationPolicy{Copies: 3, MaxParkKicks: 2}, retry)
+	rep, err := NewReplicator(e.fed, ReplicationPolicy{Copies: 3}, retry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestParkKickCycleIsBounded(t *testing.T) {
 		if rep.Stats().Parked == 0 {
 			t.Fatal("no park events during the outage")
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < maxParkKicks+2; i++ {
 			flap()
 		}
 		st := rep.Stats()

@@ -43,8 +43,9 @@ type Site struct {
 	// requeue instead of quietly finishing on ghost hardware.
 	Nodes []*cluster.Node
 
+	// status is the site's health in the fault registry, bound by
+	// NewMultiSite.
 	status *faults.Status
-	down   bool
 }
 
 // NewSite assembles a site over its cells and mover nodes.
@@ -56,24 +57,13 @@ func NewSite(name string, cells []*Cell, nodes []*cluster.Node) *Site {
 func (s *Site) Endpoint() string { return "wan:" + s.Name }
 
 // Down reports whether the whole site is failed.
-func (s *Site) Down() bool {
-	if s.status != nil {
-		return s.status.Down()
-	}
-	return s.down
-}
+func (s *Site) Down() bool { return s.status.Down() }
 
-// SetDown fails or revives the whole site. Bound to a fault registry
-// (Federation.InstallFaults) this routes through it, so the compound
-// expansion — cells, nodes, WAN links — runs exactly as for a
-// scheduled site kill.
-func (s *Site) SetDown(down bool) {
-	if s.status != nil {
-		s.status.SetDown(down)
-		return
-	}
-	s.down = down
-}
+// SetDown fails or revives the whole site. It routes through the fault
+// registry, so once Federation.InstallFaults has subscribed the
+// dispatcher the compound expansion — cells, nodes, WAN links — runs
+// exactly as for a scheduled site kill.
+func (s *Site) SetDown(down bool) { s.status.SetDown(down) }
 
 // CellFor routes a path to the site-local cell that stores replicas
 // for it, with the same top-component hash the federation uses for
@@ -93,21 +83,24 @@ type wanLink struct {
 }
 
 // NewMultiSite assembles a federation over several sites: the cells of
-// every site, in site order, form the federated namespace. Join the
-// sites with AddWANLink before replicating or routing across them.
-func NewMultiSite(clock *simtime.Clock, sites ...*Site) (*Federation, error) {
+// every site, in site order, form the federated namespace, and each
+// site's and cell's health binds to reg ("site:<name>",
+// "cell:<name>"). Join the sites with AddWANLink before replicating or
+// routing across them, and call InstallFaults to react to events.
+func NewMultiSite(clock *simtime.Clock, reg *faults.Registry, sites ...*Site) (*Federation, error) {
 	if len(sites) == 0 {
 		return nil, ErrNoCells
 	}
 	var cells []*Cell
 	siteOf := make(map[*Cell]*Site)
 	for _, s := range sites {
+		s.status = reg.ComponentStatus(faults.SiteComponent(s.Name))
 		for _, c := range s.Cells {
 			cells = append(cells, c)
 			siteOf[c] = s
 		}
 	}
-	f, err := New(clock, cells...)
+	f, err := New(clock, reg, cells...)
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +164,11 @@ func (f *Federation) HopDistance(from, to *Site) int {
 	return len(p.Names())
 }
 
-// InstallFaults subscribes the multi-site federation to a fault
-// registry, mirroring archive.System.InstallFaults: telemetry records
+// InstallFaults subscribes the multi-site federation to the fault
+// registry it was built on, mirroring archive.System.InstallFaults: telemetry records
 // every event first (so reactions find their cause on the books), the
-// fabric binds its links, cells rebase onto "cell:<name>", and then
-// the federation dispatcher handles the WAN-scale components:
+// fabric binds its links, and then the federation dispatcher handles
+// the WAN-scale components:
 //
 //	site:<name>  the compound disaster fault — expands into cell
 //	             failures, mover-node failures, and WAN-link failures
@@ -195,14 +188,6 @@ func (f *Federation) InstallFaults(reg *faults.Registry) {
 		tel.Counter("faults_events_total", "kind", ev.Kind.String()).Inc()
 	})
 	fabric.Of(f.clock).BindFaults(reg)
-	f.BindFaults(reg)
-	for _, s := range f.sites {
-		wasDown := s.Down()
-		s.status = reg.ComponentStatus(faults.SiteComponent(s.Name))
-		if wasDown && !s.status.Down() {
-			s.status.SetDown(true)
-		}
-	}
 	reg.OnApply(func(ev faults.Event) {
 		switch {
 		case strings.HasPrefix(ev.Component, "site:"):

@@ -50,7 +50,8 @@ func newSiteEnv(t *testing.T, n int) *siteEnv {
 		cell := &Cell{Name: "cell-" + name, FS: fs, Server: srv, Shadow: shadow, Engine: eng}
 		sites = append(sites, NewSite(name, []*Cell{cell}, cl.Nodes()))
 	}
-	fed, err := NewMultiSite(clock, sites...)
+	reg := faults.New(clock, 1)
+	fed, err := NewMultiSite(clock, reg, sites...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,6 @@ func newSiteEnv(t *testing.T, n int) *siteEnv {
 		j := (i + 1) % n
 		fed.AddWANLink(fmt.Sprintf("wan-%d-%d", i, j), 100e6, sites[i], sites[j])
 	}
-	reg := faults.New(clock, 1)
 	fed.InstallFaults(reg)
 	return &siteEnv{clock: clock, fed: fed, sites: sites, reg: reg}
 }

@@ -101,7 +101,6 @@ func HasXattr(key, value string) Predicate {
 type ListPolicy struct {
 	Name  string
 	Where Predicate
-	Limit int // 0 = unlimited
 }
 
 // RunList scans fs and returns matching files in deterministic walk
@@ -114,9 +113,6 @@ func RunList(fs *pfs.FS, p ListPolicy) ([]pfs.Info, error) {
 			return nil
 		}
 		if p.Where == nil || p.Where(i, now) {
-			if p.Limit > 0 && len(out) >= p.Limit {
-				return nil
-			}
 			out = append(out, i)
 		}
 		return nil

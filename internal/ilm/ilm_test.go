@@ -116,19 +116,6 @@ func TestRunListFilters(t *testing.T) {
 	})
 }
 
-func TestRunListLimit(t *testing.T) {
-	sim(t, func(c *simtime.Clock, fs *pfs.FS) {
-		seed(fs)
-		list, err := RunList(fs, ListPolicy{Name: "all", Where: IsFile(), Limit: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(list) != 2 {
-			t.Errorf("len = %d, want 2", len(list))
-		}
-	})
-}
-
 func TestRunListChargesScanTime(t *testing.T) {
 	c := simtime.NewClock()
 	cfg := pfs.GPFSConfig("gpfs")

@@ -66,7 +66,7 @@ func newForClock(clock *simtime.Clock) interface{} { return newScheduler(clock) 
 
 // Of returns the scheduler shared by every component on the clock,
 // creating it on first use. Like fabric.Of it must NOT be called from
-// inside another component's Attach constructor; resolve lazily.
+// inside another component's SlotOf constructor; resolve lazily.
 func Of(clock *simtime.Clock) *Scheduler {
 	return clock.SlotOf(slot, newForClock).(*Scheduler)
 }
@@ -227,7 +227,7 @@ type Scheduler struct {
 	trace   []Dispatch
 	seq     uint64
 
-	m *schedMetrics // lazy: telemetry.Of is illegal inside Attach
+	m *schedMetrics // lazy: telemetry.Of is illegal inside SlotOf
 }
 
 type acctKey struct {
@@ -359,7 +359,7 @@ func (s *Scheduler) Queued() int {
 }
 
 // schedMetrics bundles the scheduler's telemetry handles, created on
-// first use from normal (non-Attach) context.
+// first use from normal (non-SlotOf) context.
 type schedMetrics struct {
 	reg        *telemetry.Registry
 	submitted  [4]*telemetry.Counter

@@ -68,8 +68,6 @@ type Clock struct {
 	paceAnchorVirt Duration
 	paceAnchorReal time.Time
 
-	attachments map[string]interface{}
-
 	// slots holds pre-resolved per-clock singletons (see slot.go). The
 	// atomic.Value stores a []interface{} indexed by Slot; readers do one
 	// atomic load and an index, no lock and no allocation.
@@ -385,25 +383,6 @@ func (c *Clock) pendingEvents() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.queue)
-}
-
-// Attach returns the value registered on the clock under key, creating
-// it with mk on first use. It lets higher layers share one instance of
-// a per-simulation singleton (e.g. the data-path fabric) across
-// independently constructed components without global state: the
-// attachment's lifetime is the clock's.
-func (c *Clock) Attach(key string, mk func() interface{}) interface{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.attachments == nil {
-		c.attachments = make(map[string]interface{})
-	}
-	if v, ok := c.attachments[key]; ok {
-		return v
-	}
-	v := mk()
-	c.attachments[key] = v
-	return v
 }
 
 // runLocked is the scheduler loop, bounded by an exclusive time limit:

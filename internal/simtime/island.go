@@ -26,14 +26,7 @@ import (
 // stop early, never reorder. Worker count changes wall-clock time
 // only.
 
-// cmsg is one timestamped cross-island message.
-type cmsg struct {
-	at      Duration
-	seq     uint64 // send order within the channel
-	payload interface{}
-}
-
-// pmsg is a drained message waiting on the receiver side for its
+// pmsg is a sent message waiting on the receiver side for its
 // timestamp to fall under the island's bound.
 type pmsg struct {
 	at      Duration
@@ -43,28 +36,24 @@ type pmsg struct {
 	recv    func(interface{})
 }
 
-// Channel is a one-way bounded link between two islands. Messages
-// carry the sender's local time plus the channel's lookahead; the
-// lookahead is the physical reason the receiver may run ahead (a WAN
-// link's propagation latency plus its minimum transfer quantum — see
-// fabric.Path.Lookahead). The buffer is bounded by a spill handoff
-// rather than a blocking send: a blocking sender stalls its whole
-// island mid-slice, and two islands blocking on full channels toward
-// each other is an unbreakable deadlock (the classic bounded-buffer
-// CMB failure). At capacity the sender hands the buffer straight to
-// the receiver's pending list instead; delivery is still gated by the
-// receiver's conservative bound, so only memory, never ordering, is
-// affected.
+// Channel is a one-way link between two islands. Messages carry the
+// sender's local time plus the channel's lookahead; the lookahead is
+// the physical reason the receiver may run ahead (a WAN link's
+// propagation latency plus its minimum transfer quantum — see
+// fabric.Path.Lookahead). A send never blocks: a blocking sender
+// stalls its whole island mid-slice, and two islands blocking on full
+// channels toward each other is an unbreakable deadlock (the classic
+// bounded-buffer CMB failure). The message goes straight onto the
+// receiver's pending list, where the receiver's conservative bound
+// gates its delivery.
 type Channel struct {
 	g         *Group
 	idx       int
 	name      string
 	from, to  *Island
 	lookahead Duration
-	cap       int
 	recv      func(interface{})
 
-	buf     []cmsg   // sent, not yet drained by the receiver
 	horizon Duration // promise: no future message with at < horizon
 	seq     uint64
 	msgs    uint64 // payload messages carried
@@ -79,7 +68,7 @@ type Island struct {
 	clk  *Clock
 
 	in, out []*Channel
-	pend    []pmsg // drained, undelivered messages
+	pend    []pmsg // sent, undelivered messages
 
 	next    Duration // earliest pending local event (-1 none), valid when settled
 	running bool
@@ -125,19 +114,14 @@ func (i *Island) Name() string { return i.name }
 // islands concurrently is exactly proportional to it. recv runs inline
 // on the receiving island's scheduler at the message timestamp; like
 // Clock.Callback it must not park (push a Queue or unpark a waiter to
-// hand work to an actor). capacity bounds the unread buffer: at
-// capacity the sender spills the buffer to the receiver's pending
-// list in one handoff.
-func (g *Group) Connect(from, to *Island, name string, lookahead Duration, capacity int, recv func(interface{})) *Channel {
+// hand work to an actor).
+func (g *Group) Connect(from, to *Island, name string, lookahead Duration, recv func(interface{})) *Channel {
 	if lookahead <= 0 {
 		panic("simtime: channel lookahead must be positive")
 	}
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	ch := &Channel{
 		g: g, idx: len(g.channels), name: name, from: from, to: to,
-		lookahead: lookahead, cap: capacity, recv: recv,
+		lookahead: lookahead, recv: recv,
 	}
 	g.channels = append(g.channels, ch)
 	from.out = append(from.out, ch)
@@ -147,37 +131,23 @@ func (g *Group) Connect(from, to *Island, name string, lookahead Duration, capac
 
 // Send hands a timestamped message to the channel. It must be called
 // from actor context on the sending island (the timestamp is the
-// sender's current time plus the lookahead). It never blocks: at
-// capacity the buffer spills to the receiver's pending list.
+// sender's current time plus the lookahead). It never blocks: the
+// message joins the receiver's pending list under the group mutex.
 func (ch *Channel) Send(payload interface{}) {
 	at := ch.from.clk.Now() + ch.lookahead
 	g := ch.g
 	g.mu.Lock()
 	ch.seq++
 	ch.msgs++
-	ch.buf = append(ch.buf, cmsg{at: at, seq: ch.seq, payload: payload})
+	ch.to.pend = append(ch.to.pend, pmsg{at: at, chIdx: ch.idx, seq: ch.seq, payload: payload, recv: ch.recv})
 	if at > ch.horizon {
 		// A real message is itself a promise: per-channel timestamps
 		// are non-decreasing because the sender's clock only moves
 		// forward.
 		ch.horizon = at
 	}
-	if len(ch.buf) >= ch.cap {
-		ch.spillLocked()
-	}
 	ch.to.cv.Signal()
 	g.mu.Unlock()
-}
-
-// spillLocked moves the channel buffer into the receiver's pending
-// list (any goroutine may do this under g.mu; delivery order is fixed
-// by timestamps and keys, not by who carries the bytes).
-func (ch *Channel) spillLocked() {
-	i := ch.to
-	for _, m := range ch.buf {
-		i.pend = append(i.pend, pmsg{at: m.at, chIdx: ch.idx, seq: m.seq, payload: m.payload, recv: ch.recv})
-	}
-	ch.buf = ch.buf[:0]
 }
 
 // Lookahead returns the channel's lookahead bound.
@@ -190,18 +160,6 @@ func satAdd(t, d Duration) Duration {
 		return maxDuration
 	}
 	return t + d
-}
-
-// drainLocked moves arrived messages out of the bounded buffers into
-// the island's pending list, regardless of timestamp, so senders never
-// wait on a receiver that is merely running ahead.
-func (g *Group) drainLocked(i *Island) {
-	for _, ch := range i.in {
-		if len(ch.buf) == 0 {
-			continue
-		}
-		ch.spillLocked()
-	}
 }
 
 // boundLocked computes the island's conservative bound: the minimum
@@ -278,7 +236,6 @@ func (g *Group) publishLocked(i *Island, b Duration) {
 // tryRunLocked executes one bounded slice if the island has work.
 // Returns true if a slice ran (g.mu was released and re-acquired).
 func (g *Group) tryRunLocked(i *Island) bool {
-	g.drainLocked(i)
 	b := g.boundLocked(i)
 	if !i.hasWorkLocked(b) {
 		return false
@@ -314,7 +271,6 @@ func (g *Group) tryRunLocked(i *Island) bool {
 func (g *Group) advanceLocked() (bumped, any bool) {
 	estar := maxDuration
 	for _, i := range g.islands {
-		g.drainLocked(i)
 		if i.next >= 0 && i.next < estar {
 			estar = i.next
 		}
@@ -342,10 +298,9 @@ func (g *Group) advanceLocked() (bumped, any bool) {
 	return bumped, true
 }
 
-// workAvailableLocked drains the island's inbound buffers and reports
-// whether it can progress under its current bound.
+// workAvailableLocked reports whether the island can progress under
+// its current bound.
 func (g *Group) workAvailableLocked(i *Island) bool {
-	g.drainLocked(i)
 	return i.hasWorkLocked(g.boundLocked(i))
 }
 

@@ -30,8 +30,8 @@ func buildPingPong(n int) (*Group, []*[]string) {
 			}
 		}
 	}
-	ab = g.Connect(a, b, "ab", time.Millisecond, 0, mk(b, &ba, traceB))
-	ba = g.Connect(b, a, "ba", time.Millisecond, 0, mk(a, &ab, traceA))
+	ab = g.Connect(a, b, "ab", time.Millisecond, mk(b, &ba, traceB))
+	ba = g.Connect(b, a, "ba", time.Millisecond, mk(a, &ab, traceA))
 	a.Clock().Go(func() {
 		a.Clock().Sleep(time.Millisecond)
 		ab.Send(1)
@@ -75,7 +75,7 @@ func TestIslandDeliveryOrdersBeforeLocalEvents(t *testing.T) {
 	a := g.AddIsland("a")
 	b := g.AddIsland("b")
 	var order []string
-	ch := g.Connect(a, b, "ab", time.Millisecond, 0, func(v interface{}) {
+	ch := g.Connect(a, b, "ab", time.Millisecond, func(v interface{}) {
 		order = append(order, "delivery")
 	})
 	// Local callback at exactly the delivery instant, scheduled long
@@ -101,8 +101,8 @@ func TestIslandFastForward(t *testing.T) {
 	b := g.AddIsland("b")
 	got := 0
 	var ab *Channel
-	ab = g.Connect(a, b, "ab", time.Millisecond, 0, func(v interface{}) { got++ })
-	g.Connect(b, a, "ba", time.Millisecond, 0, func(v interface{}) {})
+	ab = g.Connect(a, b, "ab", time.Millisecond, func(v interface{}) { got++ })
+	g.Connect(b, a, "ba", time.Millisecond, func(v interface{}) {})
 	a.Clock().Go(func() {
 		for i := 0; i < 3; i++ {
 			a.Clock().Sleep(time.Hour) // 3.6M lookaheads of idle gap
@@ -132,24 +132,77 @@ func TestIslandFastForward(t *testing.T) {
 	}
 }
 
-// A full channel stalls the sender's island until the receiver drains;
-// nothing is lost and nothing deadlocks.
-func TestIslandBackpressure(t *testing.T) {
-	g := NewGroup()
-	a := g.AddIsland("a")
-	b := g.AddIsland("b")
-	var sum int
-	ch := g.Connect(a, b, "ab", time.Millisecond, 2, func(v interface{}) { sum += v.(int) })
-	a.Clock().Go(func() {
-		for i := 1; i <= 50; i++ {
-			ch.Send(i)
-		}
-	})
-	if _, err := g.Run(2); err != nil {
-		t.Fatal(err)
+// In one slice island a sends 10,000 messages on each of two channels
+// into island c while island b runs its own events; the two channels'
+// arrivals coincide at many instants. Every message arrives exactly
+// once, in (time, channel, send order), and the delivery log does not
+// depend on the worker count.
+func TestIslandBurstDelivery(t *testing.T) {
+	const n = 10000
+	type rec struct {
+		at  time.Duration
+		ch  int
+		val int
 	}
-	if sum != 50*51/2 {
-		t.Fatalf("sum=%d want %d", sum, 50*51/2)
+	run := func(workers int) []rec {
+		g := NewGroup()
+		a := g.AddIsland("a")
+		b := g.AddIsland("b")
+		c := g.AddIsland("c")
+		var log []rec
+		recv := func(ch int) func(interface{}) {
+			return func(v interface{}) { log = append(log, rec{c.Clock().Now(), ch, v.(int)}) }
+		}
+		x := g.Connect(a, c, "x", time.Millisecond, recv(0))
+		y := g.Connect(a, c, "y", 2*time.Millisecond, recv(1))
+		a.Clock().Go(func() {
+			for k := 0; k < n; k++ {
+				if k%100 == 0 {
+					a.Clock().Sleep(500 * time.Microsecond)
+				}
+				x.Send(k)
+				y.Send(k)
+			}
+		})
+		b.Clock().Go(func() {
+			for k := 0; k < 50; k++ {
+				b.Clock().Sleep(time.Millisecond)
+			}
+		})
+		if _, err := g.Run(workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if adv := g.Stats().Islands[0].Advances; adv != 1 {
+			t.Fatalf("workers=%d: sender ran %d slices, want 1", workers, adv)
+		}
+		return log
+	}
+	want := run(1)
+	if len(want) != 2*n {
+		t.Fatalf("delivered %d messages, want %d", len(want), 2*n)
+	}
+	next := [2]int{}
+	for k, r := range want {
+		if r.val != next[r.ch] {
+			t.Fatalf("delivery %d: channel %d carried %d, want %d", k, r.ch, r.val, next[r.ch])
+		}
+		next[r.ch]++
+		if k == 0 {
+			continue
+		}
+		p := want[k-1]
+		if r.at < p.at || r.at == p.at && r.ch < p.ch {
+			t.Fatalf("delivery %d %+v before %+v: not in (time, channel, seq) order", k, p, r)
+		}
+	}
+	got := run(2)
+	if len(got) != len(want) {
+		t.Fatalf("workers=2 delivered %d messages, want %d", len(got), len(want))
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Fatalf("workers=2 delivery %d = %+v, workers=1 %+v", k, got[k], want[k])
+		}
 	}
 }
 
@@ -160,7 +213,7 @@ func TestIslandMultiRun(t *testing.T) {
 	a := g.AddIsland("a")
 	b := g.AddIsland("b")
 	var got []string
-	ch := g.Connect(a, b, "ab", time.Millisecond, 0, func(v interface{}) {
+	ch := g.Connect(a, b, "ab", time.Millisecond, func(v interface{}) {
 		got = append(got, fmt.Sprintf("%v@%v", v, b.Clock().Now()))
 	})
 	for epoch := 0; epoch < 3; epoch++ {
@@ -190,7 +243,7 @@ func TestIslandDeadlockDetection(t *testing.T) {
 	g := NewGroup()
 	a := g.AddIsland("a")
 	b := g.AddIsland("b")
-	g.Connect(a, b, "ab", time.Millisecond, 0, func(v interface{}) {})
+	g.Connect(a, b, "ab", time.Millisecond, func(v interface{}) {})
 	q := NewQueue(b.Clock())
 	b.Clock().Go(func() { q.Pop() }) // never fed
 	_, err := g.Run(2)
@@ -218,7 +271,7 @@ func randomPlant(seed int64, islands int) (*Group, func() string) {
 			}
 			to := j
 			la := time.Duration(1+rng.Intn(5)) * time.Millisecond
-			chans = append(chans, g.Connect(isl[i], isl[j], fmt.Sprintf("c%d-%d", i, j), la, 1+rng.Intn(4), func(v interface{}) {
+			chans = append(chans, g.Connect(isl[i], isl[j], fmt.Sprintf("c%d-%d", i, j), la, func(v interface{}) {
 				traces[to] = append(traces[to], fmt.Sprintf("%d got %v at %v", to, v, isl[to].Clock().Now()))
 			}))
 		}

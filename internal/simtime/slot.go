@@ -5,13 +5,12 @@ import "sync/atomic"
 // Slot is a process-wide index for a per-clock singleton (the
 // telemetry registry, the fabric, the scheduler...). Packages allocate
 // one Slot at init and resolve it against any clock with Clock.SlotOf.
+// A value lives as long as its clock, so higher layers share one
+// instance per simulation without global state.
 //
-// The old Attach path took the clock mutex and allocated a closure on
-// every lookup; with one clock per island and lookups on the hot path
-// (every counter bump resolves the registry) that became both a
-// contention point and a per-event allocation. SlotOf's fast path is a
-// single atomic load plus an index: no lock, no allocation, safe from
-// any goroutine.
+// With one clock per island and lookups on the hot path (every counter
+// bump resolves the registry), SlotOf's fast path is a single atomic
+// load plus an index: no lock, no allocation, safe from any goroutine.
 type Slot struct {
 	idx int32
 }
@@ -30,8 +29,7 @@ func NewSlot() *Slot {
 // SlotOf returns the value stored on the clock under s, creating it
 // with mk(c) on first use. mk should be a named top-level function so
 // the call site allocates nothing; it runs with the clock's mutex held
-// (like Attach's mk) and must not re-enter SlotOf/Attach on the same
-// clock.
+// and must not re-enter SlotOf on the same clock.
 func (c *Clock) SlotOf(s *Slot, mk func(*Clock) interface{}) interface{} {
 	if tbl, _ := c.slots.Load().([]interface{}); int(s.idx) < len(tbl) {
 		if v := tbl[s.idx]; v != nil {

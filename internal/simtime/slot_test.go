@@ -77,15 +77,3 @@ func BenchmarkSlotOf(b *testing.B) {
 		c.SlotOf(s, newSlotThing)
 	}
 }
-
-// BenchmarkAttach is the old lookup path, kept for comparison: it takes
-// the clock mutex and allocates a closure per call.
-func BenchmarkAttach(b *testing.B) {
-	c := NewClock()
-	c.Attach("bench", func() interface{} { return &slotThing{c: c} })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Attach("bench", func() interface{} { return &slotThing{c: c} })
-	}
-}

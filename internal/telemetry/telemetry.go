@@ -37,8 +37,8 @@ func newForClock(clock *simtime.Clock) interface{} { return New(clock) }
 // creating it on first use. The lookup is allocation-free and lock-free
 // after the first call (one atomic load), so hot paths may resolve it
 // per operation. It must NOT be called from inside another component's
-// SlotOf/Attach constructor (both hold the clock mutex while the
-// constructor runs); resolve the handle lazily instead, the way fabric
+// SlotOf constructor (it holds the clock mutex while the constructor
+// runs); resolve the handle lazily instead, the way fabric
 // does.
 func Of(clock *simtime.Clock) *Registry {
 	return clock.SlotOf(slot, newForClock).(*Registry)

@@ -130,7 +130,7 @@ func (s *Server) unrepairable(obj *Object, vol *tape.Cartridge, cause uint64, wh
 // verifyDelivered checks the digest one recall pass delivered against
 // the catalog and decides what happens next:
 //
-//	(false, nil)  clean (or verification disabled / untracked object):
+//	(false, nil)  clean (or an untracked object with no digest):
 //	              deliver the bytes.
 //	(true, nil)   mismatch, but curable: an in-flight flip warrants a
 //	              plain re-read; on-media damage was just repaired from
@@ -142,7 +142,7 @@ func (s *Server) unrepairable(obj *Object, vol *tape.Cartridge, cause uint64, wh
 func (s *Server) verifyDelivered(client string, obj *Object, vol *tape.Cartridge,
 	delivered, taintCause uint64, tainted bool, headCause uint64,
 	final bool, phase string) (retry bool, err error) {
-	if !s.cfg.VerifyOnRecall || obj.Sum == 0 || delivered == obj.Sum {
+	if obj.Sum == 0 || delivered == obj.Sum {
 		return false, nil
 	}
 	cause := s.corruptionCause(vol, obj.Seq, taintCause, tainted, headCause)

@@ -81,12 +81,6 @@ type Config struct {
 	// path errors (drive I/O faults, a drive dying mid-session). The zero
 	// value means faults.DefaultBackoff.
 	Retry faults.Backoff
-	// VerifyOnRecall makes every recall compare the delivered digest
-	// against the catalog's, re-reading (a transient in-flight flip) or
-	// repairing from the copy pool (damaged media) on mismatch, and
-	// surfacing a typed *IntegrityError rather than wrong bytes when
-	// neither helps. Objects stored without a digest are exempt.
-	VerifyOnRecall bool
 }
 
 // DefaultConfig returns the deployment used in the paper: LAN-free over
@@ -99,7 +93,6 @@ func DefaultConfig() Config {
 		TxnParallel:     8,
 		DBScanPerObject: 2 * time.Microsecond,
 		Retry:           faults.DefaultBackoff(),
-		VerifyOnRecall:  true,
 	}
 }
 
@@ -756,11 +749,11 @@ type RecallRequest struct {
 
 // Recall reads an object from tape back to the client. Transient drive
 // errors are re-driven under the configured bounded backoff, like
-// Store. With Config.VerifyOnRecall, the delivered digest is checked
-// against the catalog before the recall is allowed to succeed: a
-// mismatch walks the detect -> re-read -> copy-pool-repair ladder, and
-// an object with no surviving good copy fails with a typed
-// *IntegrityError rather than silently delivering wrong bytes.
+// Store. The delivered digest is checked against the catalog before
+// the recall is allowed to succeed: a mismatch walks the detect ->
+// re-read -> copy-pool-repair ladder, and an object with no surviving
+// good copy fails with a typed *IntegrityError rather than silently
+// delivering wrong bytes. Objects stored without a digest are exempt.
 func (s *Server) Recall(req RecallRequest) (Object, error) {
 	s.reapDownDrives()
 	if err := s.txnDeadline(req.QoS.Deadline); err != nil {
@@ -939,7 +932,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 		if tainted && delivered != 0 {
 			delivered = synthetic.CorruptDigest(delivered)
 		}
-		if s.cfg.VerifyOnRecall && obj.Sum != 0 && delivered != obj.Sum {
+		if obj.Sum != 0 && delivered != obj.Sum {
 			s.noteDetection(obj, "recall-batch",
 				s.corruptionCause(vol, obj.Seq, tCause, tainted, d.CorruptCause()))
 			bad = append(bad, obj.ID)

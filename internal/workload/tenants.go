@@ -25,33 +25,35 @@ type TenantPopulation struct {
 	Tenants int   // population size (default 1e6)
 	Seed    int64 // generation seed; same seed => identical output
 
-	// ZipfS is the activity tail exponent: tenant at activity rank r
-	// carries weight r^-ZipfS. Default 1.1 — the top 1% of a 1M-user
-	// population then drives ~80% of requests.
-	ZipfS float64
-
-	// Class mix, by probability at tenant-assignment time. A tenant
-	// keeps one class for life (a user is an interactive analyst, a
-	// pipeline, or a background sweep — not all three at once).
-	// Defaults: 25% interactive, 50% batch, 25% scavenger.
-	InteractiveFrac float64
-	BatchFrac       float64
-
 	// Arrival process over [0, Day).
 	Day      time.Duration // default 24h
 	Requests int           // expected total requests (default 10000)
-
-	// Diurnal shape: intensity(t) = base * (1 + Amplitude*cos(2π(t-Peak)/Day)).
-	// Amplitude in [0,1); default 0.7. Peak is the time-of-day of
-	// maximum intensity; default 14h (mid-afternoon).
-	Amplitude float64
-	Peak      time.Duration
-
-	// BurstMean is the mean burst size (geometric): one arrival event
-	// is a tenant session issuing BurstMean requests on average,
-	// seconds apart. Default 3; 1 disables burstiness.
-	BurstMean float64
 }
+
+// The population's shape.
+const (
+	// zipfS is the activity tail exponent: tenant at activity rank r
+	// carries weight r^-zipfS. At 1.1 the top 1% of a 1M-user
+	// population drives ~80% of requests.
+	zipfS = 1.1
+
+	// Class mix, by probability at tenant-assignment time: 25%
+	// interactive, 50% batch, the rest scavenger. A tenant keeps one
+	// class for life (a user is an interactive analyst, a pipeline, or
+	// a background sweep — not all three at once).
+	interactiveFrac = 0.25
+	batchFrac       = 0.50
+
+	// Diurnal shape: intensity(t) = base * (1 + diurnalAmplitude *
+	// cos(2π(t-diurnalPeak)/Day)), peaking mid-afternoon.
+	diurnalAmplitude = 0.7
+	diurnalPeak      = 14 * time.Hour
+
+	// burstMean is the mean burst size (geometric): one arrival event
+	// is a tenant session issuing burstMean requests on average,
+	// seconds apart.
+	burstMean = 3.0
+)
 
 // Request is one tenant demand event.
 type Request struct {
@@ -68,47 +70,24 @@ func (p TenantPopulation) withDefaults() TenantPopulation {
 	if p.Tenants <= 0 {
 		p.Tenants = 1_000_000
 	}
-	if p.ZipfS == 0 {
-		p.ZipfS = 1.1
-	}
-	if p.InteractiveFrac == 0 && p.BatchFrac == 0 {
-		p.InteractiveFrac, p.BatchFrac = 0.25, 0.50
-	}
 	if p.Day <= 0 {
 		p.Day = 24 * time.Hour
 	}
 	if p.Requests <= 0 {
 		p.Requests = 10_000
 	}
-	if p.Amplitude == 0 {
-		p.Amplitude = 0.7
-	}
-	if p.Amplitude < 0 {
-		p.Amplitude = 0
-	}
-	if p.Amplitude >= 1 {
-		p.Amplitude = 0.99
-	}
-	if p.Peak == 0 {
-		p.Peak = 14 * time.Hour
-	}
-	if p.BurstMean < 1 {
-		p.BurstMean = 3
-	}
 	return p
 }
 
 // ClassOf deterministically assigns a tenant its QoS class from the
-// configured mix: a splitmix of (seed, tenant index) so the class is
-// a property of the tenant, independent of how many requests are
-// drawn.
+// class mix: a splitmix of (seed, tenant index) so the class is a
+// property of the tenant, independent of how many requests are drawn.
 func (p TenantPopulation) ClassOf(tenant int) sched.Class {
-	p = p.withDefaults()
 	u := float64(splitmix(uint64(p.Seed)^uint64(tenant)*0x9e3779b97f4a7c15)>>11) / float64(1<<53)
 	switch {
-	case u < p.InteractiveFrac:
+	case u < interactiveFrac:
 		return sched.Interactive
-	case u < p.InteractiveFrac+p.BatchFrac:
+	case u < interactiveFrac+batchFrac:
 		return sched.Batch
 	default:
 		return sched.Scavenger
@@ -136,17 +115,17 @@ func (p TenantPopulation) GenerateRequests() []Request {
 	cum := make([]float64, p.Tenants)
 	total := 0.0
 	for i := 0; i < p.Tenants; i++ {
-		total += math.Pow(float64(i+1), -p.ZipfS)
+		total += math.Pow(float64(i+1), -zipfS)
 		cum[i] = total
 	}
 
-	// Burst (session) events: expected Requests/BurstMean of them,
+	// Burst (session) events: expected Requests/burstMean of them,
 	// each placed by inverse-CDF sampling of the diurnal intensity.
-	nBursts := int(math.Round(float64(p.Requests) / p.BurstMean))
+	nBursts := int(math.Round(float64(p.Requests) / burstMean))
 	if nBursts < 1 {
 		nBursts = 1
 	}
-	geomP := 1 / p.BurstMean // geometric success prob, mean 1/p
+	geomP := 1 / burstMean // geometric success prob, mean 1/p
 	out := make([]Request, 0, p.Requests)
 	for b := 0; b < nBursts; b++ {
 		at := p.diurnalInvCDF(rng.Float64())
@@ -173,15 +152,15 @@ func (p TenantPopulation) GenerateRequests() []Request {
 }
 
 // diurnalInvCDF maps u in [0,1) to an arrival time with density
-// proportional to 1 + A*cos(2π(t-Peak)/Day), by bisection on the
-// closed-form CDF (deterministic, ~50 iterations).
+// proportional to 1 + A*cos(2π(t-diurnalPeak)/Day), by bisection on
+// the closed-form CDF (deterministic, ~50 iterations).
 func (p TenantPopulation) diurnalInvCDF(u float64) time.Duration {
 	day := p.Day.Seconds()
-	peak := p.Peak.Seconds()
+	peak := diurnalPeak.Seconds()
 	cdf := func(t float64) float64 {
 		// ∫0..t (1 + A·cos(2π(x-peak)/day)) dx / day
 		w := 2 * math.Pi / day
-		return (t + p.Amplitude/w*(math.Sin(w*(t-peak))-math.Sin(w*(-peak)))) / day
+		return (t + diurnalAmplitude/w*(math.Sin(w*(t-peak))-math.Sin(w*(-peak)))) / day
 	}
 	lo, hi := 0.0, day
 	for i := 0; i < 50; i++ {

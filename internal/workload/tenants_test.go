@@ -37,7 +37,7 @@ func TestTenantRequestsDeterministic(t *testing.T) {
 func TestTenantActivityHeavyTailed(t *testing.T) {
 	p := testPop()
 	reqs := p.GenerateRequests()
-	// With ZipfS=1.1 over 200k tenants the top 1% of the population
+	// With zipfS=1.1 over 200k tenants the top 1% of the population
 	// carries the large majority of requests (analytically ~75-80%).
 	share := ActivityShare(reqs, p.withDefaults().Tenants, 0.01)
 	if share < 0.55 || share > 0.95 {
@@ -64,12 +64,12 @@ func TestTenantArrivalsDiurnal(t *testing.T) {
 		buckets[int(r.At/time.Hour)%24]++
 	}
 	mean := float64(len(reqs)) / 24
-	peakHour := int(d.Peak / time.Hour)
+	peakHour := int(diurnalPeak / time.Hour)
 	troughHour := (peakHour + 12) % 24
-	if got, want := buckets[peakHour]/mean, 1+d.Amplitude; math.Abs(got-want) > 0.25 {
+	if got, want := buckets[peakHour]/mean, 1+diurnalAmplitude; math.Abs(got-want) > 0.25 {
 		t.Fatalf("peak-hour intensity %.2fx mean, want ~%.2fx", got, want)
 	}
-	if got, want := buckets[troughHour]/mean, 1-d.Amplitude; math.Abs(got-want) > 0.25 {
+	if got, want := buckets[troughHour]/mean, 1-diurnalAmplitude; math.Abs(got-want) > 0.25 {
 		t.Fatalf("trough-hour intensity %.2fx mean, want ~%.2fx", got, want)
 	}
 	// Mean inter-arrival over the day matches the configured volume.
@@ -86,7 +86,6 @@ func TestTenantArrivalsDiurnal(t *testing.T) {
 
 func TestTenantArrivalsBursty(t *testing.T) {
 	p := testPop()
-	d := p.withDefaults()
 	reqs := p.GenerateRequests()
 	// Burst sizes are geometric with the configured mean; group by
 	// burst id and compare the empirical mean (truncation at day-end
@@ -100,8 +99,8 @@ func TestTenantArrivalsBursty(t *testing.T) {
 		sum += float64(n)
 	}
 	got := sum / float64(len(sizes))
-	if math.Abs(got-d.BurstMean) > 0.25*d.BurstMean {
-		t.Fatalf("mean burst size %.2f, want ~%.1f", got, d.BurstMean)
+	if math.Abs(got-burstMean) > 0.25*burstMean {
+		t.Fatalf("mean burst size %.2f, want ~%.1f", got, burstMean)
 	}
 	// A burst shares one tenant: check per-minute arrival counts are
 	// overdispersed relative to Poisson (variance/mean > 1.5).
@@ -126,7 +125,6 @@ func TestTenantArrivalsBursty(t *testing.T) {
 
 func TestTenantClassMixAndStability(t *testing.T) {
 	p := testPop()
-	d := p.withDefaults()
 	counts := map[sched.Class]int{}
 	n := 50_000
 	for i := 0; i < n; i++ {
@@ -139,8 +137,8 @@ func TestTenantClassMixAndStability(t *testing.T) {
 	fi := float64(counts[sched.Interactive]) / float64(n)
 	fb := float64(counts[sched.Batch]) / float64(n)
 	fs := float64(counts[sched.Scavenger]) / float64(n)
-	if math.Abs(fi-d.InteractiveFrac) > 0.02 || math.Abs(fb-d.BatchFrac) > 0.02 {
+	if math.Abs(fi-interactiveFrac) > 0.02 || math.Abs(fb-batchFrac) > 0.02 {
 		t.Fatalf("class mix interactive=%.3f batch=%.3f scavenger=%.3f, want %.2f/%.2f/%.2f",
-			fi, fb, fs, d.InteractiveFrac, d.BatchFrac, 1-d.InteractiveFrac-d.BatchFrac)
+			fi, fb, fs, interactiveFrac, batchFrac, 1-interactiveFrac-batchFrac)
 	}
 }
