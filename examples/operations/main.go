@@ -24,6 +24,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
 	"repro/internal/tape"
+	"repro/internal/telemetry"
 	"repro/internal/tsm"
 )
 
@@ -107,7 +108,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("drill    : %s and %s died mid-migrate; %d/%d files still reached tape (%d TSM retries)\n",
-			drives[0], drives[1], dres.Files, len(drill), sys.TSM.Stats().Retries)
+			drives[0], drives[1], dres.Files, len(drill),
+			int(telemetry.Of(clock).Counter("tsm_retries_total").Value()))
 		fmt.Printf("drill    : %d/%d drives left in rotation; archive audit clean: %v\n",
 			len(sys.Library.UpDrives()), len(drives), audit.Clean())
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/pftool"
-	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/tape"
 	"repro/internal/trash"
@@ -133,24 +132,6 @@ func (s *System) TrashCan() (*trash.Can, error) {
 	return can, nil
 }
 
-// Restorer returns the PFTool tape restorer backed by the HSM engine.
-func (s *System) Restorer() pftool.Restorer { return hsmRestorer{s.HSM} }
-
-type hsmRestorer struct{ eng *hsm.Engine }
-
-func (r hsmRestorer) Locate(paths []string) ([]pftool.TapeLoc, []string) {
-	locs, missing := r.eng.Locate(paths)
-	out := make([]pftool.TapeLoc, len(locs))
-	for i, l := range locs {
-		out[i] = pftool.TapeLoc{Path: l.Path, Volume: l.Volume, Seq: l.Seq, Bytes: l.Bytes}
-	}
-	return out, missing
-}
-
-func (r hsmRestorer) RecallPinned(node string, paths []string, qos sched.QoS) error {
-	return r.eng.RecallPinned(node, paths, qos)
-}
-
 // Pfcp archives src (on scratch) to dst (on the archive FS) — the
 // forward direction of §5. The archive's ILM placement policy routes
 // small files to the slow pool (§4.2.1).
@@ -160,7 +141,7 @@ func (s *System) Pfcp(src, dst string, tun pftool.Tunables) (pftool.Result, erro
 		Op: pftool.OpCopy, Src: src, Dst: dst,
 		SrcFS: s.Scratch, DstFS: s.Archive,
 		Nodes:     s.Cluster.MachineList(),
-		Restorer:  s.Restorer(),
+		Restorer:  s.HSM,
 		Placement: &placement,
 		Tunables:  tun,
 	})
@@ -173,7 +154,7 @@ func (s *System) PfcpRetrieve(src, dst string, tun pftool.Tunables) (pftool.Resu
 		Op: pftool.OpCopy, Src: src, Dst: dst,
 		SrcFS: s.Archive, DstFS: s.Scratch,
 		Nodes:    s.Cluster.MachineList(),
-		Restorer: s.Restorer(),
+		Restorer: s.HSM,
 		Tunables: tun,
 	})
 }

@@ -106,7 +106,7 @@ func chaosRun(seed int64, chaos bool) chaosOutcome {
 		}
 		out.audit = audit
 		out.objects = sys.TSM.NumObjects()
-		out.tsmRetries = sys.TSM.Stats().Retries
+		out.tsmRetries = int(tel.Counter("tsm_retries_total").Value())
 		out.events = len(reg.Log())
 	})
 	return out

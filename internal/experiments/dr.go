@@ -45,7 +45,7 @@ type drOutcome struct {
 	catalogShort    int // entries with fewer than Copies-1 confirmed sites
 	replicaHoles    int // cataloged replicas the holder cannot actually serve
 
-	repStats federation.ReplicatorStats
+	pending  int // replica tasks still unconfirmed after catch-up
 	repBytes float64
 	lagMean  float64
 	events   int
@@ -218,11 +218,12 @@ func drRun(seed int64) drOutcome {
 
 			// The survivors' wave-2 replicas destined to the victim burn
 			// their retry budget and park. Wait for the full backlog.
+			ctrParked := tel.Counter("federation_replication_parked_total")
 			wantParked := 2 * n2
-			for i := 0; i < 720 && rep.Stats().Parked < wantParked; i++ {
+			for i := 0; i < 720 && int(ctrParked.Value()) < wantParked; i++ {
 				clock.Sleep(10 * time.Second)
 			}
-			out.parked = rep.Stats().Parked
+			out.parked = int(ctrParked.Value())
 
 			// Rejoin: one repair event reverses the compound kill and kicks
 			// the parked backlog. The operator requeues the skipped
@@ -275,7 +276,7 @@ func drRun(seed int64) drOutcome {
 				audit(wave2[s.Name])
 			}
 
-			out.repStats = rep.Stats()
+			out.pending = rep.Pending()
 			out.repBytes = tel.Counter("federation_replica_bytes_total").Value()
 			if h := tel.Histogram("federation_replication_lag_seconds"); h.Count() > 0 {
 				out.lagMean = h.Sum() / h.Count()
@@ -324,8 +325,8 @@ func DRStudy(seed int64) Report {
 		failf("dr: catalog audit failed: %d paths uncataloged, %d under-replicated, %d unservable replicas",
 			out.catalogMissing, out.catalogShort, out.replicaHoles)
 	}
-	if out.repStats.Pending != 0 || !out.drained {
-		failf("dr: catch-up never drained: %d pending after %s bound", out.repStats.Pending, out.catchBound)
+	if out.pending != 0 || !out.drained {
+		failf("dr: catch-up never drained: %d pending after %s bound", out.pending, out.catchBound)
 	}
 
 	// The outage was survived, not papered over: the victim's share was

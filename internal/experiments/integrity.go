@@ -29,8 +29,10 @@ type integrityOutcome struct {
 
 	backup tsm.BackupResult
 	scrub  []tsm.ScrubReport
-	stats  tsm.Stats
 	quar   []string
+
+	// TSM integrity counters, from the registry.
+	detected, repaired, unrepairable int
 
 	// Second archival job's tape-migration window, from the registry —
 	// the rate the concurrent scrub steals bandwidth from.
@@ -181,7 +183,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 					panic(err)
 				}
 			}
-			locs, missing := sys.Restorer().Locate(paths)
+			locs, missing := sys.HSM.Locate(paths)
 			if len(missing) > 0 {
 				panic(fmt.Sprintf("integrity: %d archived files missing from the backend", len(missing)))
 			}
@@ -195,7 +197,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 			for i, l := range locs {
 				ordered[i] = l.Path
 			}
-			if err := sys.Restorer().RecallPinned(node, ordered, sched.QoS{}); err != nil {
+			if err := sys.HSM.RecallPinned(node, ordered, sched.QoS{}); err != nil {
 				panic(fmt.Sprintf("integrity recall: %v", err))
 			}
 			if left := sys.Fabric.Link(node + "-hba").ArmedCorruptions(); left != 0 {
@@ -217,7 +219,9 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 			}
 		}
 
-		out.stats = sys.TSM.Stats()
+		out.detected = int(tel.Counter("tsm_integrity_detected_total").Value())
+		out.repaired = int(tel.Counter("tsm_integrity_repaired_total").Value())
+		out.unrepairable = int(tel.Counter("tsm_integrity_unrepairable_total").Value())
 		out.quar = sys.TSM.QuarantinedVolumes()
 	})
 	return out
@@ -246,15 +250,15 @@ func IntegrityStudy(seed int64) Report {
 	// on-media damage (in-flight taints are cured by re-reads), no
 	// object is unrepairable, and the byte-compare is clean.
 	wantDetected := dirty.rotFiles + dirty.taintsArmed
-	if dirty.stats.IntegrityDetected != wantDetected {
+	if dirty.detected != wantDetected {
 		failf("integrity: detected %d corruptions, injected %d (%d rot + %d in-flight)",
-			dirty.stats.IntegrityDetected, wantDetected, dirty.rotFiles, dirty.taintsArmed)
+			dirty.detected, wantDetected, dirty.rotFiles, dirty.taintsArmed)
 	}
-	if dirty.stats.IntegrityRepaired != dirty.rotFiles {
-		failf("integrity: repaired %d of %d rotted objects", dirty.stats.IntegrityRepaired, dirty.rotFiles)
+	if dirty.repaired != dirty.rotFiles {
+		failf("integrity: repaired %d of %d rotted objects", dirty.repaired, dirty.rotFiles)
 	}
-	if dirty.stats.IntegrityUnrepairable != 0 {
-		failf("integrity: %d objects unrepairable despite the copy pool", dirty.stats.IntegrityUnrepairable)
+	if dirty.unrepairable != 0 {
+		failf("integrity: %d objects unrepairable despite the copy pool", dirty.unrepairable)
 	}
 	if len(dirty.scrub) != 1 || dirty.scrub[0].Detected != dirty.rotFiles || dirty.scrub[0].Repaired != dirty.rotFiles {
 		failf("integrity: scrub reports %+v, want one pass catching all %d rot sites", dirty.scrub, dirty.rotFiles)
@@ -311,9 +315,9 @@ func IntegrityStudy(seed int64) Report {
 	t.Row("copy-pool duplicates", base.backup.Objects, dirty.backup.Objects)
 	t.Row("media-rot tape files", 0, dirty.rotFiles)
 	t.Row("in-flight corruptions", 0, dirty.taintsArmed)
-	t.Row("checksum detections", base.stats.IntegrityDetected, dirty.stats.IntegrityDetected)
-	t.Row("copy-pool repairs", base.stats.IntegrityRepaired, dirty.stats.IntegrityRepaired)
-	t.Row("unrepairable objects", base.stats.IntegrityUnrepairable, dirty.stats.IntegrityUnrepairable)
+	t.Row("checksum detections", base.detected, dirty.detected)
+	t.Row("copy-pool repairs", base.repaired, dirty.repaired)
+	t.Row("unrepairable objects", base.unrepairable, dirty.unrepairable)
 	t.Row("quarantined volumes", len(base.quar), len(dirty.quar))
 	t.Row("round-trip mismatches", "-", dirty.mismatched)
 	t.Row("job-2 migrate MB/s", fmt.Sprintf("%.0f", migRate(base)), fmt.Sprintf("%.0f", migRate(dirty)))
@@ -334,9 +338,9 @@ func IntegrityStudy(seed int64) Report {
 	}
 	r.metric("rot_files", float64(dirty.rotFiles))
 	r.metric("taints_armed", float64(dirty.taintsArmed))
-	r.metric("detected", float64(dirty.stats.IntegrityDetected))
-	r.metric("repaired", float64(dirty.stats.IntegrityRepaired))
-	r.metric("unrepairable", float64(dirty.stats.IntegrityUnrepairable))
+	r.metric("detected", float64(dirty.detected))
+	r.metric("repaired", float64(dirty.repaired))
+	r.metric("unrepairable", float64(dirty.unrepairable))
 	r.metric("quarantined_volumes", float64(len(dirty.quar)))
 	r.metric("roundtrip_matched", float64(dirty.matched))
 	r.metric("roundtrip_mismatched", float64(dirty.mismatched))

@@ -49,7 +49,7 @@ type ParallelParams struct {
 	// default 300k).
 	MaxSimFiles int
 
-	// Baseline=false skips the workers=1 reference run (and with it the
+	// NoBaseline skips the workers=1 reference run (and with it the
 	// A/B determinism check and speedup measurement).
 	NoBaseline bool
 }

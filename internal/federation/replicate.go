@@ -55,7 +55,7 @@ type ReplicationPolicy struct {
 // maxParkKicks bounds how many times a parked item may be kicked back
 // into its queue by repair events. An item that exhausts its backoff
 // budget that many times is permanently parked — visible on the
-// federation_parked_permanent gauge and ReplicatorStats — instead of
+// federation_parked_permanent gauge and in PermanentlyParked — instead of
 // cycling park→kick→park forever against a destination that never
 // truly heals.
 const maxParkKicks = 8
@@ -83,18 +83,6 @@ type CatalogEntry struct {
 	Sites    []string // sites with a confirmed replica, in landing order
 }
 
-// ReplicatorStats snapshots replication progress.
-type ReplicatorStats struct {
-	Offered         int   // replica tasks accepted (objects x (Copies-1))
-	Replicated      int   // replicas confirmed on a destination site
-	ReplicatedBytes int64 // bytes landed on remote copy pools
-	Pending         int   // offered - replicated: queue + parked + in flight
-	Parked          int   // park events (backoff budget exhausted)
-	ParkedPermanent int   // items retired after maxParkKicks park→kick cycles
-	Retries         int   // WAN attempts re-driven under backoff
-	FailoverRecalls int   // recalls served from a replica site
-}
-
 // Replicator is the federation's async replication engine: one queue
 // and one worker actor per destination site, fed by every cell
 // engine's OnStored hook.
@@ -111,7 +99,7 @@ type Replicator struct {
 	permPark []repItem                 // items retired after maxParkKicks cycles
 	catalog  map[string]*CatalogEntry  // object path -> entry
 	closed   bool
-	stats    ReplicatorStats
+	pending  int // offered - replicated: queued, parked, or in flight
 
 	tel        *telemetry.Registry
 	hLag       *telemetry.Histogram
@@ -156,7 +144,7 @@ func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff)
 	r.ctrRetries = r.tel.Counter("federation_replication_retries_total")
 	r.ctrFail = r.tel.Counter("federation_failover_recalls_total")
 	r.tel.GaugeFunc("federation_replication_pending", func() float64 {
-		return float64(r.stats.Pending)
+		return float64(r.pending)
 	})
 	for _, site := range fed.sites {
 		site := site
@@ -176,16 +164,9 @@ func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff)
 	return r, nil
 }
 
-// Stats snapshots progress counters.
-func (r *Replicator) Stats() ReplicatorStats {
-	s := r.stats
-	s.Pending = s.Offered - s.Replicated
-	return s
-}
-
 // Pending reports replica tasks not yet confirmed (queued, parked, or
 // in flight).
-func (r *Replicator) Pending() int { return r.stats.Offered - r.stats.Replicated }
+func (r *Replicator) Pending() int { return r.pending }
 
 // Catalog returns the entry for a path (nil if never offered).
 func (r *Replicator) Catalog(path string) *CatalogEntry { return r.catalog[path] }
@@ -216,7 +197,7 @@ func (r *Replicator) offer(home *Site, cell *Cell, obj tsm.Object) {
 		r.catalog[obj.Path] = ent
 	}
 	for _, dest := range r.placements(home) {
-		r.stats.Offered++
+		r.pending++
 		r.queues[dest.Name].Push(repItem{
 			homeSite: home,
 			homeCell: cell,
@@ -305,7 +286,6 @@ func (r *Replicator) replicate(item repItem) {
 		"path", item.obj.Path, "home", item.homeSite.Name, "to", item.dest.Name)
 	err := r.defense.Do("wan:"+item.dest.Name, r.retry, func(attempt int) error {
 		if attempt > 1 {
-			r.stats.Retries++
 			r.ctrRetries.Inc()
 		}
 		if item.dest.Down() {
@@ -339,13 +319,11 @@ func (r *Replicator) replicate(item repItem) {
 			return
 		}
 		r.parked[item.dest.Name] = append(r.parked[item.dest.Name], item)
-		r.stats.Parked++
 		r.ctrParked.Inc()
 		sp.Abort("parked: "+err.Error(), cause)
 		return
 	}
-	r.stats.Replicated++
-	r.stats.ReplicatedBytes += item.obj.Bytes
+	r.pending--
 	r.ctrRep.Inc()
 	r.ctrBytes.Add(float64(item.obj.Bytes))
 	lag := (r.clock.Now() - item.storedAt).Seconds()
@@ -384,13 +362,12 @@ func (r *Replicator) pickSource(item repItem) (*Site, *Cell) {
 // registers the federation_parked_permanent gauge on first use (lazy
 // so runs that never retire anything keep their telemetry unchanged).
 func (r *Replicator) retirePermanently(item repItem) {
-	if r.stats.ParkedPermanent == 0 {
+	if len(r.permPark) == 0 {
 		r.tel.GaugeFunc("federation_parked_permanent", func() float64 {
-			return float64(r.stats.ParkedPermanent)
+			return float64(len(r.permPark))
 		})
 	}
 	r.permPark = append(r.permPark, item)
-	r.stats.ParkedPermanent++
 }
 
 // PermanentlyParked lists the replica tasks retired after exhausting
@@ -505,7 +482,6 @@ func (r *Replicator) FailoverRecall(to *Site, path string) (tsm.Replica, error) 
 			continue
 		}
 		sp.End()
-		r.stats.FailoverRecalls++
 		r.ctrFail.Inc()
 		return rep, nil
 	}

@@ -10,6 +10,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// count reads a lifetime counter from the env's registry; each env
+// runs one replicator on its clock, so the series is that replicator's.
+func (e *siteEnv) count(name string) int {
+	return int(telemetry.Of(e.clock).Counter(name).Value())
+}
+
 func TestReplicationFansOutToOtherSites(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	rep, err := NewReplicator(e.fed, ReplicationPolicy{Copies: 3}, faults.Backoff{})
@@ -40,9 +46,8 @@ func TestReplicationFansOutToOtherSites(t *testing.T) {
 				}
 			}
 		}
-		st := rep.Stats()
-		if st.Replicated != 8 || st.Pending != 0 {
-			t.Errorf("stats = %+v, want 8 replicated, 0 pending", st)
+		if replicated, pending := e.count("federation_replicas_total"), rep.Pending(); replicated != 8 || pending != 0 {
+			t.Errorf("%d replicated, %d pending, want 8 replicated, 0 pending", replicated, pending)
 		}
 		if telemetry.Of(e.clock).Histogram("federation_replication_lag_seconds").Count() != 8 {
 			t.Error("replication lag histogram not fed")
@@ -75,12 +80,14 @@ func TestReplicationParksDuringOutageAndCatchesUp(t *testing.T) {
 		if e.sites[1].Cells[0].Server.NumReplicas() != 3 {
 			t.Errorf("healthy site holds %d replicas, want 3", e.sites[1].Cells[0].Server.NumReplicas())
 		}
-		st := rep.Stats()
-		if st.Parked == 0 {
+		if e.count("federation_replication_parked_total") == 0 {
 			t.Error("no park events during the outage")
 		}
-		if st.Pending != 3 {
-			t.Errorf("pending = %d, want 3 (the dead site's share)", st.Pending)
+		if n := rep.Pending(); n != 3 {
+			t.Errorf("pending = %d, want 3 (the dead site's share)", n)
+		}
+		if g := telemetry.Of(e.clock).Snapshot().Value("federation_replication_pending"); g != 3 {
+			t.Errorf("pending gauge = %v, want 3", g)
 		}
 
 		// Rejoin: the repair event kicks the parked backlog and the
@@ -127,8 +134,8 @@ func TestFailoverRecallServesFromNearestReplica(t *testing.T) {
 				t.Errorf("replica bytes = %d, want %d", r.Bytes, info.Size)
 			}
 		}
-		if rep.Stats().FailoverRecalls != 2 {
-			t.Errorf("FailoverRecalls = %d, want 2", rep.Stats().FailoverRecalls)
+		if n := e.count("federation_failover_recalls_total"); n != 2 {
+			t.Errorf("FailoverRecalls = %d, want 2", n)
 		}
 		// Every failover span ended OK and cites the site-kill event.
 		tel := telemetry.Of(e.clock)
@@ -200,15 +207,14 @@ func TestParkKickCycleIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep.DrainWithin(time.Hour) // healthy site drains; victim's share parks
-		if rep.Stats().Parked == 0 {
+		if e.count("federation_replication_parked_total") == 0 {
 			t.Fatal("no park events during the outage")
 		}
 		for i := 0; i < maxParkKicks+2; i++ {
 			flap()
 		}
-		st := rep.Stats()
-		if st.ParkedPermanent != 2 {
-			t.Fatalf("ParkedPermanent = %d, want 2 (both of the victim's items)", st.ParkedPermanent)
+		if n := len(rep.permPark); n != 2 {
+			t.Fatalf("ParkedPermanent = %d, want 2 (both of the victim's items)", n)
 		}
 		if got := len(rep.PermanentlyParked()); got != 2 {
 			t.Fatalf("PermanentlyParked() has %d objects, want 2", got)

@@ -89,11 +89,6 @@ type Engine struct {
 	routes     map[string]fabric.Path // node name -> pool..SAN fabric route
 	onStored   []func(tsm.Object)     // notified after each tape object lands
 
-	migratedFiles int
-	recalledFiles int
-	migratedBytes int64
-	recalledBytes int64
-
 	tel         *telemetry.Registry
 	ctrMigFiles *telemetry.Counter
 	ctrMigBytes *telemetry.Counter
@@ -146,18 +141,6 @@ func (e *Engine) notifyStored(obj tsm.Object) {
 		fn(obj)
 	}
 }
-
-// MigratedFiles reports lifetime migrated file count.
-func (e *Engine) MigratedFiles() int { return e.migratedFiles }
-
-// RecalledFiles reports lifetime recalled file count.
-func (e *Engine) RecalledFiles() int { return e.recalledFiles }
-
-// MigratedBytes reports lifetime migrated bytes.
-func (e *Engine) MigratedBytes() int64 { return e.migratedBytes }
-
-// RecalledBytes reports lifetime recalled bytes.
-func (e *Engine) RecalledBytes() int64 { return e.recalledBytes }
 
 // PartitionRoundRobin splits candidates across n bins in list order —
 // the GPFS-policy-engine behaviour the paper replaces: one process can
@@ -404,8 +387,6 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 		remaining = leftovers
 	}
 	e.gBacklog.Set(0)
-	e.migratedFiles += res.Files
-	e.migratedBytes += res.Bytes
 	e.ctrMigFiles.Add(float64(res.Files))
 	e.ctrMigBytes.Add(float64(res.Bytes))
 	if firstErr != nil {
@@ -779,8 +760,6 @@ func (e *Engine) RecallQoS(paths []string, mode RecallMode, qos sched.QoS) (Reca
 		// leftover members; only still-migrated work is reassigned.
 		remaining = e.stillMigrated(leftovers)
 	}
-	e.recalledFiles += res.Files
-	e.recalledBytes += res.Bytes
 	e.ctrRecFiles.Add(float64(res.Files))
 	e.ctrRecBytes.Add(float64(res.Bytes))
 	if firstErr != nil {
@@ -1161,8 +1140,6 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 			return err
 		}
 		err := e.restoreRun(items[j:k], true, func(bytes int64) {
-			e.recalledFiles++
-			e.recalledBytes += bytes
 			e.ctrRecFiles.Inc()
 			e.ctrRecBytes.Add(float64(bytes))
 		})

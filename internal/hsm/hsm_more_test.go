@@ -69,8 +69,8 @@ func TestRecallPinnedSkipsResident(t *testing.T) {
 		if err := e.eng.RecallPinned("fta01", []string{files[0].Path, files[1].Path}, sched.QoS{}); err != nil {
 			t.Fatal(err)
 		}
-		if e.eng.RecalledFiles() != 0 {
-			t.Errorf("recalled %d resident files", e.eng.RecalledFiles())
+		if n := e.count("hsm_recalled_files_total"); n != 0 {
+			t.Errorf("recalled %d resident files", n)
 		}
 	})
 }

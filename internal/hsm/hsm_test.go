@@ -12,6 +12,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
 	"repro/internal/tape"
+	"repro/internal/telemetry"
 	"repro/internal/tsm"
 )
 
@@ -46,6 +47,12 @@ func newEnvMeta(t *testing.T, drives int, cfg Config, metaOpCost time.Duration) 
 	cl := cluster.New(clock, clCfg)
 	eng := New(clock, fs, srv, shadow, cl.Nodes(), cfg)
 	return &env{clock: clock, fs: fs, lib: lib, srv: srv, shadow: shadow, cl: cl, eng: eng}
+}
+
+// count reads a lifetime counter from the env's registry; each env
+// runs one engine on its clock, so the series is that engine's.
+func (e *env) count(name string) int {
+	return int(telemetry.Of(e.clock).Counter(name).Value())
 }
 
 func (e *env) run(t *testing.T, fn func()) time.Duration {
@@ -401,11 +408,13 @@ func TestEngineCountersAccumulate(t *testing.T) {
 		files := e.mkFiles(t, "/d", 2, 1e9)
 		e.eng.Migrate(files, MigrateOptions{})
 		e.eng.Recall([]string{files[0].Path}, RecallOrdered)
-		if e.eng.MigratedFiles() != 2 || e.eng.MigratedBytes() != 2e9 {
-			t.Errorf("migrated = %d/%d", e.eng.MigratedFiles(), e.eng.MigratedBytes())
+		migFiles, migBytes := e.count("hsm_migrated_files_total"), e.count("hsm_migrated_bytes_total")
+		if migFiles != 2 || migBytes != 2e9 {
+			t.Errorf("migrated = %d/%d", migFiles, migBytes)
 		}
-		if e.eng.RecalledFiles() != 1 || e.eng.RecalledBytes() != 1e9 {
-			t.Errorf("recalled = %d/%d", e.eng.RecalledFiles(), e.eng.RecalledBytes())
+		recFiles, recBytes := e.count("hsm_recalled_files_total"), e.count("hsm_recalled_bytes_total")
+		if recFiles != 1 || recBytes != 1e9 {
+			t.Errorf("recalled = %d/%d", recFiles, recBytes)
 		}
 	})
 }

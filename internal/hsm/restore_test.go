@@ -72,11 +72,9 @@ func TestRestoreBillsPerVolumeRun(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				events, elapsed = e.clock.EventsProcessed()-ev0, e.clock.Now()-t0
-				if e.eng.RecalledFiles() != n || e.eng.RecalledBytes() != n*8e6 ||
-					e.eng.ctrRecFiles.Value() != n || e.eng.ctrRecBytes.Value() != n*8e6 {
-					t.Errorf("%s: counters %d files/%d bytes (registry %v/%v), want %d/%d", name,
-						e.eng.RecalledFiles(), e.eng.RecalledBytes(),
-						e.eng.ctrRecFiles.Value(), e.eng.ctrRecBytes.Value(), n, int64(n*8e6))
+				files, bytes := e.count("hsm_recalled_files_total"), e.count("hsm_recalled_bytes_total")
+				if files != n || bytes != n*8e6 {
+					t.Errorf("%s: counters %d files/%d bytes, want %d/%d", name, files, bytes, n, int64(n*8e6))
 				}
 				for _, p := range paths {
 					if st, _ := e.fs.State(p); st != pfs.Premigrated {
@@ -136,9 +134,9 @@ func TestRestoreVerifyMismatch(t *testing.T) {
 				t.Fatalf("err = %v, want the digest mismatch on %s", err, paths[bad])
 			}
 			wantStates(t, e, paths, bad+1)
-			if e.eng.RecalledFiles() != bad || e.eng.RecalledBytes() != bad*8e6 {
-				t.Errorf("counted %d files/%d bytes, want the %d ahead of the mismatch",
-					e.eng.RecalledFiles(), e.eng.RecalledBytes(), bad)
+			files, bytes := e.count("hsm_recalled_files_total"), e.count("hsm_recalled_bytes_total")
+			if files != bad || bytes != bad*8e6 {
+				t.Errorf("counted %d files/%d bytes, want the %d ahead of the mismatch", files, bytes, bad)
 			}
 		})
 	})
@@ -151,9 +149,9 @@ func TestRestoreVerifyMismatch(t *testing.T) {
 				t.Fatalf("err = %v, want the digest mismatch on %s", err, paths[bad])
 			}
 			wantStates(t, e, paths, n)
-			if res.Files != n-1 || e.eng.RecalledFiles() != n-1 {
+			if files := e.count("hsm_recalled_files_total"); res.Files != n-1 || files != n-1 {
 				t.Errorf("counted %d files (engine %d), want %d: all but the mismatch",
-					res.Files, e.eng.RecalledFiles(), n-1)
+					res.Files, files, n-1)
 			}
 		})
 	})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/hsm"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sched"
@@ -818,7 +819,7 @@ func (r *run) buildTapeJobs() {
 		return
 	}
 	if r.req.Tunables.TapeOrdered {
-		byVol := make(map[string][]TapeLoc)
+		byVol := make(map[string][]hsm.TapeLoc)
 		for _, l := range locs {
 			byVol[l.Volume] = append(byVol[l.Volume], l)
 		}

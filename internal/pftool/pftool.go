@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/hsm"
 	"repro/internal/ilm"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -50,20 +51,12 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// TapeLoc describes where a migrated file lives on tape.
-type TapeLoc struct {
-	Path   string
-	Volume string
-	Seq    int
-	Bytes  int64
-}
-
-// Restorer recalls migrated files from the tape backend; the HSM engine
-// provides the production implementation.
+// Restorer recalls migrated files from the tape backend; *hsm.Engine
+// is the production implementation.
 type Restorer interface {
 	// Locate resolves migrated paths to tape locations; unknown paths
 	// are returned in missing.
-	Locate(paths []string) (locs []TapeLoc, missing []string)
+	Locate(paths []string) (locs []hsm.TapeLoc, missing []string)
 	// RecallPinned recalls the given paths as the named client machine,
 	// in the order given (the caller has already tape-ordered them),
 	// admitted under the given QoS tag.

@@ -56,22 +56,6 @@ func (e *env) run(t *testing.T, fn func()) time.Duration {
 	return end
 }
 
-// restorerAdapter bridges hsm.Engine to pftool.Restorer.
-type restorerAdapter struct{ eng *hsm.Engine }
-
-func (a restorerAdapter) Locate(paths []string) ([]TapeLoc, []string) {
-	locs, missing := a.eng.Locate(paths)
-	out := make([]TapeLoc, len(locs))
-	for i, l := range locs {
-		out[i] = TapeLoc{Path: l.Path, Volume: l.Volume, Seq: l.Seq, Bytes: l.Bytes}
-	}
-	return out, missing
-}
-
-func (a restorerAdapter) RecallPinned(node string, paths []string, qos sched.QoS) error {
-	return a.eng.RecallPinned(node, paths, qos)
-}
-
 // seedTree builds a small tree on fs under root: files of the given
 // sizes spread over two subdirectories. Returns the file paths.
 func seedTree(t *testing.T, fs *pfs.FS, root string, sizes []int64) []string {
@@ -438,7 +422,7 @@ func TestTapeRestorePathCopiesMigratedFiles(t *testing.T) {
 			Op: OpCopy, Src: "/arc/proj", Dst: "/scratch/proj",
 			SrcFS: e.archive, DstFS: e.scratch,
 			Nodes:    e.cl.Nodes(),
-			Restorer: restorerAdapter{e.eng},
+			Restorer: e.eng,
 			Tunables: tunablesForTest(),
 		}
 		res, err := Run(req)
@@ -486,13 +470,12 @@ func TestMigratedSourceWithoutRestorerFails(t *testing.T) {
 // stuckRestorer simulates a wedged tape backend: recalls take ten hours.
 type stuckRestorer struct {
 	clock *simtime.Clock
-	locs  []TapeLoc
 }
 
-func (s stuckRestorer) Locate(paths []string) ([]TapeLoc, []string) {
-	out := make([]TapeLoc, len(paths))
+func (s stuckRestorer) Locate(paths []string) ([]hsm.TapeLoc, []string) {
+	out := make([]hsm.TapeLoc, len(paths))
 	for i, p := range paths {
-		out[i] = TapeLoc{Path: p, Volume: "VOL0001", Seq: i + 1, Bytes: 1}
+		out[i] = hsm.TapeLoc{Path: p, Volume: "VOL0001", Seq: i + 1, Bytes: 1}
 	}
 	return out, nil
 }
@@ -534,14 +517,14 @@ func TestWatchdogKillsStalledRun(t *testing.T) {
 // timedRestorer records the longest single RecallPinned call (one
 // volume batch) it served.
 type timedRestorer struct {
-	restorerAdapter
+	*hsm.Engine
 	clock   *simtime.Clock
 	longest *time.Duration
 }
 
 func (r timedRestorer) RecallPinned(node string, paths []string, qos sched.QoS) error {
 	start := r.clock.Now()
-	err := r.restorerAdapter.RecallPinned(node, paths, qos)
+	err := r.Engine.RecallPinned(node, paths, qos)
 	if d := r.clock.Now() - start; d > *r.longest {
 		*r.longest = d
 	}
@@ -572,7 +555,7 @@ func TestWatchdogCountsRestoreProgress(t *testing.T) {
 			Op: OpCopy, Src: "/arc/proj", Dst: "/scratch/proj",
 			SrcFS: e.archive, DstFS: e.scratch,
 			Nodes:    e.cl.Nodes(),
-			Restorer: timedRestorer{restorerAdapter{e.eng}, e.clock, &longest},
+			Restorer: timedRestorer{e.eng, e.clock, &longest},
 			Tunables: tunablesForTest(),
 		}
 		req.Tunables.WatchdogInterval = time.Minute

@@ -263,7 +263,6 @@ func (s *Server) rewriteObject(client string, obj *Object, sp *telemetry.Span) e
 	if obj.Group != "" {
 		s.coloc[obj.Group] = vol.Label
 	}
-	s.stats.IntegrityRepaired++
 	s.ctrRepaired.Inc()
 	for _, fn := range s.onRepair {
 		fn(*obj)

@@ -20,8 +20,8 @@ func TestStoreRetriesTransientDriveError(t *testing.T) {
 		if obj.ID == 0 {
 			t.Error("no object recorded")
 		}
-		if e.srv.Stats().Retries != 1 {
-			t.Errorf("Retries = %d, want 1", e.srv.Stats().Retries)
+		if n := e.count("tsm_retries_total"); n != 1 {
+			t.Errorf("Retries = %d, want 1", n)
 		}
 		if e.lib.TotalStats().IOErrors != 1 {
 			t.Errorf("IOErrors = %d, want 1", e.lib.TotalStats().IOErrors)
@@ -62,8 +62,8 @@ func TestRecallRetriesTransientDriveError(t *testing.T) {
 		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); err != nil {
 			t.Fatalf("recall with one transient fault failed: %v", err)
 		}
-		if e.srv.Stats().Retries != 1 {
-			t.Errorf("Retries = %d", e.srv.Stats().Retries)
+		if n := e.count("tsm_retries_total"); n != 1 {
+			t.Errorf("Retries = %d", n)
 		}
 	})
 }

@@ -92,11 +92,10 @@ func (s *Server) corruptionCause(vol *tape.Cartridge, seq int, taintCause uint64
 	return headCause
 }
 
-// noteDetection records one checksum-mismatch detection: stats, the
-// detection counter, and an aborted "tsm.integrity" span citing the
+// noteDetection records one checksum-mismatch detection: the
+// detection counter and an aborted "tsm.integrity" span citing the
 // provoking fault event — the causality link E18 asserts on.
 func (s *Server) noteDetection(obj *Object, phase string, cause uint64) {
-	s.stats.IntegrityDetected++
 	s.ctrDetected.Inc()
 	sp := s.tel.StartSpan("tsm.integrity",
 		"volume", obj.Volume,
@@ -109,7 +108,6 @@ func (s *Server) noteDetection(obj *Object, phase string, cause uint64) {
 // unrepairable finalizes a detection that nothing could cure into a
 // typed *IntegrityError.
 func (s *Server) unrepairable(obj *Object, vol *tape.Cartridge, cause uint64, why string) error {
-	s.stats.IntegrityUnrepairable++
 	s.ctrUnrepair.Inc()
 	off := int64(-1)
 	if c, ok := vol.CorruptionFor(obj.Seq); ok {

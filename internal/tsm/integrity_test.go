@@ -28,8 +28,8 @@ func TestRecallVerifiesCleanObject(t *testing.T) {
 		if got.Sum != 0xA1 {
 			t.Errorf("Sum = %#x, want 0xA1", got.Sum)
 		}
-		if st := e.srv.Stats(); st.IntegrityDetected != 0 {
-			t.Errorf("detected %d mismatches on a clean recall", st.IntegrityDetected)
+		if n := e.count("tsm_integrity_detected_total"); n != 0 {
+			t.Errorf("detected %d mismatches on a clean recall", n)
 		}
 	})
 }
@@ -55,9 +55,11 @@ func TestRecallRepairsMediaRotFromCopyPool(t *testing.T) {
 		if !e.srv.Quarantined(obj.Volume) {
 			t.Errorf("damaged volume %s not quarantined", obj.Volume)
 		}
-		st := e.srv.Stats()
-		if st.IntegrityDetected != 1 || st.IntegrityRepaired != 1 || st.IntegrityUnrepairable != 0 {
-			t.Errorf("stats = %+v", st)
+		det := e.count("tsm_integrity_detected_total")
+		rep := e.count("tsm_integrity_repaired_total")
+		unrep := e.count("tsm_integrity_unrepairable_total")
+		if det != 1 || rep != 1 || unrep != 0 {
+			t.Errorf("detected/repaired/unrepairable = %d/%d/%d, want 1/1/0", det, rep, unrep)
 		}
 	})
 }
@@ -80,9 +82,10 @@ func TestRecallWithoutCopyReturnsIntegrityError(t *testing.T) {
 		if ie.Path != "/a" || ie.Want != 0xA1 {
 			t.Errorf("IntegrityError detail = %+v", ie)
 		}
-		st := e.srv.Stats()
-		if st.IntegrityDetected != 1 || st.IntegrityUnrepairable != 1 {
-			t.Errorf("stats = %+v", st)
+		det := e.count("tsm_integrity_detected_total")
+		unrep := e.count("tsm_integrity_unrepairable_total")
+		if det != 1 || unrep != 1 {
+			t.Errorf("detected/unrepairable = %d/%d, want 1/1", det, unrep)
 		}
 	})
 }
@@ -101,9 +104,10 @@ func TestRecallCuresTransientHeadFlipByReread(t *testing.T) {
 		if e.srv.Quarantined(obj.Volume) {
 			t.Error("transient flip quarantined the volume")
 		}
-		st := e.srv.Stats()
-		if st.IntegrityDetected != 1 || st.IntegrityRepaired != 0 {
-			t.Errorf("stats = %+v", st)
+		det := e.count("tsm_integrity_detected_total")
+		rep := e.count("tsm_integrity_repaired_total")
+		if det != 1 || rep != 0 {
+			t.Errorf("detected/repaired = %d/%d, want 1/0", det, rep)
 		}
 	})
 }
@@ -136,9 +140,10 @@ func TestRecallBatchRoutesBadObjectsThroughRepair(t *testing.T) {
 		if len(got) != 3 {
 			t.Fatalf("restored %d of 3", len(got))
 		}
-		st := e.srv.Stats()
-		if st.IntegrityDetected < 1 || st.IntegrityRepaired != 1 {
-			t.Errorf("stats = %+v", st)
+		det := e.count("tsm_integrity_detected_total")
+		rep := e.count("tsm_integrity_repaired_total")
+		if det < 1 || rep != 1 {
+			t.Errorf("detected/repaired = %d/%d, want >=1/1", det, rep)
 		}
 	})
 }
@@ -221,8 +226,8 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 				t.Errorf("recall %d after scrub: %v", id, err)
 			}
 		}
-		if st := e.srv.Stats(); st.IntegrityRepaired != 1 {
-			t.Errorf("stats = %+v", e.srv.Stats())
+		if n := e.count("tsm_integrity_repaired_total"); n != 1 {
+			t.Errorf("repaired = %d, want 1", n)
 		}
 	})
 }

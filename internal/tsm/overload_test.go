@@ -27,8 +27,8 @@ func TestStoreRetryBudgetExhaustionSurfaces(t *testing.T) {
 		if !errors.Is(err, faults.ErrRetryBudget) {
 			t.Fatalf("err = %v, want ErrRetryBudget", err)
 		}
-		if e.srv.Stats().Retries != 1 {
-			t.Errorf("Retries = %d, want exactly the 1 budgeted retry", e.srv.Stats().Retries)
+		if n := e.count("tsm_retries_total"); n != 1 {
+			t.Errorf("Retries = %d, want exactly the 1 budgeted retry", n)
 		}
 		if e.srv.NumObjects() != 0 {
 			t.Error("budget-cut store recorded an object")

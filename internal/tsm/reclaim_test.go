@@ -202,8 +202,8 @@ func TestReclaimSkipsCorruptSurvivorsAndKeepsSource(t *testing.T) {
 		if res.VolumesReclaimed != 0 || src.Used() == 0 {
 			t.Errorf("second pass erased the quarantined source: %+v", res)
 		}
-		if st := e.srv.Stats(); st.IntegrityDetected < 1 {
-			t.Errorf("no detection recorded: %+v", st)
+		if n := e.count("tsm_integrity_detected_total"); n < 1 {
+			t.Errorf("no detection recorded: %d", n)
 		}
 	})
 }

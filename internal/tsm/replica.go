@@ -100,8 +100,6 @@ func (s *Server) StoreReplica(client, homeCell string, obj Object, parent *telem
 		Volume: cvol.Label,
 		Seq:    tf.Seq,
 	}
-	s.stats.ReplicasStored++
-	s.stats.ReplicaBytes += obj.Bytes
 	s.ctrReplicas.Inc()
 	s.ctrReplicaBytes.Add(float64(obj.Bytes))
 	sp.SetAttr("volume", cvol.Label)
@@ -164,8 +162,6 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 		return Replica{}, err
 	}
 	sp.End()
-	s.stats.ReplicaRecalls++
-	s.stats.BytesRead += rep.Bytes
 	s.ctrReplicaRecalls.Inc()
 	s.ctrBytesRead.Add(float64(rep.Bytes))
 	return *rep, nil

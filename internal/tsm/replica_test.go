@@ -47,9 +47,9 @@ func TestStoreAndReadReplica(t *testing.T) {
 		if _, err := e.srv.ReadReplica("dr:portal", "cell-east", 99, fabric.Path{}, nil); !errors.Is(err, ErrNoReplica) {
 			t.Errorf("missing replica err = %v, want ErrNoReplica", err)
 		}
-		st := e.srv.Stats()
-		if st.ReplicasStored != 2 || st.ReplicaRecalls != 1 {
-			t.Errorf("stats = %+v, want 2 stored / 1 recalled", st)
+		stored, recalled := e.count("tsm_replicas_stored_total"), e.count("tsm_replica_recalls_total")
+		if stored != 2 || recalled != 1 {
+			t.Errorf("replicas = %d stored / %d recalled, want 2 stored / 1 recalled", stored, recalled)
 		}
 	})
 }

@@ -96,35 +96,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates server activity.
-type Stats struct {
-	Transactions int
-	Stores       int
-	Recalls      int
-	Deletes      int
-	BytesStored  int64
-	BytesRead    int64
-	PathQueries  int
-	// Retries counts transactions re-driven after transient drive I/O
-	// errors.
-	Retries int
-	// IntegrityDetected counts checksum mismatches caught before
-	// delivery (recall verification and scrub passes).
-	IntegrityDetected int
-	// IntegrityRepaired counts objects re-staged to a fresh primary
-	// location from the copy pool or a source copy.
-	IntegrityRepaired int
-	// IntegrityUnrepairable counts detections with no surviving good
-	// copy: the object is reported, never silently delivered.
-	IntegrityUnrepairable int
-	// ReplicasStored counts cross-site duplicates landed in this
-	// server's copy pool; ReplicaBytes their size.
-	ReplicasStored int
-	ReplicaBytes   int64
-	// ReplicaRecalls counts DR failover reads served from replicas.
-	ReplicaRecalls int
-}
-
 // Server is the TSM instance: one per archive (the paper's §6.4 single
 // point of failure).
 type Server struct {
@@ -149,7 +120,6 @@ type Server struct {
 	onRepair   []func(Object)          // notified after an object moves during repair
 	lastDrive  map[string]*tape.Drive
 	down       bool // server outage: transactions block until repair
-	stats      Stats
 	sch        *sched.Scheduler
 	defense    *faults.Defense // shared retry budgets + breakers (inert unless enabled)
 
@@ -240,9 +210,6 @@ func (s *Server) NewStream(p fabric.Path) *fabric.Flow {
 	return p.Fabric().Stream(p)
 }
 
-// Stats returns a copy of the server counters.
-func (s *Server) Stats() Stats { return s.stats }
-
 // NumObjects reports live (non-deleted) objects.
 func (s *Server) NumObjects() int {
 	n := 0
@@ -275,7 +242,6 @@ func (s *Server) txn() {
 	for s.down {
 		s.clock.Sleep(5 * time.Second) // outage: block and re-poll
 	}
-	s.stats.Transactions++
 	s.ctrTxn.Inc()
 	if s.cfg.TxnCost <= 0 {
 		return
@@ -350,7 +316,6 @@ func (s *Server) reapDownDrives() {
 func (s *Server) failover(attempt int) {
 	if attempt > 1 {
 		s.reapDownDrives()
-		s.stats.Retries++
 		s.ctrRetries.Inc()
 	}
 }
@@ -491,8 +456,6 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	if req.Group != "" {
 		s.coloc[req.Group] = vol.Label
 	}
-	s.stats.Stores++
-	s.stats.BytesStored += req.Bytes
 	s.ctrStores.Inc()
 	s.ctrBytesStored.Add(float64(req.Bytes))
 	return *obj, nil
@@ -823,8 +786,6 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 		}
 	}
 	sp.End()
-	s.stats.Recalls++
-	s.stats.BytesRead += obj.Bytes
 	s.ctrRecalls.Inc()
 	s.ctrBytesRead.Add(float64(obj.Bytes))
 	return *obj, nil
@@ -938,8 +899,6 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 			bad = append(bad, obj.ID)
 			continue
 		}
-		s.stats.Recalls++
-		s.stats.BytesRead += bytes
 		s.ctrRecalls.Inc()
 		s.ctrBytesRead.Add(float64(bytes))
 		out = append(out, *obj)
@@ -968,7 +927,6 @@ func (s *Server) Delete(objectID uint64) error {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, objectID)
 	}
 	obj.Deleted = true
-	s.stats.Deletes++
 	s.ctrDeletes.Inc()
 	return nil
 }
@@ -987,7 +945,6 @@ func (s *Server) Get(objectID uint64) (Object, error) {
 // full scan — the operation whose cost justifies the shadow database.
 func (s *Server) QueryByPath(path string) (Object, error) {
 	s.txn()
-	s.stats.PathQueries++
 	s.ctrPathQueries.Inc()
 	if s.cfg.DBScanPerObject > 0 && len(s.order) > 0 {
 		s.clock.Sleep(time.Duration(len(s.order)) * s.cfg.DBScanPerObject)

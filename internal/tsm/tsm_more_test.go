@@ -136,9 +136,9 @@ func TestStatsSnapshot(t *testing.T) {
 	e := newEnv(1, DefaultConfig())
 	e.run(t, func() {
 		e.srv.Store(StoreRequest{Client: "c", Path: "/a", Bytes: 1e6})
-		st := e.srv.Stats()
-		if st.Stores != 1 || st.BytesStored != 1e6 || st.Transactions == 0 {
-			t.Errorf("stats = %+v", st)
+		stores, bytes, txns := e.count("tsm_stores_total"), e.count("tsm_bytes_stored_total"), e.count("tsm_transactions_total")
+		if stores != 1 || bytes != 1e6 || txns == 0 {
+			t.Errorf("stores/bytes/transactions = %d/%d/%d", stores, bytes, txns)
 		}
 	})
 }

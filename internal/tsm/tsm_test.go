@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/simtime"
 	"repro/internal/tape"
+	"repro/internal/telemetry"
 )
 
 type env struct {
@@ -19,6 +20,12 @@ func newEnv(drives int, cfg Config) *env {
 	clock := simtime.NewClock()
 	lib := tape.NewLibrary(clock, drives, 40, 2, tape.LTO4())
 	return &env{clock: clock, lib: lib, srv: NewServer(clock, cfg, lib)}
+}
+
+// count reads a lifetime counter from the env's registry; each env
+// runs one server on its clock, so the series is that server's.
+func (e *env) count(name string) int {
+	return int(telemetry.Of(e.clock).Counter(name).Value())
 }
 
 func (e *env) run(t *testing.T, fn func()) time.Duration {
@@ -117,9 +124,8 @@ func TestRecallRoundTrip(t *testing.T) {
 		if got.ID != obj.ID || got.Bytes != 2e9 {
 			t.Errorf("recalled %+v", got)
 		}
-		s := e.srv.Stats()
-		if s.Stores != 1 || s.Recalls != 1 {
-			t.Errorf("stats = %+v", s)
+		if stores, recalls := e.count("tsm_stores_total"), e.count("tsm_recalls_total"); stores != 1 || recalls != 1 {
+			t.Errorf("stores/recalls = %d/%d, want 1/1", stores, recalls)
 		}
 	})
 }
