@@ -11,8 +11,9 @@ import (
 // BenchmarkFlowChurn measures the fabric scheduler's join/leave cost:
 // 10k flows churning across a shared trunk from 32 concurrent streams,
 // every arrival and departure re-running the max-min allocation. The
-// headline metric is flows/sec of wall-clock — the rate the paper-scale
-// campaign replay burns background-noise bursts at.
+// headline metric is flows/sec of wall-clock, summed over every
+// iteration's run — the rate the paper-scale campaign replay burns
+// background-noise bursts at.
 func BenchmarkFlowChurn(b *testing.B) {
 	const (
 		streams  = 32
@@ -20,6 +21,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 		perFlow  = int64(64e6)
 		capacity = 1e9
 	)
+	var wall float64
 	for i := 0; i < b.N; i++ {
 		clock := simtime.NewClock()
 		fab := New(clock)
@@ -40,7 +42,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 		}
 		start := time.Now()
 		clock.RunFor()
-		wall := time.Since(start).Seconds()
-		b.ReportMetric(float64(flows)/wall, "flows/sec")
+		wall += time.Since(start).Seconds()
 	}
+	b.ReportMetric(float64(flows*b.N)/wall, "flows/sec")
 }

@@ -12,12 +12,82 @@ import (
 
 // churnResult captures everything observable about one scripted churn
 // run: when each flow finished (virtual time) and what every link
-// carried. Two runs of the same script must produce identical results
-// regardless of scheduler mode.
+// carried, when, and at what peak concurrency. Two runs of the same
+// script must produce identical results regardless of scheduler mode.
+// fast and fallback count solveHub's outcomes.
 type churnResult struct {
-	done      []simtime.Duration
-	linkBytes map[string]float64
-	linkBusy  map[string]time.Duration
+	done           []simtime.Duration
+	linkBytes      map[string]float64
+	linkBusy       map[string]time.Duration
+	linkPeak       map[string]int
+	linkTimeline   map[string][]TimePoint
+	fast, fallback uint64
+}
+
+func newChurnResult(n int) churnResult {
+	return churnResult{
+		done:         make([]simtime.Duration, n),
+		linkBytes:    make(map[string]float64),
+		linkBusy:     make(map[string]time.Duration),
+		linkPeak:     make(map[string]int),
+		linkTimeline: make(map[string][]TimePoint),
+	}
+}
+
+// collect records every link's settled accounting and the solver
+// counters once the run is over.
+func (res *churnResult) collect(f *Fabric) {
+	for _, l := range f.Links() {
+		st := l.Stats()
+		res.linkBytes[st.Name] = st.Bytes
+		res.linkBusy[st.Name] = st.Busy
+		res.linkPeak[st.Name] = st.PeakFlows
+		res.linkTimeline[st.Name] = st.Timeline
+	}
+	res.fast, res.fallback = f.hubFast, f.hubFallback
+}
+
+// sameChurn reports every difference between an incremental run and its
+// full-recompute reference.
+func sameChurn(t *testing.T, trial int, inc, ref churnResult) {
+	t.Helper()
+	for i := range ref.done {
+		if inc.done[i] != ref.done[i] {
+			t.Errorf("trial %d flow %d: incremental finished at %v, full recompute at %v",
+				trial, i, inc.done[i], ref.done[i])
+		}
+	}
+	for name, want := range ref.linkBytes {
+		if got := inc.linkBytes[name]; got != want {
+			t.Errorf("trial %d link %s: incremental carried %v bytes, full recompute %v",
+				trial, name, got, want)
+		}
+		if got, want := inc.linkBusy[name], ref.linkBusy[name]; got != want {
+			t.Errorf("trial %d link %s: incremental busy %v, full recompute %v",
+				trial, name, got, want)
+		}
+		if got, want := inc.linkPeak[name], ref.linkPeak[name]; got != want {
+			t.Errorf("trial %d link %s: incremental peak %d flows, full recompute %d",
+				trial, name, got, want)
+		}
+		got, want := inc.linkTimeline[name], ref.linkTimeline[name]
+		if len(got) != len(want) {
+			t.Errorf("trial %d link %s: incremental timeline has %d points, full recompute %d",
+				trial, name, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("trial %d link %s timeline[%d]: incremental %+v, full recompute %+v",
+					trial, name, i, got[i], want[i])
+				break
+			}
+		}
+	}
+	if ref.fast != 0 || ref.fallback != 0 {
+		t.Errorf("trial %d: full recompute ran solveHub (%d fast, %d fallback); it must stay the canonical reference",
+			trial, ref.fast, ref.fallback)
+	}
 }
 
 // runChurn executes a randomized but fully seeded churn script — a
@@ -46,11 +116,7 @@ func runChurn(seed int64, full bool) churnResult {
 	}
 
 	n := r.Intn(10) + 6
-	res := churnResult{
-		done:      make([]simtime.Duration, n),
-		linkBytes: make(map[string]float64),
-		linkBusy:  make(map[string]time.Duration),
-	}
+	res := newChurnResult(n)
 	for i := 0; i < n; i++ {
 		src := hosts[r.Intn(len(hosts))]
 		dst := hosts[r.Intn(len(hosts))]
@@ -104,11 +170,87 @@ func runChurn(seed int64, full bool) churnResult {
 		}
 	}
 	c.RunFor()
-	for _, l := range f.Links() {
-		st := l.Stats()
-		res.linkBytes[st.Name] = st.Bytes
-		res.linkBusy[st.Name] = st.Busy
+	res.collect(f)
+	return res
+}
+
+// runHubChurn is runChurn's trunk-bound counterpart, the shape solveHub
+// takes: every route crosses one trunk between a west and an east hub
+// (one route twice, out and back), 40-200 one-shot flows and streams
+// share it, some capped, and the trunk degrades mid-run. Every NIC is at
+// least as fast as the degraded trunk, so a solveHub fallback is a cap
+// binding (or the binding replay refusing), never a NIC.
+func runHubChurn(seed int64, full bool) churnResult {
+	r := rand.New(rand.NewSource(seed))
+	c := simtime.NewClock()
+	f := New(c)
+	f.SetFullRecompute(full)
+
+	capacity := float64(r.Intn(4000) + 2000)
+	trunk := f.AddLink("trunk", capacity, "west", "east")
+	hosts := func(side string) []string {
+		names := make([]string, r.Intn(6)+3)
+		for h := range names {
+			names[h] = fmt.Sprintf("%s%d", side[:1], h)
+			f.AddLink(names[h]+"-nic", capacity*(1+2*r.Float64()), side, names[h])
+		}
+		return names
 	}
+	west, east := hosts("west"), hosts("east")
+	degradeAt := simtime.Duration(r.Intn(60)+5) * time.Second
+	degradeTo := capacity * (0.3 + 0.6*r.Float64())
+	c.Go(func() {
+		c.Sleep(degradeAt)
+		trunk.SetCapacity(degradeTo)
+	})
+
+	n := r.Intn(161) + 40
+	res := newChurnResult(n)
+	for i := 0; i < n; i++ {
+		w := r.Intn(len(west))
+		src, dst, via := west[w], east[r.Intn(len(east))], ""
+		if i == 0 {
+			// Out across the trunk and back: multiplicity 2 on it.
+			via, dst = dst, west[(w+1+r.Intn(len(west)-1))%len(west)]
+		}
+		p, err := f.Route(src, via, dst)
+		if err != nil {
+			panic(err)
+		}
+		start := simtime.Duration(r.Intn(40_000)) * time.Millisecond
+		var opts []Option
+		if r.Intn(4) == 0 {
+			opts = append(opts, WithCap(capacity/float64(r.Intn(96)+5)))
+		}
+		i := i
+		if r.Intn(2) == 0 {
+			bytes := int64(r.Intn(20_000) + 200)
+			c.Go(func() {
+				c.Sleep(start)
+				f.Transfer(p, bytes, opts...)
+				res.done[i] = c.Now()
+			})
+			continue
+		}
+		chunks := make([]int64, r.Intn(4)+1)
+		gaps := make([]simtime.Duration, len(chunks))
+		for s := range chunks {
+			chunks[s] = int64(r.Intn(8_000) + 100)
+			gaps[s] = simtime.Duration(r.Intn(3000)) * time.Millisecond
+		}
+		c.Go(func() {
+			c.Sleep(start)
+			st := f.Stream(p, opts...)
+			for s := range chunks {
+				st.Send(chunks[s])
+				c.Sleep(gaps[s])
+			}
+			st.Close()
+			res.done[i] = c.Now()
+		})
+	}
+	c.RunFor()
+	res.collect(f)
 	return res
 }
 
@@ -122,26 +264,25 @@ func runChurn(seed int64, full bool) churnResult {
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		seed := int64(trial)*104729 + 17
-		inc := runChurn(seed, false)
-		ref := runChurn(seed, true)
-		for i := range ref.done {
-			if inc.done[i] != ref.done[i] {
-				t.Errorf("trial %d flow %d: incremental finished at %v, full recompute at %v",
-					trial, i, inc.done[i], ref.done[i])
-			}
-		}
-		for name, want := range ref.linkBytes {
-			if got := inc.linkBytes[name]; got != want {
-				t.Errorf("trial %d link %s: incremental carried %v bytes, full recompute %v",
-					trial, name, got, want)
-			}
-		}
-		for name, want := range ref.linkBusy {
-			if got := inc.linkBusy[name]; got != want {
-				t.Errorf("trial %d link %s: incremental busy %v, full recompute %v",
-					trial, name, got, want)
-			}
-		}
+		sameChurn(t, trial, runChurn(seed, false), runChurn(seed, true))
+	}
+}
+
+// TestHubSolveMatchesFullRecompute holds solveHub and the uniform
+// horizon to the same bit-exact standard on the trunk-bound shape they
+// shortcut, and checks that both its fast path and its fallback to the
+// canonical solver ran.
+func TestHubSolveMatchesFullRecompute(t *testing.T) {
+	var fast, fallback uint64
+	for trial := 0; trial < 20; trial++ {
+		seed := int64(trial)*7919 + 3
+		inc := runHubChurn(seed, false)
+		sameChurn(t, trial, inc, runHubChurn(seed, true))
+		fast += inc.fast
+		fallback += inc.fallback
+	}
+	if fast == 0 || fallback == 0 {
+		t.Errorf("solveHub ran %d fast solves and %d cap fallbacks; the scenario must exercise both", fast, fallback)
 	}
 }
 

@@ -90,6 +90,12 @@ type Fabric struct {
 	epoch           uint64
 	solveID         uint64 // distinguishes components gathered within one epoch
 	fullRecompute   bool
+	hub             *Link  // last link every active flow crossed (solveHub)
+	hubEpoch        uint64 // epoch solveHub last solved: every component done
+	uniform         bool   // every active flow holds one rate (solveHub's fast path)
+	hubFast         uint64 // solveHub outcomes, for the equivalence tests
+	hubFallback     uint64
+	sampleDue       simtime.Duration // earliest instant any link's timeline is due
 	compFlows       []*Flow
 	compLinks       []*Link
 	scratchA        []*Flow
@@ -150,6 +156,7 @@ func (f *Fabric) AddLink(name string, capacity float64, a, b string) *Link {
 	l := &Link{fab: f, name: name, id: len(f.order), capacity: capacity, nominal: capacity}
 	f.links[name] = l
 	f.order = append(f.order, l)
+	f.sampleDue = 0
 	f.connect(a, b, l)
 	// Emit the link's accounting through the telemetry registry as
 	// snapshot-time collected series (the fabric already keeps these
@@ -384,10 +391,12 @@ type Link struct {
 	// per flow, multiplicity lives on the flow's cross record) with
 	// crossIdx pointing back at each flow's cross slot — the adjacency
 	// the incremental scheduler walks to find a change's connected
-	// component. load and capLeft are that solver's per-link scratch;
-	// mark stamps the component walk.
+	// component; n sums the crossing flows' multiplicities. load and
+	// capLeft are that solver's per-link scratch; mark stamps the
+	// component walk.
 	crossing []*Flow
 	crossIdx []int
+	n        int
 	load     float64
 	capLeft  float64
 	mark     uint64
@@ -542,13 +551,13 @@ func (s LinkStats) BusyFraction(elapsed simtime.Duration) float64 {
 }
 
 // sample appends a timeline point if the spacing has lapsed, thinning
-// when the series is full.
-func (l *Link) sample(now simtime.Duration) {
+// when the series is full, and returns when the next point is due.
+func (l *Link) sample(now simtime.Duration) (due simtime.Duration) {
 	if l.width == 0 {
 		l.width = time.Minute
 	}
 	if len(l.timeline) > 0 && now-l.timeline[len(l.timeline)-1].At < l.width {
-		return
+		return l.timeline[len(l.timeline)-1].At + l.width
 	}
 	l.timeline = append(l.timeline, TimePoint{At: now, Bytes: l.bytes, Busy: l.busy})
 	if len(l.timeline) >= maxTimeline {
@@ -559,4 +568,5 @@ func (l *Link) sample(now simtime.Duration) {
 		l.timeline = kept
 		l.width *= 2
 	}
+	return l.timeline[len(l.timeline)-1].At + l.width
 }

@@ -317,6 +317,46 @@ func TestUtilizationAndBusy(t *testing.T) {
 	near(t, "nicA busy fraction", st.BusyFraction(end), 0.5, 0.01)
 }
 
+// TestTimelineSamplesWhenDue pins the sampling rule settle applies
+// lazily: a link's timeline gains a point at the first settle at least
+// one spacing after its last point (polls every 6s land exactly on each
+// due instant), and a link added mid-run gets its first point at its
+// first settle, not when the older links are next due.
+func TestTimelineSamplesWhenDue(t *testing.T) {
+	const poll = 6 * time.Second // Stats settles the fabric
+	c := simtime.NewClock()
+	f := New(c)
+	a := f.AddLink("a", 1000, "x", "y")
+	var b *Link
+	c.Go(func() { a.Transfer(500_000) }) // busy until 500s
+	c.Go(func() {
+		for at := poll; at < 600*time.Second; at += poll {
+			c.Sleep(poll)
+			a.Stats()
+			if at == 66*time.Second {
+				// a's points so far: 6s, 66s; next due at 126s.
+				c.Sleep(2 * time.Second)
+				b = f.AddLink("b", 1000, "y", "z")
+				c.Go(func() { b.Transfer(1000) })
+				c.Sleep(poll - 2*time.Second)
+			}
+		}
+	})
+	c.RunFor()
+	tl := a.Stats().Timeline
+	if len(tl) != 9 || tl[0].At != poll {
+		t.Fatalf("a's timeline %v, want 9 points from 6s", tl)
+	}
+	for i := 1; i < len(tl); i++ {
+		if gap := tl[i].At - tl[i-1].At; gap != time.Minute {
+			t.Errorf("a's points %d and %d are %v apart, want 1m", i-1, i, gap)
+		}
+	}
+	if bt := b.Stats().Timeline; len(bt) == 0 || bt[0].At != 68*time.Second {
+		t.Errorf("b's timeline %v, want its first point at 68s, when its first flow settled", bt)
+	}
+}
+
 func TestArmCorruptTaintsNextFlow(t *testing.T) {
 	c := simtime.NewClock()
 	f := build(c)

@@ -23,9 +23,7 @@ import (
 type Flow struct {
 	fab   *Fabric
 	seq   uint64
-	path  []*Link     // hops in order, repeats included
-	cross []linkCross // unique links with crossing multiplicity
-	pos   []int       // index of this flow in cross[i].link.crossing
+	cross []linkCross // unique links on the path with crossing multiplicity
 
 	bytes     float64
 	remaining float64
@@ -46,9 +44,11 @@ type Flow struct {
 
 // linkCross is a unique link on a flow's path with its multiplicity: a
 // flow whose route crosses a link k times consumes k x its rate there.
+// pos is the flow's index in link.crossing.
 type linkCross struct {
 	link *Link
 	k    int
+	pos  int
 }
 
 // Option tunes one flow.
@@ -88,11 +88,11 @@ func (f *Fabric) counters() {
 	}
 }
 
-// buildCross fills path/cross/pos from a resolved route. Paths are a
-// handful of hops, so the duplicate scan is linear, not a map.
+// buildCross fills cross from a resolved route. Paths are a handful of
+// hops, so the duplicate scan is linear, not a map.
 func (fl *Flow) buildCross(links []*Link) {
-	fl.path = append([]*Link(nil), links...)
-	for _, l := range fl.path {
+	fl.cross = make([]linkCross, 0, len(links))
+	for _, l := range links {
 		found := -1
 		for i := range fl.cross {
 			if fl.cross[i].link == l {
@@ -106,7 +106,6 @@ func (fl *Flow) buildCross(links []*Link) {
 		}
 		fl.cross = append(fl.cross, linkCross{link: l, k: 1})
 	}
-	fl.pos = make([]int, len(fl.cross))
 }
 
 // consumeTaint consumes at most one armed silent corruption from the
@@ -251,9 +250,10 @@ func (f *Fabric) join(fl *Flow) {
 	fl.inFlows = true
 	for i := range fl.cross {
 		l := fl.cross[i].link
-		fl.pos[i] = len(l.crossing)
+		fl.cross[i].pos = len(l.crossing)
 		l.crossing = append(l.crossing, fl)
 		l.crossIdx = append(l.crossIdx, i)
+		l.n += fl.cross[i].k
 		l.active++
 		if l.active > l.peak {
 			l.peak = l.active
@@ -267,18 +267,19 @@ func (f *Fabric) join(fl *Flow) {
 func (f *Fabric) unlink(fl *Flow) {
 	for i := range fl.cross {
 		l := fl.cross[i].link
-		j := fl.pos[i]
+		j := fl.cross[i].pos
 		last := len(l.crossing) - 1
 		if j != last {
 			moved := l.crossing[last]
 			mi := l.crossIdx[last]
 			l.crossing[j] = moved
 			l.crossIdx[j] = mi
-			moved.pos[mi] = j
+			moved.cross[mi].pos = j
 		}
 		l.crossing[last] = nil
 		l.crossing = l.crossing[:last]
 		l.crossIdx = l.crossIdx[:last]
+		l.n -= fl.cross[i].k
 	}
 	fl.inFlows = false
 }
@@ -322,7 +323,9 @@ func (fl *Flow) Transferred() int64 {
 }
 
 // settle advances every active flow to the present at its current rate,
-// crediting per-link byte and busy accounting.
+// crediting per-link byte and busy accounting. Timelines are sampled
+// only once the earliest link's next point is due: sample appends
+// nothing before that, so skipping the calls changes no timeline.
 func (f *Fabric) settle() {
 	now := f.clock.Now()
 	dt := now - f.last
@@ -348,16 +351,26 @@ func (f *Fabric) settle() {
 		if l.active > 0 {
 			l.busy += dt
 		}
-		l.sample(now)
+	}
+	if now < f.sampleDue {
+		return
+	}
+	f.sampleDue = math.MaxInt64
+	for _, l := range f.order {
+		if due := l.sample(now); due < f.sampleDue {
+			f.sampleDue = due
+		}
 	}
 }
 
 // SetFullRecompute switches the scheduler between incremental
 // (component-scoped) and full recomputes. Full mode solves every
-// connected component on every membership or capacity event — the
-// reference the equivalence tests compare against. Both modes run the
-// identical canonical per-component solver, so their allocations are
-// bit-for-bit the same.
+// connected component on every membership or capacity event with the
+// canonical walk and solver, bypassing solveHub and so the uniform
+// horizon it enables — the reference the equivalence tests compare
+// against.
+// Incremental mode's shortcuts reproduce the canonical solver's
+// arithmetic, so both modes' allocations are bit-for-bit the same.
 func (f *Fabric) SetFullRecompute(on bool) { f.fullRecompute = on }
 
 // recomputeFlow recomputes the connected component the flow belongs to
@@ -409,8 +422,14 @@ func (f *Fabric) recomputeAll() {
 // recovered by filtering f.flows (kept seq-ascending by join/filter)
 // and f.order (id-ascending by construction), so no sort is needed.
 func (f *Fabric) solveComponentFrom(seed *Link) {
-	if seed.mark == f.epoch {
+	if seed.mark == f.epoch || f.hubEpoch == f.epoch {
 		return
+	}
+	if seed.n > 0 && !f.fullRecompute {
+		if h := f.findHub(seed); h != nil {
+			f.solveHub(h)
+			return
+		}
 	}
 	f.solveID++
 	seed.mark, seed.comp = f.epoch, f.solveID
@@ -454,6 +473,100 @@ func (f *Fabric) solveComponentFrom(seed *Link) {
 	f.solve(f.compFlows, f.compLinks)
 }
 
+// findHub returns a link every active flow crosses, or nil. If one
+// exists it lies on the path of every flow, the seed's first flow
+// included, so checking the cached hub, the seed and that flow's links
+// finds it.
+func (f *Fabric) findHub(seed *Link) *Link {
+	n := len(f.flows)
+	if f.hub != nil && len(f.hub.crossing) == n {
+		return f.hub
+	}
+	if len(seed.crossing) == n {
+		f.hub = seed
+		return seed
+	}
+	for _, c := range seed.crossing[0].cross {
+		if len(c.link.crossing) == n {
+			f.hub = c.link
+			return c.link
+		}
+	}
+	return nil
+}
+
+// solveHub solves the fabric's one component when a hub h connects
+// every active flow: the component is f.flows (seq order) and the links
+// with n > 0 (id order), no walk needed. share is the canonical
+// solver's first-pass bottleneck — integer loads are exact in float64,
+// so capacity/float64(n) is the very quotient it computes. When no cap
+// binds at or below that share and a replay of the binding pass on the
+// hub freezes every flow, pass one is the whole solve and every flow
+// gets the share. Otherwise solve runs on the gathered lists.
+func (f *Fabric) solveHub(h *Link) {
+	f.hubEpoch = f.epoch
+	share := math.Inf(1)
+	for _, l := range f.order {
+		if l.n > 0 {
+			if s := l.capacity / float64(l.n); s < share {
+				share = s
+			}
+		}
+	}
+	if f.hubBinds(h, share) {
+		r := share
+		if r < minRate {
+			r = minRate
+		}
+		for _, fl := range f.flows {
+			fl.rate = r
+		}
+		f.uniform = true
+		f.hubFast++
+		return
+	}
+	f.hubFallback++
+	f.compLinks = f.compLinks[:0]
+	for _, l := range f.order {
+		if l.n > 0 {
+			f.compLinks = append(f.compLinks, l)
+		}
+	}
+	f.solve(f.flows, f.compLinks)
+}
+
+// hubBinds reports whether solve's first pass would freeze every flow
+// at share through the hub: no cap binds, and h's ratio stays within
+// bindTol of share as the flows freeze one by one in seq order (the
+// pass's own arithmetic, replayed on h alone). Its first test is h's
+// capacity/n itself, so h must be a minimising link to within bindTol —
+// which is all the canonical pass asks of a link to freeze its flows.
+func (f *Fabric) hubBinds(h *Link, share float64) bool {
+	capLeft, load := h.capacity, float64(h.n)
+	once := h.n == len(f.flows) // every flow crosses h exactly once
+	for _, fl := range f.flows {
+		if fl.capRate > 0 && fl.capRate <= share {
+			return false
+		}
+		if !(load > 0 && capLeft/load <= share*bindTol) {
+			return false
+		}
+		k := 1
+		for i := 0; !once && i < len(fl.cross); i++ {
+			if fl.cross[i].link == h {
+				k = fl.cross[i].k
+				break
+			}
+		}
+		capLeft -= share * float64(k)
+		if capLeft < 0 {
+			capLeft = 0
+		}
+		load -= float64(k)
+	}
+	return true
+}
+
 // solve reruns progressive-filling max-min fairness over one component:
 // repeatedly find the tightest constraint — the link with the smallest
 // capacity-left / crossings share, or a flow cap below it — freeze the
@@ -461,6 +574,7 @@ func (f *Fabric) solveComponentFrom(seed *Link) {
 // scratch lives on the Link itself (no maps), which is most of the
 // solver's former cost at campaign scale.
 func (f *Fabric) solve(flows []*Flow, links []*Link) {
+	f.uniform = false
 	for _, l := range links {
 		l.load = 0
 		l.capLeft = l.capacity
@@ -513,13 +627,12 @@ func (f *Fabric) solve(flows []*Flow, links []*Link) {
 		// crossing a link at the bottleneck share. Freezing one such flow
 		// leaves the bottleneck's ratio at exactly the share, so a single
 		// pass with a drift tolerance freezes the whole binding set.
-		const tol = 1 + 1e-9
 		keep := spare[:0]
 		for _, fl := range unfrozen {
 			binding := false
 			for i := range fl.cross {
 				l := fl.cross[i].link
-				if l.load > 0 && l.capLeft/l.load <= share*tol {
+				if l.load > 0 && l.capLeft/l.load <= share*bindTol {
 					binding = true
 					break
 				}
@@ -543,10 +656,16 @@ func (f *Fabric) solve(flows []*Flow, links []*Link) {
 	f.scratchA, f.scratchB = unfrozen[:0], spare[:0]
 }
 
+// bindTol is the drift tolerance of solve's binding pass.
+const bindTol = 1 + 1e-9
+
 // rearm schedules the fabric's single completion timer for the
 // earliest-finishing flow. The previous timer is canceled (feeding the
 // clock's heap compaction); generation counters still invalidate timers
-// a best-effort cancel missed.
+// a best-effort cancel missed. When every flow holds one rate r (the
+// uniform flag solveHub sets) the smallest remaining is divided once:
+// division by a positive r is monotonic, so min(rem)/r is bit for bit
+// min(rem/r).
 func (f *Fabric) rearm() {
 	f.gen++
 	if f.cancelTimer != nil {
@@ -554,12 +673,24 @@ func (f *Fabric) rearm() {
 		f.cancelTimer = nil
 	}
 	earliest := math.Inf(1)
-	for _, fl := range f.flows {
-		if fl.remaining <= 0 {
-			continue // drained stream awaiting the instant-end pause
+	if f.uniform {
+		var first *Flow
+		for _, fl := range f.flows {
+			if fl.remaining > 0 && (first == nil || fl.remaining < first.remaining) {
+				first = fl
+			}
 		}
-		if t := fl.remaining / fl.rate; t < earliest {
-			earliest = t
+		if first != nil {
+			earliest = first.remaining / first.rate
+		}
+	} else {
+		for _, fl := range f.flows {
+			if fl.remaining <= 0 {
+				continue // drained stream awaiting the instant-end pause
+			}
+			if t := fl.remaining / fl.rate; t < earliest {
+				earliest = t
+			}
 		}
 	}
 	if math.IsInf(earliest, 1) {

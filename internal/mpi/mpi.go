@@ -111,28 +111,6 @@ func (c *Comm) Recv(rank, from, tag int) (Message, bool) {
 	}
 }
 
-// TryRecv receives a matching message without blocking.
-func (c *Comm) TryRecv(rank, from, tag int) (Message, bool) {
-	c.check(rank)
-	for i, m := range c.held[rank] {
-		if matches(m, from, tag) {
-			c.held[rank] = append(c.held[rank][:i], c.held[rank][i+1:]...)
-			return m, true
-		}
-	}
-	for {
-		v, ok := c.boxes[rank].TryPop()
-		if !ok {
-			return Message{}, false
-		}
-		m := v.(Message)
-		if matches(m, from, tag) {
-			return m, true
-		}
-		c.held[rank] = append(c.held[rank], m)
-	}
-}
-
 // Close closes a rank's mailbox: pending matching receives drain what
 // is queued, then return ok=false. Further sends to the rank are
 // dropped. Closing a single rank models that rank dying mid-run (a

@@ -111,22 +111,6 @@ func TestPairwiseOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	c := simtime.NewClock()
-	comm := New(c, 2)
-	comm.Start(1, func() {
-		if _, ok := comm.TryRecv(1, Any, Any); ok {
-			t.Error("TryRecv on empty mailbox succeeded")
-		}
-		comm.Send(1, 1, 3, "self")
-		if m, ok := comm.TryRecv(1, Any, 3); !ok || m.Data.(string) != "self" {
-			t.Errorf("TryRecv = %+v, %v", m, ok)
-		}
-	})
-	c.Go(comm.Wait)
-	c.RunFor()
-}
-
 func TestCloseDrainsThenFails(t *testing.T) {
 	c := simtime.NewClock()
 	comm := New(c, 2)

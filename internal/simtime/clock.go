@@ -42,8 +42,9 @@ type Clock struct {
 	cur     *actor // the actor the scheduler loop is inside; nil otherwise
 	parked  int    // actors parked on a non-time wait (queue/cond/resource)
 	started bool
-	actors  int    // actors that have been started and not yet finished
-	events  uint64 // events dispatched since construction (engine throughput)
+	actors  int      // actors that have been started and not yet finished
+	events  uint64   // events dispatched since construction (engine throughput)
+	limit   Duration // the exclusive bound runLocked is running to
 
 	// idle holds finished actors' coroutines for the next spawn to reuse
 	// (creating one costs a dozen allocations); coros counts creations.
@@ -209,6 +210,11 @@ func (c *Clock) selfLocked() *actor {
 // Sleep blocks the calling actor for d of virtual time. Non-positive
 // durations yield to the scheduler at the current instant (other events
 // scheduled for the same instant but earlier in FIFO order run first).
+//
+// When the wake-up would be the very next event the loop pops, Sleep
+// dispatches it in place: it advances the clock and counts the event
+// without the heap round trip and the two coroutine switches. seq and
+// the event count move exactly as they would through the loop.
 func (c *Clock) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -216,9 +222,29 @@ func (c *Clock) Sleep(d Duration) {
 	c.mu.Lock()
 	a := c.selfLocked()
 	c.seq++
-	c.queue.push(event{at: c.now + d, seq: internalBand | c.seq, wake: a})
+	at := c.now + d
+	if c.wakeIsNextLocked(at) {
+		c.events++
+		c.advance(at)
+		c.mu.Unlock()
+		return
+	}
+	c.queue.push(event{at: at, seq: internalBand | c.seq, wake: a})
 	c.mu.Unlock()
 	a.yield(struct{}{})
+}
+
+// wakeIsNextLocked reports whether a wake-up pushed at t (>= now) would
+// be the next event runLocked pops: no live event is due at or before t
+// (one at t holds a smaller seq), no instant-end callback must run
+// before time moves, no pacing wait stands between, and t is below the
+// limit the loop runs to. The caller must hold c.mu.
+func (c *Clock) wakeIsNextLocked(t Duration) bool {
+	if c.paceRatio > 0 || t >= c.limit || (t > c.now && len(c.instantFns) > 0) {
+		return false
+	}
+	c.popCanceledLocked()
+	return len(c.queue) == 0 || c.queue[0].at > t
 }
 
 // park blocks the calling actor a (from selfLocked) until another actor
@@ -394,6 +420,7 @@ func (c *Clock) pendingEvents() int {
 // might still send. The caller must hold c.mu; runLocked returns with
 // it held.
 func (c *Clock) runLocked(limit Duration) (next Duration) {
+	c.limit = limit
 	for {
 		c.popCanceledLocked()
 		if len(c.instantFns) > 0 && (len(c.queue) == 0 || c.queue[0].at > c.now) {

@@ -184,3 +184,68 @@ func TestClockNegativeSleepClamped(t *testing.T) {
 		t.Errorf("negative sleep advanced time to %v", end)
 	}
 }
+
+// A Sleep whose wake-up would be the next event popped is dispatched in
+// place (Clock.wakeIsNextLocked). Each test below pins one case the
+// shortcut must refuse, or one count it must keep, and fails if that
+// guard is deleted.
+
+func TestSleepShortcutRunsInstantEndFirst(t *testing.T) {
+	c := NewClock()
+	var at Duration = -1
+	c.Go(func() {
+		c.AtInstantEnd(func() { at = c.Now() })
+		c.Sleep(5 * time.Second)
+	})
+	c.RunFor()
+	if at != 0 {
+		t.Errorf("instant-end callback ran at %v, want 0: it must run before time advances", at)
+	}
+}
+
+func TestSleepShortcutStopsAtLimit(t *testing.T) {
+	c := NewClock()
+	c.Go(func() {
+		c.Sleep(4 * time.Second)
+		c.Sleep(6 * time.Second)
+		c.Sleep(time.Second)
+	})
+	if next := c.stepUntil(10 * time.Second); next != 10*time.Second {
+		t.Errorf("stepUntil(10s) returned next event %v, want 10s", next)
+	}
+	if now := c.Now(); now != 4*time.Second {
+		t.Errorf("Now() = %v after stepUntil(10s), want 4s: a wake-up at the limit must stay queued", now)
+	}
+	c.stepUntil(maxDuration)
+	if now := c.Now(); now != 11*time.Second {
+		t.Errorf("Now() = %v after the last slice, want 11s", now)
+	}
+}
+
+func TestSleepShortcutYieldsToEventAtWakeInstant(t *testing.T) {
+	c := NewClock()
+	var order []string
+	c.Callback(5*time.Second, func() { order = append(order, "callback") })
+	c.Go(func() {
+		c.Sleep(5 * time.Second)
+		order = append(order, "sleeper")
+	})
+	c.RunFor()
+	if len(order) != 2 || order[0] != "callback" || order[1] != "sleeper" {
+		t.Errorf("order = %v, want [callback sleeper]: the queued event holds the smaller seq", order)
+	}
+}
+
+func TestSleepShortcutCountsEvents(t *testing.T) {
+	c := NewClock()
+	const sleeps = 50
+	c.Go(func() {
+		for i := 0; i < sleeps; i++ {
+			c.Sleep(time.Duration(i%3) * time.Second)
+		}
+	})
+	c.RunFor()
+	if got, want := c.EventsProcessed(), uint64(1+sleeps); got != want {
+		t.Errorf("EventsProcessed = %d, want %d (one spawn plus one per Sleep)", got, want)
+	}
+}

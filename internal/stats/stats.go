@@ -97,40 +97,6 @@ func (s *Summary) Percentile(p float64) float64 {
 // Median is Percentile(50).
 func (s *Summary) Median() float64 { return s.Percentile(50) }
 
-// GeoMean reports the geometric mean of positive observations.
-func (s *Summary) GeoMean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var logSum float64
-	n := 0
-	for _, v := range s.vals {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-// Stddev reports the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // LogHistogram buckets positive values by order of magnitude — the
 // shape of the paper's log10-scale job plots.
 type LogHistogram struct {

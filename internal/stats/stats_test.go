@@ -25,7 +25,7 @@ func TestSummaryBasics(t *testing.T) {
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 || s.GeoMean() != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
 		t.Error("empty summary should report zeros")
 	}
 }
@@ -49,30 +49,6 @@ func TestPercentileBounds(t *testing.T) {
 	}
 	if p := s.Percentile(90); p < 89 || p > 91 {
 		t.Errorf("P90=%v", p)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	var s Summary
-	s.Add(1)
-	s.Add(100)
-	if g := s.GeoMean(); math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean=%v, want 10", g)
-	}
-	// Non-positive values are excluded.
-	s.Add(0)
-	if g := s.GeoMean(); math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean with zero=%v, want 10", g)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if d := s.Stddev(); math.Abs(d-2) > 1e-9 {
-		t.Errorf("Stddev=%v, want 2", d)
 	}
 }
 

@@ -265,9 +265,12 @@ func Noise(clock *simtime.Clock, link *fabric.Link, fraction float64, stop *bool
 	if streams < 1 {
 		streams = 1
 	}
-	// Each burst is ~10 fair-share seconds of data: coarse enough to
-	// keep event counts negligible over multi-day campaigns, fine
-	// enough that streams stay continuously backlogged.
+	// Each burst is ~10 fair-share seconds of data, fine enough that
+	// streams stay continuously backlogged. The bursts are not cheap in
+	// events: on the bench's pfcp-bigfiles at seed 2010, Flow.Send's
+	// same-instant re-extension path (this loop's) runs 1,132,185 times
+	// against 2,342,124 clock events. The size stays anyway: changing
+	// it moves every simulation digest.
 	burst := int64(link.Capacity() * 10 / (typicalForeground + float64(streams)))
 	if burst < 1 {
 		burst = 1
