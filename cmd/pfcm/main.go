@@ -18,7 +18,8 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/cli"
+	"repro/cmd/internal/cli"
+	"repro/internal/archive"
 	"repro/internal/pfs"
 	"repro/internal/pftool"
 	"repro/internal/simtime"
@@ -39,31 +40,16 @@ func main() {
 // 0 when every compare pass was clean, 3 when any pass found
 // mismatched or missing files, 1 on a simulation error.
 func run(flags *cli.Flags, corrupt int, recheck bool, out, errw io.Writer) int {
-	clock := simtime.NewClock()
-	code := 0
-	clock.Go(func() {
-		code = simulate(clock, flags, corrupt, recheck, out, errw)
+	return cli.Run("pfcm", flags, errw, func(_ *simtime.Clock, sys *archive.System) (int, error) {
+		return simulate(sys, flags, corrupt, recheck, out)
 	})
-	if _, err := clock.Run(); err != nil {
-		fmt.Fprintln(errw, "pfcm:", err)
-		return 1
-	}
-	return code
 }
 
-func simulate(clock *simtime.Clock, flags *cli.Flags, corrupt int, recheck bool, out, errw io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(errw, "pfcm:", err)
-		return 1
-	}
-	sys, err := cli.Deploy(clock, flags)
-	if err != nil {
-		return fail(err)
-	}
+func simulate(sys *archive.System, flags *cli.Flags, corrupt int, recheck bool, out io.Writer) (int, error) {
 	tun := flags.Tunables()
 	cres, err := sys.Pfcp("/src", "/archive/src", tun)
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
 	fmt.Fprintln(out, "archive:", cres.Summary())
 
@@ -80,7 +66,7 @@ func simulate(clock *simtime.Clock, flags *cli.Flags, corrupt int, recheck bool,
 			return nil
 		})
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
 		fmt.Fprintf(out, "corrupted %d destination file(s)\n", damaged)
 	}
@@ -90,23 +76,23 @@ func simulate(clock *simtime.Clock, flags *cli.Flags, corrupt int, recheck bool,
 	}
 	vres, err := sys.Pfcm("/src", "/archive/src", tun)
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
 	fmt.Fprintln(out, "compare:", vres.Summary())
 	bad := report(out, "compare", vres)
 	if recheck {
 		rres, err := sys.Pfcm("/src", "/archive/src", tun)
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
 		fmt.Fprintf(out, "recheck: %d file(s) pruned by the restart journal, %d recompared\n",
 			rres.JournalSkipped, rres.Matched+rres.Mismatched)
 		bad = report(out, "recheck", rres) || bad
 	}
 	if bad {
-		return 3
+		return 3, nil
 	}
-	return 0
+	return 0, nil
 }
 
 // report prints one line per compare failure — the offending

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cli"
+	"repro/cmd/internal/cli"
 )
 
 // smallFlags keeps the CLI scenario quick: a few dozen files, 1 GB.

@@ -20,7 +20,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cli"
+	"repro/cmd/internal/cli"
+	"repro/internal/archive"
 	"repro/internal/hsm"
 	"repro/internal/pftool"
 	"repro/internal/simtime"
@@ -43,26 +44,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	clock := simtime.NewClock()
-	var err error
-	clock.Go(func() {
-		err = simulate(clock, flags, *retrieve, *report, *interrupt, stdout)
+	return cli.Run("pfcp", flags, stderr, func(clock *simtime.Clock, sys *archive.System) (int, error) {
+		return 0, simulate(clock, sys, flags, *retrieve, *report, *interrupt, stdout)
 	})
-	if _, rerr := clock.Run(); rerr != nil {
-		err = rerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "pfcp:", err)
-		return 1
-	}
-	return 0
 }
 
-func simulate(clock *simtime.Clock, flags *cli.Flags, retrieve, report bool, interrupt time.Duration, out io.Writer) error {
-	sys, err := cli.Deploy(clock, flags)
-	if err != nil {
-		return err
-	}
+func simulate(clock *simtime.Clock, sys *archive.System, flags *cli.Flags, retrieve, report bool, interrupt time.Duration, out io.Writer) error {
 	tun := flags.Tunables()
 	tun.Verbose = false
 	if interrupt > 0 {

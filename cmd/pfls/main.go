@@ -10,7 +10,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cli"
+	"repro/cmd/internal/cli"
+	"repro/internal/archive"
 	"repro/internal/simtime"
 )
 
@@ -28,30 +29,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	clock := simtime.NewClock()
-	var err error
-	clock.Go(func() {
-		err = list(clock, flags, stdout)
+	return cli.Run("pfls", flags, stderr, func(_ *simtime.Clock, sys *archive.System) (int, error) {
+		res, err := sys.PflsTo("scratch", "/src", flags.Tunables(), stdout)
+		if err != nil {
+			return 0, err
+		}
+		fmt.Fprintln(stdout, res.Summary())
+		return 0, nil
 	})
-	if _, rerr := clock.Run(); rerr != nil {
-		err = rerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "pfls:", err)
-		return 1
-	}
-	return 0
-}
-
-func list(clock *simtime.Clock, flags *cli.Flags, out io.Writer) error {
-	sys, err := cli.Deploy(clock, flags)
-	if err != nil {
-		return err
-	}
-	res, err := sys.PflsTo("scratch", "/src", flags.Tunables(), out)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, res.Summary())
-	return nil
 }

@@ -457,9 +457,6 @@ func (l *Link) Name() string { return l.name }
 // Capacity reports the current capacity in bytes per virtual second.
 func (l *Link) Capacity() float64 { return l.capacity }
 
-// Nominal reports the undegraded capacity.
-func (l *Link) Nominal() float64 { return l.nominal }
-
 // Active reports the number of flows currently crossing the link.
 func (l *Link) Active() int { return l.active }
 

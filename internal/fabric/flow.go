@@ -297,9 +297,6 @@ func (fl *Flow) Wait() { fl.waitGate.Wait() }
 // Done reports whether the flow has completed (streams: closed).
 func (fl *Flow) Done() bool { return fl.done }
 
-// Bytes reports the flow's total size (streams: cumulative bytes sent).
-func (fl *Flow) Bytes() int64 { return int64(fl.bytes) }
-
 // Rate reports the flow's current max-min allocation in bytes/second.
 func (fl *Flow) Rate() float64 { return fl.rate }
 

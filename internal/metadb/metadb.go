@@ -3,11 +3,12 @@
 // exported the fields PFTool needs — tape volume, tape sequence number,
 // and object ID per file — into MySQL and indexed them there (§4.2.5).
 // This package plays the MySQL role: an in-memory store with secondary
-// indexes by path, file ID, object ID, and volume, answering the two
-// queries the paper's glue depends on:
+// indexes by path, file ID and object ID, answering the two queries the
+// paper's glue depends on:
 //
 //   - "what tape and sequence holds this file?" — enabling PFTool's
-//     tape-ordered recall, and
+//     tape-ordered recall, which looks each path up (ByPath, ByPaths)
+//     and sorts by volume and sequence itself, and
 //   - "what TSM object ID matches this GPFS file ID?" — enabling the
 //     synchronous deleter.
 package metadb
@@ -15,7 +16,6 @@ package metadb
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/simtime"
@@ -35,40 +35,50 @@ type Record struct {
 	Seq      int
 }
 
+// slotChunk is the number of records one DB chunk holds.
+const slotChunk = 1024
+
 // DB is the indexed shadow database. Queries charge a small indexed
 // lookup cost; compare tsm.Server.QueryByPath, which scans.
+//
+// Records live by value in fixed-size chunks, addressed by slot; the
+// indexes map keys to slots, values the garbage collector need not
+// scan. A deleted record's slot goes on the free list for the next
+// insert.
 type DB struct {
 	clock     *simtime.Clock
 	queryCost time.Duration
 
-	byObject map[uint64]*Record
-	byFileID map[uint64]*Record
-	byPath   map[string]*Record
-	byVolume map[string][]*Record // kept sorted by Seq
+	chunks [][]Record
+	free   []int32 // released slots, reused last-in first-out
+	slots  int32   // slots ever handed out
+
+	byObject map[uint64]int32
+	byFileID map[uint64]int32
+	byPath   map[string]int32
 
 	queries int
-	syncs   int
 }
 
 // New creates an empty shadow database. queryCost is the per-query
 // indexed lookup charge (a loopback MySQL round trip; ~100µs is
 // realistic).
 func New(clock *simtime.Clock, queryCost time.Duration) *DB {
-	return &DB{
-		clock:     clock,
-		queryCost: queryCost,
-		byObject:  make(map[uint64]*Record),
-		byFileID:  make(map[uint64]*Record),
-		byPath:    make(map[string]*Record),
-		byVolume:  make(map[string][]*Record),
-	}
+	db := &DB{clock: clock, queryCost: queryCost}
+	db.reset(0)
+	return db
+}
+
+// reset empties the database, sizing the indexes for n records.
+func (db *DB) reset(n int) {
+	db.chunks, db.free, db.slots = nil, nil, 0
+	db.byObject = make(map[uint64]int32, n)
+	db.byFileID = make(map[uint64]int32, n)
+	db.byPath = make(map[string]int32, n)
 }
 
 // Queries reports the number of lookups served.
 func (db *DB) Queries() int { return db.queries }
-
-// Syncs reports how many export/import cycles have run.
-func (db *DB) Syncs() int { return db.syncs }
 
 // Len reports the number of records.
 func (db *DB) Len() int { return len(db.byObject) }
@@ -80,95 +90,92 @@ func (db *DB) charge() {
 	}
 }
 
+// rec returns the record in slot i.
+func (db *DB) rec(i int32) *Record { return &db.chunks[i/slotChunk][i%slotChunk] }
+
+// alloc hands out a free slot.
+func (db *DB) alloc() int32 {
+	if n := len(db.free); n > 0 {
+		i := db.free[n-1]
+		db.free = db.free[:n-1]
+		return i
+	}
+	if db.slots%slotChunk == 0 {
+		db.chunks = append(db.chunks, make([]Record, slotChunk))
+	}
+	db.slots++
+	return db.slots - 1
+}
+
 // Upsert inserts or replaces the record for an object.
 func (db *DB) Upsert(r Record) {
-	if old, ok := db.byObject[r.ObjectID]; ok {
-		db.removeIndexes(old)
+	i, ok := db.byObject[r.ObjectID]
+	if ok {
+		db.unindex(i)
+	} else {
+		i = db.alloc()
+		db.byObject[r.ObjectID] = i
 	}
-	rec := &r
-	db.byObject[r.ObjectID] = rec
-	db.byFileID[r.FileID] = rec
-	db.byPath[r.Path] = rec
-	vol := db.byVolume[r.Volume]
-	i := sort.Search(len(vol), func(i int) bool { return vol[i].Seq >= rec.Seq })
-	vol = append(vol, nil)
-	copy(vol[i+1:], vol[i:])
-	vol[i] = rec
-	db.byVolume[r.Volume] = vol
+	*db.rec(i) = r
+	db.byFileID[r.FileID] = i
+	db.byPath[r.Path] = i
 }
 
 // Delete removes the record for an object. Deleting a missing object
 // is an error (it signals the shadow drifted from TSM).
 func (db *DB) Delete(objectID uint64) error {
-	rec, ok := db.byObject[objectID]
+	i, ok := db.byObject[objectID]
 	if !ok {
 		return fmt.Errorf("%w: object %d", ErrNotFound, objectID)
 	}
-	db.removeIndexes(rec)
+	db.unindex(i)
+	delete(db.byObject, objectID)
+	*db.rec(i) = Record{}
+	db.free = append(db.free, i)
 	return nil
 }
 
-func (db *DB) removeIndexes(rec *Record) {
-	delete(db.byObject, rec.ObjectID)
-	if cur, ok := db.byFileID[rec.FileID]; ok && cur == rec {
-		delete(db.byFileID, rec.FileID)
+// unindex drops slot i's file ID and path entries, unless a later
+// record has since taken them over.
+func (db *DB) unindex(i int32) {
+	r := db.rec(i)
+	if cur, ok := db.byFileID[r.FileID]; ok && cur == i {
+		delete(db.byFileID, r.FileID)
 	}
-	if cur, ok := db.byPath[rec.Path]; ok && cur == rec {
-		delete(db.byPath, rec.Path)
-	}
-	vol := db.byVolume[rec.Volume]
-	for i, r := range vol {
-		if r == rec {
-			db.byVolume[rec.Volume] = append(vol[:i], vol[i+1:]...)
-			break
-		}
-	}
-	if len(db.byVolume[rec.Volume]) == 0 {
-		delete(db.byVolume, rec.Volume)
+	if cur, ok := db.byPath[r.Path]; ok && cur == i {
+		delete(db.byPath, r.Path)
 	}
 }
 
 // ByPath returns the record for a client path.
 func (db *DB) ByPath(path string) (Record, error) {
 	db.charge()
-	rec, ok := db.byPath[path]
+	i, ok := db.byPath[path]
 	if !ok {
 		return Record{}, fmt.Errorf("%w: path %s", ErrNotFound, path)
 	}
-	return *rec, nil
+	return *db.rec(i), nil
 }
 
 // ByFileID returns the record for a filesystem file ID — the
 // synchronous deleter's lookup.
 func (db *DB) ByFileID(fileID uint64) (Record, error) {
 	db.charge()
-	rec, ok := db.byFileID[fileID]
+	i, ok := db.byFileID[fileID]
 	if !ok {
 		return Record{}, fmt.Errorf("%w: file ID %d", ErrNotFound, fileID)
 	}
-	return *rec, nil
+	return *db.rec(i), nil
 }
 
 // ByObject returns the record for a TSM object ID.
 func (db *DB) ByObject(objectID uint64) (Record, error) {
 	db.charge()
-	rec, ok := db.byObject[objectID]
+	i, ok := db.byObject[objectID]
 	if !ok {
 		return Record{}, fmt.Errorf("%w: object %d", ErrNotFound, objectID)
 	}
-	return *rec, nil
-}
-
-// VolumeFiles returns the records on a volume in ascending tape
-// sequence — the query behind PFTool's ordered recall.
-func (db *DB) VolumeFiles(volume string) []Record {
-	db.charge()
-	vol := db.byVolume[volume]
-	out := make([]Record, len(vol))
-	for i, r := range vol {
-		out[i] = *r
-	}
-	return out
+	return *db.rec(i), nil
 }
 
 // ByPaths resolves a batch of paths in one round trip (one charge),
@@ -177,8 +184,8 @@ func (db *DB) ByPaths(paths []string) []Record {
 	db.charge()
 	out := make([]Record, 0, len(paths))
 	for _, p := range paths {
-		if rec, ok := db.byPath[p]; ok {
-			out = append(out, *rec)
+		if i, ok := db.byPath[p]; ok {
+			out = append(out, *db.rec(i))
 		}
 	}
 	return out
@@ -188,21 +195,10 @@ func (db *DB) ByPaths(paths []string) []Record {
 // job of the real deployment). The TSM side charges its own scan cost.
 func (db *DB) SyncFromTSM(server *tsm.Server) int {
 	objs := server.Export()
-	db.byObject = make(map[uint64]*Record, len(objs))
-	db.byFileID = make(map[uint64]*Record, len(objs))
-	db.byPath = make(map[string]*Record, len(objs))
-	db.byVolume = make(map[string][]*Record)
+	db.reset(len(objs))
 	for _, o := range objs {
-		db.Upsert(Record{
-			ObjectID: o.ID,
-			FileID:   o.FileID,
-			Path:     o.Path,
-			Bytes:    o.Bytes,
-			Volume:   o.Volume,
-			Seq:      o.Seq,
-		})
+		db.UpsertObject(o)
 	}
-	db.syncs++
 	return len(objs)
 }
 

@@ -2,6 +2,7 @@ package metadb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -41,24 +42,6 @@ func TestUpsertAndLookups(t *testing.T) {
 	c.RunFor()
 }
 
-func TestVolumeFilesSortedBySeq(t *testing.T) {
-	c, db := newDB()
-	c.Go(func() {
-		db.Upsert(rec(1, 10, "/a", "VOL1", 5))
-		db.Upsert(rec(2, 20, "/b", "VOL1", 2))
-		db.Upsert(rec(3, 30, "/c", "VOL1", 9))
-		db.Upsert(rec(4, 40, "/d", "VOL2", 1))
-		files := db.VolumeFiles("VOL1")
-		if len(files) != 3 {
-			t.Fatalf("got %d files, want 3", len(files))
-		}
-		if files[0].Seq != 2 || files[1].Seq != 5 || files[2].Seq != 9 {
-			t.Errorf("order = %d,%d,%d, want 2,5,9", files[0].Seq, files[1].Seq, files[2].Seq)
-		}
-	})
-	c.RunFor()
-}
-
 func TestUpsertReplaces(t *testing.T) {
 	c, db := newDB()
 	c.Go(func() {
@@ -67,11 +50,14 @@ func TestUpsertReplaces(t *testing.T) {
 		if db.Len() != 1 {
 			t.Errorf("Len = %d, want 1", db.Len())
 		}
-		if got := db.VolumeFiles("VOL1"); len(got) != 0 {
-			t.Errorf("VOL1 still has %d records", len(got))
-		}
-		if r, _ := db.ByObject(1); r.Volume != "VOL2" || r.Seq != 7 {
-			t.Errorf("record = %+v", r)
+		for _, lookup := range []func() (Record, error){
+			func() (Record, error) { return db.ByObject(1) },
+			func() (Record, error) { return db.ByFileID(10) },
+			func() (Record, error) { return db.ByPath("/a") },
+		} {
+			if r, err := lookup(); err != nil || r.Volume != "VOL2" || r.Seq != 7 {
+				t.Errorf("record = %+v, %v", r, err)
+			}
 		}
 	})
 	c.RunFor()
@@ -148,19 +134,15 @@ func TestSyncFromTSM(t *testing.T) {
 		if n != 5 || db.Len() != 5 {
 			t.Errorf("synced %d, Len %d, want 5", n, db.Len())
 		}
-		// The shadow answers the tape-order query TSM cannot.
-		r, err := db.ByFileID(102)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := db.VolumeFiles(r.Volume)
-		for i := 1; i < len(files); i++ {
-			if files[i].Seq <= files[i-1].Seq {
-				t.Error("volume files not in tape order")
+		// The shadow answers the path query TSM can only scan for.
+		for _, o := range srv.LiveObjects() {
+			r, err := db.ByPath(o.Path)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if db.Syncs() != 1 {
-			t.Errorf("Syncs = %d, want 1", db.Syncs())
+			if r.ObjectID != o.ID || r.FileID != o.FileID || r.Volume != o.Volume || r.Seq != o.Seq {
+				t.Errorf("ByPath(%s) = %+v, TSM has %+v", o.Path, r, o)
+			}
 		}
 	})
 	if _, err := clock.Run(); err != nil {
@@ -178,4 +160,39 @@ func TestUpsertObjectIncremental(t *testing.T) {
 		}
 	})
 	c.RunFor()
+}
+
+// TestUpsertAllocs guards the by-value table: inserting a row costs an
+// allocation only when a chunk or an index grows, so far below one per
+// row amortised.
+func TestUpsertAllocs(t *testing.T) {
+	const n = 10000
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = rec(uint64(i+1), uint64(i+1), fmt.Sprintf("/mig/f%06d", i), "VOL0001", i+1)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		db := New(nil, 0)
+		for _, r := range recs {
+			db.Upsert(r)
+		}
+	})
+	if perRow := allocs / n; perRow >= 0.1 {
+		t.Errorf("Upsert: %.3f allocations per row, want < 0.1", perRow)
+	}
+}
+
+func BenchmarkUpsert(b *testing.B) {
+	recs := make([]Record, 1<<16)
+	for i := range recs {
+		recs[i] = rec(uint64(i+1), uint64(i+1), fmt.Sprintf("/mig/f%06d", i), "VOL0001", i+1)
+	}
+	db := New(nil, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%len(recs) == 0 {
+			db = New(nil, 0)
+		}
+		db.Upsert(recs[i%len(recs)])
+	}
 }

@@ -1,6 +1,7 @@
 package metadb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,95 +9,164 @@ import (
 	"repro/internal/simtime"
 )
 
+// model is a naive reference for DB: records by object ID, and each
+// secondary key owned by the object whose upsert set it last, until
+// that object is replaced or deleted.
+type model struct {
+	recs   map[uint64]Record
+	byFile map[uint64]uint64
+	byPath map[string]uint64
+}
+
+func newModel() *model {
+	return &model{recs: map[uint64]Record{}, byFile: map[uint64]uint64{}, byPath: map[string]uint64{}}
+}
+
+func (m *model) drop(id uint64) {
+	old := m.recs[id]
+	if m.byFile[old.FileID] == id {
+		delete(m.byFile, old.FileID)
+	}
+	if m.byPath[old.Path] == id {
+		delete(m.byPath, old.Path)
+	}
+	delete(m.recs, id)
+}
+
+func (m *model) upsert(r Record) {
+	if _, ok := m.recs[r.ObjectID]; ok {
+		m.drop(r.ObjectID)
+	}
+	m.recs[r.ObjectID] = r
+	m.byFile[r.FileID] = r.ObjectID
+	m.byPath[r.Path] = r.ObjectID
+}
+
 // TestModelBasedRandomOps drives the shadow DB with a random
-// upsert/delete sequence and cross-checks every index against a naive
+// upsert/delete sequence over small key spaces — so records are
+// replaced, deleted, re-inserted into freed slots, and paths and file
+// IDs move between objects — and cross-checks every index against the
 // reference model after each step.
 func TestModelBasedRandomOps(t *testing.T) {
 	clock := simtime.NewClock()
 	db := New(clock, 0)
 	r := rand.New(rand.NewSource(42))
-	ref := make(map[uint64]Record) // objectID -> record
+	ref := newModel()
 
 	clock.Go(func() {
 		for step := 0; step < 3000; step++ {
 			switch op := r.Intn(10); {
 			case op < 6: // upsert
 				rec := Record{
-					ObjectID: uint64(r.Intn(200) + 1),
-					FileID:   uint64(r.Intn(300) + 1),
-					Path:     fmt.Sprintf("/p/%d", r.Intn(250)),
+					ObjectID: uint64(r.Intn(60) + 1),
+					FileID:   uint64(r.Intn(80) + 1),
+					Path:     fmt.Sprintf("/p/%d", r.Intn(70)),
 					Bytes:    int64(r.Intn(1000)),
 					Volume:   fmt.Sprintf("VOL%02d", r.Intn(8)),
 					Seq:      r.Intn(100) + 1,
 				}
 				db.Upsert(rec)
-				ref[rec.ObjectID] = rec
+				ref.upsert(rec)
 			default: // delete
-				id := uint64(r.Intn(200) + 1)
+				id := uint64(r.Intn(60) + 1)
 				err := db.Delete(id)
-				_, existed := ref[id]
+				_, existed := ref.recs[id]
 				if existed != (err == nil) {
 					t.Fatalf("step %d: delete(%d) err=%v but existed=%v", step, id, err, existed)
 				}
-				delete(ref, id)
+				if existed {
+					ref.drop(id)
+				}
 			}
-			if step%100 == 0 {
-				checkModel(t, db, ref, step)
-			}
+			checkModel(t, db, ref, step)
 		}
-		checkModel(t, db, ref, 3000)
 	})
 	clock.RunFor()
 }
 
-func checkModel(t *testing.T, db *DB, ref map[uint64]Record, step int) {
+// TestSlotChurn walks one record through each way a slot changes hands.
+func TestSlotChurn(t *testing.T) {
+	clock := simtime.NewClock()
+	db := New(clock, 0)
+	ref := newModel()
+	steps := []struct {
+		del uint64 // object to delete, or 0 to upsert rec
+		rec Record
+	}{
+		{rec: rec(1, 10, "/a", "V1", 1)},
+		{rec: rec(2, 20, "/b", "V1", 2)},
+		{del: 1},                         // frees a slot
+		{rec: rec(3, 30, "/c", "V2", 1)}, // reuses it
+		{rec: rec(4, 20, "/b", "V2", 2)}, // takes object 2's file ID and path
+		{del: 2},                         // must leave object 4's keys alone
+		{rec: rec(4, 40, "/d", "V2", 2)}, // replaced in place: /b and 20 go
+		{rec: rec(1, 10, "/a", "V1", 1)}, // back, into object 2's old slot
+		{rec: rec(3, 10, "/a", "V3", 9)}, // replace that steals both keys
+		{del: 1},                         // /a and 10 stay with object 3
+		{del: 3},                         // and now go
+		{rec: rec(5, 50, "/e", "V1", 3)},
+	}
+	clock.Go(func() {
+		for i, st := range steps {
+			if st.del != 0 {
+				if err := db.Delete(st.del); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				ref.drop(st.del)
+			} else {
+				db.Upsert(st.rec)
+				ref.upsert(st.rec)
+			}
+			checkModel(t, db, ref, i)
+		}
+		// Five objects, but never more than three live at once: every
+		// insert that found a freed slot reused it.
+		if len(db.chunks) != 1 || db.slots != 3 {
+			t.Errorf("%d chunks, %d slots handed out, want 1 and 3", len(db.chunks), db.slots)
+		}
+	})
+	clock.RunFor()
+}
+
+func checkModel(t *testing.T, db *DB, ref *model, step int) {
 	t.Helper()
-	if db.Len() != len(ref) {
-		t.Fatalf("step %d: Len=%d, ref=%d", step, db.Len(), len(ref))
+	if db.Len() != len(ref.recs) {
+		t.Fatalf("step %d: Len=%d, ref=%d", step, db.Len(), len(ref.recs))
 	}
-	// Every reference record resolves by object ID.
-	for id, want := range ref {
+	for id, want := range ref.recs {
 		got, err := db.ByObject(id)
-		if err != nil {
-			t.Fatalf("step %d: ByObject(%d): %v", step, id, err)
-		}
-		if got != want {
-			t.Fatalf("step %d: ByObject(%d)=%+v, want %+v", step, id, got, want)
+		if err != nil || got != want {
+			t.Fatalf("step %d: ByObject(%d)=%+v, %v, want %+v", step, id, got, err, want)
 		}
 	}
-	// Secondary indexes never resurface deleted records, and resolve to
-	// *a* live record with the queried key (later upserts can steal a
-	// path or file ID from an earlier record).
-	for id, want := range ref {
-		if got, err := db.ByFileID(want.FileID); err == nil {
-			if _, live := ref[got.ObjectID]; !live {
-				t.Fatalf("step %d: ByFileID returned dead record %+v", step, got)
-			}
-			if got.FileID != want.FileID {
-				t.Fatalf("step %d: ByFileID(%d) returned fileID %d", step, want.FileID, got.FileID)
-			}
+	// Every key the model still indexes resolves to its owner; every
+	// key it has dropped is gone (a freed or reused slot never answers
+	// for a key it no longer holds). File IDs 1..80 and paths /p/0..69
+	// cover both tests' key spaces.
+	for fid := uint64(1); fid <= 80; fid++ {
+		got, err := db.ByFileID(fid)
+		if id, ok := ref.byFile[fid]; ok != (err == nil) || ok && got != ref.recs[id] {
+			t.Fatalf("step %d: ByFileID(%d)=%+v, %v; model has owner %d (%v)", step, fid, got, err, id, ok)
 		}
-		_ = id
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("step %d: ByFileID(%d): %v", step, fid, err)
+		}
 	}
-	// Volume listings: sorted by seq, all live, counts match reference.
-	volCount := make(map[string]int)
-	for _, rec := range ref {
-		volCount[rec.Volume]++
+	for i := 0; i < 70; i++ {
+		checkPath(t, db, ref, step, fmt.Sprintf("/p/%d", i))
 	}
-	for vol, want := range volCount {
-		files := db.VolumeFiles(vol)
-		if len(files) != want {
-			t.Fatalf("step %d: VolumeFiles(%s)=%d, want %d", step, vol, len(files), want)
-		}
-		for i := 1; i < len(files); i++ {
-			if files[i].Seq < files[i-1].Seq {
-				t.Fatalf("step %d: VolumeFiles(%s) out of order", step, vol)
-			}
-		}
-		for _, f := range files {
-			if _, live := ref[f.ObjectID]; !live {
-				t.Fatalf("step %d: dead record %d on volume %s", step, f.ObjectID, vol)
-			}
-		}
+	for _, p := range []string{"/a", "/b", "/c", "/d", "/e"} {
+		checkPath(t, db, ref, step, p)
+	}
+}
+
+func checkPath(t *testing.T, db *DB, ref *model, step int, path string) {
+	t.Helper()
+	got, err := db.ByPath(path)
+	if id, ok := ref.byPath[path]; ok != (err == nil) || ok && got != ref.recs[id] {
+		t.Fatalf("step %d: ByPath(%s)=%+v, %v; model has owner %d (%v)", step, path, got, err, id, ok)
+	}
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		t.Fatalf("step %d: ByPath(%s): %v", step, path, err)
 	}
 }

@@ -203,16 +203,6 @@ func (q *Queue) Pop() (v interface{}, ok bool) {
 	}
 }
 
-// TryPop removes the head value without blocking.
-func (q *Queue) TryPop() (v interface{}, ok bool) {
-	q.clock.mu.Lock()
-	defer q.clock.mu.Unlock()
-	if q.items.len() > 0 {
-		return q.items.pop(), true
-	}
-	return nil, false
-}
-
 // Len reports the number of queued values.
 func (q *Queue) Len() int {
 	q.clock.mu.Lock()

@@ -175,21 +175,6 @@ func TestQueueCloseWakesAll(t *testing.T) {
 	}
 }
 
-func TestQueueTryPop(t *testing.T) {
-	c := NewClock()
-	q := NewQueue(c)
-	c.Go(func() {
-		if _, ok := q.TryPop(); ok {
-			t.Error("TryPop on empty queue succeeded")
-		}
-		q.Push(1)
-		if v, ok := q.TryPop(); !ok || v.(int) != 1 {
-			t.Errorf("TryPop = %v, %v", v, ok)
-		}
-	})
-	c.RunFor()
-}
-
 func TestQueueLen(t *testing.T) {
 	c := NewClock()
 	q := NewQueue(c)

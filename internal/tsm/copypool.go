@@ -106,7 +106,7 @@ func (s *Server) BackupPool(client string) (BackupResult, error) {
 	// order within each volume so the pass streams.
 	var todo []*Object
 	for _, id := range s.order {
-		o := s.db[id]
+		o := s.db.get(id)
 		if o.Deleted || s.copyPool[o.Volume] {
 			continue
 		}
@@ -189,8 +189,8 @@ func (s *Server) readObject(client string, vol *tape.Cartridge, seq int, parent 
 // ErrNoCopy when no duplicate exists or the duplicate is itself
 // corrupt.
 func (s *Server) RepairObject(client string, id uint64) error {
-	obj, ok := s.db[id]
-	if !ok || obj.Deleted {
+	obj := s.db.get(id)
+	if obj == nil || obj.Deleted {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, id)
 	}
 	loc, ok := s.copies[id]
@@ -227,8 +227,8 @@ func (s *Server) RepairObject(client string, id uint64) error {
 // library entirely (e.g. a premigrated file still resident on disk).
 // The caller asserts the source matches the catalog digest.
 func (s *Server) RewriteObject(client string, id uint64) error {
-	obj, ok := s.db[id]
-	if !ok || obj.Deleted {
+	obj := s.db.get(id)
+	if obj == nil || obj.Deleted {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, id)
 	}
 	sp := s.tel.StartSpan("tsm.repair",

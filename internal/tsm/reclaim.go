@@ -51,7 +51,7 @@ func (s *Server) ReclaimThreshold(client string, threshold float64) (ReclaimResu
 		var live int64
 		var objs []*Object
 		for _, id := range s.order {
-			o := s.db[id]
+			o := s.db.get(id)
 			if !o.Deleted && o.Volume == vol.Label {
 				live += o.Bytes
 				objs = append(objs, o)
@@ -176,7 +176,7 @@ func (s *Server) LiveFraction(label string) float64 {
 	}
 	var live int64
 	for _, id := range s.order {
-		o := s.db[id]
+		o := s.db.get(id)
 		if !o.Deleted && o.Volume == label {
 			live += o.Bytes
 		}

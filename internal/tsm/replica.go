@@ -131,7 +131,7 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 		sp.Abort(err.Error(), 0)
 		return Replica{}, err
 	}
-	var delivered uint64
+	var rd tapeIO
 	var tainted bool
 	err = s.cfg.Retry.Do(s.clock, func(attempt int) error {
 		s.failover(attempt)
@@ -140,11 +140,7 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 			return err
 		}
 		var readErr error
-		_, tainted, readErr = s.moveData(rep.Bytes, route, nil, func() error {
-			_, sum, e := d.ReadSeqSum(rep.Seq)
-			delivered = sum
-			return e
-		})
+		rd, _, tainted, readErr = s.moveData(route, nil, tapeIO{drive: d, bytes: rep.Bytes, seq: rep.Seq})
 		s.ReleaseDrive(d)
 		return readErr
 	}, retryable)
@@ -152,6 +148,7 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 		sp.Abort(err.Error(), 0)
 		return Replica{}, err
 	}
+	delivered := rd.sum
 	if tainted && delivered != 0 {
 		delivered = synthetic.CorruptDigest(delivered)
 	}

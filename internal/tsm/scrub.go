@@ -126,7 +126,7 @@ func (sc *Scrubber) ScrubOnce() ScrubReport {
 	byVol := make(map[string][]*Object)
 	var volOrder []string
 	for _, id := range s.order {
-		o := s.db[id]
+		o := s.db.get(id)
 		if o.Deleted || o.Sum == 0 || s.copyPool[o.Volume] {
 			continue
 		}

@@ -103,8 +103,8 @@ type Server struct {
 	cfg   Config
 	lib   *tape.Library
 
-	db         map[uint64]*Object
-	order      []uint64
+	db         objTable
+	order      []uint64 // committed object IDs in commit order
 	nextID     uint64
 	txnRes     *simtime.Resource
 	drvPool    *simtime.Resource
@@ -154,7 +154,6 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 		clock:      clock,
 		cfg:        cfg,
 		lib:        lib,
-		db:         make(map[uint64]*Object),
 		txnRes:     simtime.NewResource(clock, cfg.TxnParallel),
 		drvPool:    simtime.NewResource(clock, len(lib.Drives())),
 		netLink:    fabric.Of(clock).AddLink("tsm-server-nic", cfg.ServerRate, fabric.Clients, "tsm-server"),
@@ -213,8 +212,8 @@ func (s *Server) NewStream(p fabric.Path) *fabric.Flow {
 // NumObjects reports live (non-deleted) objects.
 func (s *Server) NumObjects() int {
 	n := 0
-	for _, o := range s.db {
-		if !o.Deleted {
+	for _, id := range s.order {
+		if !s.db.get(id).Deleted {
 			n++
 		}
 	}
@@ -387,7 +386,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	sp := telemetry.ChildOf(s.tel, req.Parent, "tsm.store", "client", req.Client, "path", req.Path)
 	s.nextID++ // allocate the object ID up front: concurrent stores must not collide
 	id := s.nextID
-	var tf tape.File
+	var wr tapeIO
 	var vol *tape.Cartridge
 	var taintCause uint64
 	var tainted bool
@@ -403,11 +402,8 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 			s.dropAffinity(req.Client, drive)
 			return err
 		}
-		taintCause, tainted, err = s.moveData(req.Bytes, req.Route, req.Stream, func() error {
-			var e error
-			tf, e = drive.AppendSum(id, req.Bytes, req.Sum)
-			return e
-		})
+		wr, taintCause, tainted, err = s.moveData(req.Route, req.Stream,
+			tapeIO{drive: drive, write: true, id: id, bytes: req.Bytes, sum: req.Sum})
 		s.ReleaseDrive(drive)
 		if err != nil {
 			// Drop the client's affinity to the faulting drive so the
@@ -429,7 +425,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 		// site tagged with its cause, so a verifying reader or the
 		// scrubber catches it later. This is the silent half of the
 		// threat model; no error, no span abort.
-		vol.CorruptFile(tf.Seq, taintCause)
+		vol.CorruptFile(wr.seq, taintCause)
 		s.ctrStoreTaints.Inc()
 	}
 	sp.SetAttr("volume", vol.Label)
@@ -438,7 +434,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	}
 	sp.End()
 	s.txn() // commit
-	obj := &Object{
+	obj := s.db.put(Object{
 		ID:     id,
 		Class:  req.Class,
 		Node:   req.Client,
@@ -446,13 +442,12 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 		FileID: req.FileID,
 		Bytes:  req.Bytes,
 		Volume: vol.Label,
-		Seq:    tf.Seq,
+		Seq:    wr.seq,
 		Group:  req.Group,
 		Stored: s.clock.Now(),
 		Sum:    req.Sum,
-	}
-	s.db[obj.ID] = obj
-	s.order = append(s.order, obj.ID)
+	})
+	s.order = append(s.order, id)
 	if req.Group != "" {
 		s.coloc[req.Group] = vol.Label
 	}
@@ -461,42 +456,69 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	return *obj, nil
 }
 
-// moveData runs the tape operation concurrently with the shared-path
-// transfer; the slower of the two gates completion (store-and-forward
-// free, cut-through streaming). A persistent stream (Server.NewStream)
-// carries the bytes as one segment; otherwise fabric routes get one
-// coupled flow over every hop — with the server link spliced in when
-// not LAN-free. It reports whether a crossed link silently corrupted
-// the stream in flight, and which fault event armed the taint.
-func (s *Server) moveData(bytes int64, p fabric.Path, stream *fabric.Flow, tapeOp func() error) (taintCause uint64, tainted bool, err error) {
+// tapeIO is the drive side of one moveData, handed over by value: an
+// append of object id carrying digest sum when write, else a read of
+// seq. moveData returns it with the outcome filled in: the appended
+// file's seq, or the digest a read delivered in sum.
+type tapeIO struct {
+	drive *tape.Drive
+	write bool
+	id    uint64
+	bytes int64
+	seq   int
+	sum   uint64
+}
+
+// run performs the drive operation.
+func (t *tapeIO) run() error {
+	if t.write {
+		f, err := t.drive.AppendSum(t.id, t.bytes, t.sum)
+		t.seq = f.Seq
+		return err
+	}
+	_, sum, err := t.drive.ReadSeqSum(t.seq)
+	t.sum = sum
+	return err
+}
+
+// moveData runs the tape operation t concurrently with the shared-path
+// transfer of t.bytes; the slower of the two gates completion
+// (store-and-forward free, cut-through streaming). A persistent stream
+// (Server.NewStream) carries the bytes as one segment; otherwise fabric
+// routes get one coupled flow over every hop — with the server link
+// spliced in when not LAN-free. It reports whether a crossed link
+// silently corrupted the stream in flight, and which fault event armed
+// the taint.
+func (s *Server) moveData(p fabric.Path, stream *fabric.Flow, t tapeIO) (done tapeIO, taintCause uint64, tainted bool, err error) {
 	// One actor runs at a time, so the tape side's result needs no
-	// channel: a captured error behind a latch, in one allocation.
-	var op struct {
+	// channel: the operation and its error behind a latch, in one
+	// allocation.
+	op := &struct {
+		t    tapeIO
 		done simtime.Latch
 		err  error
-	}
-	op.done = simtime.MakeLatch(s.clock)
+	}{t: t, done: simtime.MakeLatch(s.clock)}
 	s.clock.Go(func() {
-		op.err = tapeOp()
+		op.err = op.t.run()
 		op.done.Signal()
 	})
 	switch {
 	case stream != nil:
-		taintCause, tainted = stream.Send(bytes)
+		taintCause, tainted = stream.Send(t.bytes)
 	case !p.Empty():
 		if !s.cfg.LANFree {
 			p = p.With(s.netLink)
 		}
-		fl := p.Fabric().Start(p, bytes)
+		fl := p.Fabric().Start(p, t.bytes)
 		fl.Wait()
 		taintCause, tainted = fl.Tainted()
 	default:
 		if !s.cfg.LANFree {
-			s.netLink.Transfer(bytes)
+			s.netLink.Transfer(t.bytes)
 		}
 	}
 	op.done.Wait()
-	return taintCause, tainted, op.err
+	return op.t, taintCause, tainted, op.err
 }
 
 // acquireDriveForWrite admits the caller to the drive pool and returns
@@ -723,8 +745,8 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 		s.abortAdmit("tsm.recall", req.Client, strconv.FormatUint(req.ObjectID, 10), err)
 		return Object{}, err
 	}
-	obj, ok := s.db[req.ObjectID]
-	if !ok || obj.Deleted {
+	obj := s.db.get(req.ObjectID)
+	if obj == nil || obj.Deleted {
 		return Object{}, fmt.Errorf("%w: %d", ErrNoSuchObject, req.ObjectID)
 	}
 	grant := s.sch.Station(sched.StationSession).Admit(sched.Item{
@@ -748,7 +770,8 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 			sp.Abort(err.Error(), 0)
 			return Object{}, err
 		}
-		var delivered, tCause, headCause uint64
+		var rd tapeIO
+		var tCause, headCause uint64
 		var tainted bool
 		recallErr := s.defense.Do("tsm.session", s.cfg.Retry, func(attempt int) error {
 			s.failover(attempt)
@@ -757,11 +780,7 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 				return err
 			}
 			var readErr error
-			tCause, tainted, readErr = s.moveData(obj.Bytes, req.Route, nil, func() error {
-				_, sum, e := d.ReadSeqSum(obj.Seq)
-				delivered = sum
-				return e
-			})
+			rd, tCause, tainted, readErr = s.moveData(req.Route, nil, tapeIO{drive: d, bytes: obj.Bytes, seq: obj.Seq})
 			headCause = d.CorruptCause()
 			s.ReleaseDrive(d)
 			return readErr
@@ -770,6 +789,7 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 			sp.Abort(recallErr.Error(), 0)
 			return Object{}, recallErr
 		}
+		delivered := rd.sum
 		if tainted && delivered != 0 {
 			delivered = synthetic.CorruptDigest(delivered)
 		}
@@ -822,8 +842,8 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 	}
 	objs := make([]*Object, 0, len(req.ObjectIDs))
 	for _, id := range req.ObjectIDs {
-		obj, ok := s.db[id]
-		if !ok || obj.Deleted {
+		obj := s.db.get(id)
+		if obj == nil || obj.Deleted {
 			return nil, fmt.Errorf("%w: %d", ErrNoSuchObject, id)
 		}
 		if obj.Volume != req.Volume {
@@ -875,21 +895,14 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 			sp.Abort(err.Error(), cause)
 			return out, err
 		}
-		seq := obj.Seq
-		bytes := obj.Bytes
-		var delivered, tCause uint64
-		var tainted bool
-		tCause, tainted, readErr := s.moveData(bytes, req.Route, nil, func() error {
-			_, sum, e := d.ReadSeqSum(seq)
-			delivered = sum
-			return e
-		})
+		rd, tCause, tainted, readErr := s.moveData(req.Route, nil, tapeIO{drive: d, bytes: obj.Bytes, seq: obj.Seq})
 		if readErr != nil {
 			s.ReleaseDrive(d)
 			grant.Done()
 			sp.Abort(readErr.Error(), 0)
 			return out, readErr
 		}
+		delivered := rd.sum
 		if tainted && delivered != 0 {
 			delivered = synthetic.CorruptDigest(delivered)
 		}
@@ -900,7 +913,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 			continue
 		}
 		s.ctrRecalls.Inc()
-		s.ctrBytesRead.Add(float64(bytes))
+		s.ctrBytesRead.Add(float64(obj.Bytes))
 		out = append(out, *obj)
 	}
 	s.ReleaseDrive(d)
@@ -922,8 +935,8 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 // volume reclamation, exactly as in the real product).
 func (s *Server) Delete(objectID uint64) error {
 	s.txn()
-	obj, ok := s.db[objectID]
-	if !ok || obj.Deleted {
+	obj := s.db.get(objectID)
+	if obj == nil || obj.Deleted {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, objectID)
 	}
 	obj.Deleted = true
@@ -933,8 +946,8 @@ func (s *Server) Delete(objectID uint64) error {
 
 // Get returns an object by ID (indexed: cheap).
 func (s *Server) Get(objectID uint64) (Object, error) {
-	obj, ok := s.db[objectID]
-	if !ok {
+	obj := s.db.get(objectID)
+	if obj == nil {
 		return Object{}, fmt.Errorf("%w: %d", ErrNoSuchObject, objectID)
 	}
 	return *obj, nil
@@ -950,7 +963,7 @@ func (s *Server) QueryByPath(path string) (Object, error) {
 		s.clock.Sleep(time.Duration(len(s.order)) * s.cfg.DBScanPerObject)
 	}
 	for i := len(s.order) - 1; i >= 0; i-- {
-		if o := s.db[s.order[i]]; !o.Deleted && o.Path == path {
+		if o := s.db.get(s.order[i]); !o.Deleted && o.Path == path {
 			return *o, nil
 		}
 	}
@@ -966,7 +979,7 @@ func (s *Server) Export() []Object {
 	}
 	out := make([]Object, 0, len(s.order))
 	for _, id := range s.order {
-		if o := s.db[id]; !o.Deleted {
+		if o := s.db.get(id); !o.Deleted {
 			out = append(out, *o)
 		}
 	}
@@ -977,7 +990,7 @@ func (s *Server) Export() []Object {
 func (s *Server) LiveObjects() []Object {
 	out := make([]Object, 0, len(s.order))
 	for _, id := range s.order {
-		if o := s.db[id]; !o.Deleted {
+		if o := s.db.get(id); !o.Deleted {
 			out = append(out, *o)
 		}
 	}
