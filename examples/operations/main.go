@@ -1,6 +1,5 @@
 // Operations tours the operational machinery around the archive: the
-// chroot jail that keeps users from thrashing tape (§4.2.3), the
-// multi-dimensional metadata catalog (§7 future work), volume
+// chroot jail that keeps users from thrashing tape (§4.2.3), volume
 // reclamation after synchronous deletes, a drive-failure drill on the
 // fault-injection registry (dead drives reaped mid-migration, audit
 // clean), and a two-cell TSM federation surviving a server failure
@@ -13,19 +12,14 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/catalog"
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/hsm"
 	"repro/internal/jail"
-	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
-	"repro/internal/tape"
 	"repro/internal/telemetry"
-	"repro/internal/tsm"
 )
 
 func main() {
@@ -64,20 +58,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("jail     : cat run004.nc recalled it transparently in tape order")
-
-		// --- The catalog (§7) ---
-		cat := catalog.New(clock, 0)
-		n, err := catalog.IndexArchive(cat, sys.Archive, sys.Shadow, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mig := pfs.Migrated
-		hits := cat.Search(catalog.Query{Owner: "alice", State: &mig, MinSize: 1e6})
-		fmt.Printf("catalog  : indexed %d files; alice's migrated files >1MB: %d\n", n, len(hits))
-		if len(hits) > 0 {
-			onSame := cat.Search(catalog.Query{Volume: hits[0].Volume})
-			fmt.Printf("catalog  : %d of them share tape %s — recall them together\n", len(onSame), hits[0].Volume)
-		}
 
 		// --- Drive-failure drill (fault registry) ---
 		// Two of the 24 LTO-4 drives die permanently mid-migration. The
@@ -130,31 +110,27 @@ func main() {
 			res.VolumesReclaimed, float64(res.BytesFreed)/1e9)
 
 		// --- Federation (§6.4) ---
-		cl := cluster.New(clock, cluster.RoadrunnerConfig())
-		mkCell := func(name string) *federation.Cell {
-			cfg := pfs.GPFSConfig("gpfs-" + name)
-			fs := pfs.New(clock, cfg)
-			lib := tape.NewLibrary(clock, 4, 32, 1, tape.LTO4())
-			srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
-			shadow := metadb.New(clock, 0)
-			return &federation.Cell{
-				Name: name, FS: fs, Server: srv, Shadow: shadow,
-				Engine: hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{}),
-			}
+		// Each cell is a small plant of its own, named for its site.
+		opts := archive.DefaultOptions()
+		opts.TapeDrives, opts.Cartridges, opts.Robots = 4, 32, 1
+		var cells []*federation.Cell
+		for _, name := range []string{"east", "west"} {
+			opts.Site = name
+			cells = append(cells, &federation.Cell{Name: name, System: archive.New(clock, opts)})
 		}
 		// One failure mechanism: cell health lives in the same registry
 		// as the drive faults, so SetDown below lands in its log.
-		fed, err := federation.New(clock, reg, mkCell("east"), mkCell("west"))
+		fed, err := federation.New(clock, reg, cells...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var fedInfos []pfs.Info
 		for _, proj := range []string{"astro", "plasma", "cosmo", "fusion"} {
 			cell := fed.CellFor("/" + proj)
-			cell.FS.MkdirAll("/" + proj)
+			cell.Archive.MkdirAll("/" + proj)
 			p := "/" + proj + "/data.bin"
-			cell.FS.WriteFile(p, synthetic.NewUniform(7, 2e9))
-			info, _ := cell.FS.Stat(p)
+			cell.Archive.WriteFile(p, synthetic.NewUniform(7, 2e9))
+			info, _ := cell.Archive.Stat(p)
 			fedInfos = append(fedInfos, info)
 		}
 		if _, err := fed.Migrate(fedInfos, hsm.MigrateOptions{}); err != nil {

@@ -3,14 +3,13 @@ package archive
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/hsm"
 	"repro/internal/pfs"
 	"repro/internal/pftool"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -258,36 +257,6 @@ func TestSerialBaselineMuchSlowerThanParallel(t *testing.T) {
 	}
 }
 
-func TestBuildCatalogIndexesArchive(t *testing.T) {
-	runSys(t, func(s *System) {
-		seedScratch(t, s, "/proj", 6, 1e9)
-		if _, err := s.Pfcp("/proj", "/arc/proj", testTunables()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{Balanced: true}); err != nil {
-			t.Fatal(err)
-		}
-		cat := catalog.New(s.Clock, 500*time.Microsecond)
-		n, err := catalog.IndexArchive(cat, s.Archive, s.Shadow, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 6 {
-			t.Errorf("indexed %d files, want 6", n)
-		}
-		mig := pfs.Migrated
-		hits := cat.Search(catalog.Query{State: &mig})
-		if len(hits) != 6 {
-			t.Errorf("migrated hits = %d, want 6", len(hits))
-		}
-		for _, h := range hits {
-			if h.Volume == "" {
-				t.Errorf("%s missing volume", h.Path)
-			}
-		}
-	})
-}
-
 // TestRetrieveAggregatedFilesThroughPftool covers the aggregate path
 // end to end: small files bundled on tape, then retrieved through the
 // TapeProc restore pipeline.
@@ -344,5 +313,44 @@ func TestSystemComponentsWired(t *testing.T) {
 	if got := s.Placement().Choose("/x", 100, 0); got != "slow" {
 		t.Errorf("placement = %s", got)
 	}
-	_ = time.Second
+}
+
+// TestSiteNamesPartsAndSeries builds two site-named plants on one
+// clock: each names its machines, file systems and copy-pool volumes
+// for its site, and its tape, TSM and HSM series carry site=<name>
+// instead of colliding in the clock's registry.
+func TestSiteNamesPartsAndSeries(t *testing.T) {
+	clock := simtime.NewClock()
+	opts := DefaultOptions()
+	opts.TapeDrives, opts.CopyPoolCartridges = 2, 1
+	sites := map[string]*System{}
+	for _, name := range []string{"east", "west"} {
+		opts.Site = name
+		sites[name] = New(clock, opts)
+	}
+	s := sites["east"]
+	if got := s.Cluster.Nodes()[0].Name; got != "east-fta01" {
+		t.Errorf("first machine = %s, want east-fta01", got)
+	}
+	if s.Archive.Name() != "gpfs-east" || s.Scratch.Name() != "panfs-east" {
+		t.Errorf("file systems = %s, %s; want gpfs-east, panfs-east", s.Archive.Name(), s.Scratch.Name())
+	}
+	if got := s.TSM.CopyPoolVolumes(); len(got) != 1 || got[0] != "cp-east-000" {
+		t.Errorf("copy pool = %v, want [cp-east-000]", got)
+	}
+	snap := telemetry.Of(clock).Snapshot()
+	if got := len(snap.Family("tape_drive_mounts_total")); got != 4 {
+		t.Errorf("%d tape_drive_mounts_total series, want 4 (2 sites x 2 drives)", got)
+	}
+	for _, name := range []string{"east", "west"} {
+		for _, fam := range []string{"tsm_objects_live", "hsm_migrated_files_total", "tape_robot_exchanges_total"} {
+			found := false
+			for _, p := range snap.Family(fam) {
+				found = found || p.Label("site") == name
+			}
+			if !found {
+				t.Errorf("no %s series with site=%q", fam, name)
+			}
+		}
+	}
 }

@@ -3,7 +3,9 @@ package archive
 import (
 	"strings"
 
+	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
@@ -26,19 +28,7 @@ import (
 // declares ranks dead, the machine list filters down nodes); the
 // registry only flips the failure state.
 func (s *System) InstallFaults(reg *faults.Registry) {
-	// Record every event in telemetry FIRST, before any dispatch
-	// subscriber (including the fabric's) flips subsystem state: any
-	// span aborted in reaction to the fault — and any armed silent
-	// corruption — then finds the event already on the books to cite
-	// as its cause.
-	tel := telemetry.Of(s.Clock)
-	reg.OnApply(func(ev faults.Event) {
-		tel.Event("fault",
-			"component", ev.Component,
-			"kind", ev.Kind.String())
-		tel.Counter("faults_events_total", "kind", ev.Kind.String()).Inc()
-	})
-	s.Fabric.BindFaults(reg)
+	tel := RecordFaults(s.Clock, reg)
 	reg.OnApply(func(ev faults.Event) {
 		cause := func() uint64 {
 			id, _ := tel.LastEventFor(ev.Component)
@@ -101,6 +91,25 @@ func (s *System) InstallFaults(reg *faults.Registry) {
 			s.TSM.SetDown(ev.Kind == faults.KindFail)
 		}
 	})
+}
+
+// RecordFaults subscribes the prologue every fault dispatcher on the
+// clock starts with, and returns the clock's registry. It records each
+// event in telemetry and counts it in faults_events_total, then binds
+// the fabric's links. Recording comes FIRST, before any dispatch
+// subscriber (including the fabric's) flips subsystem state: any span
+// aborted in reaction to the fault — and any armed silent corruption —
+// then finds the event already on the books to cite as its cause.
+func RecordFaults(clock *simtime.Clock, reg *faults.Registry) *telemetry.Registry {
+	tel := telemetry.Of(clock)
+	reg.OnApply(func(ev faults.Event) {
+		tel.Event("fault",
+			"component", ev.Component,
+			"kind", ev.Kind.String())
+		tel.Counter("faults_events_total", "kind", ev.Kind.String()).Inc()
+	})
+	fabric.Of(clock).BindFaults(reg)
+	return tel
 }
 
 // DriveNames lists the library's drive names, for building fault

@@ -45,6 +45,12 @@ type Options struct {
 	// of that many extra cartridges: BackupPool duplicates primary data
 	// onto them and the scrubber repairs damaged primaries from them.
 	CopyPoolCartridges int
+	// Site names one site of a multi-site plant on a shared clock. Its
+	// parts are named for it — machines <site>-fta01.., file systems
+	// gpfs-<site> and panfs-<site>, copy-pool volumes cp-<site>-000.. —
+	// and its tape, TSM and HSM series carry site=<name>. Empty for a
+	// plant alone on its clock.
+	Site string
 }
 
 // DefaultOptions returns the §4.3.1 deployment: 15 x64 machines (10
@@ -93,6 +99,15 @@ func New(clock *simtime.Clock, opts Options) *System {
 	if len(opts.Scratch.Attach) == 0 {
 		opts.Scratch.Attach = []string{fabric.Compute}
 	}
+	copyPrefix := "copy"
+	var scope []string
+	if opts.Site != "" {
+		opts.Cluster.NamePrefix = opts.Site + "-" + opts.Cluster.NamePrefix
+		opts.Scratch.Name += "-" + opts.Site
+		opts.Archive.Name += "-" + opts.Site
+		copyPrefix = "cp-" + opts.Site + "-"
+		scope = []string{"site", opts.Site}
+	}
 	s := &System{
 		Clock:   clock,
 		Opts:    opts,
@@ -101,10 +116,10 @@ func New(clock *simtime.Clock, opts Options) *System {
 		Archive: pfs.New(clock, opts.Archive),
 		Cluster: cluster.New(clock, opts.Cluster),
 	}
-	s.Library = tape.NewLibrary(clock, opts.TapeDrives, opts.Cartridges, opts.Robots, opts.TapeSpec)
+	s.Library = tape.NewLibrary(clock, opts.TapeDrives, opts.Cartridges, opts.Robots, opts.TapeSpec, scope...)
 	s.TSM = tsm.NewServer(clock, opts.TSM, s.Library)
 	if opts.CopyPoolCartridges > 0 {
-		s.TSM.AddCopyPool("copy", opts.CopyPoolCartridges, opts.TapeSpec.Capacity)
+		s.TSM.AddCopyPool(copyPrefix, opts.CopyPoolCartridges, opts.TapeSpec.Capacity)
 	}
 	s.Shadow = metadb.New(clock, opts.ShadowQueryCost)
 	// A repair moves an object to a fresh volume; keep the shadow

@@ -5,18 +5,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/archive"
 	"repro/internal/faults"
 	"repro/internal/federation"
 	"repro/internal/hsm"
-	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/synthetic"
-	"repro/internal/tape"
 	"repro/internal/telemetry"
-	"repro/internal/tsm"
 )
 
 // drOutcome carries everything the DR drill measured out of the
@@ -53,24 +50,6 @@ type drOutcome struct {
 	plantRun // the run's telemetry snapshot and flight dump
 }
 
-// drBuildSite assembles one archive site: its own FTA cluster, parallel
-// file system, tape library with a copy pool, TSM server, and shadow
-// database behind a single cell.
-func drBuildSite(clock *simtime.Clock, name string) *federation.Site {
-	ccfg := cluster.RoadrunnerConfig()
-	ccfg.Nodes = 2
-	ccfg.NamePrefix = name + "-fta"
-	cl := cluster.New(clock, ccfg)
-	fs := pfs.New(clock, pfs.GPFSConfig("gpfs-"+name))
-	lib := tape.NewLibrary(clock, 4, 32, 1, tape.LTO4())
-	srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
-	srv.AddCopyPool("cp-"+name+"-", 8, tape.LTO4().Capacity)
-	shadow := metadb.New(clock, 100*time.Microsecond)
-	eng := hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{})
-	cell := &federation.Cell{Name: "cell-" + name, FS: fs, Server: srv, Shadow: shadow, Engine: eng}
-	return federation.NewSite(name, []*federation.Cell{cell}, cl.Nodes())
-}
-
 // drSeed creates n files under a fresh project owned by the given
 // site's cell (project names are probed until the federation hash
 // routes there) and returns their stat infos.
@@ -88,16 +67,16 @@ func drSeed(fed *federation.Federation, site *federation.Site, wave, n int, size
 		panic(fmt.Sprintf("dr: no wave-%d project hashes to %s", wave, cell.Name))
 	}
 	root := "/" + project
-	if err := cell.FS.MkdirAll(root); err != nil {
+	if err := cell.Archive.MkdirAll(root); err != nil {
 		panic(err)
 	}
 	infos := make([]pfs.Info, 0, n)
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("%s/f%03d", root, i)
-		if err := cell.FS.WriteFile(p, synthetic.NewUniform(uint64(wave*1000+i+1), size)); err != nil {
+		if err := cell.Archive.WriteFile(p, synthetic.NewUniform(uint64(wave*1000+i+1), size)); err != nil {
 			panic(err)
 		}
-		info, err := cell.FS.Stat(p)
+		info, err := cell.Archive.Stat(p)
 		if err != nil {
 			panic(err)
 		}
@@ -126,9 +105,17 @@ func drRun(seed int64) drOutcome {
 		replicasPerSite: make(map[string]int),
 	}
 	out.plantRun = runClock(func(clock *simtime.Clock) func() {
+		// Each site is one small plant: 2 movers and a 4-drive library
+		// with an 8-cartridge copy pool for the replicas it receives.
+		opts := archive.DefaultOptions()
+		opts.Cluster.Nodes = 2
+		opts.TapeDrives, opts.Cartridges, opts.Robots = 4, 32, 1
+		opts.CopyPoolCartridges = 8
 		var sites []*federation.Site
 		for _, n := range names {
-			sites = append(sites, drBuildSite(clock, n))
+			opts.Site = n
+			cell := &federation.Cell{Name: "cell-" + n, System: archive.New(clock, opts)}
+			sites = append(sites, federation.NewSite(n, cell))
 		}
 		reg := faults.New(clock, seed)
 		fed, err := federation.NewMultiSite(clock, reg, sites...)
@@ -232,7 +219,7 @@ func drRun(seed int64) drOutcome {
 			catchStart := clock.Now()
 			var reinfos []pfs.Info
 			for _, p := range skippedPaths {
-				info, err := victim.Cells[0].FS.Stat(p)
+				info, err := victim.Cells[0].Archive.Stat(p)
 				if err != nil {
 					panic(fmt.Sprintf("dr: requeue stat %s: %v", p, err))
 				}
@@ -250,8 +237,8 @@ func drRun(seed int64) drOutcome {
 			// site, and a full catalog audit (entry present, Copies-1
 			// confirmed sites, every confirmed holder able to serve).
 			for _, s := range sites {
-				out.objectsPerSite[s.Name] = s.Cells[0].Server.NumObjects()
-				out.replicasPerSite[s.Name] = s.Cells[0].Server.NumReplicas()
+				out.objectsPerSite[s.Name] = s.Cells[0].TSM.NumObjects()
+				out.replicasPerSite[s.Name] = s.Cells[0].TSM.NumReplicas()
 			}
 			audit := func(infos []pfs.Info) {
 				for _, info := range infos {
@@ -265,7 +252,7 @@ func drRun(seed int64) drOutcome {
 					}
 					for _, name := range ent.Sites {
 						s, err := fed.SiteByName(name)
-						if err != nil || !s.CellFor(info.Path).Server.HasReplica(ent.HomeCell, ent.Object.ID) {
+						if err != nil || !s.CellFor(info.Path).TSM.HasReplica(ent.HomeCell, ent.Object.ID) {
 							out.replicaHoles++
 						}
 					}

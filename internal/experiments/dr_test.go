@@ -32,6 +32,25 @@ func TestDRStudyInvariants(t *testing.T) {
 		t.Errorf("catch-up took %vs against a %vs bound", m["catchup_seconds"], m["catchup_bound_seconds"])
 	}
 	if r.Flight == nil || r.Telemetry == nil {
-		t.Error("DR report missing its flight dump or telemetry snapshot")
+		t.Fatal("DR report missing its flight dump or telemetry snapshot")
+	}
+
+	// Each site's series carry site=<name>: the three 4-drive libraries
+	// export 12 drive series, and the per-site live-object gauges add
+	// up to the three servers' objects instead of the last one's.
+	if got := len(r.Telemetry.Family("tape_drive_mounts_total")); got != 12 {
+		t.Errorf("%d tape_drive_mounts_total series, want 12 (3 sites x 4 drives)", got)
+	}
+	live := r.Telemetry.Family("tsm_objects_live")
+	sum := 0.0
+	for _, p := range live {
+		if p.Label("site") == "" {
+			t.Errorf("tsm_objects_live series %v carries no site label", p.Labels)
+		}
+		sum += p.Value
+	}
+	if len(live) != 3 || sum != m["tape_objects"] {
+		t.Errorf("tsm_objects_live: %d series summing to %v, want 3 summing to the servers' %v objects",
+			len(live), sum, m["tape_objects"])
 	}
 }

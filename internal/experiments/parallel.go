@@ -159,7 +159,8 @@ type parallelSite struct {
 	manifests *telemetry.Counter
 }
 
-// parallelPlant is the partitioned federation.
+// parallelPlant is the partitioned plant: one archive per island,
+// coupled by manifest channels rather than by internal/federation.
 type parallelPlant struct {
 	group *simtime.Group
 	sites []*parallelSite
@@ -212,7 +213,7 @@ func parallelPartition(jobs []workload.JobSpec, islands int) [][][]workload.JobS
 	return out
 }
 
-// buildParallelPlant assembles the partitioned federation: one archive
+// buildParallelPlant assembles the partitioned plant: one archive
 // plant per island, ring-coupled i -> (i+1) % n by a WAN manifest
 // channel whose lookahead is the replication cycle plus the WAN path's
 // fabric-derived bound.

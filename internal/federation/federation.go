@@ -17,9 +17,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/archive"
 	"repro/internal/faults"
 	"repro/internal/hsm"
-	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 	"repro/internal/tsm"
@@ -31,13 +31,11 @@ var (
 	ErrNoCells  = errors.New("federation: no cells")
 )
 
-// Cell is one archive file system + TSM server + HSM engine.
+// Cell is one archive plant — its archive file system, TSM server,
+// shadow database and HSM engine — under a federation-wide name.
 type Cell struct {
-	Name   string
-	FS     *pfs.FS
-	Server *tsm.Server
-	Shadow *metadb.DB
-	Engine *hsm.Engine
+	Name string
+	*archive.System
 
 	// status is the cell's health in the fault registry, bound by New.
 	status *faults.Status
@@ -116,7 +114,7 @@ func (f *Federation) Stat(path string) (pfs.Info, error) {
 	if err != nil {
 		return pfs.Info{}, err
 	}
-	return c.FS.Stat(path)
+	return c.Archive.Stat(path)
 }
 
 // MigrateOutcome is the federation-wide result of one Migrate call.
@@ -229,7 +227,7 @@ func (f *Federation) Migrate(files []pfs.Info, opt hsm.MigrateOptions) (MigrateO
 		wg.Add(1)
 		f.clock.Go(func() {
 			defer wg.Done()
-			res, err := c.Engine.Migrate(share, opt)
+			res, err := c.HSM.Migrate(share, opt)
 			out.Cells[c.Name] = res
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("federation: cell %s: %w", c.Name, err)
@@ -267,7 +265,7 @@ func (f *Federation) Recall(paths []string, mode hsm.RecallMode) (RecallOutcome,
 		wg.Add(1)
 		f.clock.Go(func() {
 			defer wg.Done()
-			res, err := c.Engine.Recall(share, mode)
+			res, err := c.HSM.Recall(share, mode)
 			out.Cells[c.Name] = res
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("federation: cell %s: %w", c.Name, err)
@@ -289,16 +287,7 @@ func (f *Federation) QueryByPath(path string) (tsm.Object, error) {
 	if err != nil {
 		return tsm.Object{}, err
 	}
-	return c.Server.QueryByPath(path)
-}
-
-// LookupShadow answers the indexed shadow query in the owning cell.
-func (f *Federation) LookupShadow(path string) (metadb.Record, error) {
-	c, err := f.up(path)
-	if err != nil {
-		return metadb.Record{}, err
-	}
-	return c.Shadow.ByPath(path)
+	return c.TSM.QueryByPath(path)
 }
 
 // HealthySlice returns the names of healthy cells, sorted — the
@@ -312,15 +301,4 @@ func (f *Federation) HealthySlice() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalObjects sums live objects across healthy cells.
-func (f *Federation) TotalObjects() int {
-	n := 0
-	for _, c := range f.cells {
-		if !c.Down() {
-			n += c.Server.NumObjects()
-		}
-	}
-	return n
 }

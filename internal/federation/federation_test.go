@@ -8,15 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/archive"
 	"repro/internal/faults"
 	"repro/internal/hsm"
-	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
-	"repro/internal/tape"
-	"repro/internal/tsm"
 )
 
 type env struct {
@@ -25,24 +22,26 @@ type env struct {
 	reg   *faults.Registry
 }
 
-// newEnv builds an n-cell federation, each cell with its own library
-// and movers (the cells share the FTA cluster, as §6.4 envisions).
+// cellOptions sizes one test cell's plant: a 4-drive library, and an
+// archive file system whose metadata operations and scans are free.
+func cellOptions() archive.Options {
+	opts := archive.DefaultOptions()
+	opts.TapeDrives, opts.Cartridges, opts.Robots = 4, 32, 1
+	opts.Archive.MetaOpCost = 0
+	opts.Archive.ScanPerInode = 0
+	return opts
+}
+
+// newEnv builds an n-cell federation, each cell a site-named plant
+// with its own movers and library.
 func newEnv(t *testing.T, n int) *env {
 	t.Helper()
 	clock := simtime.NewClock()
-	cl := cluster.New(clock, cluster.RoadrunnerConfig())
+	opts := cellOptions()
 	var cells []*Cell
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("cell%d", i)
-		cfg := pfs.GPFSConfig("gpfs-" + name)
-		cfg.MetaOpCost = 0
-		cfg.ScanPerInode = 0
-		fs := pfs.New(clock, cfg)
-		lib := tape.NewLibrary(clock, 4, 32, 1, tape.LTO4())
-		srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
-		shadow := metadb.New(clock, 100*time.Microsecond)
-		eng := hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{})
-		cells = append(cells, &Cell{Name: name, FS: fs, Server: srv, Shadow: shadow, Engine: eng})
+		opts.Site = fmt.Sprintf("cell%d", i)
+		cells = append(cells, &Cell{Name: opts.Site, System: archive.New(clock, opts)})
 	}
 	reg := faults.New(clock, 1)
 	fed, err := New(clock, reg, cells...)
@@ -65,16 +64,16 @@ func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs
 	t.Helper()
 	cell := e.fed.CellFor("/" + project)
 	root := "/" + project
-	if err := cell.FS.MkdirAll(root); err != nil {
+	if err := cell.Archive.MkdirAll(root); err != nil {
 		t.Fatal(err)
 	}
 	var infos []pfs.Info
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("%s/f%03d", root, i)
-		if err := cell.FS.WriteFile(p, synthetic.NewUniform(uint64(i+1), size)); err != nil {
+		if err := cell.Archive.WriteFile(p, synthetic.NewUniform(uint64(i+1), size)); err != nil {
 			t.Fatal(err)
 		}
-		info, _ := cell.FS.Stat(p)
+		info, _ := cell.Archive.Stat(p)
 		infos = append(infos, info)
 	}
 	return infos
@@ -129,9 +128,6 @@ func TestMigrateAndRecallAcrossCells(t *testing.T) {
 		}
 		if total != 20 {
 			t.Errorf("migrated %d files, want 20", total)
-		}
-		if e.fed.TotalObjects() != 20 {
-			t.Errorf("TotalObjects = %d", e.fed.TotalObjects())
 		}
 		rres, err := e.fed.Recall(paths, hsm.RecallOrdered)
 		if err != nil {
@@ -246,9 +242,16 @@ func TestShadowLookupRoutes(t *testing.T) {
 		if _, err := e.fed.Migrate(infos, hsm.MigrateOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := e.fed.LookupShadow(infos[0].Path)
-		if err != nil || rec.Volume == "" {
-			t.Errorf("LookupShadow = %+v, %v", rec, err)
+		// The shadow row lands in the owning cell's database only.
+		owner := e.fed.CellFor(infos[0].Path)
+		for _, c := range e.fed.Cells() {
+			rec, err := c.Shadow.ByPath(infos[0].Path)
+			if c == owner && (err != nil || rec.Volume == "") {
+				t.Errorf("owner %s: ByPath = %+v, %v", c.Name, rec, err)
+			}
+			if c != owner && err == nil {
+				t.Errorf("cell %s holds a shadow row for a path %s owns", c.Name, owner.Name)
+			}
 		}
 	})
 }
@@ -375,7 +378,7 @@ func TestSkippedSurfacesBeforeAndAfterBindFaults(t *testing.T) {
 		downCell.SetDown(false)
 		var requeue []pfs.Info
 		for _, p := range out.SkippedPaths() {
-			info, err := downCell.FS.Stat(p)
+			info, err := downCell.Archive.Stat(p)
 			if err != nil {
 				t.Fatal(err)
 			}

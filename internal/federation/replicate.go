@@ -55,9 +55,8 @@ type ReplicationPolicy struct {
 // maxParkKicks bounds how many times a parked item may be kicked back
 // into its queue by repair events. An item that exhausts its backoff
 // budget that many times is permanently parked — visible on the
-// federation_parked_permanent gauge and in PermanentlyParked — instead of
-// cycling park→kick→park forever against a destination that never
-// truly heals.
+// federation_parked_permanent gauge — instead of cycling
+// park→kick→park forever against a destination that never truly heals.
 const maxParkKicks = 8
 
 // repItem is one pending replica: obj from homeCell (on homeSite) to
@@ -96,7 +95,7 @@ type Replicator struct {
 	defense  *faults.Defense           // shared retry budgets + breakers (inert unless enabled)
 	queues   map[string]*simtime.Queue // dest site name -> mailbox
 	parked   map[string][]repItem      // dest site name -> partition backlog
-	permPark []repItem                 // items retired after maxParkKicks cycles
+	permPark int                       // items retired after maxParkKicks cycles
 	catalog  map[string]*CatalogEntry  // object path -> entry
 	closed   bool
 	pending  int // offered - replicated: queued, parked, or in flight
@@ -158,7 +157,7 @@ func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff)
 	for _, cell := range fed.cells {
 		cell := cell
 		site := fed.siteOf[cell]
-		cell.Engine.OnStored(func(obj tsm.Object) { r.offer(site, cell, obj) })
+		cell.HSM.OnStored(func(obj tsm.Object) { r.offer(site, cell, obj) })
 	}
 	fed.rep = r
 	return r, nil
@@ -304,7 +303,7 @@ func (r *Replicator) replicate(item repItem) {
 			fl.Wait()
 		}
 		destCell := item.dest.CellFor(item.obj.Path)
-		return destCell.Server.StoreReplica("rep:"+srcCell.Name, item.homeCell.Name, item.obj, sp)
+		return destCell.TSM.StoreReplica("rep:"+srcCell.Name, item.homeCell.Name, item.obj, sp)
 	}, repRetryable)
 	if err != nil {
 		cause, _ := r.tel.LastEventFor(faults.SiteComponent(item.dest.Name))
@@ -312,9 +311,9 @@ func (r *Replicator) replicate(item repItem) {
 			// The item has already cycled park→kick maxParkKicks times and
 			// still cannot land: retire it permanently instead of
 			// spinning against a destination that never heals. It stays
-			// on the books (Pending, the gauge, PermanentlyParked) — work
-			// is retired loudly, never silently dropped.
-			r.retirePermanently(item)
+			// on the books (Pending, the gauge) — work is retired
+			// loudly, never silently dropped.
+			r.retirePermanently()
 			sp.Abort("parked permanently after "+strconv.Itoa(item.kicks)+" kicks: "+err.Error(), cause)
 			return
 		}
@@ -351,34 +350,24 @@ func (r *Replicator) pickSource(item repItem) (*Site, *Cell) {
 			continue
 		}
 		c := s.CellFor(item.obj.Path)
-		if !c.Down() && c.Server.HasReplica(item.homeCell.Name, item.obj.ID) {
+		if !c.Down() && c.TSM.HasReplica(item.homeCell.Name, item.obj.ID) {
 			return s, c
 		}
 	}
 	return nil, nil
 }
 
-// retirePermanently moves an item to the permanent-park list and
-// registers the federation_parked_permanent gauge on first use (lazy
-// so runs that never retire anything keep their telemetry unchanged).
-func (r *Replicator) retirePermanently(item repItem) {
-	if len(r.permPark) == 0 {
+// retirePermanently counts one retired item and registers the
+// federation_parked_permanent gauge on first use (lazy so runs that
+// never retire anything keep their telemetry unchanged). A retired
+// item still counts as Pending: the copy genuinely does not exist.
+func (r *Replicator) retirePermanently() {
+	if r.permPark == 0 {
 		r.tel.GaugeFunc("federation_parked_permanent", func() float64 {
-			return float64(len(r.permPark))
+			return float64(r.permPark)
 		})
 	}
-	r.permPark = append(r.permPark, item)
-}
-
-// PermanentlyParked lists the replica tasks retired after exhausting
-// their park→kick budget, in retirement order: the operator's worklist
-// (each still counts as Pending — the copy genuinely does not exist).
-func (r *Replicator) PermanentlyParked() []tsm.Object {
-	out := make([]tsm.Object, len(r.permPark))
-	for i, it := range r.permPark {
-		out[i] = it.obj
-	}
-	return out
+	r.permPark++
 }
 
 // kick re-offers every parked item to its queue — called by the fault
@@ -438,7 +427,7 @@ func (r *Replicator) FailoverRecall(to *Site, path string) (tsm.Replica, error) 
 			continue
 		}
 		c := s.CellFor(path)
-		if !c.Down() && c.Server.HasReplica(ent.HomeCell, ent.Object.ID) {
+		if !c.Down() && c.TSM.HasReplica(ent.HomeCell, ent.Object.ID) {
 			cands = append(cands, s)
 		}
 	}
@@ -475,7 +464,7 @@ func (r *Replicator) FailoverRecall(to *Site, path string) (tsm.Replica, error) 
 			continue
 		}
 		cell := src.CellFor(path)
-		rep, err := cell.Server.ReadReplica("dr:"+to.Name, ent.HomeCell, ent.Object.ID, route, sp)
+		rep, err := cell.TSM.ReadReplica("dr:"+to.Name, ent.HomeCell, ent.Object.ID, route, sp)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
 			lastErr = err

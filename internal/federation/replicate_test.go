@@ -32,7 +32,7 @@ func TestReplicationFansOutToOtherSites(t *testing.T) {
 			t.Fatalf("backlog never drained: %d pending", rep.Pending())
 		}
 		for _, other := range e.sites[1:] {
-			srv := other.Cells[0].Server
+			srv := other.Cells[0].TSM
 			if srv.NumReplicas() != 4 {
 				t.Errorf("site %s holds %d replicas, want 4", other.Name, srv.NumReplicas())
 			}
@@ -77,8 +77,8 @@ func TestReplicationParksDuringOutageAndCatchesUp(t *testing.T) {
 		if rep.DrainWithin(time.Hour) {
 			t.Fatal("drain reported complete with a destination site dead")
 		}
-		if e.sites[1].Cells[0].Server.NumReplicas() != 3 {
-			t.Errorf("healthy site holds %d replicas, want 3", e.sites[1].Cells[0].Server.NumReplicas())
+		if e.sites[1].Cells[0].TSM.NumReplicas() != 3 {
+			t.Errorf("healthy site holds %d replicas, want 3", e.sites[1].Cells[0].TSM.NumReplicas())
 		}
 		if e.count("federation_replication_parked_total") == 0 {
 			t.Error("no park events during the outage")
@@ -96,7 +96,7 @@ func TestReplicationParksDuringOutageAndCatchesUp(t *testing.T) {
 		if !rep.DrainWithin(2 * time.Hour) {
 			t.Fatalf("catch-up never drained: %d pending", rep.Pending())
 		}
-		if got := victim.Cells[0].Server.NumReplicas(); got != 3 {
+		if got := victim.Cells[0].TSM.NumReplicas(); got != 3 {
 			t.Errorf("rejoined site holds %d replicas, want 3 (exactly once)", got)
 		}
 		rep.Close()
@@ -183,8 +183,9 @@ func TestReplicatorRequiresMultiSiteAndPolicy(t *testing.T) {
 // TestParkKickCycleIsBounded: a destination that "repairs" but never
 // actually serves (the repair event is immediately followed by another
 // failure) must not cycle park→kick→park forever. After maxParkKicks
-// round trips the item retires to the permanent-park list — visible on
-// stats and the gauge — and later kicks stop re-offering it.
+// round trips the item retires — visible on the
+// federation_parked_permanent gauge — and later kicks stop re-offering
+// it.
 func TestParkKickCycleIsBounded(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	retry := faults.Backoff{Attempts: 1, Base: time.Second}
@@ -213,14 +214,8 @@ func TestParkKickCycleIsBounded(t *testing.T) {
 		for i := 0; i < maxParkKicks+2; i++ {
 			flap()
 		}
-		if n := len(rep.permPark); n != 2 {
-			t.Fatalf("ParkedPermanent = %d, want 2 (both of the victim's items)", n)
-		}
-		if got := len(rep.PermanentlyParked()); got != 2 {
-			t.Fatalf("PermanentlyParked() has %d objects, want 2", got)
-		}
-		if telemetry.Of(e.clock).Snapshot().Value("federation_parked_permanent") != 2 {
-			t.Error("federation_parked_permanent gauge != 2")
+		if got := telemetry.Of(e.clock).Snapshot().Value("federation_parked_permanent"); got != 2 {
+			t.Fatalf("federation_parked_permanent = %v, want 2 (both of the victim's items)", got)
 		}
 		// A real repair now kicks nothing: the items are retired, not in
 		// the park backlog, so the healed site stays empty and the work
@@ -229,7 +224,7 @@ func TestParkKickCycleIsBounded(t *testing.T) {
 		if rep.DrainWithin(30 * time.Minute) {
 			t.Fatal("drain completed; permanently parked items must stay pending")
 		}
-		if got := victim.Cells[0].Server.NumReplicas(); got != 0 {
+		if got := victim.Cells[0].TSM.NumReplicas(); got != 0 {
 			t.Errorf("retired items landed %d replicas on the healed site", got)
 		}
 		rep.Close()

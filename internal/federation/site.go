@@ -16,11 +16,11 @@ import (
 	"hash/fnv"
 	"strings"
 
+	"repro/internal/archive"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/simtime"
-	"repro/internal/telemetry"
 )
 
 // Multi-site errors.
@@ -48,9 +48,14 @@ type Site struct {
 	status *faults.Status
 }
 
-// NewSite assembles a site over its cells and mover nodes.
-func NewSite(name string, cells []*Cell, nodes []*cluster.Node) *Site {
-	return &Site{Name: name, Cells: cells, Nodes: nodes}
+// NewSite assembles a site over its cells; the site's mover nodes are
+// its cells' cluster machines.
+func NewSite(name string, cells ...*Cell) *Site {
+	s := &Site{Name: name, Cells: cells}
+	for _, c := range cells {
+		s.Nodes = append(s.Nodes, c.Cluster.Nodes()...)
+	}
+	return s
 }
 
 // Endpoint names the site's WAN attachment point in the fabric.
@@ -110,9 +115,6 @@ func NewMultiSite(clock *simtime.Clock, reg *faults.Registry, sites ...*Site) (*
 	return f, nil
 }
 
-// Sites returns the member sites.
-func (f *Federation) Sites() []*Site { return f.sites }
-
 // SiteByName resolves a site.
 func (f *Federation) SiteByName(name string) (*Site, error) {
 	for _, s := range f.sites {
@@ -122,10 +124,6 @@ func (f *Federation) SiteByName(name string) (*Site, error) {
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNoSite, name)
 }
-
-// SiteOf reports which site hosts a cell (nil for single-site
-// federations).
-func (f *Federation) SiteOf(c *Cell) *Site { return f.siteOf[c] }
 
 // AddWANLink joins two sites with a named, bandwidth-capped fabric
 // link. The link is a first-class fault target: "link:<name>" events
@@ -165,9 +163,9 @@ func (f *Federation) HopDistance(from, to *Site) int {
 }
 
 // InstallFaults subscribes the multi-site federation to the fault
-// registry it was built on, mirroring archive.System.InstallFaults: telemetry records
-// every event first (so reactions find their cause on the books), the
-// fabric binds its links, and then the federation dispatcher handles
+// registry it was built on: archive.RecordFaults' prologue records
+// every event first (so reactions find their cause on the books) and
+// binds the fabric's links, and then the federation dispatcher handles
 // the WAN-scale components:
 //
 //	site:<name>  the compound disaster fault — expands into cell
@@ -180,14 +178,7 @@ func (f *Federation) HopDistance(from, to *Site) int {
 //	node:<name>  mover machines of any site (for schedules that down
 //	             nodes without archive.System in the loop)
 func (f *Federation) InstallFaults(reg *faults.Registry) {
-	tel := telemetry.Of(f.clock)
-	reg.OnApply(func(ev faults.Event) {
-		tel.Event("fault",
-			"component", ev.Component,
-			"kind", ev.Kind.String())
-		tel.Counter("faults_events_total", "kind", ev.Kind.String()).Inc()
-	})
-	fabric.Of(f.clock).BindFaults(reg)
+	archive.RecordFaults(f.clock, reg)
 	reg.OnApply(func(ev faults.Event) {
 		switch {
 		case strings.HasPrefix(ev.Component, "site:"):
@@ -246,7 +237,7 @@ func (f *Federation) expandSiteEvent(reg *faults.Registry, site *Site, kind faul
 		// against a dead site must fail fast (tsm.ErrServerDown), and
 		// in-flight primary transactions block until repair, exactly
 		// like the single-site outage model.
-		c.Server.SetDown(fail)
+		c.TSM.SetDown(fail)
 	}
 	for _, n := range site.Nodes {
 		reg.Apply(faults.Event{Component: faults.NodeComponent(n.Name), Kind: kind})

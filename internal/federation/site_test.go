@@ -5,17 +5,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/archive"
 	"repro/internal/faults"
-	"repro/internal/hsm"
-	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
-	"repro/internal/tape"
-	"repro/internal/tsm"
 )
 
 type siteEnv struct {
@@ -25,30 +20,20 @@ type siteEnv struct {
 	reg   *faults.Registry
 }
 
-// newSiteEnv builds an n-site federation (one cell per site, each with
-// its own cluster, library, and copy pool) joined in a WAN ring:
+// newSiteEnv builds an n-site federation (one cell per site, each a
+// site-named plant with 2 movers and a copy pool) joined in a WAN ring:
 // wan-0-1 connects site 0 to site 1, and so on around.
 func newSiteEnv(t *testing.T, n int) *siteEnv {
 	t.Helper()
 	clock := simtime.NewClock()
+	opts := cellOptions()
+	opts.Cluster.Nodes = 2
+	opts.CopyPoolCartridges = 8
 	var sites []*Site
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("site%d", i)
-		ccfg := cluster.RoadrunnerConfig()
-		ccfg.Nodes = 2
-		ccfg.NamePrefix = name + "-fta"
-		cl := cluster.New(clock, ccfg)
-		cfg := pfs.GPFSConfig("gpfs-" + name)
-		cfg.MetaOpCost = 0
-		cfg.ScanPerInode = 0
-		fs := pfs.New(clock, cfg)
-		lib := tape.NewLibrary(clock, 4, 32, 1, tape.LTO4())
-		srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
-		srv.AddCopyPool("cp-"+name+"-", 8, tape.LTO4().Capacity)
-		shadow := metadb.New(clock, 100*time.Microsecond)
-		eng := hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{})
-		cell := &Cell{Name: "cell-" + name, FS: fs, Server: srv, Shadow: shadow, Engine: eng}
-		sites = append(sites, NewSite(name, []*Cell{cell}, cl.Nodes()))
+		opts.Site = fmt.Sprintf("site%d", i)
+		cell := &Cell{Name: "cell-" + opts.Site, System: archive.New(clock, opts)}
+		sites = append(sites, NewSite(opts.Site, cell))
 	}
 	reg := faults.New(clock, 1)
 	fed, err := NewMultiSite(clock, reg, sites...)
@@ -89,16 +74,16 @@ func (e *siteEnv) seed(t *testing.T, site *Site, n int, size int64) []pfs.Info {
 		t.Fatalf("no project hashes to %s", cell.Name)
 	}
 	root := "/" + project
-	if err := cell.FS.MkdirAll(root); err != nil {
+	if err := cell.Archive.MkdirAll(root); err != nil {
 		t.Fatal(err)
 	}
 	var infos []pfs.Info
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("%s/f%03d", root, i)
-		if err := cell.FS.WriteFile(p, synthetic.NewUniform(uint64(i+1), size)); err != nil {
+		if err := cell.Archive.WriteFile(p, synthetic.NewUniform(uint64(i+1), size)); err != nil {
 			t.Fatal(err)
 		}
-		info, _ := cell.FS.Stat(p)
+		info, _ := cell.Archive.Stat(p)
 		infos = append(infos, info)
 	}
 	return infos
@@ -147,7 +132,7 @@ func TestSiteKillIsCompound(t *testing.T) {
 		if !cell.Down() {
 			t.Error("cell survived the site-kill")
 		}
-		if !cell.Server.Down() {
+		if !cell.TSM.Down() {
 			t.Error("TSM server survived the site-kill")
 		}
 		for _, node := range victim.Nodes {
@@ -183,7 +168,7 @@ func TestSiteKillIsCompound(t *testing.T) {
 
 		// Repair reverses everything.
 		e.reg.Apply(faults.Event{Component: faults.SiteComponent(victim.Name), Kind: faults.KindRepair})
-		if victim.Down() || cell.Down() || cell.Server.Down() {
+		if victim.Down() || cell.Down() || cell.TSM.Down() {
 			t.Error("site state not restored by repair")
 		}
 		for _, node := range victim.Nodes {
@@ -219,11 +204,6 @@ func TestMultiSiteFederationFlattensCells(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	if len(e.fed.Cells()) != 3 {
 		t.Fatalf("cells = %d, want 3", len(e.fed.Cells()))
-	}
-	for _, s := range e.sites {
-		if e.fed.SiteOf(s.Cells[0]) != s {
-			t.Errorf("SiteOf(%s) wrong", s.Cells[0].Name)
-		}
 	}
 	if _, err := e.fed.SiteByName("nowhere"); !errors.Is(err, ErrNoSite) {
 		t.Errorf("SiteByName err = %v, want ErrNoSite", err)

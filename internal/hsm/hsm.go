@@ -116,7 +116,7 @@ func New(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB, n
 		aggMembers: make(map[uint64][]aggMember),
 		routes:     make(map[string]fabric.Path),
 	}
-	e.tel = telemetry.Of(clock)
+	e.tel = srv.Telemetry()
 	e.sch = sched.Of(clock)
 	e.ctrMigFiles = e.tel.Counter("hsm_migrated_files_total")
 	e.ctrMigBytes = e.tel.Counter("hsm_migrated_bytes_total")

@@ -268,10 +268,9 @@ type Drive struct {
 	parent *telemetry.Span // current trace parent for phase spans
 }
 
-// NewDrive creates an idle, empty drive.
-func NewDrive(clock *simtime.Clock, name string, spec Spec) *Drive {
-	d := &Drive{Name: name, clock: clock, spec: spec, res: simtime.NewResource(clock, 1)}
-	d.tel = telemetry.Of(clock)
+// newDrive creates an idle, empty drive whose series register on tel.
+func newDrive(clock *simtime.Clock, tel *telemetry.Registry, name string, spec Spec) *Drive {
+	d := &Drive{Name: name, clock: clock, spec: spec, res: simtime.NewResource(clock, 1), tel: tel}
 	// The drive already keeps lifetime counters in Stats; mirror them
 	// into the registry as snapshot-time collected series.
 	for _, c := range []struct {
@@ -631,24 +630,29 @@ type Library struct {
 	order  []string // insertion order for deterministic scratch picks
 	robot  *simtime.Resource
 
+	tel          *telemetry.Registry
 	ctrExchanges *telemetry.Counter
 }
 
 // NewLibrary creates a library with numDrives drives of the given spec
 // and numCartridges scratch cartridges labelled VOL0001.., served by
-// robots robot arms.
-func NewLibrary(clock *simtime.Clock, numDrives, numCartridges, robots int, spec Spec) *Library {
+// robots robot arms. Its drive and robot series carry the labels in
+// scope ("key", "value", ...) — a site-named plant passes "site",
+// <name> so several libraries can share one clock's registry.
+func NewLibrary(clock *simtime.Clock, numDrives, numCartridges, robots int, spec Spec, scope ...string) *Library {
 	if robots <= 0 {
 		robots = 1
 	}
+	tel := telemetry.Of(clock).With(scope...)
 	lib := &Library{
 		clock:        clock,
 		carts:        make(map[string]*Cartridge),
 		robot:        simtime.NewResource(clock, robots),
-		ctrExchanges: telemetry.Of(clock).Counter("tape_robot_exchanges_total"),
+		tel:          tel,
+		ctrExchanges: tel.Counter("tape_robot_exchanges_total"),
 	}
 	for i := 0; i < numDrives; i++ {
-		lib.drives = append(lib.drives, NewDrive(clock, fmt.Sprintf("drive%02d", i), spec))
+		lib.drives = append(lib.drives, newDrive(clock, tel, fmt.Sprintf("drive%02d", i), spec))
 	}
 	for i := 0; i < numCartridges; i++ {
 		label := fmt.Sprintf("VOL%04d", i+1)
@@ -657,6 +661,10 @@ func NewLibrary(clock *simtime.Clock, numDrives, numCartridges, robots int, spec
 	}
 	return lib
 }
+
+// Telemetry returns the registry view the library's series register
+// on; the servers and engines stacked on it register there too.
+func (l *Library) Telemetry() *telemetry.Registry { return l.tel }
 
 // Drives returns the library's drives.
 func (l *Library) Drives() []*Drive { return l.drives }

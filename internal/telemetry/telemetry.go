@@ -45,8 +45,15 @@ func Of(clock *simtime.Clock) *Registry {
 }
 
 // Registry is one deployment's metric families, open spans, event log
-// heads, and flight-recorder ring.
+// heads, and flight-recorder ring — or a view of them (With) whose
+// series carry extra labels.
 type Registry struct {
+	*core
+	scope []string // "key", "value" pairs every series looked up here carries
+}
+
+// core is the state a registry shares with its views.
+type core struct {
 	clock *simtime.Clock
 
 	metrics map[string]*metric // by identity (name + sorted labels)
@@ -71,14 +78,28 @@ const DefaultFlightCapacity = 4096
 
 // New creates an empty registry on the clock. Most callers want Of.
 func New(clock *simtime.Clock) *Registry {
-	return &Registry{
+	return &Registry{core: &core{
 		clock:     clock,
 		metrics:   make(map[string]*metric),
 		kinds:     make(map[string]metricKind),
 		open:      make(map[uint64]*Span),
 		lastEvent: make(map[string]uint64),
 		ringCap:   DefaultFlightCapacity,
+	}}
+}
+
+// With returns a view of the registry: every series looked up through
+// it also carries kv ("key", "value", ...), on top of r's own scope.
+// The view shares r's series table, spans, events and flight ring, so
+// its series land in r's snapshots. With() returns r itself.
+func (r *Registry) With(kv ...string) *Registry {
+	if len(kv) == 0 {
+		return r
 	}
+	if len(kv)%2 != 0 {
+		panic("telemetry: odd label list")
+	}
+	return &Registry{core: r.core, scope: append(r.scope[:len(r.scope):len(r.scope)], kv...)}
 }
 
 // Clock returns the simulation clock the registry stamps with.
@@ -159,6 +180,9 @@ type metric struct {
 
 // lookup finds or creates the series, enforcing one kind per family.
 func (r *Registry) lookup(kind metricKind, name string, kv []string) *metric {
+	if len(r.scope) > 0 {
+		kv = append(kv[:len(kv):len(kv)], r.scope...)
+	}
 	labels := labelsOf(kv)
 	id := name + labelString(labels)
 	if m, ok := r.metrics[id]; ok {
@@ -185,7 +209,7 @@ func (r *Registry) lookup(kind metricKind, name string, kv []string) *metric {
 
 // Counter is a monotonically increasing series.
 type Counter struct {
-	r *Registry
+	r *core
 	m *metric
 }
 
@@ -193,7 +217,7 @@ type Counter struct {
 // pairs; the same (name, labels) identity always returns a handle to
 // the same underlying series.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	return &Counter{r: r, m: r.lookup(kindCounter, name, kv)}
+	return &Counter{r: r.core, m: r.lookup(kindCounter, name, kv)}
 }
 
 // Add increments the counter by v (negative deltas panic: counters
@@ -215,20 +239,21 @@ func (c *Counter) Value() float64 { return c.m.val }
 // CounterFunc registers a counter collected at snapshot time from fn —
 // for series a subsystem already accounts (fabric link bytes, tape
 // drive stats) where a hot-path write per byte moved would be waste.
+// A second function on the same identity panics: two components
+// registering one series is a wiring bug, not an overwrite.
 func (r *Registry) CounterFunc(name string, fn func() float64, kv ...string) {
-	m := r.lookup(kindCounter, name, kv)
-	m.fn = fn
+	r.lookup(kindCounter, name, kv).setFn(fn)
 }
 
 // Gauge is a series that can go up and down.
 type Gauge struct {
-	r *Registry
+	r *core
 	m *metric
 }
 
 // Gauge finds or creates a gauge series.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	return &Gauge{r: r, m: r.lookup(kindGauge, name, kv)}
+	return &Gauge{r: r.core, m: r.lookup(kindGauge, name, kv)}
 }
 
 // Set records the current value.
@@ -243,22 +268,30 @@ func (g *Gauge) Add(delta float64) { g.Set(g.m.val + delta) }
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return g.m.val }
 
-// GaugeFunc registers a gauge collected at snapshot time from fn.
+// GaugeFunc registers a gauge collected at snapshot time from fn; a
+// second function on the same identity panics, as for CounterFunc.
 func (r *Registry) GaugeFunc(name string, fn func() float64, kv ...string) {
-	m := r.lookup(kindGauge, name, kv)
+	r.lookup(kindGauge, name, kv).setFn(fn)
+}
+
+// setFn binds a function-backed series' collector, once.
+func (m *metric) setFn(fn func() float64) {
+	if m.fn != nil {
+		panic(fmt.Sprintf("telemetry: %s%s already has a collector", m.name, labelString(m.labels)))
+	}
 	m.fn = fn
 }
 
 // Histogram buckets observations by order of magnitude (log10), the
 // paper's figure scale: file sizes and job rates span seven decades.
 type Histogram struct {
-	r *Registry
+	r *core
 	m *metric
 }
 
 // Histogram finds or creates a histogram series.
 func (r *Registry) Histogram(name string, kv ...string) *Histogram {
-	return &Histogram{r: r, m: r.lookup(kindHistogram, name, kv)}
+	return &Histogram{r: r.core, m: r.lookup(kindHistogram, name, kv)}
 }
 
 // negDecade is the sentinel bucket for non-positive observations,
@@ -291,13 +324,13 @@ func (h *Histogram) Sum() float64 { return h.m.hsum }
 // percentile. Use a Histogram when volume is unbounded; summaries
 // hold their observations in memory.
 type Summary struct {
-	r *Registry
+	r *core
 	m *metric
 }
 
 // Summary finds or creates a summary series.
 func (r *Registry) Summary(name string, kv ...string) *Summary {
-	return &Summary{r: r, m: r.lookup(kindSummary, name, kv)}
+	return &Summary{r: r.core, m: r.lookup(kindSummary, name, kv)}
 }
 
 // Observe records one value.

@@ -89,6 +89,77 @@ func TestFuncMetricsResolveAtSnapshotTime(t *testing.T) {
 	}
 }
 
+// A second collector on one identity is a wiring bug (two libraries
+// registering the same drive series) and panics; a plain counter looked
+// up twice is the same series, as it always was.
+func TestDuplicateCollectorPanics(t *testing.T) {
+	for _, register := range []func(r *Registry){
+		func(r *Registry) { r.CounterFunc("link_bytes_total", func() float64 { return 1 }, "link", "trunk") },
+		func(r *Registry) { r.GaugeFunc("active_flows", func() float64 { return 1 }) },
+	} {
+		r := New(simtime.NewClock())
+		register(r)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("second collector on one identity did not panic")
+				}
+			}()
+			register(r)
+		}()
+		// A view adds a label, so the same call through it is a new
+		// identity, not a duplicate.
+		register(r.With("site", "east"))
+	}
+	r := New(simtime.NewClock())
+	r.Counter("stores_total").Inc()
+	r.Counter("stores_total").Inc()
+	if got := r.Snapshot().Value("stores_total"); got != 2 {
+		t.Errorf("duplicate plain counter = %v, want one series at 2", got)
+	}
+}
+
+// A view's series land in the root's snapshot with the view's labels;
+// spans and events stay on the root's one ID sequence and ring.
+func TestWithScopesSeries(t *testing.T) {
+	r := New(simtime.NewClock())
+	if r.With() != r {
+		t.Error("With() did not return the receiver")
+	}
+	east := r.With("site", "east")
+	east.Counter("tsm_stores_total").Add(2)
+	r.With("site", "west").Counter("tsm_stores_total").Add(3)
+	east.GaugeFunc("tsm_objects_live", func() float64 { return 7 })
+	east.With("drive", "d0").Counter("mounts_total").Inc()
+	r.Counter("tsm_stores_total").Inc()
+	snap := r.Snapshot()
+	for _, c := range []struct {
+		name string
+		kv   []string
+		want float64
+	}{
+		{"tsm_stores_total", []string{"site", "east"}, 2},
+		{"tsm_stores_total", []string{"site", "west"}, 3},
+		{"tsm_stores_total", nil, 1},
+		{"tsm_objects_live", []string{"site", "east"}, 7},
+		{"mounts_total", []string{"drive", "d0", "site", "east"}, 1},
+	} {
+		if got := snap.Value(c.name, c.kv...); got != c.want {
+			t.Errorf("%s%v = %v, want %v", c.name, c.kv, got, c.want)
+		}
+	}
+	if got := len(snap.Points); got != 5 {
+		t.Errorf("snapshot holds %d series, want 5", got)
+	}
+	id := east.Event("fault", "component", "site:east")
+	if sp := r.StartSpan("op"); sp.ID != id+1 {
+		t.Errorf("root span ID %d after view event %d: not one ID sequence", sp.ID, id)
+	}
+	if got, ok := r.LastEventFor("site:east"); !ok || got != id {
+		t.Errorf("root LastEventFor = %d, %v; want the view's event %d", got, ok, id)
+	}
+}
+
 func TestHistogramDecades(t *testing.T) {
 	r := New(simtime.NewClock())
 	h := r.Histogram("file_bytes", "op", "pfcp")

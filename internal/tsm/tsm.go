@@ -166,7 +166,7 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 		replicas:   make(map[replicaKey]*Replica),
 		lastDrive:  make(map[string]*tape.Drive),
 	}
-	s.tel = telemetry.Of(clock)
+	s.tel = lib.Telemetry()
 	s.sch = sched.Of(clock)
 	s.defense = faults.DefenseOf(clock)
 	s.ctrTxn = s.tel.Counter("tsm_transactions_total")
@@ -191,6 +191,10 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 
 // Library returns the managed tape library.
 func (s *Server) Library() *tape.Library { return s.lib }
+
+// Telemetry returns the registry view the server's series register on:
+// its library's.
+func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // NewStream opens a persistent fabric stream along the store route p,
 // with the server link spliced in when the deployment is not LAN-free —
