@@ -2,7 +2,7 @@
 // chroot jail that keeps users from thrashing tape (§4.2.3), volume
 // reclamation after synchronous deletes, a drive-failure drill on the
 // fault-injection registry (dead drives reaped mid-migration, audit
-// clean), and a two-cell TSM federation surviving a server failure
+// clean), and a two-site TSM federation surviving a server failure
 // (§6.4 future work).
 package main
 
@@ -110,43 +110,43 @@ func main() {
 			res.VolumesReclaimed, float64(res.BytesFreed)/1e9)
 
 		// --- Federation (§6.4) ---
-		// Each cell is a small plant of its own, named for its site.
+		// Each site is a small plant of its own, named by Options.Site.
 		opts := archive.DefaultOptions()
 		opts.TapeDrives, opts.Cartridges, opts.Robots = 4, 32, 1
-		var cells []*federation.Cell
+		var plants []*archive.System
 		for _, name := range []string{"east", "west"} {
 			opts.Site = name
-			cells = append(cells, &federation.Cell{Name: name, System: archive.New(clock, opts)})
+			plants = append(plants, archive.New(clock, opts))
 		}
-		// One failure mechanism: cell health lives in the same registry
+		// One failure mechanism: site health lives in the same registry
 		// as the drive faults, so SetDown below lands in its log.
-		fed, err := federation.New(clock, reg, cells...)
+		fed, err := federation.New(clock, reg, plants...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var fedInfos []pfs.Info
 		for _, proj := range []string{"astro", "plasma", "cosmo", "fusion"} {
-			cell := fed.CellFor("/" + proj)
-			cell.Archive.MkdirAll("/" + proj)
+			site := fed.SiteFor("/" + proj)
+			site.Archive.MkdirAll("/" + proj)
 			p := "/" + proj + "/data.bin"
-			cell.Archive.WriteFile(p, synthetic.NewUniform(7, 2e9))
-			info, _ := cell.Archive.Stat(p)
+			site.Archive.WriteFile(p, synthetic.NewUniform(7, 2e9))
+			info, _ := site.Archive.Stat(p)
 			fedInfos = append(fedInfos, info)
 		}
 		if _, err := fed.Migrate(fedInfos, hsm.MigrateOptions{}); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("federate : %d projects spread over cells %v\n", len(fedInfos), fed.HealthySlice())
-		fed.Cells()[0].SetDown(true)
+		fmt.Printf("federate : %d projects spread over sites %v\n", len(fedInfos), fed.HealthySlice())
+		fed.Sites()[0].SetDown(true)
 		survived := 0
 		for _, f := range fedInfos {
 			if _, err := fed.Stat(f.Path); err == nil {
 				survived++
 			}
 		}
-		fmt.Printf("federate : cell %s failed; %d/%d projects still fully served (the paper's single TSM server would serve 0)\n",
-			fed.Cells()[0].Name, survived, len(fedInfos))
-		fmt.Printf("faults   : the registry logged %d fault event(s) across drives and cells\n", len(reg.Log()))
+		fmt.Printf("federate : site %s failed; %d/%d projects still fully served (the paper's single TSM server would serve 0)\n",
+			fed.Sites()[0].Name, survived, len(fedInfos))
+		fmt.Printf("faults   : the registry logged %d fault event(s) across drives and sites\n", len(reg.Log()))
 	})
 
 	if _, err := clock.Run(); err != nil {

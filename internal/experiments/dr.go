@@ -51,32 +51,31 @@ type drOutcome struct {
 }
 
 // drSeed creates n files under a fresh project owned by the given
-// site's cell (project names are probed until the federation hash
-// routes there) and returns their stat infos.
+// site (project names are probed until the federation hash routes
+// there) and returns their stat infos.
 func drSeed(fed *federation.Federation, site *federation.Site, wave, n int, size int64) []pfs.Info {
-	cell := site.Cells[0]
 	var project string
 	for i := 0; i < 1000; i++ {
 		p := fmt.Sprintf("w%d-%s-%02d", wave, site.Name, i)
-		if fed.CellFor("/"+p) == cell {
+		if fed.SiteFor("/"+p) == site {
 			project = p
 			break
 		}
 	}
 	if project == "" {
-		panic(fmt.Sprintf("dr: no wave-%d project hashes to %s", wave, cell.Name))
+		panic(fmt.Sprintf("dr: no wave-%d project hashes to %s", wave, site.Name))
 	}
 	root := "/" + project
-	if err := cell.Archive.MkdirAll(root); err != nil {
+	if err := site.Archive.MkdirAll(root); err != nil {
 		panic(err)
 	}
 	infos := make([]pfs.Info, 0, n)
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("%s/f%03d", root, i)
-		if err := cell.Archive.WriteFile(p, synthetic.NewUniform(uint64(wave*1000+i+1), size)); err != nil {
+		if err := site.Archive.WriteFile(p, synthetic.NewUniform(uint64(wave*1000+i+1), size)); err != nil {
 			panic(err)
 		}
-		info, err := cell.Archive.Stat(p)
+		info, err := site.Archive.Stat(p)
 		if err != nil {
 			panic(err)
 		}
@@ -111,23 +110,23 @@ func drRun(seed int64) drOutcome {
 		opts.Cluster.Nodes = 2
 		opts.TapeDrives, opts.Cartridges, opts.Robots = 4, 32, 1
 		opts.CopyPoolCartridges = 8
-		var sites []*federation.Site
+		var plants []*archive.System
 		for _, n := range names {
 			opts.Site = n
-			cell := &federation.Cell{Name: "cell-" + n, System: archive.New(clock, opts)}
-			sites = append(sites, federation.NewSite(n, cell))
+			plants = append(plants, archive.New(clock, opts))
 		}
 		reg := faults.New(clock, seed)
-		fed, err := federation.NewMultiSite(clock, reg, sites...)
+		fed, err := federation.New(clock, reg, plants...)
 		if err != nil {
 			panic(err)
 		}
+		sites := fed.Sites()
 		// Full WAN triangle: every pair one hop apart while healthy, so a
 		// single site kill never partitions the survivors.
 		fed.AddWANLink("wan-east-south", wanRate, sites[0], sites[1])
 		fed.AddWANLink("wan-south-west", wanRate, sites[1], sites[2])
 		fed.AddWANLink("wan-west-east", wanRate, sites[2], sites[0])
-		fed.InstallFaults(reg)
+		fed.InstallFaults()
 		// A fast-burning WAN retry budget: items destined to the dead site
 		// park within about half a virtual minute instead of the default
 		// multi-minute budget, keeping the drill's timeline tight.
@@ -162,8 +161,8 @@ func drRun(seed int64) drOutcome {
 			}
 
 			// Wave 2 lands on disk everywhere — and then the disaster takes
-			// the victim site out mid-campaign: cells, TSM server, mover
-			// nodes, and both WAN trunks in one compound event.
+			// the victim site out mid-campaign: its TSM server, mover nodes,
+			// and both WAN trunks in one compound event.
 			wave2 := make(map[string][]pfs.Info)
 			var all2 []pfs.Info
 			for _, s := range sites {
@@ -177,7 +176,7 @@ func drRun(seed int64) drOutcome {
 			// The campaign continues on the survivors. The victim's share is
 			// skipped (and reported), not lost.
 			mout, err := fed.Migrate(all2, hsm.MigrateOptions{Balanced: true})
-			if err != nil && !errors.Is(err, federation.ErrCellDown) {
+			if err != nil && !errors.Is(err, federation.ErrSiteDown) {
 				panic(fmt.Sprintf("dr wave-2 migrate: %v", err))
 			}
 			out.skipped = mout.SkippedCount()
@@ -187,8 +186,8 @@ func drRun(seed int64) drOutcome {
 			// serves every one of the victim's wave-1 files from the nearest
 			// surviving replica over the WAN.
 			rout, rerr := fed.Recall([]string{wave1[victim.Name][0].Path}, hsm.RecallOrdered)
-			if !errors.Is(rerr, federation.ErrCellDown) {
-				panic(fmt.Sprintf("dr: normal recall of a dead site's path: err = %v, want ErrCellDown", rerr))
+			if !errors.Is(rerr, federation.ErrSiteDown) {
+				panic(fmt.Sprintf("dr: normal recall of a dead site's path: err = %v, want ErrSiteDown", rerr))
 			}
 			out.normalSkipped = rout.SkippedCount()
 			out.failoverWant = len(wave1[victim.Name])
@@ -219,7 +218,7 @@ func drRun(seed int64) drOutcome {
 			catchStart := clock.Now()
 			var reinfos []pfs.Info
 			for _, p := range skippedPaths {
-				info, err := victim.Cells[0].Archive.Stat(p)
+				info, err := victim.Archive.Stat(p)
 				if err != nil {
 					panic(fmt.Sprintf("dr: requeue stat %s: %v", p, err))
 				}
@@ -237,8 +236,8 @@ func drRun(seed int64) drOutcome {
 			// site, and a full catalog audit (entry present, Copies-1
 			// confirmed sites, every confirmed holder able to serve).
 			for _, s := range sites {
-				out.objectsPerSite[s.Name] = s.Cells[0].TSM.NumObjects()
-				out.replicasPerSite[s.Name] = s.Cells[0].TSM.NumReplicas()
+				out.objectsPerSite[s.Name] = s.TSM.NumObjects()
+				out.replicasPerSite[s.Name] = s.TSM.NumReplicas()
 			}
 			audit := func(infos []pfs.Info) {
 				for _, info := range infos {
@@ -252,7 +251,7 @@ func drRun(seed int64) drOutcome {
 					}
 					for _, name := range ent.Sites {
 						s, err := fed.SiteByName(name)
-						if err != nil || !s.CellFor(info.Path).TSM.HasReplica(ent.HomeCell, ent.Object.ID) {
+						if err != nil || !s.TSM.HasReplica(ent.HomeSite, ent.Object.ID) {
 							out.replicaHoles++
 						}
 					}

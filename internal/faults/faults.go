@@ -100,13 +100,13 @@ func DriveComponent(name string) string   { return "drive:" + name }
 func NodeComponent(name string) string    { return "node:" + name }
 func VolumeComponent(label string) string { return "volume:" + label }
 func LinkComponent(name string) string    { return "link:" + name }
-func CellComponent(name string) string    { return "cell:" + name }
 
 // SiteComponent names a whole archive site. A site failure is the
-// compound disaster-recovery fault: the federation's dispatcher expands
-// it into cell, mover-node, and WAN-link failures for every component
-// the site owns, and the repair event reverses them all (the rejoin
-// that triggers replication catch-up).
+// compound disaster-recovery fault: the federation's dispatcher takes
+// the site's TSM server down and expands the event into mover-node and
+// WAN-link failures for every component the site owns, and the repair
+// event reverses them all (the rejoin that triggers replication
+// catch-up).
 func SiteComponent(name string) string { return "site:" + name }
 
 // TSMComponent is the single TSM server of a deployment.

@@ -171,9 +171,9 @@ func TestGenerateScheduleSiteKills(t *testing.T) {
 func TestComponentStatusSingleMechanism(t *testing.T) {
 	clock := simtime.NewClock()
 	r := New(clock, 1)
-	st := r.ComponentStatus(CellComponent("east"))
+	st := r.ComponentStatus(SiteComponent("east"))
 	st.SetDown(true)
-	if !st.Down() || !r.Down("cell:east") {
+	if !st.Down() || !r.Down("site:east") {
 		t.Error("status handle and registry disagree")
 	}
 	st.SetDown(false)

@@ -22,9 +22,9 @@ type env struct {
 	reg   *faults.Registry
 }
 
-// cellOptions sizes one test cell's plant: a 4-drive library, and an
+// siteOptions sizes one test site's plant: a 4-drive library, and an
 // archive file system whose metadata operations and scans are free.
-func cellOptions() archive.Options {
+func siteOptions() archive.Options {
 	opts := archive.DefaultOptions()
 	opts.TapeDrives, opts.Cartridges, opts.Robots = 4, 32, 1
 	opts.Archive.MetaOpCost = 0
@@ -32,19 +32,19 @@ func cellOptions() archive.Options {
 	return opts
 }
 
-// newEnv builds an n-cell federation, each cell a site-named plant
-// with its own movers and library.
+// newEnv builds an n-site federation, each site a plant with its own
+// movers and library.
 func newEnv(t *testing.T, n int) *env {
 	t.Helper()
 	clock := simtime.NewClock()
-	opts := cellOptions()
-	var cells []*Cell
+	opts := siteOptions()
+	var plants []*archive.System
 	for i := 0; i < n; i++ {
-		opts.Site = fmt.Sprintf("cell%d", i)
-		cells = append(cells, &Cell{Name: opts.Site, System: archive.New(clock, opts)})
+		opts.Site = fmt.Sprintf("site%d", i)
+		plants = append(plants, archive.New(clock, opts))
 	}
 	reg := faults.New(clock, 1)
-	fed, err := New(clock, reg, cells...)
+	fed, err := New(clock, reg, plants...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,21 +59,21 @@ func (e *env) run(t *testing.T, fn func()) {
 	}
 }
 
-// seedProject creates a project's files in its owning cell.
+// seedProject creates a project's files in its owning site.
 func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs.Info {
 	t.Helper()
-	cell := e.fed.CellFor("/" + project)
+	site := e.fed.SiteFor("/" + project)
 	root := "/" + project
-	if err := cell.Archive.MkdirAll(root); err != nil {
+	if err := site.Archive.MkdirAll(root); err != nil {
 		t.Fatal(err)
 	}
 	var infos []pfs.Info
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("%s/f%03d", root, i)
-		if err := cell.Archive.WriteFile(p, synthetic.NewUniform(uint64(i+1), size)); err != nil {
+		if err := site.Archive.WriteFile(p, synthetic.NewUniform(uint64(i+1), size)); err != nil {
 			t.Fatal(err)
 		}
-		info, _ := cell.Archive.Stat(p)
+		info, _ := site.Archive.Stat(p)
 		infos = append(infos, info)
 	}
 	return infos
@@ -81,28 +81,28 @@ func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs
 
 func TestNewRequiresCells(t *testing.T) {
 	clock := simtime.NewClock()
-	if _, err := New(clock, faults.New(clock, 1)); !errors.Is(err, ErrNoCells) {
-		t.Errorf("err = %v, want ErrNoCells", err)
+	if _, err := New(clock, faults.New(clock, 1)); !errors.Is(err, ErrNoSites) {
+		t.Errorf("err = %v, want ErrNoSites", err)
 	}
 }
 
 func TestRoutingIsStableAndProjectGranular(t *testing.T) {
 	e := newEnv(t, 3)
-	a := e.fed.CellFor("/projA/sub/file")
-	b := e.fed.CellFor("/projA/other/file2")
+	a := e.fed.SiteFor("/projA/sub/file")
+	b := e.fed.SiteFor("/projA/other/file2")
 	if a != b {
-		t.Error("same project routed to different cells")
+		t.Error("same project routed to different sites")
 	}
-	if e.fed.CellFor("/projA") != a {
+	if e.fed.SiteFor("/projA") != a {
 		t.Error("project root routed differently")
 	}
-	// With several projects, more than one cell gets used.
-	used := make(map[*Cell]bool)
+	// With several projects, more than one site gets used.
+	used := make(map[*Site]bool)
 	for i := 0; i < 20; i++ {
-		used[e.fed.CellFor(fmt.Sprintf("/proj%02d", i))] = true
+		used[e.fed.SiteFor(fmt.Sprintf("/proj%02d", i))] = true
 	}
 	if len(used) < 2 {
-		t.Error("all projects landed in one cell")
+		t.Error("all projects landed in one site")
 	}
 }
 
@@ -123,7 +123,7 @@ func TestMigrateAndRecallAcrossCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := 0
-		for _, r := range results.Cells {
+		for _, r := range results.Sites {
 			total += r.Files
 		}
 		if total != 20 {
@@ -134,7 +134,7 @@ func TestMigrateAndRecallAcrossCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		recalled := 0
-		for _, r := range rres.Cells {
+		for _, r := range rres.Sites {
 			recalled += r.Files
 		}
 		if recalled != 20 {
@@ -146,57 +146,43 @@ func TestMigrateAndRecallAcrossCells(t *testing.T) {
 func TestCellFailureIsPartial(t *testing.T) {
 	e := newEnv(t, 2)
 	e.run(t, func() {
-		// Find two projects owned by different cells.
-		var projA, projB string
-		for i := 0; projB == "" && i < 100; i++ {
-			p := fmt.Sprintf("proj%02d", i)
-			if projA == "" {
-				projA = p
-				continue
-			}
-			if e.fed.CellFor("/"+p) != e.fed.CellFor("/"+projA) {
-				projB = p
-			}
-		}
-		if projB == "" {
-			t.Skip("hash put all probes in one cell")
-		}
+		projA, projB := e.twoProjects(t)
 		infosA := e.seedProject(t, projA, 3, 100e6)
 		infosB := e.seedProject(t, projB, 3, 100e6)
 		if _, err := e.fed.Migrate(append(infosA, infosB...), hsm.MigrateOptions{}); err != nil {
 			t.Fatal(err)
 		}
 
-		// Kill projB's cell: the paper's single-server design loses
+		// Kill projB's site: the paper's single-server design loses
 		// everything; the federation keeps projA fully usable.
-		e.fed.CellFor("/" + projB).SetDown(true)
+		e.fed.SiteFor("/" + projB).SetDown(true)
 		if len(e.fed.HealthySlice()) != 1 {
 			t.Errorf("healthy = %v", e.fed.HealthySlice())
 		}
-		if _, err := e.fed.Stat(infosB[0].Path); !errors.Is(err, ErrCellDown) {
-			t.Errorf("stat in down cell: %v", err)
+		if _, err := e.fed.Stat(infosB[0].Path); !errors.Is(err, ErrSiteDown) {
+			t.Errorf("stat in down site: %v", err)
 		}
 		rres, err := e.fed.Recall([]string{infosA[0].Path, infosB[0].Path}, hsm.RecallOrdered)
-		if !errors.Is(err, ErrCellDown) {
-			t.Errorf("recall err = %v, want ErrCellDown", err)
+		if !errors.Is(err, ErrSiteDown) {
+			t.Errorf("recall err = %v, want ErrSiteDown", err)
 		}
 		recalled := 0
-		for _, r := range rres.Cells {
+		for _, r := range rres.Sites {
 			recalled += r.Files
 		}
 		if recalled != 1 {
-			t.Errorf("healthy cell recalled %d, want 1", recalled)
+			t.Errorf("healthy site recalled %d, want 1", recalled)
 		}
-		downCell := e.fed.CellFor("/" + projB)
-		if got := rres.Skipped[downCell.Name]; len(got) != 1 || got[0] != infosB[0].Path {
-			t.Errorf("Skipped[%s] = %v, want [%s]", downCell.Name, got, infosB[0].Path)
+		down := e.fed.SiteFor("/" + projB)
+		if got := rres.Skipped[down.Name]; len(got) != 1 || got[0] != infosB[0].Path {
+			t.Errorf("Skipped[%s] = %v, want [%s]", down.Name, got, infosB[0].Path)
 		}
 		if rres.SkippedCount() != 1 {
 			t.Errorf("SkippedCount = %d, want 1", rres.SkippedCount())
 		}
 
 		// Revive and everything works again.
-		e.fed.CellFor("/" + projB).SetDown(false)
+		down.SetDown(false)
 		if _, err := e.fed.Stat(infosB[0].Path); err != nil {
 			t.Errorf("stat after revive: %v", err)
 		}
@@ -204,10 +190,10 @@ func TestCellFailureIsPartial(t *testing.T) {
 }
 
 func TestPartitionedPathQueriesScanLess(t *testing.T) {
-	// The unindexed TSM path scan is 1/N the cost when each cell holds
+	// The unindexed TSM path scan is 1/N the cost when each site holds
 	// 1/N of the objects.
-	scanTime := func(cells int) time.Duration {
-		e := newEnv(t, cells)
+	scanTime := func(sites int) time.Duration {
+		e := newEnv(t, sites)
 		var elapsed time.Duration
 		e.run(t, func() {
 			var all []pfs.Info
@@ -231,7 +217,7 @@ func TestPartitionedPathQueriesScanLess(t *testing.T) {
 	one := scanTime(1)
 	four := scanTime(4)
 	if four*2 > one {
-		t.Errorf("4-cell queries (%v) should be much cheaper than 1-cell (%v)", four, one)
+		t.Errorf("4-site queries (%v) should be much cheaper than 1-site (%v)", four, one)
 	}
 }
 
@@ -242,57 +228,57 @@ func TestShadowLookupRoutes(t *testing.T) {
 		if _, err := e.fed.Migrate(infos, hsm.MigrateOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		// The shadow row lands in the owning cell's database only.
-		owner := e.fed.CellFor(infos[0].Path)
-		for _, c := range e.fed.Cells() {
-			rec, err := c.Shadow.ByPath(infos[0].Path)
-			if c == owner && (err != nil || rec.Volume == "") {
-				t.Errorf("owner %s: ByPath = %+v, %v", c.Name, rec, err)
+		// The shadow row lands in the owning site's database only.
+		owner := e.fed.SiteFor(infos[0].Path)
+		for _, s := range e.fed.Sites() {
+			rec, err := s.Shadow.ByPath(infos[0].Path)
+			if s == owner && (err != nil || rec.Volume == "") {
+				t.Errorf("owner %s: ByPath = %+v, %v", s.Name, rec, err)
 			}
-			if c != owner && err == nil {
-				t.Errorf("cell %s holds a shadow row for a path %s owns", c.Name, owner.Name)
+			if s != owner && err == nil {
+				t.Errorf("site %s holds a shadow row for a path %s owns", s.Name, owner.Name)
 			}
 		}
 	})
 }
 
-// Cell health lives in the registry New binds.
+// Site health lives in the registry New binds.
 func TestBindFaultsDrivesCellHealth(t *testing.T) {
 	e := newEnv(t, 3)
 	reg := e.reg
-	cell := e.fed.Cells()[1]
-	comp := faults.CellComponent(cell.Name)
-	// A scheduled outage window takes the cell down and back up.
+	site := e.fed.Sites()[1]
+	comp := faults.SiteComponent(site.Name)
+	// A scheduled outage window takes the site down and back up.
 	reg.Window(comp, 10*time.Second, 20*time.Second)
 	e.run(t, func() {
-		if cell.Down() {
-			t.Error("cell down before the scheduled outage")
+		if site.Down() {
+			t.Error("site down before the scheduled outage")
 		}
 		e.clock.Sleep(15 * time.Second)
-		if !cell.Down() {
-			t.Error("cell up during the scheduled outage")
+		if !site.Down() {
+			t.Error("site up during the scheduled outage")
 		}
 		if len(e.fed.HealthySlice()) != 2 {
-			t.Errorf("healthy = %v, want 2 cells", e.fed.HealthySlice())
+			t.Errorf("healthy = %v, want 2 sites", e.fed.HealthySlice())
 		}
 		e.clock.Sleep(20 * time.Second)
-		if cell.Down() {
-			t.Error("cell still down after the repair event")
+		if site.Down() {
+			t.Error("site still down after the repair event")
 		}
 	})
 }
 
 // TestFanOutIsDeterministic runs the same federated campaign several
 // times in fresh environments and demands bit-identical outcomes —
-// the virtual end time included. Before the cells were sorted at spawn
-// time, ranging the map[*Cell] seeded the engines' actors in a
-// different order each run and broke the simulator's bit-exact
-// determinism contract.
+// the virtual end time included. Ranging a map of shares at spawn
+// time would seed the engines' actors in a different order each run
+// and break the simulator's bit-exact determinism contract; fanOut
+// spawns in site order.
 func TestFanOutIsDeterministic(t *testing.T) {
 	type runResult struct {
 		elapsed  simtime.Duration
-		migrated MigrateOutcome
-		recalled RecallOutcome
+		migrated Outcome[hsm.MigrateResult]
+		recalled Outcome[hsm.RecallResult]
 	}
 	campaign := func() runResult {
 		e := newEnv(t, 4)
@@ -335,92 +321,90 @@ func TestFanOutIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSkippedSurfacesBeforeAndAfterBindFaults drives the down-cell
+// TestSkippedSurfacesBeforeAndAfterBindFaults drives the down-site
 // path through the registry: a SetDown lands there, Migrate skips the
-// cell's files and names them, and after repair the skip list requeues
+// site's files and names them, and after repair the skip list requeues
 // without loss.
 func TestSkippedSurfacesBeforeAndAfterBindFaults(t *testing.T) {
 	e := newEnv(t, 2)
 	e.run(t, func() {
-		var projA, projB string
-		for i := 0; projB == "" && i < 100; i++ {
-			p := fmt.Sprintf("proj%02d", i)
-			if projA == "" {
-				projA = p
-				continue
-			}
-			if e.fed.CellFor("/"+p) != e.fed.CellFor("/"+projA) {
-				projB = p
-			}
-		}
-		if projB == "" {
-			t.Skip("hash put all probes in one cell")
-		}
+		projA, projB := e.twoProjects(t)
 		infosA := e.seedProject(t, projA, 2, 1e6)
 		infosB := e.seedProject(t, projB, 2, 1e6)
-		downCell := e.fed.CellFor("/" + projB)
+		down := e.fed.SiteFor("/" + projB)
 
-		downCell.SetDown(true)
-		if !e.reg.Down(faults.CellComponent(downCell.Name)) {
+		down.SetDown(true)
+		if !e.reg.Down(faults.SiteComponent(down.Name)) {
 			t.Fatal("registry did not see the SetDown")
 		}
 		out, err := e.fed.Migrate(append(infosA, infosB...), hsm.MigrateOptions{})
-		if !errors.Is(err, ErrCellDown) {
-			t.Fatalf("migrate err = %v, want ErrCellDown", err)
+		if !errors.Is(err, ErrSiteDown) {
+			t.Fatalf("migrate err = %v, want ErrSiteDown", err)
 		}
-		if got := out.Skipped[downCell.Name]; len(got) != 2 {
-			t.Errorf("Skipped[%s] = %v, want both projB files", downCell.Name, got)
+		if got := out.Skipped[down.Name]; len(got) != 2 {
+			t.Errorf("Skipped[%s] = %v, want both projB files", down.Name, got)
 		}
 		if want := []string{infosB[0].Path, infosB[1].Path}; !reflect.DeepEqual(out.SkippedPaths(), want) {
 			t.Errorf("SkippedPaths = %v, want %v", out.SkippedPaths(), want)
 		}
 		// Requeue the skip list after repair: nothing is lost.
-		downCell.SetDown(false)
+		down.SetDown(false)
 		var requeue []pfs.Info
 		for _, p := range out.SkippedPaths() {
-			info, err := downCell.Archive.Stat(p)
+			info, err := down.Archive.Stat(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requeue = append(requeue, info)
 		}
 		out2, err := e.fed.Migrate(requeue, hsm.MigrateOptions{})
-		if err != nil || out2.Cells[downCell.Name].Files != 2 {
-			t.Errorf("requeue migrated %d files (err %v), want 2", out2.Cells[downCell.Name].Files, err)
+		if err != nil || out2.Sites[down.Name].Files != 2 {
+			t.Errorf("requeue migrated %d files (err %v), want 2", out2.Sites[down.Name].Files, err)
 		}
 	})
 }
 
 // TestCellComponentRoundTrip pins the component-name contract the
-// dispatcher prefixes rely on.
+// dispatcher's site: prefix relies on.
 func TestCellComponentRoundTrip(t *testing.T) {
-	for _, name := range []string{"cell0", "a-b.c", ""} {
-		comp := faults.CellComponent(name)
-		if !strings.HasPrefix(comp, "cell:") {
-			t.Fatalf("CellComponent(%q) = %q, want cell: prefix", name, comp)
+	for _, name := range []string{"site0", "a-b.c", ""} {
+		comp := faults.SiteComponent(name)
+		if !strings.HasPrefix(comp, "site:") {
+			t.Fatalf("SiteComponent(%q) = %q, want site: prefix", name, comp)
 		}
-		if got := strings.TrimPrefix(comp, "cell:"); got != name {
+		if got := strings.TrimPrefix(comp, "site:"); got != name {
 			t.Errorf("round trip of %q via %q gave %q", name, comp, got)
 		}
-	}
-	if faults.SiteComponent("s") != "site:s" {
-		t.Errorf("SiteComponent = %q, want site:s", faults.SiteComponent("s"))
 	}
 }
 
 func TestSetDownRoutesThroughRegistry(t *testing.T) {
 	e := newEnv(t, 2)
 	reg := e.reg
-	cell := e.fed.Cells()[1]
-	cell.SetDown(true)
-	if !reg.Down(faults.CellComponent(cell.Name)) {
+	site := e.fed.Sites()[1]
+	site.SetDown(true)
+	if !reg.Down(faults.SiteComponent(site.Name)) {
 		t.Error("SetDown did not reach the registry")
 	}
 	if n := len(reg.Log()); n != 1 {
 		t.Errorf("registry log has %d events, want 1", n)
 	}
-	cell.SetDown(false)
-	if cell.Down() {
+	site.SetDown(false)
+	if site.Down() {
 		t.Error("repair via SetDown not visible")
 	}
+}
+
+// twoProjects finds two projects owned by different sites.
+func (e *env) twoProjects(t *testing.T) (string, string) {
+	t.Helper()
+	projA := "proj00"
+	for i := 1; i < 100; i++ {
+		p := fmt.Sprintf("proj%02d", i)
+		if e.fed.SiteFor("/"+p) != e.fed.SiteFor("/"+projA) {
+			return projA, p
+		}
+	}
+	t.Skip("hash put all probes in one site")
+	return "", ""
 }

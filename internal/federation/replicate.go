@@ -1,14 +1,14 @@
 // Async cross-site replication and disaster-recovery failover. Every
-// object a cell's HSM engine lands on tape is offered to the
+// object a site's HSM engine lands on tape is offered to the
 // replicator (hsm.Engine.OnStored), which fans it out to N-1 other
 // sites under a placement policy. Each destination site has its own
 // queue and worker actor: the worker resolves a WAN route around dead
 // links, charges the transfer against the WAN fabric, and lands the
-// bytes in the destination cell's copy pool (tsm.StoreReplica).
+// bytes in the destination site's copy pool (tsm.StoreReplica).
 // Transient trouble retries under the shared bounded-exponential
 // backoff; when the budget is exhausted — a partition, a dead site —
 // the item PARKS in a per-site backlog and waits for the repair event
-// to kick it (catch-up drain). StoreReplica's (cell, ID) idempotency
+// to kick it (catch-up drain). StoreReplica's (site, ID) idempotency
 // makes the whole pipeline exactly-once no matter how often an item
 // re-offers.
 //
@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -59,15 +58,12 @@ type ReplicationPolicy struct {
 // park→kick→park forever against a destination that never truly heals.
 const maxParkKicks = 8
 
-// repItem is one pending replica: obj from homeCell (on homeSite) to
-// dest.
+// repItem is one pending replica: obj from its home site to dest.
 type repItem struct {
-	homeSite *Site
-	homeCell *Cell
-	dest     *Site
-	obj      tsm.Object
-	storedAt simtime.Duration // when the primary landed; RPO base
-	kicks    int              // park→kick round trips consumed so far
+	home, dest *Site
+	obj        tsm.Object
+	storedAt   simtime.Duration // when the primary landed; RPO base
+	kicks      int              // park→kick round trips consumed so far
 }
 
 // CatalogEntry is the replicator's federation-wide record of one
@@ -77,13 +73,12 @@ type repItem struct {
 // gone.
 type CatalogEntry struct {
 	HomeSite string
-	HomeCell string
 	Object   tsm.Object
 	Sites    []string // sites with a confirmed replica, in landing order
 }
 
 // Replicator is the federation's async replication engine: one queue
-// and one worker actor per destination site, fed by every cell
+// and one worker actor per destination site, fed by every site
 // engine's OnStored hook.
 type Replicator struct {
 	clock *simtime.Clock
@@ -109,15 +104,12 @@ type Replicator struct {
 	ctrFail    *telemetry.Counter
 }
 
-// NewReplicator wires a replicator into a multi-site federation:
-// every cell engine's stored objects flow to Copies-1 other sites from
-// now on. retry is the per-item WAN backoff budget (zero value =
+// NewReplicator wires a replicator into a federation: every site
+// engine's stored objects flow to Copies-1 other sites from now on.
+// retry is the per-item WAN backoff budget (zero value =
 // faults.DefaultBackoff). Workers spawn immediately, one per site, in
 // site order.
 func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff) (*Replicator, error) {
-	if len(fed.sites) == 0 {
-		return nil, fmt.Errorf("federation: replication needs a multi-site federation")
-	}
 	if pol.Copies < 2 {
 		return nil, fmt.Errorf("federation: replication policy needs Copies >= 2, got %d", pol.Copies)
 	}
@@ -153,11 +145,7 @@ func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff)
 			return float64(q.Len() + len(r.parked[site.Name]))
 		}, "site", site.Name)
 		fed.clock.Go(func() { r.worker(site, q) })
-	}
-	for _, cell := range fed.cells {
-		cell := cell
-		site := fed.siteOf[cell]
-		cell.HSM.OnStored(func(obj tsm.Object) { r.offer(site, cell, obj) })
+		site.HSM.OnStored(func(obj tsm.Object) { r.offer(site, obj) })
 	}
 	fed.rep = r
 	return r, nil
@@ -185,25 +173,19 @@ func (r *Replicator) Close() {
 }
 
 // offer records the object in the DR catalog and enqueues one replica
-// task per placement. Runs inside the mover's actor: enqueue only.
-func (r *Replicator) offer(home *Site, cell *Cell, obj tsm.Object) {
+// task per placement. A path migrated again gets a fresh entry for its
+// new object, so the catalog always names the newest copy. Runs inside
+// the mover's actor: enqueue only.
+func (r *Replicator) offer(home *Site, obj tsm.Object) {
 	if r.closed {
 		return
 	}
-	ent := r.catalog[obj.Path]
-	if ent == nil {
-		ent = &CatalogEntry{HomeSite: home.Name, HomeCell: cell.Name, Object: obj}
-		r.catalog[obj.Path] = ent
+	if ent := r.catalog[obj.Path]; ent == nil || ent.Object.ID != obj.ID {
+		r.catalog[obj.Path] = &CatalogEntry{HomeSite: home.Name, Object: obj}
 	}
 	for _, dest := range r.placements(home) {
 		r.pending++
-		r.queues[dest.Name].Push(repItem{
-			homeSite: home,
-			homeCell: cell,
-			dest:     dest,
-			obj:      obj,
-			storedAt: r.clock.Now(),
-		})
+		r.queues[dest.Name].Push(repItem{home: home, dest: dest, obj: obj, storedAt: r.clock.Now()})
 	}
 }
 
@@ -218,23 +200,7 @@ func (r *Replicator) placements(home *Site) []*Site {
 			cands = append(cands, s)
 		}
 	}
-	hops := make(map[*Site]int, len(cands))
-	for _, s := range cands {
-		// Static distance on the full topology: placement must not
-		// flap with transient faults.
-		p, err := fabric.Of(r.clock).RouteAvoid(home.Endpoint(), s.Endpoint(), nil)
-		if err != nil {
-			hops[s] = 1 << 20
-			continue
-		}
-		hops[s] = len(p.Names())
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if hops[cands[i]] != hops[cands[j]] {
-			return hops[cands[i]] < hops[cands[j]]
-		}
-		return cands[i].Name < cands[j].Name
-	})
+	cands = r.fed.nearest(home, cands, false)
 	n := r.pol.Copies - 1
 	if n > len(cands) {
 		n = len(cands)
@@ -282,7 +248,7 @@ func (r *Replicator) replicate(item repItem) {
 	})
 	defer grant.Done()
 	sp := r.tel.StartSpan("federation.replicate",
-		"path", item.obj.Path, "home", item.homeSite.Name, "to", item.dest.Name)
+		"path", item.obj.Path, "home", item.home.Name, "to", item.dest.Name)
 	err := r.defense.Do("wan:"+item.dest.Name, r.retry, func(attempt int) error {
 		if attempt > 1 {
 			r.ctrRetries.Inc()
@@ -290,7 +256,7 @@ func (r *Replicator) replicate(item repItem) {
 		if item.dest.Down() {
 			return fmt.Errorf("%w: %s is down", errUnreachable, item.dest.Name)
 		}
-		src, srcCell := r.pickSource(item)
+		src := r.pickSource(item)
 		if src == nil {
 			return fmt.Errorf("%w: no live source for %s", errUnreachable, item.obj.Path)
 		}
@@ -302,8 +268,7 @@ func (r *Replicator) replicate(item repItem) {
 			fl := route.Fabric().Start(route, item.obj.Bytes)
 			fl.Wait()
 		}
-		destCell := item.dest.CellFor(item.obj.Path)
-		return destCell.TSM.StoreReplica("rep:"+srcCell.Name, item.homeCell.Name, item.obj, sp)
+		return item.dest.TSM.StoreReplica("rep:"+src.Name, item.home.Name, item.obj, sp)
 	}, repRetryable)
 	if err != nil {
 		cause, _ := r.tel.LastEventFor(faults.SiteComponent(item.dest.Name))
@@ -327,34 +292,40 @@ func (r *Replicator) replicate(item repItem) {
 	r.ctrBytes.Add(float64(item.obj.Bytes))
 	lag := (r.clock.Now() - item.storedAt).Seconds()
 	r.hLag.Observe(lag)
-	ent := r.catalog[item.obj.Path]
-	ent.Sites = append(ent.Sites, item.dest.Name)
+	// A replica of a path's older object lands but is not recorded: the
+	// catalog names the newest object only.
+	if ent := r.catalog[item.obj.Path]; ent.Object.ID == item.obj.ID {
+		ent.Sites = append(ent.Sites, item.dest.Name)
+	}
 	sp.SetAttr("lag", fmt.Sprintf("%.1fs", lag))
 	sp.End()
 }
 
-// pickSource returns a live site (and its serving cell) to read the
-// object from: home first, else any site with a confirmed replica, in
-// landing order.
-func (r *Replicator) pickSource(item repItem) (*Site, *Cell) {
-	if !item.homeSite.Down() && !item.homeCell.Down() {
-		return item.homeSite, item.homeCell
+// pickSource returns a live site to read the object from: home first,
+// else the first live holder of a confirmed replica, in landing order.
+func (r *Replicator) pickSource(item repItem) *Site {
+	if !item.home.Down() {
+		return item.home
 	}
-	ent := r.catalog[item.obj.Path]
-	if ent == nil {
-		return nil, nil
+	if ent := r.catalog[item.obj.Path]; ent.Object.ID == item.obj.ID {
+		if hs := r.holders(ent); len(hs) > 0 {
+			return hs[0]
+		}
 	}
+	return nil
+}
+
+// holders lists the live sites that hold a confirmed replica of the
+// entry's object, in landing order.
+func (r *Replicator) holders(ent *CatalogEntry) []*Site {
+	var out []*Site
 	for _, name := range ent.Sites {
 		s, err := r.fed.SiteByName(name)
-		if err != nil || s.Down() {
-			continue
-		}
-		c := s.CellFor(item.obj.Path)
-		if !c.Down() && c.TSM.HasReplica(item.homeCell.Name, item.obj.ID) {
-			return s, c
+		if err == nil && !s.Down() && s.TSM.HasReplica(ent.HomeSite, ent.Object.ID) {
+			out = append(out, s)
 		}
 	}
-	return nil, nil
+	return out
 }
 
 // retirePermanently counts one retired item and registers the
@@ -419,35 +390,12 @@ func (r *Replicator) FailoverRecall(to *Site, path string) (tsm.Replica, error) 
 	if ent == nil {
 		return tsm.Replica{}, fmt.Errorf("%w: %s", ErrNotCataloged, path)
 	}
-	// Candidate replica sites, nearest to the requester first.
-	var cands []*Site
-	for _, name := range ent.Sites {
-		s, err := r.fed.SiteByName(name)
-		if err != nil || s.Down() {
-			continue
-		}
-		c := s.CellFor(path)
-		if !c.Down() && c.TSM.HasReplica(ent.HomeCell, ent.Object.ID) {
-			cands = append(cands, s)
-		}
-	}
+	// Candidate replica sites, nearest to the requester first on the
+	// live WAN topology.
+	cands := r.fed.nearest(to, r.holders(ent), true)
 	if len(cands) == 0 {
 		return tsm.Replica{}, fmt.Errorf("%w: %s (home %s)", ErrNoReplica, path, ent.HomeSite)
 	}
-	hops := make(map[*Site]int, len(cands))
-	for _, s := range cands {
-		h := r.fed.HopDistance(s, to)
-		if h < 0 {
-			h = 1 << 20
-		}
-		hops[s] = h
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if hops[cands[i]] != hops[cands[j]] {
-			return hops[cands[i]] < hops[cands[j]]
-		}
-		return cands[i].Name < cands[j].Name
-	})
 	var lastErr error
 	for _, src := range cands {
 		sp := r.tel.StartSpan("federation.failover-recall",
@@ -463,8 +411,7 @@ func (r *Replicator) FailoverRecall(to *Site, path string) (tsm.Replica, error) 
 			lastErr = err
 			continue
 		}
-		cell := src.CellFor(path)
-		rep, err := cell.TSM.ReadReplica("dr:"+to.Name, ent.HomeCell, ent.Object.ID, route, sp)
+		rep, err := src.TSM.ReadReplica("dr:"+to.Name, ent.HomeSite, ent.Object.ID, route, sp)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
 			lastErr = err

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/hsm"
+	"repro/internal/pfs"
+	"repro/internal/synthetic"
 	"repro/internal/telemetry"
 )
 
@@ -32,7 +34,7 @@ func TestReplicationFansOutToOtherSites(t *testing.T) {
 			t.Fatalf("backlog never drained: %d pending", rep.Pending())
 		}
 		for _, other := range e.sites[1:] {
-			srv := other.Cells[0].TSM
+			srv := other.TSM
 			if srv.NumReplicas() != 4 {
 				t.Errorf("site %s holds %d replicas, want 4", other.Name, srv.NumReplicas())
 			}
@@ -41,7 +43,7 @@ func TestReplicationFansOutToOtherSites(t *testing.T) {
 				if ent == nil {
 					t.Fatalf("no catalog entry for %s", info.Path)
 				}
-				if !srv.HasReplica(ent.HomeCell, ent.Object.ID) {
+				if !srv.HasReplica(ent.HomeSite, ent.Object.ID) {
 					t.Errorf("site %s missing replica of %s", other.Name, info.Path)
 				}
 			}
@@ -77,8 +79,8 @@ func TestReplicationParksDuringOutageAndCatchesUp(t *testing.T) {
 		if rep.DrainWithin(time.Hour) {
 			t.Fatal("drain reported complete with a destination site dead")
 		}
-		if e.sites[1].Cells[0].TSM.NumReplicas() != 3 {
-			t.Errorf("healthy site holds %d replicas, want 3", e.sites[1].Cells[0].TSM.NumReplicas())
+		if e.sites[1].TSM.NumReplicas() != 3 {
+			t.Errorf("healthy site holds %d replicas, want 3", e.sites[1].TSM.NumReplicas())
 		}
 		if e.count("federation_replication_parked_total") == 0 {
 			t.Error("no park events during the outage")
@@ -96,7 +98,7 @@ func TestReplicationParksDuringOutageAndCatchesUp(t *testing.T) {
 		if !rep.DrainWithin(2 * time.Hour) {
 			t.Fatalf("catch-up never drained: %d pending", rep.Pending())
 		}
-		if got := victim.Cells[0].TSM.NumReplicas(); got != 3 {
+		if got := victim.TSM.NumReplicas(); got != 3 {
 			t.Errorf("rejoined site holds %d replicas, want 3 (exactly once)", got)
 		}
 		rep.Close()
@@ -122,8 +124,8 @@ func TestFailoverRecallServesFromNearestReplica(t *testing.T) {
 		// failover recall serves them from the replica site.
 		e.reg.Apply(faults.Event{Component: faults.SiteComponent(home.Name), Kind: faults.KindFail})
 		out, err := e.fed.Recall([]string{infos[0].Path}, hsm.RecallOrdered)
-		if !errors.Is(err, ErrCellDown) || out.SkippedCount() != 1 {
-			t.Fatalf("normal recall: err=%v skipped=%d, want ErrCellDown/1", err, out.SkippedCount())
+		if !errors.Is(err, ErrSiteDown) || out.SkippedCount() != 1 {
+			t.Fatalf("normal recall: err=%v skipped=%d, want ErrSiteDown/1", err, out.SkippedCount())
 		}
 		for _, info := range infos {
 			r, err := rep.FailoverRecall(portal, info.Path)
@@ -170,10 +172,6 @@ func TestFailoverRecallServesFromNearestReplica(t *testing.T) {
 }
 
 func TestReplicatorRequiresMultiSiteAndPolicy(t *testing.T) {
-	e := newEnv(t, 2) // single-site federation
-	if _, err := NewReplicator(e.fed, ReplicationPolicy{Copies: 2}, faults.Backoff{}); err == nil {
-		t.Error("replicator accepted a single-site federation")
-	}
 	se := newSiteEnv(t, 2)
 	if _, err := NewReplicator(se.fed, ReplicationPolicy{Copies: 1}, faults.Backoff{}); err == nil {
 		t.Error("replicator accepted Copies < 2")
@@ -224,8 +222,59 @@ func TestParkKickCycleIsBounded(t *testing.T) {
 		if rep.DrainWithin(30 * time.Minute) {
 			t.Fatal("drain completed; permanently parked items must stay pending")
 		}
-		if got := victim.Cells[0].TSM.NumReplicas(); got != 0 {
+		if got := victim.TSM.NumReplicas(); got != 0 {
 			t.Errorf("retired items landed %d replicas on the healed site", got)
+		}
+		rep.Close()
+	})
+}
+
+// TestFailoverRecallServesNewestObject migrates a path, recalls it,
+// rewrites it and migrates it again, then kills the home site: the DR
+// catalog must name the second object, record its replica site once,
+// and serve the rewritten bytes — never the first object's stale copy.
+func TestFailoverRecallServesNewestObject(t *testing.T) {
+	e := newSiteEnv(t, 3)
+	rep, err := NewReplicator(e.fed, ReplicationPolicy{Copies: 2}, faults.Backoff{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, portal := e.sites[0], e.sites[2]
+	e.run(t, func() {
+		info := e.seed(t, home, 1, 50e6)[0]
+		if _, err := e.fed.Migrate([]pfs.Info{info}, hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		first := rep.Catalog(info.Path).Object.ID
+		if _, err := e.fed.Recall([]string{info.Path}, hsm.RecallOrdered); err != nil {
+			t.Fatal(err)
+		}
+		rewritten := synthetic.NewUniform(99, 80e6)
+		if err := home.Archive.WriteFile(info.Path, rewritten); err != nil {
+			t.Fatal(err)
+		}
+		info2, _ := home.Archive.Stat(info.Path)
+		if _, err := e.fed.Migrate([]pfs.Info{info2}, hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.DrainWithin(2 * time.Hour) {
+			t.Fatal("replication never drained")
+		}
+		ent := rep.Catalog(info.Path)
+		if ent.Object.ID == first {
+			t.Fatalf("catalog still names object %d after the path was migrated again", first)
+		}
+		if len(ent.Sites) != 1 {
+			t.Errorf("catalog sites = %v, want the one replica site once", ent.Sites)
+		}
+		e.reg.Apply(faults.Event{Component: faults.SiteComponent(home.Name), Kind: faults.KindFail})
+		r, err := rep.FailoverRecall(portal, info.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ID != ent.Object.ID || r.Bytes != rewritten.Len() {
+			t.Errorf("failover served object %d (%d bytes), want object %d (%d bytes)",
+				r.ID, r.Bytes, ent.Object.ID, rewritten.Len())
 		}
 		rep.Close()
 	})

@@ -1,26 +1,23 @@
-// Multi-site federation: a Site groups cells — each with its own
-// archive file system, TSM server, and tape library — behind a WAN
-// endpoint, and sites are joined by named, bandwidth-capped fabric
-// links. This is the disaster-recovery layer ROADMAP item 2 asks for:
-// replication crosses the WAN links (replicate.go), a whole site is a
-// single fault-injection target ("site:<name>", the compound fault
-// that downs its cells, mover nodes, and WAN trunks together), and
-// route selection walks around dead links so surviving sites keep
-// talking during a partition.
+// Multi-site federation: each Site is one archive plant — its archive
+// file system, TSM server, tape library and mover machines — behind a
+// WAN endpoint, and sites are joined by named, bandwidth-capped fabric
+// links. This is the disaster-recovery layer: replication crosses the
+// WAN links (replicate.go), a whole site is a single fault-injection
+// target ("site:<name>", the compound fault that downs its TSM server,
+// mover nodes, and WAN trunks together), and route selection walks
+// around dead links so surviving sites keep talking during a partition.
 
 package federation
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"sort"
 	"strings"
 
 	"repro/internal/archive"
-	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/faults"
-	"repro/internal/simtime"
 )
 
 // Multi-site errors.
@@ -28,34 +25,19 @@ var (
 	// ErrNoRoute means every WAN path between two sites crosses a dead
 	// link — the partition case replication parks on.
 	ErrNoRoute = errors.New("federation: no WAN route")
-	// ErrNoSite means a cell or name resolves to no known site.
+	// ErrNoSite means a name resolves to no known site.
 	ErrNoSite = errors.New("federation: no such site")
 )
 
-// Site is one archive installation: the cells it hosts and the mover
-// machines they run on, reachable from other sites only through WAN
-// links attached to its endpoint.
+// Site is one archive plant under its federation-wide name (the plant's
+// Options.Site), reachable from other sites only through WAN links
+// attached to its endpoint.
 type Site struct {
-	Name  string
-	Cells []*Cell
-	// Nodes are the mover machines the site owns. A site kill downs
-	// them with the cells, so in-flight migrations on the dead site
-	// requeue instead of quietly finishing on ghost hardware.
-	Nodes []*cluster.Node
+	Name string
+	*archive.System
 
-	// status is the site's health in the fault registry, bound by
-	// NewMultiSite.
+	// status is the site's health in the fault registry, bound by New.
 	status *faults.Status
-}
-
-// NewSite assembles a site over its cells; the site's mover nodes are
-// its cells' cluster machines.
-func NewSite(name string, cells ...*Cell) *Site {
-	s := &Site{Name: name, Cells: cells}
-	for _, c := range cells {
-		s.Nodes = append(s.Nodes, c.Cluster.Nodes()...)
-	}
-	return s
 }
 
 // Endpoint names the site's WAN attachment point in the fabric.
@@ -65,54 +47,17 @@ func (s *Site) Endpoint() string { return "wan:" + s.Name }
 func (s *Site) Down() bool { return s.status.Down() }
 
 // SetDown fails or revives the whole site. It routes through the fault
-// registry, so once Federation.InstallFaults has subscribed the
-// dispatcher the compound expansion — cells, nodes, WAN links — runs
-// exactly as for a scheduled site kill.
+// registry, so the event lands in the registry's log and reaches its
+// subscribers like any other injected fault; once
+// Federation.InstallFaults has subscribed the dispatcher, the compound
+// expansion — TSM server, nodes, WAN links — runs exactly as for a
+// scheduled site kill.
 func (s *Site) SetDown(down bool) { s.status.SetDown(down) }
-
-// CellFor routes a path to the site-local cell that stores replicas
-// for it, with the same top-component hash the federation uses for
-// primary placement — deterministic, so the failover path recomputes
-// the very cell the replicator picked.
-func (s *Site) CellFor(path string) *Cell {
-	h := fnv.New32a()
-	h.Write([]byte(topComponent(path)))
-	return s.Cells[int(h.Sum32())%len(s.Cells)]
-}
 
 // wanLink records one inter-site trunk.
 type wanLink struct {
 	name string
 	a, b *Site
-	link *fabric.Link
-}
-
-// NewMultiSite assembles a federation over several sites: the cells of
-// every site, in site order, form the federated namespace, and each
-// site's and cell's health binds to reg ("site:<name>",
-// "cell:<name>"). Join the sites with AddWANLink before replicating or
-// routing across them, and call InstallFaults to react to events.
-func NewMultiSite(clock *simtime.Clock, reg *faults.Registry, sites ...*Site) (*Federation, error) {
-	if len(sites) == 0 {
-		return nil, ErrNoCells
-	}
-	var cells []*Cell
-	siteOf := make(map[*Cell]*Site)
-	for _, s := range sites {
-		s.status = reg.ComponentStatus(faults.SiteComponent(s.Name))
-		for _, c := range s.Cells {
-			cells = append(cells, c)
-			siteOf[c] = s
-		}
-	}
-	f, err := New(clock, reg, cells...)
-	if err != nil {
-		return nil, err
-	}
-	f.sites = sites
-	f.siteOf = siteOf
-	f.wanDown = make(map[string]bool)
-	return f, nil
 }
 
 // SiteByName resolves a site.
@@ -132,8 +77,13 @@ func (f *Federation) SiteByName(name string) (*Site, error) {
 // fabric).
 func (f *Federation) AddWANLink(name string, rate float64, a, b *Site) *fabric.Link {
 	l := fabric.Of(f.clock).AddLink(name, rate, a.Endpoint(), b.Endpoint())
-	f.wan = append(f.wan, &wanLink{name: l.Name(), a: a, b: b, link: l})
+	f.wan = append(f.wan, &wanLink{name: l.Name(), a: a, b: b})
 	return l
+}
+
+// linkDown reports whether the fault registry holds a link as failed.
+func (f *Federation) linkDown(l *fabric.Link) bool {
+	return f.reg.Down(faults.LinkComponent(l.Name()))
 }
 
 // WANRoute resolves the fewest-hop WAN path between two sites that
@@ -142,77 +92,76 @@ func (f *Federation) AddWANLink(name string, rate float64, a, b *Site) *fabric.L
 // backlog, not stall an actor on a 1%-speed trunk for days of virtual
 // time. Same-site routes are empty (and free).
 func (f *Federation) WANRoute(from, to *Site) (fabric.Path, error) {
-	p, err := fabric.Of(f.clock).RouteAvoid(from.Endpoint(), to.Endpoint(), func(l *fabric.Link) bool {
-		return f.wanDown[l.Name()]
-	})
+	p, err := fabric.Of(f.clock).RouteAvoid(from.Endpoint(), to.Endpoint(), f.linkDown)
 	if err != nil {
 		return fabric.Path{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, from.Name, to.Name)
 	}
 	return p, nil
 }
 
-// HopDistance counts the WAN links between two sites on the current
-// (fault-aware) route; -1 when partitioned. Nearest-replica selection
-// sorts on it.
-func (f *Federation) HopDistance(from, to *Site) int {
-	p, err := f.WANRoute(from, to)
-	if err != nil {
-		return -1
+// nearest sorts sites by WAN hop count from `from`, ties by name, and
+// returns them. With live the count follows the current route around
+// failed links; without it, the static distance on the full topology,
+// so that replica placement does not flap with transient faults. A
+// site with no route sorts last.
+func (f *Federation) nearest(from *Site, sites []*Site, live bool) []*Site {
+	var avoid func(*fabric.Link) bool
+	if live {
+		avoid = f.linkDown
 	}
-	return len(p.Names())
+	hops := make(map[*Site]int, len(sites))
+	for _, s := range sites {
+		hops[s] = 1 << 20
+		if p, err := fabric.Of(f.clock).RouteAvoid(from.Endpoint(), s.Endpoint(), avoid); err == nil {
+			hops[s] = len(p.Names())
+		}
+	}
+	sort.SliceStable(sites, func(i, j int) bool {
+		if hops[sites[i]] != hops[sites[j]] {
+			return hops[sites[i]] < hops[sites[j]]
+		}
+		return sites[i].Name < sites[j].Name
+	})
+	return sites
 }
 
-// InstallFaults subscribes the multi-site federation to the fault
-// registry it was built on: archive.RecordFaults' prologue records
-// every event first (so reactions find their cause on the books) and
-// binds the fabric's links, and then the federation dispatcher handles
-// the WAN-scale components:
+// InstallFaults subscribes the federation to the fault registry it was
+// built on: archive.RecordFaults' prologue records every event first
+// (so reactions find their cause on the books) and binds the fabric's
+// links, and then the federation dispatcher handles the WAN-scale
+// components:
 //
-//	site:<name>  the compound disaster fault — expands into cell
-//	             failures, mover-node failures, and WAN-link failures
-//	             for everything the site owns; the repair event
-//	             reverses them all and kicks replication catch-up
-//	link:<name>  WAN trunks flip their route-avoidance state (the
-//	             fabric's own hook additionally crawls the link);
-//	             repair kicks parked replication
+//	site:<name>  the compound disaster fault — expands into the site's
+//	             TSM server, mover-node failures, and WAN-link failures;
+//	             the repair event reverses them all and kicks
+//	             replication catch-up
+//	link:<name>  a WAN trunk's repair kicks parked replication (WANRoute
+//	             reads the link's state from the registry, and the
+//	             fabric's own hook crawls a failed link)
 //	node:<name>  mover machines of any site (for schedules that down
 //	             nodes without archive.System in the loop)
-func (f *Federation) InstallFaults(reg *faults.Registry) {
-	archive.RecordFaults(f.clock, reg)
-	reg.OnApply(func(ev faults.Event) {
+func (f *Federation) InstallFaults() {
+	archive.RecordFaults(f.clock, f.reg)
+	f.reg.OnApply(func(ev faults.Event) {
+		if ev.Kind != faults.KindFail && ev.Kind != faults.KindRepair {
+			return
+		}
 		switch {
 		case strings.HasPrefix(ev.Component, "site:"):
-			if ev.Kind != faults.KindFail && ev.Kind != faults.KindRepair {
-				return
+			if site, err := f.SiteByName(strings.TrimPrefix(ev.Component, "site:")); err == nil {
+				f.expandSiteEvent(site, ev.Kind)
 			}
-			site, err := f.SiteByName(strings.TrimPrefix(ev.Component, "site:"))
-			if err != nil {
-				return
-			}
-			f.expandSiteEvent(reg, site, ev.Kind)
 		case strings.HasPrefix(ev.Component, "link:"):
 			name := strings.TrimPrefix(ev.Component, "link:")
 			for _, w := range f.wan {
-				if w.name != name {
-					continue
-				}
-				switch ev.Kind {
-				case faults.KindFail:
-					f.wanDown[name] = true
-				case faults.KindRepair:
-					delete(f.wanDown, name)
-					if f.rep != nil {
-						f.rep.kick()
-					}
+				if w.name == name && ev.Kind == faults.KindRepair && f.rep != nil {
+					f.rep.kick()
 				}
 			}
 		case strings.HasPrefix(ev.Component, "node:"):
-			if ev.Kind != faults.KindFail && ev.Kind != faults.KindRepair {
-				return
-			}
 			name := strings.TrimPrefix(ev.Component, "node:")
 			for _, s := range f.sites {
-				for _, n := range s.Nodes {
+				for _, n := range s.Cluster.Nodes() {
 					if n.Name == name {
 						n.SetDown(ev.Kind == faults.KindFail)
 					}
@@ -224,27 +173,22 @@ func (f *Federation) InstallFaults(reg *faults.Registry) {
 
 // expandSiteEvent applies a site kill or repair to everything the site
 // owns. Constituents go through the registry (nested Apply is safe),
-// so the fault log and telemetry record each cell, node, and link
-// event individually — a failover span citing "why did this reroute"
+// so the fault log and telemetry record each node and link event
+// individually — a failover span citing "why did this reroute"
 // resolves to a concrete on-the-books event.
-func (f *Federation) expandSiteEvent(reg *faults.Registry, site *Site, kind faults.Kind) {
+func (f *Federation) expandSiteEvent(site *Site, kind faults.Kind) {
 	fail := kind == faults.KindFail
-	for _, c := range site.Cells {
-		if c.Down() != fail {
-			c.SetDown(fail)
-		}
-		// The cell's TSM server flips too: replication and DR reads
-		// against a dead site must fail fast (tsm.ErrServerDown), and
-		// in-flight primary transactions block until repair, exactly
-		// like the single-site outage model.
-		c.TSM.SetDown(fail)
-	}
-	for _, n := range site.Nodes {
-		reg.Apply(faults.Event{Component: faults.NodeComponent(n.Name), Kind: kind})
+	// The TSM server flips first: replication and DR reads against a
+	// dead site must fail fast (tsm.ErrServerDown), and in-flight
+	// primary transactions block until repair, exactly like the
+	// single-site outage model.
+	site.TSM.SetDown(fail)
+	for _, n := range site.Cluster.Nodes() {
+		f.reg.Apply(faults.Event{Component: faults.NodeComponent(n.Name), Kind: kind})
 	}
 	for _, w := range f.wan {
 		if w.a == site || w.b == site {
-			reg.Apply(faults.Event{Component: faults.LinkComponent(w.name), Kind: kind})
+			f.reg.Apply(faults.Event{Component: faults.LinkComponent(w.name), Kind: kind})
 		}
 	}
 	if !fail && f.rep != nil {

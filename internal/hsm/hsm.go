@@ -611,17 +611,10 @@ type RecallResult struct {
 
 // Recall brings the named migrated files back to disk using mode's
 // routing. Paths that are not migrated are skipped silently if already
-// resident, or reported in NotFound when unknown. The run is admitted
-// under the default tenant; callers with a QoS tag use RecallQoS.
+// resident, or reported in NotFound when unknown. Each recall daemon's
+// bin passes the hsm.recall station as an expedited Interactive item
+// of the default tenant: someone is usually waiting on a recall.
 func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
-	return e.RecallQoS(paths, mode, sched.QoS{})
-}
-
-// RecallQoS is Recall with the scheduler admission tagged for a
-// tenant: each recall daemon's bin passes the hsm.recall station as an
-// expedited item (an unset class defaults to Interactive — someone is
-// usually waiting on a recall).
-func (e *Engine) RecallQoS(paths []string, mode RecallMode, qos sched.QoS) (RecallResult, error) {
 	if len(e.nodes) == 0 {
 		return RecallResult{}, ErrNoNodes
 	}
@@ -712,7 +705,7 @@ func (e *Engine) RecallQoS(paths []string, mode RecallMode, qos sched.QoS) (Reca
 				defer wg.Done()
 				node := e.nodes[i]
 				grant := e.sch.Station(sched.StationRecall).Admit(sched.Item{
-					QoS: qos.Or(sched.Interactive), Kind: "hsm.recall",
+					QoS: sched.QoS{}.Or(sched.Interactive), Kind: "hsm.recall",
 					Units: binBytes, Expedite: true,
 				})
 				if gerr := grant.Err(); gerr != nil {
@@ -1018,13 +1011,6 @@ func (e *Engine) locate(p string) (recallItem, error) {
 		return recallItem{}, fmt.Errorf("%w: %s", ErrNotMigrated, p)
 	}
 	return recallItem{path: p, object: obj.ID, volume: obj.Volume, seq: obj.Seq, bytes: obj.Bytes}, nil
-}
-
-// RecallOne recalls a single file (the DMAPI read-event path a "grep"
-// through the chroot jail would trigger).
-func (e *Engine) RecallOne(path string) error {
-	_, err := e.Recall([]string{path}, RecallOrdered)
-	return err
 }
 
 // TapeLoc is the tape address of one migrated file, exposed for

@@ -420,8 +420,8 @@ func TestEngineCountersAccumulate(t *testing.T) {
 }
 
 // TestReadThroughRecallsTransparently drives the DMAPI read-event path
-// as jail.Read composes it: a read of a stub is offline until
-// RecallOne brings the bytes back.
+// as jail.Read composes it: a read of a stub is offline until a
+// one-path Recall brings the bytes back.
 func TestReadThroughRecallsTransparently(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	e.run(t, func() {
@@ -434,7 +434,7 @@ func TestReadThroughRecallsTransparently(t *testing.T) {
 		if _, err := e.fs.ReadContent(p); !errors.Is(err, pfs.ErrOffline) {
 			t.Fatalf("stub read err = %v, want ErrOffline", err)
 		}
-		if err := e.eng.RecallOne(p); err != nil {
+		if _, err := e.eng.Recall([]string{p}, RecallOrdered); err != nil {
 			t.Fatal(err)
 		}
 		content, err := e.fs.ReadContent(p)
@@ -448,7 +448,7 @@ func TestReadThroughRecallsTransparently(t *testing.T) {
 			t.Error("file still migrated after read-through")
 		}
 		// Recalling a resident file is a no-op.
-		if err := e.eng.RecallOne(p); err != nil {
+		if _, err := e.eng.Recall([]string{p}, RecallOrdered); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -83,7 +83,7 @@ func (j *Jail) Read(path string) (synthetic.Content, error) {
 	content, rerr := j.fs.ReadContent(path)
 	if errors.Is(rerr, pfs.ErrOffline) {
 		j.stats.Recalls++
-		if err := j.engine.RecallOne(path); err != nil {
+		if _, err := j.engine.Recall([]string{path}, hsm.RecallOrdered); err != nil {
 			return synthetic.Content{}, err
 		}
 		content, rerr = j.fs.ReadContent(path)

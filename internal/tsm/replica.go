@@ -1,7 +1,7 @@
 // Replica targets: duplicates of objects whose primaries live in a
 // DIFFERENT archive site, landed on this server's copy-pool volumes by
 // the federation's async WAN replication. The replica catalog is keyed
-// by (home cell, object ID) so two sites' object-ID sequences never
+// by (home site, object ID) so two sites' object-ID sequences never
 // collide, and a replica store is idempotent on that key — catch-up
 // after a partition can re-offer everything in its backlog without
 // ever writing a duplicate.
@@ -26,12 +26,12 @@ var (
 	// of hanging an actor on a dead site.
 	ErrServerDown = errors.New("tsm: server down")
 	// ErrNoReplica means this server holds no replica for the requested
-	// (home cell, object) pair.
+	// (home site, object) pair.
 	ErrNoReplica = errors.New("tsm: no replica")
 )
 
-// replicaKey identifies a replica: object IDs are per-cell sequences,
-// so the home cell name is part of the key.
+// replicaKey identifies a replica: object IDs are per-site sequences,
+// so the home site name is part of the key.
 type replicaKey struct {
 	Cell string
 	ID   uint64
@@ -39,8 +39,8 @@ type replicaKey struct {
 
 // Replica records one cross-site duplicate held by this server.
 type Replica struct {
-	Cell   string // home cell whose catalog owns the primary
-	ID     uint64 // object ID in the home cell's catalog
+	Cell   string // home site whose catalog owns the primary
+	ID     uint64 // object ID in the home site's catalog
 	Path   string
 	Bytes  int64
 	Sum    uint64 // catalog digest carried over from the primary
@@ -51,22 +51,22 @@ type Replica struct {
 // StoreReplica writes one remote object's bytes to this server's copy
 // pool and records it in the replica catalog. The WAN transfer is the
 // caller's concern (the replicator charges it against the WAN route);
-// this charges the local tape write. Storing a (cell, ID) pair already
+// this charges the local tape write. Storing a (site, ID) pair already
 // held is a no-op — the idempotency that makes catch-up retries and
 // re-drained backlogs exactly-once. Fails fast with ErrServerDown
 // during an outage and tape.ErrNoScratch when the copy pool is full.
-func (s *Server) StoreReplica(client, homeCell string, obj Object, parent *telemetry.Span) error {
+func (s *Server) StoreReplica(client, homeSite string, obj Object, parent *telemetry.Span) error {
 	if s.down {
 		return ErrServerDown
 	}
-	key := replicaKey{Cell: homeCell, ID: obj.ID}
+	key := replicaKey{Cell: homeSite, ID: obj.ID}
 	if _, ok := s.replicas[key]; ok {
 		return nil
 	}
 	s.reapDownDrives()
 	s.txn()
 	sp := telemetry.ChildOf(s.tel, parent, "tsm.store-replica",
-		"cell", homeCell, "path", obj.Path)
+		"cell", homeSite, "path", obj.Path)
 	var tf tape.File
 	var cvol *tape.Cartridge
 	err := s.cfg.Retry.Do(s.clock, func(attempt int) error {
@@ -92,7 +92,7 @@ func (s *Server) StoreReplica(client, homeCell string, obj Object, parent *telem
 	}
 	s.txn() // commit the catalog entry
 	s.replicas[key] = &Replica{
-		Cell:   homeCell,
+		Cell:   homeSite,
 		ID:     obj.ID,
 		Path:   obj.Path,
 		Bytes:  obj.Bytes,
@@ -114,18 +114,18 @@ func (s *Server) StoreReplica(client, homeCell string, obj Object, parent *telem
 // primary recall. The delivered digest is verified against the replica
 // catalog before success. Fails fast with ErrServerDown during an
 // outage.
-func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Path, parent *telemetry.Span) (Replica, error) {
+func (s *Server) ReadReplica(client, homeSite string, id uint64, route fabric.Path, parent *telemetry.Span) (Replica, error) {
 	if s.down {
 		return Replica{}, ErrServerDown
 	}
-	rep, ok := s.replicas[replicaKey{Cell: homeCell, ID: id}]
+	rep, ok := s.replicas[replicaKey{Cell: homeSite, ID: id}]
 	if !ok {
-		return Replica{}, fmt.Errorf("%w: cell %s object %d", ErrNoReplica, homeCell, id)
+		return Replica{}, fmt.Errorf("%w: site %s object %d", ErrNoReplica, homeSite, id)
 	}
 	s.reapDownDrives()
 	s.txn()
 	sp := telemetry.ChildOf(s.tel, parent, "tsm.recall-replica",
-		"cell", homeCell, "volume", rep.Volume)
+		"cell", homeSite, "volume", rep.Volume)
 	vol, err := s.lib.Cartridge(rep.Volume)
 	if err != nil {
 		sp.Abort(err.Error(), 0)
@@ -153,8 +153,8 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 		delivered = synthetic.CorruptDigest(delivered)
 	}
 	if rep.Sum != 0 && delivered != rep.Sum {
-		err := fmt.Errorf("%w: cell %s object %d (replica on %s corrupt)",
-			ErrNoReplica, homeCell, id, rep.Volume)
+		err := fmt.Errorf("%w: site %s object %d (replica on %s corrupt)",
+			ErrNoReplica, homeSite, id, rep.Volume)
 		sp.Abort(err.Error(), 0)
 		return Replica{}, err
 	}
@@ -165,9 +165,9 @@ func (s *Server) ReadReplica(client, homeCell string, id uint64, route fabric.Pa
 }
 
 // HasReplica reports whether this server holds a replica for the
-// (home cell, object) pair.
-func (s *Server) HasReplica(homeCell string, id uint64) bool {
-	_, ok := s.replicas[replicaKey{Cell: homeCell, ID: id}]
+// (home site, object) pair.
+func (s *Server) HasReplica(homeSite string, id uint64) bool {
+	_, ok := s.replicas[replicaKey{Cell: homeSite, ID: id}]
 	return ok
 }
 
