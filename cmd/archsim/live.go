@@ -31,7 +31,7 @@ func serveLive(addr string, pace float64, seed int64, jobs int) error {
 		cfg.Jobs = jobs
 	}
 	sys := archive.NewDefault(clock)
-	reg := faults.New(clock, seed)
+	reg := faults.New(clock)
 	sys.InstallFaults(reg)
 	scrubber := sys.Scrubber(tsm.ScrubConfig{Client: "operator-scrub"})
 

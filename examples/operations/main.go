@@ -65,7 +65,7 @@ func main() {
 		// transactions on survivors under bounded backoff, and the
 		// migration completes; the audit proves nothing was lost or
 		// double-archived.
-		reg := faults.New(clock, 1)
+		reg := faults.New(clock)
 		sys.InstallFaults(reg)
 		sys.Archive.MkdirAll("/drill")
 		var drill []pfs.Info

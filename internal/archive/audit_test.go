@@ -102,7 +102,9 @@ func TestAuditDetectsMissingShadowRow(t *testing.T) {
 			t.Errorf("MissingShadow = %d, want 1", res.MissingShadow)
 		}
 		// The fix: re-sync the shadow from TSM, audit comes back clean.
-		s.Shadow.SyncFromTSM(s.TSM)
+		for _, o := range s.TSM.Export() {
+			s.Shadow.UpsertObject(o)
+		}
 		res, _ = s.Audit()
 		if !res.Clean() {
 			t.Errorf("audit still dirty after shadow re-sync: %s", res)

@@ -2,12 +2,10 @@
 // §4.4–4.5): a mapping layer that presents a very large file as N
 // equal-size chunk files so that migration, recall, and copy all
 // parallelize N-to-N instead of contending N-to-1 on a single inode.
-// It also carries the per-chunk good/bad marks behind the paper's
-// restartable transfers ("we mark regular file chunks or FUSE file
-// chunks as good or bad so that we don't have to re-send known good
-// chunks"), and the truncate/overwrite interception that feeds
-// replaced chunks to the trashcan instead of orphaning them on tape
-// (§6.3).
+// Join refuses a chunk whose state xattr marks it bad, the per-chunk
+// marks behind the paper's restartable transfers ("we mark regular
+// file chunks or FUSE file chunks as good or bad so that we don't have
+// to re-send known good chunks").
 package chunkfs
 
 import (
@@ -21,10 +19,10 @@ import (
 	"repro/internal/synthetic"
 )
 
-// Chunk-state extended attribute key and values.
+// Chunk-state extended attribute key, and the value that marks a
+// chunk bad.
 const (
 	StateXattr = "chunkfs.state"
-	StateGood  = "good"
 	StateBad   = "bad"
 )
 
@@ -43,12 +41,6 @@ var (
 // ChunkDir returns the chunk-directory path that represents the logical
 // file p.
 func ChunkDir(p string) string { return p + ".chunks" }
-
-// IsChunkDir reports whether p names a chunk directory.
-func IsChunkDir(p string) bool { return strings.HasSuffix(p, ".chunks") }
-
-// LogicalPath inverts ChunkDir.
-func LogicalPath(chunkDir string) string { return strings.TrimSuffix(chunkDir, ".chunks") }
 
 // ChunkName formats the i-th chunk file name.
 func ChunkName(i int) string { return fmt.Sprintf("chunk.%06d", i) }
@@ -84,49 +76,6 @@ func (p Plan) ChunkRange(i int) (off, length int64) {
 		length = 0
 	}
 	return off, length
-}
-
-// Split converts the regular file at p into a chunk directory of
-// numbered chunk files, each referencing a slice of the original
-// content (a metadata operation: no data moves, exactly like the FUSE
-// layer's re-presentation of the same blocks). The original file is
-// removed. Chunks start unmarked (no state xattr).
-func Split(fs *pfs.FS, p string, chunkSize int64) (Plan, error) {
-	content, err := fs.ReadContent(p)
-	if err != nil {
-		return Plan{}, err
-	}
-	info, err := fs.Stat(p)
-	if err != nil {
-		return Plan{}, err
-	}
-	plan := PlanFor(info.Size, chunkSize)
-	dir := ChunkDir(p)
-	if err := fs.MkdirAll(dir); err != nil {
-		return Plan{}, err
-	}
-	specs := make([]pfs.FileSpec, plan.NumChunks)
-	for i := 0; i < plan.NumChunks; i++ {
-		off, length := plan.ChunkRange(i)
-		specs[i] = pfs.FileSpec{
-			Path:    path.Join(dir, ChunkName(i)),
-			Content: content.Slice(off, length),
-			Pool:    info.Pool,
-		}
-	}
-	if err := fs.WriteFiles(specs); err != nil {
-		return Plan{}, err
-	}
-	if err := fs.SetXattr(dir, sizeXattr, fmt.Sprint(plan.LogicalSize)); err != nil {
-		return Plan{}, err
-	}
-	if err := fs.SetXattr(dir, chunkXattr, fmt.Sprint(plan.ChunkSize)); err != nil {
-		return Plan{}, err
-	}
-	if err := fs.Remove(p); err != nil {
-		return Plan{}, err
-	}
-	return plan, nil
 }
 
 // PrepareDir creates an empty chunk directory with a manifest for a
@@ -168,8 +117,8 @@ func ReadPlan(fs *pfs.FS, dir string) (Plan, error) {
 	return PlanFor(size, chunk), nil
 }
 
-// Chunks lists the chunk files of dir in index order.
-func Chunks(fs *pfs.FS, dir string) ([]pfs.Info, error) {
+// chunks lists the chunk files of dir in index order.
+func chunks(fs *pfs.FS, dir string) ([]pfs.Info, error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -182,16 +131,6 @@ func Chunks(fs *pfs.FS, dir string) ([]pfs.Info, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// MarkChunk sets a chunk's transfer state (StateGood / StateBad).
-func MarkChunk(fs *pfs.FS, dir string, i int, state string) error {
-	return fs.SetXattr(path.Join(dir, ChunkName(i)), StateXattr, state)
-}
-
-// ChunkState reads a chunk's transfer state ("" if unmarked).
-func ChunkState(fs *pfs.FS, dir string, i int) (string, error) {
-	return fs.GetXattr(path.Join(dir, ChunkName(i)), StateXattr)
 }
 
 // Join reassembles the chunk directory dir into the regular file at
@@ -226,28 +165,4 @@ func Join(fs *pfs.FS, dir, target string) error {
 		return err
 	}
 	return fs.RemoveAll(dir)
-}
-
-// InterceptOverwrite implements the FUSE layer's §6.3 behaviour: before
-// a logical file held as chunks is overwritten, its existing chunks are
-// moved into trashDir (so the synchronous deleter can reap their tape
-// copies) instead of being truncated in place. It returns the trashed
-// chunk paths.
-func InterceptOverwrite(fs *pfs.FS, dir, trashDir string) ([]string, error) {
-	chunks, err := Chunks(fs, dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := fs.MkdirAll(trashDir); err != nil {
-		return nil, err
-	}
-	var moved []string
-	for _, c := range chunks {
-		dst := path.Join(trashDir, fmt.Sprintf("%d-%s", c.ID, c.Name))
-		if err := fs.Rename(c.Path, dst); err != nil {
-			return moved, err
-		}
-		moved = append(moved, dst)
-	}
-	return moved, nil
 }

@@ -1,13 +1,11 @@
 package chunkfs
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/pfs"
 	"repro/internal/synthetic"
-	"repro/internal/vfs"
 )
 
 func TestPrepareDirThenWriteChunksThenJoin(t *testing.T) {
@@ -39,21 +37,9 @@ func TestPrepareDirThenWriteChunksThenJoin(t *testing.T) {
 	})
 }
 
-func TestSplitMissingFileFails(t *testing.T) {
-	sim(t, func(fs *pfs.FS) {
-		if _, err := Split(fs, "/ghost", 100); !errors.Is(err, vfs.ErrNotExist) {
-			t.Errorf("err = %v", err)
-		}
-	})
-}
-
 func TestSplitZeroLengthFile(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/empty", synthetic.Content{})
-		plan, err := Split(fs, "/empty", 100)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := split(t, fs, "/empty", synthetic.Content{}, 100)
 		if plan.NumChunks != 1 {
 			t.Errorf("NumChunks = %d, want 1", plan.NumChunks)
 		}
@@ -69,16 +55,15 @@ func TestSplitZeroLengthFile(t *testing.T) {
 
 func TestChunksIgnoresForeignFiles(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		Split(fs, "/f", 400)
+		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
 		dir := ChunkDir("/f")
 		fs.WriteFile(dir+"/README", synthetic.NewUniform(9, 10))
-		chunks, err := Chunks(fs, dir)
+		list, err := chunks(fs, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(chunks) != 3 {
-			t.Errorf("Chunks = %d, want 3 (README excluded)", len(chunks))
+		if len(list) != 3 {
+			t.Errorf("chunks = %d, want 3 (README excluded)", len(list))
 		}
 	})
 }
@@ -90,10 +75,7 @@ func TestQuickSplitJoinRandomSizes(t *testing.T) {
 			size := int64(r.Intn(100000) + 1)
 			chunk := int64(r.Intn(30000) + 1)
 			content := synthetic.NewUniform(r.Uint64()|1, size)
-			fs.WriteFile("/f", content)
-			if _, err := Split(fs, "/f", chunk); err != nil {
-				t.Fatalf("size=%d chunk=%d: %v", size, chunk, err)
-			}
+			split(t, fs, "/f", content, chunk)
 			if err := Join(fs, ChunkDir("/f"), "/f"); err != nil {
 				t.Fatalf("size=%d chunk=%d: %v", size, chunk, err)
 			}

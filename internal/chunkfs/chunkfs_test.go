@@ -52,24 +52,37 @@ func TestChunkRange(t *testing.T) {
 	}
 }
 
+// split lays content out as the chunk directory of p, the way pftool
+// writes a very large file: PrepareDir, then every chunk in one
+// WriteFiles batch.
+func split(t *testing.T, fs *pfs.FS, p string, content synthetic.Content, chunkSize int64) Plan {
+	t.Helper()
+	plan, dir, err := PrepareDir(fs, p, content.Len(), chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]pfs.FileSpec, plan.NumChunks)
+	for i := range specs {
+		off, length := plan.ChunkRange(i)
+		specs[i] = pfs.FileSpec{Path: dir + "/" + ChunkName(i), Content: content.Slice(off, length)}
+	}
+	if err := fs.WriteFiles(specs); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestSplitJoinRoundTrip(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
 		content := synthetic.NewUniform(42, 1e6)
 		fs.MkdirAll("/d")
-		fs.WriteFile("/d/big", content)
-		plan, err := Split(fs, "/d/big", 300e3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := split(t, fs, "/d/big", content, 300e3)
 		if plan.NumChunks != 4 {
 			t.Errorf("NumChunks = %d, want 4", plan.NumChunks)
 		}
-		if fs.Exists("/d/big") {
-			t.Error("original file should be gone after split")
-		}
-		chunks, err := Chunks(fs, "/d/big.chunks")
-		if err != nil || len(chunks) != 4 {
-			t.Fatalf("Chunks = %d, %v", len(chunks), err)
+		list, err := chunks(fs, "/d/big.chunks")
+		if err != nil || len(list) != 4 {
+			t.Fatalf("chunks = %d, %v", len(list), err)
 		}
 		// Chunk contents slice the original exactly.
 		c0, _ := fs.ReadContent("/d/big.chunks/chunk.000000")
@@ -89,38 +102,9 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 	})
 }
 
-func TestSplitPreservesPoolPlacement(t *testing.T) {
-	sim(t, func(fs *pfs.FS) {
-		fs.WriteFileIn("/f", synthetic.NewUniform(1, 1000), "slow")
-		if _, err := Split(fs, "/f", 400); err != nil {
-			t.Fatal(err)
-		}
-		chunks, _ := Chunks(fs, ChunkDir("/f"))
-		for _, c := range chunks {
-			if c.Pool != "slow" {
-				t.Errorf("chunk %s in pool %s, want slow", c.Name, c.Pool)
-			}
-		}
-	})
-}
-
-func TestSplitNoDataMovement(t *testing.T) {
-	// Split is a FUSE re-presentation: pool usage must not change.
-	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		pool, _ := fs.Pool("fast")
-		before := pool.Used()
-		Split(fs, "/f", 100)
-		if pool.Used() != before {
-			t.Errorf("pool usage changed %d -> %d", before, pool.Used())
-		}
-	})
-}
-
 func TestReadPlanRoundTrip(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 12345))
-		want, _ := Split(fs, "/f", 5000)
+		want := split(t, fs, "/f", synthetic.NewUniform(1, 12345), 5000)
 		got, err := ReadPlan(fs, ChunkDir("/f"))
 		if err != nil {
 			t.Fatal(err)
@@ -140,30 +124,10 @@ func TestReadPlanOnPlainDirFails(t *testing.T) {
 	})
 }
 
-func TestChunkStateMarks(t *testing.T) {
-	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		Split(fs, "/f", 400)
-		dir := ChunkDir("/f")
-		if st, _ := ChunkState(fs, dir, 0); st != "" {
-			t.Errorf("fresh chunk state = %q, want empty", st)
-		}
-		MarkChunk(fs, dir, 0, StateGood)
-		MarkChunk(fs, dir, 1, StateBad)
-		if st, _ := ChunkState(fs, dir, 0); st != StateGood {
-			t.Errorf("state = %q, want good", st)
-		}
-		if st, _ := ChunkState(fs, dir, 1); st != StateBad {
-			t.Errorf("state = %q, want bad", st)
-		}
-	})
-}
-
 func TestJoinRefusesBadChunk(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		Split(fs, "/f", 400)
-		MarkChunk(fs, ChunkDir("/f"), 1, StateBad)
+		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
+		fs.SetXattr(ChunkDir("/f")+"/"+ChunkName(1), StateXattr, StateBad)
 		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, ErrIncomplete) {
 			t.Errorf("err = %v, want ErrIncomplete", err)
 		}
@@ -172,8 +136,7 @@ func TestJoinRefusesBadChunk(t *testing.T) {
 
 func TestJoinRefusesMissingChunk(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		Split(fs, "/f", 400)
+		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
 		fs.Remove(ChunkDir("/f") + "/chunk.000001")
 		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, ErrIncomplete) {
 			t.Errorf("err = %v, want ErrIncomplete", err)
@@ -183,34 +146,10 @@ func TestJoinRefusesMissingChunk(t *testing.T) {
 
 func TestJoinRefusesShortChunk(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		Split(fs, "/f", 400)
-		fs.Truncate(ChunkDir("/f")+"/chunk.000000", 100)
+		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
+		fs.WriteFile(ChunkDir("/f")+"/chunk.000000", synthetic.NewUniform(2, 100))
 		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, ErrIncomplete) {
 			t.Errorf("err = %v, want ErrIncomplete", err)
-		}
-	})
-}
-
-func TestInterceptOverwriteMovesChunksToTrash(t *testing.T) {
-	sim(t, func(fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1000))
-		Split(fs, "/f", 400)
-		moved, err := InterceptOverwrite(fs, ChunkDir("/f"), "/.trash/alice")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(moved) != 3 {
-			t.Errorf("moved %d chunks, want 3", len(moved))
-		}
-		for _, p := range moved {
-			if !fs.Exists(p) {
-				t.Errorf("trashed chunk %s missing", p)
-			}
-		}
-		chunks, _ := Chunks(fs, ChunkDir("/f"))
-		if len(chunks) != 0 {
-			t.Errorf("%d chunks remain in place", len(chunks))
 		}
 	})
 }
@@ -218,12 +157,6 @@ func TestInterceptOverwriteMovesChunksToTrash(t *testing.T) {
 func TestPathHelpers(t *testing.T) {
 	if ChunkDir("/a/b") != "/a/b.chunks" {
 		t.Error("ChunkDir wrong")
-	}
-	if !IsChunkDir("/a/b.chunks") || IsChunkDir("/a/b") {
-		t.Error("IsChunkDir wrong")
-	}
-	if LogicalPath("/a/b.chunks") != "/a/b" {
-		t.Error("LogicalPath wrong")
 	}
 	if ChunkName(7) != "chunk.000007" {
 		t.Error("ChunkName wrong")

@@ -110,14 +110,8 @@ func New(clock *simtime.Clock, cfg Config) *Cluster {
 	return c
 }
 
-// Fabric returns the shared data-path fabric the cluster is wired into.
-func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }
-
 // Nodes returns the cluster's nodes in fixed order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
-
-// Node returns node i.
-func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // Trunk returns the shared scratch<->archive trunk link.
 func (c *Cluster) Trunk() *fabric.Link { return c.trunk }

@@ -14,8 +14,8 @@ func TestNewClusterShape(t *testing.T) {
 	if len(cl.Nodes()) != 10 {
 		t.Errorf("nodes = %d, want 10", len(cl.Nodes()))
 	}
-	if cl.Node(0).Name != "fta01" || cl.Node(9).Name != "fta10" {
-		t.Errorf("names = %s..%s", cl.Node(0).Name, cl.Node(9).Name)
+	if cl.nodes[0].Name != "fta01" || cl.nodes[9].Name != "fta10" {
+		t.Errorf("names = %s..%s", cl.nodes[0].Name, cl.nodes[9].Name)
 	}
 	if cl.Trunk().Capacity() != 1.87e9 {
 		t.Errorf("trunk rate = %v", cl.Trunk().Capacity())
@@ -25,11 +25,11 @@ func TestNewClusterShape(t *testing.T) {
 func TestTrunkSharedAcrossNodes(t *testing.T) {
 	c := simtime.NewClock()
 	cl := New(c, RoadrunnerConfig())
-	fab := cl.Fabric()
+	fab := cl.fab
 	// 10 nodes each pulling 1.87 GB across the trunk: the trunk carries
 	// 18.7 GB total at 1.87 GB/s -> ~10s, not ~1s.
 	for i := 0; i < 10; i++ {
-		node := cl.Node(i).Name
+		node := cl.nodes[i].Name
 		c.Go(func() {
 			p, err := fab.Route(fabric.Compute, "", node)
 			if err != nil {
@@ -53,12 +53,12 @@ func TestNICBoundWhenTrunkIdle(t *testing.T) {
 	cl := New(c, RoadrunnerConfig())
 	// One node alone: its NIC (1.18 GB/s) binds before the trunk.
 	c.Go(func() {
-		p, err := cl.Fabric().Route(fabric.Compute, "", cl.Node(0).Name)
+		p, err := cl.fab.Route(fabric.Compute, "", cl.nodes[0].Name)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		cl.Fabric().Transfer(p, 1.18e9)
+		cl.fab.Transfer(p, 1.18e9)
 	})
 	end := c.RunFor()
 	if end < 900*time.Millisecond || end > 1100*time.Millisecond {
@@ -71,11 +71,13 @@ func TestNodeSlotsBound(t *testing.T) {
 	cfg := RoadrunnerConfig()
 	cfg.NodeSlots = 2
 	cl := New(c, cfg)
-	n := cl.Node(0)
+	n := cl.nodes[0]
 	var done int
 	for i := 0; i < 4; i++ {
 		c.Go(func() {
-			n.Slots().Use(1, func() { c.Sleep(time.Second) })
+			n.Slots().Acquire(1)
+			c.Sleep(time.Second)
+			n.Slots().Release(1)
 			done++
 		})
 	}
@@ -100,7 +102,7 @@ func TestMachineListSkipsDownNodes(t *testing.T) {
 			t.Errorf("machine list not in name order: %s before %s", list[i-1].Name, list[i].Name)
 		}
 	}
-	cl.Node(1).SetDown(true)
+	cl.nodes[1].SetDown(true)
 	list = cl.MachineList()
 	if len(list) != 2 {
 		t.Fatalf("list with one node down = %d, want 2", len(list))
@@ -118,9 +120,9 @@ func TestMachineListSkipsDownNodes(t *testing.T) {
 		t.Errorf("all-down fallback = %d nodes, want 3", got)
 	}
 	// Repair brings nodes back immediately.
-	cl.Node(1).SetDown(false)
+	cl.nodes[1].SetDown(false)
 	list = cl.MachineList()
-	if len(list) != 1 || list[0] != cl.Node(1) {
+	if len(list) != 1 || list[0] != cl.nodes[1] {
 		t.Errorf("after repair list = %v, want just fta02", list)
 	}
 }

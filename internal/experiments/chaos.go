@@ -40,7 +40,7 @@ type chaosOutcome struct {
 // pfcp, and one cartridge goes read-only mid-migrate.
 func chaosRun(seed int64, chaos bool) chaosOutcome {
 	var out chaosOutcome
-	out.plantRun = runFaulted(seed, func(opts *archive.Options) {
+	out.plantRun = runFaulted(func(opts *archive.Options) {
 		// A small library so losing two drives is a visible capacity cut
 		// (2/8 = 25%), not noise inside a 24-drive pool.
 		opts.TapeDrives = 8

@@ -90,7 +90,7 @@ func drSeed(fed *federation.Federation, site *federation.Site, wave, n int, size
 // skipped), serve the victim's wave-1 data from replicas during the
 // outage, rejoin, requeue the skipped migrations, and drain the
 // catch-up backlog within the bound.
-func drRun(seed int64) drOutcome {
+func drRun() drOutcome {
 	const (
 		n1, n2   = 10, 10
 		fileSize = 200e6
@@ -115,7 +115,7 @@ func drRun(seed int64) drOutcome {
 			opts.Site = n
 			plants = append(plants, archive.New(clock, opts))
 		}
-		reg := faults.New(clock, seed)
+		reg := faults.New(clock)
 		fed, err := federation.New(clock, reg, plants...)
 		if err != nil {
 			panic(err)
@@ -284,8 +284,10 @@ func drRun(seed int64) drOutcome {
 // rejoin, no file is lost or double-replicated (idempotent exactly-
 // once), and every failover span in the flight dump cites the
 // site-kill fault event that forced the reroute.
-func DRStudy(seed int64) Report {
-	out := drRun(seed)
+//
+// The drill is scripted: the seed does not move it.
+func DRStudy(int64) Report {
+	out := drRun()
 
 	failf := out.failf
 

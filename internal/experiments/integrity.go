@@ -58,7 +58,7 @@ var rotFractions = []float64{0.125, 0.5, 0.875}
 // link corruptions on the recall path.
 func integrityRun(seed int64, inject bool) integrityOutcome {
 	var out integrityOutcome
-	out.plantRun = runFaulted(seed, func(opts *archive.Options) {
+	out.plantRun = runFaulted(func(opts *archive.Options) {
 		opts.TapeDrives = 8
 		opts.Cartridges = 64
 		opts.CopyPoolCartridges = 8

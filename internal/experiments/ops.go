@@ -374,7 +374,7 @@ func opsDrill(seed int64, p opsParams) Report {
 			// operator's runbook spends.
 			opts.Cluster.Nodes = p.Drives - 1
 		})
-		reg := faults.New(clock, seed)
+		reg := faults.New(clock)
 		sys.InstallFaults(reg)
 		scrubber = sys.Scrubber(tsm.ScrubConfig{Client: "ops-scrub", Interval: p.ScrubStart})
 

@@ -78,12 +78,12 @@ func runSystem(tweak func(*archive.Options), body func(sys *archive.System)) pla
 	})
 }
 
-// runFaulted is runSystem with a seeded fault registry installed on the
-// plant before the body starts.
-func runFaulted(seed int64, tweak func(*archive.Options), body func(sys *archive.System, reg *faults.Registry)) plantRun {
+// runFaulted is runSystem with a fault registry installed on the plant
+// before the body starts.
+func runFaulted(tweak func(*archive.Options), body func(sys *archive.System, reg *faults.Registry)) plantRun {
 	return runClock(func(clock *simtime.Clock) func() {
 		sys := newSystem(clock, tweak)
-		reg := faults.New(clock, seed)
+		reg := faults.New(clock)
 		sys.InstallFaults(reg)
 		return func() { body(sys, reg) }
 	})

@@ -121,7 +121,7 @@ func stormRun(reqs []stormReq, seed int64, defended bool) stormOutcome {
 		lib := tape.NewLibrary(clock, stormDrives, 16, 2, tape.LTO4())
 		srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
 		sch := sched.Of(clock)
-		reg := faults.New(clock, seed)
+		reg := faults.New(clock)
 		reg.OnApply(func(ev faults.Event) {
 			if ev.Component == faults.TSMComponent {
 				srv.SetDown(ev.Kind == faults.KindFail)

@@ -82,14 +82,14 @@ func TestConservationRandomTopologies(t *testing.T) {
 		expect := make(map[*Link]float64)
 		for _, rec := range flows {
 			mult := make(map[*Link]int)
-			for _, l := range rec.path.Links() {
+			for _, l := range rec.path.links {
 				mult[l]++
 			}
 			for l, k := range mult {
 				expect[l] += float64(rec.bytes) * float64(k)
 			}
 		}
-		for _, l := range f.Links() {
+		for _, l := range f.order {
 			st := l.Stats()
 			if math.Abs(st.Bytes-expect[l]) > 1 {
 				t.Errorf("trial %d link %s: carried %.2f bytes, flows crossing it sum to %.2f",
@@ -106,9 +106,9 @@ func TestConservationRandomTopologies(t *testing.T) {
 		}
 
 		// (c) nothing still in flight after the clock drains.
-		for _, l := range f.Links() {
-			if l.Active() != 0 {
-				t.Errorf("trial %d link %s: %d flows still active at end %v", trial, l.Name(), l.Active(), end)
+		for _, l := range f.order {
+			if l.active != 0 {
+				t.Errorf("trial %d link %s: %d flows still active at end %v", trial, l.Name(), l.active, end)
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func newChurnResult(n int) churnResult {
 // collect records every link's settled accounting and the solver
 // counters once the run is over.
 func (res *churnResult) collect(f *Fabric) {
-	for _, l := range f.Links() {
+	for _, l := range f.order {
 		st := l.Stats()
 		res.linkBytes[st.Name] = st.Bytes
 		res.linkBusy[st.Name] = st.Busy
@@ -98,7 +98,7 @@ func runChurn(seed int64, full bool) churnResult {
 	r := rand.New(rand.NewSource(seed))
 	c := simtime.NewClock()
 	f := New(c)
-	f.SetFullRecompute(full)
+	f.fullRecompute = full
 
 	hubs := r.Intn(3) + 2
 	var hosts []string
@@ -184,7 +184,7 @@ func runHubChurn(seed int64, full bool) churnResult {
 	r := rand.New(rand.NewSource(seed))
 	c := simtime.NewClock()
 	f := New(c)
-	f.SetFullRecompute(full)
+	f.fullRecompute = full
 
 	capacity := float64(r.Intn(4000) + 2000)
 	trunk := f.AddLink("trunk", capacity, "west", "east")
@@ -258,7 +258,7 @@ func runHubChurn(seed int64, full bool) churnResult {
 // equivalence property: the incremental component-local max-min solver
 // must be observationally identical — bit-exact completion times and
 // link counters — to the brute-force solve-everything-on-every-event
-// mode (SetFullRecompute). The incremental mode is purely a
+// mode (fullRecompute). The incremental mode is purely a
 // wall-clock optimization; any divergence is a bug in its component
 // seeding or settle logic.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {

@@ -85,7 +85,9 @@ type Fabric struct {
 
 	// Incremental-recompute state: epoch stamps the component walk,
 	// fullRecompute forces every component to re-solve on every event
-	// (SetFullRecompute, the tests' reference mode), and the slices
+	// with the canonical walk and solver, bypassing solveHub (the
+	// reference mode the equivalence tests set; incremental mode's
+	// shortcuts reproduce its arithmetic bit for bit), and the slices
 	// below are reusable scratch so the hot path allocates nothing.
 	epoch           uint64
 	solveID         uint64 // distinguishes components gathered within one epoch
@@ -130,9 +132,6 @@ func New(clock *simtime.Clock) *Fabric {
 func Of(clock *simtime.Clock) *Fabric {
 	return clock.SlotOf(slot, newForClock).(*Fabric)
 }
-
-// Clock returns the simulation clock the fabric runs on.
-func (f *Fabric) Clock() *simtime.Clock { return f.clock }
 
 // AddLink creates a link of the given capacity (bytes/second) between
 // endpoints a and b, registering the endpoints as needed. If the name
@@ -207,11 +206,6 @@ func (f *Fabric) connect(a, b string, l *Link) {
 
 // Link returns the named link, or nil.
 func (f *Fabric) Link(name string) *Link { return f.links[name] }
-
-// Links returns every link in creation order.
-func (f *Fabric) Links() []*Link {
-	return append([]*Link(nil), f.order...)
-}
 
 // Route resolves the shortest path src -> via -> dst (fewest links;
 // ties break deterministically by edge insertion order). An empty via
@@ -341,9 +335,6 @@ func (p Path) Lookahead(minBytes int64) simtime.Duration {
 // Fabric returns the owning fabric (nil for the zero Path).
 func (p Path) Fabric() *Fabric { return p.fab }
 
-// Links returns the links crossed, in order.
-func (p Path) Links() []*Link { return append([]*Link(nil), p.links...) }
-
 // Names returns the link names crossed, in order.
 func (p Path) Names() []string {
 	out := make([]string, len(p.links))
@@ -435,9 +426,6 @@ func (l *Link) SetLatency(d simtime.Duration) *Link {
 	return l
 }
 
-// Latency reports the link's propagation delay.
-func (l *Link) Latency() simtime.Duration { return l.latency }
-
 // maxTimeline bounds the per-link utilization timeline: beyond this the
 // series is thinned to every other point and the spacing doubles, so
 // multi-day campaigns stay bounded without losing the overall shape.
@@ -456,9 +444,6 @@ func (l *Link) Name() string { return l.name }
 
 // Capacity reports the current capacity in bytes per virtual second.
 func (l *Link) Capacity() float64 { return l.capacity }
-
-// Active reports the number of flows currently crossing the link.
-func (l *Link) Active() int { return l.active }
 
 // SetCapacity changes the link capacity. In-flight flows keep the bytes
 // they have moved; every allocation is recomputed at the new capacity.
@@ -528,19 +513,19 @@ type LinkStats struct {
 	Timeline  []TimePoint
 }
 
-// Utilization reports bytes carried as a fraction of what the nominal
+// utilization reports bytes carried as a fraction of what the nominal
 // capacity could have carried over elapsed — the bottleneck-naming
 // metric: the hop pinned at ~1.0 is the ceiling.
-func (s LinkStats) Utilization(elapsed simtime.Duration) float64 {
+func (s LinkStats) utilization(elapsed simtime.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
 	return s.Bytes / (s.Nominal * elapsed.Seconds())
 }
 
-// BusyFraction reports the fraction of elapsed time the link had at
+// busyFraction reports the fraction of elapsed time the link had at
 // least one flow crossing it.
-func (s LinkStats) BusyFraction(elapsed simtime.Duration) float64 {
+func (s LinkStats) busyFraction(elapsed simtime.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}

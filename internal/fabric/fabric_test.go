@@ -200,7 +200,7 @@ func TestSetCapacityMidFlight(t *testing.T) {
 		f.Transfer(p, 400)
 		near(t, "degraded duration", (c.Now() - start).Seconds(), 3.0, 0.01)
 	})
-	c.After(time.Second, func() { f.Link("nicA").Scale(0.5) })
+	c.At(c.Now()+time.Second, func() { f.Link("nicA").Scale(0.5) })
 	c.RunFor()
 	if got := f.Link("nicA").Capacity(); got != 100 {
 		t.Fatalf("capacity after scale = %v, want 100", got)
@@ -214,7 +214,7 @@ func TestSetCapacityMidFlight(t *testing.T) {
 func TestBindFaultsDrivesLinksByName(t *testing.T) {
 	c := simtime.NewClock()
 	f := build(c)
-	reg := faults.New(c, 1)
+	reg := faults.New(c)
 	f.BindFaults(reg)
 	c.Go(func() {
 		reg.Apply(faults.Event{Component: faults.LinkComponent("trunk"), Kind: faults.KindDegrade, Param: 0.5})
@@ -265,18 +265,18 @@ func TestTransferredProgressSampling(t *testing.T) {
 		fl = f.Start(p, 2000) // 200 B/s -> 10s
 		fl.Wait()
 	})
-	c.After(3*time.Second, func() {
+	c.At(c.Now()+3*time.Second, func() {
 		got := fl.Transferred()
 		if got < 590 || got > 610 {
 			t.Errorf("Transferred at 3s = %d, want ~600", got)
 		}
-		if fl.Done() {
+		if fl.done {
 			t.Error("flow done at 3s")
 		}
 	})
 	c.RunFor()
-	if !fl.Done() || fl.Transferred() != 2000 {
-		t.Fatalf("final: done=%v transferred=%d", fl.Done(), fl.Transferred())
+	if !fl.done || fl.Transferred() != 2000 {
+		t.Fatalf("final: done=%v transferred=%d", fl.done, fl.Transferred())
 	}
 }
 
@@ -313,8 +313,8 @@ func TestUtilizationAndBusy(t *testing.T) {
 	})
 	end := c.RunFor()
 	st := f.Link("nicA").Stats()
-	near(t, "nicA utilization", st.Utilization(end), 0.5, 0.01) // 400 of 200*4
-	near(t, "nicA busy fraction", st.BusyFraction(end), 0.5, 0.01)
+	near(t, "nicA utilization", st.utilization(end), 0.5, 0.01) // 400 of 200*4
+	near(t, "nicA busy fraction", st.busyFraction(end), 0.5, 0.01)
 }
 
 // TestTimelineSamplesWhenDue pins the sampling rule settle applies
@@ -360,7 +360,7 @@ func TestTimelineSamplesWhenDue(t *testing.T) {
 func TestArmCorruptTaintsNextFlow(t *testing.T) {
 	c := simtime.NewClock()
 	f := build(c)
-	reg := faults.New(c, 1)
+	reg := faults.New(c)
 	f.BindFaults(reg)
 	tel := telemetry.Of(c)
 	c.Go(func() {

@@ -294,12 +294,6 @@ func (f *Fabric) Transfer(p Path, n int64, opts ...Option) {
 // current segment) completes.
 func (fl *Flow) Wait() { fl.waitGate.Wait() }
 
-// Done reports whether the flow has completed (streams: closed).
-func (fl *Flow) Done() bool { return fl.done }
-
-// Rate reports the flow's current max-min allocation in bytes/second.
-func (fl *Flow) Rate() float64 { return fl.rate }
-
 // Tainted reports whether a link silently corrupted this flow's
 // stream, and if so which fault event armed it. The flow still
 // completes normally — a reader only learns of the damage by checking
@@ -359,16 +353,6 @@ func (f *Fabric) settle() {
 		}
 	}
 }
-
-// SetFullRecompute switches the scheduler between incremental
-// (component-scoped) and full recomputes. Full mode solves every
-// connected component on every membership or capacity event with the
-// canonical walk and solver, bypassing solveHub and so the uniform
-// horizon it enables — the reference the equivalence tests compare
-// against.
-// Incremental mode's shortcuts reproduce the canonical solver's
-// arithmetic, so both modes' allocations are bit-for-bit the same.
-func (f *Fabric) SetFullRecompute(on bool) { f.fullRecompute = on }
 
 // recomputeFlow recomputes the connected component the flow belongs to
 // (or everything, in full mode).

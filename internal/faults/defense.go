@@ -149,9 +149,6 @@ func (d *Defense) Enable(p DefensePolicy) {
 	d.on = true
 }
 
-// Enabled reports whether a policy is armed.
-func (d *Defense) Enabled() bool { return d.on }
-
 func (d *Defense) target(name string) *target {
 	t, ok := d.targets[name]
 	if !ok {
@@ -178,10 +175,10 @@ func (d *Defense) stateOf(t *target) BreakerState {
 	return t.state
 }
 
-// State reports the named target's breaker position. Targets are
+// state reports the named target's breaker position. Targets are
 // created on first use, so querying never perturbs existing state
 // beyond instantiating a closed breaker.
-func (d *Defense) State(name string) BreakerState {
+func (d *Defense) state(name string) BreakerState {
 	if !d.on {
 		return BreakerClosed
 	}

@@ -83,7 +83,7 @@ func equalTimes(a, b []simtime.Duration) bool {
 func TestDefenseDisabledIsPassThrough(t *testing.T) {
 	clock := simtime.NewClock()
 	d := DefenseOf(clock)
-	if d.Enabled() {
+	if d.on {
 		t.Fatal("fresh defense must be inert")
 	}
 	if !d.AllowRetry("anything") {
@@ -103,7 +103,7 @@ func TestDefenseDisabledIsPassThrough(t *testing.T) {
 	if calls != 4 {
 		t.Fatalf("disabled Do made %d attempts, want the full backoff budget of 4", calls)
 	}
-	if d.State("tsm.session") != BreakerClosed {
+	if d.state("tsm.session") != BreakerClosed {
 		t.Fatal("disabled defense must report closed breakers")
 	}
 }
@@ -154,7 +154,7 @@ func TestBreakerOpensFailsFastAndProbes(t *testing.T) {
 				t.Error("op should fail while down")
 			}
 		}
-		if s := d.State("dep"); s != BreakerOpen {
+		if s := d.state("dep"); s != BreakerOpen {
 			t.Errorf("state after threshold failures = %v, want open", s)
 		}
 		// ...and the next call is rejected without reaching the op.
@@ -166,13 +166,13 @@ func TestBreakerOpensFailsFastAndProbes(t *testing.T) {
 		// discovers it and the breaker re-closes.
 		down = false
 		clock.Sleep(time.Minute + time.Second)
-		if s := d.State("dep"); s != BreakerHalfOpen {
+		if s := d.state("dep"); s != BreakerHalfOpen {
 			t.Errorf("state after cooldown = %v, want half-open", s)
 		}
 		if err := try(); err != nil {
 			t.Errorf("half-open probe = %v, want success", err)
 		}
-		if s := d.State("dep"); s != BreakerClosed {
+		if s := d.state("dep"); s != BreakerClosed {
 			t.Errorf("state after good probe = %v, want closed", s)
 		}
 		log = append(log, "closed")
@@ -199,7 +199,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		if err := fail(); errors.Is(err, ErrBreakerOpen) {
 			t.Error("half-open must admit one probe")
 		}
-		if s := d.State("dep"); s != BreakerOpen {
+		if s := d.state("dep"); s != BreakerOpen {
 			t.Errorf("state after failed probe = %v, want open again", s)
 		}
 		done = true

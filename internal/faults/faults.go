@@ -16,9 +16,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
-	"time"
 
 	"repro/internal/simtime"
 )
@@ -49,8 +46,7 @@ const (
 	KindCorrupt
 )
 
-// kindNames maps every Kind to its canonical string, the single source
-// for String and KindFromString so the two can never disagree.
+// kindNames maps every Kind to its canonical string.
 var kindNames = map[Kind]string{
 	KindFail:    "fail",
 	KindRepair:  "repair",
@@ -63,17 +59,6 @@ func (k Kind) String() string {
 		return s
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// KindFromString parses a canonical kind name back to its Kind,
-// reporting false for names no kind renders to.
-func KindFromString(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // Event is one fault (or repair) applied to one component.
@@ -117,19 +102,16 @@ const TSMComponent = "tsm"
 // so no locking is needed: the clock serializes execution.
 type Registry struct {
 	clock    *simtime.Clock
-	rng      *rand.Rand
 	down     map[string]bool
 	degraded map[string]float64 // component -> retained capacity fraction
 	appliers []func(Event)
 	log      []Event
 }
 
-// New creates a registry on the clock. The seed drives GenerateSchedule
-// only; explicit schedules are unaffected by it.
-func New(clock *simtime.Clock, seed int64) *Registry {
+// New creates a registry on the clock.
+func New(clock *simtime.Clock) *Registry {
 	return &Registry{
 		clock:    clock,
-		rng:      rand.New(rand.NewSource(seed)),
 		down:     make(map[string]bool),
 		degraded: make(map[string]float64),
 	}
@@ -145,9 +127,9 @@ func (r *Registry) OnApply(fn func(Event)) {
 // Down reports whether the component is currently failed.
 func (r *Registry) Down(component string) bool { return r.down[component] }
 
-// Capacity reports the component's retained capacity fraction: 1 when
+// capacity reports the component's retained capacity fraction: 1 when
 // healthy, 0 when failed, the degradation factor in between.
-func (r *Registry) Capacity(component string) float64 {
+func (r *Registry) capacity(component string) float64 {
 	if r.down[component] {
 		return 0
 	}
@@ -162,8 +144,8 @@ func (r *Registry) Log() []Event {
 	return append([]Event(nil), r.log...)
 }
 
-// DownCount reports how many components are currently failed.
-func (r *Registry) DownCount() int {
+// downCount reports how many components are currently failed.
+func (r *Registry) downCount() int {
 	n := 0
 	for _, d := range r.down {
 		if d {
@@ -225,105 +207,6 @@ func (r *Registry) Window(component string, at, outage simtime.Duration) {
 func (r *Registry) DegradeWindow(component string, factor float64, at, dur simtime.Duration) {
 	r.Schedule(Event{At: at, Component: component, Kind: KindDegrade, Param: factor})
 	r.Schedule(Event{At: at + dur, Component: component, Kind: KindDegrade, Param: 1})
-}
-
-// Profile is a statistical fault load for GenerateSchedule: counts of
-// each fault class to spread uniformly at random over a horizon.
-type Profile struct {
-	Horizon         simtime.Duration // events land in [0, Horizon)
-	DriveFailures   int              // permanent drive failures
-	Drives          []string         // drive names to draw victims from
-	MediaFailures   int              // cartridges gone read-only
-	Volumes         []string         // cartridge labels to draw victims from
-	NodeCrashes     int              // mover crash-and-reboot windows
-	Nodes           []string         // node names to draw victims from
-	NodeRebootAfter simtime.Duration // crash window length (default 10 min)
-	ServerOutages   int              // TSM server outage windows
-	ServerOutageLen simtime.Duration // outage window length (default 2 min)
-	LinkDegrades    int              // link degradation windows on Links
-	Links           []string         // link names to draw victims from
-	LinkFactor      float64          // retained capacity during degradation (default 0.5)
-	LinkDegradeLen  simtime.Duration // degradation window length (default 30 min)
-	MediaRots       int              // silent bit-rot events on cartridges (Volumes)
-	LinkCorrupts    int              // silent in-flight corruptions on Links
-	SiteKills       int              // whole-site outage windows (the DR drill)
-	Sites           []string         // site names to draw victims from
-	SiteOutageLen   simtime.Duration // site outage length (default 30 min)
-}
-
-// GenerateSchedule expands a statistical profile into a concrete event
-// schedule using the registry's seeded generator: same seed and profile,
-// same schedule. The schedule is returned sorted by time and is NOT yet
-// armed; pass each event to Schedule.
-func (r *Registry) GenerateSchedule(p Profile) []Event {
-	if p.Horizon <= 0 {
-		p.Horizon = time.Hour
-	}
-	if p.NodeRebootAfter <= 0 {
-		p.NodeRebootAfter = 10 * time.Minute
-	}
-	if p.ServerOutageLen <= 0 {
-		p.ServerOutageLen = 2 * time.Minute
-	}
-	if p.LinkDegradeLen <= 0 {
-		p.LinkDegradeLen = 30 * time.Minute
-	}
-	if p.LinkFactor <= 0 || p.LinkFactor >= 1 {
-		p.LinkFactor = 0.5
-	}
-	if p.SiteOutageLen <= 0 {
-		p.SiteOutageLen = 30 * time.Minute
-	}
-	at := func() simtime.Duration {
-		return simtime.Duration(r.rng.Int63n(int64(p.Horizon)))
-	}
-	pick := func(names []string) string {
-		return names[r.rng.Intn(len(names))]
-	}
-	var evs []Event
-	for i := 0; i < p.DriveFailures && len(p.Drives) > 0; i++ {
-		evs = append(evs, Event{At: at(), Component: DriveComponent(pick(p.Drives)), Kind: KindFail})
-	}
-	for i := 0; i < p.MediaFailures && len(p.Volumes) > 0; i++ {
-		evs = append(evs, Event{At: at(), Component: VolumeComponent(pick(p.Volumes)), Kind: KindFail})
-	}
-	for i := 0; i < p.NodeCrashes && len(p.Nodes) > 0; i++ {
-		t := at()
-		comp := NodeComponent(pick(p.Nodes))
-		evs = append(evs,
-			Event{At: t, Component: comp, Kind: KindFail},
-			Event{At: t + p.NodeRebootAfter, Component: comp, Kind: KindRepair})
-	}
-	for i := 0; i < p.ServerOutages; i++ {
-		t := at()
-		evs = append(evs,
-			Event{At: t, Component: TSMComponent, Kind: KindFail},
-			Event{At: t + p.ServerOutageLen, Component: TSMComponent, Kind: KindRepair})
-	}
-	for i := 0; i < p.LinkDegrades && len(p.Links) > 0; i++ {
-		t := at()
-		comp := LinkComponent(pick(p.Links))
-		evs = append(evs,
-			Event{At: t, Component: comp, Kind: KindDegrade, Param: p.LinkFactor},
-			Event{At: t + p.LinkDegradeLen, Component: comp, Kind: KindDegrade, Param: 1})
-	}
-	for i := 0; i < p.MediaRots && len(p.Volumes) > 0; i++ {
-		evs = append(evs, Event{At: at(), Component: VolumeComponent(pick(p.Volumes)),
-			Kind: KindCorrupt, Param: r.rng.Float64()})
-	}
-	for i := 0; i < p.LinkCorrupts && len(p.Links) > 0; i++ {
-		evs = append(evs, Event{At: at(), Component: LinkComponent(pick(p.Links)),
-			Kind: KindCorrupt, Param: 1})
-	}
-	for i := 0; i < p.SiteKills && len(p.Sites) > 0; i++ {
-		t := at()
-		comp := SiteComponent(pick(p.Sites))
-		evs = append(evs,
-			Event{At: t, Component: comp, Kind: KindFail},
-			Event{At: t + p.SiteOutageLen, Component: comp, Kind: KindRepair})
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs
 }
 
 // Status is a handle onto one component's failure state, for subsystems

@@ -22,7 +22,6 @@ import (
 	"repro/internal/hsm"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
-	"repro/internal/tsm"
 )
 
 // Errors.
@@ -190,17 +189,6 @@ func (f *Federation) Migrate(files []pfs.Info, opt hsm.MigrateOptions) (Outcome[
 func (f *Federation) Recall(paths []string, mode hsm.RecallMode) (Outcome[hsm.RecallResult], error) {
 	return fanOut(f, paths, func(p string) string { return p },
 		func(s *Site, share []string) (hsm.RecallResult, error) { return s.HSM.Recall(share, mode) })
-}
-
-// QueryByPath answers the unindexed TSM path query against the single
-// owning site: each site's database holds only its partition, so the
-// scan is 1/N the size of a monolithic server's.
-func (f *Federation) QueryByPath(path string) (tsm.Object, error) {
-	s, err := f.up(path)
-	if err != nil {
-		return tsm.Object{}, err
-	}
-	return s.TSM.QueryByPath(path)
 }
 
 // HealthySlice returns the names of healthy sites, sorted — the

@@ -43,7 +43,7 @@ func newEnv(t *testing.T, n int) *env {
 		opts.Site = fmt.Sprintf("site%d", i)
 		plants = append(plants, archive.New(clock, opts))
 	}
-	reg := faults.New(clock, 1)
+	reg := faults.New(clock)
 	fed, err := New(clock, reg, plants...)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs
 
 func TestNewRequiresCells(t *testing.T) {
 	clock := simtime.NewClock()
-	if _, err := New(clock, faults.New(clock, 1)); !errors.Is(err, ErrNoSites) {
+	if _, err := New(clock, faults.New(clock)); !errors.Is(err, ErrNoSites) {
 		t.Errorf("err = %v, want ErrNoSites", err)
 	}
 }
@@ -206,7 +206,8 @@ func TestPartitionedPathQueriesScanLess(t *testing.T) {
 			}
 			start := e.clock.Now()
 			for i := 0; i < 50; i++ {
-				if _, err := e.fed.QueryByPath(all[i*7%len(all)].Path); err != nil {
+				p := all[i*7%len(all)].Path
+				if _, err := e.fed.SiteFor(p).TSM.QueryByPath(p); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -34,7 +34,7 @@ func newSiteEnv(t *testing.T, n int) *siteEnv {
 		opts.Site = fmt.Sprintf("site%d", i)
 		plants = append(plants, archive.New(clock, opts))
 	}
-	reg := faults.New(clock, 1)
+	reg := faults.New(clock)
 	fed, err := New(clock, reg, plants...)
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 // crashNodeAt schedules node i of the env's cluster to crash at the
 // given virtual time (and optionally reboot after the window).
 func (e *env) crashNodeAt(i int, at, reboot time.Duration) {
-	e.clock.At(at, func() { e.cl.Node(i).SetDown(true) })
+	e.clock.At(at, func() { e.cl.Nodes()[i].SetDown(true) })
 	if reboot > 0 {
-		e.clock.At(at+reboot, func() { e.cl.Node(i).SetDown(false) })
+		e.clock.At(at+reboot, func() { e.cl.Nodes()[i].SetDown(false) })
 	}
 }
 
@@ -98,7 +98,7 @@ func TestRecallSurvivesDaemonCrash(t *testing.T) {
 		}
 		// Crash a recall node shortly into the recall, reboot later.
 		start := e.clock.Now()
-		e.clock.At(start+2*time.Minute, func() { e.cl.Node(2).SetDown(true) })
+		e.clock.At(start+2*time.Minute, func() { e.cl.Nodes()[2].SetDown(true) })
 		res, err := e.eng.Recall(paths, RecallOrdered)
 		if err != nil {
 			t.Fatalf("recall with daemon crash: %v", err)

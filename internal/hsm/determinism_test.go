@@ -24,7 +24,7 @@ func dispatchTrace(t *testing.T) []sched.Dispatch {
 		paths[i] = f.Path
 	}
 	e.run(t, func() {
-		e.clock.At(e.clock.Now()+2*time.Minute, func() { e.cl.Node(0).SetDown(true) })
+		e.clock.At(e.clock.Now()+2*time.Minute, func() { e.cl.Nodes()[0].SetDown(true) })
 		res, err := e.eng.Migrate(files, MigrateOptions{Balanced: true})
 		if err != nil {
 			t.Errorf("migrate: %v", err)
@@ -32,8 +32,8 @@ func dispatchTrace(t *testing.T) []sched.Dispatch {
 		if res.Requeued == 0 {
 			t.Error("crash scenario produced no requeue; test exercises nothing")
 		}
-		e.cl.Node(0).SetDown(false)
-		e.clock.At(e.clock.Now()+2*time.Minute, func() { e.cl.Node(2).SetDown(true) })
+		e.cl.Nodes()[0].SetDown(false)
+		e.clock.At(e.clock.Now()+2*time.Minute, func() { e.cl.Nodes()[2].SetDown(true) })
 		if _, err := e.eng.Recall(paths, RecallOrdered); err != nil {
 			t.Errorf("recall: %v", err)
 		}

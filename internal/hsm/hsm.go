@@ -519,7 +519,6 @@ func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.
 	sum := e.contentSum(f.Path)
 	obj, err := e.srv.Store(tsm.StoreRequest{
 		Client: node.Name,
-		Class:  tsm.ClassMigrate,
 		Path:   f.Path,
 		FileID: uint64(f.ID),
 		Bytes:  f.Size,
@@ -554,7 +553,6 @@ func (e *Engine) storeAggregate(node *cluster.Node, pool *pfs.Pool, stream *fabr
 	}
 	obj, err := e.srv.Store(tsm.StoreRequest{
 		Client: node.Name,
-		Class:  tsm.ClassMigrate,
 		Path:   fmt.Sprintf("<aggregate:%s:%s+%d>", node.Name, members[0].Path, len(members)),
 		Bytes:  total,
 		Group:  e.cfg.Group,

@@ -29,41 +29,14 @@ func And(ps ...Predicate) Predicate {
 	}
 }
 
-// Or composes predicates disjunctively.
-func Or(ps ...Predicate) Predicate {
-	return func(i pfs.Info, now time.Duration) bool {
-		for _, p := range ps {
-			if p(i, now) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Not inverts a predicate.
-func Not(p Predicate) Predicate {
-	return func(i pfs.Info, now time.Duration) bool { return !p(i, now) }
-}
-
 // IsFile matches regular files (directories never migrate).
 func IsFile() Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return !i.IsDir() }
 }
 
-// SizeAtLeast matches files of at least n bytes.
-func SizeAtLeast(n int64) Predicate {
-	return func(i pfs.Info, _ time.Duration) bool { return i.Size >= n }
-}
-
 // SizeLess matches files smaller than n bytes.
 func SizeLess(n int64) Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.Size < n }
-}
-
-// OlderThan matches files whose modification age exceeds d.
-func OlderThan(d time.Duration) Predicate {
-	return func(i pfs.Info, now time.Duration) bool { return now-i.ModTime > d }
 }
 
 // PathPrefix matches files under the given directory prefix.
@@ -82,18 +55,6 @@ func InPool(pool string) Predicate {
 // StateIs matches files in the given migration state.
 func StateIs(s pfs.MigState) Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.State == s }
-}
-
-// HasXattr matches files carrying the extended attribute key=value
-// (any value if value is empty).
-func HasXattr(key, value string) Predicate {
-	return func(i pfs.Info, _ time.Duration) bool {
-		v, ok := i.Xattr(key)
-		if !ok {
-			return false
-		}
-		return value == "" || v == value
-	}
 }
 
 // ListPolicy emits the files matching Where, the GPFS LIST rule whose

@@ -38,9 +38,6 @@ func TestPredicates(t *testing.T) {
 		slow, _ := fs.Stat("/proj/b/slowfile")
 		dir, _ := fs.Stat("/proj/a")
 
-		if !SizeAtLeast(1e6)(big, now) || SizeAtLeast(1e6)(small, now) {
-			t.Error("SizeAtLeast wrong")
-		}
 		if !SizeLess(1000)(small, now) || SizeLess(1000)(big, now) {
 			t.Error("SizeLess wrong")
 		}
@@ -56,49 +53,8 @@ func TestPredicates(t *testing.T) {
 		if !StateIs(pfs.Resident)(big, now) {
 			t.Error("StateIs wrong")
 		}
-		if !And(IsFile(), SizeAtLeast(1e6))(big, now) {
+		if !And(IsFile(), SizeLess(1000))(small, now) || And(IsFile(), SizeLess(1000))(big, now) {
 			t.Error("And wrong")
-		}
-		if !Or(SizeLess(10), SizeAtLeast(1e6))(big, now) {
-			t.Error("Or wrong")
-		}
-		if Not(IsFile())(big, now) {
-			t.Error("Not wrong")
-		}
-	})
-}
-
-func TestOlderThan(t *testing.T) {
-	sim(t, func(c *simtime.Clock, fs *pfs.FS) {
-		fs.WriteFile("/old", synthetic.NewUniform(1, 10))
-		c.Sleep(10 * time.Minute)
-		fs.WriteFile("/new", synthetic.NewUniform(2, 10))
-		old, _ := fs.Stat("/old")
-		fresh, _ := fs.Stat("/new")
-		now := c.Now()
-		if !OlderThan(5*time.Minute)(old, now) {
-			t.Error("old file should match")
-		}
-		if OlderThan(5*time.Minute)(fresh, now) {
-			t.Error("fresh file should not match")
-		}
-	})
-}
-
-func TestHasXattr(t *testing.T) {
-	sim(t, func(c *simtime.Clock, fs *pfs.FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 1))
-		fs.SetXattr("/f", "trash.owner", "alice")
-		info, _ := fs.Stat("/f")
-		now := c.Now()
-		if !HasXattr("trash.owner", "alice")(info, now) {
-			t.Error("exact value should match")
-		}
-		if !HasXattr("trash.owner", "")(info, now) {
-			t.Error("any-value should match")
-		}
-		if HasXattr("trash.owner", "bob")(info, now) {
-			t.Error("wrong value should not match")
 		}
 	})
 }
@@ -106,7 +62,7 @@ func TestHasXattr(t *testing.T) {
 func TestRunListFilters(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *pfs.FS) {
 		seed(fs)
-		list, err := RunList(fs, ListPolicy{Name: "big", Where: And(IsFile(), SizeAtLeast(1e6))})
+		list, err := RunList(fs, ListPolicy{Name: "big", Where: func(i pfs.Info, _ time.Duration) bool { return !i.IsDir() && i.Size >= 1e6 }})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,11 +25,8 @@ import (
 	"repro/internal/trash"
 )
 
-// Errors.
-var (
-	ErrForbidden = errors.New("jail: command not permitted")
-	ErrNoSession = errors.New("jail: no such user session")
-)
+// ErrForbidden is returned for a command the policy does not allow.
+var ErrForbidden = errors.New("jail: command not permitted")
 
 // Policy lists the commands a jailed user may run.
 type Policy struct {
@@ -60,19 +57,10 @@ func New(fs *pfs.FS, engine *hsm.Engine, can *trash.Can, policy Policy) *Jail {
 	return &Jail{fs: fs, engine: engine, can: can, policy: policy}
 }
 
-// Stats returns a copy of the activity counters.
-func (j *Jail) Stats() Stats { return j.stats }
-
 // Ls lists a directory (always safe: metadata only).
 func (j *Jail) Ls(path string) ([]pfs.Info, error) {
 	j.stats.Commands++
 	return j.fs.ReadDir(path)
-}
-
-// Stat stats one path (safe).
-func (j *Jail) Stat(path string) (pfs.Info, error) {
-	j.stats.Commands++
-	return j.fs.Stat(path)
 }
 
 // Read returns a file's content, transparently recalling it from tape
@@ -105,12 +93,6 @@ func (j *Jail) Rm(user, path string) (string, error) {
 	}
 	j.stats.FilesMoved++
 	return tp, nil
-}
-
-// Undelete restores a trashed entry.
-func (j *Jail) Undelete(trashPath string) (string, error) {
-	j.stats.Commands++
-	return j.can.Undelete(trashPath)
 }
 
 // GrepResult reports one search run.

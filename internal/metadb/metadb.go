@@ -64,17 +64,13 @@ type DB struct {
 // indexed lookup charge (a loopback MySQL round trip; ~100µs is
 // realistic).
 func New(clock *simtime.Clock, queryCost time.Duration) *DB {
-	db := &DB{clock: clock, queryCost: queryCost}
-	db.reset(0)
-	return db
-}
-
-// reset empties the database, sizing the indexes for n records.
-func (db *DB) reset(n int) {
-	db.chunks, db.free, db.slots = nil, nil, 0
-	db.byObject = make(map[uint64]int32, n)
-	db.byFileID = make(map[uint64]int32, n)
-	db.byPath = make(map[string]int32, n)
+	return &DB{
+		clock:     clock,
+		queryCost: queryCost,
+		byObject:  map[uint64]int32{},
+		byFileID:  map[uint64]int32{},
+		byPath:    map[string]int32{},
+	}
 }
 
 // Queries reports the number of lookups served.
@@ -168,8 +164,8 @@ func (db *DB) ByFileID(fileID uint64) (Record, error) {
 	return *db.rec(i), nil
 }
 
-// ByObject returns the record for a TSM object ID.
-func (db *DB) ByObject(objectID uint64) (Record, error) {
+// byObjectID returns the record for a TSM object ID.
+func (db *DB) byObjectID(objectID uint64) (Record, error) {
 	db.charge()
 	i, ok := db.byObject[objectID]
 	if !ok {
@@ -189,17 +185,6 @@ func (db *DB) ByPaths(paths []string) []Record {
 		}
 	}
 	return out
-}
-
-// SyncFromTSM rebuilds the shadow from a TSM export (the nightly batch
-// job of the real deployment). The TSM side charges its own scan cost.
-func (db *DB) SyncFromTSM(server *tsm.Server) int {
-	objs := server.Export()
-	db.reset(len(objs))
-	for _, o := range objs {
-		db.UpsertObject(o)
-	}
-	return len(objs)
 }
 
 // UpsertObject mirrors one TSM object into the shadow (the incremental

@@ -51,9 +51,6 @@ func New(clock *simtime.Clock, n int) *Comm {
 	return c
 }
 
-// Size reports the number of ranks.
-func (c *Comm) Size() int { return len(c.boxes) }
-
 // Sent reports the total messages sent (a cheap progress metric).
 func (c *Comm) Sent() int { return c.sent }
 
@@ -132,13 +129,6 @@ func (c *Comm) CloseAll() {
 	for i := range c.boxes {
 		c.Close(i)
 	}
-}
-
-// Closed reports whether a rank's mailbox has been closed — whether
-// the rank is dead from the communicator's point of view.
-func (c *Comm) Closed(rank int) bool {
-	c.check(rank)
-	return c.closed[rank]
 }
 
 func (c *Comm) check(rank int) {

@@ -227,7 +227,7 @@ func TestRankDeathSemantics(t *testing.T) {
 		comm.Send(0, 1, 0, 10)
 		comm.Send(0, 1, 0, 11)
 		comm.Close(1) // rank 1's machine dies
-		if !comm.Closed(1) {
+		if !comm.closed[1] {
 			t.Error("Closed(1) = false after Close")
 		}
 		before := comm.Sent()
@@ -248,7 +248,7 @@ func TestRankDeathSemantics(t *testing.T) {
 	if !afterOK || after.Data.(int) != 99 {
 		t.Errorf("live rank recv = %+v ok=%v", after, afterOK)
 	}
-	if comm.Closed(0) || comm.Closed(2) {
+	if comm.closed[0] || comm.closed[2] {
 		t.Error("live ranks reported closed")
 	}
 }

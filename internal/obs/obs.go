@@ -77,9 +77,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return s.url, nil
 }
 
-// URL reports the base URL ("" before Start).
-func (s *Server) URL() string { return s.url }
-
 // Settle marks the simulation finished (call after clock.Run returns):
 // handlers switch from scheduler-injected reads to direct ones, and
 // open streams drain and end.

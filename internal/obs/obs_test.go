@@ -26,7 +26,7 @@ func liveSim(t *testing.T, pace float64, virtualSpan time.Duration) (*Server, *s
 		clock.SetPace(pace)
 	}
 	tel := telemetry.Of(clock)
-	reg := faults.New(clock, 1)
+	reg := faults.New(clock)
 	clock.Go(func() {
 		ctr := tel.Counter("obstest_ticks_total")
 		for clock.Now() < virtualSpan {
@@ -90,7 +90,7 @@ func post(t *testing.T, url string) string {
 // post-hoc Snapshot().Text() byte for byte.
 func TestServeLiveScrape(t *testing.T) {
 	srv, clock, _, done := liveSim(t, 4.0, time.Second) // ~250ms real
-	mid := get(t, srv.URL()+"/metrics")
+	mid := get(t, srv.url+"/metrics")
 	e, err := ValidateExposition(strings.NewReader(mid))
 	if err != nil {
 		t.Fatalf("mid-run scrape invalid: %v", err)
@@ -103,7 +103,7 @@ func TestServeLiveScrape(t *testing.T) {
 	}
 
 	// Monotone counters across scrapes.
-	mid2 := get(t, srv.URL()+"/metrics")
+	mid2 := get(t, srv.url+"/metrics")
 	e2, err := ValidateExposition(strings.NewReader(mid2))
 	if err != nil {
 		t.Fatalf("second scrape invalid: %v", err)
@@ -113,14 +113,14 @@ func TestServeLiveScrape(t *testing.T) {
 	}
 
 	done()
-	final := get(t, srv.URL()+"/metrics")
+	final := get(t, srv.url+"/metrics")
 	var want string
 	srv.Gate().Do(func() { want = telemetry.Of(clock).Snapshot().Text() })
 	if final != want {
 		t.Fatalf("settled scrape differs from Snapshot().Text():\nscrape %d bytes, text %d bytes", len(final), len(want))
 	}
 	// Timestamped form also parses.
-	if _, err := ValidateExposition(strings.NewReader(get(t, srv.URL()+"/metrics?ts=1"))); err != nil {
+	if _, err := ValidateExposition(strings.NewReader(get(t, srv.url+"/metrics?ts=1"))); err != nil {
 		t.Fatalf("timestamped scrape invalid: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestSnapshotDiffCursor(t *testing.T) {
 	done()
 
 	var full snapshotJSON
-	if err := json.Unmarshal([]byte(get(t, srv.URL()+"/snapshot")), &full); err != nil {
+	if err := json.Unmarshal([]byte(get(t, srv.url+"/snapshot")), &full); err != nil {
 		t.Fatal(err)
 	}
 	if full.Schema != SnapshotSchema || len(full.Points) == 0 {
@@ -141,7 +141,7 @@ func TestSnapshotDiffCursor(t *testing.T) {
 	// A cursor at the end excludes the tick counter (last updated
 	// before the final instant).
 	var diff snapshotJSON
-	url := fmt.Sprintf("%s/snapshot?since_ns=%d", srv.URL(), full.CursorNs)
+	url := fmt.Sprintf("%s/snapshot?since_ns=%d", srv.url, full.CursorNs)
 	if err := json.Unmarshal([]byte(get(t, url)), &diff); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestOpsDrainDrive(t *testing.T) {
 		mu.Unlock()
 	})
 
-	body := post(t, srv.URL()+"/ops/drain-drive?drive=drive03")
+	body := post(t, srv.url+"/ops/drain-drive?drive=drive03")
 	var res opResult
 	if err := json.Unmarshal([]byte(body), &res); err != nil || !res.OK {
 		t.Fatalf("drain reply: %s (%v)", body, err)
@@ -196,7 +196,7 @@ func TestOpsDrainDrive(t *testing.T) {
 // when the run settles.
 func TestEventStreamFollow(t *testing.T) {
 	srv, _, _, done := liveSim(t, 4.0, 400*time.Millisecond) // ~100ms real
-	resp, err := http.Get(srv.URL() + "/events")
+	resp, err := http.Get(srv.url + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSpanStreamAndDump(t *testing.T) {
 	done()
 
 	var dump telemetry.FlightDump
-	if err := json.Unmarshal([]byte(get(t, srv.URL()+"/spans?follow=0")), &dump); err != nil {
+	if err := json.Unmarshal([]byte(get(t, srv.url+"/spans?follow=0")), &dump); err != nil {
 		t.Fatal(err)
 	}
 	if dump.Schema != telemetry.FlightSchema || len(dump.Spans) == 0 {
@@ -237,7 +237,7 @@ func TestSpanStreamAndDump(t *testing.T) {
 	}
 
 	// Follow on a settled server: one drain pass, then EOF.
-	resp, err := http.Get(srv.URL() + "/spans")
+	resp, err := http.Get(srv.url + "/spans")
 	if err != nil {
 		t.Fatal(err)
 	}

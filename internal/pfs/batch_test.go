@@ -27,7 +27,7 @@ func fsState(fs *FS) string {
 		out += fmt.Sprintf("%s %d %v %s\n", i.Path, i.Size, i.State, i.Pool)
 		return nil
 	})
-	for _, p := range fs.Pools() {
+	for _, p := range fs.pools {
 		out += fmt.Sprintf("pool %s used %d\n", p.Spec.Name, p.Used())
 	}
 	return out

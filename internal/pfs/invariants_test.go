@@ -41,7 +41,7 @@ func TestInvariantPoolAccounting(t *testing.T) {
 			case op < 55 && len(paths) > 0: // truncate
 				p := paths[r.Intn(len(paths))]
 				if info, err := fs.Stat(p); err == nil && info.Size > 0 {
-					fs.Truncate(p, int64(r.Intn(int(info.Size))))
+					fs.truncate(p, int64(r.Intn(int(info.Size))))
 				}
 			case op < 70 && len(paths) > 0: // remove
 				p := paths[r.Intn(len(paths))]
@@ -105,7 +105,7 @@ func checkAccounting(t *testing.T, fs *FS, step int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pool := range fs.Pools() {
+	for _, pool := range fs.pools {
 		if got := pool.Used(); got != want[pool.Spec.Name] {
 			t.Fatalf("step %d: pool %s Used=%d, walk says %d",
 				step, pool.Spec.Name, got, want[pool.Spec.Name])

@@ -150,10 +150,6 @@ func (p *Pool) Used() int64 { return p.used }
 // Free reports remaining capacity.
 func (p *Pool) Free() int64 { return p.Spec.Capacity - p.used }
 
-// Link returns the pool's fabric link (the disk-array hop of any route
-// that starts or ends at this pool).
-func (p *Pool) Link() *fabric.Link { return p.link }
-
 // Endpoint returns the pool's fabric endpoint name ("<fs>:<pool>"),
 // usable as a source or destination in fabric.Route.
 func (p *Pool) Endpoint() string { return p.endpoint }
@@ -231,9 +227,6 @@ func New(clock *simtime.Clock, cfg Config) *FS {
 	return fs
 }
 
-// Name reports the file system's label.
-func (fs *FS) Name() string { return fs.cfg.Name }
-
 // Clock returns the simulation clock the FS runs on.
 func (fs *FS) Clock() *simtime.Clock { return fs.clock }
 
@@ -249,9 +242,6 @@ func (fs *FS) Pool(name string) (*Pool, error) {
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNoPool, name)
 }
-
-// Pools returns all pools in declaration order.
-func (fs *FS) Pools() []*Pool { return append([]*Pool(nil), fs.pools...) }
 
 // DefaultPool returns the placement default.
 func (fs *FS) DefaultPool() *Pool { return fs.defPool }
@@ -441,8 +431,8 @@ func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 	return fs.ns.WriteAt(p, off, data)
 }
 
-// Truncate shortens a resident file, releasing pool space.
-func (fs *FS) Truncate(p string, length int64) error {
+// truncate shortens a resident file, releasing pool space.
+func (fs *FS) truncate(p string, length int64) error {
 	fs.chargeMeta(1)
 	id, _, size, err := fs.ns.Lookup(p)
 	if err != nil {
@@ -481,8 +471,8 @@ func (fs *FS) decorate(vi vfs.Info) Info {
 	return out
 }
 
-// StatID resolves a file ID (the synchronous deleter's lookup).
-func (fs *FS) StatID(id vfs.FileID) (Info, error) {
+// statID resolves a file ID.
+func (fs *FS) statID(id vfs.FileID) (Info, error) {
 	fs.chargeMeta(1)
 	vi, err := fs.ns.StatID(id)
 	if err != nil {

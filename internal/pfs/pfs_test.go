@@ -179,7 +179,7 @@ func TestMigratedFileRejectsWrites(t *testing.T) {
 		if err := fs.WriteAt("/f", 0, synthetic.NewUniform(2, 10)); !errors.Is(err, ErrOffline) {
 			t.Errorf("WriteAt err = %v, want ErrOffline", err)
 		}
-		if err := fs.Truncate("/f", 10); !errors.Is(err, ErrOffline) {
+		if err := fs.truncate("/f", 10); !errors.Is(err, ErrOffline) {
 			t.Errorf("Truncate err = %v, want ErrOffline", err)
 		}
 	})
@@ -336,11 +336,11 @@ func TestStatIDForSyncDeleter(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *FS) {
 		fs.WriteFile("/f", synthetic.NewUniform(1, 10))
 		info, _ := fs.Stat("/f")
-		got, err := fs.StatID(info.ID)
+		got, err := fs.statID(info.ID)
 		if err != nil || got.Size != 10 {
 			t.Errorf("StatID = %+v, %v", got, err)
 		}
-		if _, err := fs.StatID(vfs.FileID(9999)); err == nil {
+		if _, err := fs.statID(vfs.FileID(9999)); err == nil {
 			t.Error("StatID of missing ID should fail")
 		}
 	})
@@ -350,7 +350,7 @@ func TestPoolLinkRates(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *FS) {
 		fast, _ := fs.Pool("fast")
 		start := c.Now()
-		fast.Link().Transfer(3e9) // 1s at 3 GB/s
+		fast.link.Transfer(3e9) // 1s at 3 GB/s
 		if got := c.Now() - start; got < 900*time.Millisecond || got > 1100*time.Millisecond {
 			t.Errorf("3 GB over fast pool took %v, want ~1s", got)
 		}

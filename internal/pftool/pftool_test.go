@@ -283,7 +283,7 @@ func TestVeryLargeFileFuseNtoN(t *testing.T) {
 		if !e.archive.Exists(dir) {
 			t.Fatal("chunk dir missing on destination")
 		}
-		chunks, _ := chunkfs.Chunks(e.archive, dir)
+		chunks, _ := e.archive.ReadDir(dir)
 		if len(chunks) != 8 {
 			t.Errorf("chunk files = %d, want 8", len(chunks))
 		}

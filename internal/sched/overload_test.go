@@ -24,8 +24,8 @@ func TestDeadlineRejectedAtAdmit(t *testing.T) {
 	if !errors.Is(got, ErrDeadlineExceeded) {
 		t.Fatalf("Err = %v, want ErrDeadlineExceeded", got)
 	}
-	if st.InFlight() != 0 {
-		t.Fatalf("refused grant holds a slot: inFlight=%d", st.InFlight())
+	if st.inFlight != 0 {
+		t.Fatalf("refused grant holds a slot: inFlight=%d", st.inFlight)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestDeadlineCancelsQueuedItemWhenItExpires(t *testing.T) {
 	if rejectedAt != 10*time.Second {
 		t.Fatalf("cancelled at %v, want 10s (the deadline, via the wake timer)", rejectedAt)
 	}
-	if s.Queued() != 0 {
-		t.Fatalf("queue not drained: %d", s.Queued())
+	if s.queued() != 0 {
+		t.Fatalf("queue not drained: %d", s.queued())
 	}
 }
 

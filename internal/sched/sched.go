@@ -162,9 +162,6 @@ type Grant struct {
 	done bool
 }
 
-// Wait reports how long admission queued the item (0 on pass-through).
-func (g *Grant) Wait() simtime.Duration { return g.wait }
-
 // Err reports why admission was refused: ErrDeadlineExceeded if the
 // deadline passed before a slot was granted, ErrShed if the brownout
 // watermark rejected the item. Nil means the grant is live and Done
@@ -247,9 +244,6 @@ func newScheduler(clock *simtime.Clock) *Scheduler {
 		acct:      make(map[acctKey]*TenantStat),
 	}
 }
-
-// Clock returns the clock the scheduler is attached to.
-func (s *Scheduler) Clock() *simtime.Clock { return s.clock }
 
 // Station finds or creates the named admission point. New stations
 // are pass-through until SetLimit gives them a slot budget.
@@ -349,8 +343,8 @@ func (s *Scheduler) TenantStats() []TenantStat {
 // scavenger lane — observed share = scav/total.
 func (s *Scheduler) ContentionStats() (scav, total int64) { return s.contScav, s.contTotal }
 
-// Queued totals items waiting for admission across all stations.
-func (s *Scheduler) Queued() int {
+// queued totals items waiting for admission across all stations.
+func (s *Scheduler) queued() int {
 	n := 0
 	for _, st := range s.stations {
 		n += st.queued
@@ -516,15 +510,6 @@ func (st *Station) deadlineCtr() *telemetry.Counter {
 	}
 	return st.ctrDeadline
 }
-
-// Name returns the station's name.
-func (st *Station) Name() string { return st.name }
-
-// InFlight reports the number of live grants.
-func (st *Station) InFlight() int { return st.inFlight }
-
-// Limit reports the slot budget (0 = pass-through).
-func (st *Station) Limit() int { return st.slots }
 
 // Admit blocks the calling actor until the scheduler grants the item
 // a dispatch slot, and returns the grant; call Done when the work

@@ -29,7 +29,7 @@ func TestPassThroughIsImmediate(t *testing.T) {
 	c.Go(func() {
 		c.Sleep(5 * time.Second)
 		g := st.Admit(Item{Kind: "x", Units: 100})
-		wait = g.Wait()
+		wait = g.wait
 		at = c.Now()
 		g.Done()
 	})
@@ -40,8 +40,8 @@ func TestPassThroughIsImmediate(t *testing.T) {
 	if at != 5*time.Second {
 		t.Fatalf("pass-through grant at %v, want 5s (no virtual time may pass)", at)
 	}
-	if s.Queued() != 0 || st.InFlight() != 0 {
-		t.Fatalf("station not drained: queued=%d inflight=%d", s.Queued(), st.InFlight())
+	if s.queued() != 0 || st.inFlight != 0 {
+		t.Fatalf("station not drained: queued=%d inflight=%d", s.queued(), st.inFlight)
 	}
 	func() {
 		defer func() {
@@ -51,8 +51,8 @@ func TestPassThroughIsImmediate(t *testing.T) {
 		}()
 		s.SetLimit("test", 0)
 	}()
-	if st.Limit() != 0 {
-		t.Fatalf("refused SetLimit left limit %d, want pass-through", st.Limit())
+	if st.slots != 0 {
+		t.Fatalf("refused SetLimit left limit %d, want pass-through", st.slots)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestDefaultsApplied(t *testing.T) {
 		g.Done() // double Done must be a no-op
 	})
 	c.RunFor()
-	if st.InFlight() != 0 {
-		t.Fatalf("double Done corrupted inFlight = %d", st.InFlight())
+	if st.inFlight != 0 {
+		t.Fatalf("double Done corrupted inFlight = %d", st.inFlight)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestScavengerAntiStarvationShare(t *testing.T) {
 		spawnInter()
 		spawnScav()
 	}
-	c.After(500*time.Second, func() { stop = true })
+	c.At(c.Now()+500*time.Second, func() { stop = true })
 	c.RunFor()
 	total := interDone + scavDone
 	share := float64(scavDone) / float64(total)

@@ -79,7 +79,7 @@ func TestWFQEqualShares(t *testing.T) {
 				spawn(tn)
 			}
 		}
-		c.After(2000*time.Second, func() { stop = true })
+		c.At(c.Now()+2000*time.Second, func() { stop = true })
 		c.RunFor()
 		total := 0
 		for _, tn := range tenants {
@@ -119,7 +119,7 @@ func TestWFQIdleTenantNeverBlocked(t *testing.T) {
 		c.Go(func() {
 			c.Sleep(arrive)
 			g := st.Admit(Item{QoS: QoS{Tenant: "idle", Class: Batch}, Units: 1000})
-			wait = g.Wait()
+			wait = g.wait
 			c.Sleep(service)
 			g.Done()
 		})
@@ -174,8 +174,8 @@ func TestWFQRandomizedAllServed(t *testing.T) {
 		if items != int64(n) {
 			t.Fatalf("seed %d: accounting says %d items, want %d", seed, items, n)
 		}
-		if s.Queued() != 0 || st.InFlight() != 0 {
-			t.Fatalf("seed %d: residue queued=%d inflight=%d", seed, s.Queued(), st.InFlight())
+		if s.queued() != 0 || st.inFlight != 0 {
+			t.Fatalf("seed %d: residue queued=%d inflight=%d", seed, s.queued(), st.inFlight)
 		}
 	}
 }

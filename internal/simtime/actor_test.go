@@ -148,8 +148,8 @@ func TestBlockingOutsideActorPanics(t *testing.T) {
 		check("after Run", name, fn)
 	}
 	// The panic released the clock's lock: the clock still answers.
-	if q.Len() != 0 || r.InUse() != 1 {
-		t.Errorf("queue len %d, resource in use %d after the panics", q.Len(), r.InUse())
+	if q.Len() != 0 || r.inUse != 1 {
+		t.Errorf("queue len %d, resource in use %d after the panics", q.Len(), r.inUse)
 	}
 }
 

@@ -276,13 +276,6 @@ func (c *Clock) At(t Duration, fn func()) (cancel func()) {
 	return c.atLocked(t, fn)
 }
 
-// After schedules fn to run as a fresh actor after d of virtual time.
-func (c *Clock) After(d Duration, fn func()) (cancel func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.atLocked(c.now+d, fn)
-}
-
 // Callback schedules fn to run inline in the scheduler loop at virtual
 // time t (clamped to now), without spawning an actor. It is
 // the cheap timer for bookkeeping callbacks that never block: fn must

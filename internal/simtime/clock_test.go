@@ -146,7 +146,7 @@ func TestClockAfterRelative(t *testing.T) {
 	var fired Duration
 	c.Go(func() {
 		c.Sleep(2 * time.Second)
-		c.After(3*time.Second, func() {
+		c.At(c.Now()+3*time.Second, func() {
 			fired = c.Now()
 		})
 	})

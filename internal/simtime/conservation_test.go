@@ -19,7 +19,7 @@ func TestResourceConservation(t *testing.T) {
 		hold := time.Duration(r.Intn(1000)+1) * time.Millisecond
 		c.Go(func() {
 			res.Acquire(n)
-			if res.InUse() > capacity {
+			if res.inUse > capacity {
 				violated = true
 			}
 			c.Sleep(hold)
@@ -30,8 +30,8 @@ func TestResourceConservation(t *testing.T) {
 	if violated {
 		t.Error("resource exceeded capacity")
 	}
-	if res.InUse() != 0 {
-		t.Errorf("leaked %d units", res.InUse())
+	if res.inUse != 0 {
+		t.Errorf("leaked %d units", res.inUse)
 	}
 }
 

@@ -15,7 +15,9 @@ func ExampleResource() {
 	for i := 0; i < 3; i++ {
 		i := i
 		clock.Go(func() {
-			drive.Use(1, func() { clock.Sleep(time.Minute) })
+			drive.Acquire(1)
+			clock.Sleep(time.Minute)
+			drive.Release(1)
 			fmt.Printf("job %d finished at %v\n", i, clock.Now())
 		})
 	}

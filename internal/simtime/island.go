@@ -105,9 +105,6 @@ func (g *Group) AddIsland(name string) *Island {
 // Clock returns the island's clock; build the island's world on it.
 func (i *Island) Clock() *Clock { return i.clk }
 
-// Name returns the island's name.
-func (i *Island) Name() string { return i.name }
-
 // Connect creates a channel from one island to another. lookahead must
 // be positive — it is the guarantee that a message sent "now" arrives
 // strictly in the receiver's future, and the engine's ability to run
@@ -149,9 +146,6 @@ func (ch *Channel) Send(payload interface{}) {
 	ch.to.cv.Signal()
 	g.mu.Unlock()
 }
-
-// Lookahead returns the channel's lookahead bound.
-func (ch *Channel) Lookahead() Duration { return ch.lookahead }
 
 // satAdd adds a lookahead to a horizon without overflowing past the
 // engine's "never" instant.

@@ -20,7 +20,7 @@ func buildPingPong(n int) (*Group, []*[]string) {
 	mk := func(isl *Island, out **Channel, trace *[]string) func(interface{}) {
 		return func(v interface{}) {
 			k := v.(int)
-			*trace = append(*trace, fmt.Sprintf("%s got %d at %v", isl.Name(), k, isl.Clock().Now()))
+			*trace = append(*trace, fmt.Sprintf("%s got %d at %v", isl.name, k, isl.Clock().Now()))
 			if k < n {
 				next := k + 1
 				isl.Clock().Go(func() {

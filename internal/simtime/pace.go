@@ -31,13 +31,6 @@ func (c *Clock) SetPace(ratio float64) {
 	}
 }
 
-// Pace reports the current virtual-per-real pacing ratio (0 = off).
-func (c *Clock) Pace() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.paceRatio
-}
-
 // paceWaitLocked naps toward the real-time budget for advancing to
 // virtual time target. It returns true if it slept (the caller must
 // re-evaluate the world: new events may have been injected while the

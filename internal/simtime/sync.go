@@ -66,13 +66,6 @@ func NewResource(clock *Clock, capacity int) *Resource {
 // Cap reports the resource capacity.
 func (r *Resource) Cap() int { return r.cap }
 
-// InUse reports the units currently held.
-func (r *Resource) InUse() int {
-	r.clock.mu.Lock()
-	defer r.clock.mu.Unlock()
-	return r.inUse
-}
-
 // Acquire blocks the calling actor until n units are available and the
 // caller is at the head of the FIFO queue. n must be in [1, capacity].
 func (r *Resource) Acquire(n int) {
@@ -144,13 +137,6 @@ func (r *Resource) SetCap(n int) {
 		r.clock.unpark(w.a)
 		r.wait.pop()
 	}
-}
-
-// Use acquires n units, runs fn, and releases, panic-safe.
-func (r *Resource) Use(n int, fn func()) {
-	r.Acquire(n)
-	defer r.Release(n)
-	fn()
 }
 
 // Queue is an unbounded FIFO mailbox of values with blocking Pop. It is

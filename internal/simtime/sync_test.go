@@ -37,7 +37,9 @@ func TestResourceParallelWithinCapacity(t *testing.T) {
 	r := NewResource(c, 3)
 	for i := 0; i < 3; i++ {
 		c.Go(func() {
-			r.Use(1, func() { c.Sleep(10 * time.Second) })
+			r.Acquire(1)
+			c.Sleep(10 * time.Second)
+			r.Release(1)
 		})
 	}
 	if end := c.RunFor(); end != 10*time.Second {

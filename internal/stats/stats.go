@@ -120,9 +120,6 @@ func (h *LogHistogram) Add(v float64) {
 	h.counts[int(math.Floor(math.Log10(v)))]++
 }
 
-// Total reports the number of values added.
-func (h *LogHistogram) Total() int { return h.total }
-
 // Render draws the histogram as fixed-width text with one row per
 // populated decade, labelled with the unit.
 func (h *LogHistogram) Render(unit string) string {

@@ -79,8 +79,8 @@ func TestLogHistogramBuckets(t *testing.T) {
 	h.Add(5e6) // decade 6
 	h.Add(0)   // sentinel
 	h.Add(-3)  // sentinel
-	if h.Total() != 6 {
-		t.Errorf("Total=%d", h.Total())
+	if h.total != 6 {
+		t.Errorf("Total=%d", h.total)
 	}
 	out := h.Render("files")
 	want := map[string]string{"<=0": "2", "1e0": "1", "1e1": "2", "1e6": "1"}

@@ -240,33 +240,9 @@ func FirstDiff(a, b Content) int64 {
 	return -1
 }
 
-// corruptSalt perturbs seeds and digests so that corrupted data is
+// corruptSalt perturbs digests so that corrupted data is
 // deterministically distinct from its source.
 const corruptSalt = 0xBADB10CC0220F7ED
-
-// Corrupt returns c with n bytes starting at off replaced by a rot
-// stream derived deterministically from the stream that fed off — the
-// simulator's model of silent media bit rot. The damaged range is
-// clamped to the content length; corrupting empty content returns it
-// unchanged.
-func (c Content) Corrupt(off, n int64) Content {
-	total := c.Len()
-	if off < 0 || off >= total || n <= 0 {
-		return c
-	}
-	if off+n > total {
-		n = total - off
-	}
-	var src Extent
-	for _, e := range c.extents {
-		if off >= e.Off && off < e.Off+e.Len {
-			src = e
-			break
-		}
-	}
-	rotSeed := splitmix64(src.Seed ^ corruptSalt ^ uint64(src.SeedOff+(off-src.Off)))
-	return c.Overwrite(off, NewUniform(rotSeed, n))
-}
 
 // CorruptDigest returns the digest a reader observes when the data
 // behind sum was silently corrupted: a deterministic mangling that is
@@ -313,11 +289,11 @@ func (c Content) ReadAt(p []byte, off int64) int {
 	return int(written)
 }
 
-// ByteAt generates the single byte at offset off.
-func (c Content) ByteAt(off int64) byte {
+// byteAt generates the single byte at offset off.
+func (c Content) byteAt(off int64) byte {
 	var b [1]byte
 	if c.ReadAt(b[:], off) != 1 {
-		panic("synthetic: ByteAt out of bounds")
+		panic("synthetic: byteAt out of bounds")
 	}
 	return b[0]
 }

@@ -155,8 +155,8 @@ func TestByteAt(t *testing.T) {
 	full := make([]byte, 64)
 	c.ReadAt(full, 0)
 	for i := int64(0); i < 64; i += 7 {
-		if c.ByteAt(i) != full[i] {
-			t.Errorf("ByteAt(%d) mismatch", i)
+		if c.byteAt(i) != full[i] {
+			t.Errorf("byteAt(%d) mismatch", i)
 		}
 	}
 }
@@ -279,41 +279,13 @@ func TestFirstDiff(t *testing.T) {
 	}
 }
 
-func TestCorrupt(t *testing.T) {
-	c := NewUniform(7, 1<<20)
-	bad := c.Corrupt(1234, 64)
-	if bad.Equal(c) {
-		t.Fatal("Corrupt returned equal content")
-	}
-	if bad.Len() != c.Len() {
-		t.Fatalf("Corrupt changed length: %d != %d", bad.Len(), c.Len())
-	}
-	if got := FirstDiff(c, bad); got != 1234 {
-		t.Errorf("FirstDiff after Corrupt = %d, want 1234", got)
-	}
-	if bad.Digest() == c.Digest() {
-		t.Error("corrupted content has the same digest")
-	}
-	// Deterministic: same rot twice is the same rot.
-	if !bad.Equal(c.Corrupt(1234, 64)) {
-		t.Error("Corrupt is not deterministic")
-	}
-	// Clamped at EOF, no-op out of bounds.
-	if got := c.Corrupt(c.Len()-10, 100).Len(); got != c.Len() {
-		t.Errorf("clamped Corrupt changed length to %d", got)
-	}
-	if !c.Corrupt(c.Len(), 5).Equal(c) || !c.Corrupt(-1, 5).Equal(c) {
-		t.Error("out-of-bounds Corrupt must be a no-op")
-	}
-}
-
 func TestSliceDigestsLocalizeCorruption(t *testing.T) {
 	c := NewUniform(9, 10_000)
 	sums := c.SliceDigests(1000)
 	if len(sums) != 10 {
 		t.Fatalf("got %d block sums, want 10", len(sums))
 	}
-	bad := c.Corrupt(4500, 10)
+	bad := c.Overwrite(4500, NewUniform(77, 10))
 	badSums := bad.SliceDigests(1000)
 	for i := range sums {
 		if (sums[i] != badSums[i]) != (i == 4) {

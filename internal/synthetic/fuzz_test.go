@@ -93,7 +93,7 @@ func runContentOps(t testing.TB, data []byte) {
 	var want [fuzzRegs][]cell
 	within := func(n int) int64 { return int64(next() % n) } // a point in [0, n)
 	for step := 0; len(data) > 0; step++ {
-		op, dst, src := next()%6, next()%fuzzRegs, next()%fuzzRegs
+		op, dst, src := next()%5, next()%fuzzRegs, next()%fuzzRegs
 		c, w := regs[src], want[src]
 		desc := ""
 		switch op {
@@ -129,17 +129,6 @@ func runContentOps(t testing.TB, data []byte) {
 			n := within(len(w) + 1)
 			desc = "Truncate"
 			regs[dst], want[dst] = c.Truncate(n), append([]cell(nil), w[:n]...)
-		case 5:
-			// Off and n may fall outside the content: Corrupt clamps.
-			off, n := int64(next()%64)-4, int64(next()%32)-2
-			desc = "Corrupt"
-			out := append([]cell(nil), w...)
-			if off >= 0 && off < int64(len(w)) && n > 0 {
-				n = min(n, int64(len(w))-off)
-				rot := splitmix64(w[off].seed ^ corruptSalt ^ uint64(w[off].off))
-				copy(out[off:], uniformCells(rot, n))
-			}
-			regs[dst], want[dst] = c.Corrupt(off, n), out
 		}
 		checkContent(t, desc, regs[dst], want[dst])
 		// dst against every register, itself included.

@@ -36,7 +36,7 @@ func TestInvariantCartridgeLayout(t *testing.T) {
 			}
 		}
 		for _, cart := range lib.Cartridges() {
-			files := cart.Files()
+			files := cart.files
 			var sum int64
 			for i, f := range files {
 				if f.Seq != i+1 {
@@ -140,8 +140,8 @@ func TestErase(t *testing.T) {
 		d.Append(1, 1e9)
 		d.Unmount()
 		cart.Erase()
-		if cart.Used() != 0 || cart.NumFiles() != 0 {
-			t.Errorf("erase left Used=%d NumFiles=%d", cart.Used(), cart.NumFiles())
+		if cart.Used() != 0 || len(cart.files) != 0 {
+			t.Errorf("erase left Used=%d NumFiles=%d", cart.Used(), len(cart.files))
 		}
 	})
 	clock.RunFor()

@@ -34,7 +34,6 @@ var (
 	ErrNotMounted  = errors.New("tape: no cartridge mounted")
 	ErrFull        = errors.New("tape: cartridge full")
 	ErrNoSuchFile  = errors.New("tape: no such tape file")
-	ErrBusy        = errors.New("tape: drive busy")
 	ErrNoScratch   = errors.New("tape: no scratch cartridge available")
 	ErrNoSuchLabel = errors.New("tape: no such cartridge")
 	// ErrIO is a transient drive error (media or head fault). The
@@ -117,16 +116,6 @@ type Cartridge struct {
 func NewCartridge(label string, capacity int64) *Cartridge {
 	return &Cartridge{Label: label, cap: capacity}
 }
-
-// Files returns a copy of the cartridge's file table in tape order.
-func (c *Cartridge) Files() []File {
-	out := make([]File, len(c.files))
-	copy(out, c.files)
-	return out
-}
-
-// NumFiles reports how many tape files the cartridge holds.
-func (c *Cartridge) NumFiles() int { return len(c.files) }
 
 // Used reports bytes written.
 func (c *Cartridge) Used() int64 { return c.eod }
@@ -325,9 +314,6 @@ func (d *Drive) Release() { d.res.Release(1) }
 
 // Spec returns the drive's timing model.
 func (d *Drive) Spec() Spec { return d.spec }
-
-// Stats returns a copy of the drive's counters.
-func (d *Drive) Stats() Stats { return d.stats }
 
 // FailNextOps injects n transient I/O failures: the next n read/write
 // transactions on this drive return ErrIO (after a partial time charge

@@ -54,8 +54,8 @@ func TestAppendAssignsSequentialSeqs(t *testing.T) {
 				t.Errorf("seq = %d, want %d", f.Seq, i)
 			}
 		}
-		if cart.NumFiles() != 5 {
-			t.Errorf("NumFiles = %d, want 5", cart.NumFiles())
+		if len(cart.files) != 5 {
+			t.Errorf("NumFiles = %d, want 5", len(cart.files))
 		}
 		if cart.Used() != 5e6 {
 			t.Errorf("Used = %d, want 5e6", cart.Used())
@@ -118,13 +118,13 @@ func TestReadSeqInOrderAvoidsSeeks(t *testing.T) {
 			d.Append(uint64(i), 1e9)
 		}
 		d.rewind()
-		base := d.Stats()
+		base := d.stats
 		for seq := 1; seq <= 20; seq++ {
 			if _, err := d.ReadSeq(seq); err != nil {
 				t.Fatal(err)
 			}
 		}
-		after := d.Stats()
+		after := d.stats
 		ordered = Stats{Seeks: after.Seeks - base.Seeks, BusyTime: after.BusyTime - base.BusyTime}
 	})
 	run(t, func(c *simtime.Clock, lib *Library) {
@@ -137,13 +137,13 @@ func TestReadSeqInOrderAvoidsSeeks(t *testing.T) {
 			d.Append(uint64(i), 1e9)
 		}
 		d.rewind()
-		base := d.Stats()
+		base := d.stats
 		for seq := 20; seq >= 1; seq-- {
 			if _, err := d.ReadSeq(seq); err != nil {
 				t.Fatal(err)
 			}
 		}
-		after := d.Stats()
+		after := d.stats
 		reverse = Stats{Seeks: after.Seeks - base.Seeks, BusyTime: after.BusyTime - base.BusyTime}
 	})
 	// Ordered from BOT: file 1 starts at offset 0, then purely
@@ -301,7 +301,7 @@ func TestUnmountRewindsAndEjects(t *testing.T) {
 		if d.Mounted() != nil {
 			t.Error("drive still holds cartridge")
 		}
-		s := d.Stats()
+		s := d.stats
 		if s.Rewinds != 1 {
 			t.Errorf("Rewinds = %d, want 1", s.Rewinds)
 		}
@@ -423,8 +423,8 @@ func TestCorruptNextOpsWriteAndRead(t *testing.T) {
 		if _, sum, _ = d.ReadSeqSum(g.Seq); sum != 0x5555 {
 			t.Errorf("second read still corrupted: %#x", sum)
 		}
-		if d.Stats().CorruptOps != 2 {
-			t.Errorf("CorruptOps = %d, want 2", d.Stats().CorruptOps)
+		if d.stats.CorruptOps != 2 {
+			t.Errorf("CorruptOps = %d, want 2", d.stats.CorruptOps)
 		}
 		if d.CorruptCause() != 100 {
 			t.Errorf("CorruptCause = %d, want 100", d.CorruptCause())

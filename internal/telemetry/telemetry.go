@@ -265,9 +265,6 @@ func (g *Gauge) Set(v float64) {
 // Add moves the gauge by delta (either sign).
 func (g *Gauge) Add(delta float64) { g.Set(g.m.val + delta) }
 
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return g.m.val }
-
 // GaugeFunc registers a gauge collected at snapshot time from fn; a
 // second function on the same identity panics, as for CounterFunc.
 func (r *Registry) GaugeFunc(name string, fn func() float64, kv ...string) {
@@ -343,9 +340,6 @@ func (s *Summary) Observe(v float64) {
 
 // Count reports the number of observations.
 func (s *Summary) Count() float64 { return s.m.hcount }
-
-// Sum reports the observation total.
-func (s *Summary) Sum() float64 { return s.m.hsum }
 
 // Quantile reports the q-quantile (q in [0,1]) of everything observed
 // so far; 0 with no observations.
@@ -453,18 +447,6 @@ func (s *Snapshot) Family(name string) []Point {
 		}
 	}
 	return out
-}
-
-// Quantile reports the q-quantile of the summary series with exactly
-// the given name and labels (0 if absent or empty).
-func (s *Snapshot) Quantile(name string, q float64, kv ...string) float64 {
-	want := name + labelString(labelsOf(kv))
-	for _, p := range s.Points {
-		if p.Name+labelString(p.Labels) == want {
-			return p.Quantiles[q]
-		}
-	}
-	return 0
 }
 
 // Total sums a family's values across all label sets.

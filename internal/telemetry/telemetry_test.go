@@ -66,8 +66,8 @@ func TestGauge(t *testing.T) {
 	g := r.Gauge("queue_depth", "queue", "copy")
 	g.Set(7)
 	g.Add(-3)
-	if g.Value() != 4 {
-		t.Errorf("Value = %v, want 4", g.Value())
+	if g.m.val != 4 {
+		t.Errorf("Value = %v, want 4", g.m.val)
 	}
 }
 

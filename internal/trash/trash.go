@@ -84,8 +84,8 @@ func (c *Can) Delete(user, p string) (string, error) {
 	return dst, nil
 }
 
-// Undelete restores a trashed entry to its original path.
-func (c *Can) Undelete(trashPath string) (string, error) {
+// undelete restores a trashed entry to its original path.
+func (c *Can) undelete(trashPath string) (string, error) {
 	orig, err := c.fs.GetXattr(trashPath, XattrOrig)
 	if err != nil {
 		return "", err
@@ -102,8 +102,8 @@ func (c *Can) Undelete(trashPath string) (string, error) {
 	return orig, nil
 }
 
-// List returns the user's trashed entries.
-func (c *Can) List(user string) ([]pfs.Info, error) {
+// list returns the user's trashed entries.
+func (c *Can) list(user string) ([]pfs.Info, error) {
 	d := path.Join(c.root, user)
 	if !c.fs.Exists(d) {
 		return nil, nil
@@ -111,8 +111,8 @@ func (c *Can) List(user string) ([]pfs.Info, error) {
 	return c.fs.ReadDir(d)
 }
 
-// DeletedAt reads the deletion timestamp of a trash entry.
-func (c *Can) DeletedAt(trashPath string) (time.Duration, error) {
+// deletedAt reads the deletion timestamp of a trash entry.
+func (c *Can) deletedAt(trashPath string) (time.Duration, error) {
 	v, err := c.fs.GetXattr(trashPath, XattrTime)
 	if err != nil {
 		return 0, err
@@ -250,8 +250,8 @@ func (r *Reconciler) Reconcile() (ReconcileResult, error) {
 	objs := r.srv.Export()
 	res.TSMObjects = len(objs)
 	for _, o := range objs {
-		if o.Class != tsm.ClassMigrate || o.FileID == 0 {
-			continue // backup copies and aggregates are not reconciled
+		if o.FileID == 0 {
+			continue // aggregates are not reconciled
 		}
 		if !live[o.FileID] {
 			if err := r.srv.Delete(o.ID); err != nil {

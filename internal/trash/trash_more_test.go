@@ -1,6 +1,7 @@
 package trash
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/chunkfs"
@@ -23,7 +24,7 @@ func TestListUnknownUserEmpty(t *testing.T) {
 	e := newEnv(t)
 	e.run(t, func() {
 		can, _ := NewCan(e.fs, "/.trash")
-		entries, err := can.List("nobody")
+		entries, err := can.list("nobody")
 		if err != nil || entries != nil {
 			t.Errorf("List = %v, %v", entries, err)
 		}
@@ -35,7 +36,7 @@ func TestDeletedAtOnNonTrashFails(t *testing.T) {
 	e.run(t, func() {
 		can, _ := NewCan(e.fs, "/.trash")
 		e.fs.WriteFile("/plain", synthetic.NewUniform(1, 1))
-		if _, err := can.DeletedAt("/plain"); err == nil {
+		if _, err := can.deletedAt("/plain"); err == nil {
 			t.Error("expected error for a non-trash path")
 		}
 	})
@@ -62,49 +63,53 @@ func TestTrashCollisionSameBaseName(t *testing.T) {
 		if t1 == t2 {
 			t.Fatal("trash paths collide")
 		}
-		entries, _ := can.List("alice")
+		entries, _ := can.list("alice")
 		if len(entries) != 2 {
 			t.Errorf("entries = %d, want 2", len(entries))
 		}
 		// Both undelete to their original homes.
-		if orig, _ := can.Undelete(t1); orig != "/a/data" {
+		if orig, _ := can.undelete(t1); orig != "/a/data" {
 			t.Errorf("undelete 1 -> %s", orig)
 		}
-		if orig, _ := can.Undelete(t2); orig != "/b/data" {
+		if orig, _ := can.undelete(t2); orig != "/b/data" {
 			t.Errorf("undelete 2 -> %s", orig)
 		}
 	})
 }
 
 func TestOverwriteInterceptionFeedsSyncDeleter(t *testing.T) {
-	// §6.3: the FUSE layer intercepts overwrites by moving the old
+	// §6.3: a FUSE layer that intercepts overwrites moves the old
 	// chunks into the trashcan, where the synchronous deleter reaps
 	// their tape copies — no reconcile needed.
 	e := newEnv(t)
 	e.run(t, func() {
 		can, _ := NewCan(e.fs, "/.trash")
 		e.fs.MkdirAll("/d")
-		e.fs.WriteFile("/d/big", synthetic.NewUniform(1, 10e6))
-		if _, err := chunkfs.Split(e.fs, "/d/big", 4e6); err != nil {
-			t.Fatal(err)
-		}
-		dir := chunkfs.ChunkDir("/d/big")
-		// Migrate the chunks so tape copies exist.
-		var infos []pfs.Info
-		chunks, _ := chunkfs.Chunks(e.fs, dir)
-		for _, c := range chunks {
-			infos = append(infos, c)
-		}
-		if _, err := e.eng.Migrate(infos, hsm.MigrateOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		// User overwrites the logical file: chunks route to the can.
-		moved, err := chunkfs.InterceptOverwrite(e.fs, dir, "/.trash/alice")
+		plan, dir, err := chunkfs.PrepareDir(e.fs, "/d/big", 10e6, 4e6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(moved) != 3 {
-			t.Fatalf("moved = %d", len(moved))
+		content := synthetic.NewUniform(1, 10e6)
+		specs := make([]pfs.FileSpec, plan.NumChunks)
+		for i := range specs {
+			off, length := plan.ChunkRange(i)
+			specs[i] = pfs.FileSpec{Path: dir + "/" + chunkfs.ChunkName(i), Content: content.Slice(off, length)}
+		}
+		if err := e.fs.WriteFiles(specs); err != nil {
+			t.Fatal(err)
+		}
+		// Migrate the chunks so tape copies exist.
+		chunks, _ := e.fs.ReadDir(dir)
+		if _, err := e.eng.Migrate(chunks, hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		// User overwrites the logical file: the old chunks move into
+		// the can instead of being truncated in place.
+		e.fs.MkdirAll("/.trash/alice")
+		for _, c := range chunks {
+			if err := e.fs.Rename(c.Path, fmt.Sprintf("/.trash/alice/%d-%s", c.ID, c.Name)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := e.del.Purge(can, nil)
 		if err != nil {

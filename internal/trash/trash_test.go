@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hsm"
-	"repro/internal/ilm"
 	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
@@ -98,11 +97,11 @@ func TestTrashDeleteAndList(t *testing.T) {
 		if !e.fs.Exists(tp) {
 			t.Error("trash path missing")
 		}
-		entries, _ := can.List("alice")
+		entries, _ := can.list("alice")
 		if len(entries) != 1 {
 			t.Errorf("List = %d entries, want 1", len(entries))
 		}
-		if entries, _ := can.List("bob"); len(entries) != 0 {
+		if entries, _ := can.list("bob"); len(entries) != 0 {
 			t.Errorf("bob's trash has %d entries", len(entries))
 		}
 	})
@@ -116,7 +115,7 @@ func TestUndeleteRestoresOriginal(t *testing.T) {
 		content := synthetic.NewUniform(9, 500)
 		e.fs.WriteFile("/d/f", content)
 		tp, _ := can.Delete("alice", "/d/f")
-		orig, err := can.Undelete(tp)
+		orig, err := can.undelete(tp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +134,7 @@ func TestUndeleteOutsideCanFails(t *testing.T) {
 	e.run(t, func() {
 		can, _ := NewCan(e.fs, "/.trash")
 		e.fs.WriteFile("/plain", synthetic.NewUniform(1, 1))
-		if _, err := can.Undelete("/plain"); err == nil {
+		if _, err := can.undelete("/plain"); err == nil {
 			t.Error("expected error undeleting a non-trash path")
 		}
 	})
@@ -148,9 +147,9 @@ func TestDeletedAtTimestamp(t *testing.T) {
 		e.fs.WriteFile("/f", synthetic.NewUniform(1, 1))
 		e.clock.Sleep(42 * time.Second)
 		tp, _ := can.Delete("alice", "/f")
-		at, err := can.DeletedAt(tp)
+		at, err := can.deletedAt(tp)
 		if err != nil || at != 42*time.Second {
-			t.Errorf("DeletedAt = %v, %v", at, err)
+			t.Errorf("deletedAt = %v, %v", at, err)
 		}
 	})
 }
@@ -212,14 +211,14 @@ func TestPurgePolicyAgeFilter(t *testing.T) {
 		e.fs.WriteFile("/new", synthetic.NewUniform(2, 1))
 		can.Delete("alice", "/new")
 		// Purge entries older than a day: only /old qualifies.
-		res, err := e.del.Purge(can, ilm.OlderThan(24*time.Hour))
+		res, err := e.del.Purge(can, func(i pfs.Info, now time.Duration) bool { return now-i.ModTime > 24*time.Hour })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Removed != 1 || res.Skipped != 1 {
 			t.Errorf("res = %+v", res)
 		}
-		entries, _ := can.List("alice")
+		entries, _ := can.list("alice")
 		if len(entries) != 1 {
 			t.Errorf("%d entries remain, want 1", len(entries))
 		}

@@ -43,8 +43,8 @@ func (s *Server) CopyPoolVolumes() []string {
 	return append([]string(nil), s.copyOrder...)
 }
 
-// HasCopy reports whether an object has a copy-pool duplicate.
-func (s *Server) HasCopy(id uint64) bool {
+// hasCopy reports whether an object has a copy-pool duplicate.
+func (s *Server) hasCopy(id uint64) bool {
 	_, ok := s.copies[id]
 	return ok
 }

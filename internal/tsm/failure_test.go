@@ -26,13 +26,13 @@ func TestStoreRetriesTransientDriveError(t *testing.T) {
 		if e.lib.TotalStats().IOErrors != 1 {
 			t.Errorf("IOErrors = %d, want 1", e.lib.TotalStats().IOErrors)
 		}
-		// Nothing half-written: exactly one tape file exists.
-		total := 0
+		// Nothing half-written: the tape holds exactly the one file.
+		var used int64
 		for _, c := range e.lib.Cartridges() {
-			total += c.NumFiles()
+			used += c.Used()
 		}
-		if total != 1 {
-			t.Errorf("tape files = %d, want 1 (failed attempt left nothing)", total)
+		if used != obj.Bytes {
+			t.Errorf("tape bytes = %d, want %d (failed attempt left nothing)", used, obj.Bytes)
 		}
 	})
 }

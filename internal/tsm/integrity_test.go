@@ -164,7 +164,7 @@ func TestBackupPoolSkipsAlreadyCorruptPrimary(t *testing.T) {
 		if res.Objects != 0 || res.Skipped != 1 {
 			t.Errorf("BackupResult = %+v", res)
 		}
-		if e.srv.HasCopy(obj.ID) {
+		if e.srv.hasCopy(obj.ID) {
 			t.Error("corrupt primary was duplicated")
 		}
 	})
@@ -191,7 +191,7 @@ func TestBackupPoolFailsOnCopyWriteError(t *testing.T) {
 		if !errors.Is(err, tape.ErrIO) {
 			t.Fatalf("BackupPool = %+v, %v; want the copy write's ErrIO", res, err)
 		}
-		if res.Objects != 0 || e.srv.HasCopy(obj.ID) {
+		if res.Objects != 0 || e.srv.hasCopy(obj.ID) {
 			t.Errorf("failed copy write recorded a duplicate: %+v", res)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 // The overload-defense paths: retry budgets cutting a failover loop
@@ -41,6 +42,9 @@ func TestRecallFailoverBreakerOpensAndRecovers(t *testing.T) {
 	faults.DefenseOf(e.clock).Enable(faults.DefensePolicy{
 		BreakerThreshold: 1, BreakerCooldown: time.Minute,
 	})
+	breaker := func() faults.BreakerState {
+		return faults.BreakerState(telemetry.Of(e.clock).Snapshot().Value("breaker_state", "target", "tsm.session"))
+	}
 	e.run(t, func() {
 		obj, err := e.srv.Store(StoreRequest{Client: "c", Path: "/f", Bytes: 1e9})
 		if err != nil {
@@ -51,6 +55,9 @@ func TestRecallFailoverBreakerOpensAndRecovers(t *testing.T) {
 		e.lib.Drive(0).FailNextOps(100)
 		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); err == nil {
 			t.Fatal("recall should fail with the drive broken")
+		}
+		if s := breaker(); s != faults.BreakerOpen {
+			t.Errorf("breaker = %v after the failed session, want open", s)
 		}
 		e.lib.Drive(0).FailNextOps(0) // repaired...
 		// ...but the breaker still rejects, fast, without touching tape.
@@ -63,7 +70,7 @@ func TestRecallFailoverBreakerOpensAndRecovers(t *testing.T) {
 		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); err != nil {
 			t.Fatalf("recall after cooldown = %v, want success", err)
 		}
-		if s := faults.DefenseOf(e.clock).State("tsm.session"); s != faults.BreakerClosed {
+		if s := breaker(); s != faults.BreakerClosed {
 			t.Errorf("breaker = %v after good probe, want closed", s)
 		}
 	})

@@ -167,9 +167,9 @@ func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int,
 	return moved, movedBytes, skipped, nil
 }
 
-// LiveFraction reports a volume's live-bytes / used-bytes (1 for an
+// liveFraction reports a volume's live-bytes / used-bytes (1 for an
 // empty volume).
-func (s *Server) LiveFraction(label string) float64 {
+func (s *Server) liveFraction(label string) float64 {
 	vol, err := s.lib.Cartridge(label)
 	if err != nil || vol.Used() == 0 {
 		return 1

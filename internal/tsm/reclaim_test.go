@@ -48,8 +48,8 @@ func TestReclaimFullyDeadVolume(t *testing.T) {
 		for _, id := range ids {
 			e.srv.Delete(id)
 		}
-		if f := e.srv.LiveFraction(vol); f != 0 {
-			t.Fatalf("LiveFraction = %v, want 0", f)
+		if f := e.srv.liveFraction(vol); f != 0 {
+			t.Fatalf("liveFraction = %v, want 0", f)
 		}
 		res, err := e.srv.ReclaimThreshold("mover", 0)
 		if err != nil {

@@ -97,17 +97,6 @@ func (sc *Scrubber) admit(volBytes int64) *sched.Grant {
 	})
 }
 
-// Run drives rounds full passes, sleeping the configured interval
-// between them. Call from actor context (clock.Go).
-func (sc *Scrubber) Run(rounds int) {
-	for i := 0; i < rounds; i++ {
-		if i > 0 {
-			sc.s.clock.Sleep(sc.cfg.Interval)
-		}
-		sc.ScrubOnce()
-	}
-}
-
 // ScrubOnce performs one full pass over the primary volumes. Each
 // volume is scanned in a single drive session (sequential re-read of
 // its live, digest-tracked objects); the drive is released before any

@@ -42,19 +42,16 @@ var (
 	ErrNoDrives = errors.New("tsm: no operational tape drives")
 )
 
-// ObjectClass distinguishes HSM-migrated data from backup copies.
+// ObjectClass names what a stored object is. Every object is
+// HSM-migrated data; no caller stores a backup class.
 type ObjectClass int
 
-// Object classes.
-const (
-	ClassMigrate ObjectClass = iota
-	ClassBackup
-)
+// ClassMigrate is the class of HSM-migrated data, the only one.
+const ClassMigrate ObjectClass = 0
 
 // Object is one entry in the server's database.
 type Object struct {
 	ID      uint64
-	Class   ObjectClass
 	Node    string // client machine that stored it
 	Path    string // client namespace path
 	FileID  uint64 // client filesystem file ID
@@ -188,9 +185,6 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 	s.tel.GaugeFunc("tsm_objects_live", func() float64 { return float64(s.NumObjects()) })
 	return s
 }
-
-// Library returns the managed tape library.
-func (s *Server) Library() *tape.Library { return s.lib }
 
 // Telemetry returns the registry view the server's series register on:
 // its library's.
@@ -335,6 +329,8 @@ func retryable(err error) bool {
 // StoreRequest describes one object to write to tape.
 type StoreRequest struct {
 	Client string // machine running the storage agent
+	// Class is ignored: every object is ClassMigrate. bench/probes.go
+	// still sets it.
 	Class  ObjectClass
 	Path   string
 	FileID uint64
@@ -440,7 +436,6 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	s.txn() // commit
 	obj := s.db.put(Object{
 		ID:     id,
-		Class:  req.Class,
 		Node:   req.Client,
 		Path:   req.Path,
 		FileID: req.FileID,

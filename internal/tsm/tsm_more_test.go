@@ -102,14 +102,14 @@ func TestGetMissing(t *testing.T) {
 func TestLiveFraction(t *testing.T) {
 	e := newEnv(1, DefaultConfig())
 	e.run(t, func() {
-		if f := e.srv.LiveFraction("VOL0001"); f != 1 {
-			t.Errorf("empty volume LiveFraction = %v, want 1", f)
+		if f := e.srv.liveFraction("VOL0001"); f != 1 {
+			t.Errorf("empty volume liveFraction = %v, want 1", f)
 		}
 		a, _ := e.srv.Store(StoreRequest{Client: "c", Path: "/a", Bytes: 3e6, Group: "g"})
 		e.srv.Store(StoreRequest{Client: "c", Path: "/b", Bytes: 1e6, Group: "g"})
 		e.srv.Delete(a.ID)
-		if f := e.srv.LiveFraction(a.Volume); f != 0.25 {
-			t.Errorf("LiveFraction = %v, want 0.25", f)
+		if f := e.srv.liveFraction(a.Volume); f != 0.25 {
+			t.Errorf("liveFraction = %v, want 0.25", f)
 		}
 	})
 }

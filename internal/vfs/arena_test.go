@@ -34,7 +34,7 @@ func TestArenaReleasesDeadChunks(t *testing.T) {
 	}
 	fs.SetXattr(file(chunkSize), "owner", "alice")
 	held, _ := fs.Stat(file(chunkSize)) // an inode of chunk 1
-	if v, ok := held.Xattr("owner"); !ok || v != "alice" {
+	if v, ok := held.xattr("owner"); !ok || v != "alice" {
 		t.Fatalf("Xattr before removal = %q, %v", v, ok)
 	}
 
@@ -77,7 +77,7 @@ func TestArenaReleasesDeadChunks(t *testing.T) {
 	if keep, err := fs.StatID(keepID); err != nil || keep.Size != 1 {
 		t.Errorf("StatID(/keep) = %+v, %v", keep, err)
 	}
-	if v, ok := held.Xattr("owner"); ok {
+	if v, ok := held.xattr("owner"); ok {
 		t.Errorf("Info of a removed inode in a released chunk still reports owner = %q", v)
 	}
 
@@ -153,7 +153,7 @@ func TestXattrListMatchesMap(t *testing.T) {
 		for _, order := range [][]string{keys, reversed(keys)} {
 			for _, k := range order {
 				got, _ := fs.GetXattr("/f", k)
-				v, ok := info.Xattr(k)
+				v, ok := info.xattr(k)
 				if w, wok := want[k]; got != w || v != w || ok != wok {
 					t.Fatalf("step %d (%q=%q): %q reads %q / %q,%v; the map has %q,%v", i, s.key, s.value, k, got, v, ok, w, wok)
 				}

