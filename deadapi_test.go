@@ -27,7 +27,6 @@ import (
 var deadAPIKeep = []keepEntry{
 	{"internal/jail", "only examples/operations imports it; ROADMAP 9(b) keeps it for item 3(b)'s fidelity row"},
 	{"tape.Drive.FailNextOps", "the drive-error seam of tape, tsm and hsm failure tests; faults has no transient-error event"},
-	{"tsm.Server.Down", "federation's site-kill tests check the server itself went down; no registry component records it"},
 	{"pfs.FS.NumFiles", "archive's memory tests and workload's tree test count live files without billing a Walk"},
 	{"sched.Scheduler.EnableTrace", "the admission trace hsm's requeue determinism test compares run against run"},
 	{"sched.Scheduler.TraceLog", "reads the admission trace EnableTrace turns on"},

@@ -87,7 +87,7 @@ func main() {
 		fmt.Printf("trash    : %s -> trashcan (undelete still possible)\n", victim)
 
 		before := sys.TSM.NumObjects()
-		pres, err := sys.Deleter.Purge(can, nil)
+		pres, err := sys.Deleter.Purge(can)
 		if err != nil {
 			log.Fatal(err)
 		}

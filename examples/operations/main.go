@@ -75,10 +75,10 @@ func main() {
 			info, _ := sys.Archive.Stat(p)
 			drill = append(drill, info)
 		}
-		drives := sys.DriveNames()
+		drives := sys.Library.Drives()
 		now := clock.Now()
-		reg.FailAt(faults.DriveComponent(drives[0]), now+5*time.Second)
-		reg.FailAt(faults.DriveComponent(drives[1]), now+10*time.Second)
+		reg.FailAt(faults.DriveComponent(drives[0].Name), now+5*time.Second)
+		reg.FailAt(faults.DriveComponent(drives[1].Name), now+10*time.Second)
 		dres, err := sys.HSM.Migrate(drill, hsm.MigrateOptions{Balanced: true})
 		if err != nil {
 			log.Fatal(err)
@@ -88,7 +88,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("drill    : %s and %s died mid-migrate; %d/%d files still reached tape (%d TSM retries)\n",
-			drives[0], drives[1], dres.Files, len(drill),
+			drives[0].Name, drives[1].Name, dres.Files, len(drill),
 			int(telemetry.Of(clock).Counter("tsm_retries_total").Value()))
 		fmt.Printf("drill    : %d/%d drives left in rotation; archive audit clean: %v\n",
 			len(sys.Library.UpDrives()), len(drives), audit.Clean())
@@ -99,7 +99,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		if _, err := sys.Deleter.Purge(can, nil); err != nil {
+		if _, err := sys.Deleter.Purge(can); err != nil {
 			log.Fatal(err)
 		}
 		res, err := sys.TSM.ReclaimThreshold("fta01", 0.6)

@@ -20,7 +20,7 @@ func TestAuditCleanAfterNormalLifecycle(t *testing.T) {
 		can, _ := s.TrashCan()
 		can.Delete("alice", "/arc/proj/f0000")
 		can.Delete("alice", "/arc/proj/f0001")
-		if _, err := s.Deleter.Purge(can, nil); err != nil {
+		if _, err := s.Deleter.Purge(can); err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.Audit()

@@ -116,7 +116,7 @@ func TestLifecycleMemoryAudit(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pres, err := s.Deleter.Purge(can, nil)
+			pres, err := s.Deleter.Purge(can)
 			if err != nil || pres.TapeDeletes != files {
 				t.Fatalf("cycle %d: purged %d tape objects of %d: %v", c, pres.TapeDeletes, files, err)
 			}

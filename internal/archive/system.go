@@ -45,11 +45,12 @@ type Options struct {
 	// of that many extra cartridges: BackupPool duplicates primary data
 	// onto them and the scrubber repairs damaged primaries from them.
 	CopyPoolCartridges int
-	// Site names one site of a multi-site plant on a shared clock. Its
-	// parts are named for it — machines <site>-fta01.., file systems
-	// gpfs-<site> and panfs-<site>, copy-pool volumes cp-<site>-000.. —
-	// and its tape, TSM and HSM series carry site=<name>. Empty for a
-	// plant alone on its clock.
+	// Site names one site of a multi-site plant on a shared clock. Every
+	// part is named for it, so a fault component names one site's part:
+	// machines <site>-fta01.., <site>-trunk, gpfs-<site>, panfs-<site>,
+	// <site>-drive00.., <site>-VOL0001.., copy-pool cp-<site>-000.., TSM
+	// server tsm:<site>; its tape, TSM and HSM series carry site=<name>.
+	// Empty for a plant alone on its clock.
 	Site string
 }
 
@@ -102,7 +103,7 @@ func New(clock *simtime.Clock, opts Options) *System {
 	copyPrefix := "copy"
 	var scope []string
 	if opts.Site != "" {
-		opts.Cluster.NamePrefix = opts.Site + "-" + opts.Cluster.NamePrefix
+		opts.Cluster.Site = opts.Site
 		opts.Scratch.Name += "-" + opts.Site
 		opts.Archive.Name += "-" + opts.Site
 		copyPrefix = "cp-" + opts.Site + "-"
@@ -126,7 +127,7 @@ func New(clock *simtime.Clock, opts Options) *System {
 	// database's volume column honest.
 	s.TSM.OnRepair(func(o tsm.Object) { s.Shadow.UpsertObject(o) })
 	s.HSM = hsm.New(clock, s.Archive, s.TSM, s.Shadow, s.Cluster.Nodes(), opts.HSM)
-	s.Deleter = trash.NewDeleter(clock, s.Archive, s.TSM, s.Shadow)
+	s.Deleter = trash.NewDeleter(s.Archive, s.TSM, s.Shadow)
 	s.Recon = trash.NewReconciler(clock, s.Archive, s.TSM, s.Shadow)
 	return s
 }

@@ -2,10 +2,12 @@
 // §4.4–4.5): a mapping layer that presents a very large file as N
 // equal-size chunk files so that migration, recall, and copy all
 // parallelize N-to-N instead of contending N-to-1 on a single inode.
-// Join refuses a chunk whose state xattr marks it bad, the per-chunk
-// marks behind the paper's restartable transfers ("we mark regular
-// file chunks or FUSE file chunks as good or bad so that we don't have
-// to re-send known good chunks").
+// PFTool marks each chunk file it lands with StateXattr = StateGood,
+// the per-chunk marks behind the paper's restartable transfers ("we
+// mark regular file chunks or FUSE file chunks as good or bad so that
+// we don't have to re-send known good chunks"): a restarted copy skips
+// a full-size chunk marked good and re-sends any other. Join refuses a
+// chunk set with a missing or short chunk.
 package chunkfs
 
 import (
@@ -20,10 +22,10 @@ import (
 )
 
 // Chunk-state extended attribute key, and the value that marks a
-// chunk bad.
+// chunk landed in full.
 const (
 	StateXattr = "chunkfs.state"
-	StateBad   = "bad"
+	StateGood  = "good"
 )
 
 // manifest xattr on the chunk directory records the logical size.
@@ -35,7 +37,7 @@ const (
 // Errors.
 var (
 	ErrNotChunked = errors.New("chunkfs: not a chunk directory")
-	ErrIncomplete = errors.New("chunkfs: chunk set incomplete or bad")
+	ErrIncomplete = errors.New("chunkfs: chunk set incomplete")
 )
 
 // ChunkDir returns the chunk-directory path that represents the logical
@@ -134,8 +136,8 @@ func chunks(fs *pfs.FS, dir string) ([]pfs.Info, error) {
 }
 
 // Join reassembles the chunk directory dir into the regular file at
-// target, verifying that every chunk is present with the planned size
-// and none is marked bad. The chunk directory is removed on success.
+// target, verifying that every chunk is present with the planned size.
+// The chunk directory is removed on success.
 func Join(fs *pfs.FS, dir, target string) error {
 	plan, err := ReadPlan(fs, dir)
 	if err != nil {
@@ -151,9 +153,6 @@ func Join(fs *pfs.FS, dir, target string) error {
 		_, wantLen := plan.ChunkRange(i)
 		if info.Size != wantLen {
 			return fmt.Errorf("%w: %s has %d bytes, want %d", ErrIncomplete, cp, info.Size, wantLen)
-		}
-		if st, _ := fs.GetXattr(cp, StateXattr); st == StateBad {
-			return fmt.Errorf("%w: %s marked bad", ErrIncomplete, cp)
 		}
 		c, err := fs.ReadContent(cp)
 		if err != nil {

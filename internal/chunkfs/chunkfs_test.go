@@ -124,16 +124,6 @@ func TestReadPlanOnPlainDirFails(t *testing.T) {
 	})
 }
 
-func TestJoinRefusesBadChunk(t *testing.T) {
-	sim(t, func(fs *pfs.FS) {
-		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
-		fs.SetXattr(ChunkDir("/f")+"/"+ChunkName(1), StateXattr, StateBad)
-		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, ErrIncomplete) {
-			t.Errorf("err = %v, want ErrIncomplete", err)
-		}
-	})
-}
-
 func TestJoinRefusesMissingChunk(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
 		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)

@@ -38,12 +38,14 @@ func (n *Node) Slots() *simtime.Resource { return n.slot }
 
 // Config sizes a cluster.
 type Config struct {
-	Nodes      int
-	NICRate    float64 // per-node Ethernet, bytes/s
-	HBARate    float64 // per-node FC, bytes/s
-	TrunkRate  float64 // shared scratch<->archive trunk, bytes/s
-	NodeSlots  int     // concurrent mover processes per node
-	NamePrefix string
+	Nodes     int
+	NICRate   float64 // per-node Ethernet, bytes/s
+	HBARate   float64 // per-node FC, bytes/s
+	TrunkRate float64 // shared scratch<->archive trunk, bytes/s
+	NodeSlots int     // concurrent mover processes per node
+	// Site, when set, prefixes the trunk, LAN hub and machine names
+	// (east-trunk, east-fta01) for one site of several on a clock.
+	Site string
 }
 
 // RoadrunnerConfig returns the paper's deployment: 10 FTA nodes, 10GigE
@@ -53,12 +55,11 @@ type Config struct {
 // trunk", best job 1868 MB/s).
 func RoadrunnerConfig() Config {
 	return Config{
-		Nodes:      10,
-		NICRate:    1.18e9, // one 10GigE, usable
-		HBARate:    400e6,  // FC4
-		TrunkRate:  1.87e9, // two 10GigE trunks at ~75% protocol efficiency
-		NodeSlots:  16,
-		NamePrefix: "fta",
+		Nodes:     10,
+		NICRate:   1.18e9, // one 10GigE, usable
+		HBARate:   400e6,  // FC4
+		TrunkRate: 1.87e9, // two 10GigE trunks at ~75% protocol efficiency
+		NodeSlots: 16,
 	}
 }
 
@@ -73,7 +74,7 @@ type Cluster struct {
 // New builds a cluster from cfg, wiring its links into the clock's
 // shared fabric graph:
 //
-//	compute ──trunk── <prefix>-lan ──<node>-nic── <node> ──<node>-hba── san
+//	compute ──trunk── fta-lan ──<node>-nic── <node> ──<node>-hba── san
 //	                                                 │
 //	                                           (wire) clients
 //
@@ -90,15 +91,19 @@ func New(clock *simtime.Clock, cfg Config) *Cluster {
 	if cfg.NodeSlots <= 0 {
 		cfg.NodeSlots = 1
 	}
+	prefix := ""
+	if cfg.Site != "" {
+		prefix = cfg.Site + "-"
+	}
 	fab := fabric.Of(clock)
-	lan := cfg.NamePrefix + "-lan"
+	lan := prefix + "fta-lan"
 	c := &Cluster{
 		clock: clock,
 		fab:   fab,
-		trunk: fab.AddLink("trunk", cfg.TrunkRate, fabric.Compute, lan),
+		trunk: fab.AddLink(prefix+"trunk", cfg.TrunkRate, fabric.Compute, lan),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		name := fmt.Sprintf("%s%02d", cfg.NamePrefix, i+1)
+		name := fmt.Sprintf("%sfta%02d", prefix, i+1)
 		c.nodes = append(c.nodes, &Node{
 			Name: name,
 			nic:  fab.AddLink(name+"-nic", cfg.NICRate, lan, name),

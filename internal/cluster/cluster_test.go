@@ -92,7 +92,7 @@ func TestNodeSlotsBound(t *testing.T) {
 
 func TestMachineListSkipsDownNodes(t *testing.T) {
 	c := simtime.NewClock()
-	cl := New(c, Config{Nodes: 3, NICRate: 1e9, HBARate: 4e8, TrunkRate: 2e9, NodeSlots: 4, NamePrefix: "fta"})
+	cl := New(c, Config{Nodes: 3, NICRate: 1e9, HBARate: 4e8, TrunkRate: 2e9, NodeSlots: 4})
 	list := cl.MachineList()
 	if len(list) != 3 {
 		t.Fatalf("list = %d nodes, want 3", len(list))

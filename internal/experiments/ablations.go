@@ -205,7 +205,7 @@ func Reclamation(seed int64) Report {
 				panic(err)
 			}
 		}
-		if _, err := sys.Deleter.Purge(can, nil); err != nil {
+		if _, err := sys.Deleter.Purge(can); err != nil {
 			panic(err)
 		}
 		var used, live int64

@@ -62,7 +62,7 @@ func chaosRun(seed int64, chaos bool) chaosOutcome {
 			// run; the machine is back for the migrate), and the trunk
 			// runs at half rate for a minute.
 			now := clock.Now()
-			reg.Window(faults.NodeComponent(sys.NodeNames()[4]), now+10*time.Second, 2*time.Minute)
+			reg.Window(faults.NodeComponent(sys.Cluster.Nodes()[4].Name), now+10*time.Second, 2*time.Minute)
 			reg.DegradeWindow(faults.LinkComponent("trunk"), 0.5, now+5*time.Second, time.Minute)
 		}
 		tun := pftool.DefaultTunables()
@@ -83,11 +83,10 @@ func chaosRun(seed int64, chaos bool) chaosOutcome {
 			// run, one cartridge goes read-only, and the TSM server takes
 			// a 30-second outage.
 			now := clock.Now()
-			drives := sys.DriveNames()
-			reg.FailAt(faults.DriveComponent(drives[0]), now+5*time.Second)
-			reg.FailAt(faults.DriveComponent(drives[1]), now+15*time.Second)
+			reg.FailAt(faults.DriveComponent(sys.Library.Drive(0).Name), now+5*time.Second)
+			reg.FailAt(faults.DriveComponent(sys.Library.Drive(1).Name), now+15*time.Second)
 			reg.FailAt(faults.VolumeComponent(sys.Library.Cartridges()[0].Label), now+10*time.Second)
-			reg.Window(faults.TSMComponent, now+20*time.Second, 30*time.Second)
+			reg.Window(sys.TSM.Component(), now+20*time.Second, 30*time.Second)
 		}
 		ctrMigBytes := tel.Counter("hsm_migrated_bytes_total")
 		migBytes0 := ctrMigBytes.Value()

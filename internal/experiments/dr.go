@@ -377,7 +377,7 @@ func DRStudy(int64) Report {
 			"failover recall from replicas, catch-up on rejoin",
 		Body: t.String(),
 		Notes: []string{
-			"the site-kill is one compound fault event: cells, TSM server, mover nodes, and both WAN trunks fail together",
+			"the site-kill is one compound fault event: TSM server, mover nodes, and both WAN trunks fail together",
 			"100% of recalls for the dead site's data are served from the nearest surviving replica over the WAN",
 			"the dead site's campaign share is skipped and requeued on rejoin — no file is lost or archived twice",
 			"every failover span in the flight dump cites the site-kill fault event that forced the reroute",

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestDRStudyInvariants is the acceptance check for E20: a whole-site
 // kill mid-campaign ends with every recall of the dead site's data
@@ -40,6 +43,13 @@ func TestDRStudyInvariants(t *testing.T) {
 	// up to the three servers' objects instead of the last one's.
 	if got := len(r.Telemetry.Family("tape_drive_mounts_total")); got != 12 {
 		t.Errorf("%d tape_drive_mounts_total series, want 12 (3 sites x 4 drives)", got)
+	}
+	// A drive: fault names one site's drive: each drive label carries
+	// its site, so no two sites' series share one.
+	for _, p := range r.Telemetry.Family("tape_drive_mounts_total") {
+		if site := p.Label("site"); site == "" || !strings.HasPrefix(p.Label("drive"), site+"-") {
+			t.Errorf("drive series %v: drive label does not name its site", p.Labels)
+		}
 	}
 	live := r.Telemetry.Family("tsm_objects_live")
 	sum := 0.0

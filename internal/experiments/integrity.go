@@ -163,7 +163,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 		// that HBA), so every corruption must be caught by the verifying
 		// recall ladder — wrong bytes never reach the reader.
 		if inject {
-			node := sys.NodeNames()[2]
+			node := sys.Cluster.Nodes()[2].Name
 			const taints = 2
 			reg.Apply(faults.Event{
 				Component: faults.LinkComponent(node + "-hba"),

@@ -69,7 +69,7 @@ func SyncDeleteVsReconcileWith(seed int64, populations []int, victims int) Repor
 				}
 			}
 			start := clock.Now()
-			if _, err := sys.Deleter.Purge(can, nil); err != nil {
+			if _, err := sys.Deleter.Purge(can); err != nil {
 				panic(err)
 			}
 			syncT = clock.Now() - start

@@ -386,7 +386,7 @@ func opsDrill(seed int64, p opsParams) Report {
 		op = newOpsOperator(url, p)
 		go func() { defer close(opDone); op.run(stop) }()
 
-		slow = sys.DriveNames()[0]
+		slow = sys.Library.Drive(0).Name
 		comp := faults.DriveComponent(slow)
 		return func() {
 			tun := pftool.DefaultTunables()

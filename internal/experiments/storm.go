@@ -123,7 +123,7 @@ func stormRun(reqs []stormReq, seed int64, defended bool) stormOutcome {
 		sch := sched.Of(clock)
 		reg := faults.New(clock)
 		reg.OnApply(func(ev faults.Event) {
-			if ev.Component == faults.TSMComponent {
+			if ev.Component == srv.Component() {
 				srv.SetDown(ev.Kind == faults.KindFail)
 			}
 		})
@@ -157,7 +157,7 @@ func stormRun(reqs []stormReq, seed int64, defended bool) stormOutcome {
 				})
 			}
 			start := clock.Now()
-			reg.Window(faults.TSMComponent, start+stormOutageAt, stormOutageLen)
+			reg.Window(srv.Component(), start+stormOutageAt, stormOutageLen)
 
 			wg := simtime.NewWaitGroup(clock)
 			wg.Add(len(reqs))

@@ -134,23 +134,19 @@ func Of(clock *simtime.Clock) *Fabric {
 }
 
 // AddLink creates a link of the given capacity (bytes/second) between
-// endpoints a and b, registering the endpoints as needed. If the name
-// is already taken a "#2", "#3", ... suffix is appended — parallel
-// deployments on one clock (a second cluster, a federation of TSM
-// servers) coexist without collisions; look the final name up via
-// Link.Name. A link may be attached between further endpoint pairs
-// with AttachLink, modelling a shared medium (one pool array serving
-// every node).
+// endpoints a and b, registering the endpoints as needed. A link name
+// is its fault component (link:<name>) and its series label, so it
+// must be unique on the clock: a name already taken panics. Plants
+// sharing a clock name their links for their site (archive.Options.Site).
+// A link may be attached between further endpoint pairs with
+// AttachLink, modelling a shared medium (one pool array serving every
+// node).
 func (f *Fabric) AddLink(name string, capacity float64, a, b string) *Link {
 	if capacity <= 0 {
 		panic("fabric: link capacity must be positive")
 	}
-	base := name
-	for i := 2; ; i++ {
-		if _, taken := f.links[name]; !taken {
-			break
-		}
-		name = fmt.Sprintf("%s#%d", base, i)
+	if _, taken := f.links[name]; taken {
+		panic(fmt.Sprintf("fabric: duplicate link name %q", name))
 	}
 	l := &Link{fab: f, name: name, id: len(f.order), capacity: capacity, nominal: capacity}
 	f.links[name] = l

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -280,17 +282,20 @@ func TestTransferredProgressSampling(t *testing.T) {
 	}
 }
 
-func TestDuplicateNamesUniquified(t *testing.T) {
+func TestDuplicateLinkNamePanics(t *testing.T) {
 	c := simtime.NewClock()
 	f := New(c)
 	a := f.AddLink("nic", 100, "x", "y")
-	b := f.AddLink("nic", 100, "x", "z")
-	if a.Name() != "nic" || b.Name() != "nic#2" {
-		t.Fatalf("names = %q, %q; want nic, nic#2", a.Name(), b.Name())
-	}
-	if f.Link("nic") != a || f.Link("nic#2") != b {
-		t.Fatal("lookup mismatch")
-	}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), `duplicate link name "nic"`) {
+			t.Errorf("second AddLink(nic) recovered %v, want a duplicate-name panic", r)
+		}
+		if f.Link("nic") != a {
+			t.Error("the first link no longer answers to its name")
+		}
+	}()
+	f.AddLink("nic", 100, "x", "z")
 }
 
 func TestOfSharedPerClock(t *testing.T) {

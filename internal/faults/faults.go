@@ -64,7 +64,7 @@ func (k Kind) String() string {
 // Event is one fault (or repair) applied to one component.
 type Event struct {
 	At        simtime.Duration // virtual time of application (for scheduled events)
-	Component string           // e.g. "drive:drive03", "node:fta02", "volume:VOL0001", "tsm", "link:trunk"
+	Component string           // e.g. "drive:drive03", "node:fta02", "volume:VOL0001", "tsm", "tsm:east", "link:trunk"
 	Kind      Kind
 	Param     float64 // KindDegrade: fraction of nominal capacity retained
 }
@@ -80,22 +80,29 @@ func (e Event) String() string {
 }
 
 // Component name helpers: every subsystem agrees on these prefixes so a
-// schedule written against one deployment wires up everywhere.
+// schedule written against one deployment wires up everywhere. A
+// site-named plant's names carry its site (east-drive00, east-trunk).
 func DriveComponent(name string) string   { return "drive:" + name }
 func NodeComponent(name string) string    { return "node:" + name }
 func VolumeComponent(label string) string { return "volume:" + label }
 func LinkComponent(name string) string    { return "link:" + name }
 
 // SiteComponent names a whole archive site. A site failure is the
-// compound disaster-recovery fault: the federation's dispatcher takes
-// the site's TSM server down and expands the event into mover-node and
-// WAN-link failures for every component the site owns, and the repair
-// event reverses them all (the rejoin that triggers replication
+// compound disaster-recovery fault: the federation's dispatcher expands
+// the event into TSM-server, mover-node and WAN-link failures for every
+// component the site owns, each applied through the registry, and the
+// repair event reverses them all (the rejoin that triggers replication
 // catch-up).
 func SiteComponent(name string) string { return "site:" + name }
 
-// TSMComponent is the single TSM server of a deployment.
-const TSMComponent = "tsm"
+// TSMComponent names the TSM server of the plant at site: "tsm:<site>",
+// or "tsm" for a plant alone on its clock (site "").
+func TSMComponent(site string) string {
+	if site == "" {
+		return "tsm"
+	}
+	return "tsm:" + site
+}
 
 // Registry is the failure state of one deployment plus its schedule.
 // All mutation happens on simulation actors (or before the clock runs),
@@ -210,7 +217,7 @@ func (r *Registry) DegradeWindow(component string, factor float64, at, dur simti
 }
 
 // Status is a handle onto one component's failure state, for subsystems
-// (like a federation cell or site) that keep their health in the
+// (like a federation site) that keep their health in the
 // registry rather than in a flag of their own.
 type Status struct {
 	reg  *Registry

@@ -191,7 +191,7 @@ func TestEventStringRendersParams(t *testing.T) {
 	if s := ev.String(); !strings.Contains(s, "corrupt") || !strings.Contains(s, "@0.375") {
 		t.Errorf("corrupt event misprints: %q", s)
 	}
-	ev = Event{Component: TSMComponent, Kind: KindFail}
+	ev = Event{Component: TSMComponent(""), Kind: KindFail}
 	if s := ev.String(); strings.Contains(s, "%!") {
 		t.Errorf("fail event misprints: %q", s)
 	}

@@ -79,7 +79,7 @@ func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs
 	return infos
 }
 
-func TestNewRequiresCells(t *testing.T) {
+func TestNewRequiresSites(t *testing.T) {
 	clock := simtime.NewClock()
 	if _, err := New(clock, faults.New(clock)); !errors.Is(err, ErrNoSites) {
 		t.Errorf("err = %v, want ErrNoSites", err)
@@ -106,7 +106,7 @@ func TestRoutingIsStableAndProjectGranular(t *testing.T) {
 	}
 }
 
-func TestMigrateAndRecallAcrossCells(t *testing.T) {
+func TestMigrateAndRecallAcrossSites(t *testing.T) {
 	e := newEnv(t, 2)
 	e.run(t, func() {
 		var all []pfs.Info
@@ -143,7 +143,7 @@ func TestMigrateAndRecallAcrossCells(t *testing.T) {
 	})
 }
 
-func TestCellFailureIsPartial(t *testing.T) {
+func TestSiteFailureIsPartial(t *testing.T) {
 	e := newEnv(t, 2)
 	e.run(t, func() {
 		projA, projB := e.twoProjects(t)
@@ -244,7 +244,7 @@ func TestShadowLookupRoutes(t *testing.T) {
 }
 
 // Site health lives in the registry New binds.
-func TestBindFaultsDrivesCellHealth(t *testing.T) {
+func TestBindFaultsDrivesSiteHealth(t *testing.T) {
 	e := newEnv(t, 3)
 	reg := e.reg
 	site := e.fed.Sites()[1]
@@ -365,9 +365,9 @@ func TestSkippedSurfacesBeforeAndAfterBindFaults(t *testing.T) {
 	})
 }
 
-// TestCellComponentRoundTrip pins the component-name contract the
+// TestSiteComponentRoundTrip pins the component-name contract the
 // dispatcher's site: prefix relies on.
-func TestCellComponentRoundTrip(t *testing.T) {
+func TestSiteComponentRoundTrip(t *testing.T) {
 	for _, name := range []string{"site0", "a-b.c", ""} {
 		comp := faults.SiteComponent(name)
 		if !strings.HasPrefix(comp, "site:") {

@@ -73,12 +73,10 @@ func (f *Federation) SiteByName(name string) (*Site, error) {
 // AddWANLink joins two sites with a named, bandwidth-capped fabric
 // link. The link is a first-class fault target: "link:<name>" events
 // degrade or fail it, and a site kill fails every WAN link touching
-// the site. Returns the link (its name may be uniquified by the
-// fabric).
-func (f *Federation) AddWANLink(name string, rate float64, a, b *Site) *fabric.Link {
-	l := fabric.Of(f.clock).AddLink(name, rate, a.Endpoint(), b.Endpoint())
-	f.wan = append(f.wan, &wanLink{name: l.Name(), a: a, b: b})
-	return l
+// the site. A name already taken on the clock's fabric panics.
+func (f *Federation) AddWANLink(name string, rate float64, a, b *Site) {
+	fabric.Of(f.clock).AddLink(name, rate, a.Endpoint(), b.Endpoint())
+	f.wan = append(f.wan, &wanLink{name: name, a: a, b: b})
 }
 
 // linkDown reports whether the fault registry holds a link as failed.
@@ -126,22 +124,25 @@ func (f *Federation) nearest(from *Site, sites []*Site, live bool) []*Site {
 }
 
 // InstallFaults subscribes the federation to the fault registry it was
-// built on: archive.RecordFaults' prologue records every event first
-// (so reactions find their cause on the books) and binds the fabric's
-// links, and then the federation dispatcher handles the WAN-scale
+// built on. archive.InstallFaults records every event once (so
+// reactions find their cause on the books), binds the fabric's links
+// and subscribes each site plant's dispatcher, which handles the
+// site's drives, volumes, nodes and TSM server by their site-scoped
+// names. The federation dispatcher then handles the WAN-scale
 // components:
 //
 //	site:<name>  the compound disaster fault — expands into the site's
-//	             TSM server, mover-node failures, and WAN-link failures;
-//	             the repair event reverses them all and kicks
-//	             replication catch-up
+//	             TSM-server, mover-node and WAN-link events; the repair
+//	             event reverses them all and kicks replication catch-up
 //	link:<name>  a WAN trunk's repair kicks parked replication (WANRoute
 //	             reads the link's state from the registry, and the
 //	             fabric's own hook crawls a failed link)
-//	node:<name>  mover machines of any site (for schedules that down
-//	             nodes without archive.System in the loop)
 func (f *Federation) InstallFaults() {
-	archive.RecordFaults(f.clock, f.reg)
+	plants := make([]*archive.System, len(f.sites))
+	for i, s := range f.sites {
+		plants[i] = s.System
+	}
+	archive.InstallFaults(f.reg, plants...)
 	f.reg.OnApply(func(ev faults.Event) {
 		if ev.Kind != faults.KindFail && ev.Kind != faults.KindRepair {
 			return
@@ -158,31 +159,21 @@ func (f *Federation) InstallFaults() {
 					f.rep.kick()
 				}
 			}
-		case strings.HasPrefix(ev.Component, "node:"):
-			name := strings.TrimPrefix(ev.Component, "node:")
-			for _, s := range f.sites {
-				for _, n := range s.Cluster.Nodes() {
-					if n.Name == name {
-						n.SetDown(ev.Kind == faults.KindFail)
-					}
-				}
-			}
 		}
 	})
 }
 
 // expandSiteEvent applies a site kill or repair to everything the site
 // owns. Constituents go through the registry (nested Apply is safe),
-// so the fault log and telemetry record each node and link event
-// individually — a failover span citing "why did this reroute"
+// so the fault log and telemetry record each server, node and link
+// event individually — a failover span citing "why did this reroute"
 // resolves to a concrete on-the-books event.
 func (f *Federation) expandSiteEvent(site *Site, kind faults.Kind) {
-	fail := kind == faults.KindFail
 	// The TSM server flips first: replication and DR reads against a
 	// dead site must fail fast (tsm.ErrServerDown), and in-flight
 	// primary transactions block until repair, exactly like the
 	// single-site outage model.
-	site.TSM.SetDown(fail)
+	f.reg.Apply(faults.Event{Component: site.TSM.Component(), Kind: kind})
 	for _, n := range site.Cluster.Nodes() {
 		f.reg.Apply(faults.Event{Component: faults.NodeComponent(n.Name), Kind: kind})
 	}
@@ -191,7 +182,7 @@ func (f *Federation) expandSiteEvent(site *Site, kind faults.Kind) {
 			f.reg.Apply(faults.Event{Component: faults.LinkComponent(w.name), Kind: kind})
 		}
 	}
-	if !fail && f.rep != nil {
+	if kind == faults.KindRepair && f.rep != nil {
 		// Rejoin: everything parked during the outage drains now.
 		f.rep.kick()
 	}

@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/faults"
+	"repro/internal/hsm"
 	"repro/internal/pfs"
+	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
+	"repro/internal/telemetry"
+	"repro/internal/tsm"
 )
 
 type siteEnv struct {
@@ -125,11 +130,14 @@ func TestWANRouteAvoidsFailedLinks(t *testing.T) {
 func TestSiteKillIsCompound(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	victim := e.sites[1]
-	// The exact fault log of a site kill or repair: the site event, one
-	// event per mover node, one per WAN trunk touching the site, and
-	// nothing else.
+	// The exact fault log of a site kill or repair: the site event, the
+	// site's TSM server, one event per mover node, one per WAN trunk
+	// touching the site, and nothing else.
 	expansion := func(kind faults.Kind) []string {
-		log := []string{kind.String() + " " + faults.SiteComponent(victim.Name)}
+		log := []string{
+			kind.String() + " " + faults.SiteComponent(victim.Name),
+			kind.String() + " tsm:" + victim.Name,
+		}
 		for _, n := range victim.Cluster.Nodes() {
 			log = append(log, kind.String()+" "+faults.NodeComponent(n.Name))
 		}
@@ -149,8 +157,11 @@ func TestSiteKillIsCompound(t *testing.T) {
 		if !victim.Down() {
 			t.Error("site not down after site-kill")
 		}
-		if !victim.TSM.Down() {
-			t.Error("TSM server survived the site-kill")
+		if !e.reg.Down("tsm:" + victim.Name) {
+			t.Error("site-kill left the site's TSM component up")
+		}
+		if err := storeReplica(victim); !errors.Is(err, tsm.ErrServerDown) {
+			t.Errorf("replica store on the killed site: err = %v, want tsm.ErrServerDown", err)
 		}
 		for _, node := range victim.Cluster.Nodes() {
 			if !node.Down() {
@@ -175,8 +186,11 @@ func TestSiteKillIsCompound(t *testing.T) {
 		if got, want := logSince(n), expansion(faults.KindRepair); !reflect.DeepEqual(got, want) {
 			t.Errorf("site-repair fault log = %q, want %q", got, want)
 		}
-		if victim.Down() || victim.TSM.Down() {
+		if victim.Down() || e.reg.Down("tsm:"+victim.Name) {
 			t.Error("site state not restored by repair")
+		}
+		if err := storeReplica(victim); err != nil {
+			t.Errorf("replica store after repair: %v", err)
 		}
 		for _, node := range victim.Cluster.Nodes() {
 			if node.Down() {
@@ -197,17 +211,112 @@ func TestSiteSetDownRoutesThroughRegistry(t *testing.T) {
 		if !e.reg.Down(faults.SiteComponent(victim.Name)) {
 			t.Error("SetDown did not reach the registry")
 		}
-		if !victim.TSM.Down() {
+		if !e.reg.Down("tsm:" + victim.Name) {
 			t.Error("compound expansion did not run via SetDown")
 		}
+		if err := storeReplica(victim); !errors.Is(err, tsm.ErrServerDown) {
+			t.Errorf("replica store on the downed site: err = %v, want tsm.ErrServerDown", err)
+		}
 		victim.SetDown(false)
-		if victim.Down() || victim.TSM.Down() {
+		if victim.Down() || e.reg.Down("tsm:"+victim.Name) {
 			t.Error("repair via SetDown incomplete")
+		}
+		if err := storeReplica(victim); err != nil {
+			t.Errorf("replica store after repair: %v", err)
 		}
 	})
 }
 
-func TestMultiSiteFederationFlattensCells(t *testing.T) {
+// storeReplica writes one small replica to the site's copy pool: it
+// fails fast with tsm.ErrServerDown while the site's server is down.
+func storeReplica(site *Site) error {
+	return site.TSM.StoreReplica("probe", "elsewhere", tsm.Object{ID: 1, Path: "/probe", Bytes: 1e6}, nil)
+}
+
+// A drive: event names one drive at one site: the site-named plants'
+// drives carry their site, and each site's dispatcher handles only its
+// own.
+func TestDriveEventDownsOneDriveAtOneSite(t *testing.T) {
+	e := newSiteEnv(t, 2)
+	e.run(t, func() {
+		e.reg.Apply(faults.Event{Component: faults.DriveComponent("site1-drive02"), Kind: faults.KindFail})
+		var down []string
+		for _, s := range e.sites {
+			for _, d := range s.Library.Drives() {
+				if d.Down() {
+					down = append(down, s.Name+"/"+d.Name)
+				}
+			}
+		}
+		if want := []string{"site1/site1-drive02"}; !reflect.DeepEqual(down, want) {
+			t.Errorf("drives down = %q, want %q", down, want)
+		}
+	})
+}
+
+// A volume: event marks one cartridge at one site and none elsewhere.
+func TestVolumeEventMarksOneCartridgeAtOneSite(t *testing.T) {
+	e := newSiteEnv(t, 2)
+	e.run(t, func() {
+		e.reg.Apply(faults.Event{Component: faults.VolumeComponent("site0-VOL0003"), Kind: faults.KindFail})
+		var marked []string
+		for _, s := range e.sites {
+			for _, c := range s.Library.Cartridges() {
+				if c.ReadOnly() {
+					marked = append(marked, s.Name+"/"+c.Label)
+				}
+			}
+		}
+		if want := []string{"site0/site0-VOL0003"}; !reflect.DeepEqual(marked, want) {
+			t.Errorf("read-only cartridges = %q, want %q", marked, want)
+		}
+	})
+}
+
+// tsm:<site> takes down that site's server alone, and a store or a
+// migration the outage aborts cites the event as its cause.
+func TestTSMEventDownsOneServerAndIsCited(t *testing.T) {
+	e := newSiteEnv(t, 2)
+	victim, survivor := e.sites[0], e.sites[1]
+	e.run(t, func() {
+		files := e.seed(t, victim, 2, 1e6)
+		e.reg.Apply(faults.Event{Component: "tsm:" + victim.Name, Kind: faults.KindFail})
+		if err := storeReplica(victim); !errors.Is(err, tsm.ErrServerDown) {
+			t.Errorf("replica store on %s: err = %v, want tsm.ErrServerDown", victim.Name, err)
+		}
+		if err := storeReplica(survivor); err != nil {
+			t.Errorf("replica store on %s: %v; only %s's server is down", survivor.Name, err, victim.Name)
+		}
+		_, err := victim.TSM.Store(tsm.StoreRequest{
+			Client: "probe", Path: "/probe/f", Bytes: 1e6,
+			QoS: sched.QoS{Deadline: e.clock.Now() + 30*time.Second},
+		})
+		if !errors.Is(err, sched.ErrDeadlineExceeded) {
+			t.Fatalf("store during the outage: err = %v, want the deadline to pass", err)
+		}
+		tel := telemetry.Of(e.clock)
+		ev, ok := tel.LastEventFor("tsm:" + victim.Name)
+		if !ok {
+			t.Fatal("no event recorded against the server")
+		}
+		// A migration whose deadline has passed is refused at admission;
+		// the engine blames its own server's outage.
+		if _, err := victim.HSM.Migrate(files, hsm.MigrateOptions{QoS: sched.QoS{Deadline: 1}}); err == nil {
+			t.Fatal("migration past its deadline was admitted")
+		}
+		cited := map[string]bool{}
+		for _, sp := range tel.FlightDump().Aborted() {
+			cited[sp.Name] = sp.CauseEvent == ev
+		}
+		for _, name := range []string{"tsm.store", "hsm.migrate.node"} {
+			if !cited[name] {
+				t.Errorf("aborted %s span does not cite the tsm:%s event %d", name, victim.Name, ev)
+			}
+		}
+	})
+}
+
+func TestSiteByNameRejectsUnknownSite(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	if _, err := e.fed.SiteByName("nowhere"); !errors.Is(err, ErrNoSite) {
 		t.Errorf("SiteByName err = %v, want ErrNoSite", err)

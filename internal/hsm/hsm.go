@@ -340,7 +340,7 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 						// and surface the first refusal to the caller.
 						sp := runSpan.StartChild("hsm.migrate.node",
 							"node", node.Name, "round", strconv.Itoa(round))
-						cause, _ := e.tel.LastEventFor(faults.TSMComponent)
+						cause, _ := e.tel.LastEventFor(e.srv.Component())
 						sp.Abort(gerr.Error(), cause)
 						res.Rejected += len(share)
 						if firstErr == nil && !errors.Is(gerr, sched.ErrShed) {
@@ -712,7 +712,7 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 					// the fault that congested the station.
 					sp := runSpan.StartChild("hsm.recall.node",
 						"node", node.Name, "round", strconv.Itoa(round))
-					cause, _ := e.tel.LastEventFor(faults.TSMComponent)
+					cause, _ := e.tel.LastEventFor(e.srv.Component())
 					sp.Abort(gerr.Error(), cause)
 					res.Rejected += len(bins[bi])
 					if firstErr == nil {
@@ -1098,7 +1098,7 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 	})
 	if gerr := grant.Err(); gerr != nil {
 		sp := e.tel.StartSpan("hsm.recall-pinned", "node", nodeName)
-		cause, _ := e.tel.LastEventFor(faults.TSMComponent)
+		cause, _ := e.tel.LastEventFor(e.srv.Component())
 		sp.Abort(gerr.Error(), cause)
 		return fmt.Errorf("hsm: recall-pinned on %s: %w", nodeName, gerr)
 	}

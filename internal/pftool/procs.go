@@ -3,6 +3,7 @@ package pftool
 import (
 	"fmt"
 
+	"repro/internal/chunkfs"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
@@ -277,10 +278,10 @@ func (r *run) copyChunk(rank int, node *cluster.Node, job copyJob) copyResult {
 			mark, _ = r.req.DstFS.GetXattr(job.dst, markKey)
 		case kindFuse:
 			if di, err := r.req.DstFS.Stat(job.dst); err == nil && di.Size == job.length {
-				mark, _ = r.req.DstFS.GetXattr(job.dst, "chunkfs.state")
+				mark, _ = r.req.DstFS.GetXattr(job.dst, chunkfs.StateXattr)
 			}
 		}
-		if mark == "good" {
+		if mark == chunkfs.StateGood {
 			res.skChunks++
 			return res
 		}
@@ -307,13 +308,13 @@ func (r *run) copyChunk(rank int, node *cluster.Node, job copyJob) copyResult {
 			res.err = err.Error()
 			return res
 		}
-		r.req.DstFS.SetXattr(job.dst, markKey, "good")
+		r.req.DstFS.SetXattr(job.dst, markKey, chunkfs.StateGood)
 	case kindFuse:
 		if err := r.req.DstFS.WriteFile(job.dst, slice); err != nil {
 			res.err = err.Error()
 			return res
 		}
-		r.req.DstFS.SetXattr(job.dst, "chunkfs.state", "good")
+		r.req.DstFS.SetXattr(job.dst, chunkfs.StateXattr, chunkfs.StateGood)
 	}
 	res.chunks++
 	res.bytes += job.length

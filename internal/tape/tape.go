@@ -611,6 +611,7 @@ func (d *Drive) ReadSeqSum(seq int) (File, uint64, error) {
 // serializes mount/unmount exchanges.
 type Library struct {
 	clock  *simtime.Clock
+	site   string
 	drives []*Drive
 	carts  map[string]*Cartridge
 	order  []string // insertion order for deterministic scratch picks
@@ -623,8 +624,9 @@ type Library struct {
 // NewLibrary creates a library with numDrives drives of the given spec
 // and numCartridges scratch cartridges labelled VOL0001.., served by
 // robots robot arms. Its drive and robot series carry the labels in
-// scope ("key", "value", ...) — a site-named plant passes "site",
-// <name> so several libraries can share one clock's registry.
+// scope ("key", "value", ...). A site-named plant passes "site", <name>:
+// its series carry site=<name> and its drives and cartridges are named
+// <name>-drive00.., <name>-VOL0001.., so several libraries share a clock.
 func NewLibrary(clock *simtime.Clock, numDrives, numCartridges, robots int, spec Spec, scope ...string) *Library {
 	if robots <= 0 {
 		robots = 1
@@ -637,11 +639,18 @@ func NewLibrary(clock *simtime.Clock, numDrives, numCartridges, robots int, spec
 		tel:          tel,
 		ctrExchanges: tel.Counter("tape_robot_exchanges_total"),
 	}
+	prefix := ""
+	for i := 0; i+1 < len(scope); i += 2 {
+		if scope[i] == "site" {
+			lib.site = scope[i+1]
+			prefix = lib.site + "-"
+		}
+	}
 	for i := 0; i < numDrives; i++ {
-		lib.drives = append(lib.drives, newDrive(clock, tel, fmt.Sprintf("drive%02d", i), spec))
+		lib.drives = append(lib.drives, newDrive(clock, tel, fmt.Sprintf("%sdrive%02d", prefix, i), spec))
 	}
 	for i := 0; i < numCartridges; i++ {
-		label := fmt.Sprintf("VOL%04d", i+1)
+		label := fmt.Sprintf("%sVOL%04d", prefix, i+1)
 		lib.carts[label] = NewCartridge(label, spec.Capacity)
 		lib.order = append(lib.order, label)
 	}
@@ -651,6 +660,9 @@ func NewLibrary(clock *simtime.Clock, numDrives, numCartridges, robots int, spec
 // Telemetry returns the registry view the library's series register
 // on; the servers and engines stacked on it register there too.
 func (l *Library) Telemetry() *telemetry.Registry { return l.tel }
+
+// Site names the library's site ("" for a plant alone on its clock).
+func (l *Library) Site() string { return l.site }
 
 // Drives returns the library's drives.
 func (l *Library) Drives() []*Drive { return l.drives }

@@ -13,7 +13,6 @@ import (
 	"path"
 	"time"
 
-	"repro/internal/ilm"
 	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
@@ -129,7 +128,6 @@ type PurgeResult struct {
 	Removed     int // files unlinked from the file system
 	TapeDeletes int // TSM objects deleted in the same breath
 	DiskOnly    int // files that had no tape copy
-	Skipped     int // entries not matching the policy
 }
 
 // Deleter performs synchronous deletes: for each victim it resolves the
@@ -137,27 +135,24 @@ type PurgeResult struct {
 // issues the file system unlink and the TSM delete together, so no
 // orphan is ever left on tape (§4.2.6).
 type Deleter struct {
-	clock  *simtime.Clock
 	fs     *pfs.FS
 	srv    *tsm.Server
 	shadow *metadb.DB
 }
 
 // NewDeleter creates a synchronous deleter.
-func NewDeleter(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB) *Deleter {
-	return &Deleter{clock: clock, fs: fs, srv: srv, shadow: shadow}
+func NewDeleter(fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB) *Deleter {
+	return &Deleter{fs: fs, srv: srv, shadow: shadow}
 }
 
-// Purge deletes the trashcan entries matching the policy predicate (nil
-// matches everything) across all users. This is the administrative pass
-// the GPFS policy engine feeds with trashcan lists.
-func (d *Deleter) Purge(can *Can, where ilm.Predicate) (PurgeResult, error) {
+// Purge deletes every trashcan entry across all users. This is the
+// administrative pass the GPFS policy engine feeds with trashcan lists.
+func (d *Deleter) Purge(can *Can) (PurgeResult, error) {
 	res := PurgeResult{}
 	users, err := d.fs.ReadDir(can.Root())
 	if err != nil {
 		return res, err
 	}
-	now := d.clock.Now()
 	for _, u := range users {
 		if !u.IsDir() {
 			continue
@@ -168,10 +163,6 @@ func (d *Deleter) Purge(can *Can, where ilm.Predicate) (PurgeResult, error) {
 		}
 		for _, e := range entries {
 			if e.IsDir() {
-				continue
-			}
-			if where != nil && !where(e, now) {
-				res.Skipped++
 				continue
 			}
 			if err := d.DeleteOne(e, &res); err != nil {

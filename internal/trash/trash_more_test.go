@@ -111,7 +111,7 @@ func TestOverwriteInterceptionFeedsSyncDeleter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := e.del.Purge(can, nil)
+		res, err := e.del.Purge(can)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestPurgeIgnoresSubdirectoriesInCan(t *testing.T) {
 	e.run(t, func() {
 		can, _ := NewCan(e.fs, "/.trash")
 		e.fs.MkdirAll("/.trash/alice/strange-subdir")
-		res, err := e.del.Purge(can, nil)
+		res, err := e.del.Purge(can)
 		if err != nil {
 			t.Fatal(err)
 		}

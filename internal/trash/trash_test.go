@@ -41,7 +41,7 @@ func newEnv(t *testing.T) *env {
 	return &env{
 		clock: clock, fs: fs, srv: srv, shadow: shadow, eng: eng,
 		nodes: cl.Nodes(),
-		del:   NewDeleter(clock, fs, srv, shadow),
+		del:   NewDeleter(fs, srv, shadow),
 		rec:   NewReconciler(clock, fs, srv, shadow),
 	}
 }
@@ -161,7 +161,7 @@ func TestSynchronousPurgeDeletesBothSides(t *testing.T) {
 		info := e.mkMigrated(t, "/d/f", 1e9)
 		_ = info
 		can.Delete("alice", "/d/f")
-		res, err := e.del.Purge(can, nil)
+		res, err := e.del.Purge(can)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,36 +191,12 @@ func TestPurgeDiskOnlyFiles(t *testing.T) {
 		can, _ := NewCan(e.fs, "/.trash")
 		e.fs.WriteFile("/f", synthetic.NewUniform(1, 100)) // never migrated
 		can.Delete("alice", "/f")
-		res, err := e.del.Purge(can, nil)
+		res, err := e.del.Purge(can)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Removed != 1 || res.DiskOnly != 1 || res.TapeDeletes != 0 {
 			t.Errorf("res = %+v", res)
-		}
-	})
-}
-
-func TestPurgePolicyAgeFilter(t *testing.T) {
-	e := newEnv(t)
-	e.run(t, func() {
-		can, _ := NewCan(e.fs, "/.trash")
-		e.fs.WriteFile("/old", synthetic.NewUniform(1, 1))
-		can.Delete("alice", "/old")
-		e.clock.Sleep(48 * time.Hour)
-		e.fs.WriteFile("/new", synthetic.NewUniform(2, 1))
-		can.Delete("alice", "/new")
-		// Purge entries older than a day: only /old qualifies.
-		res, err := e.del.Purge(can, func(i pfs.Info, now time.Duration) bool { return now-i.ModTime > 24*time.Hour })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Removed != 1 || res.Skipped != 1 {
-			t.Errorf("res = %+v", res)
-		}
-		entries, _ := can.list("alice")
-		if len(entries) != 1 {
-			t.Errorf("%d entries remain, want 1", len(entries))
 		}
 	})
 }
@@ -270,7 +246,7 @@ func TestReconcileCostScalesWithPopulation(t *testing.T) {
 		can.Delete("alice", "/d/victim")
 
 		start := e.clock.Now()
-		if _, err := e.del.Purge(can, nil); err != nil {
+		if _, err := e.del.Purge(can); err != nil {
 			t.Fatal(err)
 		}
 		syncTime = e.clock.Now() - start

@@ -99,6 +99,7 @@ type Server struct {
 	clock *simtime.Clock
 	cfg   Config
 	lib   *tape.Library
+	comp  string // fault component: faults.TSMComponent(lib.Site())
 
 	db         objTable
 	order      []uint64 // committed object IDs in commit order
@@ -139,7 +140,8 @@ type Server struct {
 	gDown             *telemetry.Gauge
 }
 
-// NewServer creates a server managing lib.
+// NewServer creates a server managing lib, named for the library's
+// site: fault component tsm:<site> behind <site>-tsm-server-nic.
 func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 	if cfg.TxnParallel <= 0 {
 		cfg.TxnParallel = 1
@@ -147,13 +149,18 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 	if cfg.Retry == (faults.Backoff{}) {
 		cfg.Retry = faults.DefaultBackoff()
 	}
+	host := "tsm-server"
+	if lib.Site() != "" {
+		host = lib.Site() + "-" + host
+	}
 	s := &Server{
 		clock:      clock,
 		cfg:        cfg,
 		lib:        lib,
+		comp:       faults.TSMComponent(lib.Site()),
 		txnRes:     simtime.NewResource(clock, cfg.TxnParallel),
 		drvPool:    simtime.NewResource(clock, len(lib.Drives())),
-		netLink:    fabric.Of(clock).AddLink("tsm-server-nic", cfg.ServerRate, fabric.Clients, "tsm-server"),
+		netLink:    fabric.Of(clock).AddLink(host+"-nic", cfg.ServerRate, fabric.Clients, host),
 		coloc:      make(map[string]string),
 		mounting:   make(map[string]bool),
 		reclaiming: make(map[string]bool),
@@ -189,6 +196,10 @@ func NewServer(clock *simtime.Clock, cfg Config, lib *tape.Library) *Server {
 // Telemetry returns the registry view the server's series register on:
 // its library's.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
+
+// Component names the server in the fault registry; a span an outage
+// aborts cites the component's last event.
+func (s *Server) Component() string { return s.comp }
 
 // NewStream opens a persistent fabric stream along the store route p,
 // with the server link spliced in when the deployment is not LAN-free —
@@ -230,9 +241,6 @@ func (s *Server) SetDown(down bool) {
 		s.gDown.Set(0)
 	}
 }
-
-// Down reports whether the server is in an outage.
-func (s *Server) Down() bool { return s.down }
 
 // txn charges one metadata transaction through the server.
 func (s *Server) txn() {
@@ -276,7 +284,7 @@ func (s *Server) txnDeadline(deadline simtime.Duration) error {
 // event against the TSM server as the cause when one exists.
 func (s *Server) abortAdmit(kind, client, what string, err error) {
 	sp := s.tel.StartSpan(kind, "client", client, "what", what)
-	cause, _ := s.tel.LastEventFor(faults.TSMComponent)
+	cause, _ := s.tel.LastEventFor(s.comp)
 	sp.Abort(err.Error(), cause)
 }
 
@@ -890,7 +898,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 			s.ReleaseDrive(d)
 			grant.Done()
 			err := fmt.Errorf("tsm: recall batch %s: %w", req.Volume, sched.ErrDeadlineExceeded)
-			cause, _ := s.tel.LastEventFor(faults.TSMComponent)
+			cause, _ := s.tel.LastEventFor(s.comp)
 			sp.Abort(err.Error(), cause)
 			return out, err
 		}
