@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hsm"
+	"repro/internal/metadb"
 	"repro/internal/pfs"
 	"repro/internal/pftool"
 	"repro/internal/simtime"
@@ -24,12 +25,95 @@ func testTunables() pftool.Tunables {
 
 func runSys(t *testing.T, fn func(s *System)) {
 	t.Helper()
+	runSysOpts(t, DefaultOptions(), fn)
+}
+
+// runSysOpts is runSys on a plant built from opts.
+func runSysOpts(t *testing.T, opts Options, fn func(s *System)) {
+	t.Helper()
 	clock := simtime.NewClock()
-	s := NewDefault(clock)
+	s := New(clock, opts)
 	clock.Go(func() { fn(s) })
 	if _, err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reclaimAfterPurge migrates 40 files of 2 GB through 4 drives, purges
+// the first 30 through the trashcan, and reclaims every volume at most
+// 60 % live, moving survivors to fresh volumes. It returns the
+// survivors' paths and their pre-reclaim shadow rows, and fails unless
+// some survivor moved.
+func reclaimAfterPurge(t *testing.T, s *System) ([]string, []metadb.Record) {
+	t.Helper()
+	if err := s.Archive.MkdirAll("/arc/proj"); err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]pfs.FileSpec, 40)
+	for i := range specs {
+		specs[i] = pfs.FileSpec{
+			Path:    fmt.Sprintf("/arc/proj/f%04d", i),
+			Content: synthetic.NewUniform(uint64(i+1), 2e9),
+		}
+	}
+	if err := s.Archive.WriteFiles(specs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{Balanced: true}); err != nil {
+		t.Fatal(err)
+	}
+	can, err := s.TrashCan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs[:30] {
+		if _, err := can.Delete("alice", sp.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Deleter.Purge(can); err != nil {
+		t.Fatal(err)
+	}
+	var survivors []string
+	for _, sp := range specs[30:] {
+		survivors = append(survivors, sp.Path)
+	}
+	before := s.Shadow.ByPaths(survivors)
+	res, err := s.TSM.ReclaimThreshold("fta01", 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ObjectsMoved == 0 {
+		t.Fatalf("reclaim moved no survivor: %+v", res)
+	}
+	return survivors, before
+}
+
+// Reclamation moves survivors through the same feed as every other
+// catalog change: each survivor's shadow row names its object's new
+// location, so a tape-ordered recall planned from the shadow succeeds.
+func TestReclaimKeepsShadowForOrderedRecall(t *testing.T) {
+	opts := DefaultOptions()
+	opts.TapeDrives = 4
+	runSysOpts(t, opts, func(s *System) {
+		survivors, _ := reclaimAfterPurge(t, s)
+		for _, rec := range s.Shadow.ByPaths(survivors) {
+			obj, err := s.TSM.Get(rec.ObjectID)
+			if err != nil || obj.Deleted || obj.Volume != rec.Volume || obj.Seq != rec.Seq {
+				t.Errorf("shadow row %+v, TSM object %+v (%v)", rec, obj, err)
+			}
+		}
+		if n, live := s.Shadow.Len(), s.TSM.NumObjects(); n != live {
+			t.Errorf("shadow rows %d, live TSM objects %d", n, live)
+		}
+		res, err := s.HSM.Recall(survivors, hsm.RecallOrdered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Files != len(survivors) {
+			t.Errorf("recalled %d files, want %d", res.Files, len(survivors))
+		}
+	})
 }
 
 func seedScratch(t *testing.T, s *System, root string, n int, size int64) {

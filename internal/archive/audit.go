@@ -8,16 +8,17 @@ import (
 
 // AuditResult reports a read-only consistency check of the archive's
 // three metadata planes: the file system's stubs, the shadow database,
-// and the TSM object inventory. A clean archive — one operated through
-// the trashcan and the synchronous deleter — audits with zero findings;
-// raw unlinks or a drifted shadow show up here before they bite a
-// recall.
+// and the TSM object inventory. The shadow follows TSM's change feed,
+// so a clean archive — one operated through the trashcan and the
+// synchronous deleter — audits with zero findings; raw unlinks, an
+// operator's TSM delete or a drifted shadow show up here before they
+// bite a recall.
 type AuditResult struct {
 	FilesChecked  int
 	StubsChecked  int // migrated/premigrated files verified end to end
-	MissingShadow int // stub with no shadow row (tape-ordered recall would fall back to a TSM scan)
-	MissingObject int // stub whose TSM object is gone: the data is LOST
-	StaleShadow   int // shadow row pointing at a dead/missing TSM object
+	MissingShadow int // stub with no shadow row though TSM holds its object (tape-ordered recall would fall back to a TSM scan)
+	MissingObject int // stub no live TSM object carries: a migrated stub's data is LOST
+	StaleShadow   int // shadow row naming a dead/missing TSM object or another volume/seq than the object's
 	Orphans       int // live TSM objects with no file (wasted tape until reconcile)
 }
 
@@ -37,15 +38,17 @@ func (a AuditResult) String() string {
 		status, a.FilesChecked, a.StubsChecked, a.MissingShadow, a.MissingObject, a.StaleShadow, a.Orphans)
 }
 
-// Audit scans the archive and cross-checks every migrated or
-// premigrated file against the shadow database and the TSM inventory,
-// then sweeps the inventory for orphans. It charges a full policy scan
-// plus one indexed shadow lookup per stub plus a TSM export. Must be
-// called from a simulation actor.
+// Audit scans the archive, exports the TSM inventory — indexing it by
+// file ID and sweeping it for orphans — and cross-checks every migrated
+// or premigrated file against that index and the shadow database: the
+// file must be carried by a live object, have a shadow row, and the row
+// must name its object's current volume and sequence. It charges a full
+// policy scan plus a TSM export plus one indexed shadow lookup per
+// stub. Must be called from a simulation actor.
 func (s *System) Audit() (AuditResult, error) {
 	res := AuditResult{}
 	liveFileIDs := make(map[uint64]bool)
-	var stubs []pfs.Info
+	var stubs []uint64
 	err := s.Archive.Scan(func(i pfs.Info) error {
 		if i.IsDir() {
 			return nil
@@ -53,35 +56,38 @@ func (s *System) Audit() (AuditResult, error) {
 		res.FilesChecked++
 		liveFileIDs[uint64(i.ID)] = true
 		if i.State != pfs.Resident {
-			stubs = append(stubs, i)
+			stubs = append(stubs, uint64(i.ID))
 		}
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	for _, stub := range stubs {
-		res.StubsChecked++
-		rec, err := s.Shadow.ByFileID(uint64(stub.ID))
-		if err != nil {
-			res.MissingShadow++
-			continue
-		}
-		obj, err := s.TSM.Get(rec.ObjectID)
-		if err != nil || obj.Deleted {
-			res.StaleShadow++
-			if stub.State == pfs.Migrated {
-				// The disk copy is gone AND the tape object is gone.
-				res.MissingObject++
-			}
-		}
-	}
+	carried := make(map[uint64]bool) // file IDs some live object carries
 	for _, obj := range s.TSM.Export() {
 		if obj.FileID == 0 {
 			continue // aggregates are out of audit scope
 		}
+		carried[obj.FileID] = true
 		if !liveFileIDs[obj.FileID] {
 			res.Orphans++
+		}
+	}
+	for _, id := range stubs {
+		res.StubsChecked++
+		rec, err := s.Shadow.ByFileID(id)
+		switch {
+		case !carried[id]:
+			res.MissingObject++
+		case err != nil:
+			res.MissingShadow++
+		}
+		if err != nil {
+			continue
+		}
+		obj, err := s.TSM.Get(rec.ObjectID)
+		if err != nil || obj.Deleted || obj.Volume != rec.Volume || obj.Seq != rec.Seq {
+			res.StaleShadow++
 		}
 	}
 	return res, nil

@@ -123,12 +123,10 @@ func New(clock *simtime.Clock, opts Options) *System {
 		s.TSM.AddCopyPool(copyPrefix, opts.CopyPoolCartridges, opts.TapeSpec.Capacity)
 	}
 	s.Shadow = metadb.New(clock, opts.ShadowQueryCost)
-	// A repair moves an object to a fresh volume; keep the shadow
-	// database's volume column honest.
-	s.TSM.OnRepair(func(o tsm.Object) { s.Shadow.UpsertObject(o) })
+	s.TSM.OnChange(s.Shadow.Apply)
 	s.HSM = hsm.New(clock, s.Archive, s.TSM, s.Shadow, s.Cluster.Nodes(), opts.HSM)
 	s.Deleter = trash.NewDeleter(s.Archive, s.TSM, s.Shadow)
-	s.Recon = trash.NewReconciler(clock, s.Archive, s.TSM, s.Shadow)
+	s.Recon = trash.NewReconciler(s.Archive, s.TSM)
 	return s
 }
 

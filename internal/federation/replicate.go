@@ -1,10 +1,11 @@
 // Async cross-site replication and disaster-recovery failover. Every
-// object a site's HSM engine lands on tape is offered to the
-// replicator (hsm.Engine.OnStored), which fans it out to N-1 other
-// sites under a placement policy. Each destination site has its own
-// queue and worker actor: the worker resolves a WAN route around dead
-// links, charges the transfer against the WAN fabric, and lands the
-// bytes in the destination site's copy pool (tsm.StoreReplica).
+// object a site's TSM server stores is offered to the replicator
+// (tsm.Server.OnChange, the feed the site's shadow DB follows too),
+// which fans it out to N-1 other sites under a placement policy. Each
+// destination site has its own queue and worker actor: the worker
+// resolves a WAN route around dead links, charges the transfer against
+// the WAN fabric, and lands the bytes in the destination site's copy
+// pool (tsm.StoreReplica).
 // Transient trouble retries under the shared bounded-exponential
 // backoff; when the budget is exhausted — a partition, a dead site —
 // the item PARKS in a per-site backlog and waits for the repair event
@@ -78,8 +79,8 @@ type CatalogEntry struct {
 }
 
 // Replicator is the federation's async replication engine: one queue
-// and one worker actor per destination site, fed by every site
-// engine's OnStored hook.
+// and one worker actor per destination site, fed by every site TSM
+// server's OnChange hook.
 type Replicator struct {
 	clock *simtime.Clock
 	fed   *Federation
@@ -104,8 +105,8 @@ type Replicator struct {
 	ctrFail    *telemetry.Counter
 }
 
-// NewReplicator wires a replicator into a federation: every site
-// engine's stored objects flow to Copies-1 other sites from now on.
+// NewReplicator wires a replicator into a federation: every object a
+// site's TSM server stores flows to Copies-1 other sites from now on.
 // retry is the per-item WAN backoff budget (zero value =
 // faults.DefaultBackoff). Workers spawn immediately, one per site, in
 // site order.
@@ -145,7 +146,7 @@ func NewReplicator(fed *Federation, pol ReplicationPolicy, retry faults.Backoff)
 			return float64(q.Len() + len(r.parked[site.Name]))
 		}, "site", site.Name)
 		fed.clock.Go(func() { r.worker(site, q) })
-		site.HSM.OnStored(func(obj tsm.Object) { r.offer(site, obj) })
+		site.TSM.OnChange(func(obj tsm.Object) { r.offer(site, obj) })
 	}
 	fed.rep = r
 	return r, nil
@@ -172,17 +173,24 @@ func (r *Replicator) Close() {
 	}
 }
 
-// offer records the object in the DR catalog and enqueues one replica
-// task per placement. A path migrated again gets a fresh entry for its
-// new object, so the catalog always names the newest copy. Runs inside
-// the mover's actor: enqueue only.
+// offer records a stored object in the DR catalog and enqueues one
+// replica task per placement. A path migrated again gets a fresh entry
+// for its new object, so the catalog always names the newest copy. A
+// delete enqueues nothing, nor does a move: it keeps its object's store
+// instant, so an object no newer than the one cataloged for its path
+// is that object moving (its entry follows it) or an older one the
+// path no longer names. Runs inside the committing actor: enqueue only.
 func (r *Replicator) offer(home *Site, obj tsm.Object) {
-	if r.closed {
+	if r.closed || obj.Deleted {
 		return
 	}
-	if ent := r.catalog[obj.Path]; ent == nil || ent.Object.ID != obj.ID {
-		r.catalog[obj.Path] = &CatalogEntry{HomeSite: home.Name, Object: obj}
+	if ent := r.catalog[obj.Path]; ent != nil && obj.Stored <= ent.Object.Stored {
+		if ent.HomeSite == home.Name && ent.Object.ID == obj.ID {
+			ent.Object = obj
+		}
+		return
 	}
+	r.catalog[obj.Path] = &CatalogEntry{HomeSite: home.Name, Object: obj}
 	for _, dest := range r.placements(home) {
 		r.pending++
 		r.queues[dest.Name].Push(repItem{home: home, dest: dest, obj: obj, storedAt: r.clock.Now()})

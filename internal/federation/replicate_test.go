@@ -2,6 +2,7 @@ package federation
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -275,6 +276,68 @@ func TestFailoverRecallServesNewestObject(t *testing.T) {
 		if r.ID != ent.Object.ID || r.Bytes != rewritten.Len() {
 			t.Errorf("failover served object %d (%d bytes), want object %d (%d bytes)",
 				r.ID, r.Bytes, ent.Object.ID, rewritten.Len())
+		}
+		rep.Close()
+	})
+}
+
+// A primary's move (here a rewrite from source) reaches the replicator
+// on the same feed as a store, but enqueues nothing: not for the object
+// the catalog names, whose entry follows it to its new location, and
+// not for an older object of a path migrated again.
+func TestPrimaryMoveEnqueuesNoReplica(t *testing.T) {
+	e := newSiteEnv(t, 2)
+	rep, err := NewReplicator(e.fed, ReplicationPolicy{Copies: 2}, faults.Backoff{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, other := e.sites[0], e.sites[1]
+	e.run(t, func() {
+		info := e.seed(t, home, 1, 50e6)[0]
+		if _, err := e.fed.Migrate([]pfs.Info{info}, hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		first := rep.Catalog(info.Path).Object.ID
+		if _, err := e.fed.Recall([]string{info.Path}, hsm.RecallOrdered); err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Archive.WriteFile(info.Path, synthetic.NewUniform(99, 80e6)); err != nil {
+			t.Fatal(err)
+		}
+		info2, _ := home.Archive.Stat(info.Path)
+		if _, err := e.fed.Migrate([]pfs.Info{info2}, hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.DrainWithin(2 * time.Hour) {
+			t.Fatal("replication never drained")
+		}
+		newest := rep.Catalog(info.Path).Object.ID
+		replicas, replicated := other.TSM.NumReplicas(), e.count("federation_replicas_total")
+		for _, id := range []uint64{newest, first} {
+			if err := home.TSM.RewriteObject("probe", id); err != nil {
+				t.Fatal(err)
+			}
+			if n := rep.Pending(); n != 0 {
+				t.Errorf("moving object %d enqueued %d replica tasks, want 0", id, n)
+			}
+		}
+		rep.DrainWithin(time.Hour)
+		if n, m := other.TSM.NumReplicas(), e.count("federation_replicas_total"); n != replicas || m != replicated {
+			t.Errorf("after the moves: %d replicas, %d replicated; want %d, %d", n, m, replicas, replicated)
+		}
+		ent := rep.Catalog(info.Path)
+		obj, _ := home.TSM.Get(newest)
+		if ent.Object.ID != newest || ent.Object.Volume != obj.Volume || ent.Object.Seq != obj.Seq {
+			t.Errorf("catalog names object %d at %s/%d, want object %d at %s/%d",
+				ent.Object.ID, ent.Object.Volume, ent.Object.Seq, newest, obj.Volume, obj.Seq)
+		}
+		// A delete is not offered either: the entry stays as it was.
+		kept := *ent
+		if err := home.TSM.Delete(newest); err != nil {
+			t.Fatal(err)
+		}
+		if n := rep.Pending(); n != 0 || !reflect.DeepEqual(*rep.Catalog(info.Path), kept) {
+			t.Errorf("delete: %d pending, entry %+v; want 0 and %+v", n, *rep.Catalog(info.Path), kept)
 		}
 		rep.Close()
 	})

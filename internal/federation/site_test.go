@@ -316,6 +316,42 @@ func TestTSMEventDownsOneServerAndIsCited(t *testing.T) {
 	})
 }
 
+// Once tsm:<site> is repaired, a refusal is no longer the outage's
+// doing: a store and a migration refused an hour later for a passed
+// deadline cite no fault event.
+func TestRefusalAfterRepairCitesNoOutage(t *testing.T) {
+	e := newSiteEnv(t, 2)
+	victim := e.sites[0]
+	e.run(t, func() {
+		files := e.seed(t, victim, 2, 1e6)
+		comp := "tsm:" + victim.Name
+		e.reg.Apply(faults.Event{Component: comp, Kind: faults.KindFail})
+		e.reg.Apply(faults.Event{Component: comp, Kind: faults.KindRepair})
+		e.clock.Sleep(time.Hour)
+		if _, err := victim.TSM.Store(tsm.StoreRequest{
+			Client: "probe", Path: "/probe/f", Bytes: 1e6, QoS: sched.QoS{Deadline: 1},
+		}); !errors.Is(err, sched.ErrDeadlineExceeded) {
+			t.Fatalf("store past its deadline: err = %v, want the deadline to pass", err)
+		}
+		if _, err := victim.HSM.Migrate(files, hsm.MigrateOptions{QoS: sched.QoS{Deadline: 1}}); err == nil {
+			t.Fatal("migration past its deadline was admitted")
+		}
+		tel := telemetry.Of(e.clock)
+		seen := map[string]bool{}
+		for _, sp := range tel.FlightDump().Aborted() {
+			seen[sp.Name] = true
+			if sp.CauseEvent != 0 {
+				t.Errorf("aborted %s span cites event %d, want 0: the server is up", sp.Name, sp.CauseEvent)
+			}
+		}
+		for _, name := range []string{"tsm.store", "hsm.migrate.node"} {
+			if !seen[name] {
+				t.Errorf("no aborted %s span", name)
+			}
+		}
+	})
+}
+
 func TestSiteByNameRejectsUnknownSite(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	if _, err := e.fed.SiteByName("nowhere"); !errors.Is(err, ErrNoSite) {

@@ -87,7 +87,6 @@ type Engine struct {
 	aggOf      map[string]uint64      // member path -> aggregate object ID
 	aggMembers map[uint64][]aggMember // aggregate object ID -> members
 	routes     map[string]fabric.Path // node name -> pool..SAN fabric route
-	onStored   []func(tsm.Object)     // notified after each tape object lands
 
 	tel         *telemetry.Registry
 	ctrMigFiles *telemetry.Counter
@@ -100,7 +99,9 @@ type Engine struct {
 }
 
 // New creates an engine. nodes are the machines running HSM movers and
-// recall daemons (the FTA cluster).
+// recall daemons (the FTA cluster). shadow, when non-nil, locates
+// files for recall; the engine never writes it (it follows srv's
+// OnChange feed).
 func New(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB, nodes []*cluster.Node, cfg Config) *Engine {
 	if cfg.AggregateTarget <= 0 {
 		cfg.AggregateTarget = 4e9
@@ -126,20 +127,6 @@ func New(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB, n
 	e.ctrRequeued = e.tel.Counter("hsm_requeued_files_total")
 	e.gBacklog = e.tel.Gauge("hsm_candidate_backlog")
 	return e
-}
-
-// OnStored registers a hook fired (in registration order) after each
-// tape object lands during migration — single files and aggregates
-// alike. This is the feed an async replicator subscribes to: the hook
-// runs in the mover's actor, so it must only enqueue, never block.
-func (e *Engine) OnStored(fn func(tsm.Object)) {
-	e.onStored = append(e.onStored, fn)
-}
-
-func (e *Engine) notifyStored(obj tsm.Object) {
-	for _, fn := range e.onStored {
-		fn(obj)
-	}
 }
 
 // PartitionRoundRobin splits candidates across n bins in list order —
@@ -340,8 +327,7 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 						// and surface the first refusal to the caller.
 						sp := runSpan.StartChild("hsm.migrate.node",
 							"node", node.Name, "round", strconv.Itoa(round))
-						cause, _ := e.tel.LastEventFor(e.srv.Component())
-						sp.Abort(gerr.Error(), cause)
+						sp.Abort(gerr.Error(), e.srv.DownCause())
 						res.Rejected += len(share)
 						if firstErr == nil && !errors.Is(gerr, sched.ErrShed) {
 							firstErr = gerr
@@ -517,7 +503,7 @@ func (e *Engine) recordSums(path string, sum uint64) {
 // storeSingle stores one file as one tape object and stubs it.
 func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.Flow, f pfs.Info, parent *telemetry.Span) error {
 	sum := e.contentSum(f.Path)
-	obj, err := e.srv.Store(tsm.StoreRequest{
+	_, err := e.srv.Store(tsm.StoreRequest{
 		Client: node.Name,
 		Path:   f.Path,
 		FileID: uint64(f.ID),
@@ -532,10 +518,6 @@ func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.
 		return fmt.Errorf("hsm: migrating %s: %w", f.Path, err)
 	}
 	e.recordSums(f.Path, sum)
-	if e.shadow != nil {
-		e.shadow.UpsertObject(obj)
-	}
-	e.notifyStored(obj)
 	return e.stub(f.Path)
 }
 
@@ -564,10 +546,6 @@ func (e *Engine) storeAggregate(node *cluster.Node, pool *pfs.Pool, stream *fabr
 	if err != nil {
 		return fmt.Errorf("hsm: migrating aggregate of %d files: %w", len(members), err)
 	}
-	if e.shadow != nil {
-		e.shadow.UpsertObject(obj)
-	}
-	e.notifyStored(obj)
 	for i, m := range members {
 		e.aggOf[m.Path] = obj.ID
 		e.aggMembers[obj.ID] = append(e.aggMembers[obj.ID], aggMember{path: m.Path, bytes: m.Size})
@@ -708,12 +686,11 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 				})
 				if gerr := grant.Err(); gerr != nil {
 					// The bin's deadline passed while it queued (or the
-					// class was shed): abandon it, counted and linked to
-					// the fault that congested the station.
+					// class was shed): abandon it, counted, citing the
+					// TSM outage while one lasts.
 					sp := runSpan.StartChild("hsm.recall.node",
 						"node", node.Name, "round", strconv.Itoa(round))
-					cause, _ := e.tel.LastEventFor(e.srv.Component())
-					sp.Abort(gerr.Error(), cause)
+					sp.Abort(gerr.Error(), e.srv.DownCause())
 					res.Rejected += len(bins[bi])
 					if firstErr == nil {
 						firstErr = gerr
@@ -1098,8 +1075,7 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 	})
 	if gerr := grant.Err(); gerr != nil {
 		sp := e.tel.StartSpan("hsm.recall-pinned", "node", nodeName)
-		cause, _ := e.tel.LastEventFor(e.srv.Component())
-		sp.Abort(gerr.Error(), cause)
+		sp.Abort(gerr.Error(), e.srv.DownCause())
 		return fmt.Errorf("hsm: recall-pinned on %s: %w", nodeName, gerr)
 	}
 	defer grant.Done()

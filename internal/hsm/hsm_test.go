@@ -43,6 +43,7 @@ func newEnvMeta(t *testing.T, drives int, cfg Config, metaOpCost time.Duration) 
 	lib := tape.NewLibrary(clock, drives, 64, 2, tape.LTO4())
 	srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
 	shadow := metadb.New(clock, 100*time.Microsecond)
+	srv.OnChange(shadow.Apply)
 	clCfg := cluster.RoadrunnerConfig()
 	cl := cluster.New(clock, clCfg)
 	eng := New(clock, fs, srv, shadow, cl.Nodes(), cfg)
@@ -118,41 +119,6 @@ func TestMigrateStubsFiles(t *testing.T) {
 		}
 		if e.shadow.Len() != 8 {
 			t.Errorf("shadow rows = %d, want 8", e.shadow.Len())
-		}
-	})
-}
-
-func TestOnStoredFiresPerTapeObject(t *testing.T) {
-	// The replication feed: one notification per tape object landed —
-	// per file without aggregation, per bundle with it.
-	e := newEnv(t, 4, Config{AggregateThreshold: 1e8, AggregateTarget: 1e9})
-	var stored []tsm.Object
-	e.eng.OnStored(func(obj tsm.Object) { stored = append(stored, obj) })
-	e.run(t, func() {
-		big := e.mkFiles(t, "/big", 3, 5e8)     // above threshold: single objects
-		small := e.mkFiles(t, "/small", 6, 1e7) // below: aggregated
-		res, err := e.eng.Migrate(append(big, small...), MigrateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Files != 9 {
-			t.Fatalf("migrated %d files, want 9", res.Files)
-		}
-		wantObjects := e.srv.NumObjects()
-		if len(stored) != wantObjects {
-			t.Errorf("OnStored fired %d times, want %d (one per tape object)", len(stored), wantObjects)
-		}
-		singles := 0
-		for _, obj := range stored {
-			if obj.ID == 0 || obj.Bytes == 0 {
-				t.Errorf("hook saw incomplete object %+v", obj)
-			}
-			if obj.Bytes == 5e8 {
-				singles++
-			}
-		}
-		if singles != 3 {
-			t.Errorf("hook saw %d single-file objects, want 3", singles)
 		}
 	})
 }

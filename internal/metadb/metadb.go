@@ -11,6 +11,9 @@
 //     and sorts by volume and sequence itself, and
 //   - "what TSM object ID matches this GPFS file ID?" — enabling the
 //     synchronous deleter.
+//
+// archive.New subscribes DB.Apply to tsm.Server.OnChange: the shadow
+// follows every store, move and delete, and nothing else writes it.
 package metadb
 
 import (
@@ -187,9 +190,13 @@ func (db *DB) ByPaths(paths []string) []Record {
 	return out
 }
 
-// UpsertObject mirrors one TSM object into the shadow (the incremental
-// path used after each migration, cheaper than a full re-export).
-func (db *DB) UpsertObject(o tsm.Object) {
+// Apply mirrors one TSM catalog change: a deleted object's row goes
+// (if it has one), any other object's row is inserted or replaced.
+func (db *DB) Apply(o tsm.Object) {
+	if o.Deleted {
+		_ = db.Delete(o.ID)
+		return
+	}
 	db.Upsert(Record{
 		ObjectID: o.ID,
 		FileID:   o.FileID,

@@ -131,7 +131,7 @@ func TestSyncFromTSM(t *testing.T) {
 			}
 		}
 		for _, o := range srv.Export() {
-			db.UpsertObject(o)
+			db.Apply(o)
 		}
 		if db.Len() != 5 {
 			t.Errorf("Len %d, want 5", db.Len())
@@ -152,13 +152,28 @@ func TestSyncFromTSM(t *testing.T) {
 	}
 }
 
-func TestUpsertObjectIncremental(t *testing.T) {
+func TestApplyUpsertsAndDrops(t *testing.T) {
 	c, db := newDB()
 	c.Go(func() {
-		db.UpsertObject(tsm.Object{ID: 9, FileID: 90, Path: "/x", Bytes: 5, Volume: "V", Seq: 4})
+		db.Apply(tsm.Object{ID: 9, FileID: 90, Path: "/x", Bytes: 5, Volume: "V", Seq: 4})
 		r, err := db.byObjectID(9)
 		if err != nil || r.FileID != 90 || r.Seq != 4 {
 			t.Errorf("record = %+v, %v", r, err)
+		}
+		// A move replaces the row in place.
+		db.Apply(tsm.Object{ID: 9, FileID: 90, Path: "/x", Bytes: 5, Volume: "W", Seq: 1})
+		if r, err := db.ByPath("/x"); err != nil || r.Volume != "W" || r.Seq != 1 || db.Len() != 1 {
+			t.Errorf("after move: record = %+v, %v, Len %d", r, err, db.Len())
+		}
+		// A delete drops it from every index; a delete of an object with
+		// no row is a no-op.
+		db.Apply(tsm.Object{ID: 9, FileID: 90, Path: "/x", Deleted: true})
+		db.Apply(tsm.Object{ID: 10, FileID: 100, Path: "/y", Deleted: true})
+		if db.Len() != 0 {
+			t.Errorf("Len %d after delete, want 0", db.Len())
+		}
+		if _, err := db.ByFileID(90); !errors.Is(err, ErrNotFound) {
+			t.Errorf("ByFileID after delete: %v, want ErrNotFound", err)
 		}
 	})
 	c.RunFor()

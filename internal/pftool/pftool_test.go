@@ -42,6 +42,7 @@ func newEnv() *env {
 	lib := tape.NewLibrary(clock, 8, 64, 2, tape.LTO4())
 	srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
 	shadow := metadb.New(clock, 100*time.Microsecond)
+	srv.OnChange(shadow.Apply)
 	eng := hsm.New(clock, archive, srv, shadow, cl.Nodes(), hsm.Config{})
 	return &env{clock: clock, scratch: scratch, archive: archive, cl: cl, lib: lib, srv: srv, shadow: shadow, eng: eng}
 }

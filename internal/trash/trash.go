@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/metadb"
 	"repro/internal/pfs"
-	"repro/internal/simtime"
 	"repro/internal/tsm"
 )
 
@@ -182,9 +181,6 @@ func (d *Deleter) DeleteOne(e pfs.Info, res *PurgeResult) error {
 		if err := d.srv.Delete(rec.ObjectID); err != nil && !errors.Is(err, tsm.ErrNoSuchObject) {
 			return fmt.Errorf("trash: tsm delete for %s: %w", e.Path, err)
 		}
-		if err := d.shadow.Delete(rec.ObjectID); err != nil {
-			return err
-		}
 		res.TapeDeletes++
 	case errors.Is(err, metadb.ErrNotFound):
 		res.DiskOnly++
@@ -211,15 +207,13 @@ type ReconcileResult struct {
 // population — "for an archive with tens to hundreds of millions of
 // files, the overhead is unacceptable".
 type Reconciler struct {
-	clock  *simtime.Clock
-	fs     *pfs.FS
-	srv    *tsm.Server
-	shadow *metadb.DB // kept in step when orphans are purged; may be nil
+	fs  *pfs.FS
+	srv *tsm.Server
 }
 
 // NewReconciler creates a reconciler.
-func NewReconciler(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB) *Reconciler {
-	return &Reconciler{clock: clock, fs: fs, srv: srv, shadow: shadow}
+func NewReconciler(fs *pfs.FS, srv *tsm.Server) *Reconciler {
+	return &Reconciler{fs: fs, srv: srv}
 }
 
 // Reconcile compares the file system against the TSM inventory and
@@ -247,12 +241,6 @@ func (r *Reconciler) Reconcile() (ReconcileResult, error) {
 		if !live[o.FileID] {
 			if err := r.srv.Delete(o.ID); err != nil {
 				return res, err
-			}
-			if r.shadow != nil {
-				// Shadow may or may not still hold the row.
-				if derr := r.shadow.Delete(o.ID); derr != nil && !errors.Is(derr, metadb.ErrNotFound) {
-					return res, derr
-				}
 			}
 			res.OrphansDeleted++
 		}

@@ -36,13 +36,14 @@ func newEnv(t *testing.T) *env {
 	lib := tape.NewLibrary(clock, 4, 32, 2, tape.LTO4())
 	srv := tsm.NewServer(clock, tsm.DefaultConfig(), lib)
 	shadow := metadb.New(clock, 100*time.Microsecond)
+	srv.OnChange(shadow.Apply)
 	cl := cluster.New(clock, cluster.RoadrunnerConfig())
 	eng := hsm.New(clock, fs, srv, shadow, cl.Nodes(), hsm.Config{})
 	return &env{
 		clock: clock, fs: fs, srv: srv, shadow: shadow, eng: eng,
 		nodes: cl.Nodes(),
 		del:   NewDeleter(fs, srv, shadow),
-		rec:   NewReconciler(clock, fs, srv, shadow),
+		rec:   NewReconciler(fs, srv),
 	}
 }
 

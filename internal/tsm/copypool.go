@@ -49,13 +49,6 @@ func (s *Server) hasCopy(id uint64) bool {
 	return ok
 }
 
-// OnRepair registers a hook fired (in registration order) after an
-// object moves to a fresh primary location during repair — the seam a
-// shadow database uses to keep its volume column honest.
-func (s *Server) OnRepair(fn func(Object)) {
-	s.onRepair = append(s.onRepair, fn)
-}
-
 // acquireCopyDrive returns a held drive with a copy-pool volume
 // mounted that fits the object. Copy volumes fill in insertion order,
 // like the sequential-access pools they model.
@@ -79,6 +72,25 @@ func (s *Server) acquireCopyDrive(bytes int64) (*tape.Drive, *tape.Cartridge, er
 	}
 	s.drvPool.Release(1)
 	return nil, nil, tape.ErrNoScratch
+}
+
+// appendCopy writes one object's bytes (carrying digest sum) to a
+// copy-pool volume in its own drive session and returns where they
+// landed. The caller owns the retry policy and the catalog entry.
+func (s *Server) appendCopy(client string, id uint64, bytes int64, sum uint64, sp *telemetry.Span) (copyLoc, error) {
+	d, vol, err := s.acquireCopyDrive(bytes)
+	if err != nil {
+		return copyLoc{}, err
+	}
+	if err := s.beginSession(d, client, sp); err != nil {
+		return copyLoc{}, err
+	}
+	tf, err := d.AppendSum(id, bytes, sum)
+	s.ReleaseDrive(d)
+	if err != nil {
+		return copyLoc{}, err
+	}
+	return copyLoc{Volume: vol.Label, Seq: tf.Seq}, nil
 }
 
 // BackupResult summarizes one BackupPool run.
@@ -138,28 +150,16 @@ func (s *Server) BackupPool(client string) (BackupResult, error) {
 			res.Skipped++
 			continue
 		}
-		cd, cvol, err := s.acquireCopyDrive(obj.Bytes)
+		loc, err := s.appendCopy(client, obj.ID, obj.Bytes, delivered, sp)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
 			return res, err
 		}
-		if err := s.beginSession(cd, client, sp); err != nil {
-			sp.Abort(err.Error(), 0)
-			return res, err
-		}
-		tf, err := cd.AppendSum(obj.ID, obj.Bytes, delivered)
-		if err == nil {
-			s.copies[obj.ID] = copyLoc{Volume: cvol.Label, Seq: tf.Seq}
-			res.Objects++
-			res.Bytes += obj.Bytes
-			s.tel.Counter("tsm_copy_objects_total").Inc()
-			s.tel.Counter("tsm_copy_bytes_total").Add(float64(obj.Bytes))
-		}
-		s.ReleaseDrive(cd)
-		if err != nil {
-			sp.Abort(err.Error(), 0)
-			return res, err
-		}
+		s.copies[obj.ID] = loc
+		res.Objects++
+		res.Bytes += obj.Bytes
+		s.tel.Counter("tsm_copy_objects_total").Inc()
+		s.tel.Counter("tsm_copy_bytes_total").Add(float64(obj.Bytes))
 	}
 	s.txn() // commit the copy map
 	res.Elapsed = s.clock.Now() - start
@@ -183,11 +183,10 @@ func (s *Server) readObject(client string, vol *tape.Cartridge, seq int, parent 
 
 // RepairObject re-stages one object from its copy-pool duplicate onto
 // a healthy primary volume: read the copy, verify it against the
-// catalog, write a fresh primary, repoint the catalog, and notify
-// OnRepair hooks. The quarantined original is left in place for the
-// operator; reclamation will eventually retire it. Fails with
-// ErrNoCopy when no duplicate exists or the duplicate is itself
-// corrupt.
+// catalog, and relocate the object. The quarantined original is left
+// in place for the operator; reclamation will eventually retire it.
+// Fails with ErrNoCopy when no duplicate exists or the duplicate is
+// itself corrupt.
 func (s *Server) RepairObject(client string, id uint64) error {
 	obj := s.db.get(id)
 	if obj == nil || obj.Deleted {
@@ -213,10 +212,11 @@ func (s *Server) RepairObject(client string, id uint64) error {
 		sp.Abort(err.Error(), 0)
 		return err
 	}
-	if err := s.rewriteObject(client, obj, sp); err != nil {
+	if err := s.relocate(client, obj, sp); err != nil {
 		sp.Abort(err.Error(), 0)
 		return err
 	}
+	s.ctrRepaired.Inc()
 	sp.SetAttr("to", obj.Volume)
 	sp.End()
 	return nil
@@ -233,18 +233,21 @@ func (s *Server) RewriteObject(client string, id uint64) error {
 	}
 	sp := s.tel.StartSpan("tsm.repair",
 		"object", fmt.Sprint(id), "from", "source", "bad", obj.Volume)
-	if err := s.rewriteObject(client, obj, sp); err != nil {
+	if err := s.relocate(client, obj, sp); err != nil {
 		sp.Abort(err.Error(), 0)
 		return err
 	}
+	s.ctrRepaired.Inc()
 	sp.SetAttr("to", obj.Volume)
 	sp.End()
 	return nil
 }
 
-// rewriteObject writes obj's bytes (with its catalog digest) to a
-// fresh primary location and repoints the catalog.
-func (s *Server) rewriteObject(client string, obj *Object, sp *telemetry.Span) error {
+// relocate writes obj's bytes (with its catalog digest) to a fresh
+// primary location, repoints the catalog and notifies the OnChange
+// hooks: the one move repair and reclamation share, so no move can
+// leave a mirror of the catalog behind.
+func (s *Server) relocate(client string, obj *Object, sp *telemetry.Span) error {
 	d, vol, err := s.acquireDriveForWrite(client, obj.Group, obj.Bytes)
 	if err != nil {
 		return err
@@ -263,9 +266,6 @@ func (s *Server) rewriteObject(client string, obj *Object, sp *telemetry.Span) e
 	if obj.Group != "" {
 		s.coloc[obj.Group] = vol.Label
 	}
-	s.ctrRepaired.Inc()
-	for _, fn := range s.onRepair {
-		fn(*obj)
-	}
+	s.changed(obj)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/tape"
 )
 
 // Reclamation is the TSM space-reclaim process: a volume whose live
@@ -60,7 +61,7 @@ func (s *Server) ReclaimThreshold(client string, threshold float64) (ReclaimResu
 		if float64(live) > threshold*float64(used) {
 			continue
 		}
-		moved, movedBytes, skipped, err := s.reclaimVolume(client, vol.Label, objs)
+		moved, movedBytes, skipped, err := s.reclaimVolume(client, vol, objs, live)
 		res.ObjectsMoved += moved
 		res.BytesMoved += movedBytes
 		res.CorruptSkipped += skipped
@@ -76,41 +77,27 @@ func (s *Server) ReclaimThreshold(client string, threshold float64) (ReclaimResu
 	return res, nil
 }
 
-// reclaimVolume copies a volume's live objects (in tape order) to
-// other volumes and erases the source. Every digest-tracked survivor
+// reclaimVolume relocates a volume's live objects (live bytes in all)
+// in tape order and erases the source. Every digest-tracked survivor
 // is re-verified as it comes off the tape: a mismatch means the
 // consolidation would propagate corrupt bytes, so that object stays
 // put, the source is quarantined instead of erased, and the skip is
 // reported for the scrubber to repair properly.
-func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int, movedBytes int64, skipped int, err error) {
-	src, err := s.lib.Cartridge(label)
-	if err != nil {
-		return 0, 0, 0, err
-	}
+func (s *Server) reclaimVolume(client string, src *tape.Cartridge, objs []*Object, live int64) (moved int, movedBytes int64, skipped int, err error) {
 	// One admission per volume consolidated: reclamation is scavenger
 	// work under the system tenant — it must yield to everything else.
-	var liveBytes int64
-	for _, o := range objs {
-		liveBytes += o.Bytes
-	}
 	grant := s.sch.Station(sched.StationReclaim).Admit(sched.Item{
 		QoS:  sched.QoS{Tenant: "system", Class: sched.Scavenger},
-		Kind: "tsm.reclaim", Units: liveBytes,
+		Kind: "tsm.reclaim", Units: live,
 	})
 	defer grant.Done()
-	s.reclaiming[label] = true
-	defer delete(s.reclaiming, label)
+	s.reclaiming[src.Label] = true
+	defer delete(s.reclaiming, src.Label)
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Seq < objs[j].Seq })
 	for _, o := range objs {
 		// Read the object off the old volume in one session per object
 		// (objects are already sorted, so the tape streams forward).
-		d, err := s.volumeSession(src, client, nil)
-		if err != nil {
-			return moved, movedBytes, skipped, err
-		}
-		_, delivered, err := d.ReadSeqSum(o.Seq)
-		headCause := d.CorruptCause()
-		s.ReleaseDrive(d)
+		delivered, headCause, err := s.readObject(client, src, o.Seq, nil)
 		if err != nil {
 			return moved, movedBytes, skipped, err
 		}
@@ -119,27 +106,11 @@ func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int,
 			skipped++
 			continue
 		}
-		// Rewrite it to a fresh volume through the normal store path
-		// (no client data path: the move is tape-to-tape via the
-		// mover's buffers). The catalog digest rides along: the new
-		// copy is born verifiable.
-		dstDrive, dstVol, err := s.acquireDriveForWrite(client, o.Group, o.Bytes)
-		if err != nil {
+		// Relocate it through the normal store path (no client data
+		// path: the move is tape-to-tape via the mover's buffers). The
+		// catalog digest rides along: the new copy is born verifiable.
+		if err := s.relocate(client, o, nil); err != nil {
 			return moved, movedBytes, skipped, err
-		}
-		if err := s.beginSession(dstDrive, client, nil); err != nil {
-			return moved, movedBytes, skipped, err
-		}
-		tf, err := dstDrive.AppendSum(o.ID, o.Bytes, o.Sum)
-		s.ReleaseDrive(dstDrive)
-		if err != nil {
-			return moved, movedBytes, skipped, err
-		}
-		s.txn()
-		o.Volume = dstVol.Label
-		o.Seq = tf.Seq
-		if o.Group != "" {
-			s.coloc[o.Group] = dstVol.Label
 		}
 		moved++
 		movedBytes += o.Bytes
@@ -147,7 +118,7 @@ func (s *Server) reclaimVolume(client, label string, objs []*Object) (moved int,
 	if skipped > 0 {
 		// Corrupt survivors remain: erasing would destroy the only
 		// on-site copy. Quarantine the volume and leave it for repair.
-		s.Quarantine(label)
+		s.Quarantine(src.Label)
 		s.txn()
 		return moved, movedBytes, skipped, nil
 	}

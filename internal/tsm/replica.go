@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/synthetic"
-	"repro/internal/tape"
 	"repro/internal/telemetry"
 )
 
@@ -33,13 +32,13 @@ var (
 // replicaKey identifies a replica: object IDs are per-site sequences,
 // so the home site name is part of the key.
 type replicaKey struct {
-	Cell string
+	Home string
 	ID   uint64
 }
 
 // Replica records one cross-site duplicate held by this server.
 type Replica struct {
-	Cell   string // home site whose catalog owns the primary
+	Home   string // home site whose catalog owns the primary
 	ID     uint64 // object ID in the home site's catalog
 	Path   string
 	Bytes  int64
@@ -59,32 +58,20 @@ func (s *Server) StoreReplica(client, homeSite string, obj Object, parent *telem
 	if s.down {
 		return ErrServerDown
 	}
-	key := replicaKey{Cell: homeSite, ID: obj.ID}
+	key := replicaKey{Home: homeSite, ID: obj.ID}
 	if _, ok := s.replicas[key]; ok {
 		return nil
 	}
 	s.reapDownDrives()
 	s.txn()
 	sp := telemetry.ChildOf(s.tel, parent, "tsm.store-replica",
-		"cell", homeSite, "path", obj.Path)
-	var tf tape.File
-	var cvol *tape.Cartridge
+		"home", homeSite, "path", obj.Path)
+	var loc copyLoc
 	err := s.cfg.Retry.Do(s.clock, func(attempt int) error {
 		s.failover(attempt)
-		d, v, err := s.acquireCopyDrive(obj.Bytes)
-		if err != nil {
-			return err
-		}
-		if err := s.beginSession(d, client, sp); err != nil {
-			return err
-		}
-		tf, err = d.AppendSum(obj.ID, obj.Bytes, obj.Sum)
-		s.ReleaseDrive(d)
-		if err != nil {
-			return err
-		}
-		cvol = v
-		return nil
+		var err error
+		loc, err = s.appendCopy(client, obj.ID, obj.Bytes, obj.Sum, sp)
+		return err
 	}, retryable)
 	if err != nil {
 		sp.Abort(err.Error(), 0)
@@ -92,17 +79,17 @@ func (s *Server) StoreReplica(client, homeSite string, obj Object, parent *telem
 	}
 	s.txn() // commit the catalog entry
 	s.replicas[key] = &Replica{
-		Cell:   homeSite,
+		Home:   homeSite,
 		ID:     obj.ID,
 		Path:   obj.Path,
 		Bytes:  obj.Bytes,
 		Sum:    obj.Sum,
-		Volume: cvol.Label,
-		Seq:    tf.Seq,
+		Volume: loc.Volume,
+		Seq:    loc.Seq,
 	}
 	s.ctrReplicas.Inc()
 	s.ctrReplicaBytes.Add(float64(obj.Bytes))
-	sp.SetAttr("volume", cvol.Label)
+	sp.SetAttr("volume", loc.Volume)
 	sp.End()
 	return nil
 }
@@ -118,14 +105,14 @@ func (s *Server) ReadReplica(client, homeSite string, id uint64, route fabric.Pa
 	if s.down {
 		return Replica{}, ErrServerDown
 	}
-	rep, ok := s.replicas[replicaKey{Cell: homeSite, ID: id}]
+	rep, ok := s.replicas[replicaKey{Home: homeSite, ID: id}]
 	if !ok {
 		return Replica{}, fmt.Errorf("%w: site %s object %d", ErrNoReplica, homeSite, id)
 	}
 	s.reapDownDrives()
 	s.txn()
 	sp := telemetry.ChildOf(s.tel, parent, "tsm.recall-replica",
-		"cell", homeSite, "volume", rep.Volume)
+		"home", homeSite, "volume", rep.Volume)
 	vol, err := s.lib.Cartridge(rep.Volume)
 	if err != nil {
 		sp.Abort(err.Error(), 0)
@@ -167,7 +154,7 @@ func (s *Server) ReadReplica(client, homeSite string, id uint64, route fabric.Pa
 // HasReplica reports whether this server holds a replica for the
 // (home site, object) pair.
 func (s *Server) HasReplica(homeSite string, id uint64) bool {
-	_, ok := s.replicas[replicaKey{Cell: homeSite, ID: id}]
+	_, ok := s.replicas[replicaKey{Home: homeSite, ID: id}]
 	return ok
 }
 

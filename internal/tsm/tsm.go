@@ -115,7 +115,7 @@ type Server struct {
 	copyOrder  []string          // copy-pool labels in insertion order
 	copies     map[uint64]copyLoc
 	replicas   map[replicaKey]*Replica // cross-site duplicates held here
-	onRepair   []func(Object)          // notified after an object moves during repair
+	onChange   []func(Object)          // notified after each committed store, move and delete
 	lastDrive  map[string]*tape.Drive
 	down       bool // server outage: transactions block until repair
 	sch        *sched.Scheduler
@@ -279,13 +279,38 @@ func (s *Server) txnDeadline(deadline simtime.Duration) error {
 	return nil
 }
 
+// OnChange registers a hook fired (in registration order) after every
+// committed catalog change — a store, a move to a fresh primary
+// (repair, reclamation), a delete (Deleted set): the one feed every
+// mirror of the catalog follows. Hooks run in the committing actor, so
+// they must only record or enqueue, never block.
+func (s *Server) OnChange(fn func(Object)) {
+	s.onChange = append(s.onChange, fn)
+}
+
+// changed hands obj's committed state to the OnChange hooks.
+func (s *Server) changed(obj *Object) {
+	for _, fn := range s.onChange {
+		fn(*obj)
+	}
+}
+
+// DownCause is the fault event that took the server down while the
+// outage lasts, else 0: the cause a refused span cites.
+func (s *Server) DownCause() uint64 {
+	if !s.down {
+		return 0
+	}
+	id, _ := s.tel.LastEventFor(s.comp)
+	return id
+}
+
 // abortAdmit records a span for a session the scheduler refused
-// (deadline passed or brownout shed), linking the last known fault
-// event against the TSM server as the cause when one exists.
+// (deadline passed or brownout shed), citing the outage's fault event
+// while the server is down.
 func (s *Server) abortAdmit(kind, client, what string, err error) {
 	sp := s.tel.StartSpan(kind, "client", client, "what", what)
-	cause, _ := s.tel.LastEventFor(s.comp)
-	sp.Abort(err.Error(), cause)
+	sp.Abort(err.Error(), s.DownCause())
 }
 
 // reapDownDrives resizes the drive pool to the operational drive count
@@ -460,6 +485,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	}
 	s.ctrStores.Inc()
 	s.ctrBytesStored.Add(float64(req.Bytes))
+	s.changed(obj)
 	return *obj, nil
 }
 
@@ -898,8 +924,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 			s.ReleaseDrive(d)
 			grant.Done()
 			err := fmt.Errorf("tsm: recall batch %s: %w", req.Volume, sched.ErrDeadlineExceeded)
-			cause, _ := s.tel.LastEventFor(s.comp)
-			sp.Abort(err.Error(), cause)
+			sp.Abort(err.Error(), s.DownCause())
 			return out, err
 		}
 		rd, tCause, tainted, readErr := s.moveData(req.Route, nil, tapeIO{drive: d, bytes: obj.Bytes, seq: obj.Seq})
@@ -948,6 +973,7 @@ func (s *Server) Delete(objectID uint64) error {
 	}
 	obj.Deleted = true
 	s.ctrDeletes.Inc()
+	s.changed(obj)
 	return nil
 }
 
