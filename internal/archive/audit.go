@@ -3,6 +3,7 @@ package archive
 import (
 	"fmt"
 
+	"repro/internal/metadb"
 	"repro/internal/pfs"
 )
 
@@ -42,13 +43,16 @@ func (a AuditResult) String() string {
 // file ID and sweeping it for orphans — and cross-checks every migrated
 // or premigrated file against that index and the shadow database: the
 // file must be carried by a live object, have a shadow row, and the row
-// must name its object's current volume and sequence. It charges a full
-// policy scan plus a TSM export plus one indexed shadow lookup per
-// stub. Must be called from a simulation actor.
+// must name its object's current volume and sequence. A member of an
+// aggregate is carried by its bundle, whose object and row hold no file
+// ID: hsm's member index names the bundle, and the member is checked
+// against that object and its row. It charges a full policy scan plus
+// a TSM export plus one indexed shadow lookup per stub. Must be called
+// from a simulation actor.
 func (s *System) Audit() (AuditResult, error) {
 	res := AuditResult{}
 	liveFileIDs := make(map[uint64]bool)
-	var stubs []uint64
+	var stubs []pfs.Info
 	err := s.Archive.Scan(func(i pfs.Info) error {
 		if i.IsDir() {
 			return nil
@@ -56,28 +60,39 @@ func (s *System) Audit() (AuditResult, error) {
 		res.FilesChecked++
 		liveFileIDs[uint64(i.ID)] = true
 		if i.State != pfs.Resident {
-			stubs = append(stubs, uint64(i.ID))
+			stubs = append(stubs, i)
 		}
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	carried := make(map[uint64]bool) // file IDs some live object carries
+	carried := make(map[uint64]bool)  // file IDs some live object carries
+	liveAggs := make(map[uint64]bool) // live aggregate object IDs
 	for _, obj := range s.TSM.Export() {
 		if obj.FileID == 0 {
-			continue // aggregates are out of audit scope
+			liveAggs[obj.ID] = true
+			continue
 		}
 		carried[obj.FileID] = true
 		if !liveFileIDs[obj.FileID] {
 			res.Orphans++
 		}
 	}
-	for _, id := range stubs {
+	for _, st := range stubs {
 		res.StubsChecked++
-		rec, err := s.Shadow.ByFileID(id)
+		id := uint64(st.ID)
+		ok := carried[id]
+		var rec metadb.Record
+		var err error
+		if aggID, member := s.HSM.AggregateOf(st.Path); member && !ok {
+			ok = liveAggs[aggID]
+			rec, err = s.Shadow.ByObjectID(aggID)
+		} else {
+			rec, err = s.Shadow.ByFileID(id)
+		}
 		switch {
-		case !carried[id]:
+		case !ok:
 			res.MissingObject++
 		case err != nil:
 			res.MissingShadow++

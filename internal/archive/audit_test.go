@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -145,6 +146,63 @@ func TestAuditDetectsStaleLocationAfterReclaim(t *testing.T) {
 		}
 		if res.StaleShadow != moved || res.MissingShadow != 0 || res.MissingObject != 0 {
 			t.Errorf("audit with pre-reclaim rows: %s, want %d stale rows", res, moved)
+		}
+	})
+}
+
+// Aggregate members are carried by their bundle, whose object and
+// shadow row hold no file ID: a bundled plant audits clean, and losing
+// a bundle's object loses exactly its members.
+func TestAuditChecksAggregateMembersAgainstTheirBundle(t *testing.T) {
+	opts := DefaultOptions()
+	opts.HSM = hsm.Config{AggregateThreshold: 2e9, AggregateTarget: 8e9}
+	runSysOpts(t, opts, func(s *System) {
+		seedScratch(t, s, "/proj", 12, 5e8)
+		if _, err := s.Pfcp("/proj", "/arc/proj", testTunables()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		// The largest bundle and its member count.
+		members := make(map[uint64]int)
+		var largest uint64
+		for i := 0; i < 12; i++ {
+			id, ok := s.HSM.AggregateOf(fmt.Sprintf("/arc/proj/f%04d", i))
+			if !ok {
+				t.Fatalf("f%04d is no aggregate member", i)
+			}
+			if members[id]++; members[id] > members[largest] {
+				largest = id
+			}
+		}
+		if members[largest] < 2 {
+			t.Fatalf("bundles %v: none holds two members", members)
+		}
+		audit := func() AuditResult {
+			t.Helper()
+			res, err := s.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if got := audit(); !got.Clean() || got.StubsChecked != 12 {
+			t.Errorf("audit of an aggregated plant: %s, want clean with 12 stubs", got)
+		}
+		if err := s.TSM.Delete(largest); err != nil {
+			t.Fatal(err)
+		}
+		if got := audit(); got.MissingObject != members[largest] || got.MissingShadow != 0 || got.StaleShadow != 0 || got.Orphans != 0 {
+			t.Errorf("audit after deleting one bundle: %s, want its %d members lost and nothing else", got, members[largest])
+		}
+		for _, obj := range s.TSM.LiveObjects() {
+			if err := s.TSM.Delete(obj.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := audit(); got.MissingObject != 12 || got.MissingShadow != 0 || got.StaleShadow != 0 || got.Orphans != 0 {
+			t.Errorf("audit after deleting every bundle: %s, want 12 lost and nothing else", got)
 		}
 	})
 }

@@ -47,38 +47,39 @@ func (res *churnResult) collect(f *Fabric) {
 	res.fast, res.fallback = f.hubFast, f.hubFallback
 }
 
-// sameChurn reports every difference between an incremental run and its
-// full-recompute reference.
+// sameChurn reports every difference between a run and its reference:
+// an incremental run and its full-recompute twin, or an overlapped run
+// and its blocking twin.
 func sameChurn(t *testing.T, trial int, inc, ref churnResult) {
 	t.Helper()
 	for i := range ref.done {
 		if inc.done[i] != ref.done[i] {
-			t.Errorf("trial %d flow %d: incremental finished at %v, full recompute at %v",
+			t.Errorf("trial %d flow %d: finished at %v, reference at %v",
 				trial, i, inc.done[i], ref.done[i])
 		}
 	}
 	for name, want := range ref.linkBytes {
 		if got := inc.linkBytes[name]; got != want {
-			t.Errorf("trial %d link %s: incremental carried %v bytes, full recompute %v",
+			t.Errorf("trial %d link %s: carried %v bytes, reference %v",
 				trial, name, got, want)
 		}
 		if got, want := inc.linkBusy[name], ref.linkBusy[name]; got != want {
-			t.Errorf("trial %d link %s: incremental busy %v, full recompute %v",
+			t.Errorf("trial %d link %s: busy %v, reference %v",
 				trial, name, got, want)
 		}
 		if got, want := inc.linkPeak[name], ref.linkPeak[name]; got != want {
-			t.Errorf("trial %d link %s: incremental peak %d flows, full recompute %d",
+			t.Errorf("trial %d link %s: peak %d flows, reference %d",
 				trial, name, got, want)
 		}
 		got, want := inc.linkTimeline[name], ref.linkTimeline[name]
 		if len(got) != len(want) {
-			t.Errorf("trial %d link %s: incremental timeline has %d points, full recompute %d",
+			t.Errorf("trial %d link %s: timeline has %d points, reference %d",
 				trial, name, len(got), len(want))
 			continue
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("trial %d link %s timeline[%d]: incremental %+v, full recompute %+v",
+				t.Errorf("trial %d link %s timeline[%d]: %+v, reference %+v",
 					trial, name, i, got[i], want[i])
 				break
 			}

@@ -471,15 +471,10 @@ func (l *Link) ArmCorrupt(causeEvent uint64) {
 // been consumed by a flow.
 func (l *Link) ArmedCorruptions() int { return len(l.corruptQ) }
 
-// Transfer moves n bytes across just this link, blocking the caller —
-// the single-hop convenience for background noise and tests.
-func (l *Link) Transfer(n int64) {
-	l.fab.Transfer(Path{fab: l.fab, links: []*Link{l}}, n)
-}
-
 // Stream opens a persistent single-hop stream across the link — the
-// coalesced form of repeated Transfer calls (background noise loops use
-// it so each burst costs O(1) instead of a join/leave recompute pair).
+// coalesced form of repeated one-link transfers (background noise loops
+// use it so each burst costs O(1) instead of a join/leave recompute
+// pair).
 func (l *Link) Stream(opts ...Option) *Flow {
 	return l.fab.Stream(Path{fab: l.fab, links: []*Link{l}}, opts...)
 }

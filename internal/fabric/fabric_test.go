@@ -333,7 +333,7 @@ func TestTimelineSamplesWhenDue(t *testing.T) {
 	f := New(c)
 	a := f.AddLink("a", 1000, "x", "y")
 	var b *Link
-	c.Go(func() { a.Transfer(500_000) }) // busy until 500s
+	c.Go(func() { Path{}.With(a).Transfer(500_000) }) // busy until 500s
 	c.Go(func() {
 		for at := poll; at < 600*time.Second; at += poll {
 			c.Sleep(poll)
@@ -342,7 +342,7 @@ func TestTimelineSamplesWhenDue(t *testing.T) {
 				// a's points so far: 6s, 66s; next due at 126s.
 				c.Sleep(2 * time.Second)
 				b = f.AddLink("b", 1000, "y", "z")
-				c.Go(func() { b.Transfer(1000) })
+				c.Go(func() { Path{}.With(b).Transfer(1000) })
 				c.Sleep(poll - 2*time.Second)
 			}
 		}

@@ -14,12 +14,16 @@ import (
 // bookkeeping, so a petabyte transfer costs O(1) events.
 //
 // A Flow is either one-shot (Start ... Wait) or a persistent stream
-// (Stream ... Send ... Send ... Close): a stream stays allocated across
-// back-to-back segments, so a worker pumping thousands of small batches
-// over one route pays for one fair-share recompute instead of two per
-// batch. Each Send is accounted exactly like a one-shot flow would be —
-// same counters, same taint consumption, same per-link byte and busy
-// accounting — so the virtual-time results are identical.
+// (Stream ... Push ... Wait ... Push ... Wait ... Close): a stream stays
+// allocated across back-to-back segments, so a worker pumping thousands
+// of small batches over one route pays for one fair-share recompute
+// instead of two per batch. Starting a transfer never blocks — Start
+// and Push return at once, leaving the caller free to run something
+// else over the same virtual interval (a tape drive's write, say) — and
+// Wait blocks until it drains; Send and Transfer are the start-and-wait
+// shorthands. Each segment is accounted exactly like a one-shot flow
+// would be — same counters, same taint consumption, same per-link byte
+// and busy accounting — so the virtual-time results are identical.
 type Flow struct {
 	fab   *Fabric
 	seq   uint64
@@ -34,7 +38,7 @@ type Flow struct {
 	comp      uint64        // component-gather stamp (solver scratch)
 	waitGate  simtime.Latch // completion gate (reset per stream segment)
 
-	persistent bool // long-lived stream: Send extends, drain pauses lazily
+	persistent bool // long-lived stream: Push extends, drain pauses lazily
 	inFlows    bool // member of fab.flows and the link crossing lists
 	draining   bool // segment drained; instant-end finalize will pause it
 
@@ -78,7 +82,7 @@ const minRate = 1.0
 
 // counters resolves the flow counters lazily: New may run inside
 // clock.SlotOf (Of), where telemetry.Of would deadlock on the clock
-// mutex; Start and Send always run from plain actor context.
+// mutex; Start and Push always run from plain actor context.
 func (f *Fabric) counters() {
 	if f.ctrFlowsStarted == nil {
 		tel := telemetry.Of(f.clock)
@@ -156,10 +160,10 @@ func (f *Fabric) Start(p Path, n int64, opts ...Option) *Flow {
 }
 
 // Stream opens a persistent flow along the path: it holds no allocation
-// until Send pushes a segment through it, and between segments that end
+// until Push starts a segment through it, and between segments that end
 // at different instants it leaves the allocation entirely (lazy pause —
 // an idle stream steals no share). One segment may be in flight at a
-// time; Send blocks until its segment drains.
+// time; Wait blocks until it drains.
 func (f *Fabric) Stream(p Path, opts ...Option) *Flow {
 	fl := &Flow{fab: f, persistent: true, waitGate: simtime.MakeLatch(f.clock)}
 	for _, o := range opts {
@@ -174,26 +178,29 @@ func (f *Fabric) Stream(p Path, opts ...Option) *Flow {
 	return fl
 }
 
-// Send pushes n more bytes through the stream and blocks the calling
-// actor until they drain, reporting whether a crossed link silently
-// corrupted this segment (and which fault event armed it). Each Send is
-// one flow's worth of accounting: the started/completed counters, the
-// corruption queue, and the per-link active/peak numbers all see it
-// exactly as they would a one-shot Start/Wait.
-func (fl *Flow) Send(n int64) (causeEvent uint64, tainted bool) {
+// Push starts a segment of n more bytes through the stream and returns
+// without blocking; Wait blocks until it drains and Tainted then reports
+// whether a crossed link silently corrupted it (and which fault event
+// armed it). Each segment is one flow's worth of accounting: the
+// started/completed counters, the corruption queue, and the per-link
+// active/peak numbers all see it exactly as they would a one-shot
+// Start. One segment may be in flight at a time.
+func (fl *Flow) Push(n int64) {
 	f := fl.fab
 	if !fl.persistent {
-		panic("fabric: Send on a one-shot flow")
+		panic("fabric: Push on a one-shot flow")
 	}
 	if fl.done {
-		panic("fabric: Send on a closed stream")
+		panic("fabric: Push on a closed stream")
 	}
 	f.counters()
 	f.ctrFlowsStarted.Inc()
 	if n <= 0 || len(fl.cross) == 0 {
 		fl.tainted, fl.taintCause = false, 0
 		f.ctrFlowsCompleted.Inc()
-		return 0, false
+		fl.waitGate = simtime.MakeLatch(f.clock)
+		fl.waitGate.Signal()
+		return
 	}
 	fl.consumeTaint()
 	f.settle()
@@ -217,19 +224,25 @@ func (fl *Flow) Send(n int64) (causeEvent uint64, tainted bool) {
 		}
 		f.fastRearm(fl)
 	case !fl.inFlows:
-		// Paused (or first Send): join the allocation like a fresh flow.
+		// Paused (or first Push): join the allocation like a fresh flow.
 		f.join(fl)
 		f.recomputeFlow(fl)
 		f.rearm()
 	default:
-		panic("fabric: concurrent Send on one stream")
+		panic("fabric: concurrent Push on one stream")
 	}
-	fl.waitGate.Wait()
-	return fl.taintCause, fl.tainted
+}
+
+// Send pushes n more bytes through the stream and blocks the calling
+// actor until they drain: Push, Wait, Tainted.
+func (fl *Flow) Send(n int64) (causeEvent uint64, tainted bool) {
+	fl.Push(n)
+	fl.Wait()
+	return fl.Tainted()
 }
 
 // Close marks the stream finished. It must not be called with a segment
-// in flight (Send blocks until drain, so serial callers are safe).
+// in flight (callers that Wait on each segment are safe).
 func (fl *Flow) Close() {
 	if !fl.persistent || fl.done {
 		return

@@ -997,6 +997,14 @@ type TapeLoc struct {
 	Bytes  int64
 }
 
+// AggregateOf reports the aggregate object that carries the member at
+// path, if it was migrated in a bundle. It reads the engine's own index
+// and charges nothing.
+func (e *Engine) AggregateOf(path string) (objectID uint64, ok bool) {
+	objectID, ok = e.aggOf[path]
+	return objectID, ok
+}
+
 // Locate resolves migrated paths to tape locations; unknown or
 // unlocatable paths are returned in missing. Aggregate members resolve
 // to their bundle's volume/sequence.

@@ -167,8 +167,9 @@ func (db *DB) ByFileID(fileID uint64) (Record, error) {
 	return *db.rec(i), nil
 }
 
-// byObjectID returns the record for a TSM object ID.
-func (db *DB) byObjectID(objectID uint64) (Record, error) {
+// ByObjectID returns the record for a TSM object ID — the only key an
+// aggregate's row is found by, since it carries no file ID.
+func (db *DB) ByObjectID(objectID uint64) (Record, error) {
 	db.charge()
 	i, ok := db.byObject[objectID]
 	if !ok {

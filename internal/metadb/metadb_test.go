@@ -32,8 +32,8 @@ func TestUpsertAndLookups(t *testing.T) {
 		if r, err := db.ByFileID(20); err != nil || r.ObjectID != 2 {
 			t.Errorf("ByFileID = %+v, %v", r, err)
 		}
-		if r, err := db.byObjectID(1); err != nil || r.Path != "/a" {
-			t.Errorf("byObjectID = %+v, %v", r, err)
+		if r, err := db.ByObjectID(1); err != nil || r.Path != "/a" {
+			t.Errorf("ByObjectID = %+v, %v", r, err)
 		}
 		if db.Len() != 2 {
 			t.Errorf("Len = %d, want 2", db.Len())
@@ -51,7 +51,7 @@ func TestUpsertReplaces(t *testing.T) {
 			t.Errorf("Len = %d, want 1", db.Len())
 		}
 		for _, lookup := range []func() (Record, error){
-			func() (Record, error) { return db.byObjectID(1) },
+			func() (Record, error) { return db.ByObjectID(1) },
 			func() (Record, error) { return db.ByFileID(10) },
 			func() (Record, error) { return db.ByPath("/a") },
 		} {
@@ -70,7 +70,7 @@ func TestDelete(t *testing.T) {
 		if err := db.Delete(1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.byObjectID(1); !errors.Is(err, ErrNotFound) {
+		if _, err := db.ByObjectID(1); !errors.Is(err, ErrNotFound) {
 			t.Errorf("err = %v, want ErrNotFound", err)
 		}
 		if _, err := db.ByFileID(10); !errors.Is(err, ErrNotFound) {
@@ -156,7 +156,7 @@ func TestApplyUpsertsAndDrops(t *testing.T) {
 	c, db := newDB()
 	c.Go(func() {
 		db.Apply(tsm.Object{ID: 9, FileID: 90, Path: "/x", Bytes: 5, Volume: "V", Seq: 4})
-		r, err := db.byObjectID(9)
+		r, err := db.ByObjectID(9)
 		if err != nil || r.FileID != 90 || r.Seq != 4 {
 			t.Errorf("record = %+v, %v", r, err)
 		}

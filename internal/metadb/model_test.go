@@ -134,9 +134,9 @@ func checkModel(t *testing.T, db *DB, ref *model, step int) {
 		t.Fatalf("step %d: Len=%d, ref=%d", step, db.Len(), len(ref.recs))
 	}
 	for id, want := range ref.recs {
-		got, err := db.byObjectID(id)
+		got, err := db.ByObjectID(id)
 		if err != nil || got != want {
-			t.Fatalf("step %d: byObjectID(%d)=%+v, %v, want %+v", step, id, got, err, want)
+			t.Fatalf("step %d: ByObjectID(%d)=%+v, %v, want %+v", step, id, got, err, want)
 		}
 	}
 	// Every key the model still indexes resolves to its owner; every

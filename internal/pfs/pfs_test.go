@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
 	"repro/internal/vfs"
@@ -350,7 +351,7 @@ func TestPoolLinkRates(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *FS) {
 		fast, _ := fs.Pool("fast")
 		start := c.Now()
-		fast.link.Transfer(3e9) // 1s at 3 GB/s
+		fabric.Path{}.With(fast.link).Transfer(3e9) // 1s at 3 GB/s
 		if got := c.Now() - start; got < 900*time.Millisecond || got > 1100*time.Millisecond {
 			t.Errorf("3 GB over fast pool took %v, want ~1s", got)
 		}

@@ -78,9 +78,10 @@ func storeOnStream(e *env) StoreRequest {
 }
 
 // storeAllocs is the allocation count of one Store on a LAN-free stream:
-// the session grant, the drive-side actor's state, closure and event,
-// and the store and drive spans with their labels and attributes.
-const storeAllocs = 12
+// the session grant and the store and drive spans with their labels and
+// attributes. The drive operation runs on the storing actor, so it costs
+// no actor state, closure or event of its own.
+const storeAllocs = 8
 
 // TestStoreAllocs guards Store's per-call allocations: the request and
 // the tape file stay on the stack and the catalog holds objects by
@@ -108,6 +109,42 @@ func BenchmarkStore(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := e.srv.Store(req); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if _, err := e.clock.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRecallBatch is the read use of moveData: one-object batches
+// read back, in tape order, what a LAN-free client stored, each crossing
+// the fabric route from the SAN to the client's HBA.
+func BenchmarkRecallBatch(b *testing.B) {
+	const stored = 256
+	e := newEnv(1, DefaultConfig())
+	e.clock.Go(func() {
+		req := storeOnStream(e)
+		ids := make([]uint64, stored)
+		var vol string
+		for i := range ids {
+			obj, err := e.srv.Store(req)
+			if err != nil {
+				panic(err)
+			}
+			ids[i], vol = obj.ID, obj.Volume
+		}
+		route, err := fabric.Of(e.clock).Route("san", "", "fta01")
+		if err != nil {
+			panic(err)
+		}
+		rreq := RecallBatchRequest{Client: "fta01", Volume: vol, Route: route, ObjectIDs: ids[:1]}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rreq.ObjectIDs = ids[i%stored : i%stored+1]
+			if _, err := e.srv.RecallBatch(rreq); err != nil {
 				panic(err)
 			}
 		}

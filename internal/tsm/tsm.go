@@ -514,44 +514,35 @@ func (t *tapeIO) run() error {
 	return err
 }
 
-// moveData runs the tape operation t concurrently with the shared-path
-// transfer of t.bytes; the slower of the two gates completion
-// (store-and-forward free, cut-through streaming). A persistent stream
-// (Server.NewStream) carries the bytes as one segment; otherwise fabric
-// routes get one coupled flow over every hop — with the server link
-// spliced in when not LAN-free. It reports whether a crossed link
-// silently corrupted the stream in flight, and which fault event armed
-// the taint.
+// moveData moves t.bytes over the shared path while the drive performs
+// t, both from the same instant; the slower of the two gates completion
+// (store-and-forward free, cut-through streaming). It starts the
+// transfer without blocking — a segment of the persistent stream
+// (Server.NewStream) when one is given, else one coupled flow over the
+// fabric route p with the server link spliced in when not LAN-free —
+// then runs the drive operation on the calling actor and waits for the
+// transfer to drain, so a drive fault surfaces only once the bytes in
+// flight have landed. It reports whether a crossed link silently
+// corrupted the stream in flight, and which fault event armed the
+// taint.
 func (s *Server) moveData(p fabric.Path, stream *fabric.Flow, t tapeIO) (done tapeIO, taintCause uint64, tainted bool, err error) {
-	// One actor runs at a time, so the tape side's result needs no
-	// channel: the operation and its error behind a latch, in one
-	// allocation.
-	op := &struct {
-		t    tapeIO
-		done simtime.Latch
-		err  error
-	}{t: t, done: simtime.MakeLatch(s.clock)}
-	s.clock.Go(func() {
-		op.err = op.t.run()
-		op.done.Signal()
-	})
-	switch {
-	case stream != nil:
-		taintCause, tainted = stream.Send(t.bytes)
-	case !p.Empty():
+	fl := stream
+	if fl != nil {
+		fl.Push(t.bytes)
+	} else {
 		if !s.cfg.LANFree {
 			p = p.With(s.netLink)
 		}
-		fl := p.Fabric().Start(p, t.bytes)
-		fl.Wait()
-		taintCause, tainted = fl.Tainted()
-	default:
-		if !s.cfg.LANFree {
-			s.netLink.Transfer(t.bytes)
+		if !p.Empty() {
+			fl = p.Fabric().Start(p, t.bytes)
 		}
 	}
-	op.done.Wait()
-	return op.t, taintCause, tainted, op.err
+	err = t.run()
+	if fl != nil {
+		fl.Wait()
+		taintCause, tainted = fl.Tainted()
+	}
+	return t, taintCause, tainted, err
 }
 
 // acquireDriveForWrite admits the caller to the drive pool and returns

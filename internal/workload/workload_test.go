@@ -149,7 +149,7 @@ func TestNoiseOccupiesLink(t *testing.T) {
 		// Give the noise a head start so sharing is established.
 		clock.Sleep(5 * time.Second)
 		start := clock.Now()
-		link.Transfer(10e9) // 10s alone; far longer against 20 noise streams
+		fabric.Path{}.With(link).Transfer(10e9) // 10s alone; far longer against 20 noise streams
 		foregroundTime = clock.Now() - start
 		stop = true
 	})
