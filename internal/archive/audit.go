@@ -85,7 +85,7 @@ func (s *System) Audit() (AuditResult, error) {
 		ok := carried[id]
 		var rec metadb.Record
 		var err error
-		if aggID, member := s.HSM.AggregateOf(st.Path); member && !ok {
+		if aggID, member := s.HSM.AggregateOf(st.ID); member && !ok {
 			ok = liveAggs[aggID]
 			rec, err = s.Shadow.ByObjectID(aggID)
 		} else {

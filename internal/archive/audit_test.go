@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/hsm"
+	"repro/internal/pfs"
+	"repro/internal/sched"
+	"repro/internal/synthetic"
+	"repro/internal/vfs"
 )
 
 func TestAuditCleanAfterNormalLifecycle(t *testing.T) {
@@ -168,7 +172,11 @@ func TestAuditChecksAggregateMembersAgainstTheirBundle(t *testing.T) {
 		members := make(map[uint64]int)
 		var largest uint64
 		for i := 0; i < 12; i++ {
-			id, ok := s.HSM.AggregateOf(fmt.Sprintf("/arc/proj/f%04d", i))
+			fid, _, err := s.Archive.Lookup(fmt.Sprintf("/arc/proj/f%04d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, ok := s.HSM.AggregateOf(fid)
 			if !ok {
 				t.Fatalf("f%04d is no aggregate member", i)
 			}
@@ -203,6 +211,67 @@ func TestAuditChecksAggregateMembersAgainstTheirBundle(t *testing.T) {
 		}
 		if got := audit(); got.MissingObject != 12 || got.MissingShadow != 0 || got.StaleShadow != 0 || got.Orphans != 0 {
 			t.Errorf("audit after deleting every bundle: %s, want 12 lost and nothing else", got)
+		}
+	})
+}
+
+// A bundle member is its inode, not its path. f0000 goes to tape in a
+// one-member bundle and is purged through the trashcan; a new 3 GB file
+// at the same path goes to tape on its own. Locating and recalling the
+// new file must find its own object, not the bundle still on tape.
+func TestRecreatedMemberPathIsNotTheOldBundle(t *testing.T) {
+	opts := DefaultOptions()
+	opts.HSM = hsm.Config{AggregateThreshold: 2e9, AggregateTarget: 8e9}
+	runSysOpts(t, opts, func(s *System) {
+		const p = "/arc/proj/f0000"
+		seedScratch(t, s, "/proj", 1, 1e9)
+		if _, err := s.Pfcp("/proj", "/arc/proj", testTunables()); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil || res.Aggregates != 1 {
+			t.Fatalf("migrate: %+v, %v; want one bundle", res, err)
+		}
+		can, _ := s.TrashCan()
+		if _, err := can.Delete("alice", p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Deleter.Purge(can); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Archive.WriteFile(p, synthetic.NewUniform(99, 3e9)); err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Archive.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.HSM.Migrate([]pfs.Info{info}, hsm.MigrateOptions{}); err != nil || res.Files != 1 || res.Aggregates != 0 {
+			t.Fatalf("migrating the new file: %+v, %v; want it stored on its own", res, err)
+		}
+		if _, ok := s.HSM.AggregateOf(info.ID); ok {
+			t.Error("the new file is indexed as a bundle member")
+		}
+		own, err := s.TSM.QueryByPath(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs, missing := s.HSM.Locate([]string{p}, []vfs.FileID{info.ID})
+		if len(missing) != 0 || len(locs) != 1 {
+			t.Fatalf("Locate: %v, missing %v", locs, missing)
+		}
+		if l := locs[0]; l.Volume != own.Volume || l.Seq != own.Seq || l.Bytes != 3e9 {
+			t.Errorf("Locate = %s/%d with %d bytes, want object %d at %s/%d with 3 GB", l.Volume, l.Seq, l.Bytes, own.ID, own.Volume, own.Seq)
+		}
+		read := s.TSM.Telemetry().Counter("tsm_bytes_read_total")
+		before := read.Value()
+		if err := s.HSM.RecallPinned(s.Cluster.Nodes()[0].Name, []string{p}, []vfs.FileID{info.ID}, sched.QoS{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := read.Value() - before; got != 3e9 {
+			t.Errorf("RecallPinned read %.0f bytes from tape, want object %d's 3e9", got, own.ID)
+		}
+		if _, st, _ := s.Archive.Lookup(p); st != pfs.Premigrated {
+			t.Errorf("after recall the new file is %v, want premigrated", st)
 		}
 	})
 }

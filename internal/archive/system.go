@@ -224,7 +224,7 @@ func (s *System) MigrateTree(root string, opt hsm.MigrateOptions) (hsm.MigrateRe
 func (s *System) Scrubber(cfg tsm.ScrubConfig) *tsm.Scrubber {
 	if cfg.RepairFromSource == nil {
 		cfg.RepairFromSource = func(o tsm.Object) bool {
-			st, err := s.Archive.State(o.Path)
+			_, st, err := s.Archive.Lookup(o.Path)
 			return err == nil && st == pfs.Premigrated
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/tape"
 	"repro/internal/telemetry"
 	"repro/internal/tsm"
+	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
@@ -173,17 +174,19 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 			out.taintsArmed = taints
 
 			var paths []string
+			var ids []vfs.FileID
 			for _, root := range []string{"/arc/proj", "/arc/proj2"} {
 				if err := sys.Archive.Walk(root, func(i pfs.Info) error {
 					if !i.IsDir() {
 						paths = append(paths, i.Path)
+						ids = append(ids, i.ID)
 					}
 					return nil
 				}); err != nil {
 					panic(err)
 				}
 			}
-			locs, missing := sys.HSM.Locate(paths)
+			locs, missing := sys.HSM.Locate(paths, ids)
 			if len(missing) > 0 {
 				panic(fmt.Sprintf("integrity: %d archived files missing from the backend", len(missing)))
 			}
@@ -194,10 +197,11 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 				return locs[i].Seq < locs[j].Seq
 			})
 			ordered := make([]string, len(locs))
+			orderedIDs := make([]vfs.FileID, len(locs))
 			for i, l := range locs {
-				ordered[i] = l.Path
+				ordered[i], orderedIDs[i] = l.Path, l.ID
 			}
-			if err := sys.HSM.RecallPinned(node, ordered, sched.QoS{}); err != nil {
+			if err := sys.HSM.RecallPinned(node, ordered, orderedIDs, sched.QoS{}); err != nil {
 				panic(fmt.Sprintf("integrity recall: %v", err))
 			}
 			if left := sys.Fabric.Link(node + "-hba").ArmedCorruptions(); left != 0 {

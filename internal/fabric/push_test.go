@@ -194,3 +194,36 @@ func TestZeroBytePushCompletes(t *testing.T) {
 		t.Errorf("started %v, completed %v; want 1 and 1", s, d)
 	}
 }
+
+// A stream that drains at instant t, is joined on its link by a second
+// flow at t, and is pushed again at t never left the allocation: the
+// re-extension makes it one of two flows on the link at once, and the
+// link's peak must say so. The join alone counts one (the stream's
+// drain already took it off the link's active count).
+func TestPushAfterDrainCountsPeakWithSameInstantJoin(t *testing.T) {
+	c := simtime.NewClock()
+	f := build(c)
+	c.Go(func() {
+		p, err := f.Route("src", "", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := f.Stream(p)
+		st.Send(200)
+		drained := c.Now()
+		fl := f.Start(p, 100)
+		st.Push(100)
+		if c.Now() != drained {
+			t.Fatalf("join and push at %v, the drain was at %v", c.Now(), drained)
+		}
+		fl.Wait()
+		st.Wait()
+		st.Close()
+	})
+	c.RunFor()
+	for _, name := range []string{"array", "trunk", "nicA"} {
+		if got := f.Link(name).Stats().PeakFlows; got != 2 {
+			t.Errorf("%s peak flows = %d, want 2", name, got)
+		}
+	}
+}

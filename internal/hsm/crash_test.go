@@ -39,7 +39,7 @@ func TestMigrateSurvivesMoverCrash(t *testing.T) {
 	// Exactly once: every file is stubbed and TSM holds exactly one
 	// object per file.
 	for _, f := range files {
-		if st, _ := e.fs.State(f.Path); st != pfs.Migrated {
+		if _, st, _ := e.fs.Lookup(f.Path); st != pfs.Migrated {
 			t.Errorf("%s state = %v, want Migrated", f.Path, st)
 		}
 	}
@@ -66,7 +66,7 @@ func TestMigrateCrashDoesNotDuplicateAggregates(t *testing.T) {
 	}
 	migrated := 0
 	for _, f := range files {
-		if st, _ := e.fs.State(f.Path); st == pfs.Migrated {
+		if _, st, _ := e.fs.Lookup(f.Path); st == pfs.Migrated {
 			migrated++
 		}
 	}
@@ -107,7 +107,7 @@ func TestRecallSurvivesDaemonCrash(t *testing.T) {
 			t.Errorf("recalled %d files, want 30", res.Files)
 		}
 		for _, p := range paths {
-			if st, _ := e.fs.State(p); st == pfs.Migrated {
+			if _, st, _ := e.fs.Lookup(p); st == pfs.Migrated {
 				t.Errorf("%s still migrated after recall", p)
 			}
 		}
@@ -130,7 +130,7 @@ func TestMigrateAllNodesDeadFails(t *testing.T) {
 		}
 	})
 	for _, f := range files {
-		if st, _ := e.fs.State(f.Path); st != pfs.Resident {
+		if _, st, _ := e.fs.Lookup(f.Path); st != pfs.Resident {
 			t.Errorf("%s state = %v, want still Resident", f.Path, st)
 		}
 	}

@@ -34,9 +34,9 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/simtime"
-	"repro/internal/synthetic"
 	"repro/internal/telemetry"
 	"repro/internal/tsm"
+	"repro/internal/vfs"
 )
 
 // Recall routing modes.
@@ -71,6 +71,7 @@ type Config struct {
 // aggMember locates one small file inside an aggregate object.
 type aggMember struct {
 	path  string
+	id    vfs.FileID
 	bytes int64
 }
 
@@ -84,7 +85,7 @@ type Engine struct {
 	cfg    Config
 	sch    *sched.Scheduler
 
-	aggOf      map[string]uint64      // member path -> aggregate object ID
+	aggOf      map[vfs.FileID]uint64  // member file -> aggregate object ID
 	aggMembers map[uint64][]aggMember // aggregate object ID -> members
 	routes     map[string]fabric.Path // node name -> pool..SAN fabric route
 
@@ -113,7 +114,7 @@ func New(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB, n
 		shadow:     shadow,
 		nodes:      nodes,
 		cfg:        cfg,
-		aggOf:      make(map[string]uint64),
+		aggOf:      make(map[vfs.FileID]uint64),
 		aggMembers: make(map[uint64][]aggMember),
 		routes:     make(map[string]fabric.Path),
 	}
@@ -474,8 +475,8 @@ const sliceBlock int64 = 256 << 20
 
 // contentSum digests a resident file's content for the catalog; 0
 // (digest untracked) when the content is unreadable.
-func (e *Engine) contentSum(path string) uint64 {
-	c, err := e.fs.ReadContent(path)
+func (e *Engine) contentSum(id vfs.FileID) uint64 {
+	c, err := e.fs.ReadContentID(id)
 	if err != nil {
 		return 0
 	}
@@ -485,24 +486,24 @@ func (e *Engine) contentSum(path string) uint64 {
 // recordSums writes the stub's digest metadata before the data leaves
 // disk: the whole-file sum the catalog also keeps, plus per-slice sums
 // for mismatch localization.
-func (e *Engine) recordSums(path string, sum uint64) {
+func (e *Engine) recordSums(id vfs.FileID, sum uint64) {
 	if sum == 0 {
 		return
 	}
-	_ = e.fs.SetXattr(path, SumXattr, strconv.FormatUint(sum, 16))
-	if c, err := e.fs.ReadContent(path); err == nil {
+	_ = e.fs.SetXattrID(id, SumXattr, strconv.FormatUint(sum, 16))
+	if c, err := e.fs.ReadContentID(id); err == nil {
 		slices := c.SliceDigests(sliceBlock)
 		parts := make([]string, len(slices))
 		for i, s := range slices {
 			parts[i] = strconv.FormatUint(s, 16)
 		}
-		_ = e.fs.SetXattr(path, SliceXattr, strings.Join(parts, ","))
+		_ = e.fs.SetXattrID(id, SliceXattr, strings.Join(parts, ","))
 	}
 }
 
 // storeSingle stores one file as one tape object and stubs it.
 func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.Flow, f pfs.Info, parent *telemetry.Span) error {
-	sum := e.contentSum(f.Path)
+	sum := e.contentSum(f.ID)
 	_, err := e.srv.Store(tsm.StoreRequest{
 		Client: node.Name,
 		Path:   f.Path,
@@ -517,8 +518,8 @@ func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.
 	if err != nil {
 		return fmt.Errorf("hsm: migrating %s: %w", f.Path, err)
 	}
-	e.recordSums(f.Path, sum)
-	return e.stub(f.Path)
+	e.recordSums(f.ID, sum)
+	return e.stub(f.Path, f.ID)
 }
 
 // storeAggregate bundles small files into one tape object. Each member
@@ -529,7 +530,7 @@ func (e *Engine) storeAggregate(node *cluster.Node, pool *pfs.Pool, stream *fabr
 	memberSums := make([]uint64, len(members))
 	var sum uint64
 	for i, m := range members {
-		memberSums[i] = e.contentSum(m.Path)
+		memberSums[i] = e.contentSum(m.ID)
 		// FNV-style fold: order-sensitive, like bytes on tape.
 		sum = sum*1099511628211 + memberSums[i]
 	}
@@ -547,26 +548,32 @@ func (e *Engine) storeAggregate(node *cluster.Node, pool *pfs.Pool, stream *fabr
 		return fmt.Errorf("hsm: migrating aggregate of %d files: %w", len(members), err)
 	}
 	for i, m := range members {
-		e.aggOf[m.Path] = obj.ID
-		e.aggMembers[obj.ID] = append(e.aggMembers[obj.ID], aggMember{path: m.Path, bytes: m.Size})
-		e.recordSums(m.Path, memberSums[i])
-		if err := e.stub(m.Path); err != nil {
+		e.aggOf[m.ID] = obj.ID
+		e.aggMembers[obj.ID] = append(e.aggMembers[obj.ID], aggMember{path: m.Path, id: m.ID, bytes: m.Size})
+		e.recordSums(m.ID, memberSums[i])
+		if err := e.stub(m.Path, m.ID); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *Engine) stub(path string) error {
-	if err := e.fs.SetPremigrated(path); err != nil {
-		return err
+// stub turns the migrated file at path, whose ID is id, into a stub.
+func (e *Engine) stub(path string, id vfs.FileID) error {
+	err := e.fs.SetPremigratedID(id)
+	if err == nil {
+		err = e.fs.PunchID(id)
 	}
-	return e.fs.Punch(path)
+	if err != nil {
+		return fmt.Errorf("hsm: stubbing %s: %w", path, err)
+	}
+	return nil
 }
 
 // recallItem is one resolved recall work unit.
 type recallItem struct {
-	path   string
+	path   string // "" for a whole aggregate
+	id     vfs.FileID
 	object uint64
 	volume string
 	seq    int
@@ -598,7 +605,7 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 	var items []recallItem
 	aggWanted := make(map[uint64][]string) // aggregate object -> requested members
 	for _, p := range paths {
-		st, err := e.fs.State(p)
+		id, st, err := e.fs.Lookup(p)
 		if err != nil {
 			res.NotFound = append(res.NotFound, p)
 			continue
@@ -606,11 +613,11 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 		if st != pfs.Migrated {
 			continue // already on disk
 		}
-		if aggID, ok := e.aggOf[p]; ok {
+		if aggID, ok := e.aggOf[id]; ok {
 			aggWanted[aggID] = append(aggWanted[aggID], p)
 			continue
 		}
-		rec, err := e.locate(p)
+		rec, err := e.locate(p, id)
 		if err != nil {
 			res.NotFound = append(res.NotFound, p)
 			continue
@@ -822,14 +829,14 @@ func (e *Engine) stillMigrated(items []recallItem) []recallItem {
 	for _, it := range items {
 		if it.path == "" {
 			for _, m := range e.aggMembers[it.object] {
-				if st, _ := e.fs.State(m.path); st == pfs.Migrated {
+				if st, _ := e.fs.StateID(m.id); st == pfs.Migrated {
 					out = append(out, it)
 					break
 				}
 			}
 			continue
 		}
-		if st, _ := e.fs.State(it.path); st == pfs.Migrated {
+		if st, _ := e.fs.StateID(it.id); st == pfs.Migrated {
 			out = append(out, it)
 		}
 	}
@@ -853,6 +860,7 @@ func (e *Engine) restoreRecalled(items []recallItem, res *RecallResult, firstErr
 // stub recorded a digest at migration, read it back and compare.
 type restoreOp struct {
 	path  string
+	id    vfs.FileID
 	bytes int64
 	want  string // stub digest (hex); "" = pre-pipeline stub, no verify
 }
@@ -874,9 +882,9 @@ type restoreOp struct {
 func (e *Engine) restoreRun(items []recallItem, pinned bool, landed func(bytes int64)) error {
 	ops := make([]restoreOp, 0, len(items))
 	billed := 0
-	plan := func(path string, bytes int64) {
-		want, _ := e.fs.GetXattr(path, SumXattr)
-		ops = append(ops, restoreOp{path: path, bytes: bytes, want: want})
+	plan := func(path string, id vfs.FileID, bytes int64) {
+		want, _ := e.fs.GetXattrID(id, SumXattr)
+		ops = append(ops, restoreOp{path: path, id: id, bytes: bytes, want: want})
 		billed++
 		if want != "" {
 			billed++
@@ -884,30 +892,22 @@ func (e *Engine) restoreRun(items []recallItem, pinned bool, landed func(bytes i
 	}
 	for _, it := range items {
 		if it.path != "" {
-			plan(it.path, it.bytes)
+			plan(it.path, it.id, it.bytes)
 			continue
 		}
 		for _, m := range e.aggMembers[it.object] {
 			if pinned {
-				if st, _ := e.fs.State(m.path); st != pfs.Migrated {
+				if st, _ := e.fs.StateID(m.id); st != pfs.Migrated {
 					continue
 				}
 			}
-			plan(m.path, m.bytes)
+			plan(m.path, m.id, m.bytes)
 		}
 	}
 	var first error
 	paid := e.fs.Bill(billed)
 	for _, op := range ops {
-		err := paid.Restore(op.path, true)
-		if err == nil && op.want != "" {
-			var c synthetic.Content
-			if c, err = paid.ReadContent(op.path); err == nil {
-				if got := strconv.FormatUint(c.Digest(), 16); got != op.want {
-					err = fmt.Errorf("hsm: %s restored with digest %s, want %s", op.path, got, op.want)
-				}
-			}
-		}
+		err := restoreOne(&paid, op)
 		if err == nil {
 			landed(op.bytes)
 			continue
@@ -920,6 +920,27 @@ func (e *Engine) restoreRun(items []recallItem, pinned bool, landed func(bytes i
 		}
 	}
 	return first
+}
+
+// restoreOne restores op's file on a paid batch and, when its stub
+// recorded a digest, reads the file back and compares.
+func restoreOne(paid *pfs.Batch, op restoreOp) error {
+	if err := paid.RestoreID(op.id, true); err != nil {
+		return fmt.Errorf("hsm: restoring %s: %w", op.path, err)
+	}
+	if op.want == "" {
+		return nil
+	}
+	c, err := paid.ReadContentID(op.id)
+	if err != nil {
+		return fmt.Errorf("hsm: verifying %s: %w", op.path, err)
+	}
+	// Formatted on the stack: the digest is only kept when it is wrong.
+	var buf [16]byte
+	if got := strconv.AppendUint(buf[:0], c.Digest(), 16); string(got) != op.want {
+		return fmt.Errorf("hsm: %s restored with digest %s, want %s", op.path, string(got), op.want)
+	}
+	return nil
 }
 
 // routeRecalls assigns items to n bins per the routing mode.
@@ -973,66 +994,72 @@ func (e *Engine) routeRecalls(items []recallItem, mode RecallMode, n int) [][]re
 	return bins
 }
 
-// locate resolves a path to its tape location, preferring the indexed
-// shadow database and falling back to TSM's full-scan path query.
-func (e *Engine) locate(p string) (recallItem, error) {
+// locate resolves the file at p, whose ID is id, to its tape location,
+// preferring the indexed shadow database and falling back to TSM's
+// full-scan path query.
+func (e *Engine) locate(p string, id vfs.FileID) (recallItem, error) {
 	if e.shadow != nil {
 		if rec, err := e.shadow.ByPath(p); err == nil {
-			return recallItem{path: p, object: rec.ObjectID, volume: rec.Volume, seq: rec.Seq, bytes: rec.Bytes}, nil
+			return recallItem{path: p, id: id, object: rec.ObjectID, volume: rec.Volume, seq: rec.Seq, bytes: rec.Bytes}, nil
 		}
 	}
 	obj, err := e.srv.QueryByPath(p)
 	if err != nil {
 		return recallItem{}, fmt.Errorf("%w: %s", ErrNotMigrated, p)
 	}
-	return recallItem{path: p, object: obj.ID, volume: obj.Volume, seq: obj.Seq, bytes: obj.Bytes}, nil
+	return recallItem{path: p, id: id, object: obj.ID, volume: obj.Volume, seq: obj.Seq, bytes: obj.Bytes}, nil
 }
 
 // TapeLoc is the tape address of one migrated file, exposed for
 // PFTool's tape-ordered recall planning.
 type TapeLoc struct {
 	Path   string
+	ID     vfs.FileID
 	Volume string
 	Seq    int
 	Bytes  int64
 }
 
-// AggregateOf reports the aggregate object that carries the member at
-// path, if it was migrated in a bundle. It reads the engine's own index
-// and charges nothing.
-func (e *Engine) AggregateOf(path string) (objectID uint64, ok bool) {
-	objectID, ok = e.aggOf[path]
+// AggregateOf reports the aggregate object that carries the file with
+// ID id, if it was migrated in a bundle. It reads the engine's own index
+// and charges nothing. A file is its inode, not its path: a new file at
+// a bundled member's path is no member.
+func (e *Engine) AggregateOf(id vfs.FileID) (objectID uint64, ok bool) {
+	objectID, ok = e.aggOf[id]
 	return objectID, ok
 }
 
-// Locate resolves migrated paths to tape locations; unknown or
-// unlocatable paths are returned in missing. Aggregate members resolve
-// to their bundle's volume/sequence.
-func (e *Engine) Locate(paths []string) (locs []TapeLoc, missing []string) {
-	for _, p := range paths {
-		if aggID, ok := e.aggOf[p]; ok {
+// Locate resolves migrated files to tape locations, in input order;
+// ids[i] is the file ID of paths[i]. Unknown or unlocatable paths are
+// left out of locs and returned in missing. Aggregate members resolve to
+// their bundle's volume/sequence.
+func (e *Engine) Locate(paths []string, ids []vfs.FileID) (locs []TapeLoc, missing []string) {
+	locs = make([]TapeLoc, 0, len(paths))
+	for i, p := range paths {
+		if aggID, ok := e.aggOf[ids[i]]; ok {
 			if obj, err := e.srv.Get(aggID); err == nil {
-				locs = append(locs, TapeLoc{Path: p, Volume: obj.Volume, Seq: obj.Seq, Bytes: obj.Bytes})
+				locs = append(locs, TapeLoc{Path: p, ID: ids[i], Volume: obj.Volume, Seq: obj.Seq, Bytes: obj.Bytes})
 				continue
 			}
 		}
-		it, err := e.locate(p)
+		it, err := e.locate(p, ids[i])
 		if err != nil {
 			missing = append(missing, p)
 			continue
 		}
-		locs = append(locs, TapeLoc{Path: p, Volume: it.volume, Seq: it.seq, Bytes: it.bytes})
+		locs = append(locs, TapeLoc{Path: p, ID: it.id, Volume: it.volume, Seq: it.seq, Bytes: it.bytes})
 	}
 	return locs, missing
 }
 
-// RecallPinned recalls the given paths as the named client machine,
-// batching by volume in the order given. This is the primitive under
-// PFTool's TapeProc: one machine owns one tape end to end in a single
-// drive session, so there are no LAN-free hand-off penalties and the
-// tape reads front to back. The whole pinned run passes the scheduler
-// as one expedited recall admission for qos's tenant.
-func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) error {
+// RecallPinned recalls the given files as the named client machine,
+// batching by volume in the order given; ids[i] is the file ID of
+// paths[i], as the caller's walk resolved it. This is the primitive
+// under PFTool's TapeProc: one machine owns one tape end to end in a
+// single drive session, so there are no LAN-free hand-off penalties and
+// the tape reads front to back. The whole pinned run passes the
+// scheduler as one expedited recall admission for qos's tenant.
+func (e *Engine) RecallPinned(nodeName string, paths []string, ids []vfs.FileID, qos sched.QoS) error {
 	var node *cluster.Node
 	for _, n := range e.nodes {
 		if n.Name == nodeName {
@@ -1045,17 +1072,17 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 	}
 	// Resolve still-migrated paths to recall items, deduplicating
 	// aggregate bundles.
-	var items []recallItem
+	items := make([]recallItem, 0, len(paths))
 	seenAgg := make(map[uint64]bool)
-	for _, p := range paths {
-		st, err := e.fs.State(p)
+	for i, p := range paths {
+		st, err := e.fs.StateID(ids[i])
 		if err != nil {
-			return err
+			return fmt.Errorf("hsm: %s: %w", p, err)
 		}
 		if st != pfs.Migrated {
 			continue
 		}
-		if aggID, ok := e.aggOf[p]; ok {
+		if aggID, ok := e.aggOf[ids[i]]; ok {
 			if seenAgg[aggID] {
 				continue
 			}
@@ -1067,7 +1094,7 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 			items = append(items, recallItem{object: aggID, volume: obj.Volume, seq: obj.Seq, bytes: obj.Bytes})
 			continue
 		}
-		it, err := e.locate(p)
+		it, err := e.locate(p, ids[i])
 		if err != nil {
 			return err
 		}
@@ -1094,10 +1121,12 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, qos sched.QoS) er
 	for j := 0; j < len(items); {
 		k := j
 		vol := items[j].volume
-		var ids []uint64
 		for k < len(items) && items[k].volume == vol {
-			ids = append(ids, items[k].object)
 			k++
+		}
+		ids := make([]uint64, k-j)
+		for x := range ids {
+			ids[x] = items[j+x].object
 		}
 		if _, err := e.srv.RecallBatch(tsm.RecallBatchRequest{
 			Client: nodeName, Volume: vol,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/pfs"
 	"repro/internal/sched"
+	"repro/internal/vfs"
 )
 
 func TestLocateResolvesAndReportsMissing(t *testing.T) {
@@ -15,7 +16,7 @@ func TestLocateResolvesAndReportsMissing(t *testing.T) {
 		if _, err := e.eng.Migrate(files, MigrateOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		locs, missing := e.eng.Locate([]string{files[0].Path, files[2].Path, "/ghost"})
+		locs, missing := e.eng.Locate([]string{files[0].Path, files[2].Path, "/ghost"}, []vfs.FileID{files[0].ID, files[2].ID, 0})
 		if len(locs) != 2 {
 			t.Errorf("locs = %d, want 2", len(locs))
 		}
@@ -37,7 +38,7 @@ func TestLocateAggregateMembers(t *testing.T) {
 		if _, err := e.eng.Migrate(files, MigrateOptions{Balanced: true}); err != nil {
 			t.Fatal(err)
 		}
-		locs, missing := e.eng.Locate([]string{files[0].Path, files[5].Path})
+		locs, missing := e.eng.Locate([]string{files[0].Path, files[5].Path}, []vfs.FileID{files[0].ID, files[5].ID})
 		if len(missing) != 0 {
 			t.Errorf("missing = %v", missing)
 		}
@@ -55,7 +56,7 @@ func TestLocateAggregateMembers(t *testing.T) {
 func TestRecallPinnedUnknownNode(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	e.run(t, func() {
-		if err := e.eng.RecallPinned("not-a-node", nil, sched.QoS{}); err == nil {
+		if err := e.eng.RecallPinned("not-a-node", nil, nil, sched.QoS{}); err == nil {
 			t.Error("unknown node accepted")
 		}
 	})
@@ -66,7 +67,7 @@ func TestRecallPinnedSkipsResident(t *testing.T) {
 	e.run(t, func() {
 		files := e.mkFiles(t, "/d", 2, 1e6)
 		// Nothing migrated: pinned recall is a no-op.
-		if err := e.eng.RecallPinned("fta01", []string{files[0].Path, files[1].Path}, sched.QoS{}); err != nil {
+		if err := e.eng.RecallPinned("fta01", []string{files[0].Path, files[1].Path}, []vfs.FileID{files[0].ID, files[1].ID}, sched.QoS{}); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.count("hsm_recalled_files_total"); n != 0 {
@@ -140,7 +141,7 @@ func TestAggregateRecallRestoresAllMembersAtOnce(t *testing.T) {
 		if res.Files < 1 {
 			t.Fatalf("res = %+v", res)
 		}
-		st, _ := e.fs.State(files[0].Path)
+		_, st, _ := e.fs.Lookup(files[0].Path)
 		if st == pfs.Migrated {
 			t.Error("requested member still migrated")
 		}

@@ -26,14 +26,14 @@ type env struct {
 	eng    *Engine
 }
 
-func newEnv(t *testing.T, drives int, cfg Config) *env {
+func newEnv(t testing.TB, drives int, cfg Config) *env {
 	t.Helper()
 	return newEnvMeta(t, drives, cfg, 0)
 }
 
 // newEnvMeta is newEnv with the file system's metadata operations
 // costing metaOpCost each (newEnv's are free).
-func newEnvMeta(t *testing.T, drives int, cfg Config, metaOpCost time.Duration) *env {
+func newEnvMeta(t testing.TB, drives int, cfg Config, metaOpCost time.Duration) *env {
 	t.Helper()
 	clock := simtime.NewClock()
 	fsCfg := pfs.GPFSConfig("gpfs")
@@ -67,7 +67,7 @@ func (e *env) run(t *testing.T, fn func()) time.Duration {
 }
 
 // mkFiles creates n files of the given size under dir and returns infos.
-func (e *env) mkFiles(t *testing.T, dir string, n int, size int64) []pfs.Info {
+func (e *env) mkFiles(t testing.TB, dir string, n int, size int64) []pfs.Info {
 	t.Helper()
 	if err := e.fs.MkdirAll(dir); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestMigrateStubsFiles(t *testing.T) {
 			t.Errorf("res = %+v", res)
 		}
 		for _, f := range files {
-			st, _ := e.fs.State(f.Path)
+			_, st, _ := e.fs.Lookup(f.Path)
 			if st != pfs.Migrated {
 				t.Errorf("%s state = %v, want migrated", f.Path, st)
 			}
@@ -236,7 +236,7 @@ func TestRecallRoundTripRestoresData(t *testing.T) {
 			t.Errorf("res = %+v", res)
 		}
 		for i, f := range files {
-			st, _ := e.fs.State(f.Path)
+			_, st, _ := e.fs.Lookup(f.Path)
 			if st != pfs.Premigrated {
 				t.Errorf("%s state = %v, want premigrated after recall", f.Path, st)
 			}
@@ -338,7 +338,7 @@ func TestAggregationBundlesSmallFiles(t *testing.T) {
 		if rres.Files < 2 {
 			t.Errorf("recalled %d member files, want >= 2", rres.Files)
 		}
-		st, _ := e.fs.State(files[3].Path)
+		_, st, _ := e.fs.Lookup(files[3].Path)
 		if st == pfs.Migrated {
 			t.Error("member still migrated after aggregate recall")
 		}
@@ -394,7 +394,7 @@ func TestReadThroughRecallsTransparently(t *testing.T) {
 		files := e.mkFiles(t, "/d", 1, 3e6)
 		e.eng.Migrate(files, MigrateOptions{})
 		p := files[0].Path
-		if st, _ := e.fs.State(p); st != pfs.Migrated {
+		if _, st, _ := e.fs.Lookup(p); st != pfs.Migrated {
 			t.Fatal("setup: file not migrated")
 		}
 		if _, err := e.fs.ReadContent(p); !errors.Is(err, pfs.ErrOffline) {
@@ -410,7 +410,7 @@ func TestReadThroughRecallsTransparently(t *testing.T) {
 		if !content.Equal(synthetic.NewUniform(1, 3e6)) {
 			t.Error("read-through content mismatch")
 		}
-		if st, _ := e.fs.State(p); st == pfs.Migrated {
+		if _, st, _ := e.fs.Lookup(p); st == pfs.Migrated {
 			t.Error("file still migrated after read-through")
 		}
 		// Recalling a resident file is a no-op.

@@ -61,7 +61,7 @@ func TestInvariantPoolAccounting(t *testing.T) {
 					continue
 				}
 				p := paths[r.Intn(len(paths))]
-				if st, err := fs.State(p); err == nil {
+				if _, st, err := fs.Lookup(p); err == nil {
 					switch st {
 					case Premigrated:
 						fs.Punch(p)
@@ -141,7 +141,7 @@ func TestInvariantStubsKeepSizes(t *testing.T) {
 		}
 		for cycle := 0; cycle < 100; cycle++ {
 			p := fmt.Sprintf("/d/f%02d", r.Intn(40))
-			st, _ := fs.State(p)
+			_, st, _ := fs.Lookup(p)
 			if st == Migrated {
 				fs.Restore(p, true)
 				fs.Punch(p)

@@ -28,6 +28,15 @@
 // full n is billed even if an operation fails part-way; and the
 // operations all happen at the batch's end time (access times, and
 // the instant other actors see the new state).
+//
+// File IDs: a caller that already holds a file's vfs.FileID (from a
+// listing, a scan or a Stat) reaches the file through the ID forms —
+// StatID, ReadContentID, SetPremigratedID, PunchID, RestoreID, StateID,
+// GetXattrID, SetXattrID — instead of resolving its path again. An ID
+// form runs the same body as its path form and bills exactly like it:
+// the same metadata slot, the same operation count, ending at the same
+// virtual instant. Only the namespace lookup differs, and an ID whose
+// file is gone is vfs.ErrNotExist even if a new file took its path.
 package pfs
 
 import (
@@ -384,23 +393,67 @@ func (fs *FS) WriteFiles(specs []FileSpec) error {
 	return nil
 }
 
+// ref names the file a pfs call acts on: by path, or by ID. The path
+// and ID form of an operation differ only in the ref they pass to its
+// one body.
+type ref struct {
+	path string
+	id   vfs.FileID
+	byID bool
+}
+
+func (f ref) String() string {
+	if f.byID {
+		return fmt.Sprintf("id %d", f.id)
+	}
+	return f.path
+}
+
+// lookup resolves f to its ID, type and size (free: a dcache hit).
+func (fs *FS) lookup(f ref) (vfs.FileID, vfs.FileType, int64, error) {
+	if !f.byID {
+		return fs.ns.Lookup(f.path)
+	}
+	vi, err := fs.ns.StatID(f.id)
+	return f.id, vi.Type, vi.Size, err
+}
+
 // ReadContent returns the file's data. Migrated stubs return ErrOffline;
 // callers must recall through the HSM first (or use a recall-aware
 // wrapper), exactly like a DMAPI read event.
 func (fs *FS) ReadContent(p string) (synthetic.Content, error) {
 	b := fs.Bill(1)
-	return b.ReadContent(p)
+	return b.readContent(ref{path: p})
+}
+
+// ReadContentID is ReadContent of the file with ID id.
+func (fs *FS) ReadContentID(id vfs.FileID) (synthetic.Content, error) {
+	b := fs.Bill(1)
+	return b.readContent(ref{id: id, byID: true})
 }
 
 // ReadContent is FS.ReadContent on a pre-paid batch.
 func (b *Batch) ReadContent(p string) (synthetic.Content, error) {
+	return b.readContent(ref{path: p})
+}
+
+// ReadContentID is FS.ReadContentID on a pre-paid batch.
+func (b *Batch) ReadContentID(id vfs.FileID) (synthetic.Content, error) {
+	return b.readContent(ref{id: id, byID: true})
+}
+
+func (b *Batch) readContent(f ref) (synthetic.Content, error) {
 	fs := b.spend()
-	return fs.ns.ReadFileCheck(p, func(id vfs.FileID) error {
+	online := func(id vfs.FileID) error {
 		if m := fs.metaOf(id); m != nil && m.state == Migrated {
-			return fmt.Errorf("%w: %s", ErrOffline, p)
+			return fmt.Errorf("%w: %v", ErrOffline, f)
 		}
 		return nil
-	})
+	}
+	if f.byID {
+		return fs.ns.ReadFileCheckID(f.id, online)
+	}
+	return fs.ns.ReadFileCheck(f.path, online)
 }
 
 // WriteAt writes into an existing resident file (append or overwrite),
@@ -455,7 +508,17 @@ func (fs *FS) truncate(p string, length int64) error {
 // Stat returns combined namespace + residency information.
 func (fs *FS) Stat(p string) (Info, error) {
 	fs.chargeMeta(1)
-	vi, err := fs.ns.Stat(p)
+	return fs.decorated(fs.ns.Stat(p))
+}
+
+// StatID is Stat of the file with ID id. The Info's Name and Path are
+// empty: an ID does not know which path reached it.
+func (fs *FS) StatID(id vfs.FileID) (Info, error) {
+	fs.chargeMeta(1)
+	return fs.decorated(fs.ns.StatID(id))
+}
+
+func (fs *FS) decorated(vi vfs.Info, err error) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
@@ -469,16 +532,6 @@ func (fs *FS) decorate(vi vfs.Info) Info {
 		out.State = m.state
 	}
 	return out
-}
-
-// statID resolves a file ID.
-func (fs *FS) statID(id vfs.FileID) (Info, error) {
-	fs.chargeMeta(1)
-	vi, err := fs.ns.StatID(id)
-	if err != nil {
-		return Info{}, err
-	}
-	return fs.decorate(vi), nil
 }
 
 // ReadDir lists a directory, billing metadata cost for the whole batch
@@ -562,8 +615,14 @@ func (fs *FS) Exists(p string) bool { return fs.ns.Exists(p) }
 // SetXattr sets an extended attribute (used by HSM bookkeeping).
 func (fs *FS) SetXattr(p, k, v string) error { return fs.ns.SetXattr(p, k, v) }
 
+// SetXattrID is SetXattr on the file with ID id.
+func (fs *FS) SetXattrID(id vfs.FileID, k, v string) error { return fs.ns.SetXattrID(id, k, v) }
+
 // GetXattr reads an extended attribute.
 func (fs *FS) GetXattr(p, k string) (string, error) { return fs.ns.GetXattr(p, k) }
+
+// GetXattrID is GetXattr of the file with ID id.
+func (fs *FS) GetXattrID(id vfs.FileID, k string) (string, error) { return fs.ns.GetXattrID(id, k) }
 
 // Walk visits the subtree without metadata charges (callers doing
 // policy-grade scans should use Scan, which bills correctly).
@@ -588,9 +647,19 @@ func (fs *FS) TotalBytes() int64 { return fs.ns.TotalBytes() }
 // exists on the backend; data remains on disk).
 func (fs *FS) SetPremigrated(p string) error {
 	b := fs.Bill(1)
-	return b.transition(p, func(m *fileMeta, size int64) error {
+	return b.premigrate(ref{path: p})
+}
+
+// SetPremigratedID is SetPremigrated of the file with ID id.
+func (fs *FS) SetPremigratedID(id vfs.FileID) error {
+	b := fs.Bill(1)
+	return b.premigrate(ref{id: id, byID: true})
+}
+
+func (b *Batch) premigrate(f ref) error {
+	return b.transition(f, func(m *fileMeta, size int64) error {
 		if m.state == Migrated {
-			return fmt.Errorf("%w: %s is migrated", ErrBadState, p)
+			return fmt.Errorf("%w: %v is migrated", ErrBadState, f)
 		}
 		m.state = Premigrated
 		return nil
@@ -601,14 +670,19 @@ func (fs *FS) SetPremigrated(p string) error {
 // disk blocks while keeping the inode, size, and xattrs visible.
 func (fs *FS) Punch(p string) error {
 	b := fs.Bill(1)
-	return b.Punch(p)
+	return b.punch(ref{path: p})
 }
 
-// Punch is FS.Punch on a pre-paid batch.
-func (b *Batch) Punch(p string) error {
-	return b.transition(p, func(m *fileMeta, size int64) error {
+// PunchID is Punch of the file with ID id.
+func (fs *FS) PunchID(id vfs.FileID) error {
+	b := fs.Bill(1)
+	return b.punch(ref{id: id, byID: true})
+}
+
+func (b *Batch) punch(f ref) error {
+	return b.transition(f, func(m *fileMeta, size int64) error {
 		if m.state != Premigrated {
-			return fmt.Errorf("%w: punch requires premigrated, %s is %v", ErrBadState, p, m.state)
+			return fmt.Errorf("%w: punch requires premigrated, %v is %v", ErrBadState, f, m.state)
 		}
 		b.fs.poolOf(m).used -= size
 		m.state = Migrated
@@ -621,14 +695,18 @@ func (b *Batch) Punch(p string) error {
 // tape copy valid).
 func (fs *FS) Restore(p string, keepBackendCopy bool) error {
 	b := fs.Bill(1)
-	return b.Restore(p, keepBackendCopy)
+	return b.restore(ref{path: p}, keepBackendCopy)
 }
 
-// Restore is FS.Restore on a pre-paid batch.
-func (b *Batch) Restore(p string, keepBackendCopy bool) error {
-	return b.transition(p, func(m *fileMeta, size int64) error {
+// RestoreID is FS.Restore of the file with ID id, on a pre-paid batch.
+func (b *Batch) RestoreID(id vfs.FileID, keepBackendCopy bool) error {
+	return b.restore(ref{id: id, byID: true}, keepBackendCopy)
+}
+
+func (b *Batch) restore(f ref, keepBackendCopy bool) error {
+	return b.transition(f, func(m *fileMeta, size int64) error {
 		if m.state != Migrated {
-			return fmt.Errorf("%w: restore requires migrated, %s is %v", ErrBadState, p, m.state)
+			return fmt.Errorf("%w: restore requires migrated, %v is %v", ErrBadState, f, m.state)
 		}
 		pl := b.fs.poolOf(m)
 		if size > pl.Free() {
@@ -645,33 +723,44 @@ func (b *Batch) Restore(p string, keepBackendCopy bool) error {
 }
 
 // transition spends one operation applying fn to the residency record
-// of the regular file at p.
-func (b *Batch) transition(p string, fn func(m *fileMeta, size int64) error) error {
+// of the regular file f.
+func (b *Batch) transition(f ref, fn func(m *fileMeta, size int64) error) error {
 	fs := b.spend()
-	id, typ, size, err := fs.ns.Lookup(p)
+	id, typ, size, err := fs.lookup(f)
 	if err != nil {
 		return err
 	}
 	if typ == vfs.TypeDir {
-		return fmt.Errorf("%w: %s", vfs.ErrIsDir, p)
+		return fmt.Errorf("%w: %v", vfs.ErrIsDir, f)
 	}
 	m := fs.metaOf(id)
 	if m == nil {
-		return fmt.Errorf("pfs: no pool metadata for %s", p)
+		return fmt.Errorf("pfs: no pool metadata for %v", f)
 	}
 	return fn(m, size)
 }
 
-// State reports a file's residency state.
-func (fs *FS) State(p string) (MigState, error) {
-	id, _, _, err := fs.ns.Lookup(p)
+// Lookup resolves p to its file ID and residency state. It is free (a
+// dcache hit): the caller keeps the ID for the ID forms.
+func (fs *FS) Lookup(p string) (vfs.FileID, MigState, error) {
+	return fs.state(ref{path: p})
+}
+
+// StateID reports the residency state of the file with ID id (free).
+func (fs *FS) StateID(id vfs.FileID) (MigState, error) {
+	_, st, err := fs.state(ref{id: id, byID: true})
+	return st, err
+}
+
+func (fs *FS) state(f ref) (vfs.FileID, MigState, error) {
+	id, _, _, err := fs.lookup(f)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if m := fs.metaOf(id); m != nil {
-		return m.state, nil
+		return id, m.state, nil
 	}
-	return Resident, nil
+	return id, Resident, nil
 }
 
 // Scan runs a full-filesystem inode scan, invoking fn for every inode,

@@ -108,13 +108,13 @@ func TestMigrationLifecycle(t *testing.T) {
 		fast, _ := fs.Pool("fast")
 		content := synthetic.NewUniform(1, 5000)
 		fs.WriteFile("/f", content)
-		if st, _ := fs.State("/f"); st != Resident {
+		if _, st, _ := fs.Lookup("/f"); st != Resident {
 			t.Errorf("state = %v, want resident", st)
 		}
 		if err := fs.SetPremigrated("/f"); err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := fs.State("/f"); st != Premigrated {
+		if _, st, _ := fs.Lookup("/f"); st != Premigrated {
 			t.Errorf("state = %v, want premigrated", st)
 		}
 		if fast.Used() != 5000 {
@@ -123,7 +123,7 @@ func TestMigrationLifecycle(t *testing.T) {
 		if err := fs.Punch("/f"); err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := fs.State("/f"); st != Migrated {
+		if _, st, _ := fs.Lookup("/f"); st != Migrated {
 			t.Errorf("state = %v, want migrated", st)
 		}
 		if fast.Used() != 0 {
@@ -142,7 +142,7 @@ func TestMigrationLifecycle(t *testing.T) {
 		if err := fs.Restore("/f", true); err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := fs.State("/f"); st != Premigrated {
+		if _, st, _ := fs.Lookup("/f"); st != Premigrated {
 			t.Errorf("state after recall = %v, want premigrated", st)
 		}
 		got, err := fs.ReadContent("/f")
@@ -166,7 +166,7 @@ func TestWriteDirtiesPremigrated(t *testing.T) {
 		fs.WriteFile("/f", synthetic.NewUniform(1, 100))
 		fs.SetPremigrated("/f")
 		fs.WriteAt("/f", 0, synthetic.NewUniform(2, 10))
-		if st, _ := fs.State("/f"); st != Resident {
+		if _, st, _ := fs.Lookup("/f"); st != Resident {
 			t.Errorf("state after write = %v, want resident (backend copy stale)", st)
 		}
 	})
@@ -337,11 +337,11 @@ func TestStatIDForSyncDeleter(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *FS) {
 		fs.WriteFile("/f", synthetic.NewUniform(1, 10))
 		info, _ := fs.Stat("/f")
-		got, err := fs.statID(info.ID)
+		got, err := fs.StatID(info.ID)
 		if err != nil || got.Size != 10 {
 			t.Errorf("StatID = %+v, %v", got, err)
 		}
-		if _, err := fs.statID(vfs.FileID(9999)); err == nil {
+		if _, err := fs.StatID(vfs.FileID(9999)); err == nil {
 			t.Error("StatID of missing ID should fail")
 		}
 	})

@@ -3,6 +3,7 @@ package pftool
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -10,13 +11,13 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/faults"
-	"repro/internal/hsm"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
 	"repro/internal/telemetry"
+	"repro/internal/vfs"
 )
 
 // Message tags (Figure 3's queues and request/response flows).
@@ -42,9 +43,11 @@ const (
 	kindCompare                 // a batch of byte comparisons (pfcm)
 )
 
-// fileCopy is one whole-file work item inside a batch.
+// fileCopy is one whole-file work item inside a batch. The source is
+// read by id, the handle the walk resolved; src names it in reports.
 type fileCopy struct {
 	src, dst string
+	id       vfs.FileID
 	bytes    int64
 }
 
@@ -91,19 +94,20 @@ type dirResult struct {
 	err      string
 }
 
-// tapeJob is the Manager -> TapeProc work unit (one TapeCQ).
+// tapeJob is the Manager -> TapeProc work unit (one TapeCQ): migrated
+// source files, already tape-ordered when Tunables.TapeOrdered, with the
+// file ID and destination of each at the same index.
 type tapeJob struct {
-	volume string
-	paths  []string // already tape-ordered when Tunables.TapeOrdered
-	sizes  []int64
+	volume   string
+	src, dst []string
+	ids      []vfs.FileID
+	bytes    int64 // on tape, for the scheduler admission
 }
 
 // tapeResult reports restored files ready for normal copying.
 type tapeResult struct {
-	paths []string
-	sizes []int64
-	bytes int64
-	err   string
+	job tapeJob
+	err string
 }
 
 // batchScratch is one worker rank's buffers, reused from batch to batch
@@ -144,8 +148,10 @@ type run struct {
 	cmpBatch      []fileCopy
 	cmpBatchBytes int64
 
-	tapePending []string // migrated source paths awaiting Locate
-	tapeDsts    map[string]string
+	// Migrated sources awaiting Locate, with the file ID and destination
+	// of each at the same index.
+	tapeSrc, tapeDst []string
+	tapeIDs          []vfs.FileID
 
 	chunkRemaining map[string]int    // logical dst -> chunks outstanding
 	logicalDst     map[string]string // fuse chunk dir -> the user-visible dst
@@ -205,7 +211,6 @@ func (r *run) nodeFor(rank int) *cluster.Node {
 // execute wires up all ranks and runs the job to completion.
 func (r *run) execute() Result {
 	r.chunkRemaining = make(map[string]int)
-	r.tapeDsts = make(map[string]string)
 	r.logicalDst = make(map[string]string)
 	r.inflight = make(map[int]interface{})
 	r.deadRanks = make(map[int]bool)
@@ -354,14 +359,17 @@ func (r *run) seed() bool {
 func (r *run) finished() bool {
 	return r.dirsOut == 0 && r.copyOut == 0 && r.tapeOut == 0 &&
 		len(r.dirQ) == 0 && len(r.copyQ) == 0 && len(r.tapeQ) == 0 &&
-		len(r.batch) == 0 && len(r.cmpBatch) == 0 && len(r.tapePending) == 0
+		len(r.batch) == 0 && len(r.cmpBatch) == 0 && len(r.tapeSrc) == 0
 }
 
 // assign hands queued jobs to idle processes, remembering which rank
-// holds which job so a rank death can requeue it.
+// holds which job so a rank death can requeue it. A dispatched job's
+// queue slot is cleared: the queue's array outlives it until append
+// next moves the queue, and would keep a batch's file list alive.
 func (r *run) assign() {
 	for len(r.dirQ) > 0 && len(r.idleReadDirs) > 0 {
 		job := r.dirQ[0]
+		r.dirQ[0] = dirJob{}
 		r.dirQ = r.dirQ[1:]
 		rank := r.idleReadDirs[0]
 		r.idleReadDirs = r.idleReadDirs[1:]
@@ -371,6 +379,7 @@ func (r *run) assign() {
 	}
 	for len(r.copyQ) > 0 && len(r.idleWorkers) > 0 {
 		job := r.copyQ[0]
+		r.copyQ[0] = copyJob{}
 		r.copyQ = r.copyQ[1:]
 		rank := r.idleWorkers[0]
 		r.idleWorkers = r.idleWorkers[1:]
@@ -380,6 +389,7 @@ func (r *run) assign() {
 	}
 	for len(r.tapeQ) > 0 && len(r.idleTapeProcs) > 0 {
 		job := r.tapeQ[0]
+		r.tapeQ[0] = tapeJob{}
 		r.tapeQ = r.tapeQ[1:]
 		rank := r.idleTapeProcs[0]
 		r.idleTapeProcs = r.idleTapeProcs[1:]
@@ -511,17 +521,19 @@ func (r *run) handle(msg mpi.Message) {
 			r.fail(res.err)
 			return
 		}
-		r.res.Restored += len(res.paths)
-		r.ctrRestored.Add(float64(len(res.paths)))
-		// Restored files now copy like any resident file.
-		for i, p := range res.paths {
-			info, err := r.req.SrcFS.Stat(p)
+		job := res.job
+		r.res.Restored += len(job.src)
+		r.ctrRestored.Add(float64(len(job.src)))
+		// Restored files now copy like any resident file. The walk
+		// resolved each one: it is re-stated by ID, and keeps its path.
+		for i, id := range job.ids {
+			info, err := r.req.SrcFS.StatID(id)
 			if err != nil {
-				r.fail(err.Error())
+				r.fail(fmt.Sprintf("stat %s: %v", job.src[i], err))
 				return
 			}
-			r.classify(info, r.tapeDsts[p])
-			_ = res.sizes[i]
+			info.Path, info.Name = job.src[i], path.Base(job.src[i])
+			r.classify(info, job.dst[i])
 		}
 		if r.tapeOut == 0 && len(r.tapeQ) == 0 {
 			r.flushBatches()
@@ -589,7 +601,7 @@ func (r *run) rankDead(rank int) {
 		r.fail("every ReadDir rank died with directories unread")
 	case r.allDead(r.layout.workers) && (r.copyOut > 0 || len(r.copyQ) > 0 || !r.walkDone):
 		r.fail("every Worker rank died with copy work outstanding")
-	case r.allDead(r.layout.tapeprocs) && (r.tapeOut > 0 || len(r.tapeQ) > 0 || len(r.tapePending) > 0):
+	case r.allDead(r.layout.tapeprocs) && (r.tapeOut > 0 || len(r.tapeQ) > 0 || len(r.tapeSrc) > 0):
 		r.fail("every TapeProc rank died with restores outstanding")
 	}
 }
@@ -681,7 +693,7 @@ func (r *run) classify(info pfs.Info, dst string) {
 	case OpList:
 		return
 	case OpCompare:
-		r.cmpBatch = append(r.cmpBatch, fileCopy{src: info.Path, dst: dst, bytes: info.Size})
+		r.cmpBatch = append(r.cmpBatch, fileCopy{src: info.Path, dst: dst, id: info.ID, bytes: info.Size})
 		r.cmpBatchBytes += info.Size
 		if len(r.cmpBatch) >= t.CopyBatchFiles || r.cmpBatchBytes >= t.CopyBatchBytes {
 			r.flushCompare()
@@ -694,8 +706,9 @@ func (r *run) classify(info pfs.Info, dst string) {
 			r.fail(fmt.Sprintf("%s is migrated and no restorer is configured", info.Path))
 			return
 		}
-		r.tapePending = append(r.tapePending, info.Path)
-		r.tapeDsts[info.Path] = dst
+		r.tapeSrc = append(r.tapeSrc, info.Path)
+		r.tapeDst = append(r.tapeDst, dst)
+		r.tapeIDs = append(r.tapeIDs, info.ID)
 		return
 	}
 	switch {
@@ -704,7 +717,7 @@ func (r *run) classify(info pfs.Info, dst string) {
 	case info.Size >= t.LargeFileThreshold:
 		r.enqueueChunked(info, dst)
 	default:
-		r.batch = append(r.batch, fileCopy{src: info.Path, dst: dst, bytes: info.Size})
+		r.batch = append(r.batch, fileCopy{src: info.Path, dst: dst, id: info.ID, bytes: info.Size})
 		r.batchBytes += info.Size
 		if len(r.batch) >= t.CopyBatchFiles || r.batchBytes >= t.CopyBatchBytes {
 			r.flushBatch()
@@ -783,13 +796,16 @@ func (r *run) flushBatches() {
 	r.flushCompare()
 }
 
+// flushBatch queues the accumulated batch. The job gets an exact-size
+// copy and the accumulator keeps its array for the next batch, so a
+// batch costs one allocation, not append's doubling series.
 func (r *run) flushBatch() {
 	if len(r.batch) == 0 {
 		return
 	}
-	r.copyQ = append(r.copyQ, copyJob{kind: kindBatch, batch: r.batch})
+	r.copyQ = append(r.copyQ, copyJob{kind: kindBatch, batch: slices.Clone(r.batch)})
 	r.copyOut++
-	r.batch = nil
+	r.batch = r.batch[:0]
 	r.batchBytes = 0
 }
 
@@ -797,9 +813,9 @@ func (r *run) flushCompare() {
 	if len(r.cmpBatch) == 0 {
 		return
 	}
-	r.copyQ = append(r.copyQ, copyJob{kind: kindCompare, batch: r.cmpBatch})
+	r.copyQ = append(r.copyQ, copyJob{kind: kindCompare, batch: slices.Clone(r.cmpBatch)})
 	r.copyOut++
-	r.cmpBatch = nil
+	r.cmpBatch = r.cmpBatch[:0]
 	r.cmpBatchBytes = 0
 }
 
@@ -808,20 +824,21 @@ func (r *run) flushCompare() {
 // queue per volume so a single TapeProc (hence a single machine)
 // streams each tape front to back (§4.2.5).
 func (r *run) buildTapeJobs() {
-	if len(r.tapePending) == 0 {
+	if len(r.tapeSrc) == 0 {
 		return
 	}
-	paths := r.tapePending
-	r.tapePending = nil
-	locs, missing := r.req.Restorer.Locate(paths)
+	src, dst, ids := r.tapeSrc, r.tapeDst, r.tapeIDs
+	r.tapeSrc, r.tapeDst, r.tapeIDs = nil, nil, nil
+	locs, missing := r.req.Restorer.Locate(src, ids)
 	for _, m := range missing {
 		r.fail(fmt.Sprintf("no tape location for %s", m))
 		return
 	}
+	// Nothing is missing, so locs[i] is the location of file i.
 	if r.req.Tunables.TapeOrdered {
-		byVol := make(map[string][]hsm.TapeLoc)
-		for _, l := range locs {
-			byVol[l.Volume] = append(byVol[l.Volume], l)
+		byVol := make(map[string][]int32)
+		for i, l := range locs {
+			byVol[l.Volume] = append(byVol[l.Volume], int32(i))
 		}
 		vols := make([]string, 0, len(byVol))
 		for v := range byVol {
@@ -829,11 +846,12 @@ func (r *run) buildTapeJobs() {
 		}
 		sort.Strings(vols)
 		for _, v := range vols {
-			list := byVol[v]
-			sort.Slice(list, func(i, j int) bool { return list[i].Seq < list[j].Seq })
-			job := tapeJob{volume: v, paths: make([]string, len(list)), sizes: make([]int64, len(list))}
-			for i, l := range list {
-				job.paths[i], job.sizes[i] = l.Path, l.Bytes
+			files := byVol[v]
+			sort.Slice(files, func(a, b int) bool { return locs[files[a]].Seq < locs[files[b]].Seq })
+			job := tapeJob{volume: v, src: make([]string, len(files)), dst: make([]string, len(files)), ids: make([]vfs.FileID, len(files))}
+			for k, i := range files {
+				job.src[k], job.dst[k], job.ids[k] = src[i], dst[i], ids[i]
+				job.bytes += locs[i].Bytes
 			}
 			r.tapeQ = append(r.tapeQ, job)
 			r.tapeOut++
@@ -843,14 +861,10 @@ func (r *run) buildTapeJobs() {
 	// Naive: arrival order, fixed-size groups, no volume affinity.
 	const group = 32
 	for i := 0; i < len(locs); i += group {
-		end := i + group
-		if end > len(locs) {
-			end = len(locs)
-		}
-		job := tapeJob{volume: "(unordered)"}
+		end := min(i+group, len(locs))
+		job := tapeJob{volume: "(unordered)", src: src[i:end], dst: dst[i:end], ids: ids[i:end]}
 		for _, l := range locs[i:end] {
-			job.paths = append(job.paths, l.Path)
-			job.sizes = append(job.sizes, l.Bytes)
+			job.bytes += l.Bytes
 		}
 		r.tapeQ = append(r.tapeQ, job)
 		r.tapeOut++

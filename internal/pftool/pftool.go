@@ -27,6 +27,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sched"
+	"repro/internal/vfs"
 )
 
 // Op selects the PFTool command.
@@ -52,15 +53,17 @@ func (o Op) String() string {
 }
 
 // Restorer recalls migrated files from the tape backend; *hsm.Engine
-// is the production implementation.
+// is the production implementation. Files travel as parallel slices:
+// ids[i] is the file ID of paths[i], as the walk resolved it, so the
+// backend need not resolve the path again.
 type Restorer interface {
-	// Locate resolves migrated paths to tape locations; unknown paths
-	// are returned in missing.
-	Locate(paths []string) (locs []hsm.TapeLoc, missing []string)
-	// RecallPinned recalls the given paths as the named client machine,
+	// Locate resolves migrated files to tape locations, in input
+	// order; unknown paths are left out of locs and returned in missing.
+	Locate(paths []string, ids []vfs.FileID) (locs []hsm.TapeLoc, missing []string)
+	// RecallPinned recalls the given files as the named client machine,
 	// in the order given (the caller has already tape-ordered them),
 	// admitted under the given QoS tag.
-	RecallPinned(node string, paths []string, qos sched.QoS) error
+	RecallPinned(node string, paths []string, ids []vfs.FileID, qos sched.QoS) error
 }
 
 // Tunables are the runtime-adjustable parameters of §4.1.2(5).

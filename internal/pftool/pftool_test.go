@@ -18,6 +18,7 @@ import (
 	"repro/internal/synthetic"
 	"repro/internal/tape"
 	"repro/internal/tsm"
+	"repro/internal/vfs"
 )
 
 // env is a full archive deployment for PFTool tests.
@@ -473,7 +474,7 @@ type stuckRestorer struct {
 	clock *simtime.Clock
 }
 
-func (s stuckRestorer) Locate(paths []string) ([]hsm.TapeLoc, []string) {
+func (s stuckRestorer) Locate(paths []string, _ []vfs.FileID) ([]hsm.TapeLoc, []string) {
 	out := make([]hsm.TapeLoc, len(paths))
 	for i, p := range paths {
 		out[i] = hsm.TapeLoc{Path: p, Volume: "VOL0001", Seq: i + 1, Bytes: 1}
@@ -481,7 +482,7 @@ func (s stuckRestorer) Locate(paths []string) ([]hsm.TapeLoc, []string) {
 	return out, nil
 }
 
-func (s stuckRestorer) RecallPinned(node string, paths []string, qos sched.QoS) error {
+func (s stuckRestorer) RecallPinned(node string, paths []string, ids []vfs.FileID, qos sched.QoS) error {
 	s.clock.Sleep(10 * time.Hour)
 	return nil
 }
@@ -523,9 +524,9 @@ type timedRestorer struct {
 	longest *time.Duration
 }
 
-func (r timedRestorer) RecallPinned(node string, paths []string, qos sched.QoS) error {
+func (r timedRestorer) RecallPinned(node string, paths []string, ids []vfs.FileID, qos sched.QoS) error {
 	start := r.clock.Now()
-	err := r.Engine.RecallPinned(node, paths, qos)
+	err := r.Engine.RecallPinned(node, paths, ids, qos)
 	if d := r.clock.Now() - start; d > *r.longest {
 		*r.longest = d
 	}

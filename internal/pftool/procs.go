@@ -197,7 +197,7 @@ func (r *run) survivors(sc *batchScratch, batch []fileCopy, res *copyResult) (to
 	for _, f := range batch {
 		if t.Restart {
 			if di, err := r.req.DstFS.Stat(f.dst); err == nil {
-				si, serr := r.req.SrcFS.Stat(f.src)
+				si, serr := r.req.SrcFS.StatID(f.id)
 				if serr == nil && !di.IsDir() && di.Size == si.Size && di.ModTime >= si.ModTime {
 					res.skipped++
 					res.dsts = append(res.dsts, f.dst)
@@ -230,7 +230,7 @@ func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
 	var transferBytes int64
 	reads := r.req.SrcFS.Bill(len(todo))
 	for _, f := range todo {
-		content, err := reads.ReadContent(f.src)
+		content, err := reads.ReadContentID(f.id)
 		if err != nil {
 			res.err = fmt.Sprintf("read %s: %v", f.src, err)
 			return res
@@ -331,7 +331,7 @@ func (r *run) compareBatch(rank int, node *cluster.Node, job copyJob) copyResult
 	todo, srcs := sc.todo[:0], sc.srcs[:0]
 	reads := r.req.SrcFS.Bill(len(job.batch))
 	for _, f := range job.batch {
-		srcContent, err := reads.ReadContent(f.src)
+		srcContent, err := reads.ReadContentID(f.id)
 		if err != nil {
 			res.missing++
 			continue
@@ -394,27 +394,22 @@ func (r *run) tapeProc(rank int) {
 			return // died holding the job; the WatchDog has it requeued
 		}
 		job := msg.Data.(tapeJob)
-		res := tapeResult{paths: job.paths, sizes: job.sizes}
-		var volBytes int64
-		for _, s := range job.sizes {
-			volBytes += s
-		}
+		res := tapeResult{job: job}
 		// A tape restore is expedited recall work: someone is waiting on
 		// the data coming back from the archive.
 		grant := r.sch.Station(sched.StationPftoolTape).Admit(sched.Item{
 			QoS: r.req.QoS.Or(sched.Interactive), Kind: "pftool.tape",
-			Units: volBytes, Expedite: true,
+			Units: job.bytes, Expedite: true,
 		})
 		if gerr := grant.Err(); gerr != nil {
 			res.err = fmt.Sprintf("restore volume %s: %v", job.volume, gerr)
 			r.comm.Send(rank, mgr, tagTapeResult, res)
 			continue
 		}
-		if err := r.req.Restorer.RecallPinned(node.Name, job.paths, r.req.QoS); err != nil {
+		if err := r.req.Restorer.RecallPinned(node.Name, job.src, job.ids, r.req.QoS); err != nil {
 			res.err = fmt.Sprintf("restore volume %s: %v", job.volume, err)
 		}
 		grant.Done()
-		res.bytes = volBytes
 		if node.Down() {
 			// Died mid-restore. The requeued job replays on a survivor;
 			// recalls are idempotent, so files this rank already restored

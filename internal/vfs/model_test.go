@@ -22,7 +22,12 @@ type mnode struct {
 	dir  bool
 	size int64
 	id   FileID // as the FS under test assigned it; must never change
+	seed uint64 // a file's content is synthetic.NewUniform(seed, size)
+	attr string // the inode's xattr modelKey ("" = unset)
 }
+
+// modelKey is the one extended attribute the model follows.
+const modelKey = "k"
 
 // resolve mirrors FS.lookup's error order: walking from the root, a
 // non-directory with segments still to go is ErrNotDir, a missing
@@ -97,7 +102,7 @@ func (m model) mkdirAll(p string) error {
 	return nil
 }
 
-func (m model) writeFile(p string, size int64) error {
+func (m model) writeFile(p string, size int64, seed uint64) error {
 	if err := m.parent(p); err != nil {
 		return err
 	}
@@ -105,8 +110,18 @@ func (m model) writeFile(p string, size int64) error {
 	if ok && n.dir {
 		return ErrIsDir
 	}
-	m[p] = mnode{size: size, id: n.id}
+	m[p] = mnode{size: size, id: n.id, seed: seed, attr: n.attr}
 	return nil
+}
+
+// byID returns the path of the live inode the model knows by id, or "".
+func (m model) byID(id FileID) string {
+	for p, n := range m {
+		if n.id == id {
+			return p
+		}
+	}
+	return ""
 }
 
 func (m model) remove(p string) error {
@@ -228,15 +243,16 @@ const (
 	opReadDir
 	opWalk
 	opStatID
+	opByID
 	numOps
 )
 
-// ids returns the IDs the model has recorded, as a set.
-func (m model) ids() map[FileID]bool {
-	out := make(map[FileID]bool, len(m))
-	for _, n := range m {
+// ids returns the IDs the model has recorded, each with its path.
+func (m model) ids() map[FileID]string {
+	out := make(map[FileID]string, len(m))
+	for p, n := range m {
 		if n.id != 0 {
-			out[n.id] = true
+			out[n.id] = p
 		}
 	}
 	return out
@@ -257,12 +273,13 @@ func runOps(t testing.TB, data []byte) {
 	m := model{"/": {dir: true, id: 1}}
 	r := &opReader{data: data}
 	var dead []FileID // IDs the model saw and has since removed, in order of death
+	diedAt := map[FileID]string{}
 	for step := 0; len(r.data) > 0; step++ {
 		op := r.byte() % numOps
 		p, spelled := r.path()
 		var got, want error
 		desc := fmt.Sprintf("step %d op %d %s", step, op, spelled)
-		var before map[FileID]bool
+		var before map[FileID]string
 		if op == opRemove || op == opRemoveAll || op == opRename {
 			before = m.ids()
 		}
@@ -271,7 +288,7 @@ func runOps(t testing.TB, data []byte) {
 			got, want = fs.MkdirAll(spelled), m.mkdirAll(p)
 		case opWriteFile:
 			size := int64(r.byte())
-			got, want = fs.WriteFile(spelled, synthetic.NewUniform(uint64(step), size)), m.writeFile(p, size)
+			got, want = fs.WriteFile(spelled, synthetic.NewUniform(uint64(step), size)), m.writeFile(p, size, uint64(step))
 		case opRemove:
 			got, want = fs.Remove(spelled), m.remove(p)
 		case opRemoveAll:
@@ -319,6 +336,8 @@ func runOps(t testing.TB, data []byte) {
 			}
 			checkDead(t, desc, fs, 0)
 			checkDead(t, desc, fs, fs.nextID+1)
+		case opByID:
+			got, want = byIDOp(t, desc, fs, m, r, p, spelled, dead, diedAt)
 		}
 		if sentinel(got) != want {
 			t.Fatalf("%s: err = %v, model says %v", desc, got, want)
@@ -326,9 +345,10 @@ func runOps(t testing.TB, data []byte) {
 		if before != nil {
 			var died []FileID
 			after := m.ids()
-			for id := range before {
-				if !after[id] {
+			for id, at := range before {
+				if _, ok := after[id]; !ok {
 					died = append(died, id)
+					diedAt[id] = at
 				}
 			}
 			slices.Sort(died)
@@ -342,6 +362,91 @@ func runOps(t testing.TB, data []byte) {
 	for _, id := range dead {
 		checkDead(t, "end", fs, id)
 	}
+}
+
+// byIDOp is opByID: one of StatID, ReadFileCheckID, GetXattrID and
+// SetXattrID on an ID drawn as the stream says — the inode at p, any
+// dead ID, or a dead ID whose path holds a new inode again. A live ID
+// acts on its inode as the path form would; a dead one is ErrNotExist
+// and leaves everything alone, the new file at its old path included.
+// It returns the error class seen and the one the model predicts.
+func byIDOp(t testing.TB, desc string, fs *FS, m model, r *opReader, p, spelled string, dead []FileID, diedAt map[FileID]string) (got, want error) {
+	kind, pick, sub, val := r.byte()%3, int(r.byte())<<8|int(r.byte()), r.byte()%4, r.byte()%4
+	var id FileID
+	recreated := "" // the path a dead id died at, which holds a new inode
+	switch kind {
+	case 0:
+		var e Info
+		if e, got = fs.Stat(spelled); got != nil {
+			return got, m.resolve(p)
+		}
+		checkInfo(t, desc, m, e, p)
+		id = e.ID
+	case 1:
+		if len(dead) > 0 {
+			id = dead[pick%len(dead)]
+		}
+	case 2:
+		var again []FileID
+		for _, d := range dead {
+			if _, ok := m[diedAt[d]]; ok {
+				again = append(again, d)
+			}
+		}
+		if len(again) > 0 {
+			id = again[pick%len(again)]
+			recreated = diedAt[id]
+		}
+	}
+	if id == 0 {
+		return nil, nil
+	}
+	desc = fmt.Sprintf("%s id %d sub %d", desc, id, sub)
+	at := m.byID(id)
+	if at == "" {
+		want = ErrNotExist
+	}
+	n := m[at]
+	switch sub {
+	case 0:
+		var e Info
+		if e, got = fs.StatID(id); got == nil && (e.ID != id || e.Size != n.size || e.IsDir() != n.dir) {
+			t.Fatalf("%s: StatID = %+v, model has %s %+v", desc, e, at, n)
+		}
+	case 1:
+		if want == nil && n.dir {
+			want = ErrIsDir
+		}
+		var c synthetic.Content
+		if c, got = fs.ReadFileCheckID(id, nil); got == nil && !c.Equal(synthetic.NewUniform(n.seed, n.size)) {
+			t.Fatalf("%s: ReadFileCheckID read %d bytes that are not %s's", desc, c.Len(), at)
+		}
+	case 2:
+		var v string
+		if v, got = fs.GetXattrID(id, modelKey); got == nil && v != n.attr {
+			t.Fatalf("%s: GetXattrID = %q, model has %q on %s", desc, v, n.attr, at)
+		}
+	case 3:
+		v := ""
+		if val > 0 {
+			v = fmt.Sprintf("v%d", val)
+		}
+		if got = fs.SetXattrID(id, modelKey, v); got == nil {
+			n.attr = v
+			m[at] = n
+		}
+	}
+	if recreated != "" {
+		// The old ID reached nothing: the new inode at its path keeps
+		// its own identity, bytes and attribute.
+		cur := m[recreated]
+		e, err := fs.Stat(recreated)
+		v, _ := fs.GetXattr(recreated, modelKey)
+		if err != nil || e.ID == id || e.Size != cur.size || v != cur.attr {
+			t.Fatalf("%s: after an op by the dead ID, %s is %+v (%v) with %s=%q; model has %+v", desc, recreated, e, err, modelKey, v, cur)
+		}
+	}
+	return got, want
 }
 
 // checkInfo holds one Info to the model's inode at path p, recording
@@ -444,9 +549,29 @@ var arenaCycle = func() []byte {
 	return append(ops, encodeOp(opWalk, nil)...)
 }()
 
+// recreateCycle writes /n00, learns its ID, removes it and writes /n00
+// again, then sets, reads and stats by the dead ID (kind 2) and by the
+// live one (kind 0): the dead ID must reach neither inode.
+var recreateCycle = func() []byte {
+	byID := func(kind, sub, val byte, p ...byte) []byte {
+		return append(encodeOp(opByID, p), kind, 0, 0, sub, val)
+	}
+	var ops []byte
+	ops = append(append(ops, encodeOp(opWriteFile, []byte{0})...), 5)
+	ops = append(ops, byID(0, 3, 1, 0)...) // set k=v1 on the first /n00
+	ops = append(ops, encodeOp(opRemove, []byte{0})...)
+	ops = append(append(ops, encodeOp(opWriteFile, []byte{0})...), 9)
+	for sub := byte(0); sub < 4; sub++ {
+		ops = append(ops, byID(2, sub, 2, 0)...)
+		ops = append(ops, byID(0, sub, 3, 0)...)
+	}
+	return ops
+}()
+
 func TestNamespaceModel(t *testing.T) {
 	runOps(t, renameCycle)
 	runOps(t, arenaCycle)
+	runOps(t, recreateCycle)
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 6000)
@@ -483,6 +608,7 @@ func FuzzNamespace(f *testing.F) {
 	f.Add(churn)
 	f.Add([]byte{opWriteFile, 1, 5, 1, opRename, 1, 5, 0x80 | 2, 6, 7, opWalk, 0x80}) // unclean spellings
 	f.Add(arenaCycle)
+	f.Add(recreateCycle)
 	f.Fuzz(func(t *testing.T, data []byte) { runOps(t, data) })
 }
 

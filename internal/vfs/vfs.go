@@ -21,6 +21,14 @@
 // VisitTree and RemoveAllFunc go by entry position: insertion order
 // until such a sort, name order after. Never by the hash.
 //
+// A FileID is the handle the glue carries. A mover that has resolved a
+// path once — a walk's listing, a policy scan, a migration candidate —
+// keeps the ID and reaches the inode through the ID forms (StatID,
+// ReadFileCheckID, GetXattrID, SetXattrID) without walking the path
+// again, the way an HSM reaches GPFS by DMAPI handle. An ID form runs the
+// same body as its path form; an ID whose inode has been removed is
+// ErrNotExist, even when a new file now stands at the old path.
+//
 // File data is a synthetic.Content, so files of any size cost O(extents)
 // of memory. vfs carries no timing model: timing belongs to the pfs and
 // device layers above it.
@@ -426,6 +434,22 @@ func (fs *FS) ReadFileCheck(p string, check func(id FileID) error) (synthetic.Co
 	if err != nil {
 		return synthetic.Content{}, err
 	}
+	return fs.read(n, check)
+}
+
+// ReadFileCheckID is ReadFileCheck of the regular file with ID id.
+func (fs *FS) ReadFileCheckID(id FileID, check func(id FileID) error) (synthetic.Content, error) {
+	n, err := fs.byID(id)
+	if err == nil && n.typ == TypeDir {
+		err = fmt.Errorf("%w: id %d", ErrIsDir, id)
+	}
+	if err != nil {
+		return synthetic.Content{}, err
+	}
+	return fs.read(n, check)
+}
+
+func (fs *FS) read(n *node, check func(id FileID) error) (synthetic.Content, error) {
 	if check != nil {
 		if err := check(n.id); err != nil {
 			return synthetic.Content{}, err
@@ -497,12 +521,22 @@ func (fs *FS) Lookup(p string) (FileID, FileType, int64, error) {
 // StatID returns the Info for a file ID, with an empty Name and Path
 // (IDs are path-independent).
 func (fs *FS) StatID(id FileID) (Info, error) {
+	n, err := fs.byID(id)
+	if err != nil {
+		return Info{}, err
+	}
+	return info("", "", n), nil
+}
+
+// byID returns the linked inode with ID id. A removed inode does not
+// resolve, although its chunk may still hold it.
+func (fs *FS) byID(id FileID) (*node, error) {
 	if id != 0 && id <= fs.nextID {
 		if c := fs.chunks[id>>chunkBits]; c.nodes != nil && c.nodes[id&chunkMask].linked {
-			return info("", "", &c.nodes[id&chunkMask]), nil
+			return &c.nodes[id&chunkMask], nil
 		}
 	}
-	return Info{}, fmt.Errorf("%w: id %d", ErrNotExist, id)
+	return nil, fmt.Errorf("%w: id %d", ErrNotExist, id)
 }
 
 func info(p, name string, n *node) Info {
@@ -677,9 +711,29 @@ func (fs *FS) SetXattr(p, key, value string) error {
 	return nil
 }
 
+// SetXattrID is SetXattr on the inode with ID id.
+func (fs *FS) SetXattrID(id FileID, key, value string) error {
+	n, err := fs.byID(id)
+	if err != nil {
+		return err
+	}
+	n.setXattr(key, value)
+	return nil
+}
+
 // GetXattr reads a named extended attribute of p ("" if absent).
 func (fs *FS) GetXattr(p, key string) (string, error) {
 	n, _, err := fs.lookup(p)
+	if err != nil {
+		return "", err
+	}
+	v, _ := n.xattr(key)
+	return v, nil
+}
+
+// GetXattrID is GetXattr of the inode with ID id.
+func (fs *FS) GetXattrID(id FileID, key string) (string, error) {
+	n, err := fs.byID(id)
 	if err != nil {
 		return "", err
 	}
