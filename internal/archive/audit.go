@@ -20,7 +20,7 @@ type AuditResult struct {
 	MissingShadow int // stub with no shadow row though TSM holds its object (tape-ordered recall would fall back to a TSM scan)
 	MissingObject int // stub no live TSM object carries: a migrated stub's data is LOST
 	StaleShadow   int // shadow row naming a dead/missing TSM object or another volume/seq than the object's
-	Orphans       int // live TSM objects with no file (wasted tape until reconcile)
+	Orphans       int // live TSM objects with no file, or bundles no stub is a member of (wasted tape until reconcile)
 }
 
 // Clean reports whether the audit found nothing wrong.
@@ -46,7 +46,8 @@ func (a AuditResult) String() string {
 // must name its object's current volume and sequence. A member of an
 // aggregate is carried by its bundle, whose object and row hold no file
 // ID: hsm's member index names the bundle, and the member is checked
-// against that object and its row. It charges a full policy scan plus
+// against that object and its row; a live bundle no scanned stub is a
+// member of is an orphan. It charges a full policy scan plus
 // a TSM export plus one indexed shadow lookup per stub. Must be called
 // from a simulation actor.
 func (s *System) Audit() (AuditResult, error) {
@@ -68,10 +69,10 @@ func (s *System) Audit() (AuditResult, error) {
 		return res, err
 	}
 	carried := make(map[uint64]bool)  // file IDs some live object carries
-	liveAggs := make(map[uint64]bool) // live aggregate object IDs
+	liveAggs := make(map[uint64]bool) // live aggregate object ID -> a scanned stub is a member
 	for _, obj := range s.TSM.Export() {
 		if obj.FileID == 0 {
-			liveAggs[obj.ID] = true
+			liveAggs[obj.ID] = false
 			continue
 		}
 		carried[obj.FileID] = true
@@ -85,8 +86,13 @@ func (s *System) Audit() (AuditResult, error) {
 		ok := carried[id]
 		var rec metadb.Record
 		var err error
-		if aggID, member := s.HSM.AggregateOf(st.ID); member && !ok {
-			ok = liveAggs[aggID]
+		aggID, member := s.HSM.AggregateOf(st.ID)
+		_, bundled := liveAggs[aggID]
+		if bundled {
+			liveAggs[aggID] = true
+		}
+		if member && !ok {
+			ok = bundled
 			rec, err = s.Shadow.ByObjectID(aggID)
 		} else {
 			rec, err = s.Shadow.ByFileID(id)
@@ -103,6 +109,11 @@ func (s *System) Audit() (AuditResult, error) {
 		obj, err := s.TSM.Get(rec.ObjectID)
 		if err != nil || obj.Deleted || obj.Volume != rec.Volume || obj.Seq != rec.Seq {
 			res.StaleShadow++
+		}
+	}
+	for _, named := range liveAggs {
+		if !named {
+			res.Orphans++
 		}
 	}
 	return res, nil

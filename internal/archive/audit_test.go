@@ -73,7 +73,11 @@ func TestAuditDetectsLostObject(t *testing.T) {
 		s.MigrateTree("/arc/proj", hsm.MigrateOptions{})
 		// Simulate an operator deleting the TSM object out from under a
 		// stub (the worst case: the data is gone).
-		rec, err := s.Shadow.ByPath("/arc/proj/f0001")
+		fid, _, err := s.Archive.Lookup("/arc/proj/f0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Shadow.ByFileID(uint64(fid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +100,11 @@ func TestAuditDetectsMissingShadowRow(t *testing.T) {
 		seedScratch(t, s, "/proj", 2, 1e9)
 		s.Pfcp("/proj", "/arc/proj", testTunables())
 		s.MigrateTree("/arc/proj", hsm.MigrateOptions{})
-		rec, err := s.Shadow.ByPath("/arc/proj/f0000")
+		fid, _, err := s.Archive.Lookup("/arc/proj/f0000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Shadow.ByFileID(uint64(fid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +219,39 @@ func TestAuditChecksAggregateMembersAgainstTheirBundle(t *testing.T) {
 		}
 		if got := audit(); got.MissingObject != 12 || got.MissingShadow != 0 || got.StaleShadow != 0 || got.Orphans != 0 {
 			t.Errorf("audit after deleting every bundle: %s, want 12 lost and nothing else", got)
+		}
+	})
+}
+
+// A live bundle whose members are all gone is an orphan too: raw
+// unlinks of six bundled files leave six bundles on tape that no stub
+// names.
+func TestAuditCountsBundlesWithoutMembersAsOrphans(t *testing.T) {
+	opts := DefaultOptions()
+	opts.HSM = hsm.Config{AggregateThreshold: 2e9}
+	runSysOpts(t, opts, func(s *System) {
+		seedScratch(t, s, "/proj", 6, 1e9)
+		if _, err := s.Pfcp("/proj", "/arc/proj", testTunables()); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil || res.Aggregates == 0 {
+			t.Fatalf("migrate: %+v, %v; want bundles", res, err)
+		}
+		if res, err := s.Audit(); err != nil || !res.Clean() {
+			t.Fatalf("audit before the unlinks: %s, %v; want clean", res, err)
+		}
+		for i := 0; i < 6; i++ {
+			if err := s.Archive.Remove(fmt.Sprintf("/arc/proj/f%04d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Audit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := len(s.TSM.LiveObjects())
+		if res.Orphans != 6 || live != 6 || res.StubsChecked != 0 {
+			t.Errorf("audit after unlinking every member: %s with %d live objects, want 6 orphaned bundles", res, live)
 		}
 	})
 }

@@ -36,7 +36,7 @@ func AblationCoLocation(seed int64) Report {
 			}
 			vols := make(map[string]bool)
 			for _, f := range infos {
-				if rec, err := sys.Shadow.ByPath(f.Path); err == nil {
+				if rec, err := sys.Shadow.ByFileID(uint64(f.ID)); err == nil {
 					vols[rec.Volume] = true
 				}
 			}

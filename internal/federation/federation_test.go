@@ -232,9 +232,9 @@ func TestShadowLookupRoutes(t *testing.T) {
 		// The shadow row lands in the owning site's database only.
 		owner := e.fed.SiteFor(infos[0].Path)
 		for _, s := range e.fed.Sites() {
-			rec, err := s.Shadow.ByPath(infos[0].Path)
-			if s == owner && (err != nil || rec.Volume == "") {
-				t.Errorf("owner %s: ByPath = %+v, %v", s.Name, rec, err)
+			rec, err := s.Shadow.ByFileID(uint64(infos[0].ID))
+			if s == owner && (err != nil || rec.Path != infos[0].Path || rec.Volume == "") {
+				t.Errorf("owner %s: ByFileID = %+v, %v", s.Name, rec, err)
 			}
 			if s != owner && err == nil {
 				t.Errorf("site %s holds a shadow row for a path %s owns", s.Name, owner.Name)

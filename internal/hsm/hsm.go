@@ -995,11 +995,11 @@ func (e *Engine) routeRecalls(items []recallItem, mode RecallMode, n int) [][]re
 }
 
 // locate resolves the file at p, whose ID is id, to its tape location,
-// preferring the indexed shadow database and falling back to TSM's
-// full-scan path query.
+// preferring the shadow database's file-ID index and falling back to
+// TSM's full-scan path query.
 func (e *Engine) locate(p string, id vfs.FileID) (recallItem, error) {
 	if e.shadow != nil {
-		if rec, err := e.shadow.ByPath(p); err == nil {
+		if rec, err := e.shadow.ByFileID(uint64(id)); err == nil {
 			return recallItem{path: p, id: id, object: rec.ObjectID, volume: rec.Volume, seq: rec.Seq, bytes: rec.Bytes}, nil
 		}
 	}

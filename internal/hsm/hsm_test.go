@@ -251,6 +251,39 @@ func TestRecallRoundTripRestoresData(t *testing.T) {
 	})
 }
 
+// A stub is found by its file ID, not by the path it was migrated
+// under: a renamed stub recalls from its object, although neither the
+// shadow row nor TSM's object names the new path.
+func TestRecallRenamedStub(t *testing.T) {
+	e := newEnv(t, 2, Config{})
+	e.run(t, func() {
+		files := e.mkFiles(t, "/e", 1, 2e9)
+		if _, err := e.eng.Migrate(files, MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.fs.Rename(files[0].Path, "/e/moved"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.eng.Recall([]string{"/e/moved"}, RecallOrdered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Files != 1 || res.Bytes != 2e9 || len(res.NotFound) != 0 {
+			t.Errorf("recall of the renamed stub: %+v, want 1 file and 2 GB", res)
+		}
+		if _, st, _ := e.fs.Lookup("/e/moved"); st != pfs.Premigrated {
+			t.Errorf("/e/moved is %v after recall, want premigrated", st)
+		}
+		got, err := e.fs.ReadContent("/e/moved")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(synthetic.NewUniform(1, 2e9)) {
+			t.Error("/e/moved content mismatch after recall")
+		}
+	})
+}
+
 func TestRecallSkipsResident(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	e.run(t, func() {

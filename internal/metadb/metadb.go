@@ -2,13 +2,13 @@
 // paper's team could not add indexes to TSM's proprietary DB, so they
 // exported the fields PFTool needs — tape volume, tape sequence number,
 // and object ID per file — into MySQL and indexed them there (§4.2.5).
-// This package plays the MySQL role: an in-memory store with secondary
-// indexes by path, file ID and object ID, answering the two queries the
-// paper's glue depends on:
+// This package plays the MySQL role: an in-memory store keyed by TSM
+// object ID with a secondary index by file ID, answering the two
+// queries the paper's glue depends on:
 //
 //   - "what tape and sequence holds this file?" — enabling PFTool's
-//     tape-ordered recall, which looks each path up (ByPath, ByPaths)
-//     and sorts by volume and sequence itself, and
+//     tape-ordered recall, which looks each file up by the file ID its
+//     walk resolved (ByFileID) and sorts by volume and sequence, and
 //   - "what TSM object ID matches this GPFS file ID?" — enabling the
 //     synchronous deleter.
 //
@@ -38,49 +38,64 @@ type Record struct {
 	Seq      int
 }
 
-// slotChunk is the number of records one DB chunk holds.
-const slotChunk = 1024
+const chunkLen = 1024 // entries per table chunk
+
+// table is a dense array of T by index, in fixed-size chunks that never
+// move; a chunk is allocated by the first write into it.
+type table[T any] [][]T
+
+// at returns entry i, or nil if nothing was ever written to its chunk.
+func (t table[T]) at(i uint64) *T {
+	if c := i / chunkLen; c < uint64(len(t)) && t[c] != nil {
+		return &t[c][i%chunkLen]
+	}
+	return nil
+}
+
+// put returns entry i, allocating its chunk.
+func (t *table[T]) put(i uint64) *T {
+	for uint64(len(*t)) <= i/chunkLen {
+		*t = append(*t, nil)
+	}
+	c := &(*t)[i/chunkLen]
+	if *c == nil {
+		*c = make([]T, chunkLen)
+	}
+	return &(*c)[i%chunkLen]
+}
 
 // DB is the indexed shadow database. Queries charge a small indexed
 // lookup cost; compare tsm.Server.QueryByPath, which scans.
 //
-// Records live by value in fixed-size chunks, addressed by slot; the
-// indexes map keys to slots, values the garbage collector need not
-// scan. A deleted record's slot goes on the free list for the next
-// insert.
+// Rows live by value, keyed by the IDs their readers hold. TSM issues
+// object IDs densely from 1, so object id's row is entry id-1 of rows (a
+// deleted row reads ObjectID 0), and byFileID maps each vfs file ID to
+// the object ID of the last upsert that carried it, until that object is
+// replaced or deleted. No program reader queries by path: the path index
+// is built by the first path query, then an insert updates it and a
+// replace or delete drops it for the next query to rebuild.
 type DB struct {
 	clock     *simtime.Clock
 	queryCost time.Duration
-
-	chunks [][]Record
-	free   []int32 // released slots, reused last-in first-out
-	slots  int32   // slots ever handed out
-
-	byObject map[uint64]int32
-	byFileID map[uint64]int32
-	byPath   map[string]int32
-
-	queries int
+	rows      table[Record]
+	live      int
+	byFileID  table[uint64]
+	byPath    map[string]uint64 // path -> highest live object ID; nil until queried
+	queries   int
 }
 
 // New creates an empty shadow database. queryCost is the per-query
 // indexed lookup charge (a loopback MySQL round trip; ~100µs is
 // realistic).
 func New(clock *simtime.Clock, queryCost time.Duration) *DB {
-	return &DB{
-		clock:     clock,
-		queryCost: queryCost,
-		byObject:  map[uint64]int32{},
-		byFileID:  map[uint64]int32{},
-		byPath:    map[string]int32{},
-	}
+	return &DB{clock: clock, queryCost: queryCost}
 }
 
 // Queries reports the number of lookups served.
 func (db *DB) Queries() int { return db.queries }
 
 // Len reports the number of records.
-func (db *DB) Len() int { return len(db.byObject) }
+func (db *DB) Len() int { return db.live }
 
 func (db *DB) charge() {
 	db.queries++
@@ -89,103 +104,94 @@ func (db *DB) charge() {
 	}
 }
 
-// rec returns the record in slot i.
-func (db *DB) rec(i int32) *Record { return &db.chunks[i/slotChunk][i%slotChunk] }
-
-// alloc hands out a free slot.
-func (db *DB) alloc() int32 {
-	if n := len(db.free); n > 0 {
-		i := db.free[n-1]
-		db.free = db.free[:n-1]
-		return i
+// row returns the live row of an object, or nil (ID 0 wraps past all).
+func (db *DB) row(objectID uint64) *Record {
+	if r := db.rows.at(objectID - 1); r != nil && r.ObjectID == objectID {
+		return r
 	}
-	if db.slots%slotChunk == 0 {
-		db.chunks = append(db.chunks, make([]Record, slotChunk))
-	}
-	db.slots++
-	return db.slots - 1
+	return nil
 }
 
-// Upsert inserts or replaces the record for an object.
+// Upsert inserts or replaces the record for an object (its ID > 0).
 func (db *DB) Upsert(r Record) {
-	i, ok := db.byObject[r.ObjectID]
-	if ok {
-		db.unindex(i)
+	slot := db.rows.put(r.ObjectID - 1)
+	if slot.ObjectID == r.ObjectID {
+		db.unindex(slot)
 	} else {
-		i = db.alloc()
-		db.byObject[r.ObjectID] = i
+		db.live++
 	}
-	*db.rec(i) = r
-	db.byFileID[r.FileID] = i
-	db.byPath[r.Path] = i
+	*slot = r
+	*db.byFileID.put(r.FileID) = r.ObjectID
+	if db.byPath != nil {
+		db.indexPath(slot)
+	}
 }
 
 // Delete removes the record for an object. Deleting a missing object
 // is an error (it signals the shadow drifted from TSM).
 func (db *DB) Delete(objectID uint64) error {
-	i, ok := db.byObject[objectID]
-	if !ok {
+	r := db.row(objectID)
+	if r == nil {
 		return fmt.Errorf("%w: object %d", ErrNotFound, objectID)
 	}
-	db.unindex(i)
-	delete(db.byObject, objectID)
-	*db.rec(i) = Record{}
-	db.free = append(db.free, i)
+	db.unindex(r)
+	*r = Record{}
+	db.live--
 	return nil
 }
 
-// unindex drops slot i's file ID and path entries, unless a later
-// record has since taken them over.
-func (db *DB) unindex(i int32) {
-	r := db.rec(i)
-	if cur, ok := db.byFileID[r.FileID]; ok && cur == i {
-		delete(db.byFileID, r.FileID)
+// unindex drops the path index, and r's file ID entry unless a later upsert took it.
+func (db *DB) unindex(r *Record) {
+	if f := db.byFileID.at(r.FileID); f != nil && *f == r.ObjectID {
+		*f = 0
 	}
-	if cur, ok := db.byPath[r.Path]; ok && cur == i {
-		delete(db.byPath, r.Path)
+	db.byPath = nil
+}
+
+// indexPath gives r's path to r's object unless a higher one holds it.
+func (db *DB) indexPath(r *Record) {
+	if db.byPath[r.Path] < r.ObjectID {
+		db.byPath[r.Path] = r.ObjectID
 	}
 }
 
-// ByPath returns the record for a client path.
-func (db *DB) ByPath(path string) (Record, error) {
-	db.charge()
-	i, ok := db.byPath[path]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: path %s", ErrNotFound, path)
-	}
-	return *db.rec(i), nil
-}
-
-// ByFileID returns the record for a filesystem file ID — the
-// synchronous deleter's lookup.
+// ByFileID returns the record for a filesystem file ID — the lookup of
+// the synchronous deleter and of PFTool's recall.
 func (db *DB) ByFileID(fileID uint64) (Record, error) {
 	db.charge()
-	i, ok := db.byFileID[fileID]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: file ID %d", ErrNotFound, fileID)
+	if o := db.byFileID.at(fileID); o != nil && *o != 0 {
+		return *db.row(*o), nil
 	}
-	return *db.rec(i), nil
+	return Record{}, fmt.Errorf("%w: file ID %d", ErrNotFound, fileID)
 }
 
 // ByObjectID returns the record for a TSM object ID — the only key an
 // aggregate's row is found by, since it carries no file ID.
 func (db *DB) ByObjectID(objectID uint64) (Record, error) {
 	db.charge()
-	i, ok := db.byObject[objectID]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: object %d", ErrNotFound, objectID)
+	if r := db.row(objectID); r != nil {
+		return *r, nil
 	}
-	return *db.rec(i), nil
+	return Record{}, fmt.Errorf("%w: object %d", ErrNotFound, objectID)
 }
 
 // ByPaths resolves a batch of paths in one round trip (one charge),
-// returning records for the paths that exist, in input order.
+// returning records for the paths that exist, in input order. A path
+// resolves to the highest live object ID that carries it.
 func (db *DB) ByPaths(paths []string) []Record {
 	db.charge()
+	if db.byPath == nil {
+		db.byPath = make(map[string]uint64, db.live)
+		for _, c := range db.rows {
+			for i := range c {
+				db.indexPath(&c[i]) // a deleted row's ID 0 takes nothing
+			}
+		}
+	}
 	out := make([]Record, 0, len(paths))
 	for _, p := range paths {
-		if i, ok := db.byPath[p]; ok {
-			out = append(out, *db.rec(i))
+		if id, ok := db.byPath[p]; ok {
+			out = append(out, *db.row(id))
 		}
 	}
 	return out
@@ -198,12 +204,5 @@ func (db *DB) Apply(o tsm.Object) {
 		_ = db.Delete(o.ID)
 		return
 	}
-	db.Upsert(Record{
-		ObjectID: o.ID,
-		FileID:   o.FileID,
-		Path:     o.Path,
-		Bytes:    o.Bytes,
-		Volume:   o.Volume,
-		Seq:      o.Seq,
-	})
+	db.Upsert(Record{ObjectID: o.ID, FileID: o.FileID, Path: o.Path, Bytes: o.Bytes, Volume: o.Volume, Seq: o.Seq})
 }

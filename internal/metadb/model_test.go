@@ -9,26 +9,22 @@ import (
 	"repro/internal/simtime"
 )
 
-// model is a naive reference for DB: records by object ID, and each
-// secondary key owned by the object whose upsert set it last, until
-// that object is replaced or deleted.
+// model is a naive reference for DB: records by object ID; a file ID
+// owned by the object whose upsert set it last, until that object is
+// replaced or deleted; and a path answered by the highest live object
+// ID that carries it.
 type model struct {
 	recs   map[uint64]Record
 	byFile map[uint64]uint64
-	byPath map[string]uint64
 }
 
 func newModel() *model {
-	return &model{recs: map[uint64]Record{}, byFile: map[uint64]uint64{}, byPath: map[string]uint64{}}
+	return &model{recs: map[uint64]Record{}, byFile: map[uint64]uint64{}}
 }
 
 func (m *model) drop(id uint64) {
-	old := m.recs[id]
-	if m.byFile[old.FileID] == id {
+	if old := m.recs[id]; m.byFile[old.FileID] == id {
 		delete(m.byFile, old.FileID)
-	}
-	if m.byPath[old.Path] == id {
-		delete(m.byPath, old.Path)
 	}
 	delete(m.recs, id)
 }
@@ -39,14 +35,26 @@ func (m *model) upsert(r Record) {
 	}
 	m.recs[r.ObjectID] = r
 	m.byFile[r.FileID] = r.ObjectID
-	m.byPath[r.Path] = r.ObjectID
+}
+
+// byPath scans for the highest live object ID carrying path.
+func (m *model) byPath(path string) (id uint64, ok bool) {
+	for oid, r := range m.recs {
+		if r.Path == path && oid > id {
+			id, ok = oid, true
+		}
+	}
+	return id, ok
 }
 
 // TestModelBasedRandomOps drives the shadow DB with a random
 // upsert/delete sequence over small key spaces — so records are
-// replaced, deleted, re-inserted into freed slots, and paths and file
-// IDs move between objects — and cross-checks every index against the
-// reference model after each step.
+// replaced, deleted and re-inserted at their object's row, and paths
+// and file IDs move between objects — and cross-checks every index
+// against the reference model after each step. Every step queries
+// paths, so the path index is built once and then kept up to date by
+// inserts (one with a lower object ID than a path's owner takes
+// nothing) or dropped by replaces and deletes and rebuilt.
 func TestModelBasedRandomOps(t *testing.T) {
 	clock := simtime.NewClock()
 	db := New(clock, 0)
@@ -84,8 +92,11 @@ func TestModelBasedRandomOps(t *testing.T) {
 	clock.RunFor()
 }
 
-// TestSlotChurn walks one record through each way a slot changes hands.
-func TestSlotChurn(t *testing.T) {
+// TestRowsAddressedByObjectID walks records through each way a file ID
+// or path changes hands, and checks that every row sits at its object
+// ID's index: a deleted row is zeroed in place, a re-inserted object
+// returns to it, and an object a chunk further on opens the next chunk.
+func TestRowsAddressedByObjectID(t *testing.T) {
 	clock := simtime.NewClock()
 	db := New(clock, 0)
 	ref := newModel()
@@ -95,16 +106,17 @@ func TestSlotChurn(t *testing.T) {
 	}{
 		{rec: rec(1, 10, "/a", "V1", 1)},
 		{rec: rec(2, 20, "/b", "V1", 2)},
-		{del: 1},                         // frees a slot
-		{rec: rec(3, 30, "/c", "V2", 1)}, // reuses it
+		{del: 1},                         // zeroes row 1
+		{rec: rec(3, 30, "/c", "V2", 1)}, // row 3, not row 1
 		{rec: rec(4, 20, "/b", "V2", 2)}, // takes object 2's file ID and path
 		{del: 2},                         // must leave object 4's keys alone
 		{rec: rec(4, 40, "/d", "V2", 2)}, // replaced in place: /b and 20 go
-		{rec: rec(1, 10, "/a", "V1", 1)}, // back, into object 2's old slot
+		{rec: rec(1, 10, "/a", "V1", 1)}, // back, into row 1
 		{rec: rec(3, 10, "/a", "V3", 9)}, // replace that steals both keys
 		{del: 1},                         // /a and 10 stay with object 3
 		{del: 3},                         // and now go
-		{rec: rec(5, 50, "/e", "V1", 3)},
+		{rec: rec(chunkLen+2, 50, "/e", "V1", 3)},
+		{rec: rec(5, 50, "/e", "V1", 4)}, // takes file ID 50; /e stays with the higher ID
 	}
 	clock.Go(func() {
 		for i, st := range steps {
@@ -119,10 +131,17 @@ func TestSlotChurn(t *testing.T) {
 			}
 			checkModel(t, db, ref, i)
 		}
-		// Five objects, but never more than three live at once: every
-		// insert that found a freed slot reused it.
-		if len(db.chunks) != 1 || db.slots != 3 {
-			t.Errorf("%d chunks, %d slots handed out, want 1 and 3", len(db.chunks), db.slots)
+		// Row i of chunk c holds object c*chunkLen+i+1 or nothing.
+		if len(db.rows) != 2 {
+			t.Fatalf("%d row chunks, want 2", len(db.rows))
+		}
+		for c, chunk := range db.rows {
+			for i, r := range chunk {
+				want := uint64(c*chunkLen + i + 1)
+				if _, live := ref.recs[want]; r.ObjectID != 0 && r.ObjectID != want || live != (r.ObjectID == want) {
+					t.Errorf("row %d of chunk %d holds %+v, want object %d (live %v) or nothing", i, c, r, want, live)
+				}
+			}
 		}
 	})
 	clock.RunFor()
@@ -140,9 +159,9 @@ func checkModel(t *testing.T, db *DB, ref *model, step int) {
 		}
 	}
 	// Every key the model still indexes resolves to its owner; every
-	// key it has dropped is gone (a freed or reused slot never answers
-	// for a key it no longer holds). File IDs 1..80 and paths /p/0..69
-	// cover both tests' key spaces.
+	// key it has dropped is gone (a deleted or replaced row never
+	// answers for a key it no longer holds). File IDs 1..80 and paths
+	// /p/0..69 cover both tests' key spaces.
 	for fid := uint64(1); fid <= 80; fid++ {
 		got, err := db.ByFileID(fid)
 		if id, ok := ref.byFile[fid]; ok != (err == nil) || ok && got != ref.recs[id] {
@@ -162,11 +181,8 @@ func checkModel(t *testing.T, db *DB, ref *model, step int) {
 
 func checkPath(t *testing.T, db *DB, ref *model, step int, path string) {
 	t.Helper()
-	got, err := db.ByPath(path)
-	if id, ok := ref.byPath[path]; ok != (err == nil) || ok && got != ref.recs[id] {
-		t.Fatalf("step %d: ByPath(%s)=%+v, %v; model has owner %d (%v)", step, path, got, err, id, ok)
-	}
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		t.Fatalf("step %d: ByPath(%s): %v", step, path, err)
+	got, err := byPath(db, path)
+	if id, ok := ref.byPath(path); ok != (err == nil) || ok && got != ref.recs[id] {
+		t.Fatalf("step %d: byPath(%s)=%+v, %v; model has owner %d (%v)", step, path, got, err, id, ok)
 	}
 }
