@@ -431,3 +431,28 @@ func TestPathLookahead(t *testing.T) {
 		t.Errorf("degraded Lookahead(100) = %v, want %v", got, want)
 	}
 }
+
+// TestSolveKeepsScratch holds the max-min solver to no allocations once
+// its two scratch buffers have grown. Of two flows on separate links,
+// the first pass freezes the slow link's flow while the other flow's
+// cap sits above the share, and the second pass freezes that flow at
+// its cap: the cap pass of the first must not grow a buffer it then
+// drops.
+func TestSolveKeepsScratch(t *testing.T) {
+	c := simtime.NewClock()
+	f := New(c)
+	slow := f.AddLink("slow", 100, "src", "a")
+	fast := f.AddLink("fast", 300, "src", "b")
+	c.Go(func() {
+		pa, _ := f.Route("src", "", "a")
+		pb, _ := f.Route("src", "", "b")
+		f.Start(pa, 1e6)
+		f.Start(pb, 1e6, WithCap(250))
+		if n := testing.AllocsPerRun(100, func() { f.solve(f.flows, []*Link{slow, fast}) }); n != 0 {
+			t.Errorf("solve allocates %v times per call, want 0", n)
+		}
+		near(t, "link-bound rate", f.flows[0].rate, 100, 1e-9)
+		near(t, "capped rate", f.flows[1].rate, 250, 1e-9)
+	})
+	c.RunFor()
+}

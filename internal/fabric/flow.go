@@ -617,6 +617,7 @@ func (f *Fabric) solve(flows []*Flow, links []*Link) {
 			unfrozen, spare = next, unfrozen[:0]
 			continue
 		}
+		spare = next[:0] // keep the buffer the cap pass grew
 		// No cap binds: the bottleneck link(s) do. Freeze every flow
 		// crossing a link at the bottleneck share. Freezing one such flow
 		// leaves the bottleneck's ratio at exactly the share, so a single

@@ -25,7 +25,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
@@ -465,14 +464,6 @@ func (e *Engine) route(node *cluster.Node) fabric.Path {
 // lands back on disk — the HSM end of the checksum pipeline.
 const SumXattr = "hsm.sum"
 
-// SliceXattr is the stub attribute holding per-slice digests (hex,
-// comma-joined, sliceBlock-sized blocks): enough to localize which
-// region of a large file a mismatch lives in.
-const SliceXattr = "hsm.slices"
-
-// sliceBlock is the block size slice digests cover.
-const sliceBlock int64 = 256 << 20
-
 // contentSum digests a resident file's content for the catalog; 0
 // (digest untracked) when the content is unreadable.
 func (e *Engine) contentSum(id vfs.FileID) uint64 {
@@ -483,22 +474,15 @@ func (e *Engine) contentSum(id vfs.FileID) uint64 {
 	return c.Digest()
 }
 
-// recordSums writes the stub's digest metadata before the data leaves
-// disk: the whole-file sum the catalog also keeps, plus per-slice sums
-// for mismatch localization.
-func (e *Engine) recordSums(id vfs.FileID, sum uint64) {
+// recordSum writes the stub's copy of the catalog digest before the
+// data leaves disk. The attribute write is billed as one metadata
+// operation.
+func (e *Engine) recordSum(id vfs.FileID, sum uint64) {
 	if sum == 0 {
 		return
 	}
 	_ = e.fs.SetXattrID(id, SumXattr, strconv.FormatUint(sum, 16))
-	if c, err := e.fs.ReadContentID(id); err == nil {
-		slices := c.SliceDigests(sliceBlock)
-		parts := make([]string, len(slices))
-		for i, s := range slices {
-			parts[i] = strconv.FormatUint(s, 16)
-		}
-		_ = e.fs.SetXattrID(id, SliceXattr, strings.Join(parts, ","))
-	}
+	e.fs.Bill(1)
 }
 
 // storeSingle stores one file as one tape object and stubs it.
@@ -518,7 +502,7 @@ func (e *Engine) storeSingle(node *cluster.Node, pool *pfs.Pool, stream *fabric.
 	if err != nil {
 		return fmt.Errorf("hsm: migrating %s: %w", f.Path, err)
 	}
-	e.recordSums(f.ID, sum)
+	e.recordSum(f.ID, sum)
 	return e.stub(f.Path, f.ID)
 }
 
@@ -550,7 +534,7 @@ func (e *Engine) storeAggregate(node *cluster.Node, pool *pfs.Pool, stream *fabr
 	for i, m := range members {
 		e.aggOf[m.ID] = obj.ID
 		e.aggMembers[obj.ID] = append(e.aggMembers[obj.ID], aggMember{path: m.Path, id: m.ID, bytes: m.Size})
-		e.recordSums(m.ID, memberSums[i])
+		e.recordSum(m.ID, memberSums[i])
 		if err := e.stub(m.Path, m.ID); err != nil {
 			return err
 		}

@@ -506,3 +506,48 @@ func TestLocateFallsBackToTSMScan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A file migrated twice is found at its newer object, whichever older
+// object moves: a rewrite of the first object to a fresh volume must
+// not point the file ID, or the recall planned from it, back at the
+// old data.
+func TestRemigratedFileFoundAtNewestObject(t *testing.T) {
+	e := newEnv(t, 2, Config{})
+	e.run(t, func() {
+		files := e.mkFiles(t, "/e", 1, 2e9)
+		path, id := files[0].Path, files[0].ID
+		if _, err := e.eng.Migrate(files, MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.eng.Recall([]string{path}, RecallOrdered); err != nil {
+			t.Fatal(err)
+		}
+		want := synthetic.NewUniform(99, 3e9)
+		if err := e.fs.WriteFile(path, want); err != nil {
+			t.Fatal(err)
+		}
+		again, err := e.fs.Stat(path)
+		if err != nil || again.ID != id {
+			t.Fatalf("overwrite: %+v, %v; want the same file ID %d", again, err, id)
+		}
+		if _, err := e.eng.Migrate([]pfs.Info{again}, MigrateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.srv.RewriteObject(e.cl.Nodes()[0].Name, 1); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := e.shadow.ByFileID(uint64(id)); err != nil || rec.ObjectID != 2 {
+			t.Errorf("ByFileID after the old object moved = %+v, %v; want object 2", rec, err)
+		}
+		res, err := e.eng.Recall([]string{path}, RecallOrdered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Files != 1 || res.Bytes != 3e9 {
+			t.Errorf("recall: %+v, want 1 file of 3 GB", res)
+		}
+		if got, err := e.fs.ReadContent(path); err != nil || !got.Equal(want) {
+			t.Errorf("content after recall: err %v, equal %v", err, err == nil && got.Equal(want))
+		}
+	})
+}

@@ -70,18 +70,26 @@ func (t *table[T]) put(i uint64) *T {
 // Rows live by value, keyed by the IDs their readers hold. TSM issues
 // object IDs densely from 1, so object id's row is entry id-1 of rows (a
 // deleted row reads ObjectID 0), and byFileID maps each vfs file ID to
-// the object ID of the last upsert that carried it, until that object is
-// replaced or deleted. No program reader queries by path: the path index
-// is built by the first path query, then an insert updates it and a
-// replace or delete drops it for the next query to rebuild.
+// the highest live object ID that carries it: a file migrated again is
+// found at its newest object, whichever older one moves. No program
+// reader queries by path: the path index, by the same rule, is built by
+// the first path query, then an insert updates it and a replace or
+// delete drops it for the next query to rebuild.
 type DB struct {
 	clock     *simtime.Clock
 	queryCost time.Duration
 	rows      table[Record]
 	live      int
-	byFileID  table[uint64]
+	byFileID  table[fileOwner]
 	byPath    map[string]uint64 // path -> highest live object ID; nil until queried
 	queries   int
+}
+
+// fileOwner is a file ID's index entry: the highest live object ID
+// carrying it (0 = none), and how many live rows carry it.
+type fileOwner struct {
+	object uint64
+	rows   int
 }
 
 // New creates an empty shadow database. queryCost is the per-query
@@ -121,7 +129,9 @@ func (db *DB) Upsert(r Record) {
 		db.live++
 	}
 	*slot = r
-	*db.byFileID.put(r.FileID) = r.ObjectID
+	f := db.byFileID.put(r.FileID)
+	f.object = max(f.object, r.ObjectID)
+	f.rows++
 	if db.byPath != nil {
 		db.indexPath(slot)
 	}
@@ -140,10 +150,18 @@ func (db *DB) Delete(objectID uint64) error {
 	return nil
 }
 
-// unindex drops the path index, and r's file ID entry unless a later upsert took it.
+// unindex drops the path index and r's hold on its file ID. When r
+// owned the ID, it passes down to the highest other row carrying it.
 func (db *DB) unindex(r *Record) {
-	if f := db.byFileID.at(r.FileID); f != nil && *f == r.ObjectID {
-		*f = 0
+	f := db.byFileID.at(r.FileID)
+	f.rows--
+	if f.object == r.ObjectID {
+		f.object = 0
+		for id := r.ObjectID - 1; f.rows > 0 && f.object == 0; id-- {
+			if o := db.row(id); o != nil && o.FileID == r.FileID {
+				f.object = id
+			}
+		}
 	}
 	db.byPath = nil
 }
@@ -159,8 +177,8 @@ func (db *DB) indexPath(r *Record) {
 // the synchronous deleter and of PFTool's recall.
 func (db *DB) ByFileID(fileID uint64) (Record, error) {
 	db.charge()
-	if o := db.byFileID.at(fileID); o != nil && *o != 0 {
-		return *db.row(*o), nil
+	if f := db.byFileID.at(fileID); f != nil && f.object != 0 {
+		return *db.row(f.object), nil
 	}
 	return Record{}, fmt.Errorf("%w: file ID %d", ErrNotFound, fileID)
 }

@@ -9,38 +9,33 @@ import (
 	"repro/internal/simtime"
 )
 
-// model is a naive reference for DB: records by object ID; a file ID
-// owned by the object whose upsert set it last, until that object is
-// replaced or deleted; and a path answered by the highest live object
-// ID that carries it.
+// model is a naive reference for DB: records by object ID, and a file
+// ID or a path answered by the highest live object ID that carries it.
 type model struct {
-	recs   map[uint64]Record
-	byFile map[uint64]uint64
+	recs map[uint64]Record
 }
 
 func newModel() *model {
-	return &model{recs: map[uint64]Record{}, byFile: map[uint64]uint64{}}
+	return &model{recs: map[uint64]Record{}}
 }
 
-func (m *model) drop(id uint64) {
-	if old := m.recs[id]; m.byFile[old.FileID] == id {
-		delete(m.byFile, old.FileID)
-	}
-	delete(m.recs, id)
-}
+func (m *model) drop(id uint64) { delete(m.recs, id) }
 
-func (m *model) upsert(r Record) {
-	if _, ok := m.recs[r.ObjectID]; ok {
-		m.drop(r.ObjectID)
-	}
-	m.recs[r.ObjectID] = r
-	m.byFile[r.FileID] = r.ObjectID
+func (m *model) upsert(r Record) { m.recs[r.ObjectID] = r }
+
+// byFile scans for the highest live object ID carrying fileID.
+func (m *model) byFile(fileID uint64) (id uint64, ok bool) {
+	return m.highest(func(r Record) bool { return r.FileID == fileID })
 }
 
 // byPath scans for the highest live object ID carrying path.
 func (m *model) byPath(path string) (id uint64, ok bool) {
+	return m.highest(func(r Record) bool { return r.Path == path })
+}
+
+func (m *model) highest(match func(Record) bool) (id uint64, ok bool) {
 	for oid, r := range m.recs {
-		if r.Path == path && oid > id {
+		if match(r) && oid > id {
 			id, ok = oid, true
 		}
 	}
@@ -116,7 +111,9 @@ func TestRowsAddressedByObjectID(t *testing.T) {
 		{del: 1},                         // /a and 10 stay with object 3
 		{del: 3},                         // and now go
 		{rec: rec(chunkLen+2, 50, "/e", "V1", 3)},
-		{rec: rec(5, 50, "/e", "V1", 4)}, // takes file ID 50; /e stays with the higher ID
+		{rec: rec(5, 50, "/e", "V1", 4)},          // file ID 50 and /e stay with the higher ID
+		{rec: rec(chunkLen+2, 50, "/e", "V2", 1)}, // a move keeps both
+		{del: chunkLen + 2},                       // and both pass down to object 5
 	}
 	clock.Go(func() {
 		for i, st := range steps {
@@ -164,7 +161,7 @@ func checkModel(t *testing.T, db *DB, ref *model, step int) {
 	// /p/0..69 cover both tests' key spaces.
 	for fid := uint64(1); fid <= 80; fid++ {
 		got, err := db.ByFileID(fid)
-		if id, ok := ref.byFile[fid]; ok != (err == nil) || ok && got != ref.recs[id] {
+		if id, ok := ref.byFile(fid); ok != (err == nil) || ok && got != ref.recs[id] {
 			t.Fatalf("step %d: ByFileID(%d)=%+v, %v; model has owner %d (%v)", step, fid, got, err, id, ok)
 		}
 		if err != nil && !errors.Is(err, ErrNotFound) {

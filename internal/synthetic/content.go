@@ -179,30 +179,6 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// SliceDigests returns the digest of each blockSize-sized slice of the
-// content (the last block may be short). Equal contents yield equal
-// digest vectors, and a localized corruption perturbs only the digests
-// of the blocks it touches, so slice checksums bound the damage to a
-// block rather than a whole object.
-func (c Content) SliceDigests(blockSize int64) []uint64 {
-	if blockSize <= 0 {
-		panic("synthetic: non-positive block size")
-	}
-	total := c.Len()
-	if total == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, (total+blockSize-1)/blockSize)
-	for off := int64(0); off < total; off += blockSize {
-		n := blockSize
-		if off+n > total {
-			n = total - off
-		}
-		out = append(out, c.Slice(off, n).Digest())
-	}
-	return out
-}
-
 // FirstDiff returns the offset of the first byte at which a and b
 // differ, or -1 if they are byte-identical. As with Equal, bytes drawn
 // from different points of the seed-stream space are treated as always

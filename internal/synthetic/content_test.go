@@ -279,25 +279,6 @@ func TestFirstDiff(t *testing.T) {
 	}
 }
 
-func TestSliceDigestsLocalizeCorruption(t *testing.T) {
-	c := NewUniform(9, 10_000)
-	sums := c.SliceDigests(1000)
-	if len(sums) != 10 {
-		t.Fatalf("got %d block sums, want 10", len(sums))
-	}
-	bad := c.Overwrite(4500, NewUniform(77, 10))
-	badSums := bad.SliceDigests(1000)
-	for i := range sums {
-		if (sums[i] != badSums[i]) != (i == 4) {
-			t.Errorf("block %d: sum change mismatch (want only block 4 perturbed)", i)
-		}
-	}
-	// Short tail block.
-	if n := len(NewUniform(1, 2500).SliceDigests(1000)); n != 3 {
-		t.Errorf("2500/1000 bytes: got %d blocks, want 3", n)
-	}
-}
-
 func TestCorruptDigest(t *testing.T) {
 	seen := map[uint64]bool{}
 	for _, s := range []uint64{0, 1, 42, ^uint64(0), NewUniform(3, 100).Digest()} {

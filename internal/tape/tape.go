@@ -296,10 +296,12 @@ func newDrive(clock *simtime.Clock, tel *telemetry.Registry, name string, spec S
 // holds the drive. A nil parent makes phase spans roots.
 func (d *Drive) SetTraceParent(sp *telemetry.Span) { d.parent = sp }
 
-// span opens one drive phase span under the current trace parent.
+// span opens one drive phase span under the current trace parent. The
+// labels are gathered on the stack: a caller's variadic slice is full,
+// so appending "drive" to it would allocate.
 func (d *Drive) span(name string, kv ...string) *telemetry.Span {
-	kv = append(kv, "drive", d.Name)
-	return telemetry.ChildOf(d.tel, d.parent, name, kv...)
+	var buf [6]string
+	return telemetry.ChildOf(d.tel, d.parent, name, append(append(buf[:0], kv...), "drive", d.Name)...)
 }
 
 // Acquire takes exclusive ownership of the drive (FIFO, blocking in

@@ -7,6 +7,10 @@ import "repro/internal/simtime"
 // a single file can be followed from `pfcp` dispatch down to the
 // drive that wrote it. IDs are allocated from the same sequence as
 // events, so a span's cause can point at a fault event unambiguously.
+//
+// A span is one allocation: Attrs is a window on the span's own inline
+// array until a span carries more labels than it holds, and then
+// append moves them to a slice of their own.
 type Span struct {
 	r *Registry
 
@@ -14,6 +18,8 @@ type Span struct {
 	Parent uint64 // 0 = root
 	Name   string
 	Attrs  []Label
+	inline [3]Label // sized so that a Span stays in the 224-byte class
+	openAt int      // index in the registry's open set while open
 
 	StartAt simtime.Duration
 	EndAt   simtime.Duration
@@ -60,11 +66,12 @@ func (r *Registry) newSpan(parent uint64, name string, kv []string) *Span {
 		ID:      r.nextID,
 		Parent:  parent,
 		Name:    name,
-		Attrs:   labelsOf(kv),
 		StartAt: r.clock.Now(),
 		Status:  StatusOpen,
+		openAt:  len(r.open),
 	}
-	r.open[sp.ID] = sp
+	sp.Attrs = appendLabels(sp.inline[:0], kv)
+	r.open = append(r.open, sp)
 	return sp
 }
 
@@ -124,16 +131,17 @@ func (sp *Span) close(status, cause string, causeEvent uint64) {
 		sp.CauseEvent = causeEvent
 	}
 	sp.EndAt = sp.r.clock.Now()
-	delete(sp.r.open, sp.ID)
+	open := sp.r.open
+	last := open[len(open)-1]
+	open[sp.openAt], last.openAt = last, sp.openAt
+	open[len(open)-1] = nil
+	sp.r.open = open[:len(open)-1]
 	sp.r.record(flightItem{span: sp})
 }
 
 // OpenSpans returns the spans not yet closed, in start (= ID) order.
 func (r *Registry) OpenSpans() []*Span {
-	out := make([]*Span, 0, len(r.open))
-	for _, sp := range r.open {
-		out = append(out, sp)
-	}
+	out := append([]*Span(nil), r.open...)
 	sortSpans(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -153,4 +154,122 @@ func TestEventsAndSpansShareIDSpace(t *testing.T) {
 		t.Errorf("event ID %d, span ID %d: not one sequence", ev, sp.ID)
 	}
 	sp.End()
+}
+
+// TestOpenSpansInIDOrderAfterOutOfOrderClose: closing spans out of
+// start order reshuffles the open set, but OpenSpans and the flight
+// dump still list what is open in ID order.
+func TestOpenSpansInIDOrderAfterOutOfOrderClose(t *testing.T) {
+	r := New(simtime.NewClock())
+	var spans []*Span
+	for i := 0; i < 6; i++ {
+		spans = append(spans, r.StartSpan("s"))
+	}
+	for _, i := range []int{1, 4, 0} {
+		spans[i].End()
+	}
+	var ids []uint64
+	for _, sp := range r.OpenSpans() {
+		ids = append(ids, sp.ID)
+	}
+	want := []uint64{spans[2].ID, spans[3].ID, spans[5].ID}
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("OpenSpans IDs = %v, want %v", ids, want)
+	}
+	var dumped []uint64
+	for _, sp := range r.FlightDump().Spans {
+		if sp.Status == StatusOpen {
+			dumped = append(dumped, sp.ID)
+		}
+	}
+	if !reflect.DeepEqual(dumped, want) {
+		t.Errorf("open spans in the dump = %v, want %v", dumped, want)
+	}
+	for _, sp := range spans {
+		sp.End()
+	}
+	if n := len(r.OpenSpans()); n != 0 {
+		t.Errorf("%d spans leaked open", n)
+	}
+}
+
+// TestSetAttrPastInlineCapacity: attributes beyond a span's inline
+// storage move to a slice of the span's own; no span's labels ever
+// share storage with another's.
+func TestSetAttrPastInlineCapacity(t *testing.T) {
+	r := New(simtime.NewClock())
+	a := r.StartSpan("a", "k1", "a1", "k2", "a2", "k3", "a3")
+	b := r.StartSpan("b", "k1", "b1", "k2", "b2", "k3", "b3")
+	wide := r.StartSpan("wide", "k1", "w1", "k2", "w2", "k3", "w3", "k4", "w4", "k5", "w5")
+	a.SetAttr("k4", "a4")
+	a.SetAttr("k5", "a5")
+	b.SetAttr("k4", "b4")
+	b.SetAttr("k1", "b1'")
+	wide.SetAttr("k6", "w6")
+	for _, c := range []struct {
+		sp   *Span
+		want map[string]string
+	}{
+		{a, map[string]string{"k1": "a1", "k2": "a2", "k3": "a3", "k4": "a4", "k5": "a5"}},
+		{b, map[string]string{"k1": "b1'", "k2": "b2", "k3": "b3", "k4": "b4"}},
+		{wide, map[string]string{"k1": "w1", "k2": "w2", "k3": "w3", "k4": "w4", "k5": "w5", "k6": "w6"}},
+	} {
+		if len(c.sp.Attrs) != len(c.want) {
+			t.Errorf("%s: attrs %v, want %v", c.sp.Name, c.sp.Attrs, c.want)
+		}
+		for k, v := range c.want {
+			if got := c.sp.attr(k); got != v {
+				t.Errorf("%s: %s = %q, want %q", c.sp.Name, k, got, v)
+			}
+		}
+	}
+}
+
+// TestFlightSinceCopiesAttrs: a tail's spans keep the attributes they
+// were read with, however the live span's labels change afterwards.
+func TestFlightSinceCopiesAttrs(t *testing.T) {
+	r := New(simtime.NewClock())
+	closed := r.StartSpan("closed", "k", "v")
+	closed.End()
+	open := r.StartSpan("open", "k", "v")
+	tail := r.FlightSince(0)
+	closed.SetAttr("k", "changed")
+	open.SetAttr("k", "changed")
+	open.SetAttr("extra", "x")
+	if got := tail.Spans[0].Attrs; len(got) != 1 || got[0] != (Label{"k", "v"}) {
+		t.Errorf("closed span in the tail: attrs %v, want [k=v]", got)
+	}
+	if got := tail.Open[0].Attrs; len(got) != 1 || got[0] != (Label{"k", "v"}) {
+		t.Errorf("open span in the tail: attrs %v, want [k=v]", got)
+	}
+	open.End()
+}
+
+// TestSpanIsOneAllocation: a span with up to three labels, one of them
+// set after it opened, costs one allocation over its whole life.
+func TestSpanIsOneAllocation(t *testing.T) {
+	r := New(simtime.NewClock())
+	r.SetFlightCapacity(1)
+	parent := r.StartSpan("parent")
+	if n := testing.AllocsPerRun(100, func() {
+		sp := parent.StartChild("tsm.store", "client", "fta01", "path", "/e/f")
+		sp.SetAttr("volume", "VOL0001")
+		sp.End()
+	}); n != 1 {
+		t.Errorf("a three-label span costs %v allocations, want 1", n)
+	}
+	parent.End()
+}
+
+// BenchmarkSpan is one span's life on the store path: a child opened
+// with two labels, a third set while it runs, and its close.
+func BenchmarkSpan(b *testing.B) {
+	r := New(simtime.NewClock())
+	parent := r.StartSpan("parent")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp := parent.StartChild("tsm.store", "client", "fta01", "path", "/e/f")
+		sp.SetAttr("volume", "VOL0001")
+		sp.End()
+	}
 }

@@ -60,8 +60,8 @@ type core struct {
 	kinds   map[string]metricKind
 	order   []*metric // registration order: deterministic snapshots
 
-	nextID    uint64           // shared span/event ID space; 0 = none
-	open      map[uint64]*Span // spans started and not yet closed
+	nextID    uint64  // shared span/event ID space; 0 = none
+	open      []*Span // spans started and not yet closed, each at its openAt
 	lastEvent map[string]uint64
 
 	ring     []flightItem // bounded ring of closed spans + events
@@ -82,7 +82,6 @@ func New(clock *simtime.Clock) *Registry {
 		clock:     clock,
 		metrics:   make(map[string]*metric),
 		kinds:     make(map[string]metricKind),
-		open:      make(map[uint64]*Span),
 		lastEvent: make(map[string]uint64),
 		ringCap:   DefaultFlightCapacity,
 	}}
@@ -113,10 +112,15 @@ type Label struct {
 
 // labelsOf pairs up a kv list ("key", "value", ...) and sorts by key.
 func labelsOf(kv []string) []Label {
+	return appendLabels(make([]Label, 0, len(kv)/2), kv)
+}
+
+// appendLabels is labelsOf into the empty slice out: it allocates only
+// when kv holds more pairs than out's capacity.
+func appendLabels(out []Label, kv []string) []Label {
 	if len(kv)%2 != 0 {
 		panic("telemetry: odd label list")
 	}
-	out := make([]Label, 0, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
 		out = append(out, Label{Key: kv[i], Value: kv[i+1]})
 	}

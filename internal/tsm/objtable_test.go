@@ -78,10 +78,11 @@ func storeOnStream(e *env) StoreRequest {
 }
 
 // storeAllocs is the allocation count of one Store on a LAN-free stream:
-// the session grant and the store and drive spans with their labels and
-// attributes. The drive operation runs on the storing actor, so it costs
-// no actor state, closure or event of its own.
-const storeAllocs = 8
+// the session grant and the store and drive spans, each span one
+// allocation with its labels and attributes inline. The drive operation
+// runs on the storing actor, so it costs no actor state, closure or
+// event of its own.
+const storeAllocs = 4
 
 // TestStoreAllocs guards Store's per-call allocations: the request and
 // the tape file stay on the stack and the catalog holds objects by
