@@ -26,7 +26,7 @@ type Message struct {
 // simulation clock.
 type Comm struct {
 	clock  *simtime.Clock
-	boxes  []*simtime.Queue
+	boxes  []*simtime.Mailbox[Message]
 	held   [][]Message // messages received but not yet matched, per rank
 	closed []bool
 	wg     *simtime.WaitGroup
@@ -40,13 +40,13 @@ func New(clock *simtime.Clock, n int) *Comm {
 	}
 	c := &Comm{
 		clock:  clock,
-		boxes:  make([]*simtime.Queue, n),
+		boxes:  make([]*simtime.Mailbox[Message], n),
 		held:   make([][]Message, n),
 		closed: make([]bool, n),
 		wg:     simtime.NewWaitGroup(clock),
 	}
 	for i := range c.boxes {
-		c.boxes[i] = simtime.NewQueue(clock)
+		c.boxes[i] = simtime.NewMailbox[Message](clock)
 	}
 	return c
 }
@@ -69,10 +69,12 @@ func (c *Comm) Wait() { c.wg.Wait() }
 
 // Send delivers a message to rank `to`. Sends never block (buffered
 // standard-mode send); ordering between one sender/receiver pair is
-// preserved. Sending to a closed mailbox silently drops the message,
-// matching a receiver that has exited during shutdown or died with its
-// machine: rank death is not an error at the transport layer, it is
-// the peer's job (e.g. PFTool's WatchDog) to notice and react.
+// preserved. The message is queued by value, so a send allocates only
+// what boxing data into Message.Data costs: nothing for a pointer.
+// Sending to a closed mailbox silently drops the message, matching a
+// receiver that has exited during shutdown or died with its machine:
+// rank death is not an error at the transport layer, it is the peer's
+// job (e.g. PFTool's WatchDog) to notice and react.
 func (c *Comm) Send(from, to, tag int, data interface{}) {
 	c.check(to)
 	c.sent++
@@ -96,11 +98,10 @@ func (c *Comm) Recv(rank, from, tag int) (Message, bool) {
 		}
 	}
 	for {
-		v, ok := c.boxes[rank].Pop()
+		m, ok := c.boxes[rank].Pop()
 		if !ok {
 			return Message{}, false
 		}
-		m := v.(Message)
 		if matches(m, from, tag) {
 			return m, true
 		}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -270,4 +271,69 @@ func TestCloseIsIdempotent(t *testing.T) {
 	})
 	c.Go(comm.Wait)
 	c.RunFor()
+}
+
+// pingPong runs rounds of a Send+Recv each way between ranks 0 and 1,
+// the payload a pointer both sides share, and calls measure from rank 0
+// around the rounds after the first (which grows the mailboxes' arrays).
+func pingPong(c *simtime.Clock, comm *Comm, rounds int, measure func(run func())) {
+	var payload struct{ seq int }
+	comm.Start(1, func() {
+		for {
+			m, ok := comm.Recv(1, 0, 1)
+			if !ok {
+				return
+			}
+			comm.Send(1, 0, 2, m.Data)
+		}
+	})
+	comm.Start(0, func() {
+		round := func() {
+			payload.seq++
+			comm.Send(0, 1, 1, &payload)
+			comm.Recv(0, 1, 2)
+		}
+		round()
+		measure(func() {
+			for i := 1; i < rounds; i++ {
+				round()
+			}
+		})
+		comm.CloseAll()
+	})
+	c.RunFor()
+}
+
+// A message carrying a pointer is queued by value in a typed mailbox:
+// after warm-up, Send and Recv allocate nothing.
+func TestSendRecvAllocs(t *testing.T) {
+	const rounds = 1000
+	c := simtime.NewClock()
+	comm := New(c, 2)
+	var before, after runtime.MemStats
+	pingPong(c, comm, rounds, func(run func()) {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+	})
+	msgs := 2 * (rounds - 1)
+	if got := float64(after.Mallocs-before.Mallocs) / float64(msgs); got != 0 {
+		t.Errorf("Send+Recv of a pointer: %.3f allocations per message, want 0", got)
+	}
+	if comm.Sent() != 2*rounds {
+		t.Errorf("Sent = %d, want %d", comm.Sent(), 2*rounds)
+	}
+}
+
+// BenchmarkSendRecv is one Send+Recv each way between two ranks, each
+// Recv parking its rank until the peer's Send.
+func BenchmarkSendRecv(b *testing.B) {
+	c := simtime.NewClock()
+	comm := New(c, 2)
+	b.ReportAllocs()
+	pingPong(c, comm, b.N+1, func(run func()) {
+		b.ResetTimer()
+		run()
+		b.StopTimer()
+	})
 }

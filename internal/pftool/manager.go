@@ -110,6 +110,67 @@ type tapeResult struct {
 	err string
 }
 
+// rankSlot is the Manager's record of one rank, indexed by rank. Jobs
+// and reports travel as pointers to its job and report fields: a rank
+// holds at most one job, and the Manager reads its report before it can
+// assign the rank again, so one slot of each per rank is all the
+// exchange needs and a dispatched job allocates nothing. The receiving
+// rank copies its job out by value, and the Manager copies a report out
+// and clears its slot (take). It drops a dead rank's late report before
+// it reads the payload.
+type rankSlot struct {
+	busy bool            // holds a job, requeued if the rank dies
+	dead bool            // declared dead by the WatchDog
+	span *telemetry.Span // the open span of the held job
+
+	dirJob  dirJob
+	copyJob copyJob
+	tapeJob tapeJob
+	dirRes  dirResult
+	copyRes copyResult
+	tapeRes tapeResult
+}
+
+// rankFIFO is an idle pool: ranks leave from the front and rejoin at
+// the back. It is a ring over an array sized once to the pool, which a
+// rank is in at most once, so it never grows.
+type rankFIFO struct {
+	ring    []int
+	head, n int
+}
+
+func newRankFIFO(size int) rankFIFO { return rankFIFO{ring: make([]int, size)} }
+
+func (q *rankFIFO) len() int { return q.n }
+
+func (q *rankFIFO) at(i int) *int { return &q.ring[(q.head+i)%len(q.ring)] }
+
+func (q *rankFIFO) push(rank int) {
+	*q.at(q.n) = rank
+	q.n++
+}
+
+func (q *rankFIFO) pop() int {
+	rank := q.ring[q.head]
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	return rank
+}
+
+// remove takes rank out of the pool, keeping the others in order.
+func (q *rankFIFO) remove(rank int) {
+	for i := 0; i < q.n; i++ {
+		if *q.at(i) != rank {
+			continue
+		}
+		for ; i < q.n-1; i++ {
+			*q.at(i) = *q.at(i + 1)
+		}
+		q.n--
+		return
+	}
+}
+
 // batchScratch is one worker rank's buffers, reused from batch to batch
 // so that a copy or compare job allocates nothing per file.
 type batchScratch struct {
@@ -134,9 +195,8 @@ type run struct {
 	copyQ []copyJob
 	tapeQ []tapeJob
 
-	idleReadDirs  []int
-	idleWorkers   []int
-	idleTapeProcs []int
+	// Idle ranks of each data role, indexed by rankRole.
+	idle [roleCoord]rankFIFO
 
 	dirsOut int // dir jobs issued or queued
 	copyOut int
@@ -156,10 +216,11 @@ type run struct {
 	chunkRemaining map[string]int    // logical dst -> chunks outstanding
 	logicalDst     map[string]string // fuse chunk dir -> the user-visible dst
 
-	// Fault bookkeeping: the job each busy rank holds (requeued if the
-	// rank dies) and the ranks the WatchDog has declared dead.
-	inflight  map[int]interface{}
-	deadRanks map[int]bool
+	// Per-rank state, indexed by rank: the job each busy rank holds
+	// (requeued if the rank dies), its report, its job span, and whether
+	// the WatchDog has declared it dead. busy counts busy ranks.
+	ranks []rankSlot
+	busy  int
 
 	// Fabric data-path state: the shared graph, per-node resolved
 	// routes, one persistent stream per worker rank (every copy job a
@@ -180,12 +241,11 @@ type run struct {
 
 	walkDone bool
 
-	// Telemetry: the run's root span, one open span per dispatched job
-	// (keyed by the rank holding it), counters mirroring the Result
-	// fields, queue-depth gauges, and the file-size histogram.
+	// Telemetry: the run's root span (the job spans are in ranks),
+	// counters mirroring the Result fields, queue-depth gauges, and the
+	// file-size histogram.
 	tel           *telemetry.Registry
 	runSpan       *telemetry.Span
-	jobSpans      map[int]*telemetry.Span
 	ctrBytes      *telemetry.Counter
 	ctrFiles      *telemetry.Counter
 	ctrChunks     *telemetry.Counter
@@ -208,12 +268,24 @@ func (r *run) nodeFor(rank int) *cluster.Node {
 	return r.req.Nodes[rank%len(r.req.Nodes)]
 }
 
-// execute wires up all ranks and runs the job to completion.
-func (r *run) execute() Result {
+// newRun builds the state of one invocation of a validated request;
+// execute runs it.
+func newRun(req Request) *run {
+	clock := req.SrcFS.Clock()
+	l := layoutFor(req.Tunables)
+	r := &run{
+		req:    req,
+		clock:  clock,
+		comm:   mpi.New(clock, l.size),
+		layout: l,
+		sch:    sched.Of(clock),
+	}
 	r.chunkRemaining = make(map[string]int)
 	r.logicalDst = make(map[string]string)
-	r.inflight = make(map[int]interface{})
-	r.deadRanks = make(map[int]bool)
+	r.ranks = make([]rankSlot, l.size)
+	r.idle[roleReadDir] = newRankFIFO(len(l.readdirs))
+	r.idle[roleWorker] = newRankFIFO(len(l.workers))
+	r.idle[roleTapeProc] = newRankFIFO(len(l.tapeprocs))
 	r.fab = r.req.SrcFS.Fabric()
 	r.routes = make(map[string]fabric.Path)
 	r.streams = make(map[int]*fabric.Flow)
@@ -224,7 +296,6 @@ func (r *run) execute() Result {
 
 	op := r.req.Op.String()
 	r.tel = telemetry.Of(r.clock)
-	r.jobSpans = make(map[int]*telemetry.Span)
 	r.ctrBytes = r.tel.Counter("pftool_bytes_copied_total", "op", op)
 	r.ctrFiles = r.tel.Counter("pftool_files_copied_total", "op", op)
 	r.ctrChunks = r.tel.Counter("pftool_chunks_copied_total", "op", op)
@@ -245,7 +316,11 @@ func (r *run) execute() Result {
 	r.gBusy = r.tel.Gauge("pftool_ranks_busy")
 	r.histFile = r.tel.Histogram("pftool_file_bytes", "op", op)
 	r.runSpan = r.tel.StartSpan("pftool.run", "op", op, "src", r.req.Src)
+	return r
+}
 
+// execute starts every rank and runs the job to completion.
+func (r *run) execute() Result {
 	l := r.layout
 	r.comm.Start(l.manager, r.manager)
 	r.comm.Start(l.output, r.outputProc)
@@ -272,17 +347,15 @@ func (r *run) execute() Result {
 // result that never arrived), so they abort rather than leak, and the
 // run span closes with the run's outcome.
 func (r *run) closeSpans() {
-	ranks := make([]int, 0, len(r.jobSpans))
-	for rank := range r.jobSpans {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
-	for _, rank := range ranks {
-		sp := r.jobSpans[rank]
+	for rank := range r.ranks {
+		s := &r.ranks[rank]
+		if s.span == nil {
+			continue
+		}
 		cause, _ := r.tel.LastEventFor(faults.NodeComponent(r.nodeFor(rank).Name))
-		sp.Abort(fmt.Sprintf("rank %d never reported back", rank), cause)
+		s.span.Abort(fmt.Sprintf("rank %d never reported back", rank), cause)
+		s.span = nil
 	}
-	r.jobSpans = nil
 	switch {
 	case r.res.Stalled:
 		r.runSpan.Abort("watchdog declared the run stalled", 0)
@@ -362,65 +435,65 @@ func (r *run) finished() bool {
 		len(r.batch) == 0 && len(r.cmpBatch) == 0 && len(r.tapeSrc) == 0
 }
 
-// assign hands queued jobs to idle processes, remembering which rank
-// holds which job so a rank death can requeue it. A dispatched job's
+// assign hands queued jobs to idle processes: each job moves into the
+// slot of the rank that will hold it, where a rank death finds it to
+// requeue, and the rank is sent a pointer to it. A dispatched job's
 // queue slot is cleared: the queue's array outlives it until append
 // next moves the queue, and would keep a batch's file list alive.
 func (r *run) assign() {
-	for len(r.dirQ) > 0 && len(r.idleReadDirs) > 0 {
-		job := r.dirQ[0]
+	for len(r.dirQ) > 0 && r.idle[roleReadDir].len() > 0 {
+		rank := r.idle[roleReadDir].pop()
+		s := r.hold(rank, "readdir")
+		s.dirJob = r.dirQ[0]
 		r.dirQ[0] = dirJob{}
 		r.dirQ = r.dirQ[1:]
-		rank := r.idleReadDirs[0]
-		r.idleReadDirs = r.idleReadDirs[1:]
-		r.inflight[rank] = job
-		r.jobSpans[rank] = r.startJobSpan(rank, "readdir")
-		r.comm.Send(r.layout.manager, rank, tagDirJob, job)
+		r.comm.Send(r.layout.manager, rank, tagDirJob, &s.dirJob)
 	}
-	for len(r.copyQ) > 0 && len(r.idleWorkers) > 0 {
-		job := r.copyQ[0]
+	for len(r.copyQ) > 0 && r.idle[roleWorker].len() > 0 {
+		rank := r.idle[roleWorker].pop()
+		s := r.hold(rank, copyKindName(r.copyQ[0].kind))
+		s.copyJob = r.copyQ[0]
 		r.copyQ[0] = copyJob{}
 		r.copyQ = r.copyQ[1:]
-		rank := r.idleWorkers[0]
-		r.idleWorkers = r.idleWorkers[1:]
-		r.inflight[rank] = job
-		r.jobSpans[rank] = r.startJobSpan(rank, copyKindName(job.kind))
-		r.comm.Send(r.layout.manager, rank, tagCopyJob, job)
+		r.comm.Send(r.layout.manager, rank, tagCopyJob, &s.copyJob)
 	}
-	for len(r.tapeQ) > 0 && len(r.idleTapeProcs) > 0 {
-		job := r.tapeQ[0]
+	for len(r.tapeQ) > 0 && r.idle[roleTapeProc].len() > 0 {
+		rank := r.idle[roleTapeProc].pop()
+		s := r.hold(rank, "tape-restore")
+		s.tapeJob = r.tapeQ[0]
 		r.tapeQ[0] = tapeJob{}
 		r.tapeQ = r.tapeQ[1:]
-		rank := r.idleTapeProcs[0]
-		r.idleTapeProcs = r.idleTapeProcs[1:]
-		r.inflight[rank] = job
-		r.jobSpans[rank] = r.startJobSpan(rank, "tape-restore")
-		r.comm.Send(r.layout.manager, rank, tagTapeJob, job)
+		r.comm.Send(r.layout.manager, rank, tagTapeJob, &s.tapeJob)
 	}
 	r.gDirQ.Set(float64(len(r.dirQ)))
 	r.gCopyQ.Set(float64(len(r.copyQ)))
 	r.gTapeQ.Set(float64(len(r.tapeQ)))
-	r.gBusy.Set(float64(len(r.inflight)))
+	r.gBusy.Set(float64(r.busy))
 }
 
-// startJobSpan opens the span tracking one dispatched job on a rank.
-func (r *run) startJobSpan(rank int, kind string) *telemetry.Span {
-	return r.runSpan.StartChild("pftool.job",
+// hold marks rank busy with a job of the given kind, opening the span
+// that tracks it, and returns the rank's slot for the job.
+func (r *run) hold(rank int, kind string) *rankSlot {
+	s := &r.ranks[rank]
+	s.busy = true
+	r.busy++
+	s.span = r.runSpan.StartChild("pftool.job",
 		"kind", kind, "rank", strconv.Itoa(rank), "node", r.nodeFor(rank).Name)
+	return s
 }
 
 // endJobSpan closes the span of the job the rank just reported on.
 func (r *run) endJobSpan(rank int, errMsg string) {
-	sp, ok := r.jobSpans[rank]
-	if !ok {
+	s := &r.ranks[rank]
+	if s.span == nil {
 		return
 	}
-	delete(r.jobSpans, rank)
 	if errMsg != "" {
-		sp.Abort(errMsg, 0)
+		s.span.Abort(errMsg, 0)
 	} else {
-		sp.End()
+		s.span.End()
 	}
+	s.span = nil
 }
 
 // copyKindName names a copyKind for span attributes.
@@ -439,7 +512,7 @@ func copyKindName(k copyKind) string {
 
 // handle processes one inbound message.
 func (r *run) handle(msg mpi.Message) {
-	if r.deadRanks[msg.From] {
+	if r.ranks[msg.From].dead {
 		// A late report from a rank already declared dead (its machine
 		// crashed mid-job but the transfer drained). The job was requeued
 		// when the death was announced; counting this result too would
@@ -454,7 +527,7 @@ func (r *run) handle(msg mpi.Message) {
 		r.rankDead(msg.Data.(int))
 	case tagDirResult:
 		r.markIdle(msg.From)
-		res := msg.Data.(dirResult)
+		res := take[dirResult](msg.Data)
 		r.endJobSpan(msg.From, res.err)
 		r.dirsOut--
 		if res.err != "" {
@@ -467,7 +540,7 @@ func (r *run) handle(msg mpi.Message) {
 		}
 	case tagCopyResult:
 		r.markIdle(msg.From)
-		res := msg.Data.(copyResult)
+		res := take[copyResult](msg.Data)
 		r.endJobSpan(msg.From, res.err)
 		r.copyOut--
 		r.progress++
@@ -513,7 +586,7 @@ func (r *run) handle(msg mpi.Message) {
 		}
 	case tagTapeResult:
 		r.markIdle(msg.From)
-		res := msg.Data.(tapeResult)
+		res := take[tapeResult](msg.Data)
 		r.endJobSpan(msg.From, res.err)
 		r.tapeOut--
 		r.progress++
@@ -541,16 +614,26 @@ func (r *run) handle(msg mpi.Message) {
 	}
 }
 
+// take copies a report out of the slot data points to and clears the
+// slot, which would otherwise keep the report's lists alive until the
+// rank's next report.
+func take[T any](data any) T {
+	p := data.(*T)
+	v := *p
+	*p = *new(T)
+	return v
+}
+
+// markIdle returns a rank that reported in to its role's idle pool. A
+// job it held is done, and its slot lets go of the job's lists.
 func (r *run) markIdle(rank int) {
-	delete(r.inflight, rank)
-	l := r.layout
-	switch {
-	case contains(l.readdirs, rank):
-		r.idleReadDirs = append(r.idleReadDirs, rank)
-	case contains(l.workers, rank):
-		r.idleWorkers = append(r.idleWorkers, rank)
-	case contains(l.tapeprocs, rank):
-		r.idleTapeProcs = append(r.idleTapeProcs, rank)
+	if s := &r.ranks[rank]; s.busy {
+		s.busy = false
+		r.busy--
+		s.dirJob, s.copyJob, s.tapeJob = dirJob{}, copyJob{}, tapeJob{}
+	}
+	if role := r.layout.roles[rank]; role != roleCoord {
+		r.idle[role].push(rank)
 	}
 }
 
@@ -560,25 +643,26 @@ func (r *run) markIdle(rank int) {
 // "issued or queued", so requeueing keeps them consistent — and the
 // run fails cleanly if an entire pool it still needs has died.
 func (r *run) rankDead(rank int) {
-	if r.deadRanks[rank] {
+	s := &r.ranks[rank]
+	if s.dead {
 		return
 	}
-	r.deadRanks[rank] = true
+	s.dead = true
 	r.res.RanksDied++
 	r.ctrRanksDied.Inc()
 	// The job's span aborts here — the WatchDog-declared death is its
 	// end — citing the fault event that took the machine down.
-	if sp, ok := r.jobSpans[rank]; ok {
-		delete(r.jobSpans, rank)
+	if s.span != nil {
 		node := r.nodeFor(rank)
 		cause, _ := r.tel.LastEventFor(faults.NodeComponent(node.Name))
-		sp.Abort(fmt.Sprintf("rank %d died: machine %s down", rank, node.Name), cause)
+		s.span.Abort(fmt.Sprintf("rank %d died: machine %s down", rank, node.Name), cause)
+		s.span = nil
 	}
-	r.idleReadDirs = removeRank(r.idleReadDirs, rank)
-	r.idleWorkers = removeRank(r.idleWorkers, rank)
-	r.idleTapeProcs = removeRank(r.idleTapeProcs, rank)
-	if job, ok := r.inflight[rank]; ok {
-		delete(r.inflight, rank)
+	role := r.layout.roles[rank]
+	r.idle[role].remove(rank)
+	if s.busy {
+		s.busy = false
+		r.busy--
 		// Requeueing a dead rank's job is a retry like any other: it
 		// charges the shared budget, so a failure wave (many ranks dying
 		// with work in hand) cannot amplify into an unbounded requeue
@@ -587,13 +671,13 @@ func (r *run) rankDead(rank int) {
 			r.fail(fmt.Sprintf("rank %d died and the requeue retry budget is exhausted", rank))
 			return
 		}
-		switch j := job.(type) {
-		case dirJob:
-			r.dirQ = append(r.dirQ, j)
-		case copyJob:
-			r.copyQ = append(r.copyQ, j)
-		case tapeJob:
-			r.tapeQ = append(r.tapeQ, j)
+		switch role {
+		case roleReadDir:
+			r.dirQ = append(r.dirQ, s.dirJob)
+		case roleWorker:
+			r.copyQ = append(r.copyQ, s.copyJob)
+		case roleTapeProc:
+			r.tapeQ = append(r.tapeQ, s.tapeJob)
 		}
 	}
 	switch {
@@ -608,7 +692,7 @@ func (r *run) rankDead(rank int) {
 
 func (r *run) allDead(ranks []int) bool {
 	for _, rk := range ranks {
-		if !r.deadRanks[rk] {
+		if !r.ranks[rk].dead {
 			return false
 		}
 	}
@@ -620,24 +704,6 @@ func (r *run) journalMark(dst string) {
 	if r.req.Tunables.Journal != nil {
 		r.req.Tunables.Journal.MarkDone(dst)
 	}
-}
-
-func removeRank(xs []int, x int) []int {
-	for i, v := range xs {
-		if v == x {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // expand processes one exposed directory: counts, creates destination

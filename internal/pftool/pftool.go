@@ -24,7 +24,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hsm"
 	"repro/internal/ilm"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/vfs"
@@ -250,7 +249,20 @@ func (r Result) Summary() string {
 	}
 }
 
-// rankLayout computes the MPI rank assignment of Figure 3.
+// rankRole is what a rank does. The data roles come first: they index
+// the Manager's idle pools.
+type rankRole uint8
+
+const (
+	roleReadDir  rankRole = iota
+	roleWorker            // Worker
+	roleTapeProc          // TapeProc
+	roleCoord             // Manager, OutPutProc and WatchDog: no pool
+)
+
+// rankLayout computes the MPI rank assignment of Figure 3. The data
+// ranks follow the three coordination ranks: ReadDirs, then Workers,
+// then TapeProcs.
 type rankLayout struct {
 	manager   int
 	output    int
@@ -258,25 +270,24 @@ type rankLayout struct {
 	readdirs  []int
 	workers   []int
 	tapeprocs []int
+	roles     []rankRole // indexed by rank
 	size      int
 }
 
 func layoutFor(t Tunables) rankLayout {
 	l := rankLayout{manager: 0, output: 1, watchdog: 2}
-	next := 3
-	for i := 0; i < t.NumReadDirs; i++ {
-		l.readdirs = append(l.readdirs, next)
-		next++
+	l.roles = []rankRole{roleCoord, roleCoord, roleCoord}
+	add := func(n int, role rankRole) (ranks []int) {
+		for i := 0; i < n; i++ {
+			ranks = append(ranks, len(l.roles))
+			l.roles = append(l.roles, role)
+		}
+		return ranks
 	}
-	for i := 0; i < t.NumWorkers; i++ {
-		l.workers = append(l.workers, next)
-		next++
-	}
-	for i := 0; i < t.NumTapeProcs; i++ {
-		l.tapeprocs = append(l.tapeprocs, next)
-		next++
-	}
-	l.size = next
+	l.readdirs = add(t.NumReadDirs, roleReadDir)
+	l.workers = add(t.NumWorkers, roleWorker)
+	l.tapeprocs = add(t.NumTapeProcs, roleTapeProc)
+	l.size = len(l.roles)
 	return l
 }
 
@@ -287,17 +298,7 @@ func Run(req Request) (Result, error) {
 	if err := validate(&req); err != nil {
 		return Result{}, err
 	}
-	clock := req.SrcFS.Clock()
-	layout := layoutFor(req.Tunables)
-	comm := mpi.New(clock, layout.size)
-	run := &run{
-		req:    req,
-		clock:  clock,
-		comm:   comm,
-		layout: layout,
-		sch:    sched.Of(clock),
-	}
-	res := run.execute()
+	res := newRun(req).execute()
 	if len(res.Errors) > 0 {
 		return res, fmt.Errorf("pftool: %s: %s", req.Op, res.Errors[0])
 	}

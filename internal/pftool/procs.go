@@ -2,6 +2,7 @@ package pftool
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/chunkfs"
 	"repro/internal/cluster"
@@ -55,9 +56,10 @@ func (r *run) readDirProc(rank int) {
 		if node.Down() {
 			return // died holding the job; the WatchDog has it requeued
 		}
-		job := msg.Data.(dirJob)
+		job := *msg.Data.(*dirJob)
 		entries, err := r.req.SrcFS.ReadDir(job.src)
-		res := dirResult{src: job.src, dst: job.dst, entries: entries}
+		res := &r.ranks[rank].dirRes
+		*res = dirResult{src: job.src, dst: job.dst, entries: entries}
 		if err != nil {
 			res.err = fmt.Sprintf("readdir %s: %v", job.src, err)
 		}
@@ -92,7 +94,8 @@ func (r *run) workerProc(rank int) {
 		if node.Down() {
 			return // died holding the job; the WatchDog has it requeued
 		}
-		job := msg.Data.(copyJob)
+		job := *msg.Data.(*copyJob)
+		res := &r.ranks[rank].copyRes
 		// Every worker job passes the unified admission layer before it
 		// moves data; on the single-tenant default path the station is
 		// pass-through and the grant is immediate.
@@ -103,17 +106,17 @@ func (r *run) workerProc(rank int) {
 			// Admission refused the job (deadline passed, brownout shed):
 			// report it as a failed result — counted and surfaced, never
 			// silently dropped.
-			r.comm.Send(rank, mgr, tagCopyResult, copyResult{err: gerr.Error()})
+			*res = copyResult{err: gerr.Error()}
+			r.comm.Send(rank, mgr, tagCopyResult, res)
 			continue
 		}
-		var res copyResult
 		switch job.kind {
 		case kindBatch:
-			res = r.copyBatch(rank, node, job)
+			*res = r.copyBatch(rank, node, job)
 		case kindChunk, kindFuse:
-			res = r.copyChunk(rank, node, job)
+			*res = r.copyChunk(rank, node, job)
 		case kindCompare:
-			res = r.compareBatch(rank, node, job)
+			*res = r.compareBatch(rank, node, job)
 		}
 		grant.Done()
 		if node.Down() {
@@ -270,7 +273,7 @@ func (r *run) copyBatch(rank int, node *cluster.Node, job copyJob) copyResult {
 // Chunks are marked good on completion so restarts skip them (§4.5).
 func (r *run) copyChunk(rank int, node *cluster.Node, job copyJob) copyResult {
 	res := copyResult{logical: job.logical}
-	markKey := fmt.Sprintf("pfcp.chunk.%d", job.chunkIdx)
+	markKey := chunkMarkKey(job.chunkIdx)
 	if r.req.Tunables.Restart {
 		var mark string
 		switch job.kind {
@@ -319,6 +322,25 @@ func (r *run) copyChunk(rank int, node *cluster.Node, job copyJob) copyResult {
 	res.chunks++
 	res.bytes += job.length
 	return res
+}
+
+// chunkMarkKeys holds the restart-mark attribute names of the first
+// chunks, built at init and never written after, so that runs on
+// parallel islands can share it.
+var chunkMarkKeys = func() (keys [256]string) {
+	for i := range keys {
+		keys[i] = "pfcp.chunk." + strconv.Itoa(i)
+	}
+	return keys
+}()
+
+// chunkMarkKey names the attribute that marks chunk i of an N-to-1 copy
+// good or bad.
+func chunkMarkKey(i int) string {
+	if i < len(chunkMarkKeys) {
+		return chunkMarkKeys[i]
+	}
+	return "pfcp.chunk." + strconv.Itoa(i)
 }
 
 // compareBatch byte-compares source and destination files (pfcm). Both
@@ -393,8 +415,9 @@ func (r *run) tapeProc(rank int) {
 		if node.Down() {
 			return // died holding the job; the WatchDog has it requeued
 		}
-		job := msg.Data.(tapeJob)
-		res := tapeResult{job: job}
+		job := *msg.Data.(*tapeJob)
+		res := &r.ranks[rank].tapeRes
+		*res = tapeResult{job: job}
 		// A tape restore is expedited recall work: someone is waiting on
 		// the data coming back from the archive.
 		grant := r.sch.Station(sched.StationPftoolTape).Admit(sched.Item{
@@ -444,7 +467,7 @@ func (r *run) watchdog() {
 	var lastProgress int64 = -1
 	var lastMoved int64 = -1
 	var silentFor simtime.Duration
-	dead := make(map[int]bool)
+	dead := make([]bool, r.layout.size)
 	for {
 		r.clock.Sleep(t.WatchdogInterval)
 		if r.done {
@@ -454,9 +477,11 @@ func (r *run) watchdog() {
 		// Rank-death detection: each data rank whose machine is down is
 		// reported to the Manager exactly once. Its mailbox closes too,
 		// so even if the machine reboots the rank stays gone — MPI rank
-		// death is permanent for the life of the job.
-		for _, rank := range r.dataRanks() {
-			if !dead[rank] && r.nodeFor(rank).Down() {
+		// death is permanent for the life of the job. Only data ranks can
+		// die: the coordination ranks (Manager, OutPutProc, WatchDog) live
+		// on the submitting host, the data ranks on the FTA machine list.
+		for rank, role := range r.layout.roles {
+			if role != roleCoord && !dead[rank] && r.nodeFor(rank).Down() {
 				dead[rank] = true
 				r.comm.Close(rank)
 				r.comm.Send(r.layout.watchdog, r.layout.manager, tagRankDead, rank)
@@ -498,15 +523,4 @@ func (r *run) watchdog() {
 			return
 		}
 	}
-}
-
-// dataRanks lists the ranks subject to machine failure: the
-// coordination ranks (Manager, OutPutProc, WatchDog) live on the
-// submitting host, the data ranks on the FTA machine list.
-func (r *run) dataRanks() []int {
-	ranks := make([]int, 0, len(r.layout.readdirs)+len(r.layout.workers)+len(r.layout.tapeprocs))
-	ranks = append(ranks, r.layout.readdirs...)
-	ranks = append(ranks, r.layout.workers...)
-	ranks = append(ranks, r.layout.tapeprocs...)
-	return ranks
 }

@@ -139,24 +139,32 @@ func (r *Resource) SetCap(n int) {
 	}
 }
 
-// Queue is an unbounded FIFO mailbox of values with blocking Pop. It is
+// Mailbox is an unbounded FIFO of T values with blocking Pop. It is
 // the inter-actor communication primitive: MPI mailboxes, work queues,
-// and daemon inboxes are all Queues. Close wakes all blocked Poppers.
-type Queue struct {
+// and daemon inboxes are all Mailboxes. A typed mailbox hands its values
+// over as they are: a Push of a pointer or small struct stores it in the
+// FIFO's array and allocates nothing. Close wakes all blocked Poppers.
+type Mailbox[T any] struct {
 	clock  *Clock
-	items  fifo[interface{}]
+	items  fifo[T]
 	wait   fifo[*actor]
 	closed bool
 }
 
-// NewQueue creates an empty queue on clock.
-func NewQueue(clock *Clock) *Queue {
-	return &Queue{clock: clock}
+// Queue is a Mailbox of untyped values.
+type Queue = Mailbox[any]
+
+// NewMailbox creates an empty mailbox on clock.
+func NewMailbox[T any](clock *Clock) *Mailbox[T] {
+	return &Mailbox[T]{clock: clock}
 }
 
+// NewQueue creates an empty queue on clock.
+func NewQueue(clock *Clock) *Queue { return NewMailbox[any](clock) }
+
 // Push appends v and wakes one blocked Pop, if any. Push on a closed
-// queue panics (it indicates a protocol bug in the caller).
-func (q *Queue) Push(v interface{}) {
+// mailbox panics (it indicates a protocol bug in the caller).
+func (q *Mailbox[T]) Push(v T) {
 	q.clock.mu.Lock()
 	defer q.clock.mu.Unlock()
 	if q.closed {
@@ -169,9 +177,9 @@ func (q *Queue) Push(v interface{}) {
 }
 
 // Pop removes and returns the head value, blocking in virtual time
-// while the queue is empty. ok is false if the queue was closed and
-// drained.
-func (q *Queue) Pop() (v interface{}, ok bool) {
+// while the mailbox is empty. ok is false, and v the zero T, if the
+// mailbox was closed and drained.
+func (q *Mailbox[T]) Pop() (v T, ok bool) {
 	for {
 		q.clock.mu.Lock()
 		if q.items.len() > 0 {
@@ -181,7 +189,7 @@ func (q *Queue) Pop() (v interface{}, ok bool) {
 		}
 		if q.closed {
 			q.clock.mu.Unlock()
-			return nil, false
+			return v, false
 		}
 		a := q.clock.selfLocked()
 		q.wait.push(a)
@@ -190,15 +198,15 @@ func (q *Queue) Pop() (v interface{}, ok bool) {
 }
 
 // Len reports the number of queued values.
-func (q *Queue) Len() int {
+func (q *Mailbox[T]) Len() int {
 	q.clock.mu.Lock()
 	defer q.clock.mu.Unlock()
 	return q.items.len()
 }
 
-// Close marks the queue closed; blocked and future Pops return ok=false
-// once drained. Closing twice is a no-op.
-func (q *Queue) Close() {
+// Close marks the mailbox closed; blocked and future Pops return
+// ok=false once drained. Closing twice is a no-op.
+func (q *Mailbox[T]) Close() {
 	q.clock.mu.Lock()
 	defer q.clock.mu.Unlock()
 	if q.closed {

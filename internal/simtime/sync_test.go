@@ -282,3 +282,93 @@ func TestResourceSetCapLowerDrains(t *testing.T) {
 		t.Errorf("Cap = %d, want 1", r.Cap())
 	}
 }
+
+func TestMailboxTypedFIFO(t *testing.T) {
+	type msg struct{ from, seq int }
+	c := NewClock()
+	m := NewMailbox[msg](c)
+	var got []msg
+	c.Go(func() {
+		for {
+			v, ok := m.Pop() // a msg, no type assertion
+			if !ok {
+				if v != (msg{}) {
+					t.Errorf("Pop on a closed, drained mailbox = %+v, want the zero msg", v)
+				}
+				return
+			}
+			got = append(got, v)
+		}
+	})
+	c.Go(func() {
+		for i := 0; i < 4; i++ {
+			c.Sleep(time.Second)
+			m.Push(msg{from: i % 2, seq: i})
+		}
+		m.Close()
+	})
+	c.RunFor()
+	if len(got) != 4 {
+		t.Fatalf("got %d messages, want 4", len(got))
+	}
+	for i, v := range got {
+		if v.seq != i || v.from != i%2 {
+			t.Errorf("got[%d] = %+v, want seq %d from %d", i, v, i, i%2)
+		}
+	}
+}
+
+// A closed mailbox still hands out what was queued before Close, in
+// order, and only then reports ok=false — for the Queue alias too.
+func TestMailboxDrainsThenReportsClosed(t *testing.T) {
+	c := NewClock()
+	typed := NewMailbox[*int](c)
+	var q *Queue = NewMailbox[any](c) // Queue is Mailbox[any]
+	vals := []int{1, 2, 3}
+	c.Go(func() {
+		for i := range vals {
+			typed.Push(&vals[i])
+			q.Push(vals[i])
+		}
+		typed.Close()
+		q.Close()
+		typed.Close() // closing twice is a no-op
+		for i := range vals {
+			p, ok := typed.Pop()
+			if !ok || p != &vals[i] {
+				t.Errorf("typed Pop %d = %v, %v; want &vals[%d], true", i, p, ok, i)
+			}
+			v, ok := q.Pop()
+			if !ok || v.(int) != vals[i] {
+				t.Errorf("Queue Pop %d = %v, %v; want %d, true", i, v, ok, vals[i])
+			}
+		}
+		if p, ok := typed.Pop(); ok || p != nil {
+			t.Errorf("typed Pop after drain = %v, %v; want nil, false", p, ok)
+		}
+		if v, ok := q.Pop(); ok || v != nil {
+			t.Errorf("Queue Pop after drain = %v, %v; want nil, false", v, ok)
+		}
+	})
+	c.RunFor()
+}
+
+// A typed mailbox stores its values in the FIFO's array: once that has
+// grown, a Push and Pop of a pointer allocate nothing.
+func TestMailboxPushPopAllocs(t *testing.T) {
+	c := NewClock()
+	m := NewMailbox[*int](c)
+	x := 7
+	c.Go(func() {
+		allocs := testing.AllocsPerRun(100, func() {
+			m.Push(&x)
+			if p, ok := m.Pop(); !ok || p != &x {
+				t.Fatalf("Pop = %v, %v", p, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Push+Pop allocates %v times, want 0", allocs)
+		}
+	})
+	c.RunFor()
+}

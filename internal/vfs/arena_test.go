@@ -114,10 +114,10 @@ func TestXattrListMatchesMap(t *testing.T) {
 	steps := []struct{ key, value string }{
 		{"a", ""}, // delete on an inode that never had attributes
 		{"a", "1"},
-		{"b", "2"},
+		{"b", "2"}, // second: the list leaves its inline slot
 		{"a", "3"}, // overwrite
 		{"zz", ""}, // delete absent
-		{"c", "4"}, // third: the list grows past its first two slots
+		{"c", "4"},
 		{"a", ""},  // delete the first-inserted
 		{"a", "5"}, // and bring it back, now last
 		{"d", "6"},
@@ -160,8 +160,8 @@ func TestXattrListMatchesMap(t *testing.T) {
 			}
 		}
 		n, _, _ := fs.lookup("/f")
-		if n.xattrs != nil && len(*n.xattrs) != len(want) {
-			t.Fatalf("step %d: list holds %d pairs, map %d", i, len(*n.xattrs), len(want))
+		if n.xattrs != nil && len(n.xattrs.l) != len(want) {
+			t.Fatalf("step %d: list holds %d pairs, map %d", i, len(n.xattrs.l), len(want))
 		}
 	}
 	if _, err := fs.GetXattr("/missing", "a"); !errors.Is(err, ErrNotExist) {
@@ -169,6 +169,37 @@ func TestXattrListMatchesMap(t *testing.T) {
 	}
 	if err := fs.SetXattr("/missing", "a", "1"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("SetXattr on a missing path: %v", err)
+	}
+}
+
+// A file's first attribute costs one allocation: the list, with the
+// attribute inline.
+func TestFirstXattrIsOneAllocation(t *testing.T) {
+	const n = 100
+	fs := newFS()
+	fs.MkdirAll("/t")
+	ids := make([]FileID, n)
+	for i := range ids {
+		p := fmt.Sprintf("/t/f%03d", i)
+		fs.WriteFile(p, synthetic.Content{})
+		info, err := fs.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(n-1, func() { // n calls with the warm-up
+		if err := fs.SetXattrID(ids[next], "hsm.sum", "5eed"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 1 {
+		t.Errorf("a first SetXattr allocates %v times, want 1", allocs)
+	}
+	if v, _ := fs.GetXattrID(ids[n-1], "hsm.sum"); v != "5eed" {
+		t.Errorf("attribute reads %q, want 5eed", v)
 	}
 }
 

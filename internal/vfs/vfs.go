@@ -106,22 +106,30 @@ type node struct {
 	modTime time.Duration
 	atime   time.Duration
 	content synthetic.Content
-	dir     *dir     // directories only
-	xattrs  *[]xattr // nil until the first SetXattr: most inodes carry none
+	dir     *dir       // directories only
+	xattrs  *xattrList // nil until the first SetXattr: most inodes carry none
 	typ     FileType
 	linked  bool // named by a directory entry; false = removed
 }
 
 // xattr is one extended attribute. An inode carries a handful (stub
 // digests, chunk marks, trash bookkeeping), read by key and listed never,
-// so they are pairs in insertion order, not a map: two attributes cost
-// under 100 bytes where the map cost over 300, and a scan of a few keys
+// so they are pairs in insertion order, not a map: a scan of a few keys
 // beats hashing one.
 type xattr struct{ key, value string }
 
+// xattrList is an inode's attributes. The first lives inline, so that
+// the common inode with one (a migrated file's digest, a chunk file's
+// state) costs one 64-byte allocation; the list then moves to room for
+// 6, then 18, because a chunked file in flight carries up to six.
+type xattrList struct {
+	l     []xattr // views first until a second attribute arrives
+	first [1]xattr
+}
+
 func (n *node) xattr(key string) (string, bool) {
 	if n.xattrs != nil {
-		for _, a := range *n.xattrs {
+		for _, a := range n.xattrs.l {
 			if a.key == key {
 				return a.value, true
 			}
@@ -136,15 +144,16 @@ func (n *node) setXattr(key, value string) {
 		if value == "" {
 			return
 		}
-		n.xattrs = new([]xattr)
+		n.xattrs = new(xattrList)
+		n.xattrs.l = n.xattrs.first[:0]
 	}
-	l := *n.xattrs
+	l := n.xattrs.l
 	for i := range l {
 		if l[i].key != key {
 			continue
 		}
 		if value == "" {
-			*n.xattrs = slices.Delete(l, i, i+1)
+			n.xattrs.l = slices.Delete(l, i, i+1)
 		} else {
 			l[i].value = value
 		}
@@ -154,12 +163,11 @@ func (n *node) setXattr(key, value string) {
 		return
 	}
 	if len(l) == cap(l) {
-		// Room for 2, then 6, then 18: a stub carries two or three, a
-		// chunked file in flight up to six. append's doubling from one
-		// would reallocate three times on the way there.
-		l = append(make([]xattr, 0, max(2, 3*len(l))), l...)
+		// append's doubling from one would reallocate three times on
+		// the way to six.
+		l = append(make([]xattr, 0, max(6, 3*len(l))), l...)
 	}
-	*n.xattrs = append(l, xattr{key, value})
+	n.xattrs.l = append(l, xattr{key, value})
 }
 
 // Inodes are allocated 1<<chunkBits at a time, not one per file.
