@@ -89,7 +89,11 @@ func TestReportEnvelope(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, errw)
 	}
-	want := experiments.SmallFileTape(7)
+	reports, err := experiments.Run("smallfile", 7)
+	if err != nil || len(reports) != 1 {
+		t.Fatalf("experiments.Run: %d reports, %v", len(reports), err)
+	}
+	want := reports[0]
 	if out != want.String()+"\n" {
 		t.Errorf("stdout %q, want the rendered report", out)
 	}

@@ -27,9 +27,6 @@ import (
 var deadAPIKeep = []keepEntry{
 	{"internal/jail", "only examples/operations imports it; ROADMAP 9(b) keeps it for item 3(b)'s fidelity row"},
 	{"tape.Drive.FailNextOps", "the drive-error seam of tape, tsm and hsm failure tests; faults has no transient-error event"},
-	{"pfs.FS.NumFiles", "archive's memory tests and workload's tree test count live files without billing a Walk"},
-	{"sched.Scheduler.EnableTrace", "the admission trace hsm's requeue determinism test compares run against run"},
-	{"sched.Scheduler.TraceLog", "reads the admission trace EnableTrace turns on"},
 }
 
 // maxDeadAPIKeep caps deadAPIKeep: an exemption is an exception.
@@ -39,12 +36,13 @@ const internalPrefix = "repro/internal/"
 
 // TestDeadAPI checks that every exported package-level func, type, var
 // and const under internal/, and every exported method on a named type
-// there, is used by some non-test file other than its own declaration,
-// in either module (the root and bench/). Methods named String or
-// Error, or named by an interface declared in the repo, are reached
-// through that interface and pass. Each internal package also needs a
-// non-test importer outside examples/. A name a program does not call
-// is deleted; one only its own package's tests read is unexported.
+// there, is used by some non-test file of another package, in either
+// module (the root and bench/). Selecting a field or method of a type
+// counts as a use of that type. Methods named String or Error, or named
+// by an interface declared in the repo, are reached through that
+// interface and pass. Each internal package also needs a non-test
+// importer outside examples/. A name a program does not call is
+// deleted; one only its own package uses is unexported.
 func TestDeadAPI(t *testing.T) {
 	if len(deadAPIKeep) > maxDeadAPIKeep {
 		t.Fatalf("deadAPIKeep has %d entries, want at most %d", len(deadAPIKeep), maxDeadAPIKeep)
@@ -75,9 +73,11 @@ type apiScan struct {
 	fset  *token.FileSet
 	decls map[string]token.Pos // exported name → declaration
 	pkgs  map[string]string    // internal package path → its directory
-	// progUse holds names some non-test file uses; testUse, for each
-	// name, the packages whose _test.go files use it.
+	// progUse holds names some non-test file uses, crossUse those a
+	// non-test file of another package uses; testUse, for each name,
+	// the packages whose _test.go files use it.
 	progUse  map[string]bool
+	crossUse map[string]bool
 	testUse  map[string]map[string]bool
 	ifaceFns map[string]bool
 	imported map[string]bool // internal packages a non-test, non-example file imports
@@ -90,6 +90,7 @@ func newAPIScan() *apiScan {
 		decls:    map[string]token.Pos{},
 		pkgs:     map[string]string{},
 		progUse:  map[string]bool{},
+		crossUse: map[string]bool{},
 		testUse:  map[string]map[string]bool{},
 		ifaceFns: map[string]bool{"String": true, "Error": true},
 		imported: map[string]bool{},
@@ -213,6 +214,23 @@ func (s *apiScan) add(path, owner string, files []*ast.File, info *types.Info) {
 		}
 		if !self {
 			s.progUse[key] = true
+			s.crossUse[key] = s.crossUse[key] || obj.Pkg().Path() != path
+		}
+	}
+	if owner != "" {
+		return
+	}
+	// Selecting a field or method from another package uses its type.
+	for _, sel := range info.Selections {
+		t := sel.Recv()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() != path {
+			if key := apiKey(named.Obj()); key != "" {
+				s.progUse[key] = true
+				s.crossUse[key] = true
+			}
 		}
 	}
 }
@@ -261,17 +279,20 @@ func (s *apiScan) report(keep []keepEntry) []string {
 		name := strings.TrimPrefix(key, internalPrefix)
 		known[name] = true
 		method := strings.Count(name, ".") == 2 // pkg.Type.Method
-		if s.progUse[key] || method && s.ifaceFns[key[strings.LastIndexByte(key, '.')+1:]] {
+		if s.crossUse[key] || method && s.ifaceFns[key[strings.LastIndexByte(key, '.')+1:]] {
 			continue
 		}
 		pkg := key[:len(internalPrefix)+strings.IndexByte(name, '.')]
-		class := "no use"
-		for owner := range s.testUse[key] {
-			if owner != pkg {
-				class = "other packages' tests only"
-				break
+		class := "own package only"
+		if !s.progUse[key] {
+			class = "no use"
+			for owner := range s.testUse[key] {
+				if owner != pkg {
+					class = "other packages' tests only"
+					break
+				}
+				class = "own tests only"
 			}
-			class = "own tests only"
 		}
 		p := s.fset.Position(pos)
 		found[name] = finding{fmt.Sprintf("%s:%d", relPath(p.Filename), p.Line), name, class}
@@ -386,13 +407,23 @@ func (s *apiScan) loadModule(dir string) error {
 			})
 			importers[mapKey] = imp
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		info := newTypesInfo()
 		if _, err := (&types.Config{Importer: imp}).Check(path, s.fset, files, info); err != nil {
 			return fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		s.add(path, owner, files, info)
 	}
 	return nil
+}
+
+// newTypesInfo asks the type checker for what add reads.
+func newTypesInfo() *types.Info {
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 // parse reads a file once, whichever builds of its package include it.
@@ -425,7 +456,7 @@ func scanFixture(t *testing.T, pkgs ...fixturePkg) *apiScan {
 		return nil, fmt.Errorf("no fixture package %s", path)
 	})
 	check := func(path, owner string, files []*ast.File) *types.Package {
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		info := newTypesInfo()
 		pkg, err := (&types.Config{Importer: imp}).Check(path, s.fset, files, info)
 		if err != nil {
 			t.Fatal(err)
@@ -471,10 +502,11 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // TestDeadAPIClassifier runs the check on a planted tree: it must flag
 // an exported func nothing calls (calling itself does not count), one
-// only its own tests call, one only another package's test calls and a
-// package only an example imports, pass a String method and a name
-// only a second module uses, and reject stale, reasonless and unknown
-// keep-list entries.
+// only its own tests call, one only another package's test calls, one
+// only its own package calls and a package only an example imports;
+// pass a String method, a method only an interface names, a type only
+// reached by selecting its field, and a name only a second module
+// uses; and reject stale, reasonless and unknown keep-list entries.
 func TestDeadAPIClassifier(t *testing.T) {
 	s := scanFixture(t,
 		fixturePkg{"repro/internal/a", map[string]string{
@@ -482,7 +514,7 @@ func TestDeadAPIClassifier(t *testing.T) {
 
 type T struct{}
 
-func New() T { return T{} }
+func New() T { Own(); return T{} }
 
 func (T) String() string { return "t" }
 
@@ -495,6 +527,14 @@ func OtherTest() {}
 func Bench() {}
 
 func Recur(n int) int { if n > 0 { return Recur(n - 1) }; return 0 }
+
+func Own() {}
+
+type R struct{ N int }
+
+func MakeR() R { return R{} }
+
+func (T) Len() int { return 0 }
 `,
 			"internal/a/a_test.go": "package a\n\nfunc helper() { OwnTest() }\n",
 		}},
@@ -502,7 +542,18 @@ func Recur(n int) int { if n > 0 { return Recur(n - 1) }; return 0 }
 			"internal/c/c.go": "package c\n\nfunc C() {}\n",
 		}},
 		fixturePkg{"repro/cmd/b", map[string]string{
-			"cmd/b/main.go":      "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { _ = a.New() }\n",
+			"cmd/b/main.go": `package main
+
+import "repro/internal/a"
+
+type lener interface{ Len() int }
+
+func main() {
+	var l lener = a.New()
+	_ = l.Len() + a.MakeR().N
+	_ = a.New().String()
+}
+`,
 			"cmd/b/main_test.go": "package main_test\n\nimport \"repro/internal/a\"\n\nfunc helper() { a.OtherTest() }\n",
 		}},
 		fixturePkg{"repro/examples/e", map[string]string{
@@ -517,17 +568,18 @@ func Recur(n int) int { if n > 0 { return Recur(n - 1) }; return 0 }
 	own := "internal/a/a.go:11: a.OwnTest: own tests only"
 	other := "internal/a/a.go:13: a.OtherTest: other packages' tests only"
 	recur := "internal/a/a.go:17: a.Recur: no use"
+	ownPkg := "internal/a/a.go:19: a.Own: own package only"
 	pkgC := "internal/c: internal/c: no non-test importer outside examples/"
 	for _, tc := range []struct {
 		name string
 		keep []keepEntry
 		want []string
 	}{
-		{"no keep list", nil, []string{own, other, recur, dead, pkgC}},
-		{"kept", []keepEntry{{"a.Dead", "planted"}, {"a.Recur", "planted"}, {"internal/c", "planted"}}, []string{own, other}},
-		{"stale", []keepEntry{{"a.New", "cmd/b calls it"}}, []string{"deadAPIKeep: a.New: passes without the keep list", own, other, recur, dead, pkgC}},
-		{"unknown", []keepEntry{{"a.Gone", "deleted"}}, []string{"deadAPIKeep: a.Gone: names nothing under internal/", own, other, recur, dead, pkgC}},
-		{"no reason", []keepEntry{{"a.Dead", ""}}, []string{"deadAPIKeep: a.Dead: no reason given", own, other, recur, dead, pkgC}},
+		{"no keep list", nil, []string{own, other, recur, ownPkg, dead, pkgC}},
+		{"kept", []keepEntry{{"a.Dead", "planted"}, {"a.Recur", "planted"}, {"internal/c", "planted"}}, []string{own, other, ownPkg}},
+		{"stale", []keepEntry{{"a.New", "cmd/b calls it"}}, []string{"deadAPIKeep: a.New: passes without the keep list", own, other, recur, ownPkg, dead, pkgC}},
+		{"unknown", []keepEntry{{"a.Gone", "deleted"}}, []string{"deadAPIKeep: a.Gone: names nothing under internal/", own, other, recur, ownPkg, dead, pkgC}},
+		{"no reason", []keepEntry{{"a.Dead", ""}}, []string{"deadAPIKeep: a.Dead: no reason given", own, other, recur, ownPkg, dead, pkgC}},
 	} {
 		if got := s.report(tc.keep); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: report =\n%s\nwant\n%s", tc.name, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/synthetic"
+	"repro/internal/tsm"
 	"repro/internal/vfs"
 )
 
@@ -109,7 +110,7 @@ func TestAuditDetectsMissingShadowRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The shadow drifts (a sync job missed this row).
-		s.Shadow.Delete(rec.ObjectID)
+		s.Shadow.Apply(tsm.Object{ID: rec.ObjectID, Deleted: true})
 		res, err := s.Audit()
 		if err != nil {
 			t.Fatal(err)

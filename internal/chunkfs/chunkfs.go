@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"sort"
-	"strings"
 
 	"repro/internal/pfs"
 	"repro/internal/synthetic"
@@ -36,8 +34,8 @@ const (
 
 // Errors.
 var (
-	ErrNotChunked = errors.New("chunkfs: not a chunk directory")
-	ErrIncomplete = errors.New("chunkfs: chunk set incomplete")
+	errNotChunked = errors.New("chunkfs: not a chunk directory")
+	errIncomplete = errors.New("chunkfs: chunk set incomplete")
 )
 
 // ChunkDir returns the chunk-directory path that represents the logical
@@ -99,15 +97,15 @@ func PrepareDir(fs *pfs.FS, logicalPath string, size, chunkSize int64) (Plan, st
 	return plan, dir, nil
 }
 
-// ReadPlan reads the manifest of a chunk directory.
-func ReadPlan(fs *pfs.FS, dir string) (Plan, error) {
+// readPlan reads the manifest of a chunk directory.
+func readPlan(fs *pfs.FS, dir string) (Plan, error) {
 	sizeStr, err := fs.GetXattr(dir, sizeXattr)
 	if err != nil {
 		return Plan{}, err
 	}
 	chunkStr, _ := fs.GetXattr(dir, chunkXattr)
 	if sizeStr == "" || chunkStr == "" {
-		return Plan{}, fmt.Errorf("%w: %s", ErrNotChunked, dir)
+		return Plan{}, fmt.Errorf("%w: %s", errNotChunked, dir)
 	}
 	var size, chunk int64
 	if _, err := fmt.Sscan(sizeStr, &size); err != nil {
@@ -119,27 +117,11 @@ func ReadPlan(fs *pfs.FS, dir string) (Plan, error) {
 	return PlanFor(size, chunk), nil
 }
 
-// chunks lists the chunk files of dir in index order.
-func chunks(fs *pfs.FS, dir string) ([]pfs.Info, error) {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []pfs.Info
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name, "chunk.") {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
 // Join reassembles the chunk directory dir into the regular file at
 // target, verifying that every chunk is present with the planned size.
 // The chunk directory is removed on success.
 func Join(fs *pfs.FS, dir, target string) error {
-	plan, err := ReadPlan(fs, dir)
+	plan, err := readPlan(fs, dir)
 	if err != nil {
 		return err
 	}
@@ -148,11 +130,11 @@ func Join(fs *pfs.FS, dir, target string) error {
 		cp := path.Join(dir, ChunkName(i))
 		info, err := fs.Stat(cp)
 		if err != nil {
-			return fmt.Errorf("%w: missing %s", ErrIncomplete, cp)
+			return fmt.Errorf("%w: missing %s", errIncomplete, cp)
 		}
 		_, wantLen := plan.ChunkRange(i)
 		if info.Size != wantLen {
-			return fmt.Errorf("%w: %s has %d bytes, want %d", ErrIncomplete, cp, info.Size, wantLen)
+			return fmt.Errorf("%w: %s has %d bytes, want %d", errIncomplete, cp, info.Size, wantLen)
 		}
 		c, err := fs.ReadContent(cp)
 		if err != nil {

@@ -2,6 +2,8 @@ package chunkfs
 
 import (
 	"errors"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/pfs"
@@ -105,7 +107,7 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 func TestReadPlanRoundTrip(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
 		want := split(t, fs, "/f", synthetic.NewUniform(1, 12345), 5000)
-		got, err := ReadPlan(fs, ChunkDir("/f"))
+		got, err := readPlan(fs, ChunkDir("/f"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func TestReadPlanRoundTrip(t *testing.T) {
 func TestReadPlanOnPlainDirFails(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
 		fs.MkdirAll("/plain")
-		if _, err := ReadPlan(fs, "/plain"); !errors.Is(err, ErrNotChunked) {
+		if _, err := readPlan(fs, "/plain"); !errors.Is(err, errNotChunked) {
 			t.Errorf("err = %v, want ErrNotChunked", err)
 		}
 	})
@@ -128,7 +130,7 @@ func TestJoinRefusesMissingChunk(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
 		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
 		fs.Remove(ChunkDir("/f") + "/chunk.000001")
-		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, ErrIncomplete) {
+		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, errIncomplete) {
 			t.Errorf("err = %v, want ErrIncomplete", err)
 		}
 	})
@@ -138,7 +140,7 @@ func TestJoinRefusesShortChunk(t *testing.T) {
 	sim(t, func(fs *pfs.FS) {
 		split(t, fs, "/f", synthetic.NewUniform(1, 1000), 400)
 		fs.WriteFile(ChunkDir("/f")+"/chunk.000000", synthetic.NewUniform(2, 100))
-		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, ErrIncomplete) {
+		if err := Join(fs, ChunkDir("/f"), "/f"); !errors.Is(err, errIncomplete) {
 			t.Errorf("err = %v, want ErrIncomplete", err)
 		}
 	})
@@ -151,4 +153,20 @@ func TestPathHelpers(t *testing.T) {
 	if ChunkName(7) != "chunk.000007" {
 		t.Error("ChunkName wrong")
 	}
+}
+
+// chunks lists the chunk files of dir in index order.
+func chunks(fs *pfs.FS, dir string) ([]pfs.Info, error) {
+	entries, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []pfs.Info
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name, "chunk.") {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }

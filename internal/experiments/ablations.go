@@ -16,10 +16,10 @@ import (
 // The ablations quantify the design choices DESIGN.md calls out: each
 // switches one mechanism off and measures what the paper's glue buys.
 
-// AblationCoLocation measures TSM co-location groups (§4.2.2): with
+// ablationCoLocation measures TSM co-location groups (§4.2.2): with
 // them a project's files share volumes and recall mounts few tapes;
 // without them files scatter and recall mounts many.
-func AblationCoLocation(seed int64) Report {
+func ablationCoLocation(seed int64) Report {
 	run := func(colocate bool) (volumes int, recallTime time.Duration) {
 		runSystem(func(opts *archive.Options) {
 			opts.TapeDrives = 8
@@ -70,10 +70,10 @@ func AblationCoLocation(seed int64) Report {
 	return r
 }
 
-// AblationChunkSize sweeps PFTool's ChunkSize tunable (§4.1.2(5)) for a
+// ablationChunkSize sweeps PFTool's ChunkSize tunable (§4.1.2(5)) for a
 // single large file: too large starves workers, too small spends
 // scheduling overhead; the default sits on the flat part of the curve.
-func AblationChunkSize(seed int64) Report {
+func ablationChunkSize(seed int64) Report {
 	const fileSize = int64(40e9)
 	t := stats.NewTable("chunk size", "chunks", "elapsed", "MB/s")
 	r := Report{
@@ -103,11 +103,11 @@ func AblationChunkSize(seed int64) Report {
 	return r
 }
 
-// AblationBatching sweeps the small-file copy batch size. The data
+// ablationBatching sweeps the small-file copy batch size. The data
 // path is identical either way (the trunk carries the same bytes); the
 // cost of per-file jobs is Manager coordination — thousands of MPI
 // messages and per-file metadata round trips instead of a handful.
-func AblationBatching(seed int64) Report {
+func ablationBatching(seed int64) Report {
 	run := func(batchBytes int64, batchFiles int) (time.Duration, float64, int) {
 		var res pftool.Result
 		runSystem(nil, func(sys *archive.System) {
@@ -151,10 +151,10 @@ func AblationBatching(seed int64) Report {
 	return r
 }
 
-// AblationLANFree measures the LAN-free data path (§4.2.2) at the
+// ablationLANFree measures the LAN-free data path (§4.2.2) at the
 // paper's drive count: with it each mover streams to its own drive;
 // without it all data squeezes through the server NIC.
-func AblationLANFree(seed int64) Report {
+func ablationLANFree(seed int64) Report {
 	elapsed := func(lanFree bool) time.Duration {
 		return runSystem(func(opts *archive.Options) { opts.TSM.LANFree = lanFree }, func(sys *archive.System) {
 			// 48 x 40 GB across 30 mover streams: the tape fleet can
@@ -183,10 +183,10 @@ func AblationLANFree(seed int64) Report {
 	return r
 }
 
-// Reclamation demonstrates volume space reclaim after synchronous
+// reclamation demonstrates volume space reclaim after synchronous
 // deletes: logical deletes leave dead bytes on tape until reclamation
 // consolidates the survivors.
-func Reclamation(seed int64) Report {
+func reclamation(seed int64) Report {
 	var before, after float64
 	var res tsm.ReclaimResult
 	runSystem(func(opts *archive.Options) { opts.TapeDrives = 4 }, func(sys *archive.System) {

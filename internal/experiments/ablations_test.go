@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationCoLocationShape(t *testing.T) {
-	r := AblationCoLocation(1)
+	r := ablationCoLocation(1)
 	if r.Metrics["coloc_volumes"] > r.Metrics["scatter_volumes"] {
 		t.Errorf("co-location used more volumes (%v) than scatter (%v)",
 			r.Metrics["coloc_volumes"], r.Metrics["scatter_volumes"])
@@ -11,7 +11,7 @@ func TestAblationCoLocationShape(t *testing.T) {
 }
 
 func TestAblationChunkSizeShape(t *testing.T) {
-	r := AblationChunkSize(1)
+	r := ablationChunkSize(1)
 	// A whole-file "chunk" (one worker) must be slower than 4 GB chunks
 	// spread across workers.
 	if r.Metrics["mbs_cs40000"] >= r.Metrics["mbs_cs4000"] {
@@ -21,7 +21,7 @@ func TestAblationChunkSizeShape(t *testing.T) {
 }
 
 func TestAblationBatchingShape(t *testing.T) {
-	r := AblationBatching(1)
+	r := ablationBatching(1)
 	if r.Metrics["msgs_512"]*10 > r.Metrics["msgs_1"] {
 		t.Errorf("default batching (%v msgs) should use >10x fewer messages than per-file jobs (%v msgs)",
 			r.Metrics["msgs_512"], r.Metrics["msgs_1"])
@@ -29,14 +29,14 @@ func TestAblationBatchingShape(t *testing.T) {
 }
 
 func TestAblationLANFreeShape(t *testing.T) {
-	r := AblationLANFree(1)
+	r := ablationLANFree(1)
 	if r.Metrics["slowdown"] <= 1 {
 		t.Errorf("server-mediated path should be slower: slowdown = %v", r.Metrics["slowdown"])
 	}
 }
 
 func TestReclamationShape(t *testing.T) {
-	r := Reclamation(1)
+	r := reclamation(1)
 	if r.Metrics["live_after"] <= r.Metrics["live_before"] {
 		t.Errorf("reclaim did not raise the live fraction: %v -> %v",
 			r.Metrics["live_before"], r.Metrics["live_after"])

@@ -33,8 +33,8 @@ func (p CampaignParams) config() workload.CampaignConfig {
 	return cfg
 }
 
-// Campaign replays §5.2 and renders Figures 8–11.
-func Campaign(p CampaignParams) []Report {
+// campaign replays §5.2 and renders Figures 8–11.
+func campaign(p CampaignParams) []Report {
 	_, reports := CampaignData(p)
 	return reports
 }
@@ -100,9 +100,9 @@ func figureReport(name, title string, s *stats.Summary, unit string, h *stats.Lo
 	return r
 }
 
-// ParallelVsSerial is E5: the paper's ~575 MB/s parallel archive rate
+// parallelVsSerial is E5: the paper's ~575 MB/s parallel archive rate
 // against the ~70 MB/s non-parallel archive it replaces.
-func ParallelVsSerial(seed int64) Report {
+func parallelVsSerial(seed int64) Report {
 	var serial archive.SerialBaselineResult
 	var parallel pftool.Result
 	runSystem(nil, func(sys *archive.System) {

@@ -111,12 +111,12 @@ func chaosRun(seed int64, chaos bool) chaosOutcome {
 	return out
 }
 
-// ChaosStudy is the end-to-end failure drill: archive a project while
+// chaosStudy is the end-to-end failure drill: archive a project while
 // drives die permanently, a mover crashes mid-copy, a cartridge goes
 // read-only, the trunk degrades, and the TSM server takes an outage —
 // then audit that every file was archived exactly once and that
 // throughput degraded in proportion to the lost capacity, not worse.
-func ChaosStudy(seed int64) Report {
+func chaosStudy(seed int64) Report {
 	clean := chaosRun(seed, false)
 	dirty := chaosRun(seed, true)
 

@@ -9,7 +9,7 @@ import "testing"
 // throughput degrades in proportion to the lost drive capacity rather
 // than collapsing.
 func TestChaosStudyInvariants(t *testing.T) {
-	r := ChaosStudy(7)
+	r := chaosStudy(7)
 
 	if r.Metrics["audit_clean"] != 1 {
 		t.Error("chaos audit not clean")

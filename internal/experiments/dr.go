@@ -274,7 +274,7 @@ func drRun() drOutcome {
 	return out
 }
 
-// DRStudy is E20: the multi-site disaster-recovery drill. Three sites
+// drStudy is E20: the multi-site disaster-recovery drill. Three sites
 // replicate asynchronously over a WAN triangle (Copies=3); a compound
 // site-kill takes one site out mid-campaign. The experiment asserts
 // the DR contract: the dead site's share of the campaign is skipped
@@ -286,7 +286,7 @@ func drRun() drOutcome {
 // site-kill fault event that forced the reroute.
 //
 // The drill is scripted: the seed does not move it.
-func DRStudy(int64) Report {
+func drStudy(int64) Report {
 	out := drRun()
 
 	failf := out.failf

@@ -13,7 +13,7 @@ import (
 // test mostly confirms the drill ran at full scale and the report
 // carries the metrics CI archives.
 func TestDRStudyInvariants(t *testing.T) {
-	r := DRStudy(11)
+	r := drStudy(11)
 	m := r.Metrics
 
 	if m["failover_served"] != 1 {

@@ -75,7 +75,7 @@ func one(f func(int64) Report) func(int64) []Report {
 	return func(seed int64) []Report { return []Report{f(seed)} }
 }
 
-func fullCampaign(seed int64) []Report { return Campaign(CampaignParams{Seed: seed}) }
+func fullCampaign(seed int64) []Report { return campaign(CampaignParams{Seed: seed}) }
 
 // table is the single ordered registry behind Names, Run and All; its
 // order is the presentation order. The last three rows stay out of
@@ -88,36 +88,36 @@ var table = []experiment{
 	{"fig9", false, fullCampaign},
 	{"fig10", false, fullCampaign},
 	{"fig11", false, fullCampaign},
-	{"parallel-vs-serial", true, one(ParallelVsSerial)},
-	{"smallfile", true, one(SmallFileTape)},
-	{"recall", true, one(RecallOrdering)},
-	{"largefile", true, one(LargeFileSweep)},
-	{"verylarge", true, one(VeryLargeNtoN)},
-	{"restart", true, one(RestartableTransfer)},
-	{"delete", true, one(SyncDeleteVsReconcile)},
-	{"migrate", true, one(MigratorBalance)},
-	{"scan", true, one(InodeScan)},
-	{"kiviat", true, one(ScalingGap)},
-	{"ablation-colocation", true, one(AblationCoLocation)},
-	{"ablation-chunksize", true, one(AblationChunkSize)},
-	{"ablation-batching", true, one(AblationBatching)},
-	{"ablation-lanfree", true, one(AblationLANFree)},
-	{"reclaim", true, one(Reclamation)},
-	{"fabric", true, one(FabricBottleneck)},
-	{"chaos", true, one(ChaosStudy)},
-	{"obs", true, one(ObservabilitySelfCheck)},
-	{"integrity", true, one(IntegrityStudy)},
-	{"dr", true, one(DRStudy)},
-	{"tenants", true, one(TenantStudy)},
-	{"storm", true, one(StormStudy)},
-	{"parallel", false, one(ParallelStudy)},
-	{"scale", false, one(ScaleStudy)},
-	{"ops", false, one(OpsDrill)},
+	{"parallel-vs-serial", true, one(parallelVsSerial)},
+	{"smallfile", true, one(smallFileTape)},
+	{"recall", true, one(recallOrdering)},
+	{"largefile", true, one(largeFileSweep)},
+	{"verylarge", true, one(veryLargeNtoN)},
+	{"restart", true, one(restartableTransfer)},
+	{"delete", true, one(syncDeleteVsReconcile)},
+	{"migrate", true, one(migratorBalance)},
+	{"scan", true, one(inodeScan)},
+	{"kiviat", true, one(scalingGap)},
+	{"ablation-colocation", true, one(ablationCoLocation)},
+	{"ablation-chunksize", true, one(ablationChunkSize)},
+	{"ablation-batching", true, one(ablationBatching)},
+	{"ablation-lanfree", true, one(ablationLANFree)},
+	{"reclaim", true, one(reclamation)},
+	{"fabric", true, one(fabricBottleneck)},
+	{"chaos", true, one(chaosStudy)},
+	{"obs", true, one(observabilitySelfCheck)},
+	{"integrity", true, one(integrityStudy)},
+	{"dr", true, one(drStudy)},
+	{"tenants", true, one(tenantStudy)},
+	{"storm", true, one(stormStudy)},
+	{"parallel", false, one(parallelStudy)},
+	{"scale", false, one(scaleStudy)},
+	{"ops", false, one(opsDrill)},
 }
 
-// All runs every seed-determined experiment at full scale and returns
+// all runs every seed-determined experiment at full scale and returns
 // the reports in presentation order.
-func All(seed int64) []Report {
+func all(seed int64) []Report {
 	var out []Report
 	for _, e := range table {
 		if e.inAll {
@@ -139,7 +139,7 @@ func Names() []string {
 // Run executes one experiment (or the whole campaign group) by name.
 func Run(name string, seed int64) ([]Report, error) {
 	if name == "all" {
-		return All(seed), nil
+		return all(seed), nil
 	}
 	for _, e := range table {
 		if e.name == name {

@@ -13,7 +13,7 @@ func TestCampaignSmallScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign replay is slow")
 	}
-	reports := Campaign(CampaignParams{Seed: 1, Jobs: 6, MaxSimFiles: 2000})
+	reports := campaign(CampaignParams{Seed: 1, Jobs: 6, MaxSimFiles: 2000})
 	if len(reports) != 4 {
 		t.Fatalf("reports = %d, want 4 (figures 8-11)", len(reports))
 	}
@@ -36,7 +36,7 @@ func TestCampaignSmallScaleShape(t *testing.T) {
 }
 
 func TestParallelVsSerialShape(t *testing.T) {
-	r := ParallelVsSerial(1)
+	r := parallelVsSerial(1)
 	serial := r.Metrics["serial_mbs"]
 	parallel := r.Metrics["parallel_mbs"]
 	// Paper shape: ~70 vs ~575 MB/s.
@@ -52,7 +52,7 @@ func TestParallelVsSerialShape(t *testing.T) {
 }
 
 func TestSmallFileTapeShape(t *testing.T) {
-	r := SmallFileTapeWith(SmallFileTapeParams{Seed: 1, SmallFiles: 400, SmallSize: 8e6, LargeFiles: 8, LargeSize: 1e9})
+	r := smallFileTapeWith(smallFileTapeParams{Seed: 1, SmallFiles: 400, SmallSize: 8e6, LargeFiles: 8, LargeSize: 1e9})
 	small := r.Metrics["small_mbs"]
 	large := r.Metrics["large_mbs"]
 	agg := r.Metrics["aggregated_mbs"]
@@ -71,7 +71,7 @@ func TestSmallFileTapeShape(t *testing.T) {
 }
 
 func TestRecallOrderingShape(t *testing.T) {
-	r := RecallOrderingWith(RecallParams{Seed: 1, Files: 120, Size: 200e6})
+	r := recallOrderingWith(recallParams{Seed: 1, Files: 120, Size: 200e6})
 	if r.Metrics["speedup"] <= 1 {
 		t.Errorf("ordered recall speedup = %.2f, want > 1", r.Metrics["speedup"])
 	}
@@ -81,21 +81,21 @@ func TestRecallOrderingShape(t *testing.T) {
 }
 
 func TestLargeFileSweepShape(t *testing.T) {
-	r := LargeFileSweepWith(1, 20e9, []int{1, 4, 16})
+	r := largeFileSweepWith(1, 20e9, []int{1, 4, 16})
 	if r.Metrics["mbs_w4"] <= r.Metrics["mbs_w1"] {
 		t.Errorf("4 workers (%.0f) not faster than 1 (%.0f)", r.Metrics["mbs_w4"], r.Metrics["mbs_w1"])
 	}
 }
 
 func TestVeryLargeShape(t *testing.T) {
-	r := VeryLargeNtoNWith(1, 150e9)
+	r := veryLargeNtoNWith(1, 150e9)
 	if r.Metrics["fuse_mbs"] <= 0 || r.Metrics["nto1_mbs"] <= 0 {
 		t.Errorf("metrics = %+v", r.Metrics)
 	}
 }
 
 func TestRestartShape(t *testing.T) {
-	r := RestartableTransferWith(1, 20e9, 2e9, 4)
+	r := restartableTransferWith(1, 20e9, 2e9, 4)
 	if r.Metrics["content_ok"] != 1 {
 		t.Error("restart did not verify content")
 	}
@@ -108,7 +108,7 @@ func TestRestartShape(t *testing.T) {
 }
 
 func TestSyncDeleteShape(t *testing.T) {
-	r := SyncDeleteVsReconcileWith(1, []int{500, 5000}, 5)
+	r := syncDeleteVsReconcileWith(1, []int{500, 5000}, 5)
 	if r.Metrics["ratio_pop5000"] <= r.Metrics["ratio_pop500"] {
 		t.Errorf("reconcile/sync ratio should grow with population: %+v", r.Metrics)
 	}
@@ -118,14 +118,14 @@ func TestSyncDeleteShape(t *testing.T) {
 }
 
 func TestMigratorBalanceShape(t *testing.T) {
-	r := MigratorBalanceWith(1, 4, 40)
+	r := migratorBalanceWith(1, 4, 40)
 	if r.Metrics["speedup"] <= 1 {
 		t.Errorf("balanced speedup = %.2f, want > 1", r.Metrics["speedup"])
 	}
 }
 
 func TestInodeScanShape(t *testing.T) {
-	r := InodeScanWith(1, 50_000)
+	r := inodeScanWith(1, 50_000)
 	// Calibration: 600µs/inode -> 50k inodes in 30s.
 	if r.Metrics["seconds"] < 25 || r.Metrics["seconds"] > 40 {
 		t.Errorf("scan took %.1fs, want ~30s for 50k inodes", r.Metrics["seconds"])
@@ -133,7 +133,7 @@ func TestInodeScanShape(t *testing.T) {
 }
 
 func TestScalingGapShape(t *testing.T) {
-	r := ScalingGapWith(1, []int{1, 4})
+	r := scalingGapWith(1, []int{1, 4})
 	if r.Metrics["mbs_n4"] <= r.Metrics["mbs_n1"] {
 		t.Errorf("4 nodes (%.0f) not faster than 1 (%.0f)", r.Metrics["mbs_n4"], r.Metrics["mbs_n1"])
 	}

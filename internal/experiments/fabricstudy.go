@@ -12,7 +12,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// FabricBottleneck is E16: the data-path fabric bottleneck study. A
+// fabricBottleneck is E16: the data-path fabric bottleneck study. A
 // fixed tree is archived with an increasing worker count; every byte of
 // every transfer is accounted on the fabric links it crosses, so the
 // study can name the binding link at each point instead of inferring
@@ -23,12 +23,12 @@ import (
 // Ethernet trunk". The run panics if per-link accounting fails to
 // conserve bytes or the plateau misses the trunk ceiling: those are
 // invariants of the fabric, not tunables.
-func FabricBottleneck(seed int64) Report {
-	return FabricBottleneckWith(seed, 64, 4e9, []int{1, 2, 4, 8, 16, 32})
+func fabricBottleneck(seed int64) Report {
+	return fabricBottleneckWith(seed, 64, 4e9, []int{1, 2, 4, 8, 16, 32})
 }
 
-// FabricBottleneckWith runs E16 for one tree shape across worker counts.
-func FabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) Report {
+// fabricBottleneckWith runs E16 for one tree shape across worker counts.
+func fabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) Report {
 	const trunkRate = 1.87e9
 	type point struct {
 		rate    float64 // aggregate bytes/s

@@ -12,15 +12,15 @@ import (
 	"repro/internal/synthetic"
 )
 
-// LargeFileSweep is E8 (§4.1.2(3)): a single large file copied N-to-1
+// largeFileSweep is E8 (§4.1.2(3)): a single large file copied N-to-1
 // with an increasing worker count. The speedup saturates at the
 // bottleneck pipe, exactly as striped parallel I/O should.
-func LargeFileSweep(seed int64) Report {
-	return LargeFileSweepWith(seed, 40e9, []int{1, 2, 4, 8, 16, 32})
+func largeFileSweep(seed int64) Report {
+	return largeFileSweepWith(seed, 40e9, []int{1, 2, 4, 8, 16, 32})
 }
 
-// LargeFileSweepWith runs E8 for one file size across worker counts.
-func LargeFileSweepWith(seed int64, fileSize int64, workers []int) Report {
+// largeFileSweepWith runs E8 for one file size across worker counts.
+func largeFileSweepWith(seed int64, fileSize int64, workers []int) Report {
 	runWith := func(nw int) (time.Duration, float64) {
 		var res pftool.Result
 		runSystem(nil, func(sys *archive.System) {
@@ -59,18 +59,18 @@ func LargeFileSweepWith(seed int64, fileSize int64, workers []int) Report {
 	return r
 }
 
-// VeryLargeNtoN is E9 (§4.1.2(4)): the ArchiveFUSE N-to-N path against
+// veryLargeNtoN is E9 (§4.1.2(4)): the ArchiveFUSE N-to-N path against
 // plain N-to-1 for a very large file.
-func VeryLargeNtoN(seed int64) Report {
-	return VeryLargeNtoNWith(seed, 200e9)
+func veryLargeNtoN(seed int64) Report {
+	return veryLargeNtoNWith(seed, 200e9)
 }
 
-// VeryLargeNtoNWith runs E9 for one file size: both paths land the file
+// veryLargeNtoNWith runs E9 for one file size: both paths land the file
 // on the archive at trunk speed, but the FUSE chunk layout then
 // migrates to tape across many drives in parallel while the single
 // inode is one tape object on one drive — the paper's reason for
 // converting "an N-to-1 parallel I/O operation into an N-to-N".
-func VeryLargeNtoNWith(seed int64, fileSize int64) Report {
+func veryLargeNtoNWith(seed int64, fileSize int64) Report {
 	run := func(fuse bool) (pftool.Result, bool, time.Duration) {
 		var res pftool.Result
 		var chunked bool
@@ -128,15 +128,15 @@ func VeryLargeNtoNWith(seed int64, fileSize int64) Report {
 	return r
 }
 
-// RestartableTransfer is E10 (§4.5): fail a very large transfer partway
+// restartableTransfer is E10 (§4.5): fail a very large transfer partway
 // and resume; only un-sent chunks move the second time.
-func RestartableTransfer(seed int64) Report {
-	return RestartableTransferWith(seed, 40e9, 4e9, 6)
+func restartableTransfer(seed int64) Report {
+	return restartableTransferWith(seed, 40e9, 4e9, 6)
 }
 
-// RestartableTransferWith runs E10: a file of fileSize in chunks of
+// restartableTransferWith runs E10: a file of fileSize in chunks of
 // chunkSize, failing at failAtChunk on the first attempt.
-func RestartableTransferWith(seed int64, fileSize, chunkSize int64, failAtChunk int) Report {
+func restartableTransferWith(seed int64, fileSize, chunkSize int64, failAtChunk int) Report {
 	var first, resume pftool.Result
 	var firstErr error
 	var resumedOK bool

@@ -33,7 +33,7 @@ func TestGoldenSeed7(t *testing.T) {
 		run := e.run
 		if e.name == "campaign" {
 			run = func(seed int64) []Report {
-				return Campaign(CampaignParams{Seed: seed, Jobs: 6, MaxSimFiles: 2000})
+				return campaign(CampaignParams{Seed: seed, Jobs: 6, MaxSimFiles: 2000})
 			}
 		}
 		for _, r := range run(7) {

@@ -231,7 +231,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 	return out
 }
 
-// IntegrityStudy is E18: the end-to-end data-integrity drill. A project
+// integrityStudy is E18: the end-to-end data-integrity drill. A project
 // is archived, duplicated into the copy storage pool, then silently
 // damaged — three media-rot faults on primary volumes plus two
 // in-flight corruptions on the recall path — while a scrub pass races a
@@ -243,7 +243,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 // dump cites the provoking corruption fault's event ID. It also
 // quantifies the scrub tax: the second job's migration rate with the
 // scrubber racing it versus the clean baseline.
-func IntegrityStudy(seed int64) Report {
+func integrityStudy(seed int64) Report {
 	base := integrityRun(seed, false)
 	dirty := integrityRun(seed, true)
 

@@ -11,11 +11,11 @@ import (
 // object is either repaired from the copy pool or surfaced as a typed
 // IntegrityError — zero silently wrong bytes reach a reader — and each
 // detection span cites the provoking corruption fault's event ID.
-// IntegrityStudy panics on any violated invariant; the assertions here
+// integrityStudy panics on any violated invariant; the assertions here
 // pin the headline numbers so a silent weakening of the drill (fewer
 // injections, no scrub pass) also fails.
 func TestIntegrityStudyInvariants(t *testing.T) {
-	r := IntegrityStudy(7)
+	r := integrityStudy(7)
 
 	if r.Metrics["rot_files"] != 3 || r.Metrics["taints_armed"] != 2 {
 		t.Errorf("drill injected %v rot files and %v taints, want 3 and 2",

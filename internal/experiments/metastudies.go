@@ -15,16 +15,16 @@ import (
 	"repro/internal/workload"
 )
 
-// SyncDeleteVsReconcile is E11 (§4.2.6–4.2.7, §6.3): deleting migrated
+// syncDeleteVsReconcile is E11 (§4.2.6–4.2.7, §6.3): deleting migrated
 // files through the trashcan + synchronous deleter against the
 // tree-walk reconciliation baseline, across growing populations.
-func SyncDeleteVsReconcile(seed int64) Report {
-	return SyncDeleteVsReconcileWith(seed, []int{1000, 10000, 50000}, 20)
+func syncDeleteVsReconcile(seed int64) Report {
+	return syncDeleteVsReconcileWith(seed, []int{1000, 10000, 50000}, 20)
 }
 
-// SyncDeleteVsReconcileWith runs E11 for the given population sizes and
+// syncDeleteVsReconcileWith runs E11 for the given population sizes and
 // victim count.
-func SyncDeleteVsReconcileWith(seed int64, populations []int, victims int) Report {
+func syncDeleteVsReconcileWith(seed int64, populations []int, victims int) Report {
 	t := stats.NewTable("population", "sync delete", "reconcile", "ratio")
 	r := Report{
 		Name:  "delete",
@@ -94,15 +94,15 @@ func SyncDeleteVsReconcileWith(seed int64, populations []int, victims int) Repor
 	return r
 }
 
-// MigratorBalance is E12 (§4.2.4): the size-balanced parallel data
+// migratorBalance is E12 (§4.2.4): the size-balanced parallel data
 // migrator against the GPFS policy engine's position-based spread.
-func MigratorBalance(seed int64) Report {
-	return MigratorBalanceWith(seed, 6, 60)
+func migratorBalance(seed int64) Report {
+	return migratorBalanceWith(seed, 6, 60)
 }
 
-// MigratorBalanceWith runs E12 with the given number of huge files and
+// migratorBalanceWith runs E12 with the given number of huge files and
 // small files.
-func MigratorBalanceWith(seed int64, hugeFiles, smallFiles int) Report {
+func migratorBalanceWith(seed int64, hugeFiles, smallFiles int) Report {
 	run := func(balanced bool) (time.Duration, time.Duration) {
 		var makespan, spread time.Duration
 		runSystem(nil, func(sys *archive.System) {
@@ -154,14 +154,14 @@ func MigratorBalanceWith(seed int64, hugeFiles, smallFiles int) Report {
 	return r
 }
 
-// InodeScan is E13 (§4.2.1): "GPFS can scan one million inodes in ten
+// inodeScan is E13 (§4.2.1): "GPFS can scan one million inodes in ten
 // minutes".
-func InodeScan(seed int64) Report {
-	return InodeScanWith(seed, 1_000_000)
+func inodeScan(seed int64) Report {
+	return inodeScanWith(seed, 1_000_000)
 }
 
-// InodeScanWith runs E13 over the given inode count.
-func InodeScanWith(seed int64, inodes int) Report {
+// inodeScanWith runs E13 over the given inode count.
+func inodeScanWith(seed int64, inodes int) Report {
 	var elapsed time.Duration
 	var visited int
 	runClock(func(clock *simtime.Clock) func() {
@@ -214,15 +214,15 @@ func InodeScanWith(seed int64, inodes int) Report {
 	return r
 }
 
-// ScalingGap is E14 (Figure 1's Kiviat gap): parallel file systems
+// scalingGap is E14 (Figure 1's Kiviat gap): parallel file systems
 // scale bandwidth with node count while a non-parallel archive stays
 // flat; the COTS parallel archive tracks the file-system curve.
-func ScalingGap(seed int64) Report {
-	return ScalingGapWith(seed, []int{1, 2, 4, 8, 10})
+func scalingGap(seed int64) Report {
+	return scalingGapWith(seed, []int{1, 2, 4, 8, 10})
 }
 
-// ScalingGapWith runs E14 across mover-node counts.
-func ScalingGapWith(seed int64, nodeCounts []int) Report {
+// scalingGapWith runs E14 across mover-node counts.
+func scalingGapWith(seed int64, nodeCounts []int) Report {
 	archiveRate := func(nodes int) float64 {
 		var rate float64
 		runSystem(func(opts *archive.Options) { opts.Cluster.Nodes = nodes }, func(sys *archive.System) {

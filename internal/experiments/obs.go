@@ -7,14 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
-// ObservabilitySelfCheck is E17: the telemetry layer audits itself.
+// observabilitySelfCheck is E17: the telemetry layer audits itself.
 // It replays a small campaign for the registry-derived aggregate data
 // rate, then re-runs the chaos drill and asserts the flight recorder
 // explains each injected mover crash: every node-fail fault event must
 // appear as the linked cause of at least one aborted span. The
 // experiment panics on violation — a flight recorder that cannot
 // explain a fault is worse than none.
-func ObservabilitySelfCheck(seed int64) Report {
+func observabilitySelfCheck(seed int64) Report {
 	res, _ := CampaignData(CampaignParams{Seed: seed, Jobs: 6, MaxSimFiles: 2000})
 	var regBytes, secs float64
 	for _, j := range res.Jobs {

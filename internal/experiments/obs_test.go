@@ -10,7 +10,7 @@ func TestObservabilitySelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-check replays a campaign and the chaos drill")
 	}
-	r := ObservabilitySelfCheck(7)
+	r := observabilitySelfCheck(7)
 
 	if r.Metrics["registry_mbs"] <= 0 {
 		t.Error("registry rate is zero")

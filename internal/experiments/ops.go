@@ -33,8 +33,8 @@ import (
 // baseline, and the final live scrape is byte-identical to the post-hoc
 // registry snapshot.
 
-// OpsWave is one archive wave (pfcp + tape migration) of the drill.
-type OpsWave struct {
+// opsWave is one archive wave (pfcp + tape migration) of the drill.
+type opsWave struct {
 	Index       int     `json:"index"`
 	Phase       string  `json:"phase"` // warmup|baseline|contaminated|settling|recovery
 	Files       int     `json:"files"`
@@ -44,9 +44,9 @@ type OpsWave struct {
 	RateMBs     float64 `json:"rate_mbs"`
 }
 
-// OpsAction is one operator move, stamped with the virtual time of the
+// opsAction is one operator move, stamped with the virtual time of the
 // scrape that triggered it.
-type OpsAction struct {
+type opsAction struct {
 	VirtualSecs float64 `json:"virtual_secs"`
 	Action      string  `json:"action"`
 	Target      string  `json:"target,omitempty"`
@@ -58,8 +58,8 @@ type OpsAction struct {
 // the scrubber's pass reports.
 type OpsReport struct {
 	SlowDrive     string            `json:"slow_drive"`
-	Waves         []OpsWave         `json:"waves"`
-	Actions       []OpsAction       `json:"actions"`
+	Waves         []opsWave         `json:"waves"`
+	Actions       []opsAction       `json:"actions"`
 	ScrubInterval string            `json:"scrub_interval"`
 	ScrubPasses   []tsm.ScrubReport `json:"scrub_passes"`
 
@@ -129,7 +129,7 @@ type opsOperator struct {
 	prev    *obs.Exposition
 
 	acted   bool
-	actions []OpsAction
+	actions []opsAction
 	scrapes int
 	errs    []string
 }
@@ -293,13 +293,13 @@ func (o *opsOperator) act(virt float64, action, target, detail, path string) {
 		o.errs = append(o.errs, fmt.Sprintf("%s: %v", action, err))
 		return
 	}
-	o.actions = append(o.actions, OpsAction{VirtualSecs: virt, Action: action, Target: target, Detail: detail})
+	o.actions = append(o.actions, opsAction{VirtualSecs: virt, Action: action, Target: target, Detail: detail})
 }
 
-// opsWave archives one wave: write WaveFiles uniform files on scratch,
+// archiveWave archives one wave: write WaveFiles uniform files on scratch,
 // pfcp them to the archive FS, migrate the tree to tape, and report
 // the wave's tape rate from the registry counter.
-func opsWave(sys *archive.System, ctrMig *telemetry.Counter, w int, seed int64, p opsParams, tun pftool.Tunables) OpsWave {
+func archiveWave(sys *archive.System, ctrMig *telemetry.Counter, w int, seed int64, p opsParams, tun pftool.Tunables) opsWave {
 	clock := sys.Clock
 	src := fmt.Sprintf("/drop/w%03d", w)
 	dst := fmt.Sprintf("/arc/w%03d", w)
@@ -332,16 +332,16 @@ func opsWave(sys *archive.System, ctrMig *telemetry.Counter, w int, seed int64, 
 	}
 	migSecs := (clock.Now() - t1).Seconds()
 	mb := stats.MB(ctrMig.Value() - mig0)
-	return OpsWave{
+	return opsWave{
 		Index: w, Files: mr.Files, MigratedMB: mb,
 		CopySecs: copySecs, MigrateSecs: migSecs, RateMBs: mb / migSecs,
 	}
 }
 
-// OpsDrill runs E22 at full scale.
-func OpsDrill(seed int64) Report { return opsDrill(seed, defaultOpsParams()) }
+// opsDrill runs E22 at full scale.
+func opsDrill(seed int64) Report { return opsDrillWith(seed, defaultOpsParams()) }
 
-func opsDrill(seed int64, p opsParams) Report {
+func opsDrillWith(seed int64, p opsParams) Report {
 	wall0 := time.Now()
 	var (
 		tel      *telemetry.Registry
@@ -350,7 +350,7 @@ func opsDrill(seed int64, p opsParams) Report {
 		op       *opsOperator
 		slow     string
 
-		waves     []OpsWave
+		waves     []opsWave
 		drainWave = -1
 		migSecs   float64
 		audit     archive.AuditResult
@@ -395,7 +395,7 @@ func opsDrill(seed int64, p opsParams) Report {
 				if w == p.FaultWave {
 					reg.Apply(faults.Event{Component: comp, Kind: faults.KindDegrade, Param: p.DegradeTo})
 				}
-				wv := opsWave(sys, ctrMig, w, seed, p, tun)
+				wv := archiveWave(sys, ctrMig, w, seed, p, tun)
 				if drainWave < 0 && reg.Down(comp) {
 					drainWave = w
 				}

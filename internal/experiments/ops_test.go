@@ -31,12 +31,12 @@ func testOpsParams() opsParams {
 	}
 }
 
-// TestOpsDrill runs the whole drill at test scale. opsDrill panics on
+// TestOpsDrill runs the whole drill at test scale. opsDrillWith panics on
 // any violated invariant (no drain, weak recovery, scrape/snapshot
 // drift, dirty audit), so surviving the call is most of the test; the
 // assertions below pin the report shape the tooling depends on.
 func TestOpsDrill(t *testing.T) {
-	r := opsDrill(7, testOpsParams())
+	r := opsDrillWith(7, testOpsParams())
 
 	ops, ok := r.Detail.(*OpsReport)
 	if r.Name != "ops" || !ok {

@@ -413,9 +413,9 @@ func engineRegistry(o parallelOutcome) *telemetry.Registry {
 	return reg
 }
 
-// ParallelStudy is E24 at the default parameters (the -exp parallel
+// parallelStudy is E24 at the default parameters (the -exp parallel
 // entry point).
-func ParallelStudy(seed int64) Report {
+func parallelStudy(seed int64) Report {
 	r, _ := ParallelRun(ParallelParams{Seed: seed})
 	return r
 }

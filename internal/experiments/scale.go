@@ -20,7 +20,7 @@ import (
 // differently), not engine drift. Measured drift is well under 1%.
 const scaleTolerance = 0.10
 
-// ScaleStudy is E19: the wall-clock trajectory of a paper-scale
+// scaleStudy is E19: the wall-clock trajectory of a paper-scale
 // campaign. It replays the first four generated jobs at the full 300k
 // per-job file cap — over one million files and multiple terabytes —
 // and reports what that costs in real time: wall seconds, the
@@ -29,7 +29,7 @@ const scaleTolerance = 0.10
 // aggregate virtual MB/s agrees within tolerance: the performance
 // engineering that makes paper scale affordable must not change the
 // simulated physics.
-func ScaleStudy(seed int64) Report {
+func scaleStudy(seed int64) Report {
 	const jobs = 4 // first four jobs clear 1M files at the 300k cap
 
 	// Small-scale reference first: same jobs, benchmark-sized cap.

@@ -263,21 +263,21 @@ func stormDefendedClient(clock *simtime.Clock, srv *tsm.Server, defense *faults.
 	return attempts
 }
 
-// StormCohort is one arrival-minute's interactive goodput on both
+// stormCohort is one arrival-minute's interactive goodput on both
 // stacks.
-type StormCohort struct {
+type stormCohort struct {
 	Minute   int     `json:"minute"`
 	Baseline float64 `json:"baseline_goodput"`
 	Defended float64 `json:"defended_goodput"`
 }
 
-// StormReport is the storm report's Detail: the per-cohort goodput
+// stormReport is the storm report's Detail: the per-cohort goodput
 // curves the headline metrics summarize.
-type StormReport struct {
-	Cohorts []StormCohort `json:"cohorts"`
+type stormReport struct {
+	Cohorts []stormCohort `json:"cohorts"`
 }
 
-// StormStudy is E23: the metastable retry storm and its defense. The
+// stormStudy is E23: the metastable retry storm and its defense. The
 // same ~1.45x overload day — a two-minute total TSM outage under an
 // unrelenting batch wave — replays twice. The baseline stack (pass-
 // through admission, no deadlines, naive synchronized client retries)
@@ -289,7 +289,7 @@ type StormReport struct {
 // interactive goodput within five minutes of the repair, sheds only
 // batch work, and accounts for every admission: admitted = completed
 // + shed + deadline-cancelled.
-func StormStudy(seed int64) Report {
+func stormStudy(seed int64) Report {
 	reqs := stormDemand(seed)
 	base := stormRun(reqs, seed, false)
 	def := stormRun(reqs, seed, true)
@@ -363,9 +363,9 @@ func StormStudy(seed int64) Report {
 	}
 
 	basePost := base.meanGoodput(repair, repair+10)
-	rep := &StormReport{}
+	rep := &stormReport{}
 	for m := 0; m <= lastFull; m++ {
-		rep.Cohorts = append(rep.Cohorts, StormCohort{Minute: m, Baseline: base.goodput(m), Defended: def.goodput(m)})
+		rep.Cohorts = append(rep.Cohorts, stormCohort{Minute: m, Baseline: base.goodput(m), Defended: def.goodput(m)})
 	}
 
 	t := stats.NewTable("cohort minutes", "baseline goodput", "defended goodput")

@@ -11,9 +11,9 @@ import "testing"
 // and account for every admission — so the test mostly confirms the
 // study ran and the report carries the summary CI archives.
 func TestStormStudyInvariants(t *testing.T) {
-	r := StormStudy(7)
+	r := stormStudy(7)
 
-	rep, ok := r.Detail.(*StormReport)
+	rep, ok := r.Detail.(*stormReport)
 	if !ok {
 		t.Fatalf("storm report detail is %T, want *StormReport", r.Detail)
 	}

@@ -38,8 +38,8 @@ func seedArchiveFiles(sys *archive.System, dir string, n int, size int64) []pfs.
 	return infos
 }
 
-// SmallFileTapeParams scales E6.
-type SmallFileTapeParams struct {
+// smallFileTapeParams scales E6.
+type smallFileTapeParams struct {
 	Seed       int64
 	SmallFiles int   // count of 8 MB files
 	SmallSize  int64 // 8 MB per the paper's incident
@@ -47,15 +47,15 @@ type SmallFileTapeParams struct {
 	LargeSize  int64
 }
 
-// SmallFileTape is E6 (§6.1): migrating millions of 8 MB files ran at
+// smallFileTape is E6 (§6.1): migrating millions of 8 MB files ran at
 // ~4 MB/s per drive instead of the rated ~100 MB/s; aggregation is the
 // fix. Rates here are per-drive effective rates.
-func SmallFileTape(seed int64) Report {
-	return SmallFileTapeWith(SmallFileTapeParams{Seed: seed, SmallFiles: 2000, SmallSize: 8e6, LargeFiles: 16, LargeSize: 1e9})
+func smallFileTape(seed int64) Report {
+	return smallFileTapeWith(smallFileTapeParams{Seed: seed, SmallFiles: 2000, SmallSize: 8e6, LargeFiles: 16, LargeSize: 1e9})
 }
 
-// SmallFileTapeWith runs E6 at the given scale.
-func SmallFileTapeWith(p SmallFileTapeParams) Report {
+// smallFileTapeWith runs E6 at the given scale.
+func smallFileTapeWith(p smallFileTapeParams) Report {
 	perDriveRate := func(cfg hsm.Config, files int, size int64) float64 {
 		var rate float64
 		runSystem(func(opts *archive.Options) { opts.HSM = cfg }, func(sys *archive.System) {
@@ -93,21 +93,21 @@ func SmallFileTapeWith(p SmallFileTapeParams) Report {
 	return r
 }
 
-// RecallParams scales E7.
-type RecallParams struct {
+// recallParams scales E7.
+type recallParams struct {
 	Seed  int64
 	Files int
 	Size  int64
 }
 
-// RecallOrdering is E7 (§4.2.5, §6.2): tape-ordered machine-sticky
+// recallOrdering is E7 (§4.2.5, §6.2): tape-ordered machine-sticky
 // recall against the stock recall daemon behaviour.
-func RecallOrdering(seed int64) Report {
-	return RecallOrderingWith(RecallParams{Seed: seed, Files: 300, Size: 500e6})
+func recallOrdering(seed int64) Report {
+	return recallOrderingWith(recallParams{Seed: seed, Files: 300, Size: 500e6})
 }
 
-// RecallOrderingWith runs E7 at the given scale.
-func RecallOrderingWith(p RecallParams) Report {
+// recallOrderingWith runs E7 at the given scale.
+func recallOrderingWith(p recallParams) Report {
 	runMode := func(mode hsm.RecallMode) (time.Duration, int, int) {
 		var elapsed time.Duration
 		var verifies, seeks int

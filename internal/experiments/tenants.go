@@ -160,7 +160,7 @@ func jainMeanWait(ts []sched.TenantStat, class sched.Class) float64 {
 	return sum * sum / (float64(n) * sumSq)
 }
 
-// TenantStudy is E21: multi-tenant QoS over the unified admission
+// tenantStudy is E21: multi-tenant QoS over the unified admission
 // layer. A 1.2M-user population with Zipf activity, a diurnal arrival
 // curve, and bursty sessions replays one compressed day of recall
 // demand twice — once against pass-through admission (FIFO at the
@@ -171,7 +171,7 @@ func jainMeanWait(ts []sched.TenantStat, class sched.Class) float64 {
 // the scavenger anti-starvation share honored under contention, and
 // aggregate recall throughput within 5% of the unscheduled baseline —
 // QoS costs priority inversion, not bandwidth.
-func TenantStudy(seed int64) Report {
+func tenantStudy(seed int64) Report {
 	pop := tenantDemand(seed)
 	reqs := pop.GenerateRequests()
 	if pop.Tenants < 1_000_000 {

@@ -14,7 +14,7 @@ import (
 // so the test mostly confirms the study ran at contract scale and the
 // report carries the metrics CI archives.
 func TestTenantStudyInvariants(t *testing.T) {
-	r := TenantStudy(11)
+	r := tenantStudy(11)
 	m := r.Metrics
 
 	if m["population"] < 1_000_000 {
@@ -61,7 +61,7 @@ func TestTenantStudyInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := json.Marshal(TenantStudy(11))
+	again, err := json.Marshal(tenantStudy(11))
 	if err != nil {
 		t.Fatal(err)
 	}

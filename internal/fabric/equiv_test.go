@@ -20,7 +20,7 @@ type churnResult struct {
 	linkBytes      map[string]float64
 	linkBusy       map[string]time.Duration
 	linkPeak       map[string]int
-	linkTimeline   map[string][]TimePoint
+	linkTimeline   map[string][]timePoint
 	fast, fallback uint64
 }
 
@@ -30,7 +30,7 @@ func newChurnResult(n int) churnResult {
 		linkBytes:    make(map[string]float64),
 		linkBusy:     make(map[string]time.Duration),
 		linkPeak:     make(map[string]int),
-		linkTimeline: make(map[string][]TimePoint),
+		linkTimeline: make(map[string][]timePoint),
 	}
 }
 
@@ -134,7 +134,7 @@ func runChurn(seed int64, full bool) churnResult {
 			panic(err)
 		}
 		start := simtime.Duration(r.Intn(8000)) * time.Millisecond
-		var opts []Option
+		var opts []option
 		if r.Intn(3) == 0 {
 			opts = append(opts, WithCap(float64(r.Intn(700)+40)))
 		}
@@ -202,7 +202,7 @@ func runHubChurn(seed int64, full bool) churnResult {
 	degradeTo := capacity * (0.3 + 0.6*r.Float64())
 	c.Go(func() {
 		c.Sleep(degradeAt)
-		trunk.SetCapacity(degradeTo)
+		trunk.setCapacity(degradeTo)
 	})
 
 	n := r.Intn(161) + 40
@@ -219,7 +219,7 @@ func runHubChurn(seed int64, full bool) churnResult {
 			panic(err)
 		}
 		start := simtime.Duration(r.Intn(40_000)) * time.Millisecond
-		var opts []Option
+		var opts []option
 		if r.Intn(4) == 0 {
 			opts = append(opts, WithCap(capacity/float64(r.Intn(96)+5)))
 		}

@@ -394,7 +394,7 @@ type Link struct {
 	busy     simtime.Duration // time with at least one flow crossing
 	active   int              // distinct flows crossing now
 	peak     int              // max concurrent flows seen
-	timeline []TimePoint
+	timeline []timePoint
 	width    simtime.Duration // timeline sample spacing (doubles when full)
 
 	// corruptQ holds armed silent corruptions, one per queued cause
@@ -427,9 +427,9 @@ func (l *Link) SetLatency(d simtime.Duration) *Link {
 // multi-day campaigns stay bounded without losing the overall shape.
 const maxTimeline = 4096
 
-// TimePoint is one utilization-timeline sample: cumulative bytes
+// timePoint is one utilization-timeline sample: cumulative bytes
 // carried and busy time as of a virtual instant.
-type TimePoint struct {
+type timePoint struct {
 	At    simtime.Duration
 	Bytes float64
 	Busy  simtime.Duration
@@ -441,10 +441,10 @@ func (l *Link) Name() string { return l.name }
 // Capacity reports the current capacity in bytes per virtual second.
 func (l *Link) Capacity() float64 { return l.capacity }
 
-// SetCapacity changes the link capacity. In-flight flows keep the bytes
+// setCapacity changes the link capacity. In-flight flows keep the bytes
 // they have moved; every allocation is recomputed at the new capacity.
 // This is the fault-injection hook for link degradation and repair.
-func (l *Link) SetCapacity(v float64) {
+func (l *Link) setCapacity(v float64) {
 	if v <= 0 {
 		panic("fabric: link capacity must be positive")
 	}
@@ -455,15 +455,15 @@ func (l *Link) SetCapacity(v float64) {
 	f.rearm()
 }
 
-// Scale sets capacity to factor x the nominal rate (Scale(1) repairs).
-func (l *Link) Scale(factor float64) { l.SetCapacity(l.nominal * factor) }
+// scale sets capacity to factor x the nominal rate (scale(1) repairs).
+func (l *Link) scale(factor float64) { l.setCapacity(l.nominal * factor) }
 
-// ArmCorrupt arms one silent in-flight corruption on the link, tagged
+// armCorrupt arms one silent in-flight corruption on the link, tagged
 // with the fault event ID that provoked it: the next flow to start
 // across the link is tainted (Flow.Tainted) and delivers mangled data
 // without any transport-level error. Arm repeatedly to taint several
 // upcoming flows.
-func (l *Link) ArmCorrupt(causeEvent uint64) {
+func (l *Link) armCorrupt(causeEvent uint64) {
 	l.corruptQ = append(l.corruptQ, causeEvent)
 }
 
@@ -475,7 +475,7 @@ func (l *Link) ArmedCorruptions() int { return len(l.corruptQ) }
 // coalesced form of repeated one-link transfers (background noise loops
 // use it so each burst costs O(1) instead of a join/leave recompute
 // pair).
-func (l *Link) Stream(opts ...Option) *Flow {
+func (l *Link) Stream(opts ...option) *Flow {
 	return l.fab.Stream(Path{fab: l.fab, links: []*Link{l}}, opts...)
 }
 
@@ -489,7 +489,7 @@ func (l *Link) Stats() LinkStats {
 		Bytes:     l.bytes,
 		Busy:      l.busy,
 		PeakFlows: l.peak,
-		Timeline:  append([]TimePoint(nil), l.timeline...),
+		Timeline:  append([]timePoint(nil), l.timeline...),
 	}
 }
 
@@ -501,26 +501,7 @@ type LinkStats struct {
 	Bytes     float64          // cumulative bytes carried
 	Busy      simtime.Duration // time with >= 1 flow crossing
 	PeakFlows int
-	Timeline  []TimePoint
-}
-
-// utilization reports bytes carried as a fraction of what the nominal
-// capacity could have carried over elapsed — the bottleneck-naming
-// metric: the hop pinned at ~1.0 is the ceiling.
-func (s LinkStats) utilization(elapsed simtime.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return s.Bytes / (s.Nominal * elapsed.Seconds())
-}
-
-// busyFraction reports the fraction of elapsed time the link had at
-// least one flow crossing it.
-func (s LinkStats) busyFraction(elapsed simtime.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Busy) / float64(elapsed)
+	Timeline  []timePoint
 }
 
 // sample appends a timeline point if the spacing has lapsed, thinning
@@ -532,7 +513,7 @@ func (l *Link) sample(now simtime.Duration) (due simtime.Duration) {
 	if len(l.timeline) > 0 && now-l.timeline[len(l.timeline)-1].At < l.width {
 		return l.timeline[len(l.timeline)-1].At + l.width
 	}
-	l.timeline = append(l.timeline, TimePoint{At: now, Bytes: l.bytes, Busy: l.busy})
+	l.timeline = append(l.timeline, timePoint{At: now, Bytes: l.bytes, Busy: l.busy})
 	if len(l.timeline) >= maxTimeline {
 		kept := l.timeline[:0]
 		for i := 0; i < len(l.timeline); i += 2 {

@@ -202,12 +202,12 @@ func TestSetCapacityMidFlight(t *testing.T) {
 		f.Transfer(p, 400)
 		near(t, "degraded duration", (c.Now() - start).Seconds(), 3.0, 0.01)
 	})
-	c.At(c.Now()+time.Second, func() { f.Link("nicA").Scale(0.5) })
+	c.At(c.Now()+time.Second, func() { f.Link("nicA").scale(0.5) })
 	c.RunFor()
 	if got := f.Link("nicA").Capacity(); got != 100 {
 		t.Fatalf("capacity after scale = %v, want 100", got)
 	}
-	f.Link("nicA").Scale(1)
+	f.Link("nicA").scale(1)
 	if got := f.Link("nicA").Capacity(); got != 200 {
 		t.Fatalf("capacity after repair = %v, want 200", got)
 	}
@@ -426,7 +426,7 @@ func TestPathLookahead(t *testing.T) {
 		t.Errorf("Lookahead(0) = %v, want 50ms", got)
 	}
 	// Degrading a link must not shrink the bound (nominal is used).
-	f.Link("lan").Scale(0.1)
+	f.Link("lan").scale(0.1)
 	if got := p.Lookahead(100); got != want {
 		t.Errorf("degraded Lookahead(100) = %v, want %v", got, want)
 	}
@@ -455,4 +455,23 @@ func TestSolveKeepsScratch(t *testing.T) {
 		near(t, "capped rate", f.flows[1].rate, 250, 1e-9)
 	})
 	c.RunFor()
+}
+
+// utilization reports bytes carried as a fraction of what the nominal
+// capacity could have carried over elapsed — the bottleneck-naming
+// metric: the hop pinned at ~1.0 is the ceiling.
+func (s LinkStats) utilization(elapsed simtime.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return s.Bytes / (s.Nominal * elapsed.Seconds())
+}
+
+// busyFraction reports the fraction of elapsed time the link had at
+// least one flow crossing it.
+func (s LinkStats) busyFraction(elapsed simtime.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(s.Busy) / float64(elapsed)
 }

@@ -34,11 +34,11 @@ func (f *Fabric) BindFaults(reg *faults.Registry) {
 		}
 		switch ev.Kind {
 		case faults.KindDegrade:
-			l.Scale(ev.Param)
+			l.scale(ev.Param)
 		case faults.KindFail:
-			l.Scale(0.01)
+			l.scale(0.01)
 		case faults.KindRepair:
-			l.Scale(1)
+			l.scale(1)
 		case faults.KindCorrupt:
 			cause, _ := telemetry.Of(f.clock).LastEventFor(ev.Component)
 			n := int(ev.Param)
@@ -46,7 +46,7 @@ func (f *Fabric) BindFaults(reg *faults.Registry) {
 				n = 1
 			}
 			for i := 0; i < n; i++ {
-				l.ArmCorrupt(cause)
+				l.armCorrupt(cause)
 			}
 		}
 	})

@@ -55,8 +55,8 @@ type linkCross struct {
 	pos  int
 }
 
-// Option tunes one flow.
-type Option func(*Flow)
+// option tunes one flow.
+type option func(*Flow)
 
 // WithCap bounds the flow to at most rate bytes/second regardless of
 // link shares — the single-stream ceiling of a striped pool (one file
@@ -64,7 +64,7 @@ type Option func(*Flow)
 // pftool's post-hoc streamFloor sleep: the cap participates in the
 // max-min allocation, so capped flows leave their unused share to
 // others. Non-positive rates mean uncapped.
-func WithCap(rate float64) Option {
+func WithCap(rate float64) option {
 	return func(fl *Flow) {
 		if rate > 0 {
 			fl.capRate = rate
@@ -133,7 +133,7 @@ func (fl *Flow) consumeTaint() {
 // blocking; Wait blocks until it completes. Zero-byte flows and empty
 // paths (co-located endpoints) complete immediately. Must be called
 // from actor context.
-func (f *Fabric) Start(p Path, n int64, opts ...Option) *Flow {
+func (f *Fabric) Start(p Path, n int64, opts ...option) *Flow {
 	f.counters()
 	f.ctrFlowsStarted.Inc()
 	fl := &Flow{fab: f, bytes: float64(n), remaining: float64(n), waitGate: simtime.MakeLatch(f.clock)}
@@ -164,7 +164,7 @@ func (f *Fabric) Start(p Path, n int64, opts ...Option) *Flow {
 // at different instants it leaves the allocation entirely (lazy pause —
 // an idle stream steals no share). One segment may be in flight at a
 // time; Wait blocks until it drains.
-func (f *Fabric) Stream(p Path, opts ...Option) *Flow {
+func (f *Fabric) Stream(p Path, opts ...option) *Flow {
 	fl := &Flow{fab: f, persistent: true, waitGate: simtime.MakeLatch(f.clock)}
 	for _, o := range opts {
 		o(fl)
@@ -299,7 +299,7 @@ func (f *Fabric) unlink(fl *Flow) {
 
 // Transfer moves n bytes along the path, blocking the calling actor
 // until the flow completes.
-func (f *Fabric) Transfer(p Path, n int64, opts ...Option) {
+func (f *Fabric) Transfer(p Path, n int64, opts ...option) {
 	f.Start(p, n, opts...).Wait()
 }
 

@@ -81,7 +81,7 @@ func runOverlap(seed int64, push bool) overlapResult {
 		l := f.order[r.Intn(len(f.order))]
 		c.Go(func() {
 			c.Sleep(at)
-			l.ArmCorrupt(uint64(at))
+			l.armCorrupt(uint64(at))
 		})
 	}
 	for _, o := range owners {

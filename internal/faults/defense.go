@@ -32,30 +32,30 @@ import (
 // Errors returned by the defense layer. Both wrap the underlying
 // failure where one exists, so errors.Is sees through them.
 var (
-	// ErrRetryBudget means the per-target retry token bucket was empty
+	// errRetryBudget means the per-target retry token bucket was empty
 	// when a retry came due; the operation gives up with the last
 	// attempt's error wrapped.
-	ErrRetryBudget = errors.New("faults: retry budget exhausted")
-	// ErrBreakerOpen means the target's circuit breaker rejected the
+	errRetryBudget = errors.New("faults: retry budget exhausted")
+	// errBreakerOpen means the target's circuit breaker rejected the
 	// call before any attempt was made.
-	ErrBreakerOpen = errors.New("faults: circuit breaker open")
+	errBreakerOpen = errors.New("faults: circuit breaker open")
 )
 
-// BreakerState is a circuit breaker's position. The numeric values are
+// breakerState is a circuit breaker's position. The numeric values are
 // exported as the breaker_state gauge.
-type BreakerState int
+type breakerState int
 
 const (
-	BreakerClosed   BreakerState = iota // normal: calls flow
-	BreakerOpen                         // failing fast: calls rejected until cooldown
-	BreakerHalfOpen                     // probing: one call in, success re-closes
+	breakerClosed   breakerState = iota // normal: calls flow
+	breakerOpen                         // failing fast: calls rejected until cooldown
+	breakerHalfOpen                     // probing: one call in, success re-closes
 )
 
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	switch s {
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	default:
 		return "closed"
@@ -109,7 +109,7 @@ type target struct {
 	name      string
 	tokens    float64          // retry bucket fill
 	refillAt  simtime.Duration // last refill instant
-	state     BreakerState
+	state     breakerState
 	fails     int              // consecutive mediated failures while closed
 	openUntil simtime.Duration // when an open breaker admits a probe
 	probing   bool             // half-open probe in flight
@@ -168,21 +168,11 @@ func (d *Defense) target(name string) *target {
 
 // stateOf reports the breaker position as of now: an open breaker past
 // its cooldown reads as half-open even before a probe arrives.
-func (d *Defense) stateOf(t *target) BreakerState {
-	if t.state == BreakerOpen && d.clock.Now() >= t.openUntil {
-		return BreakerHalfOpen
+func (d *Defense) stateOf(t *target) breakerState {
+	if t.state == breakerOpen && d.clock.Now() >= t.openUntil {
+		return breakerHalfOpen
 	}
 	return t.state
-}
-
-// state reports the named target's breaker position. Targets are
-// created on first use, so querying never perturbs existing state
-// beyond instantiating a closed breaker.
-func (d *Defense) state(name string) BreakerState {
-	if !d.on {
-		return BreakerClosed
-	}
-	return d.stateOf(d.target(name))
 }
 
 // AllowRetry consumes one retry token for the target, reporting
@@ -209,15 +199,15 @@ func (d *Defense) AllowRetry(name string) bool {
 // admit asks the breaker whether a new mediated call may start.
 func (d *Defense) admit(t *target) error {
 	switch d.stateOf(t) {
-	case BreakerOpen:
+	case breakerOpen:
 		t.rejected.Inc()
-		return fmt.Errorf("%w: %s", ErrBreakerOpen, t.name)
-	case BreakerHalfOpen:
+		return fmt.Errorf("%w: %s", errBreakerOpen, t.name)
+	case breakerHalfOpen:
 		if t.probing {
 			t.rejected.Inc()
-			return fmt.Errorf("%w: %s (probe in flight)", ErrBreakerOpen, t.name)
+			return fmt.Errorf("%w: %s (probe in flight)", errBreakerOpen, t.name)
 		}
-		t.state = BreakerHalfOpen
+		t.state = breakerHalfOpen
 		t.probing = true
 	}
 	return nil
@@ -227,13 +217,13 @@ func (d *Defense) admit(t *target) error {
 func (d *Defense) settle(t *target, failed bool) {
 	if !failed {
 		t.fails = 0
-		t.state = BreakerClosed
+		t.state = breakerClosed
 		t.probing = false
 		return
 	}
 	t.fails++
-	if t.state == BreakerHalfOpen || t.fails >= d.pol.BreakerThreshold {
-		t.state = BreakerOpen
+	if t.state == breakerHalfOpen || t.fails >= d.pol.BreakerThreshold {
+		t.state = breakerOpen
 		t.probing = false
 		t.openUntil = d.clock.Now() + d.pol.BreakerCooldown
 		t.fails = 0
@@ -260,12 +250,12 @@ func (d *Defense) Do(name string, b Backoff, op func(attempt int) error, retryab
 	}
 	err := b.do(d.clock, op, retryable, func(lastErr error) error {
 		if !d.AllowRetry(name) {
-			return fmt.Errorf("%w: %s: %w", ErrRetryBudget, name, lastErr)
+			return fmt.Errorf("%w: %s: %w", errRetryBudget, name, lastErr)
 		}
 		return nil
 	})
 	failed := err != nil &&
-		(errors.Is(err, ErrRetryBudget) || retryable == nil || retryable(err))
+		(errors.Is(err, errRetryBudget) || retryable == nil || retryable(err))
 	d.settle(t, failed)
 	return err
 }

@@ -95,7 +95,7 @@ func TestDefenseDisabledIsPassThrough(t *testing.T) {
 			calls++
 			return errors.New("boom")
 		}, func(error) bool { return true })
-		if err == nil || errors.Is(err, ErrRetryBudget) || errors.Is(err, ErrBreakerOpen) {
+		if err == nil || errors.Is(err, errRetryBudget) || errors.Is(err, errBreakerOpen) {
 			t.Errorf("disabled Do returned %v, want the op's plain error", err)
 		}
 	})
@@ -103,7 +103,7 @@ func TestDefenseDisabledIsPassThrough(t *testing.T) {
 	if calls != 4 {
 		t.Fatalf("disabled Do made %d attempts, want the full backoff budget of 4", calls)
 	}
-	if d.state("tsm.session") != BreakerClosed {
+	if d.state("tsm.session") != breakerClosed {
 		t.Fatal("disabled defense must report closed breakers")
 	}
 }
@@ -127,7 +127,7 @@ func TestRetryBudgetExhausts(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("made %d attempts, want 3 (1 free + 2 budgeted)", calls)
 	}
-	if !errors.Is(got, ErrRetryBudget) {
+	if !errors.Is(got, errRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", got)
 	}
 }
@@ -154,11 +154,11 @@ func TestBreakerOpensFailsFastAndProbes(t *testing.T) {
 				t.Error("op should fail while down")
 			}
 		}
-		if s := d.state("dep"); s != BreakerOpen {
+		if s := d.state("dep"); s != breakerOpen {
 			t.Errorf("state after threshold failures = %v, want open", s)
 		}
 		// ...and the next call is rejected without reaching the op.
-		if err := try(); !errors.Is(err, ErrBreakerOpen) {
+		if err := try(); !errors.Is(err, errBreakerOpen) {
 			t.Errorf("call while open = %v, want ErrBreakerOpen", err)
 		}
 		log = append(log, "open")
@@ -166,13 +166,13 @@ func TestBreakerOpensFailsFastAndProbes(t *testing.T) {
 		// discovers it and the breaker re-closes.
 		down = false
 		clock.Sleep(time.Minute + time.Second)
-		if s := d.state("dep"); s != BreakerHalfOpen {
+		if s := d.state("dep"); s != breakerHalfOpen {
 			t.Errorf("state after cooldown = %v, want half-open", s)
 		}
 		if err := try(); err != nil {
 			t.Errorf("half-open probe = %v, want success", err)
 		}
-		if s := d.state("dep"); s != BreakerClosed {
+		if s := d.state("dep"); s != breakerClosed {
 			t.Errorf("state after good probe = %v, want closed", s)
 		}
 		log = append(log, "closed")
@@ -196,10 +196,10 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	clock.Go(func() {
 		fail() // trips at threshold 1
 		clock.Sleep(31 * time.Second)
-		if err := fail(); errors.Is(err, ErrBreakerOpen) {
+		if err := fail(); errors.Is(err, errBreakerOpen) {
 			t.Error("half-open must admit one probe")
 		}
-		if s := d.state("dep"); s != BreakerOpen {
+		if s := d.state("dep"); s != breakerOpen {
 			t.Errorf("state after failed probe = %v, want open again", s)
 		}
 		done = true
@@ -208,4 +208,14 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if !done {
 		t.Fatal("actor did not finish")
 	}
+}
+
+// state reports the named target's breaker position. Targets are
+// created on first use, so querying never perturbs existing state
+// beyond instantiating a closed breaker.
+func (d *Defense) state(name string) breakerState {
+	if !d.on {
+		return breakerClosed
+	}
+	return d.stateOf(d.target(name))
 }

@@ -134,32 +134,9 @@ func (r *Registry) OnApply(fn func(Event)) {
 // Down reports whether the component is currently failed.
 func (r *Registry) Down(component string) bool { return r.down[component] }
 
-// capacity reports the component's retained capacity fraction: 1 when
-// healthy, 0 when failed, the degradation factor in between.
-func (r *Registry) capacity(component string) float64 {
-	if r.down[component] {
-		return 0
-	}
-	if f, ok := r.degraded[component]; ok {
-		return f
-	}
-	return 1
-}
-
 // Log returns the events applied so far, in application order.
 func (r *Registry) Log() []Event {
 	return append([]Event(nil), r.log...)
-}
-
-// downCount reports how many components are currently failed.
-func (r *Registry) downCount() int {
-	n := 0
-	for _, d := range r.down {
-		if d {
-			n++
-		}
-	}
-	return n
 }
 
 // Apply applies an event immediately (stamping it with the current
@@ -190,30 +167,30 @@ func (r *Registry) Apply(ev Event) {
 	}
 }
 
-// Schedule arms an event to apply at its At time on the clock.
-func (r *Registry) Schedule(ev Event) {
+// schedule arms an event to apply at its At time on the clock.
+func (r *Registry) schedule(ev Event) {
 	at := ev.At
 	r.clock.At(at, func() { r.Apply(ev) })
 }
 
 // FailAt schedules a permanent failure of component at time at.
 func (r *Registry) FailAt(component string, at simtime.Duration) {
-	r.Schedule(Event{At: at, Component: component, Kind: KindFail})
+	r.schedule(Event{At: at, Component: component, Kind: KindFail})
 }
 
 // Window schedules a fail-then-repair pair: the component goes down at
 // `at` and comes back `outage` later (a mover crash-and-reboot window, a
 // TSM server outage window).
 func (r *Registry) Window(component string, at, outage simtime.Duration) {
-	r.Schedule(Event{At: at, Component: component, Kind: KindFail})
-	r.Schedule(Event{At: at + outage, Component: component, Kind: KindRepair})
+	r.schedule(Event{At: at, Component: component, Kind: KindFail})
+	r.schedule(Event{At: at + outage, Component: component, Kind: KindRepair})
 }
 
 // DegradeWindow schedules a degradation of component to factor of
 // nominal capacity for the given duration, then full restoration.
 func (r *Registry) DegradeWindow(component string, factor float64, at, dur simtime.Duration) {
-	r.Schedule(Event{At: at, Component: component, Kind: KindDegrade, Param: factor})
-	r.Schedule(Event{At: at + dur, Component: component, Kind: KindDegrade, Param: 1})
+	r.schedule(Event{At: at, Component: component, Kind: KindDegrade, Param: factor})
+	r.schedule(Event{At: at + dur, Component: component, Kind: KindDegrade, Param: 1})
 }
 
 // Status is a handle onto one component's failure state, for subsystems

@@ -214,3 +214,26 @@ func TestCorruptIsSilent(t *testing.T) {
 		t.Errorf("corruption missing from log: %d entries", n)
 	}
 }
+
+// capacity reports the component's retained capacity fraction: 1 when
+// healthy, 0 when failed, the degradation factor in between.
+func (r *Registry) capacity(component string) float64 {
+	if r.down[component] {
+		return 0
+	}
+	if f, ok := r.degraded[component]; ok {
+		return f
+	}
+	return 1
+}
+
+// downCount reports how many components are currently failed.
+func (r *Registry) downCount() int {
+	n := 0
+	for _, d := range r.down {
+		if d {
+			n++
+		}
+	}
+	return n
+}

@@ -27,7 +27,7 @@ import (
 // Errors.
 var (
 	ErrSiteDown = errors.New("federation: site is down")
-	ErrNoSites  = errors.New("federation: no sites")
+	errNoSites  = errors.New("federation: no sites")
 )
 
 // Federation is the tethered namespace.
@@ -49,7 +49,7 @@ type Federation struct {
 // site kills into their constituents.
 func New(clock *simtime.Clock, reg *faults.Registry, plants ...*archive.System) (*Federation, error) {
 	if len(plants) == 0 {
-		return nil, ErrNoSites
+		return nil, errNoSites
 	}
 	f := &Federation{clock: clock, reg: reg}
 	for _, p := range plants {
@@ -82,7 +82,7 @@ func topComponent(p string) string {
 // up returns the owning site or ErrSiteDown.
 func (f *Federation) up(path string) (*Site, error) {
 	s := f.SiteFor(path)
-	if s.Down() {
+	if s.down() {
 		return nil, fmt.Errorf("%w: %s owns %s", ErrSiteDown, s.Name, path)
 	}
 	return s, nil
@@ -147,7 +147,7 @@ func fanOut[T, R any](f *Federation, items []T, path func(T) string, run func(*S
 	shares := make(map[*Site][]T)
 	for _, it := range items {
 		s := f.SiteFor(path(it))
-		if s.Down() {
+		if s.down() {
 			out.Skipped[s.Name] = append(out.Skipped[s.Name], path(it))
 			continue
 		}
@@ -196,7 +196,7 @@ func (f *Federation) Recall(paths []string, mode hsm.RecallMode) (Outcome[hsm.Re
 func (f *Federation) HealthySlice() []string {
 	var out []string
 	for _, s := range f.sites {
-		if !s.Down() {
+		if !s.down() {
 			out = append(out, s.Name)
 		}
 	}

@@ -81,7 +81,7 @@ func (e *env) seedProject(t *testing.T, project string, n int, size int64) []pfs
 
 func TestNewRequiresSites(t *testing.T) {
 	clock := simtime.NewClock()
-	if _, err := New(clock, faults.New(clock)); !errors.Is(err, ErrNoSites) {
+	if _, err := New(clock, faults.New(clock)); !errors.Is(err, errNoSites) {
 		t.Errorf("err = %v, want ErrNoSites", err)
 	}
 }
@@ -252,18 +252,18 @@ func TestBindFaultsDrivesSiteHealth(t *testing.T) {
 	// A scheduled outage window takes the site down and back up.
 	reg.Window(comp, 10*time.Second, 20*time.Second)
 	e.run(t, func() {
-		if site.Down() {
+		if site.down() {
 			t.Error("site down before the scheduled outage")
 		}
 		e.clock.Sleep(15 * time.Second)
-		if !site.Down() {
+		if !site.down() {
 			t.Error("site up during the scheduled outage")
 		}
 		if len(e.fed.HealthySlice()) != 2 {
 			t.Errorf("healthy = %v, want 2 sites", e.fed.HealthySlice())
 		}
 		e.clock.Sleep(20 * time.Second)
-		if site.Down() {
+		if site.down() {
 			t.Error("site still down after the repair event")
 		}
 	})
@@ -391,7 +391,7 @@ func TestSetDownRoutesThroughRegistry(t *testing.T) {
 		t.Errorf("registry log has %d events, want 1", n)
 	}
 	site.SetDown(false)
-	if site.Down() {
+	if site.down() {
 		t.Error("repair via SetDown not visible")
 	}
 }

@@ -36,12 +36,12 @@ import (
 
 // Replication errors.
 var (
-	// ErrNoReplica means no surviving site holds a replica for the
+	// errNoReplica means no surviving site holds a replica for the
 	// requested path — the data-loss case E20 asserts never happens.
-	ErrNoReplica = errors.New("federation: no surviving replica")
-	// ErrNotCataloged means the path never passed through the
+	errNoReplica = errors.New("federation: no surviving replica")
+	// errNotCataloged means the path never passed through the
 	// replicator, so it has no federation-wide catalog entry.
-	ErrNotCataloged = errors.New("federation: path not cataloged")
+	errNotCataloged = errors.New("federation: path not cataloged")
 )
 
 // ReplicationPolicy says how many copies of each object the federation
@@ -235,7 +235,7 @@ var errUnreachable = errors.New("federation: site unreachable")
 func repRetryable(err error) bool {
 	return errors.Is(err, errUnreachable) ||
 		errors.Is(err, tsm.ErrServerDown) ||
-		errors.Is(err, ErrNoRoute)
+		errors.Is(err, errNoRoute)
 }
 
 // replicate drives one item to its destination: pick a live source
@@ -261,14 +261,14 @@ func (r *Replicator) replicate(item repItem) {
 		if attempt > 1 {
 			r.ctrRetries.Inc()
 		}
-		if item.dest.Down() {
+		if item.dest.down() {
 			return fmt.Errorf("%w: %s is down", errUnreachable, item.dest.Name)
 		}
 		src := r.pickSource(item)
 		if src == nil {
 			return fmt.Errorf("%w: no live source for %s", errUnreachable, item.obj.Path)
 		}
-		route, err := r.fed.WANRoute(src, item.dest)
+		route, err := r.fed.wanRoute(src, item.dest)
 		if err != nil {
 			return err
 		}
@@ -312,7 +312,7 @@ func (r *Replicator) replicate(item repItem) {
 // pickSource returns a live site to read the object from: home first,
 // else the first live holder of a confirmed replica, in landing order.
 func (r *Replicator) pickSource(item repItem) *Site {
-	if !item.home.Down() {
+	if !item.home.down() {
 		return item.home
 	}
 	if ent := r.catalog[item.obj.Path]; ent.Object.ID == item.obj.ID {
@@ -329,7 +329,7 @@ func (r *Replicator) holders(ent *CatalogEntry) []*Site {
 	var out []*Site
 	for _, name := range ent.Sites {
 		s, err := r.fed.SiteByName(name)
-		if err == nil && !s.Down() && s.TSM.HasReplica(ent.HomeSite, ent.Object.ID) {
+		if err == nil && !s.down() && s.TSM.HasReplica(ent.HomeSite, ent.Object.ID) {
 			out = append(out, s)
 		}
 	}
@@ -396,24 +396,24 @@ func (r *Replicator) DrainWithin(bound simtime.Duration) bool {
 func (r *Replicator) FailoverRecall(to *Site, path string) (tsm.Replica, error) {
 	ent := r.catalog[path]
 	if ent == nil {
-		return tsm.Replica{}, fmt.Errorf("%w: %s", ErrNotCataloged, path)
+		return tsm.Replica{}, fmt.Errorf("%w: %s", errNotCataloged, path)
 	}
 	// Candidate replica sites, nearest to the requester first on the
 	// live WAN topology.
 	cands := r.fed.nearest(to, r.holders(ent), true)
 	if len(cands) == 0 {
-		return tsm.Replica{}, fmt.Errorf("%w: %s (home %s)", ErrNoReplica, path, ent.HomeSite)
+		return tsm.Replica{}, fmt.Errorf("%w: %s (home %s)", errNoReplica, path, ent.HomeSite)
 	}
 	var lastErr error
 	for _, src := range cands {
 		sp := r.tel.StartSpan("federation.failover-recall",
 			"path", path, "home", ent.HomeSite, "from", src.Name, "to", to.Name)
-		if home, err := r.fed.SiteByName(ent.HomeSite); err == nil && home.Down() {
+		if home, err := r.fed.SiteByName(ent.HomeSite); err == nil && home.down() {
 			if id, ok := r.tel.LastEventFor(faults.SiteComponent(ent.HomeSite)); ok {
 				sp.SetCause(id)
 			}
 		}
-		route, err := r.fed.WANRoute(src, to)
+		route, err := r.fed.wanRoute(src, to)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
 			lastErr = err

@@ -10,13 +10,35 @@ import (
 	"repro/internal/hsm"
 	"repro/internal/pfs"
 	"repro/internal/synthetic"
+	"repro/internal/tape"
 	"repro/internal/telemetry"
+	"repro/internal/tsm"
 )
 
 // count reads a lifetime counter from the env's registry; each env
 // runs one replicator on its clock, so the series is that replicator's.
 func (e *siteEnv) count(name string) int {
 	return int(telemetry.Of(e.clock).Counter(name).Value())
+}
+
+// rewriteFromSource moves object id to a fresh primary location the
+// way the program does: its tape copy goes bad, and a scrub pass
+// rewrites it from the file still on disk.
+func rewriteFromSource(t *testing.T, srv *tsm.Server, lib *tape.Library, id uint64) {
+	t.Helper()
+	obj, err := srv.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := lib.Cartridge(obj.Volume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol.CorruptFile(obj.Seq, 0)
+	sc := tsm.NewScrubber(srv, tsm.ScrubConfig{RepairFromSource: func(o tsm.Object) bool { return o.ID == id }})
+	if rep := sc.ScrubOnce(); rep.Repaired != 1 {
+		t.Fatalf("scrub repaired %d objects, want object %d rewritten", rep.Repaired, id)
+	}
 }
 
 func TestReplicationFansOutToOtherSites(t *testing.T) {
@@ -165,7 +187,7 @@ func TestFailoverRecallServesFromNearestReplica(t *testing.T) {
 		}
 
 		// A path that was never cataloged is a typed error.
-		if _, err := rep.FailoverRecall(portal, "/no/such/path"); !errors.Is(err, ErrNotCataloged) {
+		if _, err := rep.FailoverRecall(portal, "/no/such/path"); !errors.Is(err, errNotCataloged) {
 			t.Errorf("uncataloged path: err = %v, want ErrNotCataloged", err)
 		}
 		rep.Close()
@@ -314,9 +336,7 @@ func TestPrimaryMoveEnqueuesNoReplica(t *testing.T) {
 		newest := rep.Catalog(info.Path).Object.ID
 		replicas, replicated := other.TSM.NumReplicas(), e.count("federation_replicas_total")
 		for _, id := range []uint64{newest, first} {
-			if err := home.TSM.RewriteObject("probe", id); err != nil {
-				t.Fatal(err)
-			}
+			rewriteFromSource(t, home.TSM, home.Library, id)
 			if n := rep.Pending(); n != 0 {
 				t.Errorf("moving object %d enqueued %d replica tasks, want 0", id, n)
 			}

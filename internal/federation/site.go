@@ -22,11 +22,11 @@ import (
 
 // Multi-site errors.
 var (
-	// ErrNoRoute means every WAN path between two sites crosses a dead
+	// errNoRoute means every WAN path between two sites crosses a dead
 	// link — the partition case replication parks on.
-	ErrNoRoute = errors.New("federation: no WAN route")
-	// ErrNoSite means a name resolves to no known site.
-	ErrNoSite = errors.New("federation: no such site")
+	errNoRoute = errors.New("federation: no WAN route")
+	// errNoSite means a name resolves to no known site.
+	errNoSite = errors.New("federation: no such site")
 )
 
 // Site is one archive plant under its federation-wide name (the plant's
@@ -40,11 +40,11 @@ type Site struct {
 	status *faults.Status
 }
 
-// Endpoint names the site's WAN attachment point in the fabric.
-func (s *Site) Endpoint() string { return "wan:" + s.Name }
+// endpoint names the site's WAN attachment point in the fabric.
+func (s *Site) endpoint() string { return "wan:" + s.Name }
 
-// Down reports whether the whole site is failed.
-func (s *Site) Down() bool { return s.status.Down() }
+// down reports whether the whole site is failed.
+func (s *Site) down() bool { return s.status.Down() }
 
 // SetDown fails or revives the whole site. It routes through the fault
 // registry, so the event lands in the registry's log and reaches its
@@ -67,7 +67,7 @@ func (f *Federation) SiteByName(name string) (*Site, error) {
 			return s, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s", ErrNoSite, name)
+	return nil, fmt.Errorf("%w: %s", errNoSite, name)
 }
 
 // AddWANLink joins two sites with a named, bandwidth-capped fabric
@@ -75,7 +75,7 @@ func (f *Federation) SiteByName(name string) (*Site, error) {
 // degrade or fail it, and a site kill fails every WAN link touching
 // the site. A name already taken on the clock's fabric panics.
 func (f *Federation) AddWANLink(name string, rate float64, a, b *Site) {
-	fabric.Of(f.clock).AddLink(name, rate, a.Endpoint(), b.Endpoint())
+	fabric.Of(f.clock).AddLink(name, rate, a.endpoint(), b.endpoint())
 	f.wan = append(f.wan, &wanLink{name: name, a: a, b: b})
 }
 
@@ -84,15 +84,15 @@ func (f *Federation) linkDown(l *fabric.Link) bool {
 	return f.reg.Down(faults.LinkComponent(l.Name()))
 }
 
-// WANRoute resolves the fewest-hop WAN path between two sites that
+// wanRoute resolves the fewest-hop WAN path between two sites that
 // crosses no failed link. Failed links are routed AROUND, not crawled
 // over: a partition should fail fast and park work in the replication
 // backlog, not stall an actor on a 1%-speed trunk for days of virtual
 // time. Same-site routes are empty (and free).
-func (f *Federation) WANRoute(from, to *Site) (fabric.Path, error) {
-	p, err := fabric.Of(f.clock).RouteAvoid(from.Endpoint(), to.Endpoint(), f.linkDown)
+func (f *Federation) wanRoute(from, to *Site) (fabric.Path, error) {
+	p, err := fabric.Of(f.clock).RouteAvoid(from.endpoint(), to.endpoint(), f.linkDown)
 	if err != nil {
-		return fabric.Path{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, from.Name, to.Name)
+		return fabric.Path{}, fmt.Errorf("%w: %s -> %s", errNoRoute, from.Name, to.Name)
 	}
 	return p, nil
 }
@@ -110,7 +110,7 @@ func (f *Federation) nearest(from *Site, sites []*Site, live bool) []*Site {
 	hops := make(map[*Site]int, len(sites))
 	for _, s := range sites {
 		hops[s] = 1 << 20
-		if p, err := fabric.Of(f.clock).RouteAvoid(from.Endpoint(), s.Endpoint(), avoid); err == nil {
+		if p, err := fabric.Of(f.clock).RouteAvoid(from.endpoint(), s.endpoint(), avoid); err == nil {
 			hops[s] = len(p.Names())
 		}
 	}

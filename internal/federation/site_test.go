@@ -97,7 +97,7 @@ func TestWANRouteAvoidsFailedLinks(t *testing.T) {
 	e := newSiteEnv(t, 3)
 	a, b := e.sites[0], e.sites[1]
 	e.run(t, func() {
-		p, err := e.fed.WANRoute(a, b)
+		p, err := e.fed.wanRoute(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestWANRouteAvoidsFailedLinks(t *testing.T) {
 		// Fail the direct trunk: routing detours through site2 instead
 		// of crawling the dead link.
 		e.reg.Apply(faults.Event{Component: faults.LinkComponent("wan-0-1"), Kind: faults.KindFail})
-		p, err = e.fed.WANRoute(a, b)
+		p, err = e.fed.wanRoute(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestWANRouteAvoidsFailedLinks(t *testing.T) {
 			t.Errorf("static nearest to site0 = %s, want site1 (ties by name)", got[0].Name)
 		}
 		e.reg.Apply(faults.Event{Component: faults.LinkComponent("wan-0-1"), Kind: faults.KindRepair})
-		if p, err := e.fed.WANRoute(a, b); err != nil || len(p.Names()) != 1 {
+		if p, err := e.fed.wanRoute(a, b); err != nil || len(p.Names()) != 1 {
 			t.Errorf("route after repair = %v, %v; want the direct trunk", p.Names(), err)
 		}
 	})
@@ -154,7 +154,7 @@ func TestSiteKillIsCompound(t *testing.T) {
 	}
 	e.run(t, func() {
 		e.reg.Apply(faults.Event{Component: faults.SiteComponent(victim.Name), Kind: faults.KindFail})
-		if !victim.Down() {
+		if !victim.down() {
 			t.Error("site not down after site-kill")
 		}
 		if !e.reg.Down("tsm:" + victim.Name) {
@@ -170,10 +170,10 @@ func TestSiteKillIsCompound(t *testing.T) {
 		}
 		// Both WAN trunks touching the site are dead: the survivors
 		// still talk to each other, nobody reaches the victim.
-		if _, err := e.fed.WANRoute(e.sites[0], victim); !errors.Is(err, ErrNoRoute) {
+		if _, err := e.fed.wanRoute(e.sites[0], victim); !errors.Is(err, errNoRoute) {
 			t.Errorf("route to dead site: err = %v, want ErrNoRoute", err)
 		}
-		if _, err := e.fed.WANRoute(e.sites[0], e.sites[2]); err != nil {
+		if _, err := e.fed.wanRoute(e.sites[0], e.sites[2]); err != nil {
 			t.Errorf("survivor route: %v", err)
 		}
 		if got, want := logSince(0), expansion(faults.KindFail); !reflect.DeepEqual(got, want) {
@@ -186,7 +186,7 @@ func TestSiteKillIsCompound(t *testing.T) {
 		if got, want := logSince(n), expansion(faults.KindRepair); !reflect.DeepEqual(got, want) {
 			t.Errorf("site-repair fault log = %q, want %q", got, want)
 		}
-		if victim.Down() || e.reg.Down("tsm:"+victim.Name) {
+		if victim.down() || e.reg.Down("tsm:"+victim.Name) {
 			t.Error("site state not restored by repair")
 		}
 		if err := storeReplica(victim); err != nil {
@@ -197,7 +197,7 @@ func TestSiteKillIsCompound(t *testing.T) {
 				t.Errorf("node %s still down after repair", node.Name)
 			}
 		}
-		if p, err := e.fed.WANRoute(e.sites[0], victim); err != nil || len(p.Names()) != 1 {
+		if p, err := e.fed.wanRoute(e.sites[0], victim); err != nil || len(p.Names()) != 1 {
 			t.Error("WAN links still avoided after repair")
 		}
 	})
@@ -218,7 +218,7 @@ func TestSiteSetDownRoutesThroughRegistry(t *testing.T) {
 			t.Errorf("replica store on the downed site: err = %v, want tsm.ErrServerDown", err)
 		}
 		victim.SetDown(false)
-		if victim.Down() || e.reg.Down("tsm:"+victim.Name) {
+		if victim.down() || e.reg.Down("tsm:"+victim.Name) {
 			t.Error("repair via SetDown incomplete")
 		}
 		if err := storeReplica(victim); err != nil {
@@ -354,7 +354,7 @@ func TestRefusalAfterRepairCitesNoOutage(t *testing.T) {
 
 func TestSiteByNameRejectsUnknownSite(t *testing.T) {
 	e := newSiteEnv(t, 3)
-	if _, err := e.fed.SiteByName("nowhere"); !errors.Is(err, ErrNoSite) {
+	if _, err := e.fed.SiteByName("nowhere"); !errors.Is(err, errNoSite) {
 		t.Errorf("SiteByName err = %v, want ErrNoSite", err)
 	}
 }

@@ -1,24 +1,23 @@
 package hsm
 
 import (
-	"reflect"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
-// dispatchTrace runs one migrate-with-crash + recall-with-crash
-// scenario on a fresh env and returns the scheduler's admission trace.
-// Both phases force a redistribution round: the crash leaves the dead
-// actor's share behind, and the requeue path re-spreads it over the
-// survivors.
-func dispatchTrace(t *testing.T) []sched.Dispatch {
+// requeueRun runs one migrate-with-crash + recall-with-crash scenario
+// on a fresh env and returns what the run leaves behind: the
+// registry's text and every span of the flight dump. Both phases force
+// a redistribution round: the crash leaves the dead actor's share
+// behind, and the requeue path re-spreads it over the survivors.
+func requeueRun(t *testing.T) []string {
 	t.Helper()
 	e := newEnv(t, 4, Config{})
-	sch := sched.Of(e.clock)
-	sch.EnableTrace()
-	files := e.mkFiles(t, "/data", 40, 2e9)
+	files := e.mkFiles(t, "/data", 120, 2e9)
 	paths := make([]string, len(files))
 	for i, f := range files {
 		paths[i] = f.Path
@@ -38,7 +37,12 @@ func dispatchTrace(t *testing.T) []sched.Dispatch {
 			t.Errorf("recall: %v", err)
 		}
 	})
-	return sch.TraceLog()
+	tel := telemetry.Of(e.clock)
+	lines := strings.Split(tel.Snapshot().Text(), "\n")
+	for _, sp := range tel.FlightDump().Spans {
+		lines = append(lines, fmt.Sprintf("%+v", sp))
+	}
+	return lines
 }
 
 // TestRequeueDispatchDeterministic pins down the fix for the old
@@ -46,28 +50,25 @@ func dispatchTrace(t *testing.T) []sched.Dispatch {
 // used to be redistributed in Go map range order, so two runs of the
 // identical scenario could dispatch in different orders. Leftovers are
 // now sorted (migrate by path, recall by volume/seq/path) before every
-// redistribution round, so the full admission trace — sequence,
-// virtual time, station, tenant, class, kind, units — must be
+// redistribution round, so every series and every span — which node
+// moved which files, when, and where each admission waited — must be
 // identical across repeated runs.
 func TestRequeueDispatchDeterministic(t *testing.T) {
-	first := dispatchTrace(t)
-	if len(first) == 0 {
-		t.Fatal("no dispatches traced")
-	}
-	for run := 0; run < 2; run++ {
-		again := dispatchTrace(t)
-		if !reflect.DeepEqual(first, again) {
-			n := len(again)
-			if len(first) < n {
-				n = len(first)
+	first := requeueRun(t)
+	for run := 2; run <= 3; run++ {
+		again := requeueRun(t)
+		for i := range max(len(first), len(again)) {
+			if i >= len(first) || i >= len(again) || first[i] != again[i] {
+				t.Fatalf("run %d diverges at line %d of %d:\n%s\nvs\n%s",
+					run, i, len(first), lineAt(first, i), lineAt(again, i))
 			}
-			for i := 0; i < n; i++ {
-				if !reflect.DeepEqual(first[i], again[i]) {
-					t.Fatalf("run %d diverges at dispatch %d: %+v vs %+v",
-						run+2, i, first[i], again[i])
-				}
-			}
-			t.Fatalf("run %d trace length %d, want %d", run+2, len(again), len(first))
 		}
 	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(end)"
 }

@@ -52,8 +52,8 @@ const (
 
 // Errors.
 var (
-	ErrNotMigrated = errors.New("hsm: file is not migrated")
-	ErrNoNodes     = errors.New("hsm: no mover nodes configured")
+	errNotMigrated = errors.New("hsm: file is not migrated")
+	errNoNodes     = errors.New("hsm: no mover nodes configured")
 )
 
 // Config tunes the engine.
@@ -129,11 +129,11 @@ func New(clock *simtime.Clock, fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB, n
 	return e
 }
 
-// PartitionRoundRobin splits candidates across n bins in list order —
+// partitionRoundRobin splits candidates across n bins in list order —
 // the GPFS-policy-engine behaviour the paper replaces: one process can
 // end up with all the large files. A single bin is the list itself
 // (capacity clipped), not a copy.
-func PartitionRoundRobin(files []pfs.Info, n int) [][]pfs.Info {
+func partitionRoundRobin(files []pfs.Info, n int) [][]pfs.Info {
 	if n == 1 {
 		return [][]pfs.Info{files[:len(files):len(files)]}
 	}
@@ -160,11 +160,11 @@ func carveBins(total int, counts []int) [][]pfs.Info {
 	return bins
 }
 
-// PartitionBalanced sorts candidates by size descending and greedily
+// partitionBalanced sorts candidates by size descending and greedily
 // assigns each to the least-loaded bin (LPT scheduling): the paper's
 // "combine, sort, and distribute the candidate files by file size
 // evenly across machines".
-func PartitionBalanced(files []pfs.Info, n int) [][]pfs.Info {
+func partitionBalanced(files []pfs.Info, n int) [][]pfs.Info {
 	// Sort positions, not the 104-byte files; stable, so equal sizes
 	// keep list order.
 	order := make([]int32, len(files))
@@ -245,7 +245,7 @@ func (e *Engine) upNodeIndices() []int {
 // re-sent).
 func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResult, error) {
 	if len(e.nodes) == 0 {
-		return MigrateResult{}, ErrNoNodes
+		return MigrateResult{}, errNoNodes
 	}
 	res := MigrateResult{}
 	eligible := func(f *pfs.Info) bool { return !f.IsDir() && f.State == pfs.Resident }
@@ -279,7 +279,7 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 		idx := e.upNodeIndices()
 		if len(idx) == 0 || round >= maxRedistributeRounds {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("hsm: %d files unmigrated after %d rounds: %w", len(remaining), round, ErrNoNodes)
+				firstErr = fmt.Errorf("hsm: %d files unmigrated after %d rounds: %w", len(remaining), round, errNoNodes)
 				res.FirstErrors = append(res.FirstErrors, firstErr.Error())
 			}
 			break
@@ -292,9 +292,9 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 		e.ctrRounds.Inc()
 		var bins [][]pfs.Info
 		if opt.Balanced {
-			bins = PartitionBalanced(remaining, len(idx))
+			bins = partitionBalanced(remaining, len(idx))
 		} else {
-			bins = PartitionRoundRobin(remaining, len(idx))
+			bins = partitionRoundRobin(remaining, len(idx))
 		}
 		var leftovers []pfs.Info
 		wg := simtime.NewWaitGroup(e.clock)
@@ -303,7 +303,7 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 			// Each node may run several mover streams; its bin splits
 			// round-robin across them (sizes are already balanced).
 			round := round
-			for _, share := range PartitionRoundRobin(bins[bi], streams) {
+			for _, share := range partitionRoundRobin(bins[bi], streams) {
 				if len(share) == 0 {
 					continue
 				}
@@ -459,10 +459,10 @@ func (e *Engine) route(node *cluster.Node) fabric.Path {
 	return p
 }
 
-// SumXattr is the stub attribute holding a migrated file's content
+// sumXattr is the stub attribute holding a migrated file's content
 // digest (hex). It is written at migration and checked when the file
 // lands back on disk — the HSM end of the checksum pipeline.
-const SumXattr = "hsm.sum"
+const sumXattr = "hsm.sum"
 
 // contentSum digests a resident file's content for the catalog; 0
 // (digest untracked) when the content is unreadable.
@@ -481,7 +481,7 @@ func (e *Engine) recordSum(id vfs.FileID, sum uint64) {
 	if sum == 0 {
 		return
 	}
-	_ = e.fs.SetXattrID(id, SumXattr, strconv.FormatUint(sum, 16))
+	_ = e.fs.SetXattrID(id, sumXattr, strconv.FormatUint(sum, 16))
 	e.fs.Bill(1)
 }
 
@@ -583,7 +583,7 @@ type RecallResult struct {
 // of the default tenant: someone is usually waiting on a recall.
 func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 	if len(e.nodes) == 0 {
-		return RecallResult{}, ErrNoNodes
+		return RecallResult{}, errNoNodes
 	}
 	res := RecallResult{}
 	var items []recallItem
@@ -645,7 +645,7 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 		idx := e.upNodeIndices()
 		if len(idx) == 0 || round >= maxRedistributeRounds {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("hsm: %d recalls abandoned after %d rounds: %w", len(remaining), round, ErrNoNodes)
+				firstErr = fmt.Errorf("hsm: %d recalls abandoned after %d rounds: %w", len(remaining), round, errNoNodes)
 			}
 			break
 		}
@@ -867,7 +867,7 @@ func (e *Engine) restoreRun(items []recallItem, pinned bool, landed func(bytes i
 	ops := make([]restoreOp, 0, len(items))
 	billed := 0
 	plan := func(path string, id vfs.FileID, bytes int64) {
-		want, _ := e.fs.GetXattrID(id, SumXattr)
+		want, _ := e.fs.GetXattrID(id, sumXattr)
 		ops = append(ops, restoreOp{path: path, id: id, bytes: bytes, want: want})
 		billed++
 		if want != "" {
@@ -989,7 +989,7 @@ func (e *Engine) locate(p string, id vfs.FileID) (recallItem, error) {
 	}
 	obj, err := e.srv.QueryByPath(p)
 	if err != nil {
-		return recallItem{}, fmt.Errorf("%w: %s", ErrNotMigrated, p)
+		return recallItem{}, fmt.Errorf("%w: %s", errNotMigrated, p)
 	}
 	return recallItem{path: p, id: id, object: obj.ID, volume: obj.Volume, seq: obj.Seq, bytes: obj.Bytes}, nil
 }

@@ -80,10 +80,10 @@ func TestMigrateNoNodes(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	e.run(t, func() {
 		eng := New(e.clock, e.fs, e.srv, e.shadow, nil, Config{})
-		if _, err := eng.Migrate(nil, MigrateOptions{}); err != ErrNoNodes {
+		if _, err := eng.Migrate(nil, MigrateOptions{}); err != errNoNodes {
 			t.Errorf("err = %v, want ErrNoNodes", err)
 		}
-		if _, err := eng.Recall(nil, RecallNaive); err != ErrNoNodes {
+		if _, err := eng.Recall(nil, RecallNaive); err != errNoNodes {
 			t.Errorf("recall err = %v, want ErrNoNodes", err)
 		}
 	})

@@ -56,6 +56,26 @@ func (e *env) count(name string) int {
 	return int(telemetry.Of(e.clock).Counter(name).Value())
 }
 
+// rewriteFromSource moves object id to a fresh primary location the
+// way the program does: its tape copy goes bad, and a scrub pass
+// rewrites it from the file still on disk.
+func rewriteFromSource(t *testing.T, srv *tsm.Server, lib *tape.Library, id uint64) {
+	t.Helper()
+	obj, err := srv.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := lib.Cartridge(obj.Volume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol.CorruptFile(obj.Seq, 0)
+	sc := tsm.NewScrubber(srv, tsm.ScrubConfig{RepairFromSource: func(o tsm.Object) bool { return o.ID == id }})
+	if rep := sc.ScrubOnce(); rep.Repaired != 1 {
+		t.Fatalf("scrub repaired %d objects, want object %d rewritten", rep.Repaired, id)
+	}
+}
+
 func (e *env) run(t *testing.T, fn func()) time.Duration {
 	t.Helper()
 	e.clock.Go(fn)
@@ -168,8 +188,8 @@ func TestPartitionBalancedEvensBytes(t *testing.T) {
 		}
 		return
 	}
-	_, rrMax := spread(PartitionRoundRobin(files, 10))
-	_, balMax := spread(PartitionBalanced(files, 10))
+	_, rrMax := spread(partitionRoundRobin(files, 10))
+	_, balMax := spread(partitionBalanced(files, 10))
 	if balMax > 101e9 || balMax < 100e9 {
 		t.Errorf("balanced max bin = %d, want ~100e9 (dominated by largest file)", balMax)
 	}
@@ -533,9 +553,7 @@ func TestRemigratedFileFoundAtNewestObject(t *testing.T) {
 		if _, err := e.eng.Migrate([]pfs.Info{again}, MigrateOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.srv.RewriteObject(e.cl.Nodes()[0].Name, 1); err != nil {
-			t.Fatal(err)
-		}
+		rewriteFromSource(t, e.srv, e.lib, 1)
 		if rec, err := e.shadow.ByFileID(uint64(id)); err != nil || rec.ObjectID != 2 {
 			t.Errorf("ByFileID after the old object moved = %+v, %v; want object 2", rec, err)
 		}

@@ -112,7 +112,7 @@ func TestRestoreVerifyMismatch(t *testing.T) {
 	const n, bad = 12, 5
 	setup := func(t *testing.T, e *env) ([]string, []vfs.FileID) {
 		paths, ids, _ := recallFixture(t, e, n)
-		if err := e.fs.SetXattr(paths[bad], SumXattr, "deadbeef"); err != nil {
+		if err := e.fs.SetXattr(paths[bad], sumXattr, "deadbeef"); err != nil {
 			t.Fatal(err)
 		}
 		return paths, ids

@@ -14,11 +14,11 @@ import (
 	"repro/internal/pfs"
 )
 
-// Predicate selects files during a policy scan.
-type Predicate func(info pfs.Info, now time.Duration) bool
+// predicate selects files during a policy scan.
+type predicate func(info pfs.Info, now time.Duration) bool
 
 // And composes predicates conjunctively.
-func And(ps ...Predicate) Predicate {
+func And(ps ...predicate) predicate {
 	return func(i pfs.Info, now time.Duration) bool {
 		for _, p := range ps {
 			if !p(i, now) {
@@ -30,30 +30,30 @@ func And(ps ...Predicate) Predicate {
 }
 
 // IsFile matches regular files (directories never migrate).
-func IsFile() Predicate {
+func IsFile() predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return !i.IsDir() }
 }
 
-// SizeLess matches files smaller than n bytes.
-func SizeLess(n int64) Predicate {
+// sizeLess matches files smaller than n bytes.
+func sizeLess(n int64) predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.Size < n }
 }
 
 // PathPrefix matches files under the given directory prefix.
-func PathPrefix(prefix string) Predicate {
+func PathPrefix(prefix string) predicate {
 	prefix = strings.TrimSuffix(prefix, "/")
 	return func(i pfs.Info, _ time.Duration) bool {
 		return i.Path == prefix || strings.HasPrefix(i.Path, prefix+"/")
 	}
 }
 
-// InPool matches files placed in the named pool.
-func InPool(pool string) Predicate {
+// inPool matches files placed in the named pool.
+func inPool(pool string) predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.Pool == pool }
 }
 
 // StateIs matches files in the given migration state.
-func StateIs(s pfs.MigState) Predicate {
+func StateIs(s pfs.MigState) predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.State == s }
 }
 
@@ -61,7 +61,7 @@ func StateIs(s pfs.MigState) Predicate {
 // output feeds the parallel data migrator.
 type ListPolicy struct {
 	Name  string
-	Where Predicate
+	Where predicate
 }
 
 // RunList scans fs and returns matching files in deterministic walk
@@ -81,18 +81,18 @@ func RunList(fs *pfs.FS, p ListPolicy) ([]pfs.Info, error) {
 	return out, err
 }
 
-// PlacementRule routes new files to a pool.
-type PlacementRule struct {
+// placementRule routes new files to a pool.
+type placementRule struct {
 	Name string
 	// Where inspects the prospective file (only Path and Size are
 	// populated at placement time).
-	Where Predicate
+	Where predicate
 	Pool  string
 }
 
 // Placement is an ordered rule list with a default pool.
 type Placement struct {
-	Rules   []PlacementRule
+	Rules   []placementRule
 	Default string
 }
 
@@ -114,8 +114,8 @@ func (p Placement) Choose(path string, size int64, now time.Duration) string {
 // (§4.2.1).
 func ArchivePlacement(smallFileLimit int64) Placement {
 	return Placement{
-		Rules: []PlacementRule{
-			{Name: "small-to-slow", Where: SizeLess(smallFileLimit), Pool: "slow"},
+		Rules: []placementRule{
+			{Name: "small-to-slow", Where: sizeLess(smallFileLimit), Pool: "slow"},
 		},
 		Default: "fast",
 	}
@@ -129,7 +129,7 @@ type ThresholdPolicy struct {
 	Pool  string
 	High  float64 // start migrating at this fill fraction
 	Low   float64 // stop once below this
-	Where Predicate
+	Where predicate
 }
 
 // Candidates returns the files to migrate, oldest first, sized to bring
@@ -146,7 +146,7 @@ func (tp ThresholdPolicy) Candidates(fs *pfs.FS) ([]pfs.Info, error) {
 	}
 	list, err := RunList(fs, ListPolicy{
 		Name:  "threshold-" + tp.Pool,
-		Where: And(IsFile(), InPool(tp.Pool), StateIs(pfs.Resident), orTrue(tp.Where)),
+		Where: And(IsFile(), inPool(tp.Pool), StateIs(pfs.Resident), orTrue(tp.Where)),
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +166,7 @@ func (tp ThresholdPolicy) Candidates(fs *pfs.FS) ([]pfs.Info, error) {
 	return out, nil
 }
 
-func orTrue(p Predicate) Predicate {
+func orTrue(p predicate) predicate {
 	if p == nil {
 		return func(pfs.Info, time.Duration) bool { return true }
 	}

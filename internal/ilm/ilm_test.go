@@ -38,13 +38,13 @@ func TestPredicates(t *testing.T) {
 		slow, _ := fs.Stat("/proj/b/slowfile")
 		dir, _ := fs.Stat("/proj/a")
 
-		if !SizeLess(1000)(small, now) || SizeLess(1000)(big, now) {
+		if !sizeLess(1000)(small, now) || sizeLess(1000)(big, now) {
 			t.Error("SizeLess wrong")
 		}
 		if !PathPrefix("/proj/a")(big, now) || PathPrefix("/proj/a")(slow, now) {
 			t.Error("PathPrefix wrong")
 		}
-		if !InPool("slow")(slow, now) || InPool("slow")(big, now) {
+		if !inPool("slow")(slow, now) || inPool("slow")(big, now) {
 			t.Error("InPool wrong")
 		}
 		if !IsFile()(big, now) || IsFile()(dir, now) {
@@ -53,7 +53,7 @@ func TestPredicates(t *testing.T) {
 		if !StateIs(pfs.Resident)(big, now) {
 			t.Error("StateIs wrong")
 		}
-		if !And(IsFile(), SizeLess(1000))(small, now) || And(IsFile(), SizeLess(1000))(big, now) {
+		if !And(IsFile(), sizeLess(1000))(small, now) || And(IsFile(), sizeLess(1000))(big, now) {
 			t.Error("And wrong")
 		}
 	})

@@ -25,8 +25,8 @@ import (
 	"repro/internal/trash"
 )
 
-// ErrForbidden is returned for a command the policy does not allow.
-var ErrForbidden = errors.New("jail: command not permitted")
+// errForbidden is returned for a command the policy does not allow.
+var errForbidden = errors.New("jail: command not permitted")
 
 // Policy lists the commands a jailed user may run.
 type Policy struct {
@@ -39,11 +39,11 @@ type Jail struct {
 	engine *hsm.Engine
 	can    *trash.Can
 	policy Policy
-	stats  Stats
+	stats  stats
 }
 
-// Stats counts jailed activity.
-type Stats struct {
+// stats counts jailed activity.
+type stats struct {
 	Commands    int
 	Denied      int
 	Recalls     int
@@ -95,33 +95,33 @@ func (j *Jail) Rm(user, path string) (string, error) {
 	return tp, nil
 }
 
-// GrepResult reports one search run.
-type GrepResult struct {
+// grepResult reports one search run.
+type grepResult struct {
 	FilesSearched int
 	FilesRecalled int
 	Matches       int
 }
 
-// GrepMode selects the §4.2.3 hazard or the site-recommended variant.
-type GrepMode int
+// grepMode selects the §4.2.3 hazard or the site-recommended variant.
+type grepMode int
 
 // Grep modes.
 const (
 	// GrepNaive reads files in directory order, recalling each on
 	// demand — the "grep from &*&(*&" the chroot jail exists to stop.
-	GrepNaive GrepMode = iota
-	// GrepTapeAware locates all migrated files first, recalls them in
+	GrepNaive grepMode = iota
+	// grepTapeAware locates all migrated files first, recalls them in
 	// tape order via the engine, then searches.
-	GrepTapeAware
+	grepTapeAware
 )
 
 // Grep searches all files under dir for a byte pattern. It is denied
 // unless the jail policy allows it.
-func (j *Jail) Grep(dir string, pattern []byte, mode GrepMode) (GrepResult, error) {
+func (j *Jail) Grep(dir string, pattern []byte, mode grepMode) (grepResult, error) {
 	j.stats.Commands++
 	if !j.policy.AllowGrep {
 		j.stats.Denied++
-		return GrepResult{}, fmt.Errorf("%w: grep", ErrForbidden)
+		return grepResult{}, fmt.Errorf("%w: grep", errForbidden)
 	}
 	var files []pfs.Info
 	err := j.fs.Walk(dir, func(i pfs.Info) error {
@@ -131,11 +131,11 @@ func (j *Jail) Grep(dir string, pattern []byte, mode GrepMode) (GrepResult, erro
 		return nil
 	})
 	if err != nil {
-		return GrepResult{}, err
+		return grepResult{}, err
 	}
-	res := GrepResult{}
+	res := grepResult{}
 	switch mode {
-	case GrepTapeAware:
+	case grepTapeAware:
 		// Recall everything offline in one ordered pass first.
 		var offline []string
 		for _, f := range files {

@@ -125,7 +125,7 @@ func TestRmGoesToTrashcan(t *testing.T) {
 		if e.fs.Exists(infos[0].Path) {
 			t.Error("rm left the original path")
 		}
-		if orig, err := e.fs.GetXattr(tp, trash.XattrOrig); err != nil || orig != infos[0].Path {
+		if orig, err := e.fs.GetXattr(tp, "trash.orig"); err != nil || orig != infos[0].Path {
 			t.Errorf("trash entry %s records origin %q, %v", tp, orig, err)
 		}
 	})
@@ -137,7 +137,7 @@ func TestGrepDeniedByDefault(t *testing.T) {
 		can, _ := trash.NewCan(e.fs, "/.trash")
 		j := New(e.fs, e.eng, can, Policy{}) // grep not allowed
 		e.fs.MkdirAll("/data")
-		if _, err := j.Grep("/data", []byte("x"), GrepNaive); !errors.Is(err, ErrForbidden) {
+		if _, err := j.Grep("/data", []byte("x"), GrepNaive); !errors.Is(err, errForbidden) {
 			t.Errorf("err = %v, want ErrForbidden", err)
 		}
 		if j.stats.Denied != 1 {
@@ -174,7 +174,7 @@ func TestGrepTapeAwareBeatsNaive(t *testing.T) {
 	// The §4.2.3 hazard quantified: naive grep over migrated files
 	// recalls them in name-scramble order; the tape-aware variant
 	// recalls everything in tape order first.
-	grepTime := func(mode GrepMode) (time.Duration, tape.Stats) {
+	grepTime := func(mode grepMode) (time.Duration, tape.Stats) {
 		e := newEnv(t)
 		var elapsed time.Duration
 		e.run(t, func(j *Jail) {
@@ -192,7 +192,7 @@ func TestGrepTapeAwareBeatsNaive(t *testing.T) {
 		return elapsed, e.lib.TotalStats()
 	}
 	naiveT, naiveStats := grepTime(GrepNaive)
-	awareT, awareStats := grepTime(GrepTapeAware)
+	awareT, awareStats := grepTime(grepTapeAware)
 	if awareT >= naiveT {
 		t.Errorf("tape-aware grep (%v) should beat naive (%v)", awareT, naiveT)
 	}

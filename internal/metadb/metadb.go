@@ -137,9 +137,9 @@ func (db *DB) Upsert(r Record) {
 	}
 }
 
-// Delete removes the record for an object. Deleting a missing object
+// remove deletes the record for an object. Deleting a missing object
 // is an error (it signals the shadow drifted from TSM).
-func (db *DB) Delete(objectID uint64) error {
+func (db *DB) remove(objectID uint64) error {
 	r := db.row(objectID)
 	if r == nil {
 		return fmt.Errorf("%w: object %d", ErrNotFound, objectID)
@@ -219,7 +219,7 @@ func (db *DB) ByPaths(paths []string) []Record {
 // (if it has one), any other object's row is inserted or replaced.
 func (db *DB) Apply(o tsm.Object) {
 	if o.Deleted {
-		_ = db.Delete(o.ID)
+		_ = db.remove(o.ID)
 		return
 	}
 	db.Upsert(Record{ObjectID: o.ID, FileID: o.FileID, Path: o.Path, Bytes: o.Bytes, Volume: o.Volume, Seq: o.Seq})

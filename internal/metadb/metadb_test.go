@@ -75,7 +75,7 @@ func TestDelete(t *testing.T) {
 	c, db := newDB()
 	c.Go(func() {
 		db.Upsert(rec(1, 10, "/a", "VOL1", 1))
-		if err := db.Delete(1); err != nil {
+		if err := db.remove(1); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := db.ByObjectID(1); !errors.Is(err, ErrNotFound) {
@@ -84,7 +84,7 @@ func TestDelete(t *testing.T) {
 		if _, err := db.ByFileID(10); !errors.Is(err, ErrNotFound) {
 			t.Errorf("ByFileID after delete: %v", err)
 		}
-		if err := db.Delete(1); !errors.Is(err, ErrNotFound) {
+		if err := db.remove(1); !errors.Is(err, ErrNotFound) {
 			t.Errorf("double delete: %v", err)
 		}
 	})

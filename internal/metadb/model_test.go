@@ -72,7 +72,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 				ref.upsert(rec)
 			default: // delete
 				id := uint64(r.Intn(60) + 1)
-				err := db.Delete(id)
+				err := db.remove(id)
 				_, existed := ref.recs[id]
 				if existed != (err == nil) {
 					t.Fatalf("step %d: delete(%d) err=%v but existed=%v", step, id, err, existed)
@@ -118,7 +118,7 @@ func TestRowsAddressedByObjectID(t *testing.T) {
 	clock.Go(func() {
 		for i, st := range steps {
 			if st.del != 0 {
-				if err := db.Delete(st.del); err != nil {
+				if err := db.remove(st.del); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 				ref.drop(st.del)

@@ -32,19 +32,19 @@ type Gate struct {
 	once  sync.Once
 }
 
-// NewGate builds a gate over the clock. Call Settle once clock.Run has
+// newGate builds a gate over the clock. Call settle once clock.Run has
 // returned.
-func NewGate(clock *simtime.Clock) *Gate {
+func newGate(clock *simtime.Clock) *Gate {
 	return &Gate{clock: clock, done: make(chan struct{})}
 }
 
-// Settle marks the simulation finished: Do now runs functions directly
+// settle marks the simulation finished: Do now runs functions directly
 // (no actors exist to race with). Must be called only after clock.Run
 // has returned; safe to call more than once.
-func (g *Gate) Settle() { g.once.Do(func() { close(g.done) }) }
+func (g *Gate) settle() { g.once.Do(func() { close(g.done) }) }
 
-// Settled reports whether the simulation has finished.
-func (g *Gate) Settled() bool {
+// settled reports whether the simulation has finished.
+func (g *Gate) settled() bool {
 	select {
 	case <-g.done:
 		return true

@@ -22,8 +22,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SnapshotSchema identifies /snapshot JSON documents.
-const SnapshotSchema = "archsim-snapshot/v1"
+// snapshotSchema identifies /snapshot JSON documents.
+const snapshotSchema = "archsim-snapshot/v1"
 
 // Server serves one simulation's operator plane.
 type Server struct {
@@ -44,7 +44,7 @@ func New(clock *simtime.Clock, act Actions) *Server {
 	s := &Server{
 		clock: clock,
 		tel:   telemetry.Of(clock),
-		gate:  NewGate(clock),
+		gate:  newGate(clock),
 		act:   act,
 		mux:   http.NewServeMux(),
 	}
@@ -80,7 +80,7 @@ func (s *Server) Start(addr string) (string, error) {
 // Settle marks the simulation finished (call after clock.Run returns):
 // handlers switch from scheduler-injected reads to direct ones, and
 // open streams drain and end.
-func (s *Server) Settle() { s.gate.Settle() }
+func (s *Server) Settle() { s.gate.settle() }
 
 // Close stops listening and tears the server down.
 func (s *Server) Close() error {
@@ -153,7 +153,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		since = simtime.Duration(n)
 	}
 	snap := s.snapshot()
-	doc := snapshotJSON{Schema: SnapshotSchema, AtNs: snap.At, SinceNs: since, CursorNs: snap.At}
+	doc := snapshotJSON{Schema: snapshotSchema, AtNs: snap.At, SinceNs: since, CursorNs: snap.At}
 	for _, p := range snap.Points {
 		// The diff form keeps points updated after the cursor. Func-
 		// collected series carry no update stamp (the subsystem owns

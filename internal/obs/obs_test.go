@@ -135,7 +135,7 @@ func TestSnapshotDiffCursor(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, srv.url+"/snapshot")), &full); err != nil {
 		t.Fatal(err)
 	}
-	if full.Schema != SnapshotSchema || len(full.Points) == 0 {
+	if full.Schema != snapshotSchema || len(full.Points) == 0 {
 		t.Fatalf("full snapshot: schema %q, %d points", full.Schema, len(full.Points))
 	}
 	// A cursor at the end excludes the tick counter (last updated
@@ -205,7 +205,7 @@ func TestEventStreamFollow(t *testing.T) {
 	var beats int
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var rec StreamRecord
+		var rec streamRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -232,7 +232,7 @@ func TestSpanStreamAndDump(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, srv.url+"/spans?follow=0")), &dump); err != nil {
 		t.Fatal(err)
 	}
-	if dump.Schema != telemetry.FlightSchema || len(dump.Spans) == 0 {
+	if dump.Schema != "archsim-flight/v1" || len(dump.Spans) == 0 {
 		t.Fatalf("span dump: schema %q, %d spans", dump.Schema, len(dump.Spans))
 	}
 
@@ -245,7 +245,7 @@ func TestSpanStreamAndDump(t *testing.T) {
 	var closed int
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var rec StreamRecord
+		var rec streamRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestGateConcurrentSnapshot(t *testing.T) {
 			sp.End()
 		}
 	})
-	gate := NewGate(clock)
+	gate := newGate(clock)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -300,7 +300,7 @@ func TestGateConcurrentSnapshot(t *testing.T) {
 		}()
 	}
 	clock.RunFor()
-	gate.Settle()
+	gate.settle()
 	// Settled reads race only each other now; let them spin once more.
 	time.Sleep(10 * time.Millisecond)
 	close(stop)

@@ -32,10 +32,10 @@ type Exposition struct {
 	Samples []Sample
 }
 
-// Family resolves the family a sample belongs to: its name, or the
+// family resolves the family a sample belongs to: its name, or the
 // name minus a _bucket/_sum/_count suffix when the remainder is a
 // declared histogram or summary family.
-func (e *Exposition) Family(sampleName string) string {
+func (e *Exposition) family(sampleName string) string {
 	if _, ok := e.Types[sampleName]; ok {
 		return sampleName
 	}
@@ -94,9 +94,9 @@ func validName(s string) bool {
 	return true
 }
 
-// ParseExposition parses a text-format scrape without judging it; use
+// parseExposition parses a text-format scrape without judging it; use
 // ValidateExposition for parse + lint in one call.
-func ParseExposition(r io.Reader) (*Exposition, error) {
+func parseExposition(r io.Reader) (*Exposition, error) {
 	e := &Exposition{Types: make(map[string]string)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -288,16 +288,16 @@ func labelIdentity(labels map[string]string, skip string) string {
 	return b.String()
 }
 
-// Validate lints a parsed scrape: every sample must belong to a
+// validate lints a parsed scrape: every sample must belong to a
 // declared family, families must not interleave, series must be
 // unique, counters non-negative, histogram buckets cumulative with a
 // +Inf bucket equal to _count.
-func Validate(e *Exposition) error {
+func validate(e *Exposition) error {
 	seenFamily := make(map[string]bool)
 	seenSeries := make(map[string]bool)
 	lastFamily := ""
 	for _, s := range e.Samples {
-		fam := e.Family(s.Name)
+		fam := e.family(s.Name)
 		kind, ok := e.Types[fam]
 		if !ok {
 			return fmt.Errorf("sample %s has no TYPE line", s.Name)
@@ -342,7 +342,7 @@ func Validate(e *Exposition) error {
 		return h
 	}
 	for _, s := range e.Samples {
-		fam := e.Family(s.Name)
+		fam := e.family(s.Name)
 		if e.Types[fam] != "histogram" {
 			continue
 		}
@@ -379,11 +379,11 @@ func Validate(e *Exposition) error {
 
 // ValidateExposition parses and lints a scrape in one call.
 func ValidateExposition(r io.Reader) (*Exposition, error) {
-	e, err := ParseExposition(r)
+	e, err := parseExposition(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := Validate(e); err != nil {
+	if err := validate(e); err != nil {
 		return e, err
 	}
 	return e, nil
@@ -395,12 +395,12 @@ func ValidateExposition(r io.Reader) (*Exposition, error) {
 func CheckMonotone(prev, cur *Exposition) error {
 	prevVals := make(map[string]float64)
 	for _, s := range prev.Samples {
-		if prev.Types[prev.Family(s.Name)] == "counter" {
+		if prev.Types[prev.family(s.Name)] == "counter" {
 			prevVals[s.Name+labelIdentity(s.Labels, "")] = s.Value
 		}
 	}
 	for _, s := range cur.Samples {
-		if cur.Types[cur.Family(s.Name)] != "counter" {
+		if cur.Types[cur.family(s.Name)] != "counter" {
 			continue
 		}
 		id := s.Name + labelIdentity(s.Labels, "")

@@ -7,7 +7,7 @@ import (
 
 func mustParse(t *testing.T, text string) *Exposition {
 	t.Helper()
-	e, err := ParseExposition(strings.NewReader(text))
+	e, err := parseExposition(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

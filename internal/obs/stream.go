@@ -19,8 +19,8 @@ import (
 // streamPoll is the real-time gap between ring reads while following.
 const streamPoll = 50 * time.Millisecond
 
-// StreamRecord is one NDJSON line of /events or /spans.
-type StreamRecord struct {
+// streamRecord is one NDJSON line of /events or /spans.
+type streamRecord struct {
 	// Type: "event" (flight event), "span" (closed span), "span_open"
 	// (span newly observed open), "missed" (ring overtook the tailer).
 	Type   string                 `json:"type"`
@@ -63,7 +63,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, spans bool) {
 		cursor = tail.Cursor
 
 		if tail.Missed > 0 {
-			if err := enc.Encode(StreamRecord{Type: "missed", Missed: tail.Missed}); err != nil {
+			if err := enc.Encode(streamRecord{Type: "missed", Missed: tail.Missed}); err != nil {
 				return
 			}
 		}
@@ -72,7 +72,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, spans bool) {
 				sp := &tail.Open[i]
 				if !announced[sp.ID] {
 					announced[sp.ID] = true
-					if err := enc.Encode(StreamRecord{Type: "span_open", Span: sp}); err != nil {
+					if err := enc.Encode(streamRecord{Type: "span_open", Span: sp}); err != nil {
 						return
 					}
 				}
@@ -80,13 +80,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, spans bool) {
 			for i := range tail.Spans {
 				sp := &tail.Spans[i]
 				delete(announced, sp.ID)
-				if err := enc.Encode(StreamRecord{Type: "span", Span: sp}); err != nil {
+				if err := enc.Encode(streamRecord{Type: "span", Span: sp}); err != nil {
 					return
 				}
 			}
 		} else {
 			for i := range tail.Events {
-				if err := enc.Encode(StreamRecord{Type: "event", Event: &tail.Events[i]}); err != nil {
+				if err := enc.Encode(streamRecord{Type: "event", Event: &tail.Events[i]}); err != nil {
 					return
 				}
 			}
@@ -97,7 +97,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, spans bool) {
 		if oneShot {
 			return
 		}
-		if s.gate.Settled() && !fresh {
+		if s.gate.settled() && !fresh {
 			// The run is over and the ring is drained: end the stream.
 			return
 		}

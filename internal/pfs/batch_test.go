@@ -84,7 +84,7 @@ func TestBillMatchesSingleOps(t *testing.T) {
 			phase(func(b *Batch, p string) error { return b.punch(ref{path: p}) }, fs.Punch)
 			phase(func(b *Batch, p string) error { return b.restore(ref{path: p}, true) },
 				func(p string) error { return fs.Restore(p, true) })
-			phase(func(b *Batch, p string) error { return b.WriteFileIn(p+".copy", synthetic.NewUniform(7, 10), "slow") },
+			phase(func(b *Batch, p string) error { return b.writeFileIn(p+".copy", synthetic.NewUniform(7, 10), "slow") },
 				func(p string) error { return fs.WriteFileIn(p+".copy", synthetic.NewUniform(7, 10), "slow") })
 			o.events = c.EventsProcessed() - before
 			o.state = fsState(fs)
@@ -313,7 +313,7 @@ func TestIDFormsBillLikePathForms(t *testing.T) {
 
 // sentinelOf names the package error err wraps, "" for none.
 func sentinelOf(err error) string {
-	for _, s := range []error{vfs.ErrNotExist, vfs.ErrIsDir, ErrOffline, ErrBadState, ErrNoSpace} {
+	for _, s := range []error{vfs.ErrNotExist, vfs.ErrIsDir, ErrOffline, errBadState, errNoSpace} {
 		if errors.Is(err, s) {
 			return s.Error()
 		}

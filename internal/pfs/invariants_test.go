@@ -10,7 +10,7 @@ import (
 )
 
 // TestInvariantPoolAccounting drives a file system through a random
-// sequence of writes, overwrites, truncates, removes, renames, and
+// sequence of writes, overwrites, appends, removes, renames, and
 // migration-state transitions, then verifies that every pool's Used()
 // equals the sum of on-disk bytes (resident + premigrated) of the files
 // placed in it.
@@ -37,11 +37,6 @@ func TestInvariantPoolAccounting(t *testing.T) {
 				p := paths[r.Intn(len(paths))]
 				if info, err := fs.Stat(p); err == nil {
 					fs.WriteAt(p, info.Size, synthetic.NewUniform(uint64(step), int64(r.Intn(500)+1)))
-				}
-			case op < 55 && len(paths) > 0: // truncate
-				p := paths[r.Intn(len(paths))]
-				if info, err := fs.Stat(p); err == nil && info.Size > 0 {
-					fs.truncate(p, int64(r.Intn(int(info.Size))))
 				}
 			case op < 70 && len(paths) > 0: // remove
 				p := paths[r.Intn(len(paths))]

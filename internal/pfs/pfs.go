@@ -53,9 +53,9 @@ import (
 // Errors specific to the pfs layer (namespace errors come from vfs).
 var (
 	ErrOffline  = errors.New("pfs: file data is migrated offline")
-	ErrNoSpace  = errors.New("pfs: storage pool out of space")
-	ErrNoPool   = errors.New("pfs: no such storage pool")
-	ErrBadState = errors.New("pfs: invalid migration state transition")
+	errNoSpace  = errors.New("pfs: storage pool out of space")
+	errNoPool   = errors.New("pfs: no such storage pool")
+	errBadState = errors.New("pfs: invalid migration state transition")
 )
 
 // MigState is the DMAPI-style per-file data residency state.
@@ -156,8 +156,8 @@ type Pool struct {
 // Used reports bytes resident in the pool.
 func (p *Pool) Used() int64 { return p.used }
 
-// Free reports remaining capacity.
-func (p *Pool) Free() int64 { return p.Spec.Capacity - p.used }
+// free reports remaining capacity.
+func (p *Pool) free() int64 { return p.Spec.Capacity - p.used }
 
 // Endpoint returns the pool's fabric endpoint name ("<fs>:<pool>"),
 // usable as a source or destination in fabric.Route.
@@ -249,7 +249,7 @@ func (fs *FS) Pool(name string) (*Pool, error) {
 			return p, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s", ErrNoPool, name)
+	return nil, fmt.Errorf("%w: %s", errNoPool, name)
 }
 
 // DefaultPool returns the placement default.
@@ -331,11 +331,11 @@ func (fs *FS) WriteFile(p string, content synthetic.Content) error {
 // package comment). Capacity is enforced.
 func (fs *FS) WriteFileIn(p string, content synthetic.Content, pool string) error {
 	b := fs.Bill(1)
-	return b.WriteFileIn(p, content, pool)
+	return b.writeFileIn(p, content, pool)
 }
 
-// WriteFileIn is FS.WriteFileIn on a pre-paid batch.
-func (b *Batch) WriteFileIn(p string, content synthetic.Content, pool string) error {
+// writeFileIn is FS.WriteFileIn on a pre-paid batch.
+func (b *Batch) writeFileIn(p string, content synthetic.Content, pool string) error {
 	fs := b.spend()
 	pl, err := fs.Pool(pool)
 	if err != nil {
@@ -354,8 +354,8 @@ func (b *Batch) WriteFileIn(p string, content synthetic.Content, pool string) er
 		if oldMeta != nil && fs.poolOf(oldMeta) != pl {
 			need = content.Len() // moving pools: old accounting released below
 		}
-		if need > pl.Free() {
-			return fmt.Errorf("%w: pool %s needs %d, free %d", ErrNoSpace, pool, need, pl.Free())
+		if need > pl.free() {
+			return fmt.Errorf("%w: pool %s needs %d, free %d", errNoSpace, pool, need, pl.free())
 		}
 		return nil
 	})
@@ -386,7 +386,7 @@ func (fs *FS) WriteFiles(specs []FileSpec) error {
 		if pool == "" {
 			pool = fs.cfg.DefaultPool
 		}
-		if err := b.WriteFileIn(s.Path, s.Content, pool); err != nil {
+		if err := b.writeFileIn(s.Path, s.Content, pool); err != nil {
 			return fmt.Errorf("writing %s: %w", s.Path, err)
 		}
 	}
@@ -474,35 +474,14 @@ func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 	grow := off + data.Len() - size
 	if grow > 0 {
 		pl := fs.poolOf(m)
-		if grow > pl.Free() {
-			return fmt.Errorf("%w: pool %s", ErrNoSpace, pl.Spec.Name)
+		if grow > pl.free() {
+			return fmt.Errorf("%w: pool %s", errNoSpace, pl.Spec.Name)
 		}
 		pl.used += grow
 	}
 	// Any write dirties a premigrated copy back to resident.
 	m.state = Resident
 	return fs.ns.WriteAt(p, off, data)
-}
-
-// truncate shortens a resident file, releasing pool space.
-func (fs *FS) truncate(p string, length int64) error {
-	fs.chargeMeta(1)
-	id, _, size, err := fs.ns.Lookup(p)
-	if err != nil {
-		return err
-	}
-	m := fs.metaOf(id)
-	if m != nil && m.state == Migrated {
-		return fmt.Errorf("%w: %s", ErrOffline, p)
-	}
-	if err := fs.ns.Truncate(p, length); err != nil {
-		return err
-	}
-	if m != nil {
-		fs.poolOf(m).used -= size - length
-		m.state = Resident
-	}
-	return nil
 }
 
 // Stat returns combined namespace + residency information.
@@ -635,9 +614,6 @@ func (fs *FS) Walk(p string, fn func(Info) error) error {
 // NumInodes reports the total inode count.
 func (fs *FS) NumInodes() int { return fs.ns.NumInodes() }
 
-// NumFiles reports the regular-file count.
-func (fs *FS) NumFiles() int { return fs.ns.NumFiles() }
-
 // TotalBytes reports the logical size of all files.
 func (fs *FS) TotalBytes() int64 { return fs.ns.TotalBytes() }
 
@@ -659,7 +635,7 @@ func (fs *FS) SetPremigratedID(id vfs.FileID) error {
 func (b *Batch) premigrate(f ref) error {
 	return b.transition(f, func(m *fileMeta, size int64) error {
 		if m.state == Migrated {
-			return fmt.Errorf("%w: %v is migrated", ErrBadState, f)
+			return fmt.Errorf("%w: %v is migrated", errBadState, f)
 		}
 		m.state = Premigrated
 		return nil
@@ -682,7 +658,7 @@ func (fs *FS) PunchID(id vfs.FileID) error {
 func (b *Batch) punch(f ref) error {
 	return b.transition(f, func(m *fileMeta, size int64) error {
 		if m.state != Premigrated {
-			return fmt.Errorf("%w: punch requires premigrated, %v is %v", ErrBadState, f, m.state)
+			return fmt.Errorf("%w: punch requires premigrated, %v is %v", errBadState, f, m.state)
 		}
 		b.fs.poolOf(m).used -= size
 		m.state = Migrated
@@ -706,11 +682,11 @@ func (b *Batch) RestoreID(id vfs.FileID, keepBackendCopy bool) error {
 func (b *Batch) restore(f ref, keepBackendCopy bool) error {
 	return b.transition(f, func(m *fileMeta, size int64) error {
 		if m.state != Migrated {
-			return fmt.Errorf("%w: restore requires migrated, %v is %v", ErrBadState, f, m.state)
+			return fmt.Errorf("%w: restore requires migrated, %v is %v", errBadState, f, m.state)
 		}
 		pl := b.fs.poolOf(m)
-		if size > pl.Free() {
-			return fmt.Errorf("%w: pool %s recall of %d bytes", ErrNoSpace, pl.Spec.Name, size)
+		if size > pl.free() {
+			return fmt.Errorf("%w: pool %s recall of %d bytes", errNoSpace, pl.Spec.Name, size)
 		}
 		pl.used += size
 		if keepBackendCopy {

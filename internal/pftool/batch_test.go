@@ -29,7 +29,7 @@ func TestSmallFilesBillPerBatch(t *testing.T) {
 	e.run(t, func() {
 		seedTree(t, e.scratch, "/src", sameSizes(files, size))
 		for _, tc := range []struct {
-			op       Op
+			op       op
 			elapsed  time.Duration
 			messages int
 		}{

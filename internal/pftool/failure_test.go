@@ -97,7 +97,7 @@ func TestJournalRecordsChunkedFileOnlyWhenComplete(t *testing.T) {
 		if _, err := Run(req); err == nil {
 			t.Fatal("expected injected failure")
 		}
-		if j.Done("/dst/big") || j.Len() != 0 {
+		if j.isDone("/dst/big") || j.Len() != 0 {
 			t.Fatalf("half-copied file reached the journal: %d entries", j.Len())
 		}
 
@@ -113,7 +113,7 @@ func TestJournalRecordsChunkedFileOnlyWhenComplete(t *testing.T) {
 		if res.ChunksSkipped == 0 || res.FilesCopied != 1 {
 			t.Errorf("resume res = %+v", res)
 		}
-		if !j.Done("/dst/big") {
+		if !j.isDone("/dst/big") {
 			t.Error("completed chunked file missing from the journal")
 		}
 		got, _ := e.archive.ReadContent("/dst/big")

@@ -22,15 +22,15 @@ func NewJournal() *Journal {
 	return &Journal{done: make(map[string]bool)}
 }
 
-// MarkDone records a completed destination path.
-func (j *Journal) MarkDone(dst string) {
+// markDone records a completed destination path.
+func (j *Journal) markDone(dst string) {
 	if dst != "" {
 		j.done[dst] = true
 	}
 }
 
-// Done reports whether a destination path was completed.
-func (j *Journal) Done(dst string) bool { return j.done[dst] }
+// isDone reports whether a destination path was completed.
+func (j *Journal) isDone(dst string) bool { return j.done[dst] }
 
 // Len reports the number of completed destinations recorded.
 func (j *Journal) Len() int { return len(j.done) }

@@ -76,7 +76,7 @@ type copyResult struct {
 	// mismatches details each compare failure (path + first differing
 	// byte), so pfcm can tell the operator where the damage is instead
 	// of just how much.
-	mismatches []Mismatch
+	mismatches []mismatch
 	logical    string   // set for chunk completions
 	dsts       []string // whole files completed, for the restart journal
 	err        string
@@ -702,7 +702,7 @@ func (r *run) allDead(ranks []int) bool {
 // journalMark records a completed destination in the restart journal.
 func (r *run) journalMark(dst string) {
 	if r.req.Tunables.Journal != nil {
-		r.req.Tunables.Journal.MarkDone(dst)
+		r.req.Tunables.Journal.markDone(dst)
 	}
 }
 
@@ -747,7 +747,7 @@ func (r *run) expand(res dirResult) {
 // migrated sources, chunked paths for large files, batches otherwise.
 func (r *run) classify(info pfs.Info, dst string) {
 	t := r.req.Tunables
-	if t.Journal != nil && r.req.Op != OpList && t.Journal.Done(dst) {
+	if t.Journal != nil && r.req.Op != OpList && t.Journal.isDone(dst) {
 		// A previous run completed this destination: prune it before any
 		// tape restore or copy work is planned.
 		r.res.JournalSkipped++

@@ -29,17 +29,17 @@ import (
 	"repro/internal/vfs"
 )
 
-// Op selects the PFTool command.
-type Op int
+// op selects the PFTool command.
+type op int
 
 // Operations.
 const (
-	OpList    Op = iota // pfls
+	OpList    op = iota // pfls
 	OpCopy              // pfcp
 	OpCompare           // pfcm
 )
 
-func (o Op) String() string {
+func (o op) String() string {
 	switch o {
 	case OpList:
 		return "pfls"
@@ -51,11 +51,11 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// Restorer recalls migrated files from the tape backend; *hsm.Engine
+// restorer recalls migrated files from the tape backend; *hsm.Engine
 // is the production implementation. Files travel as parallel slices:
 // ids[i] is the file ID of paths[i], as the walk resolved it, so the
 // backend need not resolve the path again.
-type Restorer interface {
+type restorer interface {
 	// Locate resolves migrated files to tape locations, in input
 	// order; unknown paths are left out of locs and returned in missing.
 	Locate(paths []string, ids []vfs.FileID) (locs []hsm.TapeLoc, missing []string)
@@ -121,7 +121,7 @@ func DefaultTunables() Tunables {
 
 // Request describes one PFTool invocation.
 type Request struct {
-	Op  Op
+	Op  op
 	Src string
 	Dst string // unused for pfls
 
@@ -133,7 +133,7 @@ type Request struct {
 	Nodes []*cluster.Node
 	// Restorer recalls migrated source files before copying; nil means
 	// migrated files are reported as errors.
-	Restorer Restorer
+	Restorer restorer
 	// Placement, when non-nil, chooses the destination storage pool per
 	// file (the archive's ILM placement policy, §4.2.1: small files to
 	// the slow pool). Transfer time is still charged on the default
@@ -152,7 +152,7 @@ type Request struct {
 
 // Result reports one PFTool run.
 type Result struct {
-	Op Op
+	Op op
 
 	FilesCopied  int
 	FilesSkipped int // restart: destination already current
@@ -170,7 +170,7 @@ type Result struct {
 	// Mismatches details each compare failure: which destination path
 	// diverged from its source and at which byte — what an operator
 	// needs to find the damage, not just count it.
-	Mismatches []Mismatch
+	Mismatches []mismatch
 
 	Restored      int
 	ChunksCopied  int
@@ -193,7 +193,7 @@ type Result struct {
 	// History is the WatchDog's periodic record (§4.1.1(3)): files and
 	// bytes copied as of each sampling interval, the "current and
 	// historical statistics" the paper's WatchDog keeps.
-	History []HistoryPoint
+	History []historyPoint
 
 	Started  time.Duration
 	Finished time.Duration
@@ -201,23 +201,23 @@ type Result struct {
 	OutputLines int
 }
 
-// HistoryPoint is one WatchDog sample.
-type HistoryPoint struct {
+// historyPoint is one WatchDog sample.
+type historyPoint struct {
 	At    time.Duration // virtual time of the sample
 	Files int
 	Bytes int64
 }
 
-// Mismatch is one pfcm compare failure: source and destination differ
+// mismatch is one pfcm compare failure: source and destination differ
 // starting at byte Offset (the first divergent byte; -1 when the two
 // sides could not be compared byte-for-byte).
-type Mismatch struct {
+type mismatch struct {
 	Src    string
 	Dst    string
 	Offset int64
 }
 
-func (m Mismatch) String() string {
+func (m mismatch) String() string {
 	return fmt.Sprintf("%s differs from %s at byte %d", m.Dst, m.Src, m.Offset)
 }
 

@@ -89,7 +89,7 @@ func tunablesForTest() Tunables {
 	return t
 }
 
-func baseRequest(e *env, op Op) Request {
+func baseRequest(e *env, op op) Request {
 	return Request{
 		Op:       op,
 		Src:      "/src",

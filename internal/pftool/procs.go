@@ -381,7 +381,7 @@ func (r *run) compareBatch(rank int, node *cluster.Node, job copyJob) copyResult
 			res.dsts = append(res.dsts, f.dst)
 		} else {
 			res.mismatch++
-			res.mismatches = append(res.mismatches, Mismatch{
+			res.mismatches = append(res.mismatches, mismatch{
 				Src:    f.src,
 				Dst:    f.dst,
 				Offset: synthetic.FirstDiff(srcContent, dstContent),
@@ -490,7 +490,7 @@ func (r *run) watchdog() {
 		// Record the periodic statistics the paper's WatchDog keeps:
 		// totals as of this interval (per-interval deltas are the
 		// difference of consecutive points).
-		r.res.History = append(r.res.History, HistoryPoint{
+		r.res.History = append(r.res.History, historyPoint{
 			At:    r.clock.Now(),
 			Files: r.res.FilesCopied,
 			Bytes: r.res.BytesCopied,

@@ -42,7 +42,7 @@ func (r Result) Report() string {
 	}
 	if len(r.History) > 0 {
 		b.WriteString("  interval history (WatchDog):\n")
-		prev := HistoryPoint{At: r.Started}
+		prev := historyPoint{At: r.Started}
 		for _, h := range r.History {
 			dt := h.At - prev.At
 			rate := 0.0

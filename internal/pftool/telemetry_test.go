@@ -55,8 +55,8 @@ func TestRankDeathAbortsJobSpans(t *testing.T) {
 				t.Errorf("run span status = %q, want ok (survivors finished the copy)", sp.Status)
 			}
 		}
-		if n := len(tel.OpenSpans()); n != 0 {
-			t.Errorf("%d spans leaked open after the run: %v", n, tel.OpenSpans())
+		if open := tel.FlightSince(0).Open; len(open) != 0 {
+			t.Errorf("%d spans leaked open after the run: %v", len(open), open)
 		}
 		if got := tel.Counter("pftool_ranks_died_total").Value(); got != float64(res.RanksDied) {
 			t.Errorf("pftool_ranks_died_total = %v, want %d", got, res.RanksDied)
@@ -86,7 +86,7 @@ func TestRunCountersMatchResult(t *testing.T) {
 		if fam := snap.Family("pftool_file_bytes"); len(fam) == 0 || fam[0].Count != float64(res.FilesCopied) {
 			t.Errorf("file-size histogram = %+v, want count %d", fam, res.FilesCopied)
 		}
-		if n := len(tel.OpenSpans()); n != 0 {
+		if n := len(tel.FlightSince(0).Open); n != 0 {
 			t.Errorf("%d spans leaked open after a clean run", n)
 		}
 	})

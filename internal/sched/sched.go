@@ -78,7 +78,7 @@ type Class int
 // "unset" so each admission point can apply its own default (recalls
 // default interactive, migrations batch, scrubbing scavenger).
 const (
-	ClassUnset  Class = iota
+	classUnset  Class = iota
 	Interactive       // a user is waiting on the result
 	Batch             // throughput work: migrations, campaign copies
 	Scavenger         // background upkeep: scrub, reclaim, replication
@@ -89,7 +89,7 @@ var classOrder = [...]Class{Interactive, Batch, Scavenger}
 
 func (c Class) String() string {
 	switch c {
-	case ClassUnset:
+	case classUnset:
 		return "unset"
 	case Interactive:
 		return "interactive"
@@ -124,7 +124,7 @@ func (q QoS) Or(class Class) QoS {
 	if q.Tenant == "" {
 		q.Tenant = DefaultTenant
 	}
-	if q.Class == ClassUnset {
+	if q.Class == classUnset {
 		q.Class = class
 	}
 	return q
@@ -183,9 +183,9 @@ func (g *Grant) Done() {
 	}
 }
 
-// Dispatch is one admission decision, recorded when tracing is on —
+// dispatch is one admission decision, recorded when tracing is on —
 // the repeated-run determinism tests compare these logs.
-type Dispatch struct {
+type dispatch struct {
 	Seq     uint64
 	At      simtime.Duration
 	Station string
@@ -221,7 +221,7 @@ type Scheduler struct {
 	contScav, contTotal int64
 
 	traceOn bool
-	trace   []Dispatch
+	trace   []dispatch
 	seq     uint64
 
 	m *schedMetrics // lazy: telemetry.Of is illegal inside SlotOf
@@ -232,15 +232,15 @@ type acctKey struct {
 	class  Class
 }
 
-// DefaultScavengerShare is the minimum dispatch share reserved for
+// defaultScavengerShare is the minimum dispatch share reserved for
 // backlogged scavenger work on a limited station.
-const DefaultScavengerShare = 0.05
+const defaultScavengerShare = 0.05
 
 func newScheduler(clock *simtime.Clock) *Scheduler {
 	return &Scheduler{
 		clock:     clock,
 		stations:  make(map[string]*Station),
-		scavShare: DefaultScavengerShare,
+		scavShare: defaultScavengerShare,
 		acct:      make(map[acctKey]*TenantStat),
 	}
 }
@@ -300,7 +300,7 @@ func (s *Scheduler) SetStarvationThreshold(d simtime.Duration) { s.starveAfter =
 // work never stands in, because dispatch is strict-priority. d = 0
 // disables (the default; unconfigured stations never shed).
 func (s *Scheduler) SetShedWatermark(c Class, d simtime.Duration) {
-	if c > ClassUnset && int(c) < len(s.shedMark) {
+	if c > classUnset && int(c) < len(s.shedMark) {
 		if d < 0 {
 			d = 0
 		}
@@ -311,16 +311,10 @@ func (s *Scheduler) SetShedWatermark(c Class, d simtime.Duration) {
 // SetSLO sets the class's queue-wait objective; dispatches that
 // waited longer count on sched_slo_violations_total (0 disables).
 func (s *Scheduler) SetSLO(c Class, d simtime.Duration) {
-	if c > ClassUnset && int(c) < len(s.slo) {
+	if c > classUnset && int(c) < len(s.slo) {
 		s.slo[c] = d
 	}
 }
-
-// EnableTrace starts recording every admission decision.
-func (s *Scheduler) EnableTrace() { s.traceOn = true }
-
-// TraceLog returns the admission decisions recorded since EnableTrace.
-func (s *Scheduler) TraceLog() []Dispatch { return s.trace }
 
 // TenantStats returns per-(tenant, class) admission totals, sorted by
 // tenant then class — the fairness-index input.
@@ -342,15 +336,6 @@ func (s *Scheduler) TenantStats() []TenantStat {
 // scavenger work was backlogged, and how many of those went to the
 // scavenger lane — observed share = scav/total.
 func (s *Scheduler) ContentionStats() (scav, total int64) { return s.contScav, s.contTotal }
-
-// queued totals items waiting for admission across all stations.
-func (s *Scheduler) queued() int {
-	n := 0
-	for _, st := range s.stations {
-		n += st.queued
-	}
-	return n
-}
 
 // schedMetrics bundles the scheduler's telemetry handles, created on
 // first use from normal (non-SlotOf) context.
@@ -787,7 +772,7 @@ func (st *Station) noteDispatch(it Item, wait simtime.Duration) {
 	}
 	if s.traceOn {
 		s.seq++
-		s.trace = append(s.trace, Dispatch{
+		s.trace = append(s.trace, dispatch{
 			Seq: s.seq, At: s.clock.Now(), Station: st.name,
 			Tenant: it.Tenant, Class: it.Class, Kind: it.Kind, Units: it.Units,
 		})

@@ -219,10 +219,10 @@ func TestStarvationAndSLOCounters(t *testing.T) {
 }
 
 func TestTraceAndTenantStatsDeterministic(t *testing.T) {
-	run := func() ([]Dispatch, []TenantStat) {
+	run := func() ([]dispatch, []TenantStat) {
 		c := simtime.NewClock()
 		s := Of(c)
-		s.EnableTrace()
+		s.enableTrace()
 		s.SetLimit("test", 2)
 		st := s.Station("test")
 		var order []string
@@ -231,7 +231,7 @@ func TestTraceAndTenantStatsDeterministic(t *testing.T) {
 			runItem(c, st, Item{QoS: QoS{Tenant: tn, Class: Batch}, Kind: "k", Units: 7}, 3*time.Second, &order)
 		}
 		c.RunFor()
-		return s.TraceLog(), s.TenantStats()
+		return s.traceLog(), s.TenantStats()
 	}
 	t1, s1 := run()
 	t2, s2 := run()
@@ -244,4 +244,19 @@ func TestTraceAndTenantStatsDeterministic(t *testing.T) {
 	if len(t1) != 7 {
 		t.Fatalf("trace has %d dispatches, want 7", len(t1))
 	}
+}
+
+// enableTrace starts recording every admission decision.
+func (s *Scheduler) enableTrace() { s.traceOn = true }
+
+// traceLog returns the admission decisions recorded since enableTrace.
+func (s *Scheduler) traceLog() []dispatch { return s.trace }
+
+// queued totals items waiting for admission across all stations.
+func (s *Scheduler) queued() int {
+	n := 0
+	for _, st := range s.stations {
+		n += st.queued
+	}
+	return n
 }

@@ -142,7 +142,7 @@ func TestWFQRandomizedAllServed(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := simtime.NewClock()
 		s := Of(c)
-		s.EnableTrace()
+		s.enableTrace()
 		s.SetLimit("rand", 1+rng.Intn(3))
 		st := s.Station("rand")
 		n := 50 + rng.Intn(150)
@@ -164,7 +164,7 @@ func TestWFQRandomizedAllServed(t *testing.T) {
 		if completed != n {
 			t.Fatalf("seed %d: %d/%d completed", seed, completed, n)
 		}
-		if got := len(s.TraceLog()); got != n {
+		if got := len(s.traceLog()); got != n {
 			t.Fatalf("seed %d: trace has %d dispatches, want %d", seed, got, n)
 		}
 		var items int64

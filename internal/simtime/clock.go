@@ -396,14 +396,6 @@ func (c *Clock) maybeCompactLocked() {
 	c.ncanceled = 0
 }
 
-// pendingEvents reports the heap size (canceled events included), for
-// tests asserting compaction keeps it bounded.
-func (c *Clock) pendingEvents() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 // runLocked is the scheduler loop, bounded by an exclusive time limit:
 // it drives the simulation until no live event before limit is pending
 // (every actor is then blocked or done), then returns the earliest pending

@@ -135,3 +135,11 @@ func TestAtInstantEndReopens(t *testing.T) {
 		t.Errorf("actor resumed at %v, want 1s", tick)
 	}
 }
+
+// pendingEvents reports the heap size (canceled events included), for
+// tests asserting compaction keeps it bounded.
+func (c *Clock) pendingEvents() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue)
+}

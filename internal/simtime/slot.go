@@ -2,7 +2,7 @@ package simtime
 
 import "sync/atomic"
 
-// Slot is a process-wide index for a per-clock singleton (the
+// slot is a process-wide index for a per-clock singleton (the
 // telemetry registry, the fabric, the scheduler...). Packages allocate
 // one Slot at init and resolve it against any clock with Clock.SlotOf.
 // A value lives as long as its clock, so higher layers share one
@@ -11,7 +11,7 @@ import "sync/atomic"
 // With one clock per island and lookups on the hot path (every counter
 // bump resolves the registry), SlotOf's fast path is a single atomic
 // load plus an index: no lock, no allocation, safe from any goroutine.
-type Slot struct {
+type slot struct {
 	idx int32
 }
 
@@ -22,15 +22,15 @@ var nextSlot atomic.Int32
 
 // NewSlot allocates a fresh slot index. Call it once per singleton,
 // from a package-level var initializer.
-func NewSlot() *Slot {
-	return &Slot{idx: nextSlot.Add(1) - 1}
+func NewSlot() *slot {
+	return &slot{idx: nextSlot.Add(1) - 1}
 }
 
 // SlotOf returns the value stored on the clock under s, creating it
 // with mk(c) on first use. mk should be a named top-level function so
 // the call site allocates nothing; it runs with the clock's mutex held
 // and must not re-enter SlotOf on the same clock.
-func (c *Clock) SlotOf(s *Slot, mk func(*Clock) interface{}) interface{} {
+func (c *Clock) SlotOf(s *slot, mk func(*Clock) interface{}) interface{} {
 	if tbl, _ := c.slots.Load().([]interface{}); int(s.idx) < len(tbl) {
 		if v := tbl[s.idx]; v != nil {
 			return v
@@ -39,7 +39,7 @@ func (c *Clock) SlotOf(s *Slot, mk func(*Clock) interface{}) interface{} {
 	return c.slotOfSlow(s, mk)
 }
 
-func (c *Clock) slotOfSlow(s *Slot, mk func(*Clock) interface{}) interface{} {
+func (c *Clock) slotOfSlow(s *slot, mk func(*Clock) interface{}) interface{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tbl, _ := c.slots.Load().([]interface{})

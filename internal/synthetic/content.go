@@ -18,8 +18,8 @@ import (
 	"sort"
 )
 
-// Extent is a run of bytes drawn from one seed stream.
-type Extent struct {
+// extent is a run of bytes drawn from one seed stream.
+type extent struct {
 	Off     int64  // offset within the file
 	Len     int64  // length in bytes
 	Seed    uint64 // identifies the generator stream
@@ -29,7 +29,7 @@ type Extent struct {
 // Content is an immutable description of file bytes as ordered,
 // non-overlapping, gap-free extents. The zero value is empty content.
 type Content struct {
-	extents []Extent
+	extents []extent
 }
 
 // NewUniform returns content of the given length drawn from the seed
@@ -41,7 +41,7 @@ func NewUniform(seed uint64, length int64) Content {
 	if length == 0 {
 		return Content{}
 	}
-	return Content{extents: []Extent{{Off: 0, Len: length, Seed: seed, SeedOff: 0}}}
+	return Content{extents: []extent{{Off: 0, Len: length, Seed: seed, SeedOff: 0}}}
 }
 
 // Len reports the total content length in bytes: where the last extent
@@ -59,7 +59,7 @@ func (c Content) Len() int64 {
 // its predecessor when it continues the same seed stream. Every Content
 // is built by it from pieces in offset order, which is what keeps extent
 // lists ordered, gap-free and maximally merged with no sort.
-func appendRange(out []Extent, c Content, off, end int64) []Extent {
+func appendRange(out []extent, c Content, off, end int64) []extent {
 	at := Content{extents: out}.Len()
 	for _, e := range c.extents {
 		start, stop := max(off, e.Off), min(end, e.Off+e.Len)
@@ -70,7 +70,7 @@ func appendRange(out []Extent, c Content, off, end int64) []Extent {
 		if n := len(out); n > 0 && out[n-1].Seed == e.Seed && out[n-1].SeedOff+out[n-1].Len == seedOff {
 			out[n-1].Len += stop - start
 		} else {
-			out = append(out, Extent{Off: at, Len: stop - start, Seed: e.Seed, SeedOff: seedOff})
+			out = append(out, extent{Off: at, Len: stop - start, Seed: e.Seed, SeedOff: seedOff})
 		}
 		at += stop - start
 	}
@@ -98,7 +98,7 @@ func (c Content) Slice(off, length int64) Content {
 	if length == 0 {
 		return Content{}
 	}
-	out := make([]Extent, 0, c.spanned(off, off+length))
+	out := make([]extent, 0, c.spanned(off, off+length))
 	return Content{extents: appendRange(out, c, off, off+length)}
 }
 
@@ -111,7 +111,7 @@ func Concat(parts ...Content) Content {
 	if n == 0 {
 		return Content{}
 	}
-	out := make([]Extent, 0, n)
+	out := make([]extent, 0, n)
 	for _, p := range parts {
 		out = appendRange(out, p, 0, p.Len())
 	}
@@ -128,7 +128,7 @@ func (c Content) Overwrite(off int64, repl Content) Content {
 	if total == 0 {
 		return Content{}
 	}
-	out := make([]Extent, 0, c.spanned(0, off)+len(repl.extents)+c.spanned(off+rl, total))
+	out := make([]extent, 0, c.spanned(0, off)+len(repl.extents)+c.spanned(off+rl, total))
 	out = appendRange(out, c, 0, off)
 	out = appendRange(out, repl, 0, rl)
 	out = appendRange(out, c, off+rl, total)
@@ -263,15 +263,6 @@ func (c Content) ReadAt(p []byte, off int64) int {
 		written += chunk
 	}
 	return int(written)
-}
-
-// byteAt generates the single byte at offset off.
-func (c Content) byteAt(off int64) byte {
-	var b [1]byte
-	if c.ReadAt(b[:], off) != 1 {
-		panic("synthetic: byteAt out of bounds")
-	}
-	return b[0]
 }
 
 // generate fills p with stream bytes starting at streamOff of seed.

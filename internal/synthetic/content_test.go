@@ -295,3 +295,12 @@ func TestCorruptDigest(t *testing.T) {
 		t.Errorf("CorruptDigest collided across %d distinct inputs", 5-len(seen)+len(seen))
 	}
 }
+
+// byteAt generates the single byte at offset off.
+func (c Content) byteAt(off int64) byte {
+	var b [1]byte
+	if c.ReadAt(b[:], off) != 1 {
+		panic("synthetic: byteAt out of bounds")
+	}
+	return b[0]
+}

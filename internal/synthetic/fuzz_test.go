@@ -51,7 +51,7 @@ func checkContent(t testing.TB, desc string, c Content, want []cell) {
 	if n := c.ReadAt(got, 0); n != len(want) {
 		t.Fatalf("%s: ReadAt produced %d bytes of %d", desc, n, len(want))
 	}
-	var runs []Extent
+	var runs []extent
 	for i, w := range want {
 		if got[i] != w.b {
 			t.Fatalf("%s: byte %d = %#x, oracle has %#x", desc, i, got[i], w.b)
@@ -59,7 +59,7 @@ func checkContent(t testing.TB, desc string, c Content, want []cell) {
 		if n := len(runs); n > 0 && runs[n-1].Seed == w.seed && runs[n-1].SeedOff+runs[n-1].Len == w.off {
 			runs[n-1].Len++
 		} else {
-			runs = append(runs, Extent{Off: int64(i), Len: 1, Seed: w.seed, SeedOff: w.off})
+			runs = append(runs, extent{Off: int64(i), Len: 1, Seed: w.seed, SeedOff: w.off})
 		}
 	}
 	if len(runs) != len(c.extents) {

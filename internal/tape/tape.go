@@ -31,11 +31,11 @@ func corruptSum(sum uint64) uint64 { return synthetic.CorruptDigest(sum) }
 
 // Errors returned by drive operations.
 var (
-	ErrNotMounted  = errors.New("tape: no cartridge mounted")
-	ErrFull        = errors.New("tape: cartridge full")
-	ErrNoSuchFile  = errors.New("tape: no such tape file")
+	errNotMounted  = errors.New("tape: no cartridge mounted")
+	errFull        = errors.New("tape: cartridge full")
+	errNoSuchFile  = errors.New("tape: no such tape file")
 	ErrNoScratch   = errors.New("tape: no scratch cartridge available")
-	ErrNoSuchLabel = errors.New("tape: no such cartridge")
+	errNoSuchLabel = errors.New("tape: no such cartridge")
 	// ErrIO is a transient drive error (media or head fault). The
 	// transaction fails after a partial charge; nothing is recorded on
 	// the cartridge. Callers retry, typically on another drive.
@@ -172,17 +172,6 @@ func (c *Cartridge) CorruptFile(seq int, cause uint64) {
 	c.markCorrupt(seq, Corruption{Off: c.files[seq-1].Off, Cause: cause})
 }
 
-// MarkCorrupt records a damage site for a tape file whose on-media
-// digest is already wrong (data that arrived corrupted and was written
-// faithfully): the record carries the causing fault event so a later
-// detection can cite it.
-func (c *Cartridge) MarkCorrupt(seq int, cause uint64) {
-	if seq < 1 || seq > len(c.files) {
-		return
-	}
-	c.markCorrupt(seq, Corruption{Off: c.files[seq-1].Off, Cause: cause})
-}
-
 func (c *Cartridge) markCorrupt(seq int, rec Corruption) {
 	if c.corrupt == nil {
 		c.corrupt = make(map[int]Corruption)
@@ -201,10 +190,10 @@ func (c *Cartridge) CorruptionFor(seq int) (Corruption, bool) {
 // CorruptCount reports how many tape files carry damage records.
 func (c *Cartridge) CorruptCount() int { return len(c.corrupt) }
 
-// FileBySeq looks up a tape file by its 1-based sequence number.
-func (c *Cartridge) FileBySeq(seq int) (File, error) {
+// fileBySeq looks up a tape file by its 1-based sequence number.
+func (c *Cartridge) fileBySeq(seq int) (File, error) {
 	if seq < 1 || seq > len(c.files) {
-		return File{}, fmt.Errorf("%w: %s seq %d", ErrNoSuchFile, c.Label, seq)
+		return File{}, fmt.Errorf("%w: %s seq %d", errNoSuchFile, c.Label, seq)
 	}
 	return c.files[seq-1], nil
 }
@@ -286,7 +275,7 @@ func newDrive(clock *simtime.Clock, tel *telemetry.Registry, name string, spec S
 		}
 		return 0
 	}, "drive", name)
-	d.tel.GaugeFunc("tape_drive_degrade_factor", func() float64 { return d.DegradeFactor() }, "drive", name)
+	d.tel.GaugeFunc("tape_drive_degrade_factor", func() float64 { return d.degradeFactor() }, "drive", name)
 	d.tel.GaugeFunc("tape_drive_nominal_bytes_per_second", func() float64 { return d.spec.StreamRate }, "drive", name)
 	return d
 }
@@ -375,9 +364,9 @@ func (d *Drive) SetDegraded(factor float64) {
 	d.slow = factor
 }
 
-// DegradeFactor reports the streaming-rate fraction currently in
+// degradeFactor reports the streaming-rate fraction currently in
 // effect (1 = healthy).
-func (d *Drive) DegradeFactor() float64 {
+func (d *Drive) degradeFactor() float64 {
 	if d.slow > 0 {
 		return d.slow
 	}
@@ -442,7 +431,7 @@ func (d *Drive) Unmount() error {
 		return fmt.Errorf("%w: %s", ErrDriveDown, d.Name)
 	}
 	if d.cart == nil {
-		return ErrNotMounted
+		return errNotMounted
 	}
 	d.rewind()
 	d.busy(d.spec.UnloadTime)
@@ -472,7 +461,7 @@ func (d *Drive) BeginSession(client string) error {
 		return fmt.Errorf("%w: %s", ErrDriveDown, d.Name)
 	}
 	if d.cart == nil {
-		return ErrNotMounted
+		return errNotMounted
 	}
 	if d.lastClient != "" && d.lastClient != client {
 		sp := d.span("tape.handoff", "from", d.lastClient, "to", client)
@@ -520,7 +509,7 @@ func (d *Drive) AppendSum(object uint64, bytes int64, sum uint64) (File, error) 
 		return File{}, fmt.Errorf("%w: %s", ErrDriveDown, d.Name)
 	}
 	if d.cart == nil {
-		return File{}, ErrNotMounted
+		return File{}, errNotMounted
 	}
 	if d.cart.readOnly {
 		return File{}, fmt.Errorf("%w: %s", ErrMediaReadOnly, d.cart.Label)
@@ -529,7 +518,7 @@ func (d *Drive) AppendSum(object uint64, bytes int64, sum uint64) (File, error) 
 		return File{}, fmt.Errorf("tape: negative size %d", bytes)
 	}
 	if d.cart.eod+bytes > d.cart.cap {
-		return File{}, fmt.Errorf("%w: %s needs %d, has %d", ErrFull, d.cart.Label, bytes, d.cart.Remaining())
+		return File{}, fmt.Errorf("%w: %s needs %d, has %d", errFull, d.cart.Label, bytes, d.cart.Remaining())
 	}
 	sp := d.span("tape.write", "volume", d.cart.Label)
 	if d.injectedFault() {
@@ -549,7 +538,7 @@ func (d *Drive) AppendSum(object uint64, bytes int64, sum uint64) (File, error) 
 	if cause, bad := d.injectedCorruption(); bad && sum != 0 {
 		f.Sum = corruptSum(sum)
 		d.cart.files = append(d.cart.files, f)
-		d.cart.MarkCorrupt(f.Seq, cause)
+		d.cart.markCorrupt(f.Seq, Corruption{Off: f.Off, Cause: cause})
 	} else {
 		d.cart.files = append(d.cart.files, f)
 	}
@@ -579,9 +568,9 @@ func (d *Drive) ReadSeqSum(seq int) (File, uint64, error) {
 		return File{}, 0, fmt.Errorf("%w: %s", ErrDriveDown, d.Name)
 	}
 	if d.cart == nil {
-		return File{}, 0, ErrNotMounted
+		return File{}, 0, errNotMounted
 	}
-	f, err := d.cart.FileBySeq(seq)
+	f, err := d.cart.fileBySeq(seq)
 	if err != nil {
 		return File{}, 0, err
 	}
@@ -676,7 +665,7 @@ func (l *Library) Drive(i int) *Drive { return l.drives[i] }
 func (l *Library) Cartridge(label string) (*Cartridge, error) {
 	c, ok := l.carts[label]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchLabel, label)
+		return nil, fmt.Errorf("%w: %s", errNoSuchLabel, label)
 	}
 	return c, nil
 }

@@ -196,7 +196,7 @@ func TestAppendBeyondCapacityFails(t *testing.T) {
 		if _, err := d.Append(1, 6e6); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Append(2, 6e6); !errors.Is(err, ErrFull) {
+		if _, err := d.Append(2, 6e6); !errors.Is(err, errFull) {
 			t.Errorf("err = %v, want ErrFull", err)
 		}
 	})
@@ -207,16 +207,16 @@ func TestOperationsRequireMount(t *testing.T) {
 		d := lib.Drive(0)
 		d.Acquire()
 		defer d.Release()
-		if _, err := d.Append(1, 1); !errors.Is(err, ErrNotMounted) {
+		if _, err := d.Append(1, 1); !errors.Is(err, errNotMounted) {
 			t.Errorf("Append err = %v, want ErrNotMounted", err)
 		}
-		if _, err := d.ReadSeq(1); !errors.Is(err, ErrNotMounted) {
+		if _, err := d.ReadSeq(1); !errors.Is(err, errNotMounted) {
 			t.Errorf("ReadSeq err = %v, want ErrNotMounted", err)
 		}
-		if err := d.Unmount(); !errors.Is(err, ErrNotMounted) {
+		if err := d.Unmount(); !errors.Is(err, errNotMounted) {
 			t.Errorf("Unmount err = %v, want ErrNotMounted", err)
 		}
-		if err := d.BeginSession("x"); !errors.Is(err, ErrNotMounted) {
+		if err := d.BeginSession("x"); !errors.Is(err, errNotMounted) {
 			t.Errorf("BeginSession err = %v, want ErrNotMounted", err)
 		}
 	})
@@ -320,11 +320,11 @@ func TestFileLookup(t *testing.T) {
 		lib.Mount(d, cart)
 		d.Append(111, 5e6)
 		d.Append(222, 7e6)
-		f, err := cart.FileBySeq(2)
+		f, err := cart.fileBySeq(2)
 		if err != nil || f.Object != 222 || f.Bytes != 7e6 {
 			t.Errorf("FileBySeq = %+v, %v", f, err)
 		}
-		if _, err := cart.FileBySeq(3); !errors.Is(err, ErrNoSuchFile) {
+		if _, err := cart.fileBySeq(3); !errors.Is(err, errNoSuchFile) {
 			t.Errorf("missing seq err = %v", err)
 		}
 	})

@@ -45,8 +45,8 @@ func (r *Registry) record(it flightItem) {
 	r.dropped++
 }
 
-// FlightSchema identifies flight-recorder dump files.
-const FlightSchema = "archsim-flight/v1"
+// flightSchema identifies flight-recorder dump files.
+const flightSchema = "archsim-flight/v1"
 
 // FlightSpan is one span in a dump.
 type FlightSpan struct {
@@ -89,7 +89,7 @@ type FlightDump struct {
 // FlightDump snapshots the recorder. Open spans are included so a
 // crash dump shows what was in flight when the run died.
 func (r *Registry) FlightDump() *FlightDump {
-	d := &FlightDump{Schema: FlightSchema, AtNs: r.clock.Now(), Dropped: r.dropped}
+	d := &FlightDump{Schema: flightSchema, AtNs: r.clock.Now(), Dropped: r.dropped}
 	var spans []*Span
 	for _, it := range r.ring {
 		switch {
@@ -101,7 +101,7 @@ func (r *Registry) FlightDump() *FlightDump {
 			})
 		}
 	}
-	spans = append(spans, r.OpenSpans()...)
+	spans = append(spans, r.openSpans()...)
 	sortSpans(spans)
 	for _, sp := range spans {
 		d.Spans = append(d.Spans, FlightSpan{
@@ -118,21 +118,11 @@ func (r *Registry) FlightDump() *FlightDump {
 func (d *FlightDump) Aborted() []FlightSpan {
 	var out []FlightSpan
 	for _, sp := range d.Spans {
-		if sp.Status == StatusAborted {
+		if sp.Status == statusAborted {
 			out = append(out, sp)
 		}
 	}
 	return out
-}
-
-// eventByID finds an event in the dump.
-func (d *FlightDump) eventByID(id uint64) (FlightEvent, bool) {
-	for _, ev := range d.Events {
-		if ev.ID == id {
-			return ev, true
-		}
-	}
-	return FlightEvent{}, false
 }
 
 func sortSpans(spans []*Span) {
@@ -203,7 +193,7 @@ func (r *Registry) FlightSince(cursor uint64) *FlightTail {
 			emit(it)
 		}
 	}
-	for _, sp := range r.OpenSpans() {
+	for _, sp := range r.openSpans() {
 		t.Open = append(t.Open, FlightSpan{
 			ID: sp.ID, Parent: sp.Parent, Name: sp.Name,
 			Attrs:   append([]Label(nil), sp.Attrs...),

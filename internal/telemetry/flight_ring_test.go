@@ -99,7 +99,7 @@ func TestFlightSinceSpans(t *testing.T) {
 	if len(tail.Spans) != 1 || tail.Spans[0].Name != "done" || tail.Spans[0].Attr("k") != "v" {
 		t.Fatalf("closed spans in tail: %+v", tail.Spans)
 	}
-	if len(tail.Open) != 1 || tail.Open[0].ID != openID || tail.Open[0].Status != StatusOpen {
+	if len(tail.Open) != 1 || tail.Open[0].ID != openID || tail.Open[0].Status != statusOpen {
 		t.Fatalf("open spans in tail: %+v", tail.Open)
 	}
 

@@ -34,9 +34,9 @@ type Span struct {
 
 // Span status values.
 const (
-	StatusOpen    = "open"
+	statusOpen    = "open"
 	StatusOK      = "ok"
-	StatusAborted = "aborted"
+	statusAborted = "aborted"
 )
 
 // StartSpan opens a root span. Attrs are "key", "value" pairs.
@@ -67,7 +67,7 @@ func (r *Registry) newSpan(parent uint64, name string, kv []string) *Span {
 		Parent:  parent,
 		Name:    name,
 		StartAt: r.clock.Now(),
-		Status:  StatusOpen,
+		Status:  statusOpen,
 		openAt:  len(r.open),
 	}
 	sp.Attrs = appendLabels(sp.inline[:0], kv)
@@ -86,23 +86,13 @@ func (sp *Span) SetAttr(key, value string) {
 	sp.Attrs = append(sp.Attrs, Label{Key: key, Value: value})
 }
 
-// attr reports one attribute's value ("" if absent).
-func (sp *Span) attr(key string) string {
-	for _, l := range sp.Attrs {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // SetCause records the telemetry event that provoked this span without
 // closing it. Failover paths use it: the work *succeeds*, but only
 // because a fault forced the reroute, so the span must cite the fault's
 // event ID even though it ends with StatusOK. A later Abort carrying
 // its own nonzero cause event overrides it.
 func (sp *Span) SetCause(causeEvent uint64) {
-	if sp == nil || sp.Status != StatusOpen {
+	if sp == nil || sp.Status != statusOpen {
 		return
 	}
 	sp.CauseEvent = causeEvent
@@ -118,11 +108,11 @@ func (sp *Span) End() { sp.close(StatusOK, "", 0) }
 // when known, which telemetry event (causeEvent, 0 for none) is to
 // blame. Aborting an already-closed span is a no-op.
 func (sp *Span) Abort(cause string, causeEvent uint64) {
-	sp.close(StatusAborted, cause, causeEvent)
+	sp.close(statusAborted, cause, causeEvent)
 }
 
 func (sp *Span) close(status, cause string, causeEvent uint64) {
-	if sp == nil || sp.Status != StatusOpen {
+	if sp == nil || sp.Status != statusOpen {
 		return
 	}
 	sp.Status = status
@@ -139,8 +129,8 @@ func (sp *Span) close(status, cause string, causeEvent uint64) {
 	sp.r.record(flightItem{span: sp})
 }
 
-// OpenSpans returns the spans not yet closed, in start (= ID) order.
-func (r *Registry) OpenSpans() []*Span {
+// openSpans returns the spans not yet closed, in start (= ID) order.
+func (r *Registry) openSpans() []*Span {
 	out := append([]*Span(nil), r.open...)
 	sortSpans(out)
 	return out

@@ -37,7 +37,7 @@ func TestSpanLifecycle(t *testing.T) {
 		}
 	})
 	clock.RunFor()
-	if n := len(r.OpenSpans()); n != 0 {
+	if n := len(r.openSpans()); n != 0 {
 		t.Errorf("%d spans leaked open", n)
 	}
 }
@@ -68,7 +68,7 @@ func TestChildMayOutliveParent(t *testing.T) {
 	parent := r.StartSpan("hsm.migrate")
 	child := parent.StartChild("tsm.store")
 	parent.End()
-	open := r.OpenSpans()
+	open := r.openSpans()
 	if len(open) != 1 || open[0].ID != child.ID {
 		t.Fatalf("open spans = %v, want just the child", open)
 	}
@@ -76,7 +76,7 @@ func TestChildMayOutliveParent(t *testing.T) {
 	if child.Status != StatusOK || child.Parent != parent.ID {
 		t.Errorf("child after close: %+v", child)
 	}
-	if n := len(r.OpenSpans()); n != 0 {
+	if n := len(r.openSpans()); n != 0 {
 		t.Errorf("%d spans leaked open", n)
 	}
 }
@@ -99,7 +99,7 @@ func TestAbortCitesFaultEvent(t *testing.T) {
 	}
 	sp := r.StartSpan("pftool.job", "rank", "4")
 	sp.Abort("rank 4 died: machine fta05 down", evID)
-	if sp.Status != StatusAborted || sp.CauseEvent != evID {
+	if sp.Status != statusAborted || sp.CauseEvent != evID {
 		t.Errorf("aborted span: %+v", sp)
 	}
 	d := r.FlightDump()
@@ -117,7 +117,7 @@ func TestOpenSpansAppearInDump(t *testing.T) {
 	r := New(simtime.NewClock())
 	sp := r.StartSpan("pftool.run")
 	d := r.FlightDump()
-	if len(d.Spans) != 1 || d.Spans[0].Status != StatusOpen {
+	if len(d.Spans) != 1 || d.Spans[0].Status != statusOpen {
 		t.Errorf("dump spans = %+v, want one open span", d.Spans)
 	}
 	sp.End()
@@ -169,7 +169,7 @@ func TestOpenSpansInIDOrderAfterOutOfOrderClose(t *testing.T) {
 		spans[i].End()
 	}
 	var ids []uint64
-	for _, sp := range r.OpenSpans() {
+	for _, sp := range r.openSpans() {
 		ids = append(ids, sp.ID)
 	}
 	want := []uint64{spans[2].ID, spans[3].ID, spans[5].ID}
@@ -178,7 +178,7 @@ func TestOpenSpansInIDOrderAfterOutOfOrderClose(t *testing.T) {
 	}
 	var dumped []uint64
 	for _, sp := range r.FlightDump().Spans {
-		if sp.Status == StatusOpen {
+		if sp.Status == statusOpen {
 			dumped = append(dumped, sp.ID)
 		}
 	}
@@ -188,7 +188,7 @@ func TestOpenSpansInIDOrderAfterOutOfOrderClose(t *testing.T) {
 	for _, sp := range spans {
 		sp.End()
 	}
-	if n := len(r.OpenSpans()); n != 0 {
+	if n := len(r.openSpans()); n != 0 {
 		t.Errorf("%d spans leaked open", n)
 	}
 }
@@ -272,4 +272,24 @@ func BenchmarkSpan(b *testing.B) {
 		sp.SetAttr("volume", "VOL0001")
 		sp.End()
 	}
+}
+
+// eventByID finds an event in the dump.
+func (d *FlightDump) eventByID(id uint64) (FlightEvent, bool) {
+	for _, ev := range d.Events {
+		if ev.ID == id {
+			return ev, true
+		}
+	}
+	return FlightEvent{}, false
+}
+
+// attr reports one attribute's value ("" if absent).
+func (sp *Span) attr(key string) string {
+	for _, l := range sp.Attrs {
+		if l.Key == key {
+			return l.Value
+		}
+	}
+	return ""
 }

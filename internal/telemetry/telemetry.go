@@ -71,10 +71,10 @@ type core struct {
 	recSeq   uint64 // monotone count of records ever made (FlightSince cursor)
 }
 
-// DefaultFlightCapacity bounds the flight recorder: enough recent
+// defaultFlightCapacity bounds the flight recorder: enough recent
 // history to explain a failure without letting a petabyte campaign
 // accumulate millions of span records.
-const DefaultFlightCapacity = 4096
+const defaultFlightCapacity = 4096
 
 // New creates an empty registry on the clock. Most callers want Of.
 func New(clock *simtime.Clock) *Registry {
@@ -83,7 +83,7 @@ func New(clock *simtime.Clock) *Registry {
 		metrics:   make(map[string]*metric),
 		kinds:     make(map[string]metricKind),
 		lastEvent: make(map[string]uint64),
-		ringCap:   DefaultFlightCapacity,
+		ringCap:   defaultFlightCapacity,
 	}}
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"time"
 
 	"repro/internal/metadb"
 	"repro/internal/pfs"
@@ -20,13 +19,10 @@ import (
 
 // Xattr keys recorded on trashed files.
 const (
-	XattrOrig = "trash.orig"
-	XattrUser = "trash.user"
-	XattrTime = "trash.time"
+	xattrOrig = "trash.orig"
+	xattrUser = "trash.user"
+	xattrTime = "trash.time"
 )
-
-// ErrNotInTrash is returned when undeleting a path outside the can.
-var ErrNotInTrash = errors.New("trash: not a trashcan entry")
 
 // Can is a trashcan rooted at a directory of the archive file system.
 type Can struct {
@@ -41,9 +37,6 @@ func NewCan(fs *pfs.FS, root string) (*Can, error) {
 	}
 	return &Can{fs: fs, root: root}, nil
 }
-
-// Root returns the trashcan directory.
-func (c *Can) Root() string { return c.root }
 
 // userDir returns (creating) the per-user subdirectory.
 func (c *Can) userDir(user string) (string, error) {
@@ -70,56 +63,16 @@ func (c *Can) Delete(user, p string) (string, error) {
 	if err := c.fs.Rename(p, dst); err != nil {
 		return "", err
 	}
-	if err := c.fs.SetXattr(dst, XattrOrig, p); err != nil {
+	if err := c.fs.SetXattr(dst, xattrOrig, p); err != nil {
 		return "", err
 	}
-	if err := c.fs.SetXattr(dst, XattrUser, user); err != nil {
+	if err := c.fs.SetXattr(dst, xattrUser, user); err != nil {
 		return "", err
 	}
-	if err := c.fs.SetXattr(dst, XattrTime, fmt.Sprint(int64(c.fs.Clock().Now()))); err != nil {
+	if err := c.fs.SetXattr(dst, xattrTime, fmt.Sprint(int64(c.fs.Clock().Now()))); err != nil {
 		return "", err
 	}
 	return dst, nil
-}
-
-// undelete restores a trashed entry to its original path.
-func (c *Can) undelete(trashPath string) (string, error) {
-	orig, err := c.fs.GetXattr(trashPath, XattrOrig)
-	if err != nil {
-		return "", err
-	}
-	if orig == "" {
-		return "", fmt.Errorf("%w: %s", ErrNotInTrash, trashPath)
-	}
-	if err := c.fs.Rename(trashPath, orig); err != nil {
-		return "", err
-	}
-	c.fs.SetXattr(orig, XattrOrig, "")
-	c.fs.SetXattr(orig, XattrUser, "")
-	c.fs.SetXattr(orig, XattrTime, "")
-	return orig, nil
-}
-
-// list returns the user's trashed entries.
-func (c *Can) list(user string) ([]pfs.Info, error) {
-	d := path.Join(c.root, user)
-	if !c.fs.Exists(d) {
-		return nil, nil
-	}
-	return c.fs.ReadDir(d)
-}
-
-// deletedAt reads the deletion timestamp of a trash entry.
-func (c *Can) deletedAt(trashPath string) (time.Duration, error) {
-	v, err := c.fs.GetXattr(trashPath, XattrTime)
-	if err != nil {
-		return 0, err
-	}
-	var ns int64
-	if _, err := fmt.Sscan(v, &ns); err != nil {
-		return 0, fmt.Errorf("trash: bad timestamp on %s: %v", trashPath, err)
-	}
-	return time.Duration(ns), nil
 }
 
 // PurgeResult reports one synchronous-delete pass.
@@ -148,7 +101,7 @@ func NewDeleter(fs *pfs.FS, srv *tsm.Server, shadow *metadb.DB) *Deleter {
 // administrative pass the GPFS policy engine feeds with trashcan lists.
 func (d *Deleter) Purge(can *Can) (PurgeResult, error) {
 	res := PurgeResult{}
-	users, err := d.fs.ReadDir(can.Root())
+	users, err := d.fs.ReadDir(can.root)
 	if err != nil {
 		return res, err
 	}
@@ -164,7 +117,7 @@ func (d *Deleter) Purge(can *Can) (PurgeResult, error) {
 			if e.IsDir() {
 				continue
 			}
-			if err := d.DeleteOne(e, &res); err != nil {
+			if err := d.deleteOne(e, &res); err != nil {
 				return res, err
 			}
 		}
@@ -172,8 +125,8 @@ func (d *Deleter) Purge(can *Can) (PurgeResult, error) {
 	return res, nil
 }
 
-// DeleteOne synchronously deletes a single file (already stat'ed).
-func (d *Deleter) DeleteOne(e pfs.Info, res *PurgeResult) error {
+// deleteOne synchronously deletes a single file (already stat'ed).
+func (d *Deleter) deleteOne(e pfs.Info, res *PurgeResult) error {
 	rec, err := d.shadow.ByFileID(uint64(e.ID))
 	switch {
 	case err == nil:

@@ -183,7 +183,7 @@ func TestDeleteOneShadowErrorPropagates(t *testing.T) {
 		}
 		e.srv.Delete(rec.ObjectID)
 		var res PurgeResult
-		if err := e.del.DeleteOne(info, &res); err != nil {
+		if err := e.del.deleteOne(info, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Removed != 1 {

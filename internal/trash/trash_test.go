@@ -1,6 +1,9 @@
 package trash
 
 import (
+	"errors"
+	"fmt"
+	"path"
 	"strings"
 	"testing"
 	"time"
@@ -274,3 +277,46 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
+
+// undelete restores a trashed entry to its original path.
+func (c *Can) undelete(trashPath string) (string, error) {
+	orig, err := c.fs.GetXattr(trashPath, xattrOrig)
+	if err != nil {
+		return "", err
+	}
+	if orig == "" {
+		return "", fmt.Errorf("%w: %s", errNotInTrash, trashPath)
+	}
+	if err := c.fs.Rename(trashPath, orig); err != nil {
+		return "", err
+	}
+	c.fs.SetXattr(orig, xattrOrig, "")
+	c.fs.SetXattr(orig, xattrUser, "")
+	c.fs.SetXattr(orig, xattrTime, "")
+	return orig, nil
+}
+
+// list returns the user's trashed entries.
+func (c *Can) list(user string) ([]pfs.Info, error) {
+	d := path.Join(c.root, user)
+	if !c.fs.Exists(d) {
+		return nil, nil
+	}
+	return c.fs.ReadDir(d)
+}
+
+// deletedAt reads the deletion timestamp of a trash entry.
+func (c *Can) deletedAt(trashPath string) (time.Duration, error) {
+	v, err := c.fs.GetXattr(trashPath, xattrTime)
+	if err != nil {
+		return 0, err
+	}
+	var ns int64
+	if _, err := fmt.Sscan(v, &ns); err != nil {
+		return 0, fmt.Errorf("trash: bad timestamp on %s: %v", trashPath, err)
+	}
+	return time.Duration(ns), nil
+}
+
+// errNotInTrash is returned when undeleting a path outside the can.
+var errNotInTrash = errors.New("trash: not a trashcan entry")

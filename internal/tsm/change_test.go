@@ -45,7 +45,7 @@ func TestOnChangeFiresPerStoreMoveAndDelete(t *testing.T) {
 		phase("copy-pool backup", 0, func() {})
 		before := mustGet(t, e.srv, ids[0])
 		moved := phase("repair from copy", 1, func() {
-			if err := e.srv.RepairObject("mover", ids[0]); err != nil {
+			if err := e.srv.repairObject("mover", ids[0]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -53,7 +53,7 @@ func TestOnChangeFiresPerStoreMoveAndDelete(t *testing.T) {
 			t.Errorf("repair event %+v names the old location", moved[0])
 		}
 		phase("repair from source", 1, func() {
-			if err := e.srv.RewriteObject("mover", ids[1]); err != nil {
+			if err := e.srv.rewriteObject("mover", ids[1]); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -43,12 +43,6 @@ func (s *Server) CopyPoolVolumes() []string {
 	return append([]string(nil), s.copyOrder...)
 }
 
-// hasCopy reports whether an object has a copy-pool duplicate.
-func (s *Server) hasCopy(id uint64) bool {
-	_, ok := s.copies[id]
-	return ok
-}
-
 // acquireCopyDrive returns a held drive with a copy-pool volume
 // mounted that fits the object. Copy volumes fill in insertion order,
 // like the sequential-access pools they model.
@@ -86,7 +80,7 @@ func (s *Server) appendCopy(client string, id uint64, bytes int64, sum uint64, s
 		return copyLoc{}, err
 	}
 	tf, err := d.AppendSum(id, bytes, sum)
-	s.ReleaseDrive(d)
+	s.releaseDrive(d)
 	if err != nil {
 		return copyLoc{}, err
 	}
@@ -177,24 +171,24 @@ func (s *Server) readObject(client string, vol *tape.Cartridge, seq int, parent 
 	}
 	_, delivered, err = d.ReadSeqSum(seq)
 	headCause = d.CorruptCause()
-	s.ReleaseDrive(d)
+	s.releaseDrive(d)
 	return delivered, headCause, err
 }
 
-// RepairObject re-stages one object from its copy-pool duplicate onto
+// repairObject re-stages one object from its copy-pool duplicate onto
 // a healthy primary volume: read the copy, verify it against the
 // catalog, and relocate the object. The quarantined original is left
 // in place for the operator; reclamation will eventually retire it.
 // Fails with ErrNoCopy when no duplicate exists or the duplicate is
 // itself corrupt.
-func (s *Server) RepairObject(client string, id uint64) error {
+func (s *Server) repairObject(client string, id uint64) error {
 	obj := s.db.get(id)
 	if obj == nil || obj.Deleted {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, id)
 	}
 	loc, ok := s.copies[id]
 	if !ok {
-		return fmt.Errorf("%w: %d (never duplicated)", ErrNoCopy, id)
+		return fmt.Errorf("%w: %d (never duplicated)", errNoCopy, id)
 	}
 	cvol, err := s.lib.Cartridge(loc.Volume)
 	if err != nil {
@@ -208,7 +202,7 @@ func (s *Server) RepairObject(client string, id uint64) error {
 		return err
 	}
 	if obj.Sum != 0 && delivered != obj.Sum {
-		err := fmt.Errorf("%w: %d (copy on %s also corrupt)", ErrNoCopy, id, loc.Volume)
+		err := fmt.Errorf("%w: %d (copy on %s also corrupt)", errNoCopy, id, loc.Volume)
 		sp.Abort(err.Error(), 0)
 		return err
 	}
@@ -222,11 +216,11 @@ func (s *Server) RepairObject(client string, id uint64) error {
 	return nil
 }
 
-// RewriteObject writes a fresh, digest-correct primary copy of an
+// rewriteObject writes a fresh, digest-correct primary copy of an
 // object — the repair path when the good source is outside the
 // library entirely (e.g. a premigrated file still resident on disk).
 // The caller asserts the source matches the catalog digest.
-func (s *Server) RewriteObject(client string, id uint64) error {
+func (s *Server) rewriteObject(client string, id uint64) error {
 	obj := s.db.get(id)
 	if obj == nil || obj.Deleted {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, id)
@@ -256,7 +250,7 @@ func (s *Server) relocate(client string, obj *Object, sp *telemetry.Span) error 
 		return err
 	}
 	tf, err := d.AppendSum(obj.ID, obj.Bytes, obj.Sum)
-	s.ReleaseDrive(d)
+	s.releaseDrive(d)
 	if err != nil {
 		return err
 	}

@@ -155,7 +155,7 @@ func TestAllDrivesDeadSurfacesErrNoDrives(t *testing.T) {
 			d.SetDown(true)
 		}
 		_, err := e.srv.Store(StoreRequest{Client: "c", Path: "/a", Bytes: 1e9})
-		if !errors.Is(err, ErrNoDrives) {
+		if !errors.Is(err, errNoDrives) {
 			t.Errorf("store with all drives dead: %v, want ErrNoDrives", err)
 		}
 		// Repair one drive: service resumes.

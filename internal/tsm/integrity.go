@@ -9,18 +9,18 @@ import (
 	"repro/internal/tape"
 )
 
-// ErrNoCopy means an object needs repair but has no surviving good
+// errNoCopy means an object needs repair but has no surviving good
 // copy: no copy-pool duplicate, and the duplicate (if any) is itself
 // corrupt.
-var ErrNoCopy = errors.New("tsm: no good copy of object")
+var errNoCopy = errors.New("tsm: no good copy of object")
 
-// IntegrityError reports a checksum mismatch that could not be cured:
+// integrityError reports a checksum mismatch that could not be cured:
 // every re-read and copy-pool repair failed, so the recall surfaces a
 // typed error instead of silently delivering wrong bytes. CauseEvent,
 // when nonzero, is the telemetry event ID of the fault that injected
 // the corruption — the thread an operator pulls to find the blast
 // radius of one bad component.
-type IntegrityError struct {
+type integrityError struct {
 	ObjectID   uint64
 	Path       string // client namespace path
 	Volume     string // primary volume holding the damaged copy
@@ -31,7 +31,7 @@ type IntegrityError struct {
 	Reason     string // why repair failed
 }
 
-func (e *IntegrityError) Error() string {
+func (e *integrityError) Error() string {
 	off := "?"
 	if e.Offset >= 0 {
 		off = strconv.FormatInt(e.Offset, 10)
@@ -58,8 +58,8 @@ func (s *Server) Quarantine(label string) {
 // audit, or a scrub pass that found the volume clean again).
 func (s *Server) Unquarantine(label string) { delete(s.quarantine, label) }
 
-// Quarantined reports whether a volume is quarantined.
-func (s *Server) Quarantined(label string) bool { return s.quarantine[label] }
+// quarantined reports whether a volume is quarantined.
+func (s *Server) quarantined(label string) bool { return s.quarantine[label] }
 
 // QuarantinedVolumes lists quarantined volume labels, sorted.
 func (s *Server) QuarantinedVolumes() []string {
@@ -113,7 +113,7 @@ func (s *Server) unrepairable(obj *Object, vol *tape.Cartridge, cause uint64, wh
 	if c, ok := vol.CorruptionFor(obj.Seq); ok {
 		off = c.Off
 	}
-	return &IntegrityError{
+	return &integrityError{
 		ObjectID:   obj.ID,
 		Path:       obj.Path,
 		Volume:     obj.Volume,
@@ -158,7 +158,7 @@ func (s *Server) verifyDelivered(client string, obj *Object, vol *tape.Cartridge
 	// data lands on it, then re-stage the object from its copy-pool
 	// duplicate onto a healthy volume.
 	s.Quarantine(vol.Label)
-	if rerr := s.RepairObject(client, obj.ID); rerr != nil {
+	if rerr := s.repairObject(client, obj.ID); rerr != nil {
 		return false, s.unrepairable(obj, vol, cause, rerr.Error())
 	}
 	if final {

@@ -52,7 +52,7 @@ func TestRecallRepairsMediaRotFromCopyPool(t *testing.T) {
 		if got.Volume == obj.Volume {
 			t.Errorf("repair left object on the damaged volume %s", obj.Volume)
 		}
-		if !e.srv.Quarantined(obj.Volume) {
+		if !e.srv.quarantined(obj.Volume) {
 			t.Errorf("damaged volume %s not quarantined", obj.Volume)
 		}
 		det := e.count("tsm_integrity_detected_total")
@@ -72,7 +72,7 @@ func TestRecallWithoutCopyReturnsIntegrityError(t *testing.T) {
 		vol.CorruptFile(obj.Seq, 77)
 
 		_, err := e.srv.Recall(RecallRequest{Client: "fta01", ObjectID: obj.ID})
-		var ie *IntegrityError
+		var ie *integrityError
 		if !errors.As(err, &ie) {
 			t.Fatalf("err = %v, want *IntegrityError", err)
 		}
@@ -101,7 +101,7 @@ func TestRecallCuresTransientHeadFlipByReread(t *testing.T) {
 		if _, err := e.srv.Recall(RecallRequest{Client: "fta01", ObjectID: obj.ID}); err != nil {
 			t.Fatal(err)
 		}
-		if e.srv.Quarantined(obj.Volume) {
+		if e.srv.quarantined(obj.Volume) {
 			t.Error("transient flip quarantined the volume")
 		}
 		det := e.count("tsm_integrity_detected_total")
@@ -217,7 +217,7 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 		if rep.ObjectsVerified < 2 {
 			t.Errorf("verified %d objects, want >= 2", rep.ObjectsVerified)
 		}
-		if !e.srv.Quarantined(a.Volume) {
+		if !e.srv.quarantined(a.Volume) {
 			t.Error("damaged volume not quarantined")
 		}
 		// Both objects now recall cleanly.
@@ -309,4 +309,10 @@ func TestCopyPoolVolumesNeverPrimaryTargets(t *testing.T) {
 			}
 		}
 	})
+}
+
+// hasCopy reports whether an object has a copy-pool duplicate.
+func (s *Server) hasCopy(id uint64) bool {
+	_, ok := s.copies[id]
+	return ok
 }

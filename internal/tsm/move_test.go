@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/simtime"
 	"repro/internal/tape"
+	"repro/internal/telemetry"
 )
 
 // moveKind is one way moveData carries an object's bytes.
@@ -34,9 +36,10 @@ const (
 // moveTime measures, on a fresh one-drive server whose links carry rate
 // bytes/s, the virtual time one 1 GB object's move takes: an append, or
 // when read the read of an object stored before. failDrive arms a drive
-// fault first. For moveBoth it also arms a silent corruption on the
-// transfer's first link and returns the taint moveData reports.
-func moveTime(t *testing.T, k moveKind, read bool, rate float64, failDrive bool, what int) (took simtime.Duration, cause uint64, tainted bool, err error) {
+// fault first. For moveBoth it also injects a silent corruption fault
+// on the transfer's first link and reports whether moveData returned
+// the transfer tainted by that fault.
+func moveTime(t *testing.T, k moveKind, read bool, rate float64, failDrive bool, what int) (took simtime.Duration, tainted bool, err error) {
 	t.Helper()
 	const n = 1e9
 	cfg := DefaultConfig()
@@ -60,7 +63,7 @@ func moveTime(t *testing.T, k moveKind, read bool, rate float64, failDrive bool,
 		if derr != nil {
 			t.Fatal(derr)
 		}
-		defer e.srv.ReleaseDrive(d)
+		defer e.srv.releaseDrive(d)
 		io := tapeIO{drive: d, write: true, id: 2, bytes: n}
 		if read {
 			io = tapeIO{drive: d, bytes: n, seq: obj.Seq}
@@ -89,16 +92,22 @@ func moveTime(t *testing.T, k moveKind, read bool, rate float64, failDrive bool,
 				p.Transfer(n)
 			}
 		case moveBoth:
+			link := e.srv.netLink
 			if k.routed {
-				hba.ArmCorrupt(77)
-			} else {
-				e.srv.netLink.ArmCorrupt(77)
+				link = hba
 			}
+			comp := faults.LinkComponent(link.Name())
+			reg := faults.New(e.clock)
+			fab.BindFaults(reg)
+			fault := telemetry.Of(e.clock).Event("fault", "component", comp)
+			reg.Apply(faults.Event{Component: comp, Kind: faults.KindCorrupt})
+			var cause uint64
 			_, cause, tainted, err = e.srv.moveData(route, stream, io)
+			tainted = tainted && cause == fault
 		}
 		took = e.clock.Now() - start
 	})
-	return took, cause, tainted, err
+	return took, tainted, err
 }
 
 // TestMoveDataCompletesAtTheSlowerSide holds moveData to its model on
@@ -123,32 +132,32 @@ func TestMoveDataCompletesAtTheSlowerSide(t *testing.T) {
 					name = k.name + " recall " + b.name
 				}
 				t.Run(name, func(t *testing.T) {
-					tapeT, _, _, err := moveTime(t, k, read, b.rate, false, moveTape)
+					tapeT, _, err := moveTime(t, k, read, b.rate, false, moveTape)
 					if err != nil {
 						t.Fatal(err)
 					}
-					xferT, _, _, _ := moveTime(t, k, read, b.rate, false, moveTransfer)
+					xferT, _, _ := moveTime(t, k, read, b.rate, false, moveTransfer)
 					if (b.name == "tape-bound") != (tapeT > xferT) {
 						t.Fatalf("tape %v, transfer %v: not %s", tapeT, xferT, b.name)
 					}
-					both, cause, tainted, err := moveTime(t, k, read, b.rate, false, moveBoth)
+					both, tainted, err := moveTime(t, k, read, b.rate, false, moveBoth)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if want := max(tapeT, xferT); both != want {
 						t.Errorf("moveData took %v, want max(tape %v, transfer %v) = %v", both, tapeT, xferT, want)
 					}
-					if cause != 77 || !tainted {
-						t.Errorf("taint = %d, %v; want 77, true", cause, tainted)
+					if !tainted {
+						t.Error("moveData did not report the transfer tainted by the link's corruption fault")
 					}
 					if b.name != "fabric-bound" {
 						return
 					}
-					failT, _, _, err := moveTime(t, k, read, b.rate, true, moveTape)
+					failT, _, err := moveTime(t, k, read, b.rate, true, moveTape)
 					if !errors.Is(err, tape.ErrIO) || failT >= xferT {
 						t.Fatalf("faulting drive alone: %v after %v, want ErrIO before the transfer's %v", err, failT, xferT)
 					}
-					failBoth, _, _, err := moveTime(t, k, read, b.rate, true, moveBoth)
+					failBoth, _, err := moveTime(t, k, read, b.rate, true, moveBoth)
 					if !errors.Is(err, tape.ErrIO) {
 						t.Errorf("moveData with a faulting drive: err = %v, want ErrIO", err)
 					}

@@ -19,7 +19,7 @@ func TestObjectTableAcrossChunkBoundary(t *testing.T) {
 			req := StoreRequest{Client: "fta01", Path: fmt.Sprintf("/f%d", id), FileID: id, Bytes: 1e6}
 			if id == objChunk || id == objChunk+1 {
 				req.Bytes = 1e15 // fits no volume: fails after taking its ID
-				if _, err := e.srv.Store(req); !errors.Is(err, ErrTooLarge) {
+				if _, err := e.srv.Store(req); !errors.Is(err, errTooLarge) {
 					t.Fatalf("store of ID %d: err = %v, want ErrTooLarge", id, err)
 				}
 				continue

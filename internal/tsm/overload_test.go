@@ -15,6 +15,12 @@ import (
 // deadlines abandoning work nobody waits for. The happy
 // success-after-retry path lives in failure_test.go.
 
+// session reads one of the defense layer's series for TSM sessions:
+// the breaker_state gauge (0 closed, 1 open) or a counter.
+func (e *env) session(name string) float64 {
+	return telemetry.Of(e.clock).Snapshot().Value(name, "target", "tsm.session")
+}
+
 func TestStoreRetryBudgetExhaustionSurfaces(t *testing.T) {
 	e := newEnv(2, DefaultConfig())
 	faults.DefenseOf(e.clock).Enable(faults.DefensePolicy{
@@ -25,8 +31,8 @@ func TestStoreRetryBudgetExhaustionSurfaces(t *testing.T) {
 		e.lib.Drive(0).FailNextOps(3)
 		e.lib.Drive(1).FailNextOps(3)
 		_, err := e.srv.Store(StoreRequest{Client: "c", Path: "/f", Bytes: 1e9})
-		if !errors.Is(err, faults.ErrRetryBudget) {
-			t.Fatalf("err = %v, want ErrRetryBudget", err)
+		if err == nil || e.session("retry_budget_exhausted_total") != 1 {
+			t.Fatalf("err = %v with %v budget exhaustions, want the budget to cut the store", err, e.session("retry_budget_exhausted_total"))
 		}
 		if n := e.count("tsm_retries_total"); n != 1 {
 			t.Errorf("Retries = %d, want exactly the 1 budgeted retry", n)
@@ -42,9 +48,6 @@ func TestRecallFailoverBreakerOpensAndRecovers(t *testing.T) {
 	faults.DefenseOf(e.clock).Enable(faults.DefensePolicy{
 		BreakerThreshold: 1, BreakerCooldown: time.Minute,
 	})
-	breaker := func() faults.BreakerState {
-		return faults.BreakerState(telemetry.Of(e.clock).Snapshot().Value("breaker_state", "target", "tsm.session"))
-	}
 	e.run(t, func() {
 		obj, err := e.srv.Store(StoreRequest{Client: "c", Path: "/f", Bytes: 1e9})
 		if err != nil {
@@ -56,13 +59,13 @@ func TestRecallFailoverBreakerOpensAndRecovers(t *testing.T) {
 		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); err == nil {
 			t.Fatal("recall should fail with the drive broken")
 		}
-		if s := breaker(); s != faults.BreakerOpen {
-			t.Errorf("breaker = %v after the failed session, want open", s)
+		if s := e.session("breaker_state"); s != 1 {
+			t.Errorf("breaker = %v after the failed session, want 1 (open)", s)
 		}
 		e.lib.Drive(0).FailNextOps(0) // repaired...
 		// ...but the breaker still rejects, fast, without touching tape.
-		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); !errors.Is(err, faults.ErrBreakerOpen) {
-			t.Fatalf("err while open = %v, want ErrBreakerOpen", err)
+		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); err == nil || e.session("breaker_rejected_total") != 1 {
+			t.Fatalf("err while open = %v with %v rejections, want the breaker to reject", err, e.session("breaker_rejected_total"))
 		}
 		// After the cooldown the half-open probe succeeds and service
 		// resumes.
@@ -70,8 +73,8 @@ func TestRecallFailoverBreakerOpensAndRecovers(t *testing.T) {
 		if _, err := e.srv.Recall(RecallRequest{Client: "c", ObjectID: obj.ID}); err != nil {
 			t.Fatalf("recall after cooldown = %v, want success", err)
 		}
-		if s := breaker(); s != faults.BreakerClosed {
-			t.Errorf("breaker = %v after good probe, want closed", s)
+		if s := e.session("breaker_state"); s != 0 {
+			t.Errorf("breaker = %v after good probe, want 0 (closed)", s)
 		}
 	})
 }

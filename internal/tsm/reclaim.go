@@ -129,28 +129,11 @@ func (s *Server) reclaimVolume(client string, src *tape.Cartridge, objs []*Objec
 		return moved, movedBytes, skipped, err
 	}
 	if err := d.Unmount(); err != nil {
-		s.ReleaseDrive(d)
+		s.releaseDrive(d)
 		return moved, movedBytes, skipped, err
 	}
 	src.Erase()
-	s.ReleaseDrive(d)
+	s.releaseDrive(d)
 	s.txn()
 	return moved, movedBytes, skipped, nil
-}
-
-// liveFraction reports a volume's live-bytes / used-bytes (1 for an
-// empty volume).
-func (s *Server) liveFraction(label string) float64 {
-	vol, err := s.lib.Cartridge(label)
-	if err != nil || vol.Used() == 0 {
-		return 1
-	}
-	var live int64
-	for _, id := range s.order {
-		o := s.db.get(id)
-		if !o.Deleted && o.Volume == label {
-			live += o.Bytes
-		}
-	}
-	return float64(live) / float64(vol.Used())
 }

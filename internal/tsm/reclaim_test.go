@@ -184,7 +184,7 @@ func TestReclaimSkipsCorruptSurvivorsAndKeepsSource(t *testing.T) {
 		if src.Used() == 0 {
 			t.Fatal("source volume was erased with a corrupt survivor aboard")
 		}
-		if !e.srv.Quarantined(srcVol) {
+		if !e.srv.quarantined(srcVol) {
 			t.Error("source volume not quarantined")
 		}
 		// The good survivor moved; the corrupt one stayed put.
@@ -206,4 +206,21 @@ func TestReclaimSkipsCorruptSurvivorsAndKeepsSource(t *testing.T) {
 			t.Errorf("no detection recorded: %d", n)
 		}
 	})
+}
+
+// liveFraction reports a volume's live-bytes / used-bytes (1 for an
+// empty volume).
+func (s *Server) liveFraction(label string) float64 {
+	vol, err := s.lib.Cartridge(label)
+	if err != nil || vol.Used() == 0 {
+		return 1
+	}
+	var live int64
+	for _, id := range s.order {
+		o := s.db.get(id)
+		if !o.Deleted && o.Volume == label {
+			live += o.Bytes
+		}
+	}
+	return float64(live) / float64(vol.Used())
 }

@@ -24,9 +24,9 @@ var (
 	// and DR paths need to fail fast so work parks in a backlog instead
 	// of hanging an actor on a dead site.
 	ErrServerDown = errors.New("tsm: server down")
-	// ErrNoReplica means this server holds no replica for the requested
+	// errNoReplica means this server holds no replica for the requested
 	// (home site, object) pair.
-	ErrNoReplica = errors.New("tsm: no replica")
+	errNoReplica = errors.New("tsm: no replica")
 )
 
 // replicaKey identifies a replica: object IDs are per-site sequences,
@@ -107,7 +107,7 @@ func (s *Server) ReadReplica(client, homeSite string, id uint64, route fabric.Pa
 	}
 	rep, ok := s.replicas[replicaKey{Home: homeSite, ID: id}]
 	if !ok {
-		return Replica{}, fmt.Errorf("%w: site %s object %d", ErrNoReplica, homeSite, id)
+		return Replica{}, fmt.Errorf("%w: site %s object %d", errNoReplica, homeSite, id)
 	}
 	s.reapDownDrives()
 	s.txn()
@@ -128,7 +128,7 @@ func (s *Server) ReadReplica(client, homeSite string, id uint64, route fabric.Pa
 		}
 		var readErr error
 		rd, _, tainted, readErr = s.moveData(route, nil, tapeIO{drive: d, bytes: rep.Bytes, seq: rep.Seq})
-		s.ReleaseDrive(d)
+		s.releaseDrive(d)
 		return readErr
 	}, retryable)
 	if err != nil {
@@ -141,7 +141,7 @@ func (s *Server) ReadReplica(client, homeSite string, id uint64, route fabric.Pa
 	}
 	if rep.Sum != 0 && delivered != rep.Sum {
 		err := fmt.Errorf("%w: site %s object %d (replica on %s corrupt)",
-			ErrNoReplica, homeSite, id, rep.Volume)
+			errNoReplica, homeSite, id, rep.Volume)
 		sp.Abort(err.Error(), 0)
 		return Replica{}, err
 	}

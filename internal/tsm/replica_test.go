@@ -44,7 +44,7 @@ func TestStoreAndReadReplica(t *testing.T) {
 		if rep.Bytes != 1e9 || rep.Sum != 777 || rep.Path != "/proj/f0" {
 			t.Errorf("replica = %+v", rep)
 		}
-		if _, err := e.srv.ReadReplica("dr:portal", "cell-east", 99, fabric.Path{}, nil); !errors.Is(err, ErrNoReplica) {
+		if _, err := e.srv.ReadReplica("dr:portal", "cell-east", 99, fabric.Path{}, nil); !errors.Is(err, errNoReplica) {
 			t.Errorf("missing replica err = %v, want ErrNoReplica", err)
 		}
 		stored, recalled := e.count("tsm_replicas_stored_total"), e.count("tsm_replica_recalls_total")

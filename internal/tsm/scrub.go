@@ -170,21 +170,21 @@ func (sc *Scrubber) ScrubOnce() ScrubReport {
 			bad = append(bad, obj)
 			badCause[obj.ID] = cause
 		}
-		s.ReleaseDrive(d)
+		s.releaseDrive(d)
 		grant.Done()
-		if damaged && !s.Quarantined(label) {
+		if damaged && !s.quarantined(label) {
 			s.Quarantine(label)
 		}
 	}
 
 	// Repair pass, after every scan session released its drive.
 	for _, obj := range bad {
-		if err := s.RepairObject(sc.cfg.Client, obj.ID); err == nil {
+		if err := s.repairObject(sc.cfg.Client, obj.ID); err == nil {
 			rep.Repaired++
 			continue
 		}
 		if sc.cfg.RepairFromSource != nil && sc.cfg.RepairFromSource(*obj) {
-			if err := s.RewriteObject(sc.cfg.Client, obj.ID); err == nil {
+			if err := s.rewriteObject(sc.cfg.Client, obj.ID); err == nil {
 				rep.Repaired++
 				continue
 			}

@@ -36,18 +36,18 @@ import (
 // Errors returned by the server.
 var (
 	ErrNoSuchObject = errors.New("tsm: no such object")
-	ErrTooLarge     = errors.New("tsm: object exceeds volume capacity")
-	// ErrNoDrives means every drive in the library has failed: no data
+	errTooLarge     = errors.New("tsm: object exceeds volume capacity")
+	// errNoDrives means every drive in the library has failed: no data
 	// operation can proceed until a drive is repaired.
-	ErrNoDrives = errors.New("tsm: no operational tape drives")
+	errNoDrives = errors.New("tsm: no operational tape drives")
 )
 
-// ObjectClass names what a stored object is. Every object is
+// objectClass names what a stored object is. Every object is
 // HSM-migrated data; no caller stores a backup class.
-type ObjectClass int
+type objectClass int
 
 // ClassMigrate is the class of HSM-migrated data, the only one.
-const ClassMigrate ObjectClass = 0
+const ClassMigrate objectClass = 0
 
 // Object is one entry in the server's database.
 type Object struct {
@@ -364,7 +364,7 @@ type StoreRequest struct {
 	Client string // machine running the storage agent
 	// Class is ignored: every object is ClassMigrate. bench/probes.go
 	// still sets it.
-	Class  ObjectClass
+	Class  objectClass
 	Path   string
 	FileID uint64
 	Bytes  int64
@@ -437,7 +437,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 		}
 		wr, taintCause, tainted, err = s.moveData(req.Route, req.Stream,
 			tapeIO{drive: drive, write: true, id: id, bytes: req.Bytes, sum: req.Sum})
-		s.ReleaseDrive(drive)
+		s.releaseDrive(drive)
 		if err != nil {
 			// Drop the client's affinity to the faulting drive so the
 			// retry lands elsewhere.
@@ -590,9 +590,9 @@ func (s *Server) acquireDriveForWrite(client, group string, bytes int64) (*tape.
 			s.lastDrive[client] = d
 			return d, m, nil
 		}
-		s.ReleaseDrive(d)
+		s.releaseDrive(d)
 		if bytes > s.lib.Drives()[0].Spec().Capacity {
-			return nil, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, bytes)
+			return nil, nil, fmt.Errorf("%w: %d bytes", errTooLarge, bytes)
 		}
 		return nil, nil, tape.ErrNoScratch
 	}
@@ -600,7 +600,7 @@ func (s *Server) acquireDriveForWrite(client, group string, bytes int64) (*tape.
 	err = s.lib.Mount(d, vol)
 	delete(s.mounting, vol.Label)
 	if err != nil {
-		s.ReleaseDrive(d)
+		s.releaseDrive(d)
 		return nil, nil, err
 	}
 	s.lastDrive[client] = d
@@ -614,9 +614,9 @@ func (s *Server) dropAffinity(client string, d *tape.Drive) {
 	}
 }
 
-// ReleaseDrive returns a drive obtained from an acquire helper along
+// releaseDrive returns a drive obtained from an acquire helper along
 // with its pool slot, detaching any trace parent the session set.
-func (s *Server) ReleaseDrive(d *tape.Drive) {
+func (s *Server) releaseDrive(d *tape.Drive) {
 	d.SetTraceParent(nil)
 	d.Release()
 	s.drvPool.Release(1)
@@ -639,7 +639,7 @@ func (s *Server) volumeDrive(vol *tape.Cartridge) (*tape.Drive, error) {
 func (s *Server) beginSession(d *tape.Drive, client string, sp *telemetry.Span) error {
 	d.SetTraceParent(sp)
 	if err := d.BeginSession(client); err != nil {
-		s.ReleaseDrive(d)
+		s.releaseDrive(d)
 		return err
 	}
 	return nil
@@ -663,7 +663,7 @@ func (s *Server) volumeSession(vol *tape.Cartridge, client string, sp *telemetry
 // physical reality behind §6.2's hand-off penalties. A volume stuck in
 // a dead drive is force-ejected by the robot and remounted on a
 // survivor. The caller must already hold a drive-pool slot. Fails with
-// ErrNoDrives when no operational drive remains.
+// errNoDrives when no operational drive remains.
 func (s *Server) acquireVolumeDrive(vol *tape.Cartridge) (*tape.Drive, error) {
 	for {
 		if holder := s.lib.MountedIn(vol); holder != nil {
@@ -711,7 +711,7 @@ func (s *Server) acquireVolumeDrive(vol *tape.Cartridge) (*tape.Drive, error) {
 func (s *Server) idleDrive() (*tape.Drive, error) {
 	drives := s.lib.UpDrives()
 	if len(drives) == 0 {
-		return nil, ErrNoDrives
+		return nil, errNoDrives
 	}
 	for _, d := range drives {
 		if d.Mounted() == nil && d.TryAcquire() {
@@ -806,7 +806,7 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 			var readErr error
 			rd, tCause, tainted, readErr = s.moveData(req.Route, nil, tapeIO{drive: d, bytes: obj.Bytes, seq: obj.Seq})
 			headCause = d.CorruptCause()
-			s.ReleaseDrive(d)
+			s.releaseDrive(d)
 			return readErr
 		}, retryable)
 		if recallErr != nil {
@@ -820,7 +820,7 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 		retry, verr := s.verifyDelivered(req.Client, obj, vol, delivered,
 			tCause, tainted, headCause, pass >= maxPasses, "recall")
 		if verr != nil {
-			var ie *IntegrityError
+			var ie *integrityError
 			errors.As(verr, &ie)
 			sp.Abort(verr.Error(), ie.CauseEvent)
 			return Object{}, verr
@@ -912,7 +912,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 		if dl := req.QoS.Deadline; dl > 0 && s.clock.Now() >= dl {
 			// The caller's deadline passed mid-stream: stop here rather
 			// than hold the drive for objects nobody is waiting on.
-			s.ReleaseDrive(d)
+			s.releaseDrive(d)
 			grant.Done()
 			err := fmt.Errorf("tsm: recall batch %s: %w", req.Volume, sched.ErrDeadlineExceeded)
 			sp.Abort(err.Error(), s.DownCause())
@@ -920,7 +920,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 		}
 		rd, tCause, tainted, readErr := s.moveData(req.Route, nil, tapeIO{drive: d, bytes: obj.Bytes, seq: obj.Seq})
 		if readErr != nil {
-			s.ReleaseDrive(d)
+			s.releaseDrive(d)
 			grant.Done()
 			sp.Abort(readErr.Error(), 0)
 			return out, readErr
@@ -939,7 +939,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 		s.ctrBytesRead.Add(float64(obj.Bytes))
 		out = append(out, *obj)
 	}
-	s.ReleaseDrive(d)
+	s.releaseDrive(d)
 	grant.Done()
 	for _, id := range bad {
 		o, err := s.Recall(RecallRequest{Client: req.Client, ObjectID: id,

@@ -39,7 +39,7 @@ func (m model) resolve(p string) error {
 			continue
 		}
 		if !m[cur].dir {
-			return ErrNotDir
+			return errNotDir
 		}
 		cur = path.Join(cur, seg)
 		if _, ok := m[cur]; !ok {
@@ -51,14 +51,14 @@ func (m model) resolve(p string) error {
 
 func (m model) parent(p string) error {
 	if p == "/" {
-		return ErrInvalid
+		return errInvalid
 	}
 	dir := path.Dir(p)
 	if err := m.resolve(dir); err != nil {
 		return err
 	}
 	if !m[dir].dir {
-		return ErrNotDir
+		return errNotDir
 	}
 	return nil
 }
@@ -96,7 +96,7 @@ func (m model) mkdirAll(p string) error {
 		if n, ok := m[cur]; !ok {
 			m[cur] = mnode{dir: true}
 		} else if !n.dir {
-			return ErrNotDir
+			return errNotDir
 		}
 	}
 	return nil
@@ -132,7 +132,7 @@ func (m model) remove(p string) error {
 		return ErrNotExist
 	}
 	if len(m.under(p)) > 1 {
-		return ErrNotEmpty
+		return errNotEmpty
 	}
 	delete(m, p)
 	return nil
@@ -160,7 +160,7 @@ func (m model) rename(oldp, newp string) error {
 		return ErrNotExist
 	}
 	if n.dir && strings.HasPrefix(newp, oldp+"/") {
-		return ErrInvalid
+		return errInvalid
 	}
 	if err := m.parent(newp); err != nil {
 		return err
@@ -170,10 +170,10 @@ func (m model) rename(oldp, newp string) error {
 	}
 	if e, ok := m[newp]; ok {
 		if e.dir && len(m.under(newp)) > 1 {
-			return ErrNotEmpty
+			return errNotEmpty
 		}
 		if !e.dir && n.dir {
-			return ErrNotDir
+			return errNotDir
 		}
 		delete(m, newp)
 	}
@@ -186,7 +186,7 @@ func (m model) rename(oldp, newp string) error {
 
 // sentinel reduces an FS error to the package sentinel it wraps.
 func sentinel(err error) error {
-	for _, s := range []error{ErrNotExist, ErrNotDir, ErrIsDir, ErrNotEmpty, ErrInvalid} {
+	for _, s := range []error{ErrNotExist, errNotDir, ErrIsDir, errNotEmpty, errInvalid} {
 		if errors.Is(err, s) {
 			return s
 		}
@@ -300,7 +300,7 @@ func runOps(t testing.TB, data []byte) {
 		case opReadDir:
 			want = m.resolve(p)
 			if want == nil && !m[p].dir {
-				want = ErrNotDir
+				want = errNotDir
 			}
 			var entries []Info
 			entries, got = fs.ReadDir(spelled)
@@ -490,9 +490,9 @@ func checkAll(t testing.TB, desc string, fs *FS, m model) {
 	if err := fs.VisitTree("/", func(FileID, int64, bool) { visited++ }); err != nil {
 		t.Fatalf("%s: visit: %v", desc, err)
 	}
-	if fs.NumFiles() != files || fs.ndirs != dirs || fs.NumInodes() != len(walked) || visited != len(walked) {
+	if fs.numFiles() != files || fs.ndirs != dirs || fs.NumInodes() != len(walked) || visited != len(walked) {
 		t.Fatalf("%s: files %d dirs %d visited %d, model has %d/%d, walk saw %d",
-			desc, fs.NumFiles(), fs.ndirs, visited, files, dirs, len(walked))
+			desc, fs.numFiles(), fs.ndirs, visited, files, dirs, len(walked))
 	}
 	if got := fs.TotalBytes(); got != bytes {
 		t.Fatalf("%s: TotalBytes %d, model has %d", desc, got, bytes)
@@ -656,8 +656,8 @@ func TestBigDirectoryReverseFill(t *testing.T) {
 			t.Fatalf("%s: exists = %v, want %v", fileName(i), !want, want)
 		}
 	}
-	if fs.NumFiles() != n {
-		t.Errorf("NumFiles = %d, want %d", fs.NumFiles(), n)
+	if fs.numFiles() != n {
+		t.Errorf("NumFiles = %d, want %d", fs.numFiles(), n)
 	}
 	// 0.2 s plain, 1.2 s under -race on 2 cores; a sorted slice with
 	// memmove inserts took 22 s plain.
@@ -862,7 +862,7 @@ func TestRenameIntoOwnSubtree(t *testing.T) {
 	fs.MkdirAll("/a/b")
 	fs.WriteFile("/a/f", synthetic.NewUniform(1, 1))
 	for _, newp := range []string{"/a/b/c", "/a/b", "/a/x", "a//b/./c"} {
-		if err := fs.Rename("/a", newp); !errors.Is(err, ErrInvalid) {
+		if err := fs.Rename("/a", newp); !errors.Is(err, errInvalid) {
 			t.Errorf("Rename(/a, %s) = %v, want ErrInvalid", newp, err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package vfs implements an in-memory POSIX-like file tree used as the
 // namespace layer of the simulated parallel file systems. It supplies
 // inodes with stable file IDs (the GPFS-style unique identifier the
-// synchronous deleter depends on), directories, rename/unlink/truncate,
+// synchronous deleter depends on), directories, rename and unlink,
 // extended attributes (used by the HSM layer for stub state), and
 // deterministic directory listings.
 //
@@ -48,10 +48,10 @@ import (
 // Errors returned by FS operations.
 var (
 	ErrNotExist = errors.New("vfs: file does not exist")
-	ErrNotDir   = errors.New("vfs: not a directory")
+	errNotDir   = errors.New("vfs: not a directory")
 	ErrIsDir    = errors.New("vfs: is a directory")
-	ErrNotEmpty = errors.New("vfs: directory not empty")
-	ErrInvalid  = errors.New("vfs: invalid argument")
+	errNotEmpty = errors.New("vfs: directory not empty")
+	errInvalid  = errors.New("vfs: invalid argument")
 )
 
 // FileID is the per-filesystem unique identifier of an inode. It never
@@ -64,7 +64,7 @@ type FileType uint8
 
 // Inode kinds.
 const (
-	TypeFile FileType = iota
+	typeFile FileType = iota
 	TypeDir
 )
 
@@ -89,16 +89,6 @@ type Info struct {
 
 // IsDir reports whether the inode is a directory.
 func (i Info) IsDir() bool { return i.Type == TypeDir }
-
-// xattr reads a named extended attribute of the inode i describes. It
-// reads the inode's current attributes, not a copy taken when i was
-// built: a later SetXattr shows, and a removed inode has none.
-func (i Info) xattr(key string) (string, bool) {
-	if i.inode == nil {
-		return "", false
-	}
-	return i.inode.xattr(key)
-}
 
 type node struct {
 	id      FileID
@@ -215,9 +205,6 @@ func New(_ string, now func() time.Duration) *FS {
 	return fs
 }
 
-// NumFiles reports the number of regular files.
-func (fs *FS) NumFiles() int { return fs.nfiles }
-
 // NumInodes reports the total inode count.
 func (fs *FS) NumInodes() int { return fs.nfiles + fs.ndirs }
 
@@ -297,7 +284,7 @@ func (fs *FS) resolve(p string) (*node, error) {
 		var part string
 		part, rest, _ = strings.Cut(rest, "/")
 		if cur.typ != TypeDir {
-			return nil, ErrNotDir
+			return nil, errNotDir
 		}
 		next := cur.dir.get(part)
 		if next == nil {
@@ -343,7 +330,7 @@ func (fs *FS) lookupParent(p string) (*node, string, error) {
 	}
 	p = clean(p)
 	if p == "/" {
-		return nil, "", fmt.Errorf("%w: cannot address root's parent", ErrInvalid)
+		return nil, "", fmt.Errorf("%w: cannot address root's parent", errInvalid)
 	}
 	i := strings.LastIndexByte(p, '/')
 	dir, leaf := p[:i], p[i+1:]
@@ -355,7 +342,7 @@ func (fs *FS) lookupParent(p string) (*node, string, error) {
 		return nil, "", err
 	}
 	if parent.typ != TypeDir {
-		return nil, "", fmt.Errorf("%w: %s", ErrNotDir, dir)
+		return nil, "", fmt.Errorf("%w: %s", errNotDir, dir)
 	}
 	if dir != "/" {
 		fs.memoDir, fs.memoNode = dir, parent
@@ -381,7 +368,7 @@ func (fs *FS) MkdirAll(p string) error {
 			cur.modTime = fs.now()
 			fs.ndirs++
 		} else if next.typ != TypeDir {
-			return fmt.Errorf("%w: %s", ErrNotDir, part)
+			return fmt.Errorf("%w: %s", errNotDir, part)
 		}
 		cur = next
 	}
@@ -419,7 +406,7 @@ func (fs *FS) WriteFileReserve(p string, content synthetic.Content, reserve func
 		}
 	}
 	if n == nil {
-		n = fs.newNode(TypeFile)
+		n = fs.newNode(typeFile)
 		parent.dir.put(leaf, n)
 		parent.modTime = n.modTime
 		fs.nfiles++
@@ -483,25 +470,9 @@ func (fs *FS) WriteAt(p string, off int64, data synthetic.Content) error {
 		// Straddles EOF: truncate then append.
 		n.content = synthetic.Concat(n.content.Truncate(off), data)
 	default:
-		return fmt.Errorf("%w: sparse write at %d past size %d", ErrInvalid, off, n.size)
+		return fmt.Errorf("%w: sparse write at %d past size %d", errInvalid, off, n.size)
 	}
 	n.size = n.content.Len()
-	n.modTime = fs.now()
-	return nil
-}
-
-// Truncate cuts the file at p to length (which must not exceed the
-// current size).
-func (fs *FS) Truncate(p string, length int64) error {
-	n, err := fs.lookupFile(p)
-	if err != nil {
-		return err
-	}
-	if length < 0 || length > n.size {
-		return fmt.Errorf("%w: truncate to %d of %d", ErrInvalid, length, n.size)
-	}
-	n.content = n.content.Truncate(length)
-	n.size = length
 	n.modTime = fs.now()
 	return nil
 }
@@ -573,7 +544,7 @@ func ReadDirAs[T any](fs *FS, p string, conv func(Info) T) ([]T, error) {
 		return nil, err
 	}
 	if n.typ != TypeDir {
-		return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
+		return nil, fmt.Errorf("%w: %s", errNotDir, p)
 	}
 	if base == "/" {
 		base = ""
@@ -598,7 +569,7 @@ func (fs *FS) Remove(p string) error {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
 	if n.typ == TypeDir && n.dir.live > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
+		return fmt.Errorf("%w: %s", errNotEmpty, p)
 	}
 	fs.unlink(parent, leaf)
 	fs.drop(n)
@@ -683,7 +654,7 @@ func (fs *FS) Rename(oldp, newp string) error {
 		return fmt.Errorf("%w: %s", ErrNotExist, oldp)
 	}
 	if op, np := clean(oldp), clean(newp); n.typ == TypeDir && len(np) > len(op) && np[len(op)] == '/' && np[:len(op)] == op {
-		return fmt.Errorf("%w: rename %s beneath itself to %s", ErrInvalid, oldp, newp)
+		return fmt.Errorf("%w: rename %s beneath itself to %s", errInvalid, oldp, newp)
 	}
 	nparent, nleaf, err := fs.lookupParent(newp)
 	if err != nil {
@@ -695,10 +666,10 @@ func (fs *FS) Rename(oldp, newp string) error {
 		}
 		if existing.typ == TypeDir {
 			if existing.dir.live > 0 {
-				return fmt.Errorf("%w: %s", ErrNotEmpty, newp)
+				return fmt.Errorf("%w: %s", errNotEmpty, newp)
 			}
 		} else if n.typ == TypeDir {
-			return fmt.Errorf("%w: %s", ErrNotDir, newp)
+			return fmt.Errorf("%w: %s", errNotDir, newp)
 		}
 		fs.drop(nparent.dir.del(nleaf))
 	}
@@ -755,16 +726,16 @@ func (fs *FS) Exists(p string) bool {
 	return err == nil
 }
 
-// WalkFunc visits one inode during Walk. Returning a non-nil error
+// walkFunc visits one inode during Walk. Returning a non-nil error
 // stops the walk and propagates the error.
-type WalkFunc func(info Info) error
+type walkFunc func(info Info) error
 
 // Walk visits p and everything below it in deterministic depth-first
 // order (directories before their children, children by name). fn may
 // block while other actors change the tree (pfs.Scan does): a directory
 // is walked as it stood when the walk entered it, less the entries
 // removed or replaced before the walk reaches them.
-func (fs *FS) Walk(p string, fn WalkFunc) error {
+func (fs *FS) Walk(p string, fn walkFunc) error {
 	n, p, err := fs.lookup(p)
 	if err != nil {
 		return err
@@ -772,7 +743,7 @@ func (fs *FS) Walk(p string, fn WalkFunc) error {
 	return walk(p, path.Base(p), n, fn)
 }
 
-func walk(p, name string, n *node, fn WalkFunc) error {
+func walk(p, name string, n *node, fn walkFunc) error {
 	if err := fn(info(p, name, n)); err != nil {
 		return err
 	}

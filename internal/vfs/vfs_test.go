@@ -61,8 +61,8 @@ func TestWriteReadFile(t *testing.T) {
 	if info.Size != 1000 {
 		t.Errorf("Size = %d, want 1000", info.Size)
 	}
-	if fs.NumFiles() != 1 {
-		t.Errorf("NumFiles = %d, want 1", fs.NumFiles())
+	if fs.numFiles() != 1 {
+		t.Errorf("NumFiles = %d, want 1", fs.numFiles())
 	}
 }
 
@@ -125,24 +125,8 @@ func TestWriteAtAppendAndOverwrite(t *testing.T) {
 func TestWriteAtSparseFails(t *testing.T) {
 	fs := newFS()
 	fs.WriteFile("/f", synthetic.NewUniform(1, 10))
-	if err := fs.WriteAt("/f", 20, synthetic.NewUniform(2, 5)); !errors.Is(err, ErrInvalid) {
+	if err := fs.WriteAt("/f", 20, synthetic.NewUniform(2, 5)); !errors.Is(err, errInvalid) {
 		t.Errorf("err = %v, want ErrInvalid", err)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	fs := newFS()
-	c := synthetic.NewUniform(1, 100)
-	fs.WriteFile("/f", c)
-	if err := fs.Truncate("/f", 40); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := fs.ReadFileCheck("/f", nil)
-	if !got.Equal(c.Slice(0, 40)) {
-		t.Error("truncate content mismatch")
-	}
-	if err := fs.Truncate("/f", 100); !errors.Is(err, ErrInvalid) {
-		t.Errorf("extending truncate: err = %v, want ErrInvalid", err)
 	}
 }
 
@@ -170,7 +154,7 @@ func TestReadDirSorted(t *testing.T) {
 func TestReadDirOnFileFails(t *testing.T) {
 	fs := newFS()
 	fs.WriteFile("/f", synthetic.NewUniform(1, 1))
-	if _, err := fs.ReadDir("/f"); !errors.Is(err, ErrNotDir) {
+	if _, err := fs.ReadDir("/f"); !errors.Is(err, errNotDir) {
 		t.Errorf("err = %v, want ErrNotDir", err)
 	}
 }
@@ -188,8 +172,8 @@ func TestRemoveFile(t *testing.T) {
 	if _, err := fs.StatID(info.ID); !errors.Is(err, ErrNotExist) {
 		t.Error("removed file still resolvable by ID")
 	}
-	if fs.NumFiles() != 0 {
-		t.Errorf("NumFiles = %d, want 0", fs.NumFiles())
+	if fs.numFiles() != 0 {
+		t.Errorf("NumFiles = %d, want 0", fs.numFiles())
 	}
 }
 
@@ -197,7 +181,7 @@ func TestRemoveNonEmptyDirFails(t *testing.T) {
 	fs := newFS()
 	fs.MkdirAll("/d")
 	fs.WriteFile("/d/f", synthetic.NewUniform(1, 1))
-	if err := fs.Remove("/d"); !errors.Is(err, ErrNotEmpty) {
+	if err := fs.Remove("/d"); !errors.Is(err, errNotEmpty) {
 		t.Errorf("err = %v, want ErrNotEmpty", err)
 	}
 }
@@ -237,8 +221,8 @@ func TestRenameReplacesFile(t *testing.T) {
 	if !got.Equal(a) {
 		t.Error("destination does not hold source content")
 	}
-	if fs.NumFiles() != 1 {
-		t.Errorf("NumFiles = %d, want 1", fs.NumFiles())
+	if fs.numFiles() != 1 {
+		t.Errorf("NumFiles = %d, want 1", fs.numFiles())
 	}
 }
 
@@ -355,3 +339,16 @@ func TestPathCleaning(t *testing.T) {
 		}
 	}
 }
+
+// xattr reads a named extended attribute of the inode i describes. It
+// reads the inode's current attributes, not a copy taken when i was
+// built: a later SetXattr shows, and a removed inode has none.
+func (i Info) xattr(key string) (string, bool) {
+	if i.inode == nil {
+		return "", false
+	}
+	return i.inode.xattr(key)
+}
+
+// numFiles reports the number of regular files.
+func (fs *FS) numFiles() int { return fs.nfiles }

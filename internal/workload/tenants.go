@@ -79,10 +79,10 @@ func (p TenantPopulation) withDefaults() TenantPopulation {
 	return p
 }
 
-// ClassOf deterministically assigns a tenant its QoS class from the
+// classOf deterministically assigns a tenant its QoS class from the
 // class mix: a splitmix of (seed, tenant index) so the class is a
 // property of the tenant, independent of how many requests are drawn.
-func (p TenantPopulation) ClassOf(tenant int) sched.Class {
+func (p TenantPopulation) classOf(tenant int) sched.Class {
 	u := float64(splitmix(uint64(p.Seed)^uint64(tenant)*0x9e3779b97f4a7c15)>>11) / float64(1<<53)
 	switch {
 	case u < interactiveFrac:
@@ -130,7 +130,7 @@ func (p TenantPopulation) GenerateRequests() []Request {
 	for b := 0; b < nBursts; b++ {
 		at := p.diurnalInvCDF(rng.Float64())
 		tenant := sort.SearchFloat64s(cum, rng.Float64()*total)
-		class := p.ClassOf(tenant)
+		class := p.classOf(tenant)
 		size := 1
 		for rng.Float64() > geomP && size < 1000 {
 			size++

@@ -128,8 +128,8 @@ func TestTenantClassMixAndStability(t *testing.T) {
 	counts := map[sched.Class]int{}
 	n := 50_000
 	for i := 0; i < n; i++ {
-		c := p.ClassOf(i)
-		if c2 := p.ClassOf(i); c2 != c {
+		c := p.classOf(i)
+		if c2 := p.classOf(i); c2 != c {
 			t.Fatalf("tenant %d class not stable: %v then %v", i, c, c2)
 		}
 		counts[c]++

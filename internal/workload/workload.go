@@ -155,10 +155,10 @@ func Generate(cfg CampaignConfig) []JobSpec {
 	return jobs
 }
 
-// FileSizes draws the individual file sizes of a job: log-normal around
+// fileSizes draws the individual file sizes of a job: log-normal around
 // the job's average with moderate spread, rescaled so the sum equals
 // TotalBytes exactly.
-func FileSizes(spec JobSpec, seed int64) []int64 {
+func fileSizes(spec JobSpec, seed int64) []int64 {
 	r := rand.New(rand.NewSource(seed ^ int64(spec.ID)<<16))
 	sizes := make([]int64, spec.NumFiles)
 	var sum float64
@@ -216,7 +216,7 @@ func BuildTree(fs *pfs.FS, root string, spec JobSpec, seed int64, dirFanout int)
 	if dirFanout <= 0 {
 		dirFanout = 2048
 	}
-	sizes := FileSizes(spec, seed)
+	sizes := fileSizes(spec, seed)
 	var total int64
 	var specs []pfs.FileSpec
 	dir := ""
