@@ -49,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		j := jail.New(sys.Archive, sys.HSM, can, jail.Policy{})
-		if _, err := j.Grep("/climate", []byte("pattern"), jail.GrepNaive); err != nil {
+		if _, err := j.Grep("/climate", []byte("pattern"), false); err != nil {
 			fmt.Println("jail     : grep denied —", err)
 		}
 		entries, _ := j.Ls("/climate")

@@ -364,8 +364,8 @@ func TestRetrieveAggregatedFilesThroughPftool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mres.Aggregates == 0 {
-			t.Fatal("setup: nothing aggregated")
+		if _, ok := s.HSM.AggregateOf(infos[0].ID); !ok || mres.Files != len(infos) {
+			t.Fatalf("setup: %+v; want every file migrated, in bundles", mres)
 		}
 		rres, err := s.PfcpRetrieve("/arc/small", "/back", testTunables())
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/hsm"
 	"repro/internal/pfs"
-	"repro/internal/sched"
 	"repro/internal/synthetic"
 	"repro/internal/tsm"
 	"repro/internal/vfs"
@@ -235,7 +234,7 @@ func TestAuditCountsBundlesWithoutMembersAsOrphans(t *testing.T) {
 		if _, err := s.Pfcp("/proj", "/arc/proj", testTunables()); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil || res.Aggregates == 0 {
+		if res, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil || !bundled(s, "/arc/proj/f0000") {
 			t.Fatalf("migrate: %+v, %v; want bundles", res, err)
 		}
 		if res, err := s.Audit(); err != nil || !res.Clean() {
@@ -270,7 +269,7 @@ func TestRecreatedMemberPathIsNotTheOldBundle(t *testing.T) {
 		if _, err := s.Pfcp("/proj", "/arc/proj", testTunables()); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil || res.Aggregates != 1 {
+		if res, err := s.MigrateTree("/arc/proj", hsm.MigrateOptions{}); err != nil || res.Files != 1 || !bundled(s, p) {
 			t.Fatalf("migrate: %+v, %v; want one bundle", res, err)
 		}
 		can, _ := s.TrashCan()
@@ -287,7 +286,7 @@ func TestRecreatedMemberPathIsNotTheOldBundle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := s.HSM.Migrate([]pfs.Info{info}, hsm.MigrateOptions{}); err != nil || res.Files != 1 || res.Aggregates != 0 {
+		if res, err := s.HSM.Migrate([]pfs.Info{info}, hsm.MigrateOptions{}); err != nil || res.Files != 1 {
 			t.Fatalf("migrating the new file: %+v, %v; want it stored on its own", res, err)
 		}
 		if _, ok := s.HSM.AggregateOf(info.ID); ok {
@@ -306,7 +305,7 @@ func TestRecreatedMemberPathIsNotTheOldBundle(t *testing.T) {
 		}
 		read := s.TSM.Telemetry().Counter("tsm_bytes_read_total")
 		before := read.Value()
-		if err := s.HSM.RecallPinned(s.Cluster.Nodes()[0].Name, []string{p}, []vfs.FileID{info.ID}, sched.QoS{}); err != nil {
+		if err := s.HSM.RecallPinned(s.Cluster.Nodes()[0].Name, []string{p}, []vfs.FileID{info.ID}); err != nil {
 			t.Fatal(err)
 		}
 		if got := read.Value() - before; got != 3e9 {
@@ -316,4 +315,14 @@ func TestRecreatedMemberPathIsNotTheOldBundle(t *testing.T) {
 			t.Errorf("after recall the new file is %v, want premigrated", st)
 		}
 	})
+}
+
+// bundled reports whether the file at p went to tape in a bundle.
+func bundled(s *System, p string) bool {
+	info, err := s.Archive.Stat(p)
+	if err != nil {
+		return false
+	}
+	_, ok := s.HSM.AggregateOf(info.ID)
+	return ok
 }

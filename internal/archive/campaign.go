@@ -147,7 +147,6 @@ func (c CampaignResult) Figure11() *stats.Summary {
 // non-parallel archive that moves one file at a time through a single
 // mover and a single tape drive (~70 MB/s in the paper).
 type SerialBaselineResult struct {
-	Files   int
 	Bytes   int64
 	Elapsed time.Duration
 	RateMBs float64
@@ -178,22 +177,18 @@ func SerialArchiveBaseline(s *System, src string) (SerialBaselineResult, error) 
 		return res, err
 	}
 	start := s.Clock.Now()
-	type entry struct {
-		path string
-		size int64
-	}
-	var files []entry
+	var sizes []int64
 	if err := s.Scratch.Walk(src, func(i pfs.Info) error {
 		if !i.IsDir() {
-			files = append(files, entry{i.Path, i.Size})
+			sizes = append(sizes, i.Size)
 		}
 		return nil
 	}); err != nil {
 		return res, err
 	}
-	for n, f := range files {
-		if cart.Remaining() < f.size {
-			cart, err = s.Library.Scratch(f.size)
+	for n, size := range sizes {
+		if cart.Remaining() < size {
+			cart, err = s.Library.Scratch(size)
 			if err != nil {
 				return res, err
 			}
@@ -203,17 +198,15 @@ func SerialArchiveBaseline(s *System, src string) (SerialBaselineResult, error) 
 		}
 		wg := simtime.NewWaitGroup(s.Clock)
 		wg.Add(1)
-		size := f.size
 		s.Clock.Go(func() {
 			defer wg.Done()
 			s.Fabric.Transfer(moverPath, size)
 		})
-		if _, err := drive.Append(uint64(1_000_000+n), f.size); err != nil {
+		if _, err := drive.Append(uint64(1_000_000+n), size); err != nil {
 			return res, err
 		}
 		wg.Wait()
-		res.Files++
-		res.Bytes += f.size
+		res.Bytes += size
 	}
 	res.Elapsed = s.Clock.Now() - start
 	if secs := res.Elapsed.Seconds(); secs > 0 {

@@ -207,10 +207,7 @@ func (s *System) Pfcm(src, dst string, tun pftool.Tunables) (pftool.Result, erro
 // MigrateTree migrates every resident file under root on the archive FS
 // to tape using the parallel data migrator.
 func (s *System) MigrateTree(root string, opt hsm.MigrateOptions) (hsm.MigrateResult, error) {
-	list, err := ilm.RunList(s.Archive, ilm.ListPolicy{
-		Name:  "migrate-" + root,
-		Where: ilm.And(ilm.IsFile(), ilm.PathPrefix(root), ilm.StateIs(pfs.Resident)),
-	})
+	list, err := ilm.RunList(s.Archive, ilm.And(ilm.IsFile(), ilm.PathPrefix(root), ilm.StateIs(pfs.Resident)))
 	if err != nil {
 		return hsm.MigrateResult{}, err
 	}

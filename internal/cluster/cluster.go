@@ -65,8 +65,6 @@ func RoadrunnerConfig() Config {
 
 // Cluster is the FTA cluster plus its slice of the data-path fabric.
 type Cluster struct {
-	clock *simtime.Clock
-	fab   *fabric.Fabric
 	nodes []*Node
 	trunk *fabric.Link
 }
@@ -98,8 +96,6 @@ func New(clock *simtime.Clock, cfg Config) *Cluster {
 	fab := fabric.Of(clock)
 	lan := prefix + "fta-lan"
 	c := &Cluster{
-		clock: clock,
-		fab:   fab,
 		trunk: fab.AddLink(prefix+"trunk", cfg.TrunkRate, fabric.Compute, lan),
 	}
 	for i := 0; i < cfg.Nodes; i++ {

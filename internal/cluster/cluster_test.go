@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func TestNewClusterShape(t *testing.T) {
@@ -25,7 +26,7 @@ func TestNewClusterShape(t *testing.T) {
 func TestTrunkSharedAcrossNodes(t *testing.T) {
 	c := simtime.NewClock()
 	cl := New(c, RoadrunnerConfig())
-	fab := cl.fab
+	fab := fabric.Of(c)
 	// 10 nodes each pulling 1.87 GB across the trunk: the trunk carries
 	// 18.7 GB total at 1.87 GB/s -> ~10s, not ~1s.
 	for i := 0; i < 10; i++ {
@@ -43,7 +44,7 @@ func TestTrunkSharedAcrossNodes(t *testing.T) {
 	if end < 9*time.Second || end > 12*time.Second {
 		t.Errorf("end = %v, want ~10s (trunk-bound)", end)
 	}
-	if got := cl.Trunk().Stats().Bytes; got < 18.6e9 || got > 18.8e9 {
+	if got := telemetry.Of(c).Snapshot().Value("fabric_link_bytes_total", "link", cl.Trunk().Name()); got < 18.6e9 || got > 18.8e9 {
 		t.Errorf("trunk carried %v bytes, want 18.7e9", got)
 	}
 }
@@ -53,12 +54,12 @@ func TestNICBoundWhenTrunkIdle(t *testing.T) {
 	cl := New(c, RoadrunnerConfig())
 	// One node alone: its NIC (1.18 GB/s) binds before the trunk.
 	c.Go(func() {
-		p, err := cl.fab.Route(fabric.Compute, "", cl.nodes[0].Name)
+		p, err := fabric.Of(c).Route(fabric.Compute, "", cl.nodes[0].Name)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		cl.fab.Transfer(p, 1.18e9)
+		fabric.Of(c).Transfer(p, 1.18e9)
 	})
 	end := c.RunFor()
 	if end < 900*time.Millisecond || end > 1100*time.Millisecond {

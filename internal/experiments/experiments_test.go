@@ -52,7 +52,7 @@ func TestParallelVsSerialShape(t *testing.T) {
 }
 
 func TestSmallFileTapeShape(t *testing.T) {
-	r := smallFileTapeWith(smallFileTapeParams{Seed: 1, SmallFiles: 400, SmallSize: 8e6, LargeFiles: 8, LargeSize: 1e9})
+	r := smallFileTapeWith(smallFileTapeParams{SmallFiles: 400, SmallSize: 8e6, LargeFiles: 8, LargeSize: 1e9})
 	small := r.Metrics["small_mbs"]
 	large := r.Metrics["large_mbs"]
 	agg := r.Metrics["aggregated_mbs"]
@@ -71,7 +71,7 @@ func TestSmallFileTapeShape(t *testing.T) {
 }
 
 func TestRecallOrderingShape(t *testing.T) {
-	r := recallOrderingWith(recallParams{Seed: 1, Files: 120, Size: 200e6})
+	r := recallOrderingWith(recallParams{Files: 120, Size: 200e6})
 	if r.Metrics["speedup"] <= 1 {
 		t.Errorf("ordered recall speedup = %.2f, want > 1", r.Metrics["speedup"])
 	}

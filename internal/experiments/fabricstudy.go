@@ -71,7 +71,7 @@ func fabricBottleneckWith(seed int64, files int, fileSize int64, workers []int) 
 		trunkBytes := snap.Value("fabric_link_bytes_total", "link", "trunk")
 		nicNames := make(map[string]bool)
 		for _, n := range nodes {
-			nicNames[n.NIC().Stats().Name] = true
+			nicNames[n.NIC().Name()] = true
 		}
 		var nicBytes float64
 		for _, p := range snap.Family("fabric_link_bytes_total") {

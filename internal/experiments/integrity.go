@@ -10,7 +10,6 @@ import (
 	"repro/internal/hsm"
 	"repro/internal/pfs"
 	"repro/internal/pftool"
-	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/tape"
@@ -28,9 +27,9 @@ type integrityOutcome struct {
 	rotFiles    int // tape files damaged by the injected media rot
 	taintsArmed int // in-flight corruptions armed on the recall link
 
-	backup tsm.BackupResult
-	scrub  []tsm.ScrubReport
-	quar   []string
+	backupObjects int // copy-pool duplicates written
+	scrub         []tsm.ScrubReport
+	quar          []string
 
 	// TSM integrity counters, from the registry.
 	detected, repaired, unrepairable int
@@ -85,11 +84,11 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 		if _, err := sys.MigrateTree("/arc/proj", hsm.MigrateOptions{Balanced: true}); err != nil {
 			panic(fmt.Sprintf("integrity migrate: %v", err))
 		}
-		backup, err := sys.TSM.BackupPool("mover")
+		backupObjects, err := sys.TSM.BackupPool("mover")
 		if err != nil {
 			panic(fmt.Sprintf("integrity backup pool: %v", err))
 		}
-		out.backup = backup
+		out.backupObjects = backupObjects
 
 		// Phase 2: bit rot at rest. Each fault picks a byte offset as a
 		// fraction of the volume's written region; the cartridge keeps
@@ -201,7 +200,7 @@ func integrityRun(seed int64, inject bool) integrityOutcome {
 			for i, l := range locs {
 				ordered[i], orderedIDs[i] = l.Path, l.ID
 			}
-			if err := sys.HSM.RecallPinned(node, ordered, orderedIDs, sched.QoS{}); err != nil {
+			if err := sys.HSM.RecallPinned(node, ordered, orderedIDs); err != nil {
 				panic(fmt.Sprintf("integrity recall: %v", err))
 			}
 			if left := sys.Fabric.Link(node + "-hba").ArmedCorruptions(); left != 0 {
@@ -316,7 +315,7 @@ func integrityStudy(seed int64) Report {
 	}
 
 	t := stats.NewTable("metric", "clean", "integrity drill")
-	t.Row("copy-pool duplicates", base.backup.Objects, dirty.backup.Objects)
+	t.Row("copy-pool duplicates", base.backupObjects, dirty.backupObjects)
 	t.Row("media-rot tape files", 0, dirty.rotFiles)
 	t.Row("in-flight corruptions", 0, dirty.taintsArmed)
 	t.Row("checksum detections", base.detected, dirty.detected)

@@ -192,7 +192,7 @@ func inodeScanWith(seed int64, inodes int) Report {
 				fs.WriteFiles(specs)
 			}
 			start := clock.Now()
-			if _, err := ilm.RunList(fs, ilm.ListPolicy{Name: "scan", Where: ilm.IsFile()}); err != nil {
+			if _, err := ilm.RunList(fs, ilm.IsFile()); err != nil {
 				panic(err)
 			}
 			visited = fs.NumInodes()

@@ -33,8 +33,8 @@ import (
 // baseline, and the final live scrape is byte-identical to the post-hoc
 // registry snapshot.
 
-// opsWave is one archive wave (pfcp + tape migration) of the drill.
-type opsWave struct {
+// An OpsWave is one archive wave (pfcp + tape migration) of the drill.
+type OpsWave struct {
 	Index       int     `json:"index"`
 	Phase       string  `json:"phase"` // warmup|baseline|contaminated|settling|recovery
 	Files       int     `json:"files"`
@@ -44,9 +44,9 @@ type opsWave struct {
 	RateMBs     float64 `json:"rate_mbs"`
 }
 
-// opsAction is one operator move, stamped with the virtual time of the
+// An OpsAction is one operator move, stamped with the virtual time of the
 // scrape that triggered it.
-type opsAction struct {
+type OpsAction struct {
 	VirtualSecs float64 `json:"virtual_secs"`
 	Action      string  `json:"action"`
 	Target      string  `json:"target,omitempty"`
@@ -58,8 +58,8 @@ type opsAction struct {
 // the scrubber's pass reports.
 type OpsReport struct {
 	SlowDrive     string            `json:"slow_drive"`
-	Waves         []opsWave         `json:"waves"`
-	Actions       []opsAction       `json:"actions"`
+	Waves         []OpsWave         `json:"waves"`
+	Actions       []OpsAction       `json:"actions"`
 	ScrubInterval string            `json:"scrub_interval"`
 	ScrubPasses   []tsm.ScrubReport `json:"scrub_passes"`
 
@@ -109,7 +109,6 @@ func defaultOpsParams() opsParams {
 
 // opsDriveSample is one scrape's view of one drive's cumulative work.
 type opsDriveSample struct {
-	at    float64 // virtual seconds
 	bytes float64 // written + read
 	xfer  float64 // transfer seconds
 }
@@ -129,7 +128,7 @@ type opsOperator struct {
 	prev    *obs.Exposition
 
 	acted   bool
-	actions []opsAction
+	actions []OpsAction
 	scrapes int
 	errs    []string
 }
@@ -231,7 +230,7 @@ func (o *opsOperator) scrapeOnce() {
 		}
 	}
 	for d, x := range xfer {
-		o.hist[d] = append(o.hist[d], opsDriveSample{at: virt, bytes: written[d] + read[d], xfer: x})
+		o.hist[d] = append(o.hist[d], opsDriveSample{bytes: written[d] + read[d], xfer: x})
 		if len(o.hist[d]) > 1024 {
 			o.hist[d] = o.hist[d][len(o.hist[d])-512:]
 		}
@@ -293,13 +292,13 @@ func (o *opsOperator) act(virt float64, action, target, detail, path string) {
 		o.errs = append(o.errs, fmt.Sprintf("%s: %v", action, err))
 		return
 	}
-	o.actions = append(o.actions, opsAction{VirtualSecs: virt, Action: action, Target: target, Detail: detail})
+	o.actions = append(o.actions, OpsAction{VirtualSecs: virt, Action: action, Target: target, Detail: detail})
 }
 
 // archiveWave archives one wave: write WaveFiles uniform files on scratch,
 // pfcp them to the archive FS, migrate the tree to tape, and report
 // the wave's tape rate from the registry counter.
-func archiveWave(sys *archive.System, ctrMig *telemetry.Counter, w int, seed int64, p opsParams, tun pftool.Tunables) opsWave {
+func archiveWave(sys *archive.System, ctrMig *telemetry.Counter, w int, seed int64, p opsParams, tun pftool.Tunables) OpsWave {
 	clock := sys.Clock
 	src := fmt.Sprintf("/drop/w%03d", w)
 	dst := fmt.Sprintf("/arc/w%03d", w)
@@ -332,7 +331,7 @@ func archiveWave(sys *archive.System, ctrMig *telemetry.Counter, w int, seed int
 	}
 	migSecs := (clock.Now() - t1).Seconds()
 	mb := stats.MB(ctrMig.Value() - mig0)
-	return opsWave{
+	return OpsWave{
 		Index: w, Files: mr.Files, MigratedMB: mb,
 		CopySecs: copySecs, MigrateSecs: migSecs, RateMBs: mb / migSecs,
 	}
@@ -350,7 +349,7 @@ func opsDrillWith(seed int64, p opsParams) Report {
 		op       *opsOperator
 		slow     string
 
-		waves     []opsWave
+		waves     []OpsWave
 		drainWave = -1
 		migSecs   float64
 		audit     archive.AuditResult

@@ -164,7 +164,6 @@ type parallelSite struct {
 type parallelPlant struct {
 	group *simtime.Group
 	sites []*parallelSite
-	seed  int64
 }
 
 // parallelPartition deals jobs to islands greedily by descending byte
@@ -173,14 +172,10 @@ type parallelPlant struct {
 // island's share into epoch chunks of near-equal job count.
 func parallelPartition(jobs []workload.JobSpec, islands int) [][][]workload.JobSpec {
 	type bin struct {
-		idx  int
 		cost float64
 		jobs []workload.JobSpec
 	}
 	bins := make([]bin, islands)
-	for i := range bins {
-		bins[i].idx = i
-	}
 	order := append([]workload.JobSpec(nil), jobs...)
 	sort.SliceStable(order, func(a, b int) bool {
 		// Files add wall cost beyond their bytes; weigh them in so the
@@ -219,7 +214,7 @@ func parallelPartition(jobs []workload.JobSpec, islands int) [][][]workload.JobS
 // fabric-derived bound.
 func buildParallelPlant(p ParallelParams) *parallelPlant {
 	g := simtime.NewGroup()
-	plant := &parallelPlant{group: g, seed: p.Seed}
+	plant := &parallelPlant{group: g}
 
 	cfg := workload.PaperCampaign(p.Seed)
 	cfg.Jobs = p.Jobs
@@ -265,7 +260,7 @@ func buildParallelPlant(p ParallelParams) *parallelPlant {
 		// cycle, and the WAN path adds its latency plus the minimum
 		// manifest quantum at nominal rate.
 		lookahead := simtime.Duration(parallelReplCycle) + s.egress.Lookahead(parallelManifestEntry)
-		s.out = plant.group.Connect(s.isl, next.isl, s.name+"->"+next.name, lookahead, next.receiveManifest)
+		s.out = plant.group.Connect(s.isl, next.isl, lookahead, next.receiveManifest)
 	}
 	return plant
 }
@@ -407,9 +402,7 @@ func engineRegistry(o parallelOutcome) *telemetry.Registry {
 			}
 		}
 	}
-	for _, ch := range o.stats.Channels {
-		nulls.Add(float64(ch.Nulls))
-	}
+	nulls.Add(float64(o.stats.NullMessages))
 	return reg
 }
 
@@ -468,9 +461,7 @@ func ParallelRun(p ParallelParams) (Report, *ParallelReport) {
 		ReplicaMB:      measured.merged.Total("federation_replica_bytes_total") / 1e6,
 		LagMeanSeconds: parallelLagMean(measured.merged),
 	}
-	for _, ch := range measured.stats.Channels {
-		pr.NullMessages += ch.Nulls
-	}
+	pr.NullMessages = measured.stats.NullMessages
 	if measured.wall > 0 {
 		pr.EventsPerSec = float64(measured.stats.Events) / measured.wall
 		pr.FilesPerSec = float64(files) / measured.wall

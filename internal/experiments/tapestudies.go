@@ -40,7 +40,6 @@ func seedArchiveFiles(sys *archive.System, dir string, n int, size int64) []pfs.
 
 // smallFileTapeParams scales E6.
 type smallFileTapeParams struct {
-	Seed       int64
 	SmallFiles int   // count of 8 MB files
 	SmallSize  int64 // 8 MB per the paper's incident
 	LargeFiles int
@@ -50,8 +49,8 @@ type smallFileTapeParams struct {
 // smallFileTape is E6 (§6.1): migrating millions of 8 MB files ran at
 // ~4 MB/s per drive instead of the rated ~100 MB/s; aggregation is the
 // fix. Rates here are per-drive effective rates.
-func smallFileTape(seed int64) Report {
-	return smallFileTapeWith(smallFileTapeParams{Seed: seed, SmallFiles: 2000, SmallSize: 8e6, LargeFiles: 16, LargeSize: 1e9})
+func smallFileTape(int64) Report {
+	return smallFileTapeWith(smallFileTapeParams{SmallFiles: 2000, SmallSize: 8e6, LargeFiles: 16, LargeSize: 1e9})
 }
 
 // smallFileTapeWith runs E6 at the given scale.
@@ -95,15 +94,14 @@ func smallFileTapeWith(p smallFileTapeParams) Report {
 
 // recallParams scales E7.
 type recallParams struct {
-	Seed  int64
 	Files int
 	Size  int64
 }
 
 // recallOrdering is E7 (§4.2.5, §6.2): tape-ordered machine-sticky
 // recall against the stock recall daemon behaviour.
-func recallOrdering(seed int64) Report {
-	return recallOrderingWith(recallParams{Seed: seed, Files: 300, Size: 500e6})
+func recallOrdering(int64) Report {
+	return recallOrderingWith(recallParams{Files: 300, Size: 500e6})
 }
 
 // recallOrderingWith runs E7 at the given scale.

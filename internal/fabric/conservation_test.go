@@ -89,19 +89,19 @@ func TestConservationRandomTopologies(t *testing.T) {
 				expect[l] += float64(rec.bytes) * float64(k)
 			}
 		}
+		f.settle()
 		for _, l := range f.order {
-			st := l.Stats()
-			if math.Abs(st.Bytes-expect[l]) > 1 {
+			if math.Abs(l.bytes-expect[l]) > 1 {
 				t.Errorf("trial %d link %s: carried %.2f bytes, flows crossing it sum to %.2f",
-					trial, st.Name, st.Bytes, expect[l])
+					trial, l.name, l.bytes, expect[l])
 			}
-			// (b) capacity: a link busy for st.Busy at fixed capacity
+			// (b) capacity: a link busy for l.busy at fixed capacity
 			// cannot carry more than capacity x busy (slack for the
 			// completion epsilon credited per finishing flow).
 			slack := completionEps * float64(len(flows))
-			if limit := st.Capacity*st.Busy.Seconds() + slack; st.Bytes > limit+1 {
+			if limit := l.capacity*l.busy.Seconds() + slack; l.bytes > limit+1 {
 				t.Errorf("trial %d link %s: carried %.2f bytes in %v busy at %.0f B/s (limit %.2f)",
-					trial, st.Name, st.Bytes, st.Busy, st.Capacity, limit)
+					trial, l.name, l.bytes, l.busy, l.capacity, limit)
 			}
 		}
 
@@ -136,17 +136,17 @@ func TestConservationUnderCapsAndArrivals(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				f.Transfer(p, bytes, WithCap(cap))
+				f.start(p, bytes, cap).Wait()
 			})
 		}
 		c.RunFor()
-		st := shared.Stats()
-		if math.Abs(st.Bytes-float64(total)) > 1 {
-			t.Errorf("trial %d: shared link carried %.2f of %d bytes", trial, st.Bytes, total)
+		f.settle()
+		if math.Abs(shared.bytes-float64(total)) > 1 {
+			t.Errorf("trial %d: shared link carried %.2f of %d bytes", trial, shared.bytes, total)
 		}
 		slack := completionEps * float64(n)
-		if limit := st.Capacity*st.Busy.Seconds() + slack; st.Bytes > limit+1 {
-			t.Errorf("trial %d: carried %.2f bytes, capacity x busy allows %.2f", trial, st.Bytes, limit)
+		if limit := shared.capacity*shared.busy.Seconds() + slack; shared.bytes > limit+1 {
+			t.Errorf("trial %d: carried %.2f bytes, capacity x busy allows %.2f", trial, shared.bytes, limit)
 		}
 	}
 }

@@ -11,39 +11,43 @@ import (
 )
 
 // churnResult captures everything observable about one scripted churn
-// run: when each flow finished (virtual time) and what every link
-// carried, when, and at what peak concurrency. Two runs of the same
-// script must produce identical results regardless of scheduler mode.
-// fast and fallback count solveHub's outcomes.
+// run: when each flow finished (virtual time) and what every link had
+// carried, been busy and peaked at, after each completion and at the
+// end. Two runs of the same script must produce identical results
+// regardless of scheduler mode. fast and fallback count solveHub's
+// outcomes.
 type churnResult struct {
 	done           []simtime.Duration
-	linkBytes      map[string]float64
-	linkBusy       map[string]time.Duration
-	linkPeak       map[string]int
-	linkTimeline   map[string][]timePoint
+	links          []linkState
 	fast, fallback uint64
 }
 
-func newChurnResult(n int) churnResult {
-	return churnResult{
-		done:         make([]simtime.Duration, n),
-		linkBytes:    make(map[string]float64),
-		linkBusy:     make(map[string]time.Duration),
-		linkPeak:     make(map[string]int),
-		linkTimeline: make(map[string][]timePoint),
+// linkState is one link's settled accounting at one instant.
+type linkState struct {
+	name  string
+	bytes float64
+	busy  simtime.Duration
+	peak  int
+}
+
+// finished records flow i's completion and every link's state then.
+func (res *churnResult) finished(f *Fabric, i int) {
+	res.done[i] = f.clock.Now()
+	res.snap(f)
+}
+
+// snap records every link's settled accounting.
+func (res *churnResult) snap(f *Fabric) {
+	f.settle()
+	for _, l := range f.order {
+		res.links = append(res.links, linkState{l.name, l.bytes, l.busy, l.peak})
 	}
 }
 
-// collect records every link's settled accounting and the solver
-// counters once the run is over.
+// collect records the links' final accounting and the solver counters
+// once the run is over.
 func (res *churnResult) collect(f *Fabric) {
-	for _, l := range f.order {
-		st := l.Stats()
-		res.linkBytes[st.Name] = st.Bytes
-		res.linkBusy[st.Name] = st.Busy
-		res.linkPeak[st.Name] = st.PeakFlows
-		res.linkTimeline[st.Name] = st.Timeline
-	}
+	res.snap(f)
 	res.fast, res.fallback = f.hubFast, f.hubFallback
 }
 
@@ -58,31 +62,13 @@ func sameChurn(t *testing.T, trial int, inc, ref churnResult) {
 				trial, i, inc.done[i], ref.done[i])
 		}
 	}
-	for name, want := range ref.linkBytes {
-		if got := inc.linkBytes[name]; got != want {
-			t.Errorf("trial %d link %s: carried %v bytes, reference %v",
-				trial, name, got, want)
-		}
-		if got, want := inc.linkBusy[name], ref.linkBusy[name]; got != want {
-			t.Errorf("trial %d link %s: busy %v, reference %v",
-				trial, name, got, want)
-		}
-		if got, want := inc.linkPeak[name], ref.linkPeak[name]; got != want {
-			t.Errorf("trial %d link %s: peak %d flows, reference %d",
-				trial, name, got, want)
-		}
-		got, want := inc.linkTimeline[name], ref.linkTimeline[name]
-		if len(got) != len(want) {
-			t.Errorf("trial %d link %s: timeline has %d points, reference %d",
-				trial, name, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("trial %d link %s timeline[%d]: %+v, reference %+v",
-					trial, name, i, got[i], want[i])
-				break
-			}
+	if len(inc.links) != len(ref.links) {
+		t.Errorf("trial %d: %d link snapshots, reference %d", trial, len(inc.links), len(ref.links))
+	}
+	for i := range min(len(inc.links), len(ref.links)) {
+		if inc.links[i] != ref.links[i] {
+			t.Errorf("trial %d link snapshot %d: %+v, reference %+v", trial, i, inc.links[i], ref.links[i])
+			break
 		}
 	}
 	if ref.fast != 0 || ref.fallback != 0 {
@@ -117,7 +103,7 @@ func runChurn(seed int64, full bool) churnResult {
 	}
 
 	n := r.Intn(10) + 6
-	res := newChurnResult(n)
+	res := churnResult{done: make([]simtime.Duration, n)}
 	for i := 0; i < n; i++ {
 		src := hosts[r.Intn(len(hosts))]
 		dst := hosts[r.Intn(len(hosts))]
@@ -134,9 +120,9 @@ func runChurn(seed int64, full bool) churnResult {
 			panic(err)
 		}
 		start := simtime.Duration(r.Intn(8000)) * time.Millisecond
-		var opts []option
+		capRate := 0.0
 		if r.Intn(3) == 0 {
-			opts = append(opts, WithCap(float64(r.Intn(700)+40)))
+			capRate = float64(r.Intn(700) + 40)
 		}
 		i := i
 		if r.Intn(2) == 0 {
@@ -144,8 +130,8 @@ func runChurn(seed int64, full bool) churnResult {
 			bytes := int64(r.Intn(60_000) + 200)
 			c.Go(func() {
 				c.Sleep(start)
-				f.Transfer(p, bytes, opts...)
-				res.done[i] = c.Now()
+				f.start(p, bytes, capRate).Wait()
+				res.finished(f, i)
 			})
 		} else {
 			// Persistent stream: several sends with gaps between them,
@@ -159,14 +145,15 @@ func runChurn(seed int64, full bool) churnResult {
 			}
 			c.Go(func() {
 				c.Sleep(start)
-				st := f.Stream(p, opts...)
+				st := f.Stream(p)
+				st.SetCap(capRate)
 				for s := range chunks {
 					st.Send(chunks[s])
 					c.Sleep(gaps[s])
 				}
 				st.Close()
 				st.Wait()
-				res.done[i] = c.Now()
+				res.finished(f, i)
 			})
 		}
 	}
@@ -206,7 +193,7 @@ func runHubChurn(seed int64, full bool) churnResult {
 	})
 
 	n := r.Intn(161) + 40
-	res := newChurnResult(n)
+	res := churnResult{done: make([]simtime.Duration, n)}
 	for i := 0; i < n; i++ {
 		w := r.Intn(len(west))
 		src, dst, via := west[w], east[r.Intn(len(east))], ""
@@ -219,17 +206,17 @@ func runHubChurn(seed int64, full bool) churnResult {
 			panic(err)
 		}
 		start := simtime.Duration(r.Intn(40_000)) * time.Millisecond
-		var opts []option
+		capRate := 0.0
 		if r.Intn(4) == 0 {
-			opts = append(opts, WithCap(capacity/float64(r.Intn(96)+5)))
+			capRate = capacity / float64(r.Intn(96)+5)
 		}
 		i := i
 		if r.Intn(2) == 0 {
 			bytes := int64(r.Intn(20_000) + 200)
 			c.Go(func() {
 				c.Sleep(start)
-				f.Transfer(p, bytes, opts...)
-				res.done[i] = c.Now()
+				f.start(p, bytes, capRate).Wait()
+				res.finished(f, i)
 			})
 			continue
 		}
@@ -241,13 +228,14 @@ func runHubChurn(seed int64, full bool) churnResult {
 		}
 		c.Go(func() {
 			c.Sleep(start)
-			st := f.Stream(p, opts...)
+			st := f.Stream(p)
+			st.SetCap(capRate)
 			for s := range chunks {
 				st.Send(chunks[s])
 				c.Sleep(gaps[s])
 			}
 			st.Close()
-			res.done[i] = c.Now()
+			res.finished(f, i)
 		})
 	}
 	c.RunFor()
@@ -328,7 +316,7 @@ func TestStreamMatchesOneShotFlow(t *testing.T) {
 				done = c.Now()
 			})
 			c.RunFor()
-			return done, f.Link("nic-b").Stats().Bytes
+			return done, linkSeries(f, "bytes_total", "nic-b")
 		}
 
 		sDone, sBytes := run(true)

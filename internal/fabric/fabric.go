@@ -32,7 +32,6 @@ package fabric
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -75,8 +74,7 @@ type Fabric struct {
 	order []*Link // insertion order: deterministic iteration
 
 	flows []*Flow // active flows in arrival order
-	seq   uint64
-	gen   uint64 // completion-timer generation
+	gen   uint64  // completion-timer generation
 	last  simtime.Duration
 
 	cancelTimer *bool            // handle canceling the armed completion timer, if any
@@ -97,7 +95,6 @@ type Fabric struct {
 	uniform         bool   // every active flow holds one rate (solveHub's fast path)
 	hubFast         uint64 // solveHub outcomes, for the equivalence tests
 	hubFallback     uint64
-	sampleDue       simtime.Duration // earliest instant any link's timeline is due
 	compFlows       []*Flow
 	compLinks       []*Link
 	scratchA        []*Flow
@@ -148,10 +145,9 @@ func (f *Fabric) AddLink(name string, capacity float64, a, b string) *Link {
 	if _, taken := f.links[name]; taken {
 		panic(fmt.Sprintf("fabric: duplicate link name %q", name))
 	}
-	l := &Link{fab: f, name: name, id: len(f.order), capacity: capacity, nominal: capacity}
+	l := &Link{fab: f, name: name, capacity: capacity, nominal: capacity}
 	f.links[name] = l
 	f.order = append(f.order, l)
-	f.sampleDue = 0
 	f.connect(a, b, l)
 	// Emit the link's accounting through the telemetry registry as
 	// snapshot-time collected series (the fabric already keeps these
@@ -208,7 +204,7 @@ func (f *Fabric) Link(name string) *Link { return f.links[name] }
 // routes src -> dst directly. The returned Path lists every link
 // crossed, with repeats when both legs cross the same link.
 func (f *Fabric) Route(src, via, dst string) (Path, error) {
-	p := Path{fab: f, src: src, dst: dst}
+	p := Path{fab: f}
 	legs := [][2]string{{src, dst}}
 	if via != "" && via != src && via != dst {
 		legs = [][2]string{{src, via}, {via, dst}}
@@ -234,7 +230,7 @@ func (f *Fabric) RouteAvoid(src, dst string, avoid func(*Link) bool) (Path, erro
 	if err != nil {
 		return Path{}, err
 	}
-	return Path{fab: f, src: src, dst: dst, links: links}, nil
+	return Path{fab: f, links: links}, nil
 }
 
 // bfs finds the fewest-link path a -> b, returning the links crossed in
@@ -295,9 +291,8 @@ func (f *Fabric) bfs(a, b string, avoid func(*Link) bool) ([]*Link, error) {
 
 // Path is a resolved route: the ordered links a flow crosses.
 type Path struct {
-	fab      *Fabric
-	src, dst string
-	links    []*Link
+	fab   *Fabric
+	links []*Link
 }
 
 // Empty reports whether the path crosses no links (zero value, or a
@@ -370,7 +365,6 @@ func (p Path) Transfer(n int64) {
 type Link struct {
 	fab      *Fabric
 	name     string
-	id       int // creation index: deterministic solver iteration order
 	capacity float64
 	nominal  float64 // capacity before degradation, restored on repair
 
@@ -390,12 +384,10 @@ type Link struct {
 	comp     uint64 // component-gather stamp (see Fabric.solveID)
 
 	// Accounting (updated at settle points).
-	bytes    float64          // cumulative bytes carried
-	busy     simtime.Duration // time with at least one flow crossing
-	active   int              // distinct flows crossing now
-	peak     int              // max concurrent flows seen
-	timeline []timePoint
-	width    simtime.Duration // timeline sample spacing (doubles when full)
+	bytes  float64          // cumulative bytes carried
+	busy   simtime.Duration // time with at least one flow crossing
+	active int              // distinct flows crossing now
+	peak   int              // max concurrent flows seen
 
 	// corruptQ holds armed silent corruptions, one per queued cause
 	// event ID: the next flow to start across the link consumes one and
@@ -420,19 +412,6 @@ func (l *Link) SetLatency(d simtime.Duration) *Link {
 	}
 	l.latency = d
 	return l
-}
-
-// maxTimeline bounds the per-link utilization timeline: beyond this the
-// series is thinned to every other point and the spacing doubles, so
-// multi-day campaigns stay bounded without losing the overall shape.
-const maxTimeline = 4096
-
-// timePoint is one utilization-timeline sample: cumulative bytes
-// carried and busy time as of a virtual instant.
-type timePoint struct {
-	At    simtime.Duration
-	Bytes float64
-	Busy  simtime.Duration
 }
 
 // Name reports the link's unique label.
@@ -470,57 +449,3 @@ func (l *Link) armCorrupt(causeEvent uint64) {
 // ArmedCorruptions reports how many armed corruptions have not yet
 // been consumed by a flow.
 func (l *Link) ArmedCorruptions() int { return len(l.corruptQ) }
-
-// Stream opens a persistent single-hop stream across the link — the
-// coalesced form of repeated one-link transfers (background noise loops
-// use it so each burst costs O(1) instead of a join/leave recompute
-// pair).
-func (l *Link) Stream(opts ...option) *Flow {
-	return l.fab.Stream(Path{fab: l.fab, links: []*Link{l}}, opts...)
-}
-
-// Stats returns a settled snapshot of the link's accounting.
-func (l *Link) Stats() LinkStats {
-	l.fab.settle()
-	return LinkStats{
-		Name:      l.name,
-		Capacity:  l.capacity,
-		Nominal:   l.nominal,
-		Bytes:     l.bytes,
-		Busy:      l.busy,
-		PeakFlows: l.peak,
-		Timeline:  append([]timePoint(nil), l.timeline...),
-	}
-}
-
-// LinkStats is a snapshot of one link's utilization record.
-type LinkStats struct {
-	Name      string
-	Capacity  float64
-	Nominal   float64
-	Bytes     float64          // cumulative bytes carried
-	Busy      simtime.Duration // time with >= 1 flow crossing
-	PeakFlows int
-	Timeline  []timePoint
-}
-
-// sample appends a timeline point if the spacing has lapsed, thinning
-// when the series is full, and returns when the next point is due.
-func (l *Link) sample(now simtime.Duration) (due simtime.Duration) {
-	if l.width == 0 {
-		l.width = time.Minute
-	}
-	if len(l.timeline) > 0 && now-l.timeline[len(l.timeline)-1].At < l.width {
-		return l.timeline[len(l.timeline)-1].At + l.width
-	}
-	l.timeline = append(l.timeline, timePoint{At: now, Bytes: l.bytes, Busy: l.busy})
-	if len(l.timeline) >= maxTimeline {
-		kept := l.timeline[:0]
-		for i := 0; i < len(l.timeline); i += 2 {
-			kept = append(kept, l.timeline[i])
-		}
-		l.timeline = kept
-		l.width *= 2
-	}
-	return l.timeline[len(l.timeline)-1].At + l.width
-}

@@ -118,10 +118,10 @@ func TestSingleFlowBottleneck(t *testing.T) {
 	// The flow ran at 200 B/s end to end: the fast hops carried only
 	// what the bottleneck admitted, and every hop saw the same bytes.
 	for _, name := range []string{"array", "trunk", "nicA"} {
-		near(t, name+" bytes", f.Link(name).Stats().Bytes, 600, 1)
+		near(t, name+" bytes", linkSeries(f, "bytes_total", name), 600, 1)
 	}
-	if f.Link("nicB").Stats().Bytes != 0 {
-		t.Fatalf("nicB carried %v bytes, want 0", f.Link("nicB").Stats().Bytes)
+	if got := linkSeries(f, "bytes_total", "nicB"); got != 0 {
+		t.Fatalf("nicB carried %v bytes, want 0", got)
 	}
 }
 
@@ -146,9 +146,9 @@ func TestMaxMinCoupledSharing(t *testing.T) {
 	c.RunFor()
 	near(t, "flow A finish", doneA.Seconds(), 2.0, 0.01)
 	near(t, "flow B finish", doneB.Seconds(), 3.5, 0.01)
-	near(t, "trunk bytes", f.Link("trunk").Stats().Bytes, 900, 1)
-	if got := f.Link("trunk").Stats().PeakFlows; got != 2 {
-		t.Fatalf("trunk peak flows = %d, want 2", got)
+	near(t, "trunk bytes", linkSeries(f, "bytes_total", "trunk"), 900, 1)
+	if got := linkSeries(f, "peak_flows", "trunk"); got != 2 {
+		t.Fatalf("trunk peak flows = %v, want 2", got)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestPerFlowCap(t *testing.T) {
 	c.Go(func() {
 		p, _ := f.Route("src", "", "a")
 		start := c.Now()
-		f.Transfer(p, 100, WithCap(50)) // 100 bytes at 50 B/s -> 2s
+		f.start(p, 100, 50).Wait() // 100 bytes at 50 B/s -> 2s
 		near(t, "capped duration", (c.Now() - start).Seconds(), 2.0, 0.01)
 	})
 	c.Go(func() {
@@ -189,7 +189,7 @@ func TestCrossingMultiplicity(t *testing.T) {
 		near(t, "bounce duration", (c.Now() - start).Seconds(), 2.0, 0.01)
 	})
 	c.RunFor()
-	near(t, "nicA bytes", f.Link("nicA").Stats().Bytes, 400, 1)
+	near(t, "nicA bytes", linkSeries(f, "bytes_total", "nicA"), 400, 1)
 }
 
 func TestSetCapacityMidFlight(t *testing.T) {
@@ -317,49 +317,9 @@ func TestUtilizationAndBusy(t *testing.T) {
 		c.Sleep(2 * time.Second)
 	})
 	end := c.RunFor()
-	st := f.Link("nicA").Stats()
-	near(t, "nicA utilization", st.utilization(end), 0.5, 0.01) // 400 of 200*4
-	near(t, "nicA busy fraction", st.busyFraction(end), 0.5, 0.01)
-}
-
-// TestTimelineSamplesWhenDue pins the sampling rule settle applies
-// lazily: a link's timeline gains a point at the first settle at least
-// one spacing after its last point (polls every 6s land exactly on each
-// due instant), and a link added mid-run gets its first point at its
-// first settle, not when the older links are next due.
-func TestTimelineSamplesWhenDue(t *testing.T) {
-	const poll = 6 * time.Second // Stats settles the fabric
-	c := simtime.NewClock()
-	f := New(c)
-	a := f.AddLink("a", 1000, "x", "y")
-	var b *Link
-	c.Go(func() { Path{}.With(a).Transfer(500_000) }) // busy until 500s
-	c.Go(func() {
-		for at := poll; at < 600*time.Second; at += poll {
-			c.Sleep(poll)
-			a.Stats()
-			if at == 66*time.Second {
-				// a's points so far: 6s, 66s; next due at 126s.
-				c.Sleep(2 * time.Second)
-				b = f.AddLink("b", 1000, "y", "z")
-				c.Go(func() { Path{}.With(b).Transfer(1000) })
-				c.Sleep(poll - 2*time.Second)
-			}
-		}
-	})
-	c.RunFor()
-	tl := a.Stats().Timeline
-	if len(tl) != 9 || tl[0].At != poll {
-		t.Fatalf("a's timeline %v, want 9 points from 6s", tl)
-	}
-	for i := 1; i < len(tl); i++ {
-		if gap := tl[i].At - tl[i-1].At; gap != time.Minute {
-			t.Errorf("a's points %d and %d are %v apart, want 1m", i-1, i, gap)
-		}
-	}
-	if bt := b.Stats().Timeline; len(bt) == 0 || bt[0].At != 68*time.Second {
-		t.Errorf("b's timeline %v, want its first point at 68s, when its first flow settled", bt)
-	}
+	utilization := linkSeries(f, "bytes_total", "nicA") / (linkSeries(f, "nominal_bytes_per_second", "nicA") * end.Seconds())
+	near(t, "nicA utilization", utilization, 0.5, 0.01) // 400 of 200*4
+	near(t, "nicA busy fraction", linkSeries(f, "busy_seconds_total", "nicA")/end.Seconds(), 0.5, 0.01)
 }
 
 func TestArmCorruptTaintsNextFlow(t *testing.T) {
@@ -447,7 +407,7 @@ func TestSolveKeepsScratch(t *testing.T) {
 		pa, _ := f.Route("src", "", "a")
 		pb, _ := f.Route("src", "", "b")
 		f.Start(pa, 1e6)
-		f.Start(pb, 1e6, WithCap(250))
+		f.start(pb, 1e6, 250)
 		if n := testing.AllocsPerRun(100, func() { f.solve(f.flows, []*Link{slow, fast}) }); n != 0 {
 			t.Errorf("solve allocates %v times per call, want 0", n)
 		}
@@ -457,21 +417,8 @@ func TestSolveKeepsScratch(t *testing.T) {
 	c.RunFor()
 }
 
-// utilization reports bytes carried as a fraction of what the nominal
-// capacity could have carried over elapsed — the bottleneck-naming
-// metric: the hop pinned at ~1.0 is the ceiling.
-func (s LinkStats) utilization(elapsed simtime.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return s.Bytes / (s.Nominal * elapsed.Seconds())
-}
-
-// busyFraction reports the fraction of elapsed time the link had at
-// least one flow crossing it.
-func (s LinkStats) busyFraction(elapsed simtime.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Busy) / float64(elapsed)
+// linkSeries reads one of a link's fabric_link_* registry series; the
+// byte and busy counters settle the fabric first.
+func linkSeries(f *Fabric, name, link string) float64 {
+	return telemetry.Of(f.clock).Snapshot().Value("fabric_link_"+name, "link", link)
 }

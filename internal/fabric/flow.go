@@ -26,7 +26,6 @@ import (
 // and busy accounting — so the virtual-time results are identical.
 type Flow struct {
 	fab   *Fabric
-	seq   uint64
 	cross []linkCross // unique links on the path with crossing multiplicity
 
 	bytes     float64
@@ -53,23 +52,6 @@ type linkCross struct {
 	link *Link
 	k    int
 	pos  int
-}
-
-// option tunes one flow.
-type option func(*Flow)
-
-// WithCap bounds the flow to at most rate bytes/second regardless of
-// link shares — the single-stream ceiling of a striped pool (one file
-// descriptor only reaches the NSDs its stripes land on). It replaces
-// pftool's post-hoc streamFloor sleep: the cap participates in the
-// max-min allocation, so capped flows leave their unused share to
-// others. Non-positive rates mean uncapped.
-func WithCap(rate float64) option {
-	return func(fl *Flow) {
-		if rate > 0 {
-			fl.capRate = rate
-		}
-	}
 }
 
 // completionEps is the service slack at which a flow counts as done: a
@@ -133,13 +115,13 @@ func (fl *Flow) consumeTaint() {
 // blocking; Wait blocks until it completes. Zero-byte flows and empty
 // paths (co-located endpoints) complete immediately. Must be called
 // from actor context.
-func (f *Fabric) Start(p Path, n int64, opts ...option) *Flow {
+func (f *Fabric) Start(p Path, n int64) *Flow { return f.start(p, n, 0) }
+
+// start is Start with a per-flow cap (see SetCap; 0 = uncapped).
+func (f *Fabric) start(p Path, n int64, capRate float64) *Flow {
 	f.counters()
 	f.ctrFlowsStarted.Inc()
-	fl := &Flow{fab: f, bytes: float64(n), remaining: float64(n), waitGate: simtime.MakeLatch(f.clock)}
-	for _, o := range opts {
-		o(fl)
-	}
+	fl := &Flow{fab: f, bytes: float64(n), remaining: float64(n), capRate: capRate, waitGate: simtime.MakeLatch(f.clock)}
 	if n <= 0 || len(p.links) == 0 {
 		fl.remaining = 0
 		fl.done = true
@@ -164,11 +146,8 @@ func (f *Fabric) Start(p Path, n int64, opts ...option) *Flow {
 // at different instants it leaves the allocation entirely (lazy pause —
 // an idle stream steals no share). One segment may be in flight at a
 // time; Wait blocks until it drains.
-func (f *Fabric) Stream(p Path, opts ...option) *Flow {
+func (f *Fabric) Stream(p Path) *Flow {
 	fl := &Flow{fab: f, persistent: true, waitGate: simtime.MakeLatch(f.clock)}
-	for _, o := range opts {
-		o(fl)
-	}
 	if len(p.links) > 0 {
 		if p.fab != f {
 			panic("fabric: Stream with a path from a different fabric")
@@ -176,6 +155,19 @@ func (f *Fabric) Stream(p Path, opts ...option) *Flow {
 		fl.buildCross(p.links)
 	}
 	return fl
+}
+
+// SetCap bounds the stream to at most rate bytes/second regardless of
+// link shares — the single-stream ceiling of a striped pool (one file
+// descriptor only reaches the NSDs its stripes land on). The cap
+// participates in the max-min allocation, so a capped stream leaves
+// its unused share to others. Non-positive rates mean uncapped. Set it
+// before the first Push: the stream joins the allocation with it.
+func (fl *Flow) SetCap(rate float64) {
+	if fl.inFlows {
+		panic("fabric: SetCap on a stream with a segment in flight")
+	}
+	fl.capRate = max(rate, 0)
 }
 
 // Push starts a segment of n more bytes through the stream and returns
@@ -254,11 +246,9 @@ func (fl *Flow) Close() {
 }
 
 // join adds the flow to the active set and the per-link crossing lists.
-// Streams get a fresh seq per activation, so the solver sees them in
-// the same arrival order a one-shot flow would have.
+// A stream joins at the end of f.flows on every activation, so the
+// solver sees it in the same arrival order a one-shot flow would have.
 func (f *Fabric) join(fl *Flow) {
-	f.seq++
-	fl.seq = f.seq
 	f.flows = append(f.flows, fl)
 	fl.inFlows = true
 	for i := range fl.cross {
@@ -299,9 +289,7 @@ func (f *Fabric) unlink(fl *Flow) {
 
 // Transfer moves n bytes along the path, blocking the calling actor
 // until the flow completes.
-func (f *Fabric) Transfer(p Path, n int64, opts ...option) {
-	f.Start(p, n, opts...).Wait()
-}
+func (f *Fabric) Transfer(p Path, n int64) { f.Start(p, n).Wait() }
 
 // Wait blocks the calling actor until the flow (or, for a stream, the
 // current segment) completes.
@@ -327,9 +315,7 @@ func (fl *Flow) Transferred() int64 {
 }
 
 // settle advances every active flow to the present at its current rate,
-// crediting per-link byte and busy accounting. Timelines are sampled
-// only once the earliest link's next point is due: sample appends
-// nothing before that, so skipping the calls changes no timeline.
+// crediting per-link byte and busy accounting.
 func (f *Fabric) settle() {
 	now := f.clock.Now()
 	dt := now - f.last
@@ -354,15 +340,6 @@ func (f *Fabric) settle() {
 	for _, l := range f.order {
 		if l.active > 0 {
 			l.busy += dt
-		}
-	}
-	if now < f.sampleDue {
-		return
-	}
-	f.sampleDue = math.MaxInt64
-	for _, l := range f.order {
-		if due := l.sample(now); due < f.sampleDue {
-			f.sampleDue = due
 		}
 	}
 }
@@ -410,11 +387,11 @@ func (f *Fabric) recomputeAll() {
 // solveComponentFrom gathers the connected component of the flow/link
 // sharing graph reachable from seed (skipping it if this epoch already
 // solved it) and runs the canonical max-min solver on it: flows in
-// arrival (seq) order, links in creation (id) order — the same
-// deterministic iteration the global recompute used, restricted to the
-// component. The BFS only stamps epoch marks; the canonical order is
-// recovered by filtering f.flows (kept seq-ascending by join/filter)
-// and f.order (id-ascending by construction), so no sort is needed.
+// arrival order, links in creation order — the same deterministic
+// iteration the global recompute used, restricted to the component.
+// The BFS only stamps epoch marks; the canonical order is recovered by
+// filtering f.flows (kept in arrival order by join/filter) and f.order
+// (in creation order by construction), so no sort is needed.
 func (f *Fabric) solveComponentFrom(seed *Link) {
 	if seed.mark == f.epoch || f.hubEpoch == f.epoch {
 		return
@@ -490,7 +467,7 @@ func (f *Fabric) findHub(seed *Link) *Link {
 }
 
 // solveHub solves the fabric's one component when a hub h connects
-// every active flow: the component is f.flows (seq order) and the links
+// every active flow: the component is f.flows (arrival order) and the links
 // with n > 0 (id order), no walk needed. share is the canonical
 // solver's first-pass bottleneck — integer loads are exact in float64,
 // so capacity/float64(n) is the very quotient it computes. When no cap
@@ -531,7 +508,7 @@ func (f *Fabric) solveHub(h *Link) {
 
 // hubBinds reports whether solve's first pass would freeze every flow
 // at share through the hub: no cap binds, and h's ratio stays within
-// bindTol of share as the flows freeze one by one in seq order (the
+// bindTol of share as the flows freeze one by one in arrival order (the
 // pass's own arithmetic, replayed on h alone). Its first test is h's
 // capacity/n itself, so h must be a minimising link to within bindTol —
 // which is all the canonical pass asks of a link to freeze its flows.

@@ -75,7 +75,7 @@ func runOverlap(seed int64, push bool) overlapResult {
 		total += len(o.segs)
 		owners = append(owners, o)
 	}
-	res := overlapResult{churnResult: newChurnResult(total), taints: make([]string, total)}
+	res := overlapResult{churnResult: churnResult{done: make([]simtime.Duration, total)}, taints: make([]string, total)}
 	for i := r.Intn(6) + 2; i > 0; i-- {
 		at := simtime.Duration(r.Intn(60_000)) * time.Millisecond
 		l := f.order[r.Intn(len(f.order))]
@@ -115,7 +115,7 @@ func runOverlap(seed int64, push bool) overlapResult {
 					res.drainedLate++
 				}
 				cause, tainted := fl.Tainted()
-				res.done[o.out+s] = c.Now()
+				res.finished(f, o.out+s)
 				res.taints[o.out+s] = fmt.Sprint(cause, tainted)
 			}
 			if st != nil {
@@ -134,8 +134,9 @@ func runOverlap(seed int64, push bool) overlapResult {
 
 // TestPushThenWaitMatchesSend holds the non-blocking start to the
 // blocking one: starting a transfer, doing other work and then waiting
-// gives bit-identical instants, link bytes, busy time, peaks, timelines,
-// flow counters and taint reports to sending first and working after —
+// gives bit-identical instants, link bytes, busy time and peaks (after
+// every completion and at the end), flow counters and taint reports to
+// sending first and working after —
 // including segments that drain before Wait is called.
 func TestPushThenWaitMatchesSend(t *testing.T) {
 	var early, late int
@@ -180,7 +181,7 @@ func TestZeroBytePushCompletes(t *testing.T) {
 	f := New(c)
 	l := f.AddLink("nic", 100, "a", "b")
 	c.Go(func() {
-		st := l.Stream()
+		st := f.Stream(Path{}.With(l))
 		st.Push(0)
 		st.Wait()
 		if c.Now() != 0 {
@@ -222,8 +223,8 @@ func TestPushAfterDrainCountsPeakWithSameInstantJoin(t *testing.T) {
 	})
 	c.RunFor()
 	for _, name := range []string{"array", "trunk", "nicA"} {
-		if got := f.Link(name).Stats().PeakFlows; got != 2 {
-			t.Errorf("%s peak flows = %d, want 2", name, got)
+		if got := linkSeries(f, "peak_flows", name); got != 2 {
+			t.Errorf("%s peak flows = %v, want 2", name, got)
 		}
 	}
 }

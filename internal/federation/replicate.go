@@ -251,8 +251,8 @@ func (r *Replicator) replicate(item repItem) {
 	// interactive recalls, but it is not scavenger work either — RPO
 	// depends on it: the "federation" tenant at Batch class.
 	grant := r.sch.Station(sched.StationReplicate).Admit(sched.Item{
-		QoS:  sched.QoS{Tenant: "federation", Class: sched.Batch},
-		Kind: "federation.replicate", Units: item.obj.Bytes,
+		QoS:   sched.QoS{Tenant: "federation", Class: sched.Batch},
+		Units: item.obj.Bytes,
 	})
 	defer grant.Done()
 	sp := r.tel.StartSpan("federation.replicate",

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/faults"
-	"repro/internal/hsm"
 	"repro/internal/pfs"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -273,13 +272,16 @@ func TestVolumeEventMarksOneCartridgeAtOneSite(t *testing.T) {
 	})
 }
 
-// tsm:<site> takes down that site's server alone, and a store or a
-// migration the outage aborts cites the event as its cause.
+// tsm:<site> takes down that site's server alone, and a recall the
+// outage aborts cites the event as its cause.
 func TestTSMEventDownsOneServerAndIsCited(t *testing.T) {
 	e := newSiteEnv(t, 2)
 	victim, survivor := e.sites[0], e.sites[1]
 	e.run(t, func() {
-		files := e.seed(t, victim, 2, 1e6)
+		obj, err := victim.TSM.Store(tsm.StoreRequest{Client: "probe", Path: "/probe/f", Bytes: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
 		e.reg.Apply(faults.Event{Component: "tsm:" + victim.Name, Kind: faults.KindFail})
 		if err := storeReplica(victim); !errors.Is(err, tsm.ErrServerDown) {
 			t.Errorf("replica store on %s: err = %v, want tsm.ErrServerDown", victim.Name, err)
@@ -287,67 +289,58 @@ func TestTSMEventDownsOneServerAndIsCited(t *testing.T) {
 		if err := storeReplica(survivor); err != nil {
 			t.Errorf("replica store on %s: %v; only %s's server is down", survivor.Name, err, victim.Name)
 		}
-		_, err := victim.TSM.Store(tsm.StoreRequest{
-			Client: "probe", Path: "/probe/f", Bytes: 1e6,
+		_, err = victim.TSM.Recall(tsm.RecallRequest{
+			Client: "probe", ObjectID: obj.ID,
 			QoS: sched.QoS{Deadline: e.clock.Now() + 30*time.Second},
 		})
 		if !errors.Is(err, sched.ErrDeadlineExceeded) {
-			t.Fatalf("store during the outage: err = %v, want the deadline to pass", err)
+			t.Fatalf("recall during the outage: err = %v, want the deadline to pass", err)
 		}
 		tel := telemetry.Of(e.clock)
 		ev, ok := tel.LastEventFor("tsm:" + victim.Name)
 		if !ok {
 			t.Fatal("no event recorded against the server")
 		}
-		// A migration whose deadline has passed is refused at admission;
-		// the engine blames its own server's outage.
-		if _, err := victim.HSM.Migrate(files, hsm.MigrateOptions{QoS: sched.QoS{Deadline: 1}}); err == nil {
-			t.Fatal("migration past its deadline was admitted")
-		}
-		cited := map[string]bool{}
+		cited := false
 		for _, sp := range tel.FlightDump().Aborted() {
-			cited[sp.Name] = sp.CauseEvent == ev
+			cited = cited || sp.Name == "tsm.recall" && sp.CauseEvent == ev
 		}
-		for _, name := range []string{"tsm.store", "hsm.migrate.node"} {
-			if !cited[name] {
-				t.Errorf("aborted %s span does not cite the tsm:%s event %d", name, victim.Name, ev)
-			}
+		if !cited {
+			t.Errorf("no aborted tsm.recall span cites the tsm:%s event %d", victim.Name, ev)
 		}
 	})
 }
 
 // Once tsm:<site> is repaired, a refusal is no longer the outage's
-// doing: a store and a migration refused an hour later for a passed
-// deadline cite no fault event.
+// doing: a recall refused an hour later for a passed deadline cites no
+// fault event.
 func TestRefusalAfterRepairCitesNoOutage(t *testing.T) {
 	e := newSiteEnv(t, 2)
 	victim := e.sites[0]
 	e.run(t, func() {
-		files := e.seed(t, victim, 2, 1e6)
+		obj, err := victim.TSM.Store(tsm.StoreRequest{Client: "probe", Path: "/probe/f", Bytes: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
 		comp := "tsm:" + victim.Name
 		e.reg.Apply(faults.Event{Component: comp, Kind: faults.KindFail})
 		e.reg.Apply(faults.Event{Component: comp, Kind: faults.KindRepair})
 		e.clock.Sleep(time.Hour)
-		if _, err := victim.TSM.Store(tsm.StoreRequest{
-			Client: "probe", Path: "/probe/f", Bytes: 1e6, QoS: sched.QoS{Deadline: 1},
+		if _, err := victim.TSM.Recall(tsm.RecallRequest{
+			Client: "probe", ObjectID: obj.ID, QoS: sched.QoS{Deadline: 1},
 		}); !errors.Is(err, sched.ErrDeadlineExceeded) {
-			t.Fatalf("store past its deadline: err = %v, want the deadline to pass", err)
-		}
-		if _, err := victim.HSM.Migrate(files, hsm.MigrateOptions{QoS: sched.QoS{Deadline: 1}}); err == nil {
-			t.Fatal("migration past its deadline was admitted")
+			t.Fatalf("recall past its deadline: err = %v, want the deadline to pass", err)
 		}
 		tel := telemetry.Of(e.clock)
-		seen := map[string]bool{}
+		seen := false
 		for _, sp := range tel.FlightDump().Aborted() {
-			seen[sp.Name] = true
+			seen = seen || sp.Name == "tsm.recall"
 			if sp.CauseEvent != 0 {
 				t.Errorf("aborted %s span cites event %d, want 0: the server is up", sp.Name, sp.CauseEvent)
 			}
 		}
-		for _, name := range []string{"tsm.store", "hsm.migrate.node"} {
-			if !seen[name] {
-				t.Errorf("no aborted %s span", name)
-			}
+		if !seen {
+			t.Error("no aborted tsm.recall span")
 		}
 	})
 }

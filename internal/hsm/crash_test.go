@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/pfs"
+	"repro/internal/telemetry"
 )
 
 // crashNodeAt schedules node i of the env's cluster to crash at the
@@ -33,8 +34,8 @@ func TestMigrateSurvivesMoverCrash(t *testing.T) {
 	if res.Files != 40 {
 		t.Fatalf("migrated %d files, want 40", res.Files)
 	}
-	if res.Rounds < 2 || res.Requeued == 0 {
-		t.Errorf("expected a redistribution round, got rounds=%d requeued=%d", res.Rounds, res.Requeued)
+	if rounds := telemetry.Of(e.clock).Snapshot().Value("hsm_migration_rounds_total"); rounds < 2 || res.Requeued == 0 {
+		t.Errorf("expected a redistribution round, got rounds=%v requeued=%d", rounds, res.Requeued)
 	}
 	// Exactly once: every file is stubbed and TSM holds exactly one
 	// object per file.

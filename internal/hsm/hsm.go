@@ -200,20 +200,15 @@ type MigrateOptions struct {
 	// machine (the GPFS policy engine "may start multiple migrations";
 	// zero means one).
 	StreamsPerNode int
-	// QoS tags the run's scheduler admissions; an unset class defaults
-	// to Batch (migration is throughput work).
-	QoS sched.QoS
 }
 
 // MigrateResult reports one migration run.
 type MigrateResult struct {
 	Files       int
 	Bytes       int64
-	Aggregates  int
 	Skipped     int // non-resident or directory entries ignored
 	Requeued    int // files reassigned after a mover crash
-	Rejected    int // files whose stream the scheduler refused (deadline/shed)
-	Rounds      int // distribution rounds run (1 = no crashes)
+	Rejected    int // files whose stream the scheduler refused (shed)
 	NodeBytes   []int64
 	NodeFinish  []simtime.Duration // per-node completion times
 	FirstErrors []string
@@ -288,7 +283,6 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 			res.Requeued += len(remaining)
 			e.ctrRequeued.Add(float64(len(remaining)))
 		}
-		res.Rounds = round + 1
 		e.ctrRounds.Inc()
 		var bins [][]pfs.Info
 		if opt.Balanced {
@@ -319,11 +313,11 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 					// Each mover stream is one scheduler admission: the
 					// whole share is a single batch-class work item.
 					grant := e.sch.Station(sched.StationMigrate).Admit(sched.Item{
-						QoS: opt.QoS.Or(sched.Batch), Kind: "hsm.migrate", Units: shareBytes,
+						QoS: sched.QoS{}.Or(sched.Batch), Units: shareBytes,
 					})
 					if gerr := grant.Err(); gerr != nil {
-						// Admission refused the stream (deadline passed or
-						// brownout shed): abort its span, count the files,
+						// Admission refused the stream (brownout shed):
+						// abort its span, count the files,
 						// and surface the first refusal to the caller.
 						sp := runSpan.StartChild("hsm.migrate.node",
 							"node", node.Name, "round", strconv.Itoa(round))
@@ -338,10 +332,9 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 					defer grant.Done()
 					sp := runSpan.StartChild("hsm.migrate.node",
 						"node", node.Name, "round", strconv.Itoa(round))
-					files, bytes, aggs, left, err := e.migrateOnNode(node, share, sp)
+					files, bytes, left, err := e.migrateOnNode(node, share, sp)
 					res.Files += files
 					res.Bytes += bytes
-					res.Aggregates += aggs
 					res.NodeBytes[i] += bytes
 					res.NodeFinish[i] = e.clock.Now()
 					leftovers = append(leftovers, left...)
@@ -387,7 +380,7 @@ func (e *Engine) Migrate(candidates []pfs.Info, opt MigrateOptions) (MigrateResu
 // crashes the stream aborts at a file boundary and the untouched rest
 // of the share (including any unflushed aggregate bundle, none of which
 // has been stored) comes back as leftover for reassignment.
-func (e *Engine) migrateOnNode(node *cluster.Node, files []pfs.Info, parent *telemetry.Span) (nfiles int, nbytes int64, naggs int, leftover []pfs.Info, err error) {
+func (e *Engine) migrateOnNode(node *cluster.Node, files []pfs.Info, parent *telemetry.Span) (nfiles int, nbytes int64, leftover []pfs.Info, err error) {
 	pool := e.fs.DefaultPool()
 	// One persistent stream carries every store of this share: each
 	// object is a segment of the same long-lived flow, so a
@@ -408,39 +401,38 @@ func (e *Engine) migrateOnNode(node *cluster.Node, files []pfs.Info, parent *tel
 		}
 		nfiles += len(bundle)
 		nbytes += bundleBytes
-		naggs++
 		bundle, bundleBytes = nil, 0
 		return nil
 	}
 	for fi, f := range files {
 		if node.Down() {
 			leftover = append(append(leftover, bundle...), files[fi:]...)
-			return nfiles, nbytes, naggs, leftover, nil
+			return nfiles, nbytes, leftover, nil
 		}
 		if e.cfg.AggregateThreshold > 0 && f.Size < e.cfg.AggregateThreshold {
 			bundle = append(bundle, f)
 			bundleBytes += f.Size
 			if bundleBytes >= e.cfg.AggregateTarget {
 				if err := flush(); err != nil {
-					return nfiles, nbytes, naggs, nil, err
+					return nfiles, nbytes, nil, err
 				}
 			}
 			continue
 		}
 		if err := e.storeSingle(node, pool, stream, f, parent); err != nil {
-			return nfiles, nbytes, naggs, nil, err
+			return nfiles, nbytes, nil, err
 		}
 		nfiles++
 		nbytes += f.Size
 	}
 	if node.Down() {
 		leftover = append(leftover, bundle...)
-		return nfiles, nbytes, naggs, leftover, nil
+		return nfiles, nbytes, leftover, nil
 	}
 	if err := flush(); err != nil {
-		return nfiles, nbytes, naggs, nil, err
+		return nfiles, nbytes, nil, err
 	}
-	return nfiles, nbytes, naggs, nil, nil
+	return nfiles, nbytes, nil, nil
 }
 
 // route resolves (and caches) the fabric path an HSM mover on node
@@ -566,19 +558,13 @@ type recallItem struct {
 
 // RecallResult reports one recall run.
 type RecallResult struct {
-	Files     int
-	Bytes     int64
-	Volumes   int
-	NotFound  []string
-	Aggregate int // files recovered via aggregate recall
-	Requeued  int // recall items reassigned after a daemon's node crashed
-	Rejected  int // recall items whose bin the scheduler refused (deadline/shed)
-	Rounds    int // distribution rounds run (1 = no crashes)
+	Files int
+	Bytes int64
 }
 
 // Recall brings the named migrated files back to disk using mode's
-// routing. Paths that are not migrated are skipped silently if already
-// resident, or reported in NotFound when unknown. Each recall daemon's
+// routing. Paths that are not migrated are skipped silently: already
+// resident, unknown, or with no tape copy. Each recall daemon's
 // bin passes the hsm.recall station as an expedited Interactive item
 // of the default tenant: someone is usually waiting on a recall.
 func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
@@ -591,7 +577,6 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 	for _, p := range paths {
 		id, st, err := e.fs.Lookup(p)
 		if err != nil {
-			res.NotFound = append(res.NotFound, p)
 			continue
 		}
 		if st != pfs.Migrated {
@@ -603,7 +588,6 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 		}
 		rec, err := e.locate(p, id)
 		if err != nil {
-			res.NotFound = append(res.NotFound, p)
 			continue
 		}
 		items = append(items, rec)
@@ -618,7 +602,6 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 	for _, id := range aggIDs {
 		obj, err := e.srv.Get(id)
 		if err != nil {
-			res.NotFound = append(res.NotFound, aggWanted[id]...)
 			continue
 		}
 		items = append(items, recallItem{
@@ -628,14 +611,7 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 			seq:    obj.Seq,
 			bytes:  obj.Bytes,
 		})
-		res.Aggregate += len(aggWanted[id])
 	}
-
-	volumes := make(map[string]bool)
-	for _, it := range items {
-		volumes[it.volume] = true
-	}
-	res.Volumes = len(volumes)
 
 	runSpan := e.tel.StartSpan("hsm.recall",
 		"mode", recallModeName(mode), "files", strconv.Itoa(len(items)))
@@ -649,10 +625,6 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 			}
 			break
 		}
-		if round > 0 {
-			res.Requeued += len(remaining)
-		}
-		res.Rounds = round + 1
 		bins := e.routeRecalls(remaining, mode, len(idx))
 		var leftovers []recallItem
 		wg := simtime.NewWaitGroup(e.clock)
@@ -672,17 +644,15 @@ func (e *Engine) Recall(paths []string, mode RecallMode) (RecallResult, error) {
 				defer wg.Done()
 				node := e.nodes[i]
 				grant := e.sch.Station(sched.StationRecall).Admit(sched.Item{
-					QoS: sched.QoS{}.Or(sched.Interactive), Kind: "hsm.recall",
+					QoS:   sched.QoS{}.Or(sched.Interactive),
 					Units: binBytes, Expedite: true,
 				})
 				if gerr := grant.Err(); gerr != nil {
-					// The bin's deadline passed while it queued (or the
-					// class was shed): abandon it, counted, citing the
+					// The class was shed: abandon the bin, citing the
 					// TSM outage while one lasts.
 					sp := runSpan.StartChild("hsm.recall.node",
 						"node", node.Name, "round", strconv.Itoa(round))
 					sp.Abort(gerr.Error(), e.srv.DownCause())
-					res.Rejected += len(bins[bi])
 					if firstErr == nil {
 						firstErr = gerr
 					}
@@ -1042,8 +1012,8 @@ func (e *Engine) Locate(paths []string, ids []vfs.FileID) (locs []TapeLoc, missi
 // under PFTool's TapeProc: one machine owns one tape end to end in a
 // single drive session, so there are no LAN-free hand-off penalties and
 // the tape reads front to back. The whole pinned run passes the
-// scheduler as one expedited recall admission for qos's tenant.
-func (e *Engine) RecallPinned(nodeName string, paths []string, ids []vfs.FileID, qos sched.QoS) error {
+// scheduler as one expedited recall admission.
+func (e *Engine) RecallPinned(nodeName string, paths []string, ids []vfs.FileID) error {
 	var node *cluster.Node
 	for _, n := range e.nodes {
 		if n.Name == nodeName {
@@ -1089,7 +1059,7 @@ func (e *Engine) RecallPinned(nodeName string, paths []string, ids []vfs.FileID,
 		totalBytes += it.bytes
 	}
 	grant := e.sch.Station(sched.StationRecall).Admit(sched.Item{
-		QoS: qos.Or(sched.Interactive), Kind: "hsm.recall-pinned",
+		QoS:   sched.QoS{}.Or(sched.Interactive),
 		Units: totalBytes, Expedite: true,
 	})
 	if gerr := grant.Err(); gerr != nil {

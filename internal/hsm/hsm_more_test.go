@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/pfs"
-	"repro/internal/sched"
 	"repro/internal/vfs"
 )
 
@@ -56,7 +55,7 @@ func TestLocateAggregateMembers(t *testing.T) {
 func TestRecallPinnedUnknownNode(t *testing.T) {
 	e := newEnv(t, 2, Config{})
 	e.run(t, func() {
-		if err := e.eng.RecallPinned("not-a-node", nil, nil, sched.QoS{}); err == nil {
+		if err := e.eng.RecallPinned("not-a-node", nil, nil); err == nil {
 			t.Error("unknown node accepted")
 		}
 	})
@@ -67,7 +66,7 @@ func TestRecallPinnedSkipsResident(t *testing.T) {
 	e.run(t, func() {
 		files := e.mkFiles(t, "/d", 2, 1e6)
 		// Nothing migrated: pinned recall is a no-op.
-		if err := e.eng.RecallPinned("fta01", []string{files[0].Path, files[1].Path}, []vfs.FileID{files[0].ID, files[1].ID}, sched.QoS{}); err != nil {
+		if err := e.eng.RecallPinned("fta01", []string{files[0].Path, files[1].Path}, []vfs.FileID{files[0].ID, files[1].ID}); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.count("hsm_recalled_files_total"); n != 0 {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/pfs"
-	"repro/internal/sched"
 	"repro/internal/vfs"
 )
 
@@ -54,7 +53,7 @@ func TestRestoreBillsPerVolumeRun(t *testing.T) {
 	const cost = 200 * time.Microsecond
 	recalls := map[string]func(e *env, paths []string, ids []vfs.FileID) error{
 		"RecallPinned": func(e *env, paths []string, ids []vfs.FileID) error {
-			return e.eng.RecallPinned(e.cl.Nodes()[0].Name, paths, ids, sched.QoS{})
+			return e.eng.RecallPinned(e.cl.Nodes()[0].Name, paths, ids)
 		},
 		"RecallOrdered": func(e *env, paths []string, _ []vfs.FileID) error {
 			res, err := e.eng.Recall(paths, RecallOrdered)
@@ -133,7 +132,7 @@ func TestRestoreVerifyMismatch(t *testing.T) {
 		e := newEnvMeta(t, 1, Config{}, 200*time.Microsecond)
 		e.run(t, func() {
 			paths, ids := setup(t, e)
-			err := e.eng.RecallPinned(e.cl.Nodes()[0].Name, paths, ids, sched.QoS{})
+			err := e.eng.RecallPinned(e.cl.Nodes()[0].Name, paths, ids)
 			if err == nil || !strings.Contains(err.Error(), paths[bad]+" restored with digest") {
 				t.Fatalf("err = %v, want the digest mismatch on %s", err, paths[bad])
 			}
@@ -173,7 +172,7 @@ const recallAllocsPerFile = 7.15
 func pinnedRecallAllocs(tb testing.TB, e *env, paths []string, ids []vfs.FileID) float64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := e.eng.RecallPinned(e.cl.Nodes()[0].Name, paths, ids, sched.QoS{}); err != nil {
+	if err := e.eng.RecallPinned(e.cl.Nodes()[0].Name, paths, ids); err != nil {
 		tb.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -216,7 +215,7 @@ func BenchmarkRecallPinned(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := e.eng.RecallPinned(node, paths, ids, sched.QoS{}); err != nil {
+			if err := e.eng.RecallPinned(node, paths, ids); err != nil {
 				panic(err)
 			}
 			b.StopTimer()

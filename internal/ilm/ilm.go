@@ -14,11 +14,11 @@ import (
 	"repro/internal/pfs"
 )
 
-// predicate selects files during a policy scan.
-type predicate func(info pfs.Info, now time.Duration) bool
+// A Predicate selects files during a policy scan.
+type Predicate func(info pfs.Info, now time.Duration) bool
 
 // And composes predicates conjunctively.
-func And(ps ...predicate) predicate {
+func And(ps ...Predicate) Predicate {
 	return func(i pfs.Info, now time.Duration) bool {
 		for _, p := range ps {
 			if !p(i, now) {
@@ -30,17 +30,17 @@ func And(ps ...predicate) predicate {
 }
 
 // IsFile matches regular files (directories never migrate).
-func IsFile() predicate {
+func IsFile() Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return !i.IsDir() }
 }
 
 // sizeLess matches files smaller than n bytes.
-func sizeLess(n int64) predicate {
+func sizeLess(n int64) Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.Size < n }
 }
 
 // PathPrefix matches files under the given directory prefix.
-func PathPrefix(prefix string) predicate {
+func PathPrefix(prefix string) Predicate {
 	prefix = strings.TrimSuffix(prefix, "/")
 	return func(i pfs.Info, _ time.Duration) bool {
 		return i.Path == prefix || strings.HasPrefix(i.Path, prefix+"/")
@@ -48,32 +48,27 @@ func PathPrefix(prefix string) predicate {
 }
 
 // inPool matches files placed in the named pool.
-func inPool(pool string) predicate {
+func inPool(pool string) Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.Pool == pool }
 }
 
 // StateIs matches files in the given migration state.
-func StateIs(s pfs.MigState) predicate {
+func StateIs(s pfs.MigState) Predicate {
 	return func(i pfs.Info, _ time.Duration) bool { return i.State == s }
 }
 
-// ListPolicy emits the files matching Where, the GPFS LIST rule whose
-// output feeds the parallel data migrator.
-type ListPolicy struct {
-	Name  string
-	Where predicate
-}
-
-// RunList scans fs and returns matching files in deterministic walk
-// order. The scan charges the calibrated per-inode cost.
-func RunList(fs *pfs.FS, p ListPolicy) ([]pfs.Info, error) {
+// RunList is the GPFS LIST rule whose output feeds the parallel data
+// migrator: it scans fs and returns the files matching where (nil
+// matches every file) in deterministic walk order. The scan charges the
+// calibrated per-inode cost.
+func RunList(fs *pfs.FS, where Predicate) ([]pfs.Info, error) {
 	now := fs.Clock().Now()
 	var out []pfs.Info
 	err := fs.Scan(func(i pfs.Info) error {
 		if i.IsDir() {
 			return nil
 		}
-		if p.Where == nil || p.Where(i, now) {
+		if where == nil || where(i, now) {
 			out = append(out, i)
 		}
 		return nil
@@ -83,16 +78,15 @@ func RunList(fs *pfs.FS, p ListPolicy) ([]pfs.Info, error) {
 
 // placementRule routes new files to a pool.
 type placementRule struct {
-	Name string
 	// Where inspects the prospective file (only Path and Size are
 	// populated at placement time).
-	Where predicate
+	Where Predicate
 	Pool  string
 }
 
 // Placement is an ordered rule list with a default pool.
 type Placement struct {
-	Rules   []placementRule
+	rules   []placementRule
 	Default string
 }
 
@@ -101,7 +95,7 @@ func (p Placement) Choose(path string, size int64, now time.Duration) string {
 	probe := pfs.Info{}
 	probe.Path = path
 	probe.Size = size
-	for _, r := range p.Rules {
+	for _, r := range p.rules {
 		if r.Where == nil || r.Where(probe, now) {
 			return r.Pool
 		}
@@ -114,8 +108,8 @@ func (p Placement) Choose(path string, size int64, now time.Duration) string {
 // (§4.2.1).
 func ArchivePlacement(smallFileLimit int64) Placement {
 	return Placement{
-		Rules: []placementRule{
-			{Name: "small-to-slow", Where: sizeLess(smallFileLimit), Pool: "slow"},
+		rules: []placementRule{
+			{Where: sizeLess(smallFileLimit), Pool: "slow"}, // small to slow
 		},
 		Default: "fast",
 	}
@@ -129,7 +123,7 @@ type ThresholdPolicy struct {
 	Pool  string
 	High  float64 // start migrating at this fill fraction
 	Low   float64 // stop once below this
-	Where predicate
+	Where Predicate
 }
 
 // Candidates returns the files to migrate, oldest first, sized to bring
@@ -144,10 +138,7 @@ func (tp ThresholdPolicy) Candidates(fs *pfs.FS) ([]pfs.Info, error) {
 	if float64(pool.Used()) < tp.High*float64(cap) {
 		return nil, nil
 	}
-	list, err := RunList(fs, ListPolicy{
-		Name:  "threshold-" + tp.Pool,
-		Where: And(IsFile(), inPool(tp.Pool), StateIs(pfs.Resident), orTrue(tp.Where)),
-	})
+	list, err := RunList(fs, And(IsFile(), inPool(tp.Pool), StateIs(pfs.Resident), orTrue(tp.Where)))
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +157,7 @@ func (tp ThresholdPolicy) Candidates(fs *pfs.FS) ([]pfs.Info, error) {
 	return out, nil
 }
 
-func orTrue(p predicate) predicate {
+func orTrue(p Predicate) Predicate {
 	if p == nil {
 		return func(pfs.Info, time.Duration) bool { return true }
 	}

@@ -62,7 +62,7 @@ func TestPredicates(t *testing.T) {
 func TestRunListFilters(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *pfs.FS) {
 		seed(fs)
-		list, err := RunList(fs, ListPolicy{Name: "big", Where: func(i pfs.Info, _ time.Duration) bool { return !i.IsDir() && i.Size >= 1e6 }})
+		list, err := RunList(fs, func(i pfs.Info, _ time.Duration) bool { return !i.IsDir() && i.Size >= 1e6 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestRunListChargesScanTime(t *testing.T) {
 	c.Go(func() {
 		seed(fs)
 		start := c.Now()
-		RunList(fs, ListPolicy{Name: "x", Where: IsFile()})
+		RunList(fs, IsFile())
 		elapsed = c.Now() - start
 	})
 	if _, err := c.Run(); err != nil {

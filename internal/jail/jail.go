@@ -39,17 +39,6 @@ type Jail struct {
 	engine *hsm.Engine
 	can    *trash.Can
 	policy Policy
-	stats  stats
-}
-
-// stats counts jailed activity.
-type stats struct {
-	Commands    int
-	Denied      int
-	Recalls     int
-	FilesRead   int
-	FilesMoved  int // to trash
-	GrepMatches int
 }
 
 // New builds a jail over the archive.
@@ -59,7 +48,6 @@ func New(fs *pfs.FS, engine *hsm.Engine, can *trash.Can, policy Policy) *Jail {
 
 // Ls lists a directory (always safe: metadata only).
 func (j *Jail) Ls(path string) ([]pfs.Info, error) {
-	j.stats.Commands++
 	return j.fs.ReadDir(path)
 }
 
@@ -67,10 +55,8 @@ func (j *Jail) Ls(path string) ([]pfs.Info, error) {
 // first if migrated — the DMAPI read-event path, but routed through the
 // tape-ordered recall engine.
 func (j *Jail) Read(path string) (synthetic.Content, error) {
-	j.stats.Commands++
 	content, rerr := j.fs.ReadContent(path)
 	if errors.Is(rerr, pfs.ErrOffline) {
-		j.stats.Recalls++
 		if _, err := j.engine.Recall([]string{path}, hsm.RecallOrdered); err != nil {
 			return synthetic.Content{}, err
 		}
@@ -79,63 +65,41 @@ func (j *Jail) Read(path string) (synthetic.Content, error) {
 	if rerr != nil {
 		return synthetic.Content{}, rerr
 	}
-	j.stats.FilesRead++
 	return content, nil
 }
 
 // Rm routes a delete into the user's trashcan — never a raw unlink, so
 // the synchronous deleter can reap the tape copy later (§4.2.6).
 func (j *Jail) Rm(user, path string) (string, error) {
-	j.stats.Commands++
 	tp, err := j.can.Delete(user, path)
 	if err != nil {
 		return "", err
 	}
-	j.stats.FilesMoved++
 	return tp, nil
 }
 
-// grepResult reports one search run.
-type grepResult struct {
-	FilesSearched int
-	FilesRecalled int
-	Matches       int
-}
-
-// grepMode selects the §4.2.3 hazard or the site-recommended variant.
-type grepMode int
-
-// Grep modes.
-const (
-	// GrepNaive reads files in directory order, recalling each on
-	// demand — the "grep from &*&(*&" the chroot jail exists to stop.
-	GrepNaive grepMode = iota
-	// grepTapeAware locates all migrated files first, recalls them in
-	// tape order via the engine, then searches.
-	grepTapeAware
-)
-
-// Grep searches all files under dir for a byte pattern. It is denied
-// unless the jail policy allows it.
-func (j *Jail) Grep(dir string, pattern []byte, mode grepMode) (grepResult, error) {
-	j.stats.Commands++
+// Grep searches all files under dir for a byte pattern and returns how
+// many files hold it. It is denied unless the jail policy allows it.
+// The naive grep (tapeAware false) reads files in directory order,
+// recalling each on demand — the "grep from &*&(*&" the chroot jail
+// exists to stop, §4.2.3's hazard. The site-recommended variant
+// (tapeAware true) locates all migrated files first, recalls them in
+// tape order via the engine, then searches.
+func (j *Jail) Grep(dir string, pattern []byte, tapeAware bool) (matches int, err error) {
 	if !j.policy.AllowGrep {
-		j.stats.Denied++
-		return grepResult{}, fmt.Errorf("%w: grep", errForbidden)
+		return 0, fmt.Errorf("%w: grep", errForbidden)
 	}
 	var files []pfs.Info
-	err := j.fs.Walk(dir, func(i pfs.Info) error {
+	err = j.fs.Walk(dir, func(i pfs.Info) error {
 		if !i.IsDir() {
 			files = append(files, i)
 		}
 		return nil
 	})
 	if err != nil {
-		return grepResult{}, err
+		return 0, err
 	}
-	res := grepResult{}
-	switch mode {
-	case grepTapeAware:
+	if tapeAware {
 		// Recall everything offline in one ordered pass first.
 		var offline []string
 		for _, f := range files {
@@ -145,12 +109,10 @@ func (j *Jail) Grep(dir string, pattern []byte, mode grepMode) (grepResult, erro
 		}
 		if len(offline) > 0 {
 			if _, err := j.engine.Recall(offline, hsm.RecallOrdered); err != nil {
-				return res, err
+				return 0, err
 			}
-			res.FilesRecalled = len(offline)
-			j.stats.Recalls += len(offline)
 		}
-	default:
+	} else {
 		// Shuffle-ish: stock grep visits in readdir order, which has
 		// no relation to tape order; emulate the worst case by sorting
 		// on the name's reverse, decorrelating path and tape position.
@@ -163,22 +125,18 @@ func (j *Jail) Grep(dir string, pattern []byte, mode grepMode) (grepResult, erro
 		if errors.Is(err, pfs.ErrOffline) {
 			// Naive mode recalls one file at a time, in visit order.
 			if _, rerr := j.engine.Recall([]string{f.Path}, hsm.RecallNaive); rerr != nil {
-				return res, rerr
+				return matches, rerr
 			}
-			res.FilesRecalled++
-			j.stats.Recalls++
 			content, err = j.fs.ReadContent(f.Path)
 		}
 		if err != nil {
-			return res, err
+			return matches, err
 		}
-		res.FilesSearched++
 		if containsPattern(content, pattern) {
-			res.Matches++
-			j.stats.GrepMatches++
+			matches++
 		}
 	}
-	return res, nil
+	return matches, nil
 }
 
 func reverse(s string) string {

@@ -34,7 +34,6 @@ type Server struct {
 
 	mux  *http.ServeMux
 	http *http.Server
-	ln   net.Listener
 	url  string
 }
 
@@ -70,7 +69,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
 	s.url = "http://" + ln.Addr().String()
 	s.http = &http.Server{Handler: s.mux}
 	go func() { _ = s.http.Serve(ln) }()

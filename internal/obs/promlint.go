@@ -21,14 +21,11 @@ type Sample struct {
 	Name   string // full sample name (may carry _bucket/_sum/_count)
 	Labels map[string]string
 	Value  float64
-	HasTS  bool
-	TS     int64 // optional timestamp, milliseconds
 }
 
 // Exposition is one parsed scrape.
 type Exposition struct {
 	Types   map[string]string // family -> counter|gauge|histogram|summary|untyped
-	Order   []string          // families in TYPE-line order
 	Samples []Sample
 }
 
@@ -126,7 +123,6 @@ func parseExposition(r io.Reader) (*Exposition, error) {
 					return nil, fmt.Errorf("line %d: duplicate TYPE for family %s", lineNo, name)
 				}
 				e.Types[name] = kind
-				e.Order = append(e.Order, name)
 			}
 			continue // HELP and free comments pass through
 		}
@@ -172,11 +168,10 @@ func parseSampleLine(line string) (Sample, error) {
 	}
 	s.Value = v
 	if len(fields) == 2 {
-		ts, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		// An optional timestamp (milliseconds): checked, not kept.
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			return s, fmt.Errorf("bad timestamp %q", fields[1])
 		}
-		s.HasTS, s.TS = true, ts
 	}
 	return s, nil
 }

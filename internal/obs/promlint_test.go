@@ -32,7 +32,7 @@ tape_drive_down{drive="drive01"} 1
 		t.Fatalf("Value lookup: %v %v", v, ok)
 	}
 	s := e.Samples[0]
-	if !s.HasTS || s.TS != 1000 || s.Value != 1.5e9 || s.Labels["pool"] != "fast" {
+	if s.Value != 1.5e9 || s.Labels["pool"] != "fast" {
 		t.Fatalf("sample 0: %+v", s)
 	}
 }

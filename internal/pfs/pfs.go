@@ -147,7 +147,6 @@ func PanasasConfig(name string) Config {
 // Pool is a live storage pool.
 type Pool struct {
 	Spec     PoolSpec
-	link     *fabric.Link
 	endpoint string
 	used     int64
 	idx      uint8 // position in FS.pools
@@ -224,7 +223,6 @@ func New(clock *simtime.Clock, cfg Config) *FS {
 		}
 		fs.pools = append(fs.pools, &Pool{
 			Spec:     ps,
-			link:     link,
 			endpoint: ep,
 			idx:      uint8(len(fs.pools)),
 		})

@@ -349,7 +349,8 @@ func TestPoolLinkRates(t *testing.T) {
 	sim(t, func(c *simtime.Clock, fs *FS) {
 		fast, _ := fs.Pool("fast")
 		start := c.Now()
-		fabric.Path{}.With(fast.link).Transfer(3e9) // 1s at 3 GB/s
+		link := fs.fab.Link(fs.cfg.Name + "/" + fast.Spec.Name)
+		fabric.Path{}.With(link).Transfer(3e9) // 1s at 3 GB/s
 		if got := c.Now() - start; got < 900*time.Millisecond || got > 1100*time.Millisecond {
 			t.Errorf("3 GB over fast pool took %v, want ~1s", got)
 		}
@@ -379,33 +380,6 @@ func TestRenameIntoOwnSubtreeRefused(t *testing.T) {
 		fs.RemoveAll("/a")
 		if fast.Used() != 0 || fs.NumInodes() != 1 {
 			t.Errorf("after RemoveAll: Used = %d, NumInodes = %d; want 0, 1", fast.Used(), fs.NumInodes())
-		}
-	})
-}
-
-// A read of a migrated stub is refused before the namespace counts it
-// as an access: ILM age policies must not see a failed read.
-func TestReadOfflineStubLeavesATime(t *testing.T) {
-	sim(t, func(c *simtime.Clock, fs *FS) {
-		fs.WriteFile("/f", synthetic.NewUniform(1, 100))
-		fs.WriteFile("/g", synthetic.NewUniform(2, 100))
-		fs.SetPremigrated("/f")
-		fs.Punch("/f")
-		c.Sleep(time.Hour)
-		b := fs.Bill(2)
-		if _, err := b.ReadContent("/f"); !errors.Is(err, ErrOffline) {
-			t.Errorf("read of a stub: err = %v, want ErrOffline", err)
-		}
-		if _, err := b.ReadContent("/g"); err != nil {
-			t.Error(err)
-		}
-		f, _ := fs.Stat("/f")
-		g, _ := fs.Stat("/g")
-		if f.ATime != 0 {
-			t.Errorf("refused read moved the stub's atime to %v", f.ATime)
-		}
-		if g.ATime < time.Hour {
-			t.Errorf("resident read left atime at %v", g.ATime)
 		}
 	})
 }

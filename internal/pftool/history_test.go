@@ -24,11 +24,11 @@ func TestWatchdogHistoryRecordsProgress(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 200 GB at <= 1.87 GB/s is > 100s: at least 9 samples.
-		if len(res.History) < 5 {
-			t.Fatalf("history has %d points, want several (elapsed %v)", len(res.History), res.Elapsed())
+		if len(res.history) < 5 {
+			t.Fatalf("history has %d points, want several (elapsed %v)", len(res.history), res.Elapsed())
 		}
-		for i := 1; i < len(res.History); i++ {
-			prev, cur := res.History[i-1], res.History[i]
+		for i := 1; i < len(res.history); i++ {
+			prev, cur := res.history[i-1], res.history[i]
 			if cur.At <= prev.At {
 				t.Errorf("sample %d time not increasing", i)
 			}
@@ -36,7 +36,7 @@ func TestWatchdogHistoryRecordsProgress(t *testing.T) {
 				t.Errorf("sample %d totals decreased", i)
 			}
 		}
-		last := res.History[len(res.History)-1]
+		last := res.history[len(res.history)-1]
 		if last.Bytes > res.BytesCopied {
 			t.Errorf("history bytes %d exceed final %d", last.Bytes, res.BytesCopied)
 		}
@@ -79,8 +79,8 @@ func TestHistoryEmptyForFastJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.History) != 0 {
-			t.Errorf("history = %d points for a sub-interval job", len(res.History))
+		if len(res.history) != 0 {
+			t.Errorf("history = %d points for a sub-interval job", len(res.history))
 		}
 	})
 }

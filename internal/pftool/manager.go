@@ -76,7 +76,7 @@ type copyResult struct {
 	// mismatches details each compare failure (path + first differing
 	// byte), so pfcm can tell the operator where the damage is instead
 	// of just how much.
-	mismatches []mismatch
+	mismatches []Mismatch
 	logical    string   // set for chunk completions
 	dsts       []string // whole files completed, for the restart journal
 	err        string
@@ -89,9 +89,9 @@ type dirJob struct {
 
 // dirResult carries an exposed directory back to the Manager.
 type dirResult struct {
-	src, dst string
-	entries  []pfs.Info
-	err      string
+	dst     string
+	entries []pfs.Info
+	err     string
 }
 
 // tapeJob is the Manager -> TapeProc work unit (one TapeCQ): migrated

@@ -25,21 +25,20 @@ import (
 	"repro/internal/hsm"
 	"repro/internal/ilm"
 	"repro/internal/pfs"
-	"repro/internal/sched"
 	"repro/internal/vfs"
 )
 
-// op selects the PFTool command.
-type op int
+// An Op selects the PFTool command.
+type Op int
 
 // Operations.
 const (
-	OpList    op = iota // pfls
+	OpList    Op = iota // pfls
 	OpCopy              // pfcp
 	OpCompare           // pfcm
 )
 
-func (o op) String() string {
+func (o Op) String() string {
 	switch o {
 	case OpList:
 		return "pfls"
@@ -51,18 +50,17 @@ func (o op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// restorer recalls migrated files from the tape backend; *hsm.Engine
+// A Restorer recalls migrated files from the tape backend; *hsm.Engine
 // is the production implementation. Files travel as parallel slices:
 // ids[i] is the file ID of paths[i], as the walk resolved it, so the
 // backend need not resolve the path again.
-type restorer interface {
+type Restorer interface {
 	// Locate resolves migrated files to tape locations, in input
 	// order; unknown paths are left out of locs and returned in missing.
 	Locate(paths []string, ids []vfs.FileID) (locs []hsm.TapeLoc, missing []string)
 	// RecallPinned recalls the given files as the named client machine,
-	// in the order given (the caller has already tape-ordered them),
-	// admitted under the given QoS tag.
-	RecallPinned(node string, paths []string, ids []vfs.FileID, qos sched.QoS) error
+	// in the order given (the caller has already tape-ordered them).
+	RecallPinned(node string, paths []string, ids []vfs.FileID) error
 }
 
 // Tunables are the runtime-adjustable parameters of §4.1.2(5).
@@ -121,7 +119,7 @@ func DefaultTunables() Tunables {
 
 // Request describes one PFTool invocation.
 type Request struct {
-	Op  op
+	Op  Op
 	Src string
 	Dst string // unused for pfls
 
@@ -133,7 +131,7 @@ type Request struct {
 	Nodes []*cluster.Node
 	// Restorer recalls migrated source files before copying; nil means
 	// migrated files are reported as errors.
-	Restorer restorer
+	Restorer Restorer
 	// Placement, when non-nil, chooses the destination storage pool per
 	// file (the archive's ILM placement policy, §4.2.1: small files to
 	// the slow pool). Transfer time is still charged on the default
@@ -141,18 +139,13 @@ type Request struct {
 	// the bytes is negligible.
 	Placement *ilm.Placement
 
-	// QoS tags every scheduler admission the run makes (worker copy
-	// jobs, tape restores). Unset fields default per station: copy and
-	// compare jobs are Batch, tape restores Interactive.
-	QoS sched.QoS
-
 	Tunables Tunables
 	Output   io.Writer // OutPutProc destination; nil discards
 }
 
 // Result reports one PFTool run.
 type Result struct {
-	Op op
+	Op Op
 
 	FilesCopied  int
 	FilesSkipped int // restart: destination already current
@@ -170,7 +163,7 @@ type Result struct {
 	// Mismatches details each compare failure: which destination path
 	// diverged from its source and at which byte — what an operator
 	// needs to find the damage, not just count it.
-	Mismatches []mismatch
+	Mismatches []Mismatch
 
 	Restored      int
 	ChunksCopied  int
@@ -190,15 +183,13 @@ type Result struct {
 	// cost that copy batching amortizes.
 	Messages int
 
-	// History is the WatchDog's periodic record (§4.1.1(3)): files and
+	// history is the WatchDog's periodic record (§4.1.1(3)): files and
 	// bytes copied as of each sampling interval, the "current and
 	// historical statistics" the paper's WatchDog keeps.
-	History []historyPoint
+	history []historyPoint
 
 	Started  time.Duration
 	Finished time.Duration
-
-	OutputLines int
 }
 
 // historyPoint is one WatchDog sample.
@@ -208,16 +199,16 @@ type historyPoint struct {
 	Bytes int64
 }
 
-// mismatch is one pfcm compare failure: source and destination differ
+// A Mismatch is one pfcm compare failure: source and destination differ
 // starting at byte Offset (the first divergent byte; -1 when the two
 // sides could not be compared byte-for-byte).
-type mismatch struct {
+type Mismatch struct {
 	Src    string
 	Dst    string
 	Offset int64
 }
 
-func (m mismatch) String() string {
+func (m Mismatch) String() string {
 	return fmt.Sprintf("%s differs from %s at byte %d", m.Dst, m.Src, m.Offset)
 }
 

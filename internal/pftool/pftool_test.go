@@ -13,7 +13,6 @@ import (
 	"repro/internal/ilm"
 	"repro/internal/metadb"
 	"repro/internal/pfs"
-	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/synthetic"
 	"repro/internal/tape"
@@ -89,7 +88,7 @@ func tunablesForTest() Tunables {
 	return t
 }
 
-func baseRequest(e *env, op op) Request {
+func baseRequest(e *env, op Op) Request {
 	return Request{
 		Op:       op,
 		Src:      "/src",
@@ -184,12 +183,12 @@ func TestListVerboseOutput(t *testing.T) {
 		req := baseRequest(e, OpList)
 		req.Tunables.Verbose = true
 		req.Output = &sb
-		res, err := Run(req)
+		_, err := Run(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.OutputLines != 2 {
-			t.Errorf("OutputLines = %d, want 2", res.OutputLines)
+		if lines := strings.Count(sb.String(), "\n"); lines != 2 {
+			t.Errorf("output has %d lines, want 2", lines)
 		}
 		if !strings.Contains(sb.String(), "/src/a/f000") {
 			t.Errorf("output missing listing line: %q", sb.String())
@@ -482,7 +481,7 @@ func (s stuckRestorer) Locate(paths []string, _ []vfs.FileID) ([]hsm.TapeLoc, []
 	return out, nil
 }
 
-func (s stuckRestorer) RecallPinned(node string, paths []string, ids []vfs.FileID, qos sched.QoS) error {
+func (s stuckRestorer) RecallPinned(node string, paths []string, ids []vfs.FileID) error {
 	s.clock.Sleep(10 * time.Hour)
 	return nil
 }
@@ -524,9 +523,9 @@ type timedRestorer struct {
 	longest *time.Duration
 }
 
-func (r timedRestorer) RecallPinned(node string, paths []string, ids []vfs.FileID, qos sched.QoS) error {
+func (r timedRestorer) RecallPinned(node string, paths []string, ids []vfs.FileID) error {
 	start := r.clock.Now()
-	err := r.Engine.RecallPinned(node, paths, ids, qos)
+	err := r.Engine.RecallPinned(node, paths, ids)
 	if d := r.clock.Now() - start; d > *r.longest {
 		*r.longest = d
 	}

@@ -14,19 +14,6 @@ import (
 	"repro/internal/synthetic"
 )
 
-// jobKindName labels a worker job for scheduler telemetry and traces.
-func jobKindName(k copyKind) string {
-	switch k {
-	case kindBatch:
-		return "pftool.copy"
-	case kindChunk, kindFuse:
-		return "pftool.chunk"
-	case kindCompare:
-		return "pftool.compare"
-	}
-	return "pftool.job"
-}
-
 // jobUnits is a worker job's admission cost in bytes.
 func jobUnits(job copyJob) int64 {
 	if job.kind == kindChunk || job.kind == kindFuse {
@@ -59,7 +46,7 @@ func (r *run) readDirProc(rank int) {
 		job := *msg.Data.(*dirJob)
 		entries, err := r.req.SrcFS.ReadDir(job.src)
 		res := &r.ranks[rank].dirRes
-		*res = dirResult{src: job.src, dst: job.dst, entries: entries}
+		*res = dirResult{dst: job.dst, entries: entries}
 		if err != nil {
 			res.err = fmt.Sprintf("readdir %s: %v", job.src, err)
 		}
@@ -100,10 +87,10 @@ func (r *run) workerProc(rank int) {
 		// moves data; on the single-tenant default path the station is
 		// pass-through and the grant is immediate.
 		grant := r.sch.Station(sched.StationPftoolCopy).Admit(sched.Item{
-			QoS: r.req.QoS.Or(sched.Batch), Kind: jobKindName(job.kind), Units: jobUnits(job),
+			QoS: sched.QoS{}.Or(sched.Batch), Units: jobUnits(job),
 		})
 		if gerr := grant.Err(); gerr != nil {
-			// Admission refused the job (deadline passed, brownout shed):
+			// Admission refused the job (brownout shed):
 			// report it as a failed result — counted and surfaced, never
 			// silently dropped.
 			*res = copyResult{err: gerr.Error()}
@@ -143,7 +130,8 @@ func (r *run) workerProc(rank int) {
 func (r *run) transfer(rank int, node *cluster.Node, bytes int64) {
 	st, ok := r.streams[rank]
 	if !ok {
-		st = r.fab.Stream(r.route(node), fabric.WithCap(r.streamFloor()))
+		st = r.fab.Stream(r.route(node))
+		st.SetCap(r.streamFloor())
 		r.streams[rank] = st
 		r.flows[st] = struct{}{}
 	}
@@ -381,7 +369,7 @@ func (r *run) compareBatch(rank int, node *cluster.Node, job copyJob) copyResult
 			res.dsts = append(res.dsts, f.dst)
 		} else {
 			res.mismatch++
-			res.mismatches = append(res.mismatches, mismatch{
+			res.mismatches = append(res.mismatches, Mismatch{
 				Src:    f.src,
 				Dst:    f.dst,
 				Offset: synthetic.FirstDiff(srcContent, dstContent),
@@ -421,7 +409,7 @@ func (r *run) tapeProc(rank int) {
 		// A tape restore is expedited recall work: someone is waiting on
 		// the data coming back from the archive.
 		grant := r.sch.Station(sched.StationPftoolTape).Admit(sched.Item{
-			QoS: r.req.QoS.Or(sched.Interactive), Kind: "pftool.tape",
+			QoS:   sched.QoS{}.Or(sched.Interactive),
 			Units: job.bytes, Expedite: true,
 		})
 		if gerr := grant.Err(); gerr != nil {
@@ -429,7 +417,7 @@ func (r *run) tapeProc(rank int) {
 			r.comm.Send(rank, mgr, tagTapeResult, res)
 			continue
 		}
-		if err := r.req.Restorer.RecallPinned(node.Name, job.src, job.ids, r.req.QoS); err != nil {
+		if err := r.req.Restorer.RecallPinned(node.Name, job.src, job.ids); err != nil {
 			res.err = fmt.Sprintf("restore volume %s: %v", job.volume, err)
 		}
 		grant.Done()
@@ -451,7 +439,6 @@ func (r *run) outputProc() {
 		if !ok {
 			return
 		}
-		r.res.OutputLines++
 		if r.req.Output != nil {
 			fmt.Fprintln(r.req.Output, msg.Data.(string))
 		}
@@ -490,7 +477,7 @@ func (r *run) watchdog() {
 		// Record the periodic statistics the paper's WatchDog keeps:
 		// totals as of this interval (per-interval deltas are the
 		// difference of consecutive points).
-		r.res.History = append(r.res.History, historyPoint{
+		r.res.history = append(r.res.history, historyPoint{
 			At:    r.clock.Now(),
 			Files: r.res.FilesCopied,
 			Bytes: r.res.BytesCopied,

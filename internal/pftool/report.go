@@ -40,10 +40,10 @@ func (r Result) Report() string {
 	if r.Stalled {
 		w("TERMINATED", "WatchDog detected a stall")
 	}
-	if len(r.History) > 0 {
+	if len(r.history) > 0 {
 		b.WriteString("  interval history (WatchDog):\n")
 		prev := historyPoint{At: r.Started}
-		for _, h := range r.History {
+		for _, h := range r.history {
 			dt := h.At - prev.At
 			rate := 0.0
 			if secs := dt.Seconds(); secs > 0 {

@@ -30,6 +30,11 @@
 // time passes, no events are scheduled — which is exactly why the
 // single-tenant default path stays byte-identical to the
 // pre-scheduler behavior.
+//
+// A deadline (QoS.Deadline) bounds one admission: a recall whose
+// caller stops waiting is refused or cancelled at the station. Only
+// tsm.RecallRequest carries one in from a caller; pftool, hsm, the
+// scrubber and tsm stores admit without one.
 package sched
 
 import (
@@ -110,11 +115,12 @@ type QoS struct {
 	Tenant string
 	Class  Class
 	// Deadline is the absolute virtual time past which the work is no
-	// longer worth doing (0 = none). It rides the QoS struct so it
-	// propagates pfcp→hsm→tsm→tape through the existing request
-	// plumbing: an expired item is refused at Admit (or cancelled in
-	// queue when its deadline passes before a slot frees) instead of
-	// holding a drive for a caller that already gave up.
+	// longer worth doing (0 = none): an expired item is refused at
+	// Admit (or cancelled in queue when its deadline passes before a
+	// slot frees) instead of holding a drive for a caller that already
+	// gave up. Of the request types only tsm.RecallRequest carries one
+	// (E21's and E23's recalls); every other admission in the stack
+	// passes a zero deadline.
 	Deadline simtime.Duration
 }
 
@@ -147,7 +153,7 @@ const (
 // Item is one typed unit of archive work submitted for admission.
 type Item struct {
 	QoS
-	Kind     string // e.g. "hsm.recall" — telemetry and trace label
+	Kind     string // e.g. "hsm.recall"; nothing reads it (bench/probes.go sets it)
 	Units    int64  // cost in bytes (WFQ advance); min 1
 	Expedite bool   // recall lane: runs before non-expedite work of the same tenant
 }
@@ -157,7 +163,6 @@ type Item struct {
 type Grant struct {
 	st   *Station
 	item Item
-	wait simtime.Duration
 	err  error
 	done bool
 }
@@ -183,24 +188,11 @@ func (g *Grant) Done() {
 	}
 }
 
-// dispatch is one admission decision, recorded when tracing is on —
-// the repeated-run determinism tests compare these logs.
-type dispatch struct {
-	Seq     uint64
-	At      simtime.Duration
-	Station string
-	Tenant  string
-	Class   Class
-	Kind    string
-	Units   int64
-}
-
 // TenantStat is one (tenant, class) admission record.
 type TenantStat struct {
 	Tenant  string
 	Class   Class
 	Items   int64
-	Units   int64
 	WaitSum simtime.Duration
 }
 
@@ -219,10 +211,6 @@ type Scheduler struct {
 	// Contention ledger: dispatches decided while scavenger work was
 	// backlogged — the denominator of the observed scavenger share.
 	contScav, contTotal int64
-
-	traceOn bool
-	trace   []dispatch
-	seq     uint64
 
 	m *schedMetrics // lazy: telemetry.Of is illegal inside SlotOf
 }
@@ -511,7 +499,6 @@ func (st *Station) Admit(it Item) *Grant {
 	m.submitted[it.Class].Inc()
 	a := s.account(it)
 	a.Items++
-	a.Units += it.Units
 
 	if it.Deadline > 0 && s.clock.Now() >= it.Deadline {
 		// Already doomed on arrival: refuse without taking a slot.
@@ -539,10 +526,10 @@ func (st *Station) Admit(it Item) *Grant {
 	w.latch.Wait()
 	wait := s.clock.Now() - w.enq
 	if w.rejected != nil {
-		return &Grant{st: st, item: it, wait: wait, err: w.rejected}
+		return &Grant{st: st, item: it, err: w.rejected}
 	}
 	a.WaitSum += wait
-	return &Grant{st: st, item: it, wait: wait}
+	return &Grant{st: st, item: it}
 }
 
 // classWait reports how long the class's oldest queued item has been
@@ -756,7 +743,7 @@ func (st *Station) grant(w *waiter, scavCredit bool) {
 	w.latch.Signal()
 }
 
-// noteDispatch records one admission on the telemetry and trace.
+// noteDispatch records one admission on the telemetry.
 func (st *Station) noteDispatch(it Item, wait simtime.Duration) {
 	s := st.s
 	m := s.metrics()
@@ -769,13 +756,6 @@ func (st *Station) noteDispatch(it Item, wait simtime.Duration) {
 		if d := s.slo[it.Class]; d > 0 && wait > d {
 			m.sloViol[it.Class].Inc()
 		}
-	}
-	if s.traceOn {
-		s.seq++
-		s.trace = append(s.trace, dispatch{
-			Seq: s.seq, At: s.clock.Now(), Station: st.name,
-			Tenant: it.Tenant, Class: it.Class, Kind: it.Kind, Units: it.Units,
-		})
 	}
 }
 

@@ -33,10 +33,8 @@ func (c *Clock) spawnLocked(fn func()) {
 	} else {
 		a = &actor{}
 		a.next, a.stop = iter.Pull(a.bodies)
-		c.coros++
 	}
 	a.fn = fn
-	c.actors++
 	c.resumeLocked(a)
 }
 
@@ -71,7 +69,6 @@ func (c *Clock) resumeLocked(a *actor) {
 	c.mu.Lock()
 	c.cur = nil
 	if a.fn == nil {
-		c.actors--
 		c.idle = append(c.idle, a)
 	}
 }

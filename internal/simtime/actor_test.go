@@ -22,42 +22,38 @@ func wantGoroutines(t *testing.T, what string, want int) {
 	}
 }
 
-// 100k short actors one after another plus 64 concurrent sleepers: the
-// idle pool must hold creations to the peak of concurrently live actors,
-// and Run must leave no goroutine behind.
+// 100k short actors one after another plus 64 concurrent sleepers: a
+// short actor must reuse an idle coroutine (creating one costs a dozen
+// allocations; a reused one two), and Run must leave no goroutine
+// behind.
 func TestActorPoolReusesAndDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := NewClock()
-	live, peak, ran := 0, 0, 0
-	body := func(fn func()) func() {
-		return func() {
-			if live++; live > peak {
-				peak = live
-			}
-			fn()
-			live--
-		}
-	}
+	ran := 0
 	for i := 0; i < 64; i++ {
 		i := i
-		c.Go(body(func() {
+		c.Go(func() {
 			for k := 0; k < 4; k++ {
 				c.Sleep(Duration(i+1) * time.Millisecond)
 			}
-		}))
+		})
 	}
-	c.Go(body(func() {
-		for i := 0; i < 100000; i++ {
-			c.Go(body(func() { ran++ }))
+	const short = 100000
+	var ms0, ms1 runtime.MemStats
+	c.Go(func() {
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < short; i++ {
+			c.Go(func() { ran++ })
 			c.Sleep(time.Microsecond)
 		}
-	}))
+		runtime.ReadMemStats(&ms1)
+	})
 	c.RunFor()
-	if ran != 100000 {
-		t.Fatalf("ran %d short actors, want 100000", ran)
+	if ran != short {
+		t.Fatalf("ran %d short actors, want %d", ran, short)
 	}
-	if c.coros > peak {
-		t.Errorf("created %d coroutines for a peak of %d concurrent actors", c.coros, peak)
+	if per := float64(ms1.Mallocs-ms0.Mallocs) / short; per > 4 {
+		t.Errorf("%.1f allocations per short actor: coroutines are not reused", per)
 	}
 	if len(c.idle) != 0 {
 		t.Errorf("%d coroutines still pooled after Run", len(c.idle))

@@ -42,14 +42,12 @@ type Clock struct {
 	cur     *actor // the actor the scheduler loop is inside; nil otherwise
 	parked  int    // actors parked on a non-time wait (queue/cond/resource)
 	started bool
-	actors  int      // actors that have been started and not yet finished
 	events  uint64   // events dispatched since construction (engine throughput)
 	limit   Duration // the exclusive bound runLocked is running to
 
 	// idle holds finished actors' coroutines for the next spawn to reuse
-	// (creating one costs a dozen allocations); coros counts creations.
-	idle  []*actor
-	coros int
+	// (creating one costs a dozen allocations).
+	idle []*actor
 
 	// ncanceled counts canceled events still sitting in the heap; when
 	// they outnumber the live half the heap is compacted in place.

@@ -49,29 +49,24 @@ type pmsg struct {
 type Channel struct {
 	g         *Group
 	idx       int
-	name      string
 	from, to  *Island
 	lookahead Duration
 	recv      func(interface{})
 
 	horizon Duration // promise: no future message with at < horizon
 	seq     uint64
-	msgs    uint64 // payload messages carried
 	nulls   uint64 // horizon-only advances (null messages)
 }
 
 // Island is one partition: a Clock plus its channel endpoints.
 type Island struct {
-	g    *Group
-	idx  int
 	name string
 	clk  *Clock
 
 	in, out []*Channel
 	pend    []pmsg // sent, undelivered messages
 
-	next    Duration // earliest pending local event (-1 none), valid when settled
-	running bool
+	next Duration // earliest pending local event (-1 none), valid when settled
 
 	advances uint64        // bounded slices executed
 	wall     time.Duration // wall time spent inside slices
@@ -88,7 +83,6 @@ type Group struct {
 	active   int
 	done     bool
 	gvt      uint64 // fast-forward rounds
-	started  time.Time
 }
 
 // NewGroup returns an empty island group.
@@ -96,7 +90,7 @@ func NewGroup() *Group { return &Group{} }
 
 // AddIsland creates a new island with a fresh clock.
 func (g *Group) AddIsland(name string) *Island {
-	i := &Island{g: g, idx: len(g.islands), name: name, clk: NewClock(), next: -1}
+	i := &Island{name: name, clk: NewClock(), next: -1}
 	i.cv = sync.NewCond(&g.mu)
 	g.islands = append(g.islands, i)
 	return i
@@ -112,12 +106,12 @@ func (i *Island) Clock() *Clock { return i.clk }
 // on the receiving island's scheduler at the message timestamp; like
 // Clock.Callback it must not park (push a Queue or unpark a waiter to
 // hand work to an actor).
-func (g *Group) Connect(from, to *Island, name string, lookahead Duration, recv func(interface{})) *Channel {
+func (g *Group) Connect(from, to *Island, lookahead Duration, recv func(interface{})) *Channel {
 	if lookahead <= 0 {
 		panic("simtime: channel lookahead must be positive")
 	}
 	ch := &Channel{
-		g: g, idx: len(g.channels), name: name, from: from, to: to,
+		g: g, idx: len(g.channels), from: from, to: to,
 		lookahead: lookahead, recv: recv,
 	}
 	g.channels = append(g.channels, ch)
@@ -135,7 +129,6 @@ func (ch *Channel) Send(payload interface{}) {
 	g := ch.g
 	g.mu.Lock()
 	ch.seq++
-	ch.msgs++
 	ch.to.pend = append(ch.to.pend, pmsg{at: at, chIdx: ch.idx, seq: ch.seq, payload: payload, recv: ch.recv})
 	if at > ch.horizon {
 		// A real message is itself a promise: per-channel timestamps
@@ -235,7 +228,6 @@ func (g *Group) tryRunLocked(i *Island) bool {
 		return false
 	}
 	i.deliverLocked(b)
-	i.running = true
 	g.active++
 	g.mu.Unlock()
 
@@ -246,7 +238,6 @@ func (g *Group) tryRunLocked(i *Island) bool {
 	<-g.sem
 
 	g.mu.Lock()
-	i.running = false
 	g.active--
 	i.next = next
 	i.advances++
@@ -317,9 +308,6 @@ func (g *Group) Run(workers int) (Duration, error) {
 		workers = len(g.islands)
 	}
 	g.mu.Lock()
-	if g.started.IsZero() {
-		g.started = time.Now()
-	}
 	g.done = false
 	g.sem = make(chan struct{}, workers)
 	// A new batch of work may have been scheduled since the last call;
@@ -412,10 +400,9 @@ func (g *Group) Run(workers int) (Duration, error) {
 // out of the deterministic experiment outputs.
 type GroupStats struct {
 	Islands      []IslandStats
-	Channels     []ChannelStats
+	NullMessages uint64 // horizon-only advances, all channels
 	FastForwards uint64
 	Events       uint64
-	WallSeconds  float64
 }
 
 // IslandStats summarizes one island's execution.
@@ -424,15 +411,6 @@ type IslandStats struct {
 	Events      uint64
 	Advances    uint64
 	WallSeconds float64
-	Now         Duration
-}
-
-// ChannelStats summarizes one channel's traffic.
-type ChannelStats struct {
-	Name      string
-	Messages  uint64
-	Nulls     uint64
-	Lookahead Duration
 }
 
 // Stats snapshots engine counters. Call between Run calls.
@@ -440,21 +418,16 @@ func (g *Group) Stats() GroupStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	s := GroupStats{FastForwards: g.gvt}
-	if !g.started.IsZero() {
-		s.WallSeconds = time.Since(g.started).Seconds()
-	}
 	for _, i := range g.islands {
 		ev := i.clk.EventsProcessed()
 		s.Events += ev
 		s.Islands = append(s.Islands, IslandStats{
 			Name: i.name, Events: ev, Advances: i.advances,
-			WallSeconds: i.wall.Seconds(), Now: i.clk.Now(),
+			WallSeconds: i.wall.Seconds(),
 		})
 	}
 	for _, ch := range g.channels {
-		s.Channels = append(s.Channels, ChannelStats{
-			Name: ch.name, Messages: ch.msgs, Nulls: ch.nulls, Lookahead: ch.lookahead,
-		})
+		s.NullMessages += ch.nulls
 	}
 	return s
 }

@@ -83,10 +83,9 @@ func LTO4() Spec {
 
 // File records one object written to a cartridge.
 type File struct {
-	Object uint64 // caller-assigned object ID
-	Seq    int    // 1-based position on the tape
-	Off    int64  // byte offset of the file's first block
-	Bytes  int64
+	Seq   int   // 1-based position on the tape
+	Off   int64 // byte offset of the file's first block
+	Bytes int64
 	// Sum is the digest of the bytes actually on the medium (0 when the
 	// writer recorded none). It normally equals the catalog's digest of
 	// the object; silent corruption — a flaky head, a tainted flow, bit
@@ -534,7 +533,7 @@ func (d *Drive) AppendSum(object uint64, bytes int64, sum uint64) (File, error) 
 	xfer := d.xferTime(bytes)
 	d.stats.TransferTime += xfer
 	d.busy(xfer)
-	f := File{Object: object, Seq: len(d.cart.files) + 1, Off: d.cart.eod, Bytes: bytes, Sum: sum}
+	f := File{Seq: len(d.cart.files) + 1, Off: d.cart.eod, Bytes: bytes, Sum: sum}
 	if cause, bad := d.injectedCorruption(); bad && sum != 0 {
 		f.Sum = corruptSum(sum)
 		d.cart.files = append(d.cart.files, f)

@@ -321,7 +321,7 @@ func TestFileLookup(t *testing.T) {
 		d.Append(111, 5e6)
 		d.Append(222, 7e6)
 		f, err := cart.fileBySeq(2)
-		if err != nil || f.Object != 222 || f.Bytes != 7e6 {
+		if err != nil || f.Seq != 2 || f.Bytes != 7e6 {
 			t.Errorf("FileBySeq = %+v, %v", f, err)
 		}
 		if _, err := cart.fileBySeq(3); !errors.Is(err, errNoSuchFile) {
@@ -363,8 +363,8 @@ func TestCorruptAtOffsetManglesOnMediaSum(t *testing.T) {
 		f2, _ := d.AppendSum(2, 1e6, 0x2222)
 		// Rot lands inside the second file.
 		hit, ok := cart.CorruptAtOffset(f2.Off+10, 77)
-		if !ok || hit.Object != 2 {
-			t.Fatalf("rot hit %+v ok=%v, want object 2", hit, ok)
+		if !ok || hit.Seq != f2.Seq {
+			t.Fatalf("rot hit %+v ok=%v, want the second file", hit, ok)
 		}
 		if rec, ok := cart.CorruptionFor(f2.Seq); !ok || rec.Cause != 77 || rec.Off != f2.Off+10 {
 			t.Errorf("corruption record = %+v ok=%v", rec, ok)

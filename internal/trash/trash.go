@@ -79,7 +79,6 @@ func (c *Can) Delete(user, p string) (string, error) {
 type PurgeResult struct {
 	Removed     int // files unlinked from the file system
 	TapeDeletes int // TSM objects deleted in the same breath
-	DiskOnly    int // files that had no tape copy
 }
 
 // Deleter performs synchronous deletes: for each victim it resolves the
@@ -136,7 +135,7 @@ func (d *Deleter) deleteOne(e pfs.Info, res *PurgeResult) error {
 		}
 		res.TapeDeletes++
 	case errors.Is(err, metadb.ErrNotFound):
-		res.DiskOnly++
+		// No tape copy: the unlink alone removes the file.
 	default:
 		return err
 	}

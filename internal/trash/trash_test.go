@@ -199,7 +199,7 @@ func TestPurgeDiskOnlyFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Removed != 1 || res.DiskOnly != 1 || res.TapeDeletes != 0 {
+		if res.Removed != 1 || res.TapeDeletes != 0 {
 			t.Errorf("res = %+v", res)
 		}
 	})

@@ -10,7 +10,6 @@ package tsm
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/tape"
 	"repro/internal/telemetry"
@@ -87,26 +86,18 @@ func (s *Server) appendCopy(client string, id uint64, bytes int64, sum uint64, s
 	return copyLoc{Volume: vol.Label, Seq: tf.Seq}, nil
 }
 
-// BackupResult summarizes one BackupPool run.
-type BackupResult struct {
-	Objects int   // duplicates written this run
-	Bytes   int64 // bytes duplicated
-	Skipped int   // objects whose primary read failed verification
-	Elapsed time.Duration
-}
-
 // BackupPool duplicates every live object that does not yet have a
-// copy-pool entry — the incremental nightly "backup stgpool" pass.
+// copy-pool entry — the incremental nightly "backup stgpool" pass —
+// and returns how many duplicates it wrote.
 // Each object is read from its primary volume and re-written to a
 // copy volume; a primary read that already fails its catalog digest
 // is detected, skipped (duplicating damage would poison the repair
 // source), and left for the scrubber. The read and the write never
 // hold two drives at once, so the pass cannot deadlock a small
 // library.
-func (s *Server) BackupPool(client string) (BackupResult, error) {
+func (s *Server) BackupPool(client string) (objects int, err error) {
 	s.reapDownDrives()
 	s.txn()
-	start := s.clock.Now()
 	sp := s.tel.StartSpan("tsm.backup-pool", "client", client)
 	// Work list: live, digest-tracked or not, no duplicate yet; tape
 	// order within each volume so the pass streams.
@@ -127,39 +118,35 @@ func (s *Server) BackupPool(client string) (BackupResult, error) {
 		}
 		return todo[i].Seq < todo[j].Seq
 	})
-	var res BackupResult
 	for _, obj := range todo {
 		vol, err := s.lib.Cartridge(obj.Volume)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
-			return res, err
+			return objects, err
 		}
 		delivered, headCause, err := s.readObject(client, vol, obj.Seq, sp)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
-			return res, err
+			return objects, err
 		}
 		if obj.Sum != 0 && delivered != obj.Sum {
 			s.noteDetection(obj, "backup", s.corruptionCause(vol, obj.Seq, 0, false, headCause))
-			res.Skipped++
 			continue
 		}
 		loc, err := s.appendCopy(client, obj.ID, obj.Bytes, delivered, sp)
 		if err != nil {
 			sp.Abort(err.Error(), 0)
-			return res, err
+			return objects, err
 		}
 		s.copies[obj.ID] = loc
-		res.Objects++
-		res.Bytes += obj.Bytes
+		objects++
 		s.tel.Counter("tsm_copy_objects_total").Inc()
 		s.tel.Counter("tsm_copy_bytes_total").Add(float64(obj.Bytes))
 	}
 	s.txn() // commit the copy map
-	res.Elapsed = s.clock.Now() - start
-	sp.SetAttr("objects", fmt.Sprint(res.Objects))
+	sp.SetAttr("objects", fmt.Sprint(objects))
 	sp.End()
-	return res, nil
+	return objects, nil
 }
 
 // readObject reads one tape file in its own drive session and returns

@@ -26,7 +26,6 @@ type integrityError struct {
 	Volume     string // primary volume holding the damaged copy
 	Seq        int    // tape sequence number on that volume
 	Offset     int64  // byte offset of the damage on the volume (-1 unknown)
-	Want       uint64 // catalog digest
 	CauseEvent uint64 // fault event that injected the corruption (0 unknown)
 	Reason     string // why repair failed
 }
@@ -119,7 +118,6 @@ func (s *Server) unrepairable(obj *Object, vol *tape.Cartridge, cause uint64, wh
 		Volume:     obj.Volume,
 		Seq:        obj.Seq,
 		Offset:     off,
-		Want:       obj.Sum,
 		CauseEvent: cause,
 		Reason:     why,
 	}

@@ -18,18 +18,10 @@ import (
 
 // ReclaimResult reports one reclamation pass.
 type ReclaimResult struct {
-	VolumesExamined  int
 	VolumesReclaimed int
 	ObjectsMoved     int
-	BytesMoved       int64
 	BytesFreed       int64
-	// CorruptSkipped counts survivors whose re-read failed checksum
-	// verification: they are left on the (now quarantined, never
-	// erased) source volume for the scrubber's repair machinery rather
-	// than consolidated — moving them would launder corrupt bytes onto
-	// a healthy volume and destroy the only remaining evidence.
-	CorruptSkipped int
-	Elapsed        time.Duration
+	Elapsed          time.Duration
 }
 
 // ReclaimThreshold runs reclamation over every volume whose live-data
@@ -48,7 +40,6 @@ func (s *Server) ReclaimThreshold(client string, threshold float64) (ReclaimResu
 		if used == 0 || s.copyPool[vol.Label] {
 			continue
 		}
-		res.VolumesExamined++
 		var live int64
 		var objs []*Object
 		for _, id := range s.order {
@@ -61,10 +52,8 @@ func (s *Server) ReclaimThreshold(client string, threshold float64) (ReclaimResu
 		if float64(live) > threshold*float64(used) {
 			continue
 		}
-		moved, movedBytes, skipped, err := s.reclaimVolume(client, vol, objs, live)
+		moved, skipped, err := s.reclaimVolume(client, vol, objs, live)
 		res.ObjectsMoved += moved
-		res.BytesMoved += movedBytes
-		res.CorruptSkipped += skipped
 		if err != nil {
 			return res, err
 		}
@@ -83,12 +72,12 @@ func (s *Server) ReclaimThreshold(client string, threshold float64) (ReclaimResu
 // consolidation would propagate corrupt bytes, so that object stays
 // put, the source is quarantined instead of erased, and the skip is
 // reported for the scrubber to repair properly.
-func (s *Server) reclaimVolume(client string, src *tape.Cartridge, objs []*Object, live int64) (moved int, movedBytes int64, skipped int, err error) {
+func (s *Server) reclaimVolume(client string, src *tape.Cartridge, objs []*Object, live int64) (moved, skipped int, err error) {
 	// One admission per volume consolidated: reclamation is scavenger
 	// work under the system tenant — it must yield to everything else.
 	grant := s.sch.Station(sched.StationReclaim).Admit(sched.Item{
-		QoS:  sched.QoS{Tenant: "system", Class: sched.Scavenger},
-		Kind: "tsm.reclaim", Units: live,
+		QoS:   sched.QoS{Tenant: "system", Class: sched.Scavenger},
+		Units: live,
 	})
 	defer grant.Done()
 	s.reclaiming[src.Label] = true
@@ -99,7 +88,7 @@ func (s *Server) reclaimVolume(client string, src *tape.Cartridge, objs []*Objec
 		// (objects are already sorted, so the tape streams forward).
 		delivered, headCause, err := s.readObject(client, src, o.Seq, nil)
 		if err != nil {
-			return moved, movedBytes, skipped, err
+			return moved, skipped, err
 		}
 		if o.Sum != 0 && delivered != o.Sum {
 			s.noteDetection(o, "reclaim", s.corruptionCause(src, o.Seq, 0, false, headCause))
@@ -110,30 +99,29 @@ func (s *Server) reclaimVolume(client string, src *tape.Cartridge, objs []*Objec
 		// path: the move is tape-to-tape via the mover's buffers). The
 		// catalog digest rides along: the new copy is born verifiable.
 		if err := s.relocate(client, o, nil); err != nil {
-			return moved, movedBytes, skipped, err
+			return moved, skipped, err
 		}
 		moved++
-		movedBytes += o.Bytes
 	}
 	if skipped > 0 {
 		// Corrupt survivors remain: erasing would destroy the only
 		// on-site copy. Quarantine the volume and leave it for repair.
 		s.Quarantine(src.Label)
 		s.txn()
-		return moved, movedBytes, skipped, nil
+		return moved, skipped, nil
 	}
 	// Erase the source volume and return it to scratch (no session:
 	// that would add a label verify).
 	d, err := s.volumeDrive(src)
 	if err != nil {
-		return moved, movedBytes, skipped, err
+		return moved, skipped, err
 	}
 	if err := d.Unmount(); err != nil {
 		s.releaseDrive(d)
-		return moved, movedBytes, skipped, err
+		return moved, skipped, err
 	}
 	src.Erase()
 	s.releaseDrive(d)
 	s.txn()
-	return moved, movedBytes, skipped, nil
+	return moved, skipped, nil
 }

@@ -36,11 +36,9 @@ type replicaKey struct {
 	ID   uint64
 }
 
-// Replica records one cross-site duplicate held by this server.
+// Replica records one cross-site duplicate held by this server, under
+// its home site and the object ID in that site's catalog.
 type Replica struct {
-	Home   string // home site whose catalog owns the primary
-	ID     uint64 // object ID in the home site's catalog
-	Path   string
 	Bytes  int64
 	Sum    uint64 // catalog digest carried over from the primary
 	Volume string // copy-pool volume holding the duplicate
@@ -79,9 +77,6 @@ func (s *Server) StoreReplica(client, homeSite string, obj Object, parent *telem
 	}
 	s.txn() // commit the catalog entry
 	s.replicas[key] = &Replica{
-		Home:   homeSite,
-		ID:     obj.ID,
-		Path:   obj.Path,
 		Bytes:  obj.Bytes,
 		Sum:    obj.Sum,
 		Volume: loc.Volume,

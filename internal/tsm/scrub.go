@@ -11,10 +11,6 @@ import (
 type ScrubConfig struct {
 	// Client owns the scrubber's drive sessions.
 	Client string
-	// QoS tags the scrubber's scheduler admissions. Unset fields
-	// default to the "system" tenant at Scavenger class: a scrub pass
-	// must never crowd out user recalls.
-	QoS sched.QoS
 	// Interval is the gap between full passes when Run drives the
 	// scrubber on an ILM-style schedule.
 	Interval time.Duration
@@ -86,14 +82,12 @@ func (sc *Scrubber) SetInterval(d time.Duration) {
 	sc.cfg.Interval = d
 }
 
-// admit passes one volume scan through the scheduler as scavenger work.
+// admit passes one volume scan through the scheduler as the "system"
+// tenant's scavenger work: a scrub pass must never crowd out user
+// recalls.
 func (sc *Scrubber) admit(volBytes int64) *sched.Grant {
-	qos := sc.cfg.QoS
-	if qos.Tenant == "" {
-		qos.Tenant = "system"
-	}
 	return sc.s.sch.Station(sched.StationScrub).Admit(sched.Item{
-		QoS: qos.Or(sched.Scavenger), Kind: "tsm.scrub", Units: volBytes,
+		QoS: sched.QoS{Tenant: "system", Class: sched.Scavenger}, Units: volBytes,
 	})
 }
 

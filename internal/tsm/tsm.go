@@ -42,17 +42,13 @@ var (
 	errNoDrives = errors.New("tsm: no operational tape drives")
 )
 
-// objectClass names what a stored object is. Every object is
-// HSM-migrated data; no caller stores a backup class.
-type objectClass int
-
-// ClassMigrate is the class of HSM-migrated data, the only one.
-const ClassMigrate objectClass = 0
+// ClassMigrate is the class of HSM-migrated data, the only one: every
+// object is HSM-migrated data; no caller stores a backup class.
+const ClassMigrate = 0
 
 // Object is one entry in the server's database.
 type Object struct {
 	ID      uint64
-	Node    string // client machine that stored it
 	Path    string // client namespace path
 	FileID  uint64 // client filesystem file ID
 	Bytes   int64
@@ -364,7 +360,7 @@ type StoreRequest struct {
 	Client string // machine running the storage agent
 	// Class is ignored: every object is ClassMigrate. bench/probes.go
 	// still sets it.
-	Class  objectClass
+	Class  int
 	Path   string
 	FileID uint64
 	Bytes  int64
@@ -388,9 +384,6 @@ type StoreRequest struct {
 	// Parent, when set, is the telemetry span (e.g. the HSM store phase)
 	// the session's span nests under.
 	Parent *telemetry.Span
-	// QoS tags the scheduler admission this store makes at the
-	// tsm.session station (an unset class defaults to Batch).
-	QoS sched.QoS
 }
 
 // Store writes one object to tape and records it, returning the
@@ -404,7 +397,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 		return Object{}, fmt.Errorf("tsm: negative size")
 	}
 	grant := s.sch.Station(sched.StationSession).Admit(sched.Item{
-		QoS: req.QoS.Or(sched.Batch), Kind: "tsm.store", Units: req.Bytes,
+		QoS: sched.QoS{}.Or(sched.Batch), Units: req.Bytes,
 	})
 	if gerr := grant.Err(); gerr != nil {
 		s.abortAdmit("tsm.store", req.Client, req.Path, gerr)
@@ -412,10 +405,7 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	}
 	defer grant.Done()
 	s.reapDownDrives()
-	if err := s.txnDeadline(req.QoS.Deadline); err != nil {
-		s.abortAdmit("tsm.store", req.Client, req.Path, err)
-		return Object{}, err
-	}
+	s.txn()
 	sp := telemetry.ChildOf(s.tel, req.Parent, "tsm.store", "client", req.Client, "path", req.Path)
 	s.nextID++ // allocate the object ID up front: concurrent stores must not collide
 	id := s.nextID
@@ -469,7 +459,6 @@ func (s *Server) Store(req StoreRequest) (Object, error) {
 	s.txn() // commit
 	obj := s.db.put(Object{
 		ID:     id,
-		Node:   req.Client,
 		Path:   req.Path,
 		FileID: req.FileID,
 		Bytes:  req.Bytes,
@@ -774,7 +763,7 @@ func (s *Server) Recall(req RecallRequest) (Object, error) {
 		return Object{}, fmt.Errorf("%w: %d", ErrNoSuchObject, req.ObjectID)
 	}
 	grant := s.sch.Station(sched.StationSession).Admit(sched.Item{
-		QoS: req.QoS.Or(sched.Interactive), Kind: "tsm.recall",
+		QoS:   req.QoS.Or(sched.Interactive),
 		Units: obj.Bytes, Expedite: true,
 	})
 	if gerr := grant.Err(); gerr != nil {
@@ -846,8 +835,6 @@ type RecallBatchRequest struct {
 	Route fabric.Path
 	// Parent, when set, is the telemetry span the session nests under.
 	Parent *telemetry.Span
-	// QoS tags the scheduler admission (unset class = Interactive).
-	QoS sched.QoS
 }
 
 // RecallBatch restores a batch of same-volume objects in one session:
@@ -860,10 +847,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 		return nil, nil
 	}
 	s.reapDownDrives()
-	if err := s.txnDeadline(req.QoS.Deadline); err != nil {
-		s.abortAdmit("tsm.recall-batch", req.Client, req.Volume, err)
-		return nil, err
-	}
+	s.txn()
 	objs := make([]*Object, 0, len(req.ObjectIDs))
 	for _, id := range req.ObjectIDs {
 		obj := s.db.get(id)
@@ -888,7 +872,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 	// under its own grant (never while this one is held — a limited
 	// station must not wait on itself).
 	grant := s.sch.Station(sched.StationSession).Admit(sched.Item{
-		QoS: req.QoS.Or(sched.Interactive), Kind: "tsm.recall",
+		QoS:   sched.QoS{}.Or(sched.Interactive),
 		Units: batchBytes, Expedite: true,
 	})
 	if gerr := grant.Err(); gerr != nil {
@@ -909,15 +893,6 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 	// ladder (re-read/repair/typed error) once the session is released.
 	var bad []uint64
 	for _, obj := range objs {
-		if dl := req.QoS.Deadline; dl > 0 && s.clock.Now() >= dl {
-			// The caller's deadline passed mid-stream: stop here rather
-			// than hold the drive for objects nobody is waiting on.
-			s.releaseDrive(d)
-			grant.Done()
-			err := fmt.Errorf("tsm: recall batch %s: %w", req.Volume, sched.ErrDeadlineExceeded)
-			sp.Abort(err.Error(), s.DownCause())
-			return out, err
-		}
 		rd, tCause, tainted, readErr := s.moveData(req.Route, nil, tapeIO{drive: d, bytes: obj.Bytes, seq: obj.Seq})
 		if readErr != nil {
 			s.releaseDrive(d)
@@ -943,7 +918,7 @@ func (s *Server) RecallBatch(req RecallBatchRequest) ([]Object, error) {
 	grant.Done()
 	for _, id := range bad {
 		o, err := s.Recall(RecallRequest{Client: req.Client, ObjectID: id,
-			Route: req.Route, Parent: sp, QoS: req.QoS})
+			Route: req.Route, Parent: sp})
 		if err != nil {
 			sp.Abort(err.Error(), 0)
 			return out, err

@@ -883,14 +883,14 @@ func TestInfoXattrReadsCurrentAttributes(t *testing.T) {
 	fs := newFS()
 	fs.WriteFile("/f", synthetic.NewUniform(1, 1))
 	info, _ := fs.Stat("/f")
-	if _, ok := info.xattr("owner"); ok {
+	if _, ok := fs.xattrOf(info, "owner"); ok {
 		t.Error("attribute present before it was set")
 	}
 	fs.SetXattr("/f", "owner", "alice")
-	if v, ok := info.xattr("owner"); !ok || v != "alice" {
+	if v, ok := fs.xattrOf(info, "owner"); !ok || v != "alice" {
 		t.Errorf("Xattr after SetXattr = %q, %v; want the inode's current value", v, ok)
 	}
-	if _, ok := (Info{}).xattr("owner"); ok {
+	if _, ok := fs.xattrOf(Info{}, "owner"); ok {
 		t.Error("zero Info has attributes")
 	}
 	if n := testing.AllocsPerRun(100, func() { fs.Stat("/f") }); n != 0 {

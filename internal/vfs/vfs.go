@@ -10,7 +10,7 @@
 // live: each chunk counts its linked inodes, and a chunk whose IDs are
 // all handed out is let go when the last of them is removed. Trees are
 // created and removed together, so whole chunks die together; a lone
-// survivor keeps its chunk's 80 KB. A directory inode points to an
+// survivor keeps its chunk's 72 KB. A directory inode points to an
 // ordered compact table (dir.go): entries {name, inode} in one slice in
 // insertion order plus, above eight entries, an open-addressed index of
 // 4-byte positions.
@@ -83,8 +83,6 @@ type Info struct {
 	Type    FileType
 	Size    int64
 	ModTime time.Duration // virtual time
-	ATime   time.Duration // virtual time of last data read
-	inode   *node
 }
 
 // IsDir reports whether the inode is a directory.
@@ -94,7 +92,6 @@ type node struct {
 	id      FileID
 	size    int64
 	modTime time.Duration
-	atime   time.Duration
 	content synthetic.Content
 	dir     *dir       // directories only
 	xattrs  *xattrList // nil until the first SetXattr: most inodes carry none
@@ -450,7 +447,6 @@ func (fs *FS) read(n *node, check func(id FileID) error) (synthetic.Content, err
 			return synthetic.Content{}, err
 		}
 	}
-	n.atime = fs.now()
 	return n.content, nil
 }
 
@@ -526,8 +522,6 @@ func info(p, name string, n *node) Info {
 		Type:    n.typ,
 		Size:    n.size,
 		ModTime: n.modTime,
-		ATime:   n.atime,
-		inode:   n,
 	}
 }
 
@@ -612,8 +606,8 @@ func (fs *FS) unlink(parent *node, leaf string) *node {
 // drop removes the unlinked inode n: it gives up what it held, and if
 // it was the last one linked in a chunk with no IDs left to hand out,
 // the arena lets the chunk go. The ID is never reused. n itself stays
-// readable for whoever still holds it (a suspended Walk, an Info): the
-// collector keeps the chunk until they are done.
+// readable for whoever still holds it (a suspended Walk): the collector
+// keeps the chunk until it is done.
 func (fs *FS) drop(n *node) {
 	if n.typ == TypeDir {
 		fs.ndirs--
@@ -726,16 +720,14 @@ func (fs *FS) Exists(p string) bool {
 	return err == nil
 }
 
-// walkFunc visits one inode during Walk. Returning a non-nil error
-// stops the walk and propagates the error.
-type walkFunc func(info Info) error
-
 // Walk visits p and everything below it in deterministic depth-first
-// order (directories before their children, children by name). fn may
+// order (directories before their children, children by name), calling
+// fn with each inode; a non-nil error from fn stops the walk and is
+// returned. fn may
 // block while other actors change the tree (pfs.Scan does): a directory
 // is walked as it stood when the walk entered it, less the entries
 // removed or replaced before the walk reaches them.
-func (fs *FS) Walk(p string, fn walkFunc) error {
+func (fs *FS) Walk(p string, fn func(Info) error) error {
 	n, p, err := fs.lookup(p)
 	if err != nil {
 		return err
@@ -743,7 +735,7 @@ func (fs *FS) Walk(p string, fn walkFunc) error {
 	return walk(p, path.Base(p), n, fn)
 }
 
-func walk(p, name string, n *node, fn walkFunc) error {
+func walk(p, name string, n *node, fn func(Info) error) error {
 	if err := fn(info(p, name, n)); err != nil {
 		return err
 	}

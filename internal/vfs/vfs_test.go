@@ -249,7 +249,7 @@ func TestXattrs(t *testing.T) {
 		t.Errorf("GetXattr = %q, %v", v, err)
 	}
 	info, _ := fs.Stat("/f")
-	if v, ok := info.xattr("hsm.state"); !ok || v != "migrated" {
+	if v, ok := fs.xattrOf(info, "hsm.state"); !ok || v != "migrated" {
 		t.Error("xattr missing from Stat")
 	}
 	fs.SetXattr("/f", "hsm.state", "")
@@ -340,14 +340,13 @@ func TestPathCleaning(t *testing.T) {
 	}
 }
 
-// xattr reads a named extended attribute of the inode i describes. It
-// reads the inode's current attributes, not a copy taken when i was
-// built: a later SetXattr shows, and a removed inode has none.
-func (i Info) xattr(key string) (string, bool) {
-	if i.inode == nil {
-		return "", false
-	}
-	return i.inode.xattr(key)
+// xattrOf reads a named extended attribute of the inode i describes,
+// by its ID. It reads the inode's current attributes, not a copy taken
+// when i was built: a later SetXattr shows, and a removed inode has
+// none.
+func (fs *FS) xattrOf(i Info, key string) (string, bool) {
+	v, err := fs.GetXattrID(i.ID, key)
+	return v, err == nil && v != ""
 }
 
 // numFiles reports the number of regular files.

@@ -60,7 +60,6 @@ type Request struct {
 	At     time.Duration // arrival offset within the day
 	Tenant int           // tenant index (0-based)
 	Class  sched.Class
-	Burst  int // burst (session) index the request belongs to
 }
 
 // TenantName renders a stable tenant label for scheduler tagging.
@@ -127,7 +126,7 @@ func (p TenantPopulation) GenerateRequests() []Request {
 	}
 	geomP := 1 / burstMean // geometric success prob, mean 1/p
 	out := make([]Request, 0, p.Requests)
-	for b := 0; b < nBursts; b++ {
+	for range nBursts {
 		at := p.diurnalInvCDF(rng.Float64())
 		tenant := sort.SearchFloat64s(cum, rng.Float64()*total)
 		class := p.classOf(tenant)
@@ -144,7 +143,7 @@ func (p TenantPopulation) GenerateRequests() []Request {
 					break
 				}
 			}
-			out = append(out, Request{At: t, Tenant: tenant, Class: class, Burst: b})
+			out = append(out, Request{At: t, Tenant: tenant, Class: class})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })

@@ -87,18 +87,11 @@ func TestTenantArrivalsDiurnal(t *testing.T) {
 func TestTenantArrivalsBursty(t *testing.T) {
 	p := testPop()
 	reqs := p.GenerateRequests()
-	// Burst sizes are geometric with the configured mean; group by
-	// burst id and compare the empirical mean (truncation at day-end
-	// shaves a little, hence the tolerance).
-	sizes := make(map[int]int)
-	for _, r := range reqs {
-		sizes[r.Burst]++
-	}
-	var sum float64
-	for _, n := range sizes {
-		sum += float64(n)
-	}
-	got := sum / float64(len(sizes))
+	// Burst sizes are geometric with the configured mean over a fixed
+	// Requests/burstMean bursts: requests per burst is the empirical
+	// mean (truncation at day-end shaves a little, hence the tolerance).
+	bursts := math.Max(1, math.Round(float64(p.withDefaults().Requests)/burstMean))
+	got := float64(len(reqs)) / bursts
 	if math.Abs(got-burstMean) > 0.25*burstMean {
 		t.Fatalf("mean burst size %.2f, want ~%.1f", got, burstMean)
 	}

@@ -275,12 +275,13 @@ func Noise(clock *simtime.Clock, link *fabric.Link, fraction float64, stop *bool
 	if burst < 1 {
 		burst = 1
 	}
+	p := fabric.Path{}.With(link)
 	for i := 0; i < streams; i++ {
 		clock.Go(func() {
 			// Each burst is a segment of one long-lived flow, so a
 			// multi-day campaign's millions of bursts cost no fair-share
 			// recompute churn.
-			st := link.Stream()
+			st := p.Fabric().Stream(p)
 			for !*stop {
 				st.Send(burst)
 			}
